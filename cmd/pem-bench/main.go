@@ -1119,7 +1119,7 @@ func figLive(o options) error {
 		res.Windows, res.Rekey.Round(time.Millisecond), res.Trading.Round(time.Millisecond), res.WindowsPerSec)
 	fmt.Printf("positions: %d active, %d settled leavers; conservation: energy %.3g kWh, payments %.3g cents\n",
 		active, frozen, res.EnergyImbalanceKWh, res.PaymentImbalanceCents)
-	fmt.Println("(re-key = per-epoch key provisioning for every coalition; steady-state excludes it)")
+	fmt.Println("(rekey = the slowest coalition's key provisioning per epoch; trading = the rest of the epoch; steady-state = windows / trading)")
 	if wal != nil {
 		fmt.Printf("store: run persisted to %s (resumable with pem.Resume)\n", wal.Path())
 	}

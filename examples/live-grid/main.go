@@ -60,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("\nepochs (re-key cost vs steady-state trading):")
+	fmt.Println("\nepochs (re-key = the slowest coalition's key provisioning, trade = the rest of the epoch):")
 	for _, er := range res.Epochs {
 		wps := 0.0
 		if er.Trading > 0 {

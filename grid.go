@@ -68,8 +68,11 @@ func GenerateFleet(cfg FleetConfig) (*Trace, error) {
 	return dataset.GenerateFleet(cfg)
 }
 
-// ErrCoalitionSkipped marks coalitions never launched because an earlier
-// coalition's failure stopped the grid.
+// ErrCoalitionSkipped marks coalitions whose private market did not run:
+// the grid had stopped admitting work (after an earlier coalition's failure,
+// a context cancellation or a sink/store error — the message says which),
+// or, with CoalitionRun.Folded set, the roster was below MinCoalition and
+// the coalition was folded into grid-tariff settlement instead.
 var ErrCoalitionSkipped = grid.ErrCoalitionSkipped
 
 // GridConfig configures a sharded coalition grid.
@@ -119,34 +122,48 @@ type GridConfig struct {
 	Store Store `json:"-"`
 }
 
+// live widens the one-shot configuration to the live grid's, of which it is
+// the per-epoch subset (no Epochs, Churn or retention), so both lower
+// through one function (LiveGridConfig.lower).
+func (cfg GridConfig) live() LiveGridConfig {
+	return LiveGridConfig{
+		Market:                  cfg.Market,
+		Coalitions:              cfg.Coalitions,
+		Partition:               cfg.Partition,
+		PartitionSeed:           cfg.PartitionSeed,
+		MaxConcurrentCoalitions: cfg.MaxConcurrentCoalitions,
+		MinCoalition:            cfg.MinCoalition,
+		Tiers:                   cfg.Tiers,
+		Store:                   cfg.Store,
+	}
+}
+
 // Grid is a partitioned fleet ready to trade. Unlike Market (whose keys
 // outlive windows), a Grid provisions each coalition's engine inside Run,
 // so the zero-state struct holds only the plan: trace and partition.
 type Grid struct {
-	cfg   GridConfig
+	cfg   grid.Config
 	trace *Trace
 	parts [][]int
 }
 
-// NewGrid partitions the fleet trace into coalitions. The partition is
-// deterministic given the config and visible via Partition before any
-// protocol runs.
+// NewGrid validates the config and partitions the fleet trace into
+// coalitions. The partition is deterministic given the config and visible
+// via Partition before any protocol runs; a statically-bad config (unknown
+// partition strategy, negative budgets) fails here, not in Run.
 func NewGrid(cfg GridConfig, trace *Trace) (*Grid, error) {
 	if trace == nil || len(trace.Homes) == 0 {
 		return nil, errors.New("pem: grid needs a non-empty fleet trace")
 	}
-	if cfg.Coalitions <= 0 {
-		return nil, errors.New("pem: GridConfig.Coalitions must be positive")
+	lcfg, err := cfg.live().lower()
+	if err != nil {
+		return nil, err
 	}
-	seed := cfg.PartitionSeed
-	if seed == 0 && cfg.Market.Seed != nil {
-		seed = *cfg.Market.Seed
-	}
-	parts, err := grid.Partition(grid.Strategy(cfg.Partition), trace.Homes, cfg.Coalitions, seed)
+	parts, err := grid.Partition(lcfg.Partition, trace.Homes, lcfg.Coalitions, lcfg.PartitionSeed)
 	if err != nil {
 		return nil, fmt.Errorf("pem: %w", err)
 	}
-	return &Grid{cfg: cfg, trace: trace, parts: parts}, nil
+	return &Grid{cfg: lcfg.Grid, trace: trace, parts: parts}, nil
 }
 
 // Partition returns the coalition membership as agent IDs, in coalition
@@ -169,7 +186,7 @@ func (g *Grid) Partition() [][]string {
 // on the failed and skipped ones) alongside the earliest failure, so a
 // partial day is still observable.
 func (g *Grid) Run(ctx context.Context) (*GridResult, error) {
-	res, err := grid.Run(ctx, g.gridConfig(), g.trace, g.parts)
+	res, err := grid.Run(ctx, g.cfg, g.trace, g.parts)
 	if err != nil {
 		return res, fmt.Errorf("pem: %w", err)
 	}
@@ -186,23 +203,9 @@ func (g *Grid) Run(ctx context.Context) (*GridResult, error) {
 // coalitions and aborts the run. With Market.Seed set, a Stream is
 // bit-identical to Run at any sink consumption speed.
 func (g *Grid) Stream(ctx context.Context, sink func(*CoalitionRun) error) (*GridResult, error) {
-	if sink == nil {
-		return nil, errors.New("pem: Stream needs a sink (use Run)")
-	}
-	res, err := grid.Stream(ctx, g.gridConfig(), g.trace, g.parts, sink)
+	res, err := grid.Stream(ctx, g.cfg, g.trace, g.parts, sink)
 	if err != nil {
 		return res, fmt.Errorf("pem: %w", err)
 	}
 	return res, nil
-}
-
-// gridConfig maps the public grid configuration onto the supervisor's.
-func (g *Grid) gridConfig() grid.Config {
-	return grid.Config{
-		Engine:        g.cfg.Market.coreConfig(),
-		MaxConcurrent: g.cfg.MaxConcurrentCoalitions,
-		MinCoalition:  g.cfg.MinCoalition,
-		Tiers:         g.cfg.Tiers,
-		Store:         g.cfg.Store,
-	}
 }

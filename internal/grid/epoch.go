@@ -7,10 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"time"
 
-	"github.com/pem-go/pem/internal/core"
 	"github.com/pem-go/pem/internal/dataset"
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/paillier"
@@ -74,15 +72,15 @@ type LiveConfig struct {
 }
 
 // Validate checks the live configuration, including that the partition
-// strategy exists. RunLive validates on entry; pem.NewLiveGrid also calls
-// it at construction so a statically-bad config fails before the fleet
-// evolution or any key material is built.
+// strategy exists. RunLive validates on entry; pem.NewGrid and
+// pem.NewLiveGrid also call it at construction so a statically-bad config
+// fails before the fleet evolution or any key material is built.
 func (c LiveConfig) Validate() error {
 	if err := c.Grid.validate(); err != nil {
 		return err
 	}
 	if c.Coalitions <= 0 {
-		return fmt.Errorf("grid: live Coalitions must be positive, got %d", c.Coalitions)
+		return fmt.Errorf("grid: Coalitions must be positive, got %d", c.Coalitions)
 	}
 	switch c.Partition {
 	case StrategyFixed, StrategyRandom, StrategyBalanced, "":
@@ -123,16 +121,16 @@ type EpochResult struct {
 	// network: the slowest coalition's day, since the epoch's coalitions
 	// trade concurrently. Zero on unemulated runs.
 	VirtualLatency time.Duration
-	// Rekey is the wall-clock time of the epoch's re-keying phase: every
-	// coalition provisioning fresh key material and transport scopes,
-	// concurrently over the shared crypto pool. Reported separately so
-	// churn cost stays distinguishable from trading throughput.
+	// Rekey is the epoch's re-key critical path: the slowest coalition's
+	// engine provisioning (the largest CoalitionRun.Rekey). At the default
+	// unbounded budget every coalition provisions from the epoch's start, so
+	// this is also the wall-clock until the last engine is keyed. Reported
+	// separately so churn cost stays distinguishable from trading throughput.
 	Rekey time.Duration
-	// Trading is the wall-clock time of the epoch's window-execution
-	// phase, after all engines were provisioned.
+	// Trading is the rest of the epoch: Duration − Rekey.
 	Trading time.Duration
-	// Duration is the epoch's total wall-clock time (re-key, trading and
-	// teardown).
+	// Duration is the epoch's total wall-clock time (partitioning,
+	// re-keying, trading, settlement and teardown).
 	Duration time.Duration
 }
 
@@ -162,9 +160,10 @@ type LiveResult struct {
 	// network: the sum of the epochs' virtual durations, since epochs are
 	// consecutive trading days. Zero on unemulated runs.
 	VirtualLatency time.Duration
-	// Rekey sums the epochs' re-keying phases.
+	// Rekey sums the epochs' re-key critical paths (EpochResult.Rekey).
 	Rekey time.Duration
-	// Trading sums the epochs' window-execution phases.
+	// Trading sums the epochs' remainders (EpochResult.Trading), so Rekey +
+	// Trading is the time spent inside epochs.
 	Trading time.Duration
 	// WindowsPerSec is the steady-state throughput — Windows / Trading —
 	// with re-keying cost excluded (it is reported in Rekey instead).
@@ -178,12 +177,12 @@ type LiveResult struct {
 
 // RunLive executes a multi-epoch live-grid simulation over the evolution's
 // fleet history. Epochs run in order (they are consecutive trading days);
-// within an epoch, re-keying and coalition-days are concurrent exactly like
-// a one-shot Run. A genuine coalition failure aborts the simulation after
-// draining its epoch; the returned LiveResult keeps all completed epochs
-// plus the partial one. With Grid.Engine.Seed set, the whole simulation is
-// deterministic: bit-identical per (epoch, coalition) at any coalition
-// concurrency.
+// within an epoch, coalition-days — provisioning included — run concurrently
+// under Grid.MaxConcurrent, through the same supervisor as a one-shot Run. A
+// genuine coalition failure aborts the simulation after draining its epoch;
+// the returned LiveResult keeps all completed epochs plus the partial one.
+// With Grid.Engine.Seed set, the whole simulation is deterministic:
+// bit-identical per (epoch, coalition) at any coalition concurrency.
 func RunLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution) (*LiveResult, error) {
 	return streamLive(ctx, cfg, evo, nil)
 }
@@ -381,10 +380,11 @@ func applyEpochFlows(book *market.PositionBook, er *EpochResult) error {
 	return nil
 }
 
-// runEpoch executes one epoch: re-partition the epoch's roster, re-key
-// every coalition (fresh engines over the shared infrastructure), run the
-// coalition-days concurrently, and settle the epoch's residuals. The
-// returned EpochResult is valid even on error, with per-coalition Err set.
+// runEpoch executes one epoch: re-partition the epoch's roster and run it as
+// one coalition-day (runDay) over the simulation's infrastructure, under
+// the epoch's own engine seed and "eNN-" scope — which is all that re-keying
+// is. The returned EpochResult is valid even on error, with per-coalition
+// Err set.
 func runEpoch(ctx context.Context, cfg LiveConfig, bus *transport.Bus, workers *paillier.Workers, ef *dataset.EpochFleet) (*EpochResult, error) {
 	begin := time.Now()
 	er := &EpochResult{
@@ -394,19 +394,18 @@ func runEpoch(ctx context.Context, cfg LiveConfig, bus *transport.Bus, workers *
 		Departed: ef.Departed,
 		Failed:   ef.Failed,
 	}
-	defer func() { er.Duration = time.Since(begin) }()
+	// The epoch's phase split is defined here and nowhere else: Rekey is the
+	// slowest coalition's provisioning (set below), Trading the remainder.
+	defer func() {
+		er.Duration = time.Since(begin)
+		er.Trading = er.Duration - er.Rekey
+	}()
 
 	// Churn may have shrunk the roster below what the requested coalition
 	// count can fill; degrade to the largest count whose coalitions still
 	// meet the private-market floor, rather than partition the roster into
 	// slivers that would all fold to grid-tariff service.
-	k := cfg.Coalitions
-	if limit := len(ef.Trace.Homes) / cfg.Grid.minCoalition(); k > limit {
-		k = limit
-	}
-	if k < 1 {
-		k = 1
-	}
+	k := max(1, min(cfg.Coalitions, len(ef.Trace.Homes)/cfg.Grid.minCoalition()))
 	parts, err := Partition(cfg.Partition, ef.Trace.Homes, k, deriveEpochSeed(cfg.PartitionSeed, ef.Epoch))
 	if err != nil {
 		return er, err
@@ -422,164 +421,17 @@ func runEpoch(ctx context.Context, cfg LiveConfig, bus *transport.Bus, workers *
 		gcfg.Engine.Seed = &es
 	}
 
-	er.Coalitions = make([]CoalitionRun, len(parts))
-	for i, members := range parts {
-		er.Coalitions[i] = CoalitionRun{
-			Name:    fmt.Sprintf("e%02d-c%02d", ef.Epoch, i),
-			Members: append([]int(nil), members...),
-		}
-	}
-
-	rekeyed, err := rekeyEpoch(ctx, gcfg, bus, workers, ef.Trace, er)
-	defer func() {
-		for _, rk := range rekeyed {
-			if rk.engine != nil {
-				rk.engine.Close()
-			}
-		}
-	}()
-	if err != nil {
-		return er, err
-	}
-
-	tradeStart := time.Now()
-	err = tradeEpoch(ctx, gcfg, bus, er, rekeyed)
-	er.Trading = time.Since(tradeStart)
-
+	day, err := runDay(ctx, gcfg, bus, workers, ef.Trace, parts, fmt.Sprintf("e%02d-", ef.Epoch), nil)
+	er.Coalitions = day.Coalitions
+	er.Settlement, er.Tiers = day.Settlement, day.Tiers
+	er.Windows, er.Bytes, er.Msgs = day.Windows, day.TotalBytes, day.TotalMessages
+	er.VirtualLatency = day.VirtualLatency
 	for i := range er.Coalitions {
-		cr := &er.Coalitions[i]
-		if cr.Err != nil {
-			continue
-		}
-		er.Windows += cr.Windows
-		er.Bytes += cr.Bytes
-		er.Msgs += cr.Msgs
-		if cr.VirtualLatency > er.VirtualLatency {
-			er.VirtualLatency = cr.VirtualLatency
+		if rk := er.Coalitions[i].Rekey; rk > er.Rekey {
+			er.Rekey = rk
 		}
 	}
-	settlement, tiers, serr := settleGrid(gcfg, er.Coalitions)
-	if serr != nil && err == nil {
-		err = fmt.Errorf("settlement: %w", serr)
-	}
-	er.Settlement = settlement
-	er.Tiers = tiers
 	return er, err
-}
-
-// rekeyedCoalition is one coalition's provisioned state after the re-key
-// phase: its engine (nil for folded or failed slots) and the sub-trace it
-// was keyed for, carried into the trading phase so it is selected once.
-type rekeyedCoalition struct {
-	engine *core.Engine
-	sub    *dataset.Trace
-}
-
-// rekeyEpoch provisions one engine per runnable coalition — fresh Paillier
-// keys for every member, a fresh transport scope — concurrently over the
-// shared worker pool, which bounds the total keygen parallelism. Too-small
-// coalitions are folded here (they never key). Returns the provisioned
-// coalitions indexed like er.Coalitions; on error the caller still closes
-// whatever was provisioned.
-func rekeyEpoch(ctx context.Context, cfg Config, bus *transport.Bus, workers *paillier.Workers, tr *dataset.Trace, er *EpochResult) ([]rekeyedCoalition, error) {
-	rekeyStart := time.Now()
-	defer func() { er.Rekey = time.Since(rekeyStart) }()
-
-	rekeyed := make([]rekeyedCoalition, len(er.Coalitions))
-	var wg sync.WaitGroup
-	for i := range er.Coalitions {
-		if ctx.Err() != nil {
-			er.Coalitions[i].Err = fmt.Errorf("%w on cancellation", ErrCoalitionSkipped)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, cr *CoalitionRun) {
-			defer wg.Done()
-			begin := time.Now()
-			sub, err := tr.Select(cr.Members)
-			if err != nil {
-				cr.Err = err
-				return
-			}
-			agents := sub.Agents()
-			cr.IDs = make([]string, len(agents))
-			for j, a := range agents {
-				cr.IDs[j] = a.ID
-			}
-			if len(agents) < cfg.minCoalition() {
-				foldCoalition(cfg, sub, cr)
-				return
-			}
-			ecfg := cfg.Engine
-			ecfg.Namespace = cr.Name
-			// Per-window metrics fold into the scope aggregate as windows
-			// complete, so a long-running live grid's shared sink stays
-			// bounded by the windows in flight (see coalitionAccounting,
-			// which retires the scope itself).
-			ecfg.CompactWindowMetrics = true
-			eng, err := core.NewEngineWith(ecfg, agents, core.Resources{Bus: bus, Workers: workers})
-			if err != nil {
-				cr.Err = fmt.Errorf("rekey: %w", err)
-				return
-			}
-			cr.Keys = eng.KeyFingerprints()
-			cr.Rekey = time.Since(begin)
-			rekeyed[i] = rekeyedCoalition{engine: eng, sub: sub}
-		}(i, &er.Coalitions[i])
-	}
-	wg.Wait()
-
-	for i := range er.Coalitions {
-		if cr := &er.Coalitions[i]; cr.failure() {
-			return rekeyed, fmt.Errorf("coalition %s: %w", cr.Name, cr.Err)
-		}
-	}
-	return rekeyed, ctx.Err()
-}
-
-// tradeEpoch runs every keyed coalition's trading day concurrently under
-// the MaxConcurrent budget, through the supervisor's fail-fast launcher: a
-// failing coalition cancels only itself, later launches stop, in-flight
-// days drain. Folded slots (nil engine) are not eligible for launch but
-// still flow through delivery, so with a store attached their grid-tariff
-// aggregates persist alongside the completed coalitions' chains, in
-// partition order.
-func tradeEpoch(ctx context.Context, cfg Config, bus *transport.Bus, er *EpochResult, rekeyed []rekeyedCoalition) error {
-	return launchCoalitions(ctx, cfg.MaxConcurrent, er.Coalitions,
-		func(i int) bool { return rekeyed[i].engine != nil },
-		func(runCtx context.Context, i int, cr *CoalitionRun) {
-			tradeCoalition(runCtx, cfg, bus, cr, rekeyed[i])
-		},
-		func(cr *CoalitionRun) error { return persistCoalition(cfg.Store, cr) })
-}
-
-// tradeCoalition runs one keyed coalition's trading day through its
-// provisioned engine and folds the oracle accounting, mirroring
-// runCoalition minus provisioning (paid during re-key) and trace selection
-// (done once at re-key time).
-func tradeCoalition(ctx context.Context, cfg Config, bus *transport.Bus, cr *CoalitionRun, rk rekeyedCoalition) {
-	begin := time.Now()
-	defer func() { cr.Duration = cr.Rekey + time.Since(begin) }()
-
-	jobs := make([]core.WindowJob, rk.sub.Windows)
-	for w := 0; w < rk.sub.Windows; w++ {
-		inputs, err := rk.sub.WindowInputs(w)
-		if err != nil {
-			cr.Err = err
-			return
-		}
-		jobs[w] = core.WindowJob{Window: w, Inputs: inputs}
-	}
-	results, err := rk.engine.RunWindows(ctx, jobs)
-	if err != nil {
-		cr.Err = err
-		return
-	}
-	cr.Results = results
-	if cr.Err = coalitionAccounting(bus, cr); cr.Err != nil {
-		return
-	}
-	cr.Err = oracleAccounting(cfg, rk.sub, jobs, cr)
 }
 
 // deriveEpochSeed expands a simulation seed into one independent stream per

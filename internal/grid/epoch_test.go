@@ -3,12 +3,19 @@ package grid
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/pem-go/pem/internal/core"
 	"github.com/pem-go/pem/internal/dataset"
 	"github.com/pem-go/pem/internal/market"
+	"github.com/pem-go/pem/internal/paillier"
+	"github.com/pem-go/pem/internal/store"
+	"github.com/pem-go/pem/internal/transport"
 )
 
 func testEvolution(t *testing.T, epochs int, churn dataset.ChurnConfig) *dataset.Evolution {
@@ -374,5 +381,169 @@ func TestLiveRejectsBadConfig(t *testing.T) {
 	cancel()
 	if _, err := RunLive(cancelled, testLiveConfig(1, 0), evo); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestGridIsOneEpochLiveGrid is the identity the single supervisor rests
+// on: a one-shot grid is a one-epoch, churn-free live grid. Given the
+// epoch-0 engine and partition seeds, Run and RunLive agree per coalition,
+// bit for bit, on every outcome — window results, residual, flows, ledger
+// chain head, traffic — and on the settlement, under both crypto backends,
+// flat and tiered. The scope name ("c00" vs "e00-c00") is the one
+// difference: it labels the residuals and rides in every message tag, so the
+// live coalition's bytes exceed the one-shot's by exactly the prefix length
+// per message.
+func TestGridIsOneEpochLiveGrid(t *testing.T) {
+	fleet := dataset.FleetConfig{Coalitions: 3, HomesPerCoalition: 3, Windows: 2, Seed: 1234}
+	tr, err := dataset.GenerateFleet(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evo, err := dataset.Evolve(fleet, dataset.ChurnConfig{Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		seed, partSeed = int64(61), int64(7)
+		coalitions     = 3
+		prefix         = "e00-"
+	)
+	unscoped := func(name string) string { return strings.TrimPrefix(name, prefix) }
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
+	defer cancel()
+
+	for _, backend := range []string{core.BackendPaillier, core.BackendHybrid} {
+		for _, tiers := range [][]int{nil, {2}} {
+			t.Run(fmt.Sprintf("%s/tiers=%v", backend, tiers), func(t *testing.T) {
+				engine := testEngineConfig(seed)
+				engine.CryptoBackend = backend
+				live, err := RunLive(ctx, LiveConfig{
+					Grid:          Config{Engine: engine, Tiers: tiers},
+					Coalitions:    coalitions,
+					Partition:     StrategyRandom,
+					PartitionSeed: partSeed,
+					RetainResults: true,
+				}, evo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				epoch := live.Epochs[0]
+
+				engine = testEngineConfig(deriveEpochSeed(seed, 0))
+				engine.CryptoBackend = backend
+				parts, err := Partition(StrategyRandom, tr.Homes, coalitions, deriveEpochSeed(partSeed, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				day, err := Run(ctx, Config{Engine: engine, Tiers: tiers}, tr, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				if len(day.Coalitions) != len(epoch.Coalitions) {
+					t.Fatalf("%d one-shot coalitions, %d live", len(day.Coalitions), len(epoch.Coalitions))
+				}
+				for i := range day.Coalitions {
+					a, b := &day.Coalitions[i], &epoch.Coalitions[i]
+					if a.Err != nil || b.Err != nil {
+						t.Fatalf("coalition %d: one-shot err %v, live err %v", i, a.Err, b.Err)
+					}
+					if b.Name != prefix+a.Name || !reflect.DeepEqual(a.Members, b.Members) || !reflect.DeepEqual(a.IDs, b.IDs) {
+						t.Fatalf("coalition %d: %s %v vs %s %v", i, a.Name, a.IDs, b.Name, b.IDs)
+					}
+					if len(a.Results) != len(b.Results) {
+						t.Fatalf("%s: %d windows vs %d", a.Name, len(a.Results), len(b.Results))
+					}
+					for w := range a.Results {
+						ra, rb := a.Results[w], b.Results[w]
+						if ra.Kind != rb.Kind || ra.Price != rb.Price || ra.PHat != rb.PHat ||
+							ra.Messages != rb.Messages || !reflect.DeepEqual(ra.Trades, rb.Trades) {
+							t.Errorf("%s window %d diverged:\n%+v\nvs\n%+v", a.Name, w, ra, rb)
+						}
+					}
+					rb := b.Residual
+					rb.Coalition = unscoped(rb.Coalition)
+					if a.Residual != rb || !reflect.DeepEqual(a.Flows, b.Flows) {
+						t.Errorf("%s: residual or flows diverged: %+v vs %+v", a.Name, a.Residual, rb)
+					}
+					if a.ChainHead == "" || a.ChainHead != b.ChainHead || a.Windows != b.Windows || a.Msgs != b.Msgs {
+						t.Errorf("%s: head %s/%s, windows %d/%d, msgs %d/%d",
+							a.Name, a.ChainHead, b.ChainHead, a.Windows, b.Windows, a.Msgs, b.Msgs)
+					}
+					if want := a.Bytes + int64(len(prefix))*a.Msgs; b.Bytes != want {
+						t.Errorf("%s: live bytes %d, want one-shot %d + %d per message = %d",
+							a.Name, b.Bytes, a.Bytes, len(prefix), want)
+					}
+				}
+
+				ls := *epoch.Settlement
+				ls.PerCoalition = append([]market.CoalitionSettlement(nil), ls.PerCoalition...)
+				for i := range ls.PerCoalition {
+					ls.PerCoalition[i].Coalition = unscoped(ls.PerCoalition[i].Coalition)
+				}
+				if !reflect.DeepEqual(*day.Settlement, ls) {
+					t.Errorf("settlement diverged:\n%+v\nvs\n%+v", *day.Settlement, ls)
+				}
+				if (day.Tiers == nil) != (tiers == nil) || (epoch.Tiers == nil) != (tiers == nil) {
+					t.Fatalf("tiers %v: one-shot %v, live %v", tiers, day.Tiers, epoch.Tiers)
+				}
+				if tiers != nil && !reflect.DeepEqual(day.Tiers.Tiers, epoch.Tiers.Tiers) {
+					t.Errorf("tier outcomes diverged:\n%+v\nvs\n%+v", day.Tiers.Tiers, epoch.Tiers.Tiers)
+				}
+				if day.Windows != epoch.Windows || day.TotalMessages != epoch.Msgs {
+					t.Errorf("fold diverged: windows %d/%d, msgs %d/%d", day.Windows, epoch.Windows, day.TotalMessages, epoch.Msgs)
+				}
+			})
+		}
+	}
+}
+
+// provisionedProbe is a Store that samples, on every coalition delivery, how
+// many engines hold a reference on the shared crypto pool — one per
+// provisioned, not yet closed engine, plus the test's own.
+type provisionedProbe struct {
+	store.Store
+	workers *paillier.Workers
+	peak    int
+}
+
+func (p *provisionedProbe) PutAggregate(a store.Aggregate) error {
+	if refs := p.workers.Refs() - 1; refs > p.peak {
+		p.peak = refs
+	}
+	return p.Store.PutAggregate(a)
+}
+
+// TestLiveRekeyRespectsBudget is the regression test for the unbounded
+// re-key: an epoch used to provision every coalition's engine at once, one
+// goroutine each, and hold them all until the epoch ended, whatever
+// MaxConcurrent said. Whenever a coalition is delivered, the engines still
+// provisioned belong to later coalitions in flight — at most the budget.
+func TestLiveRekeyRespectsBudget(t *testing.T) {
+	evo := testEvolution(t, 2, dataset.ChurnConfig{JoinRate: 0.2})
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
+	defer cancel()
+	for _, budget := range []int{1, 2} {
+		workers := paillier.NewWorkers(0)
+		probe := &provisionedProbe{Store: store.NewMem(), workers: workers}
+		cfg := testLiveConfig(53, budget)
+		cfg.Grid.Store = probe
+		bus := transport.NewBus(nil)
+		for e := range evo.Epochs {
+			er, err := runEpoch(ctx, cfg, bus, workers, &evo.Epochs[e])
+			if err != nil {
+				t.Fatalf("budget %d epoch %d: %v", budget, e, err)
+			}
+			if len(er.Coalitions) <= budget {
+				t.Fatalf("budget %d epoch %d: only %d coalitions, the bound is vacuous", budget, e, len(er.Coalitions))
+			}
+		}
+		if probe.peak > budget {
+			t.Errorf("budget %d: %d engines provisioned at once", budget, probe.peak)
+		}
+		if refs := workers.Refs(); refs != 1 {
+			t.Errorf("budget %d: %d pool references after the epochs, want the test's own", budget, refs)
+		}
+		workers.Release()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -359,6 +360,68 @@ func TestGridCancelReportsContextError(t *testing.T) {
 		if cr.Err != nil && !errors.Is(cr.Err, ErrCoalitionSkipped) && !errors.Is(cr.Err, context.Canceled) {
 			t.Errorf("%s err = %v", cr.Name, cr.Err)
 		}
+	}
+}
+
+// TestLaunchSkipNamesCause: coalitions the launcher never admits are marked
+// ErrCoalitionSkipped with the reason the run was stopping — an earlier
+// failure, a cancelled context (even though the cancel also fails the
+// coalition it interrupts), or an aborted delivery — and are not delivered.
+func TestLaunchSkipNamesCause(t *testing.T) {
+	boom := errors.New("boom")
+	cases := map[string]struct {
+		second  func(ctx context.Context, cancel context.CancelFunc) error // coalition 1's day
+		deliver error                                                      // coalition 0's delivery
+		cause   string
+	}{
+		"failure": {
+			second: func(context.Context, context.CancelFunc) error { return boom },
+			cause:  "after earlier failure",
+		},
+		"cancellation": {
+			second: func(ctx context.Context, cancel context.CancelFunc) error {
+				cancel()
+				<-ctx.Done()
+				return ctx.Err()
+			},
+			cause: "on cancellation",
+		},
+		"delivery": {
+			second: func(ctx context.Context, _ context.CancelFunc) error {
+				<-ctx.Done()
+				return ctx.Err()
+			},
+			deliver: boom,
+			cause:   "after delivery aborted",
+		},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			runs := []CoalitionRun{{Name: "c00"}, {Name: "c01"}, {Name: "c02"}}
+			var delivered []string
+			err := launchCoalitions(ctx, 1, runs,
+				func(runCtx context.Context, cr *CoalitionRun) {
+					if cr.Name == "c01" {
+						cr.Err = tc.second(runCtx, cancel)
+					}
+				},
+				func(cr *CoalitionRun) error {
+					delivered = append(delivered, cr.Name)
+					return tc.deliver
+				})
+			if err == nil {
+				t.Fatal("stopped run returned nil error")
+			}
+			last := runs[2].Err
+			if !errors.Is(last, ErrCoalitionSkipped) || !strings.HasSuffix(last.Error(), tc.cause) {
+				t.Errorf("c02 err = %v, want ErrCoalitionSkipped %s", last, tc.cause)
+			}
+			if len(delivered) != 1 || delivered[0] != "c00" {
+				t.Errorf("delivered %v, want only c00", delivered)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/pem-go/pem/internal/core"
@@ -170,15 +171,18 @@ type CoalitionRun struct {
 	// flows are real and included in settlement.
 	Folded bool
 	// Err is the coalition's failure, nil on success. ErrCoalitionSkipped
-	// marks coalitions never launched — because an earlier coalition
-	// failed, or (with Folded set) because the roster was too small to run.
+	// marks coalitions never launched — because the run was already
+	// stopping (the message names the cause), or (with Folded set) because
+	// the roster was too small to run.
 	Err error
 }
 
 // ErrCoalitionSkipped marks coalitions whose private market did not run:
-// either the supervisor stopped admitting work after an earlier coalition
-// failed, or the roster was below Config.MinCoalition and the coalition was
-// folded into grid settlement (distinguished by CoalitionRun.Folded).
+// either the supervisor had stopped admitting work — after an earlier
+// coalition failed, on context cancellation, or after a sink or store error
+// aborted delivery; the wrapped message names which — or the roster was
+// below Config.MinCoalition and the coalition was folded into grid
+// settlement (distinguished by CoalitionRun.Folded).
 var ErrCoalitionSkipped = errors.New("grid: coalition skipped")
 
 // failure reports whether the coalition genuinely failed — skip markers
@@ -288,7 +292,7 @@ type Result struct {
 // Config.MinCoalition are not failures: they are folded into grid
 // settlement (see CoalitionRun.Folded).
 func Run(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int) (*Result, error) {
-	return execute(ctx, cfg, tr, parts, nil, true)
+	return execute(ctx, cfg, tr, parts, nil)
 }
 
 // Stream executes the same grid day as Run but delivers each coalition's
@@ -299,72 +303,86 @@ func Run(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int) (*Re
 // coalitions in flight rather than the partition size. The *CoalitionRun
 // passed to sink is valid only during the call (copy what must outlive
 // it); a sink error cancels the in-flight coalitions and aborts the run.
-// Sink is never called for coalitions at or after the first failure. A
-// seeded Stream is bit-identical to the batch Run — same per-coalition
-// outcomes, ledger chain heads and settlement — at any sink consumption
-// speed.
+// Sink is never called for skipped coalitions, nor at or after the first
+// failure. A seeded Stream is bit-identical to the batch Run — same
+// per-coalition outcomes, ledger chain heads and settlement — at any sink
+// consumption speed.
 func Stream(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, sink func(*CoalitionRun) error) (*Result, error) {
-	return execute(ctx, cfg, tr, parts, sink, false)
+	if sink == nil {
+		return nil, errors.New("grid: Stream needs a sink (use Run)")
+	}
+	res, err := execute(ctx, cfg, tr, parts, func(cr *CoalitionRun) error {
+		if err := sink(cr); err != nil {
+			return err
+		}
+		cr.releasePayload()
+		return nil
+	})
+	if res != nil {
+		res.Coalitions = nil
+	}
+	return res, err
 }
 
-// execute is the shared body of Run and Stream: launch the partition over
-// shared infrastructure, deliver in partition order, fold the settlement.
-func execute(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, sink func(*CoalitionRun) error, retain bool) (*Result, error) {
+// execute is the shared body of Run and Stream: a one-shot grid is one
+// coalition-day on infrastructure of its own.
+func execute(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, deliver func(*CoalitionRun) error) (*Result, error) {
 	if len(parts) == 0 {
 		return nil, errors.New("grid: empty partition")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-
-	// The shared infrastructure: one bus, one bounded crypto pool. Every
-	// engine retains its own pool reference; the supervisor's reference is
-	// dropped on return, so the pool retires exactly when the last engine
-	// closes.
+	// One bus, one bounded crypto pool. Every engine retains its own pool
+	// reference; the supervisor's is dropped on return, so the pool retires
+	// exactly when the last engine closes.
 	bus := transport.NewBus(nil)
 	workers := paillier.NewWorkers(cfg.Engine.CryptoWorkers)
 	defer workers.Release()
 
+	res, err := runDay(ctx, cfg, bus, workers, tr, parts, "", deliver)
+	if err != nil {
+		err = fmt.Errorf("grid: %w", err)
+	}
+	return res, err
+}
+
+// runDay is the one coalition-day supervisor, shared by the one-shot grid
+// (fresh infrastructure, scope "") and every live-grid epoch (the
+// simulation's infrastructure, scope "eNN-"): name the partition's
+// coalitions scope+"cNN", run them provision-then-trade under the
+// MaxConcurrent budget, persist and deliver each in partition order, then
+// fold the day's traffic and settle its residuals. The returned Result is
+// valid (with per-coalition Err set) even when err is non-nil; err is the
+// launcher's (see launchCoalitions) or, failing that, the settlement's.
+func runDay(ctx context.Context, cfg Config, bus *transport.Bus, workers *paillier.Workers, tr *dataset.Trace, parts [][]int, scope string, deliver func(*CoalitionRun) error) (*Result, error) {
 	start := time.Now()
 	runs := make([]CoalitionRun, len(parts))
 	for i, members := range parts {
 		runs[i] = CoalitionRun{
-			Name:    fmt.Sprintf("c%02d", i),
+			Name:    fmt.Sprintf("%sc%02d", scope, i),
 			Members: append([]int(nil), members...),
 		}
 	}
 
 	err := launchCoalitions(ctx, cfg.MaxConcurrent, runs,
-		func(int) bool { return true },
-		func(runCtx context.Context, _ int, cr *CoalitionRun) {
+		func(runCtx context.Context, cr *CoalitionRun) {
 			runCoalition(runCtx, cfg, bus, workers, tr, cr)
 		},
 		func(cr *CoalitionRun) error {
-			// Durability first: once the sink has seen a coalition, its
+			// Durability first: once the caller has seen a coalition, its
 			// blocks and aggregate are already down, so a crash after the
-			// sink call never loses an observed outcome.
+			// delivery never loses an observed outcome.
 			if err := persistCoalition(cfg.Store, cr); err != nil {
 				return err
 			}
-			if sink != nil {
-				if err := sink(cr); err != nil {
-					return err
-				}
+			if deliver == nil {
+				return nil
 			}
-			if !retain {
-				cr.releasePayload()
-			}
-			return nil
+			return deliver(cr)
 		})
-	if err != nil {
-		err = fmt.Errorf("grid: %w", err)
-	}
 
-	res := &Result{}
-	if retain {
-		res.Coalitions = runs
-	}
-	res.Duration = time.Since(start)
+	res := &Result{Coalitions: runs}
 	for i := range runs {
 		cr := &runs[i]
 		if cr.Err != nil {
@@ -377,65 +395,50 @@ func execute(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, 
 			res.VirtualLatency = cr.VirtualLatency
 		}
 	}
-	settlement, tiers, serr := settleGrid(cfg, runs)
-	if serr != nil {
-		return res, fmt.Errorf("grid: settlement: %w", serr)
+	var serr error
+	res.Settlement, res.Tiers, serr = settleGrid(cfg, runs)
+	if serr != nil && err == nil {
+		err = fmt.Errorf("settlement: %w", serr)
 	}
-	res.Settlement = settlement
-	res.Tiers = tiers
+	res.Duration = time.Since(start)
 	if res.Duration > 0 {
 		res.WindowsPerSec = float64(res.Windows) / res.Duration.Seconds()
 	}
 	return res, err
 }
 
-// settleGrid clears the settleable coalitions' residuals: flat against the
-// tariff when cfg.Tiers is empty (the pre-hierarchy path, bit-identical),
-// recursively through the tier tree otherwise. Returns (nil, nil, nil)
-// when no coalition produced a residual.
+// settleGrid clears the settleable coalitions' residuals through the tier
+// tree: recursively under cfg.Tiers, or — empty schedule, a bare root —
+// flat against the tariff, in which case no tiered settlement is reported.
+// Returns (nil, nil, nil) when no coalition produced a residual.
 func settleGrid(cfg Config, runs []CoalitionRun) (*market.GridSettlement, *market.TieredSettlement, error) {
-	var entries []tierEntry
-	for i := range runs {
-		if cr := &runs[i]; cr.settleable() {
-			entries = append(entries, tierEntry{index: i, residual: cr.Residual})
-		}
-	}
-	if len(entries) == 0 {
+	root := tierTree(cfg.Tiers, runs)
+	if root == nil {
 		return nil, nil, nil
 	}
-	params := cfg.params()
-	if len(cfg.Tiers) == 0 {
-		residuals := make([]market.CoalitionResidual, len(entries))
-		for i, e := range entries {
-			residuals[i] = e.residual
-		}
-		settlement, err := market.SettleResiduals(residuals, params)
-		return settlement, nil, err
-	}
-	tiers, err := market.SettleTiers(tierTree(cfg.Tiers, entries), params)
+	tiers, err := market.SettleTiers(root, cfg.params())
 	if err != nil {
 		return nil, nil, err
+	}
+	if len(cfg.Tiers) == 0 {
+		return tiers.Grid, nil, nil
 	}
 	return tiers.Grid, tiers, nil
 }
 
-// launchCoalitions runs runOne for every eligible coalition in runs
-// concurrently under the maxConc budget (0 = all), filling each entry in
-// place, and invokes deliver for each entry in runs order as soon as that
-// entry — and every entry before it — has settled (completed, folded, or
-// skipped). A failing coalition cancels only itself; after a genuine
-// failure the launcher stops admitting coalitions, marks the remaining
-// eligible ones skipped, and deliver is not invoked at or after the failed
-// index. A deliver error cancels the in-flight coalitions. The returned
+// launchCoalitions runs runOne for every coalition in runs concurrently
+// under the maxConc budget (0 = all), filling each entry in place, and
+// invokes deliver for each completed or folded entry in runs order, as soon
+// as it and every entry before it are done. A failing coalition cancels
+// only itself. Once a coalition has genuinely failed, ctx is cancelled or
+// deliver has returned an error (which also cancels the coalitions in
+// flight), no further coalition is started: the rest are marked
+// ErrCoalitionSkipped, naming which of the three stopped them; nothing at or
+// after a failed index, and no skipped entry, is delivered. The returned
 // error is the earliest genuine failure ("coalition <name>: …"), a deliver
-// error, or ctx.Err() on a clean cancel. Run drives it with
-// provision-and-trade bodies, the epoch layer with trade-only bodies over
-// pre-keyed engines.
-func launchCoalitions(ctx context.Context, maxConc int, runs []CoalitionRun, eligible func(int) bool, runOne func(context.Context, int, *CoalitionRun), deliver func(*CoalitionRun) error) error {
+// error, or ctx.Err() on a clean cancel.
+func launchCoalitions(ctx context.Context, maxConc int, runs []CoalitionRun, runOne func(context.Context, *CoalitionRun), deliver func(*CoalitionRun) error) error {
 	n := len(runs)
-	if n == 0 {
-		return nil
-	}
 	if maxConc <= 0 || maxConc > n {
 		maxConc = n
 	}
@@ -444,56 +447,45 @@ func launchCoalitions(ctx context.Context, maxConc int, runs []CoalitionRun, eli
 	defer cancelAll()
 
 	var (
-		mu     sync.Mutex
-		failed bool
+		failed atomic.Bool
+		next   atomic.Int64
 		wg     sync.WaitGroup
 		done   = make([]chan struct{}, n)
 	)
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	sem := make(chan struct{}, maxConc)
 
-	// Launcher: admit eligible coalitions in order as slots free up,
-	// stopping at the first observed failure (ineligible entries — folded
-	// or failed during re-key — settle immediately).
-	go func() {
-		for i := range runs {
-			if !eligible(i) {
-				close(done[i])
-				continue
-			}
-			sem <- struct{}{}
-			mu.Lock()
-			stop := failed
-			mu.Unlock()
-			if stop || runCtx.Err() != nil {
-				<-sem
-				for j := i; j < n; j++ {
-					if eligible(j) {
-						runs[j].Err = fmt.Errorf("%w after earlier failure", ErrCoalitionSkipped)
+	// Launchers: maxConc of them, each claiming the next coalition in order
+	// as it finishes its last, running it — or, once there is a reason to
+	// stop, marking it skipped. A cancel also fails the coalitions it
+	// interrupts, so the contexts are tested before blaming a failure.
+	for k := 0; k < maxConc; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				cr := &runs[i]
+				switch {
+				case ctx.Err() != nil:
+					cr.Err = fmt.Errorf("%w on cancellation", ErrCoalitionSkipped)
+				case runCtx.Err() != nil:
+					cr.Err = fmt.Errorf("%w after delivery aborted", ErrCoalitionSkipped)
+				case failed.Load():
+					cr.Err = fmt.Errorf("%w after earlier failure", ErrCoalitionSkipped)
+				default:
+					if runOne(runCtx, cr); cr.failure() {
+						failed.Store(true)
 					}
-					close(done[j])
 				}
-				return
+				close(done[i])
 			}
-			wg.Add(1)
-			go func(i int, cr *CoalitionRun) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				defer close(done[i])
-				runOne(runCtx, i, cr)
-				if cr.failure() {
-					mu.Lock()
-					failed = true
-					mu.Unlock()
-				}
-			}(i, &runs[i])
-		}
-	}()
+		}()
+	}
 
-	// Waiter: deliver settled entries in runs order; remember the earliest
-	// genuine failure and stop delivering from it on.
+	// Waiter: deliver completed and folded entries in runs order; remember
+	// the earliest genuine failure and stop delivering from it on. Skipped
+	// entries have no outcome to deliver.
 	var firstErr error
 	for i := 0; i < n; i++ {
 		<-done[i]
@@ -504,7 +496,7 @@ func launchCoalitions(ctx context.Context, maxConc int, runs []CoalitionRun, eli
 		switch {
 		case cr.failure():
 			firstErr = fmt.Errorf("coalition %s: %w", cr.Name, cr.Err)
-		case deliver != nil:
+		case deliver != nil && cr.settleable():
 			if err := deliver(cr); err != nil {
 				firstErr = err
 				cancelAll() // caller aborted: tear down the in-flight coalitions
@@ -538,7 +530,16 @@ func runCoalition(ctx context.Context, cfg Config, bus *transport.Bus, workers *
 	}
 
 	if len(agents) < cfg.minCoalition() {
-		foldCoalition(cfg, sub, cr)
+		// Too small to run a private market: the members' grid-only position
+		// becomes the coalition residual, and the coalition is marked
+		// skipped-but-folded so settlement includes it while failure
+		// handling does not.
+		cr.Err = oracleAccounting(cfg, sub, cr, sub.WindowInputs, market.BaselineClearInto)
+		if cr.Err == nil {
+			cr.Folded = true
+			cr.Err = fmt.Errorf("%w: %d agents below minimum %d, folded into grid settlement",
+				ErrCoalitionSkipped, len(agents), cfg.minCoalition())
+		}
 		return
 	}
 
@@ -576,7 +577,8 @@ func runCoalition(ctx context.Context, cfg Config, bus *transport.Bus, workers *
 	if cr.Err = coalitionAccounting(bus, cr); cr.Err != nil {
 		return
 	}
-	cr.Err = oracleAccounting(cfg, sub, jobs, cr)
+	cr.Err = oracleAccounting(cfg, sub, cr,
+		func(w int) ([]market.WindowInput, error) { return jobs[w].Inputs, nil }, market.ClearInto)
 }
 
 // coalitionAccounting folds a completed coalition-day's transport and
@@ -610,17 +612,26 @@ func coalitionAccounting(bus *transport.Bus, cr *CoalitionRun) error {
 }
 
 // oracleAccounting computes the coalition's residual position and per-agent
-// flows from the plaintext clearing oracle over the already-built window
-// jobs — the harness-side accounting used by every trading-performance
-// figure; the private protocols reveal neither side's totals.
-func oracleAccounting(cfg Config, sub *dataset.Trace, jobs []core.WindowJob, cr *CoalitionRun) error {
+// flows by clearing every window's inputs in the plaintext — the
+// harness-side accounting used by every trading-performance figure; the
+// private protocols reveal neither side's totals. clear is the PEM oracle
+// (market.ClearInto) for a coalition that traded, and the paper's "without
+// PEM" baseline (market.BaselineClearInto: every member trades only with
+// the main grid) for a folded one.
+func oracleAccounting(cfg Config, sub *dataset.Trace, cr *CoalitionRun,
+	inputs func(window int) ([]market.WindowInput, error),
+	clear func(*market.Clearing, []market.Agent, []market.WindowInput, market.Params) error) error {
 	params := cfg.params()
 	agents := sub.Agents()
 	cr.Residual = market.CoalitionResidual{Coalition: cr.Name}
 	cr.Flows = make(map[string]market.AgentFlows, len(agents))
 	var clr market.Clearing // one clearing's storage serves the whole day
-	for w := range jobs {
-		if err := market.ClearInto(&clr, agents, jobs[w].Inputs, params); err != nil {
+	for w := 0; w < sub.Windows; w++ {
+		in, err := inputs(w)
+		if err != nil {
+			return err
+		}
+		if err := clear(&clr, agents, in, params); err != nil {
 			return fmt.Errorf("oracle window %d: %w", w, err)
 		}
 		imp, exp := market.ResidualFromClearing(&clr)
@@ -629,35 +640,4 @@ func oracleAccounting(cfg Config, sub *dataset.Trace, jobs []core.WindowJob, cr 
 		market.AccumulateFlows(cr.Flows, &clr, params)
 	}
 	return nil
-}
-
-// foldCoalition settles a too-small coalition at the grid tariff: every
-// member trades only with the main grid (the paper's "without PEM"
-// baseline), the members' grid-only position becomes the coalition
-// residual, and the coalition is marked skipped-but-folded so settlement
-// includes it while failure handling does not.
-func foldCoalition(cfg Config, sub *dataset.Trace, cr *CoalitionRun) {
-	params := cfg.params()
-	agents := sub.Agents()
-	cr.Residual = market.CoalitionResidual{Coalition: cr.Name}
-	cr.Flows = make(map[string]market.AgentFlows, len(agents))
-	var base market.Clearing // reused across the day's windows
-	for w := 0; w < sub.Windows; w++ {
-		inputs, err := sub.WindowInputs(w)
-		if err != nil {
-			cr.Err = err
-			return
-		}
-		if err := market.BaselineClearInto(&base, agents, inputs, params); err != nil {
-			cr.Err = fmt.Errorf("baseline window %d: %w", w, err)
-			return
-		}
-		imp, exp := market.ResidualFromClearing(&base)
-		cr.Residual.ImportKWh += imp
-		cr.Residual.ExportKWh += exp
-		market.AccumulateFlows(cr.Flows, &base, params)
-	}
-	cr.Folded = true
-	cr.Err = fmt.Errorf("%w: %d agents below minimum %d, folded into grid settlement",
-		ErrCoalitionSkipped, len(agents), cfg.minCoalition())
 }

@@ -19,13 +19,6 @@ import (
 // don't appear; a group left with no members at all is skipped rather than
 // materialised empty, so churn-shrunken grids still form legal trees.
 
-// tierEntry pairs a settleable coalition's partition index — which decides
-// its district — with its residual position.
-type tierEntry struct {
-	index    int
-	residual market.CoalitionResidual
-}
-
 // tierName labels a tier group: districts "d00…", regions "r00…", deeper
 // levels "t<level>-00…". The namespace is disjoint from coalition names
 // ("c00", "e01-c00"), which SettleTiers' tree-wide uniqueness check relies
@@ -42,31 +35,37 @@ func tierName(level, group int) string {
 }
 
 // tierTree builds the market.TierNode hierarchy for the settleable
-// coalitions under the fanout schedule. With an empty schedule every
-// residual attaches directly to the root — the flat grid, which SettleTiers
-// reproduces bit-for-bit.
-func tierTree(fanout []int, entries []tierEntry) *market.TierNode {
+// coalitions of runs under the fanout schedule, a coalition's partition
+// index deciding its district. With an empty schedule every residual
+// attaches directly to the root — the flat grid, which SettleTiers settles
+// exactly as SettleResiduals would. Nil when no coalition is settleable.
+func tierTree(fanout []int, runs []CoalitionRun) *market.TierNode {
 	root := &market.TierNode{Name: "grid"}
-	if len(fanout) == 0 {
-		for _, e := range entries {
-			root.Residuals = append(root.Residuals, e.residual)
-		}
-		return root
-	}
 
-	// Level 1: group coalition indices into districts. Entries arrive in
+	// Level 1: group coalition indices into districts. Runs are in
 	// partition order, so groups materialise in ascending order too.
 	nodes := make(map[int]*market.TierNode)
 	var order []int
-	for _, e := range entries {
-		g := e.index / fanout[0]
+	for i := range runs {
+		cr := &runs[i]
+		if !cr.settleable() {
+			continue
+		}
+		if len(fanout) == 0 {
+			root.Residuals = append(root.Residuals, cr.Residual)
+			continue
+		}
+		g := i / fanout[0]
 		n, ok := nodes[g]
 		if !ok {
 			n = &market.TierNode{Name: tierName(1, g)}
 			nodes[g] = n
 			order = append(order, g)
 		}
-		n.Residuals = append(n.Residuals, e.residual)
+		n.Residuals = append(n.Residuals, cr.Residual)
+	}
+	if len(root.Residuals) == 0 && len(order) == 0 {
+		return nil
 	}
 
 	// Upper levels: regroup the previous level's groups by the next fanout.

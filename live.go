@@ -3,7 +3,6 @@ package pem
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"github.com/pem-go/pem/internal/dataset"
@@ -152,6 +151,33 @@ func NewLiveGrid(cfg LiveGridConfig, fleet FleetConfig) (*LiveGrid, error) {
 	if cfg.Epochs < 1 {
 		return nil, fmt.Errorf("pem: LiveGridConfig.Epochs must be ≥ 1, got %d", cfg.Epochs)
 	}
+	lcfg, err := cfg.lower()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Store != nil {
+		// Embed the run's own configuration in every checkpoint so Resume
+		// can rebuild the simulation from the store file alone. Store
+		// fields carry `json:"-"`; everything else round-trips exactly.
+		lcfg.CheckpointMeta, err = json.Marshal(resumeMeta{Live: cfg, Fleet: fleet})
+		if err != nil {
+			return nil, fmt.Errorf("pem: marshal checkpoint config: %w", err)
+		}
+	}
+	churn := cfg.Churn
+	churn.Epochs = cfg.Epochs
+	evo, err := dataset.Evolve(fleet, churn)
+	if err != nil {
+		return nil, fmt.Errorf("pem: %w", err)
+	}
+	return &LiveGrid{cfg: lcfg, evo: evo}, nil
+}
+
+// lower maps the public grid configuration — the one-shot grid's arrives
+// through GridConfig.live — onto the supervisor's, resolving the
+// partition-seed default, and validates it, so a statically-bad config fails
+// at construction.
+func (cfg LiveGridConfig) lower() (grid.LiveConfig, error) {
 	seed := cfg.PartitionSeed
 	if seed == 0 && cfg.Market.Seed != nil {
 		seed = *cfg.Market.Seed
@@ -162,33 +188,17 @@ func NewLiveGrid(cfg LiveGridConfig, fleet FleetConfig) (*LiveGrid, error) {
 			MaxConcurrent: cfg.MaxConcurrentCoalitions,
 			MinCoalition:  cfg.MinCoalition,
 			Tiers:         cfg.Tiers,
+			Store:         cfg.Store,
 		},
 		Coalitions:    cfg.Coalitions,
 		Partition:     grid.Strategy(cfg.Partition),
 		PartitionSeed: seed,
 		RetainResults: cfg.RetainCoalitionResults,
 	}
-	if cfg.Store != nil {
-		lcfg.Grid.Store = cfg.Store
-		// Embed the run's own configuration in every checkpoint so Resume
-		// can rebuild the simulation from the store file alone. Store
-		// fields carry `json:"-"`; everything else round-trips exactly.
-		meta, err := json.Marshal(resumeMeta{Live: cfg, Fleet: fleet})
-		if err != nil {
-			return nil, fmt.Errorf("pem: marshal checkpoint config: %w", err)
-		}
-		lcfg.CheckpointMeta = meta
-	}
 	if err := lcfg.Validate(); err != nil {
-		return nil, fmt.Errorf("pem: %w", err)
+		return lcfg, fmt.Errorf("pem: %w", err)
 	}
-	churn := cfg.Churn
-	churn.Epochs = cfg.Epochs
-	evo, err := dataset.Evolve(fleet, churn)
-	if err != nil {
-		return nil, fmt.Errorf("pem: %w", err)
-	}
-	return &LiveGrid{cfg: lcfg, evo: evo}, nil
+	return lcfg, nil
 }
 
 // Events returns the full churn schedule, ordered by epoch: which agents
@@ -233,9 +243,6 @@ func (lg *LiveGrid) Run(ctx context.Context) (*LiveGridResult, error) {
 // the simulation. With Market.Seed set, a Stream is bit-identical to Run
 // at any sink consumption speed.
 func (lg *LiveGrid) Stream(ctx context.Context, sink func(*EpochResult) error) (*LiveGridResult, error) {
-	if sink == nil {
-		return nil, errors.New("pem: Stream needs a sink (use Run)")
-	}
 	res, err := grid.StreamLive(ctx, lg.cfg, lg.evo, sink)
 	if err != nil {
 		return res, fmt.Errorf("pem: %w", err)

@@ -175,14 +175,14 @@ func TestNewGridValidation(t *testing.T) {
 		"negative-budget": {
 			Market: pem.Config{KeyBits: 256}, Coalitions: 2, MaxConcurrentCoalitions: -1,
 		},
+		"min-coalition-1": {Market: pem.Config{KeyBits: 256}, Coalitions: 2, MinCoalition: 1},
+		"zero-fanout":     {Market: pem.Config{KeyBits: 256}, Coalitions: 2, Tiers: []int{2, 0}},
 	}
+	// A statically-bad config fails at construction, exactly as NewLiveGrid
+	// rejects it — never as late as Run.
 	for name, cfg := range cases {
-		g, err := pem.NewGrid(cfg, tr)
-		if err == nil {
-			// MaxConcurrentCoalitions is validated at Run.
-			if _, err = g.Run(context.Background()); err == nil {
-				t.Errorf("%s: accepted", name)
-			}
+		if _, err := pem.NewGrid(cfg, tr); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 	if _, err := pem.NewGrid(pem.GridConfig{Coalitions: 1}, nil); err == nil {
