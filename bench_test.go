@@ -556,37 +556,6 @@ func BenchmarkAblationPreEncryption(b *testing.B) {
 	}
 }
 
-// --- Ablation: IKNP OT extension vs base OTs for comparator labels ---
-
-func BenchmarkAblationOTExtension(b *testing.B) {
-	for _, ext := range []bool{false, true} {
-		name := "base-ot"
-		if ext {
-			name = "iknp"
-		}
-		b.Run(name, func(b *testing.B) {
-			tr := benchTrace(b, 6, 720)
-			seed := int64(13)
-			m, err := pem.NewMarket(pem.Config{KeyBits: 512, Seed: &seed, UseOTExtension: ext}, tr.Agents())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
-			ctx := context.Background()
-			inputs, err := tr.WindowInputs(tr.Windows / 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.RunWindow(ctx, i, inputs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Ablation: ring vs star aggregation critical path ---
 //
 // The PEM rings chain one ciphertext multiplication per member

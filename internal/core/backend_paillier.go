@@ -38,9 +38,7 @@ func (*paillierBackend) collectSum(ctx context.Context, r *windowRun, order []st
 func (*paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked uint64) (market.Kind, error) {
 	ros := r.ros
 	opts := gc.ProtocolOptions{
-		Group:          r.cfg.OTGroup,
 		Random:         r.random,
-		UseOTExtension: r.cfg.UseOTExtension,
 		DisableFreeXOR: r.cfg.DisableFreeXOR,
 		GRR3:           r.cfg.GRR3,
 	}

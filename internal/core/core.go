@@ -43,7 +43,6 @@ import (
 
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/netem"
-	"github.com/pem-go/pem/internal/ot"
 	"github.com/pem-go/pem/internal/paillier"
 	"github.com/pem-go/pem/internal/transport"
 )
@@ -58,11 +57,6 @@ type Config struct {
 	CompareBits int
 	// NonceBits is the masking-nonce width of Protocol 2 (default 40).
 	NonceBits int
-	// OTGroup is the DH group for wire-label OTs (default: 2048-bit MODP;
-	// tests use ot.TestGroup()).
-	OTGroup *ot.Group
-	// UseOTExtension switches the comparator label transfer to IKNP.
-	UseOTExtension bool
 	// DisableFreeXOR garbles XOR gates as tables (ablation only).
 	DisableFreeXOR bool
 	// GRR3 enables garbled row reduction for the comparator tables.
@@ -89,7 +83,7 @@ type Config struct {
 	// Rb/Rs comparison on seeded additive masking, Paillier kept only for
 	// Protocol 4's single-decryptor ratio step). Outcomes are bit-identical;
 	// the hybrid backend trades the comparison's privacy (Hr1 learns
-	// E_b−E_s) for an order-of-magnitude window speedup — see DESIGN.md §12.
+	// E_b−E_s) for a ≈ 3–4× window speedup — see DESIGN.md §12.
 	CryptoBackend string
 	// Aggregation selects the encrypted-sum topology for the masked ring
 	// aggregations of Protocol 2 and the demand-side total of Protocol 4:
@@ -135,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NonceBits == 0 {
 		c.NonceBits = 40
-	}
-	if c.OTGroup == nil {
-		c.OTGroup = ot.DefaultGroup()
 	}
 	if c.Params == (market.Params{}) {
 		c.Params = market.DefaultParams()

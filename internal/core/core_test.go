@@ -10,7 +10,6 @@ import (
 
 	"github.com/pem-go/pem/internal/dataset"
 	"github.com/pem-go/pem/internal/market"
-	"github.com/pem-go/pem/internal/ot"
 	"github.com/pem-go/pem/internal/transport"
 )
 
@@ -18,7 +17,6 @@ import (
 func testConfig(seed int64) Config {
 	return Config{
 		KeyBits:    256,
-		OTGroup:    ot.TestGroup(),
 		PreEncrypt: true,
 		Seed:       &seed,
 	}
@@ -437,10 +435,9 @@ func TestRandomizedWindowsMatchPlaintext(t *testing.T) {
 	}
 }
 
-func TestWindowWithGRR3AndOTExtension(t *testing.T) {
+func TestWindowWithGRR3(t *testing.T) {
 	cfg := testConfig(6060)
 	cfg.GRR3 = true
-	cfg.UseOTExtension = true
 	agents := testAgents(4)
 	inputs := []market.WindowInput{
 		{Generation: 0.3, Load: 0.1},

@@ -197,14 +197,7 @@ func (p *Party) runWindow(ctx context.Context, window int, input market.WindowIn
 	}
 	r := p.getRun(window, input, snFixed)
 	defer p.putRun(r)
-	switch {
-	case snFixed > 0:
-		r.role = market.RoleSeller
-	case snFixed < 0:
-		r.role = market.RoleBuyer
-	default:
-		r.role = market.RoleOff
-	}
+	r.role = market.ClassifyRole(input.NetEnergy()) // the sign of snFixed
 	r.nonce, err = r.drawNonce()
 	if err != nil {
 		return nil, err

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"io"
+	"math"
 	mrand "math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -302,7 +304,7 @@ func mustRead64(t *testing.T, r io.Reader) uint64 {
 }
 
 func TestSecureCompareProtocol(t *testing.T) {
-	opts := ProtocolOptions{Group: ot.TestGroup(), Random: mrand.New(mrand.NewSource(7))}
+	opts := ProtocolOptions{Random: mrand.New(mrand.NewSource(7))}
 	cases := []struct {
 		a, b uint64
 		want CompareResult
@@ -321,35 +323,126 @@ func TestSecureCompareProtocol(t *testing.T) {
 	}
 }
 
-func TestSecureCompareWithOTExtension(t *testing.T) {
-	opts := ProtocolOptions{
-		Group:          ot.TestGroup(),
-		Random:         mrand.New(mrand.NewSource(8)),
-		UseOTExtension: true,
-	}
-	gr, er := runSecureCompare(t, 100, 42, 32, opts)
-	if gr != LeftGreater || er != LeftGreater {
-		t.Errorf("compare(100, 42) with IKNP = %v / %v", gr, er)
-	}
-}
-
+// TestSecureCompareRandomizedAgainstNative runs 200 seeded full-width
+// comparisons — the boundary values and equal pairs first, then uniform
+// draws — against the native operator.
 func TestSecureCompareRandomizedAgainstNative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: full protocol rounds")
 	}
-	opts := ProtocolOptions{Group: ot.TestGroup(), Random: mrand.New(mrand.NewSource(9))}
+	opts := ProtocolOptions{Random: mrand.New(mrand.NewSource(9))}
 	rng := mrand.New(mrand.NewSource(10))
-	for i := 0; i < 6; i++ {
-		a := rng.Uint64() >> 16
-		b := rng.Uint64() >> 16
+	pairs := [][2]uint64{
+		{0, 0}, {math.MaxUint64, math.MaxUint64}, {0, math.MaxUint64}, {math.MaxUint64, 0},
+		{1, 0}, {0, 1}, {math.MaxUint64, math.MaxUint64 - 1}, {math.MaxUint64 - 1, math.MaxUint64},
+		{1 << 63, 1<<63 - 1}, {1<<63 - 1, 1 << 63},
+	}
+	for len(pairs) < 200 {
+		a, b := rng.Uint64(), rng.Uint64()
+		if len(pairs)%10 == 0 {
+			b = a // equal values at every magnitude, not only the extremes
+		}
+		pairs = append(pairs, [2]uint64{a, b})
+	}
+	for _, p := range pairs {
 		want := NotGreater
-		if a > b {
+		if p[0] > p[1] {
 			want = LeftGreater
 		}
-		gr, er := runSecureCompare(t, a, b, 48, opts)
+		gr, er := runSecureCompare(t, p[0], p[1], 64, opts)
 		if gr != want || er != want {
-			t.Errorf("compare(%d, %d) = %v / %v, want %v", a, b, gr, er, want)
+			t.Errorf("compare(%d, %d) = %v / %v, want %v", p[0], p[1], gr, er, want)
 		}
+	}
+}
+
+// sizeConn records the payload length of every frame its party sends.
+type sizeConn struct {
+	transport.Conn
+	mu    *sync.Mutex
+	sizes map[string]int
+}
+
+func (c sizeConn) Send(ctx context.Context, to, tag string, payload []byte) error {
+	c.mu.Lock()
+	c.sizes[tag] = len(payload)
+	c.mu.Unlock()
+	return c.Conn.Send(ctx, to, tag, payload)
+}
+
+// TestCompareFrameLengths pins the size of every frame of the 64-bit
+// comparison (ROADMAP's wire-format item): five messages whose lengths
+// depend on the width and the garbling scheme alone, never on the values
+// compared or the randomness drawn.
+func TestCompareFrameLengths(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		opts     ProtocolOptions
+		material int
+	}{
+		// flags + (count, 64 tables × rows × 16) + (count, 1 packed output
+		// bit) + (count, 64 garbler labels × 16)
+		{"four-row", ProtocolOptions{}, 1 + 4 + 64*4*16 + 4 + 1 + 4 + 64*16},
+		{"GRR3", ProtocolOptions{GRR3: true}, 1 + 4 + 64*3*16 + 4 + 1 + 4 + 64*16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bus := transport.NewBus(nil)
+			sizes := map[string]int{}
+			var mu sync.Mutex
+			gConn := sizeConn{bus.MustRegister("garbler"), &mu, sizes}
+			eConn := sizeConn{bus.MustRegister("evaluator"), &mu, sizes}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+
+			errc := make(chan error, 1)
+			go func() {
+				_, err := SecureCompareGarbler(ctx, gConn, "evaluator", "w7/", 0xdeadbeef, 64, tc.opts)
+				errc <- err
+			}()
+			if _, err := SecureCompareEvaluator(ctx, eConn, "garbler", "w7/", 42, 64, tc.opts); err != nil {
+				t.Fatalf("evaluator: %v", err)
+			}
+			if err := <-errc; err != nil {
+				t.Fatalf("garbler: %v", err)
+			}
+			want := map[string]int{
+				"w7/gc/material":   tc.material,
+				"w7/gcot/base/A":   33,
+				"w7/gcot/base/B":   64 * 33,
+				"w7/gcot/base/cts": 64 * 2 * ot.KeySize,
+				"w7/gc/result":     1,
+			}
+			if len(sizes) != len(want) {
+				t.Errorf("%d distinct frames on the wire, want %d: %v", len(sizes), len(want), sizes)
+			}
+			for tag, n := range want {
+				if sizes[tag] != n {
+					t.Errorf("frame %q is %d bytes, want %d", tag, sizes[tag], n)
+				}
+			}
+		})
+	}
+}
+
+// TestComparatorBuiltOncePerWidth: both roles of every comparison of one
+// width share one read-only circuit.
+func TestComparatorBuiltOncePerWidth(t *testing.T) {
+	a, err := comparator(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := comparator(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Error("comparator(24) built twice")
+	}
+	if c, err := comparator(25); err != nil || c == a {
+		t.Errorf("comparator(25) = %p, %v; want a circuit of its own", c, err)
+	}
+	if _, err := comparator(0); err == nil {
+		t.Error("comparator(0) accepted")
 	}
 }
 
@@ -478,7 +571,6 @@ func TestGRR3ShrinksTables(t *testing.T) {
 
 func TestGRR3ProtocolEndToEnd(t *testing.T) {
 	opts := ProtocolOptions{
-		Group:  ot.TestGroup(),
 		Random: mrand.New(mrand.NewSource(48)),
 		GRR3:   true,
 	}

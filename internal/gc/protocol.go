@@ -2,11 +2,11 @@ package gc
 
 import (
 	"context"
-	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"github.com/pem-go/pem/internal/ot"
 	"github.com/pem-go/pem/internal/transport"
@@ -20,33 +20,16 @@ const (
 
 // ProtocolOptions configures a two-party garbled-circuit execution.
 type ProtocolOptions struct {
-	// Group is the DH group used for the label OTs (defaults to
-	// ot.DefaultGroup).
+	// Group is the handle of the label OTs' group. There is one group
+	// (see ot.Group), so nil and every other value mean the same thing;
+	// the field remains for callers that set it.
 	Group *ot.Group
 	// Random is the randomness source (defaults to crypto/rand).
 	Random io.Reader
-	// UseOTExtension transfers evaluator labels via IKNP instead of base
-	// OTs. Worthwhile only for wide circuits; the 64-bit comparator in
-	// Protocol 2 defaults to base OTs.
-	UseOTExtension bool
 	// DisableFreeXOR garbles XOR/NOT gates as tables (ablation only).
 	DisableFreeXOR bool
 	// GRR3 enables garbled row reduction (3 rows per table on the wire).
 	GRR3 bool
-}
-
-func (o *ProtocolOptions) group() *ot.Group {
-	if o.Group != nil {
-		return o.Group
-	}
-	return ot.DefaultGroup()
-}
-
-func (o *ProtocolOptions) random() io.Reader {
-	if o.Random != nil {
-		return o.Random
-	}
-	return rand.Reader
 }
 
 // RunGarbler executes the garbler role of a two-party secure computation of
@@ -82,19 +65,11 @@ func RunGarbler(ctx context.Context, conn transport.Conn, peer, session string, 
 
 	// Serve the evaluator's input labels obliviously.
 	pairs := make([]ot.Pair, len(asg.Evaluator))
-	for i, pq := range asg.Evaluator {
-		m0 := make([]byte, ot.KeySize)
-		m1 := make([]byte, ot.KeySize)
-		copy(m0, pq[0][:])
-		copy(m1, pq[1][:])
-		pairs[i] = ot.Pair{M0: m0, M1: m1}
+	for i := range asg.Evaluator {
+		pq := &asg.Evaluator[i]
+		pairs[i] = ot.Pair{M0: pq[0][:], M1: pq[1][:]}
 	}
-	if opts.UseOTExtension {
-		err = ot.SendExtension(ctx, conn, peer, session+"gc", opts.group(), opts.random(), pairs)
-	} else {
-		err = ot.SendBase(ctx, conn, peer, session+"gc", opts.group(), opts.random(), pairs)
-	}
-	if err != nil {
+	if err := ot.SendBase(ctx, conn, peer, session+"gc", opts.Group, opts.Random, pairs); err != nil {
 		return nil, fmt.Errorf("gc: label OT: %w", err)
 	}
 
@@ -105,10 +80,8 @@ func RunGarbler(ctx context.Context, conn transport.Conn, peer, session string, 
 		return nil, fmt.Errorf("gc: recv result: %w", err)
 	}
 	bits, err := unpackBits(raw, len(circ.Outputs))
-	if err != nil {
-		return nil, err
-	}
-	return bits, nil
+	transport.PutFrame(raw)
+	return bits, err
 }
 
 // RunEvaluator executes the evaluator role: it receives the garbled
@@ -123,16 +96,12 @@ func RunEvaluator(ctx context.Context, conn transport.Conn, peer, session string
 		return nil, fmt.Errorf("gc: recv material: %w", err)
 	}
 	garbled, garblerLabels, freeXOR, err := decodeMaterial(raw, circ)
+	transport.PutFrame(raw) // decodeMaterial copied everything out
 	if err != nil {
 		return nil, err
 	}
 
-	var labelBytes [][]byte
-	if opts.UseOTExtension {
-		labelBytes, err = ot.RecvExtension(ctx, conn, peer, session+"gc", opts.group(), opts.random(), inputBits)
-	} else {
-		labelBytes, err = ot.RecvBase(ctx, conn, peer, session+"gc", opts.group(), opts.random(), inputBits)
-	}
+	labelBytes, err := ot.RecvBase(ctx, conn, peer, session+"gc", opts.Group, opts.Random, inputBits)
 	if err != nil {
 		return nil, fmt.Errorf("gc: label OT: %w", err)
 	}
@@ -316,10 +285,28 @@ const (
 	NotGreater
 )
 
+// comparators holds the greater-than circuit of every width asked for so
+// far (bits → *Circuit). A Circuit is read-only once built, so the two
+// parties of every window of every engine share one per width instead of
+// rebuilding it per comparison.
+var comparators sync.Map
+
+func comparator(bits int) (*Circuit, error) {
+	if c, ok := comparators.Load(bits); ok {
+		return c.(*Circuit), nil
+	}
+	c, err := BuildGreaterThan(bits)
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := comparators.LoadOrStore(bits, c)
+	return shared.(*Circuit), nil
+}
+
 // SecureCompareGarbler runs the millionaires comparison as the garbler with
 // a bits-wide unsigned value, returning LeftGreater iff value > peer's.
 func SecureCompareGarbler(ctx context.Context, conn transport.Conn, peer, session string, value uint64, bits int, opts ProtocolOptions) (CompareResult, error) {
-	circ, err := BuildGreaterThan(bits)
+	circ, err := comparator(bits)
 	if err != nil {
 		return 0, err
 	}
@@ -337,7 +324,7 @@ func SecureCompareGarbler(ctx context.Context, conn transport.Conn, peer, sessio
 // It returns LeftGreater iff the GARBLER's value is strictly greater (the
 // same orientation as SecureCompareGarbler, so both parties agree).
 func SecureCompareEvaluator(ctx context.Context, conn transport.Conn, peer, session string, value uint64, bits int, opts ProtocolOptions) (CompareResult, error) {
-	circ, err := BuildGreaterThan(bits)
+	circ, err := comparator(bits)
 	if err != nil {
 		return 0, err
 	}

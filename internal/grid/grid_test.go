@@ -12,13 +12,11 @@ import (
 	"github.com/pem-go/pem/internal/core"
 	"github.com/pem-go/pem/internal/dataset"
 	"github.com/pem-go/pem/internal/market"
-	"github.com/pem-go/pem/internal/ot"
 )
 
 func testEngineConfig(seed int64) core.Config {
 	return core.Config{
 		KeyBits:    256,
-		OTGroup:    ot.TestGroup(),
 		PreEncrypt: true,
 		Seed:       &seed,
 	}

@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"github.com/pem-go/pem/internal/fixed"
 )
 
 // Role classifies an agent inside one trading window.
@@ -141,16 +143,23 @@ func (w WindowInput) NetEnergy() float64 {
 	return w.Generation - w.Load - w.Battery
 }
 
-// ClassifyRole maps net energy to a role. Tiny magnitudes (below epsilon
-// in kWh) count as off-market to keep Protocol 4's reciprocal stable.
+// offMarketEpsilon (kWh) is the residual below which clearing books no grid
+// trade for an agent. It is not the role threshold: see ClassifyRole.
 const offMarketEpsilon = 1e-9
 
-// ClassifyRole returns the role implied by net energy sn.
+// ClassifyRole returns the role implied by net energy sn (kWh), at the
+// protocols' resolution: a party takes its role from the sign of
+// fixed.FromFloat(sn) — micro-kWh, rounded half away from zero — so a net
+// energy under half a micro-kWh is off-market, and the plaintext oracle
+// must seat exactly the coalitions the protocols do. The comparison is
+// FromFloat's own arithmetic (round(x) ≥ 1 ⇔ x ≥ 0.5) without its error
+// path; NaN is off-market.
 func ClassifyRole(sn float64) Role {
+	scaled := sn * fixed.Scale
 	switch {
-	case sn > offMarketEpsilon:
+	case scaled >= 0.5:
 		return RoleSeller
-	case sn < -offMarketEpsilon:
+	case scaled <= -0.5:
 		return RoleBuyer
 	default:
 		return RoleOff

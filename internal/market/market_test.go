@@ -5,6 +5,8 @@ import (
 	mrand "math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/pem-go/pem/internal/fixed"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -29,6 +31,42 @@ func TestNetEnergyAndClassification(t *testing.T) {
 		if got := ClassifyRole(c.in.NetEnergy()); got != c.role {
 			t.Errorf("case %d: role = %v, want %v", i, got, c.role)
 		}
+	}
+}
+
+// TestClassifyRoleIsTheFixedPointSign pins ClassifyRole to the rule the
+// protocol parties apply, the sign of fixed.FromFloat: at the half
+// micro-kWh boundary, one ulp either side of it, and over seeded draws
+// spread across the micro-kWh scale.
+func TestClassifyRoleIsTheFixedPointSign(t *testing.T) {
+	half := 0.5 / fixed.Scale
+	values := []float64{
+		0, half, -half,
+		math.Nextafter(half, 0), math.Nextafter(half, 1), math.Nextafter(-half, 0), math.Nextafter(-half, -1),
+		1e-9, -1e-9, 2e-9, 1e-6, -1e-6, 0.3, -0.3, 4.6e-7, 5.4e-7,
+	}
+	rng := mrand.New(mrand.NewSource(606))
+	for i := 0; i < 2000; i++ {
+		values = append(values, (rng.Float64()-0.5)*math.Pow(10, float64(rng.Intn(8)-8)))
+	}
+	for _, sn := range values {
+		v, err := fixed.FromFloat(sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := RoleOff
+		switch {
+		case v > 0:
+			want = RoleSeller
+		case v < 0:
+			want = RoleBuyer
+		}
+		if got := ClassifyRole(sn); got != want {
+			t.Errorf("ClassifyRole(%g) = %v, but FromFloat gives %d (%v)", sn, got, v, want)
+		}
+	}
+	if got := ClassifyRole(math.NaN()); got != RoleOff {
+		t.Errorf("ClassifyRole(NaN) = %v, want off-market", got)
 	}
 }
 

@@ -3,27 +3,32 @@
 // (Protocol 2) obtain wire labels for its secret input bits without the
 // garbler learning which labels were fetched.
 //
-// Two constructions are provided, both semi-honest:
+// The construction is the semi-honest base OT of Chou–Orlandi ("the simplest
+// OT") over NIST P-256, standard library only. For a batch of n transfers:
 //
-//   - Base OT in the style of Chou–Orlandi ("the simplest OT"), instantiated
-//     over the RFC 3526 2048-bit MODP Diffie–Hellman group using math/big.
-//   - IKNP OT extension (Ishai–Kilian–Nissim–Petrank), which stretches κ=128
-//     base OTs into arbitrarily many transfers using only symmetric
-//     primitives (AES-CTR as PRG, SHA-256 as correlation-robust hash).
+//	sender:   a ← Z_q,  A = a·G                          → A      (33 bytes)
+//	receiver: b_i ← Z_q,  B_i = b_i·G (+ A if c_i)       → B      (33·n bytes)
+//	sender:   k_i0 = H(i, x(a·B_i)),  k_i1 = H(i, x(a·B_i − a·A))
+//	          m_i0 ⊕ k_i0 ‖ m_i1 ⊕ k_i1                  → cts    (32·n bytes)
+//	receiver: k_ic = H(i, x(b_i·A)) opens the chosen half
 //
-// Both run over a transport.Conn so they compose with the rest of the PEM
-// stack, and both have in-process variants used heavily by the tests.
+// Every point travels as a fixed-width SEC1 compressed encoding and every
+// scalar is one fixed 32-byte read, so the bytes on the wire and the bytes
+// consumed from a seeded reader depend on n alone. Every received point is
+// validated (length, prefix, on the curve, not the identity) before use.
+//
+// It runs over a transport.Conn so it composes with the rest of the PEM
+// stack.
 package ot
 
 import (
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"github.com/pem-go/pem/internal/transport"
 )
@@ -32,81 +37,18 @@ import (
 // single OT (matches the garbled-circuit wire-label length).
 const KeySize = 16
 
-// Group is a prime-order-ish multiplicative DH group (Z_p^*, generator g).
-type Group struct {
-	P *big.Int
-	G *big.Int
-	// ExpBits is the exponent length drawn for secrets.
-	ExpBits int
-}
+// Group is an opaque handle to the group the transfers run in. There is
+// exactly one, NIST P-256: the type, its two constructors and the grp
+// parameters of SendBase/RecvBase remain only because callers name them,
+// and nil means the same group as any other value.
+type Group struct{}
 
-// modp2048 is the RFC 3526 group 14 prime.
-const modp2048Hex = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-	"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
-	"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9" +
-	"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
-	"15728E5A8AACAA68FFFFFFFFFFFFFFFF"
+// DefaultGroup returns the handle of the P-256 group.
+func DefaultGroup() *Group { return &Group{} }
 
-// DefaultGroup returns the RFC 3526 2048-bit MODP group with generator 2.
-func DefaultGroup() *Group {
-	p, ok := new(big.Int).SetString(modp2048Hex, 16)
-	if !ok {
-		panic("ot: bad built-in modulus literal")
-	}
-	return &Group{P: p, G: big.NewInt(2), ExpBits: 256}
-}
-
-// TestGroup returns the RFC 2409 Oakley Group 1 (768-bit MODP safe prime)
-// for fast tests. It is too small for real deployments.
-func TestGroup() *Group {
-	const hex768 = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-		"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-		"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-		"E485B576625E7EC6F44C42E9A63A3620FFFFFFFFFFFFFFFF"
-	p, ok := new(big.Int).SetString(hex768, 16)
-	if !ok {
-		panic("ot: bad test modulus literal")
-	}
-	return &Group{P: p, G: big.NewInt(2), ExpBits: 160}
-}
-
-func (g *Group) randomExponent(random io.Reader) (*big.Int, error) {
-	limit := new(big.Int).Lsh(big.NewInt(1), uint(g.ExpBits))
-	e, err := rand.Int(random, limit)
-	if err != nil {
-		return nil, fmt.Errorf("ot: draw exponent: %w", err)
-	}
-	return e, nil
-}
-
-// hashPoint derives a KeySize-byte key from a group element, bound to the
-// transfer index.
-func hashPoint(index uint64, pt *big.Int) []byte {
-	h := sha256.New()
-	var idx [8]byte
-	binary.BigEndian.PutUint64(idx[:], index)
-	h.Write(idx[:])
-	h.Write(pt.Bytes())
-	return h.Sum(nil)[:KeySize]
-}
-
-// xorBytes returns a ⊕ b; the slices must be the same length.
-func xorBytes(a, b []byte) []byte {
-	if len(a) != len(b) {
-		panic("ot: xorBytes length mismatch")
-	}
-	out := make([]byte, len(a))
-	for i := range a {
-		out[i] = a[i] ^ b[i]
-	}
-	return out
-}
+// TestGroup returns DefaultGroup: P-256 is fast enough that tests need no
+// weaker stand-in.
+func TestGroup() *Group { return DefaultGroup() }
 
 // Pair is one OT instance from the sender's perspective: two messages of
 // exactly KeySize bytes.
@@ -124,7 +66,48 @@ func validatePairs(pairs []Pair) error {
 	return nil
 }
 
-// --- Base OT over a transport ---
+// frameError reports a received frame the protocol cannot use: the whole
+// frame when its length is wrong (index < 0), else the one point in it that
+// failed validation.
+type frameError struct {
+	frame     string // "A", "B" or "ciphertext"
+	index     int
+	got, want int // frame lengths, when index < 0
+}
+
+func (e *frameError) Error() string {
+	if e.index < 0 {
+		return fmt.Sprintf("ot: %s frame has %d bytes, want %d", e.frame, e.got, e.want)
+	}
+	return fmt.Sprintf("ot: %s frame: point %d is not a valid P-256 point", e.frame, e.index)
+}
+
+// recvFrame receives one frame and checks its exact length before anything
+// is parsed. The caller owns the returned frame and hands it back with
+// transport.PutFrame.
+func recvFrame(ctx context.Context, conn transport.Conn, peer, tag, frame string, want int) ([]byte, error) {
+	raw, err := conn.Recv(ctx, peer, tag)
+	if err != nil {
+		return nil, fmt.Errorf("ot: recv %s frame: %w", frame, err)
+	}
+	if len(raw) != want {
+		err := &frameError{frame: frame, index: -1, got: len(raw), want: want}
+		transport.PutFrame(raw)
+		return nil, err
+	}
+	return raw, nil
+}
+
+// pad derives the one-time pad H(index, x(p)) of one transfer; its first
+// KeySize bytes are the key. The hash input is laid out on the stack, so
+// the symmetric half of a transfer (pad, then subtle.XORBytes into the
+// frame) allocates nothing.
+func pad(index uint64, p point) [sha256.Size]byte {
+	var in [8 + scalarSize]byte
+	binary.BigEndian.PutUint64(in[:8], index)
+	p.x.FillBytes(in[8:])
+	return sha256.Sum256(in[:])
+}
 
 // Protocol tags.
 const (
@@ -134,54 +117,50 @@ const (
 )
 
 // SendBase runs the sender side of len(pairs) base OTs with the given peer.
-// session namespaces the tags so multiple OT batches can share a Conn.
-func SendBase(ctx context.Context, conn transport.Conn, peer, session string, grp *Group, random io.Reader, pairs []Pair) error {
+// session namespaces the tags so multiple OT batches can share a Conn. The
+// group handle is ignored (see Group); a nil random means crypto/rand.
+func SendBase(ctx context.Context, conn transport.Conn, peer, session string, _ *Group, random io.Reader, pairs []Pair) error {
 	if err := validatePairs(pairs); err != nil {
 		return err
 	}
 	if random == nil {
 		random = rand.Reader
 	}
-	// One exponent a and A = g^a reused across the batch (standard batching
-	// for Chou–Orlandi; per-index hashing separates the derived keys).
-	a, err := grp.randomExponent(random)
+	// One scalar a and A = a·G serve the whole batch (standard batching for
+	// Chou–Orlandi; per-index hashing separates the derived keys).
+	var a [scalarSize]byte
+	bigA, err := randomMultiple(random, a[:])
 	if err != nil {
 		return err
 	}
-	bigA := new(big.Int).Exp(grp.G, a, grp.P)
-	if err := conn.Send(ctx, peer, session+tagBaseA, bigA.Bytes()); err != nil {
+	var frameA [pointSize]byte
+	bigA.put(frameA[:])
+	if err := conn.Send(ctx, peer, session+tagBaseA, frameA[:]); err != nil {
 		return fmt.Errorf("ot: send A: %w", err)
 	}
 
-	// A^a is needed to peel the receiver's masking for choice bit 1.
-	bigAa := new(big.Int).Exp(bigA, a, grp.P)
-	bigAaInv := new(big.Int).ModInverse(bigAa, grp.P)
-	if bigAaInv == nil {
-		return errors.New("ot: degenerate group element")
-	}
+	// −a·A, once per batch: a·B_i − a·A peels the receiver's +A for choice
+	// bit 1 with one point addition instead of a second multiplication.
+	negAA := bigA.mult(a[:]).neg()
 
-	payload, err := conn.Recv(ctx, peer, session+tagBaseB)
-	if err != nil {
-		return fmt.Errorf("ot: recv B batch: %w", err)
-	}
-	bs, err := splitBigs(payload, len(pairs))
+	batch, err := recvFrame(ctx, conn, peer, session+tagBaseB, "B", len(pairs)*pointSize)
 	if err != nil {
 		return err
 	}
+	defer transport.PutFrame(batch)
 
-	out := make([]byte, 0, len(pairs)*2*KeySize)
-	for i, bigB := range bs {
-		if bigB.Sign() <= 0 || bigB.Cmp(grp.P) >= 0 {
-			return fmt.Errorf("ot: receiver point %d out of range", i)
+	out := transport.GetFrame(len(pairs) * 2 * KeySize)
+	defer transport.PutFrame(out)
+	for i, pair := range pairs {
+		bigB, ok := parsePoint(batch[i*pointSize : (i+1)*pointSize])
+		if !ok {
+			return &frameError{frame: "B", index: i}
 		}
-		// k0 = H(B^a), k1 = H((B/A)^a) = H(B^a · A^{-a}).
-		ba := new(big.Int).Exp(bigB, a, grp.P)
-		k0 := hashPoint(uint64(i), ba)
-		ba.Mul(ba, bigAaInv)
-		ba.Mod(ba, grp.P)
-		k1 := hashPoint(uint64(i), ba)
-		out = append(out, xorBytes(pairs[i].M0, k0)...)
-		out = append(out, xorBytes(pairs[i].M1, k1)...)
+		aB := bigB.mult(a[:])
+		ct := out[i*2*KeySize : (i+1)*2*KeySize]
+		k0, k1 := pad(uint64(i), aB), pad(uint64(i), aB.add(negAA))
+		subtle.XORBytes(ct[:KeySize], pair.M0, k0[:])
+		subtle.XORBytes(ct[KeySize:], pair.M1, k1[:])
 	}
 	if err := conn.Send(ctx, peer, session+tagBaseCts, out); err != nil {
 		return fmt.Errorf("ot: send ciphertexts: %w", err)
@@ -190,87 +169,64 @@ func SendBase(ctx context.Context, conn transport.Conn, peer, session string, gr
 }
 
 // RecvBase runs the receiver side of len(choices) base OTs and returns the
-// chosen messages.
-func RecvBase(ctx context.Context, conn transport.Conn, peer, session string, grp *Group, random io.Reader, choices []bool) ([][]byte, error) {
+// chosen messages. The group handle is ignored (see Group); a nil random
+// means crypto/rand.
+func RecvBase(ctx context.Context, conn transport.Conn, peer, session string, _ *Group, random io.Reader, choices []bool) ([][]byte, error) {
 	if random == nil {
 		random = rand.Reader
 	}
-	raw, err := conn.Recv(ctx, peer, session+tagBaseA)
+	raw, err := recvFrame(ctx, conn, peer, session+tagBaseA, "A", pointSize)
 	if err != nil {
-		return nil, fmt.Errorf("ot: recv A: %w", err)
+		return nil, err
 	}
-	bigA := new(big.Int).SetBytes(raw)
-	if bigA.Sign() <= 0 || bigA.Cmp(grp.P) >= 0 {
-		return nil, errors.New("ot: sender point out of range")
+	bigA, ok := parsePoint(raw)
+	transport.PutFrame(raw)
+	if !ok {
+		return nil, &frameError{frame: "A", index: 0}
 	}
 
-	exps := make([]*big.Int, len(choices))
-	var payload []byte
+	scalars := make([]byte, len(choices)*scalarSize)
+	batch := transport.GetFrame(len(choices) * pointSize)
+	defer transport.PutFrame(batch)
 	for i, c := range choices {
-		b, err := grp.randomExponent(random)
+		bigB, err := randomMultiple(random, scalars[i*scalarSize:(i+1)*scalarSize])
 		if err != nil {
 			return nil, err
 		}
-		exps[i] = b
-		bigB := new(big.Int).Exp(grp.G, b, grp.P)
 		if c {
-			bigB.Mul(bigB, bigA)
-			bigB.Mod(bigB, grp.P)
+			bigB = bigB.add(bigA)
+			if bigB.isIdentity() { // b_i·G = −A: as likely as guessing a
+				return nil, fmt.Errorf("ot: transfer %d: degenerate scalar", i)
+			}
 		}
-		payload = appendBig(payload, bigB)
+		bigB.put(batch[i*pointSize : (i+1)*pointSize])
 	}
-	if err := conn.Send(ctx, peer, session+tagBaseB, payload); err != nil {
+	if err := conn.Send(ctx, peer, session+tagBaseB, batch); err != nil {
 		return nil, fmt.Errorf("ot: send B batch: %w", err)
 	}
 
-	raw, err = conn.Recv(ctx, peer, session+tagBaseCts)
-	if err != nil {
-		return nil, fmt.Errorf("ot: recv ciphertexts: %w", err)
-	}
-	if len(raw) != len(choices)*2*KeySize {
-		return nil, fmt.Errorf("ot: ciphertext batch has %d bytes, want %d", len(raw), len(choices)*2*KeySize)
-	}
-
+	// k_ic = H(i, x(b_i·A)), derived while the sender is busy with its own
+	// multiplications rather than after its ciphertexts arrive. The keys
+	// land in the buffer the chosen messages are returned in.
+	keys := make([]byte, len(choices)*KeySize)
 	out := make([][]byte, len(choices))
+	for i := range choices {
+		k := pad(uint64(i), bigA.mult(scalars[i*scalarSize:(i+1)*scalarSize]))
+		out[i] = keys[i*KeySize : (i+1)*KeySize : (i+1)*KeySize]
+		copy(out[i], k[:])
+	}
+
+	cts, err := recvFrame(ctx, conn, peer, session+tagBaseCts, "ciphertext", len(choices)*2*KeySize)
+	if err != nil {
+		return nil, err
+	}
 	for i, c := range choices {
-		// k_c = H(A^b).
-		kc := hashPoint(uint64(i), new(big.Int).Exp(bigA, exps[i], grp.P))
-		ct := raw[i*2*KeySize : (i+1)*2*KeySize]
+		ct := cts[i*2*KeySize : (i+1)*2*KeySize]
 		if c {
-			out[i] = xorBytes(ct[KeySize:], kc)
-		} else {
-			out[i] = xorBytes(ct[:KeySize], kc)
+			ct = ct[KeySize:]
 		}
+		subtle.XORBytes(out[i], out[i], ct)
 	}
-	return out, nil
-}
-
-// --- big.Int batch framing helpers ---
-
-func appendBig(dst []byte, x *big.Int) []byte {
-	b := x.Bytes()
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(b)))
-	dst = append(dst, lenBuf[:]...)
-	return append(dst, b...)
-}
-
-func splitBigs(src []byte, n int) ([]*big.Int, error) {
-	out := make([]*big.Int, 0, n)
-	for i := 0; i < n; i++ {
-		if len(src) < 4 {
-			return nil, errors.New("ot: truncated batch")
-		}
-		l := binary.BigEndian.Uint32(src)
-		src = src[4:]
-		if uint32(len(src)) < l {
-			return nil, errors.New("ot: truncated batch element")
-		}
-		out = append(out, new(big.Int).SetBytes(src[:l]))
-		src = src[l:]
-	}
-	if len(src) != 0 {
-		return nil, errors.New("ot: trailing bytes in batch")
-	}
+	transport.PutFrame(cts)
 	return out, nil
 }

@@ -100,8 +100,6 @@ type Config struct {
 	// PreEncrypt precomputes Paillier blinding factors in idle time
 	// (default true, matching the paper's deployment).
 	PreEncrypt *bool
-	// UseOTExtension moves comparator label transfer to IKNP OT extension.
-	UseOTExtension bool
 	// GRR3 enables garbled row reduction in the secure comparator,
 	// shrinking its tables by 25% on the wire.
 	GRR3 bool
@@ -173,7 +171,7 @@ const (
 	// BackendHybrid replaces the Protocol 2/3 aggregations and comparison
 	// with seeded additive masking over fixed-width integer frames, keeping
 	// Paillier for Protocol 4's ratio step. Outcomes are bit-identical to
-	// BackendPaillier; per-window cost drops by an order of magnitude.
+	// BackendPaillier; per-window cost drops ≈ 3–4×.
 	BackendHybrid = core.BackendHybrid
 )
 
@@ -214,7 +212,6 @@ func (cfg Config) coreConfig() core.Config {
 	return core.Config{
 		KeyBits:            cfg.KeyBits,
 		Params:             cfg.Params,
-		UseOTExtension:     cfg.UseOTExtension,
 		GRR3:               cfg.GRR3,
 		PreEncrypt:         cfg.PreEncrypt == nil || *cfg.PreEncrypt,
 		Seed:               cfg.Seed,
