@@ -6,7 +6,7 @@
 //
 // The point of the demo: the two backends produce bit-identical market
 // outcomes — same prices, same allocations, and trade ledgers that hash to
-// the same chain head — roughly 3–4× apart in per-window
+// the same chain head — roughly 4× apart in per-window
 // cost. What differs is the trust anchor, not the market; see DESIGN.md
 // §12 for the threat-model comparison.
 //

@@ -83,7 +83,8 @@ type Config struct {
 	// Rb/Rs comparison on seeded additive masking, Paillier kept only for
 	// Protocol 4's single-decryptor ratio step). Outcomes are bit-identical;
 	// the hybrid backend trades the comparison's privacy (Hr1 learns
-	// E_b−E_s) for a ≈ 3–4× window speedup — see DESIGN.md §12.
+	// E_b−E_s) for a ≈ 2× (32 homes, 1024-bit keys) to ≈ 4× (8 homes)
+	// window speedup — see DESIGN.md §12.
 	CryptoBackend string
 	// Aggregation selects the encrypted-sum topology for the masked ring
 	// aggregations of Protocol 2 and the demand-side total of Protocol 4:

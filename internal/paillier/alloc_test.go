@@ -46,6 +46,25 @@ func TestScalarMulFastPathAllocBudget(t *testing.T) {
 	}
 }
 
+// TestBlindingFactorAllocBudget pins the refill path: a factor costs its
+// result (the integer and its words) and the exponent buffer, whatever the
+// key size — every temporary of the table walk is arena storage.
+func TestBlindingFactorAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops arenas at random under the race detector")
+	}
+	key := testKey(t)
+	rng := testRand(34)
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := key.BlindingFactor(rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 3 {
+		t.Errorf("BlindingFactor: %.1f allocs/op, budget 3", avg)
+	}
+}
+
 // TestAppendFixedAllocFree pins the zero-copy wire encoding: appending a
 // fixed-width ciphertext into a caller-provided buffer of FixedLen capacity
 // allocates nothing.

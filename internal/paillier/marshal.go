@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync/atomic"
 )
 
 // Wire format: every big.Int is encoded as a uint32 big-endian length
@@ -53,6 +54,7 @@ func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 	}
 	pk.N = n
 	pk.N2 = new(big.Int).Mul(n, n)
+	pk.table = atomic.Value{} // a table of the previous modulus is stale
 	return nil
 }
 

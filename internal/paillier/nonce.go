@@ -1,0 +1,140 @@
+package paillier
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"math/big"
+	"sync"
+)
+
+// Blinding factors take the Damgård–Jurik–Nielsen fast-encryption form
+// h_s^x mod n²: a fixed base h_s = h^n mod n² — an n-th residue, so every
+// power of it blinds correctly — raised to a fresh short exponent x of
+// ⌈|n|/2⌉ bits (rounded up to whole bytes). h = −y² mod n with y hashed from
+// n, so the base costs no randomness, no wire byte and no agreement: only
+// the encryptor ever uses it. DESIGN.md §8 states the assumption.
+//
+// Because the base is fixed, its powers are tabulated once per key as a
+// Lim–Lee comb: the exponent is cut into combRows blocks of a bits, each
+// block into combCols sub-blocks of b = ⌈a/2⌉ bits, and entry (j, u) holds
+// Π_{i ∈ u} h_s^(2^(i·a+j·b)). A factor is then b−1 squarings of the
+// accumulator and at most combCols·b table multiplications — 31 + 64 at
+// 1024-bit keys, against the ≈ 1 280 of a full-width exponentiation — and
+// the table is 2·255 entries in one slab (128 KiB at 1024 bits, ≈ 1 000
+// multiplications to build). Shape and exponent length are functions of |n|
+// alone.
+const (
+	combRows = 8
+	combCols = 2
+
+	nonceBaseTag = "pem/paillier/djn-nonce-base/v1"
+)
+
+// nonceTable is a key's comb table, built by the first BlindingFactor.
+type nonceTable struct {
+	once sync.Once
+	// xLen is the exponent length in bytes; with combRows = 8 it is also
+	// the block width a in bits.
+	xLen int
+	// entries[j<<combRows|u] views one n²-wide stripe of a shared slab;
+	// u = 0 is never read.
+	entries []big.Int
+}
+
+// nonceBase derives h = −y² mod n, y = SHA-256 in counter mode over
+// nonceBaseTag ‖ n, reduced mod n.
+func nonceBase(n *big.Int) *big.Int {
+	nb := n.Bytes()
+	var stream []byte
+	for ctr := uint32(0); len(stream) <= len(nb); ctr++ {
+		d := sha256.New()
+		d.Write([]byte(nonceBaseTag))
+		d.Write(nb)
+		d.Write(binary.BigEndian.AppendUint32(nil, ctr))
+		stream = d.Sum(stream)
+	}
+	h := new(big.Int).SetBytes(stream)
+	h.Mul(h, h)
+	h.Neg(h)
+	return h.Mod(h, n)
+}
+
+// mulMod sets r = x·y mod m with every temporary in t and q; r may alias x
+// or y.
+func mulMod(r, q, t, x, y, m *big.Int) {
+	t.Mul(x, y)
+	q.QuoRem(t, m, r)
+}
+
+// nonces returns pk's comb table, building it on first use. Concurrent
+// first users wait on the one build. The holder hangs off the key through a
+// pointer so that keys stay copyable and the table dies with its key.
+func (pk *PublicKey) nonces() *nonceTable {
+	t, _ := pk.table.Load().(*nonceTable)
+	if t == nil {
+		pk.table.CompareAndSwap(nil, new(nonceTable))
+		t = pk.table.Load().(*nonceTable)
+	}
+	t.once.Do(func() { t.build(pk.N, pk.N2) })
+	return t
+}
+
+func (t *nonceTable) build(n, n2 *big.Int) {
+	s := GetScratch()
+	defer s.Put()
+	q, prod, pow := s.Int(), s.Int(), s.Int()
+
+	t.xLen = ((n.BitLen()+1)/2 + 7) / 8
+	a, b := t.xLen, (t.xLen+1)/2
+	w := len(n2.Bits())
+	slab := make([]big.Word, (combCols<<combRows)*w)
+	t.entries = make([]big.Int, combCols<<combRows)
+	set := func(idx int, v *big.Int) {
+		stripe := slab[idx*w : (idx+1)*w : (idx+1)*w]
+		t.entries[idx].SetBits(stripe[:copy(stripe, v.Bits())])
+	}
+
+	// The 16 single-bit entries h_s^(2^(i·a+j·b)), by repeated squaring.
+	pow.Exp(nonceBase(n), n, n2)
+	for i := 0; i < combRows; i++ {
+		for j, step := range [combCols]int{b, a - b} {
+			set(j<<combRows|1<<i, pow)
+			for ; step > 0; step-- {
+				mulMod(pow, q, prod, pow, pow, n2)
+			}
+		}
+	}
+	// Every other entry is one multiplication away from a smaller one.
+	for j := 0; j < combCols; j++ {
+		row := t.entries[j<<combRows : (j+1)<<combRows]
+		for u := 3; u < len(row); u++ {
+			if low := u & -u; low != u {
+				mulMod(pow, q, prod, &row[u^low], &row[low], n2)
+				set(j<<combRows|u, pow)
+			}
+		}
+	}
+}
+
+// exp computes h_s^x mod n² for the big-endian exponent x of t.xLen bytes.
+func (t *nonceTable) exp(x []byte, n2 *big.Int) *big.Int {
+	s := GetScratch()
+	defer s.Put()
+	q, prod, acc := s.Int(), s.Int(), s.Int().SetUint64(1)
+
+	a, b := t.xLen, (t.xLen+1)/2
+	for k := b - 1; k >= 0; k-- {
+		mulMod(acc, q, prod, acc, acc, n2)
+		for j := 0; j < combCols && j*b+k < a; j++ {
+			u := 0
+			for i := combRows - 1; i >= 0; i-- {
+				bit := i*a + j*b + k
+				u = u<<1 | int(x[len(x)-1-bit>>3]>>(bit&7)&1)
+			}
+			if u != 0 {
+				mulMod(acc, q, prod, acc, &t.entries[j<<combRows|u], n2)
+			}
+		}
+	}
+	return new(big.Int).Set(acc)
+}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 )
 
 var (
@@ -46,6 +47,11 @@ var (
 type PublicKey struct {
 	N  *big.Int // modulus
 	N2 *big.Int // n²
+
+	// table holds the *nonceTable behind BlindingFactor (see nonce.go),
+	// installed by the first encryption under this key. An atomic.Value
+	// rather than a lock or atomic.Pointer so keys stay copyable.
+	table atomic.Value
 }
 
 // PrivateKey holds the factorization and precomputed CRT constants.
@@ -264,42 +270,20 @@ func (pk *PublicKey) decodeSignedInPlace(half, m *big.Int) *big.Int {
 	return m
 }
 
-// randomUnit draws r uniformly from Z*_n. s provides the GCD temporary.
-func (pk *PublicKey) randomUnit(s *Scratch, random io.Reader) (*big.Int, error) {
-	gcd := s.Int()
-	for {
-		r, err := rand.Int(random, pk.N)
-		if err != nil {
-			return nil, fmt.Errorf("draw nonce: %w", err)
-		}
-		if r.Sign() == 0 {
-			continue
-		}
-		if gcd.GCD(nil, nil, r, pk.N).Cmp(one) == 0 {
-			return r, nil
-		}
-	}
-}
-
 // Encrypt encrypts the signed integer m. With g = n+1 the ciphertext is
-// (1 + m·n) · r^n mod n².
+// (1 + m·n) · f mod n² for a fresh blinding factor f (see BlindingFactor).
 func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
-	if random == nil {
-		random = rand.Reader
-	}
-	s := GetScratch()
-	defer s.Put()
-	r, err := pk.randomUnit(s, random)
+	f, err := pk.BlindingFactor(random)
 	if err != nil {
 		return nil, err
 	}
-	return pk.encryptWithUnit(m, r)
+	return pk.EncryptWithFactor(m, f)
 }
 
-// EncryptWithFactor encrypts m using a pre-computed blinding factor
-// rn = r^n mod n² (see NoncePool). This is the paper's "encryption executed
-// in parallel during idle time" optimization: the expensive exponentiation
-// happens ahead of time, leaving only two multiplications per encryption.
+// EncryptWithFactor encrypts m using a pre-computed blinding factor (see
+// BlindingFactor and NoncePool). This is the paper's "encryption executed
+// in parallel during idle time" optimization: the exponentiation happens
+// ahead of time, leaving only two multiplications per encryption.
 func (pk *PublicKey) EncryptWithFactor(m, rn *big.Int) (*Ciphertext, error) {
 	s := GetScratch()
 	defer s.Put()
@@ -316,27 +300,28 @@ func (pk *PublicKey) EncryptWithFactor(m, rn *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{C: c}, nil
 }
 
-func (pk *PublicKey) encryptWithUnit(m, r *big.Int) (*Ciphertext, error) {
-	rn := new(big.Int).Exp(r, pk.N, pk.N2)
-	return pk.EncryptWithFactor(m, rn)
-}
-
-// BlindingFactor computes r^n mod n² for a fresh random r. The result can
-// be handed to EncryptWithFactor later.
+// BlindingFactor computes a fresh n-th residue h_s^x mod n² — the factor an
+// encryption multiplies in, which can be handed to EncryptWithFactor later.
+// It reads exactly ⌈⌈|n|/2⌉/8⌉ bytes of x from random, with no rejection
+// loop, so a seeded stream stays aligned; the rest is look-ups in the key's
+// fixed-base table (built on the key's first call) and multiplications.
 func (pk *PublicKey) BlindingFactor(random io.Reader) (*big.Int, error) {
 	if random == nil {
 		random = rand.Reader
 	}
-	s := GetScratch()
-	defer s.Put()
-	r, err := pk.randomUnit(s, random)
-	if err != nil {
-		return nil, err
+	t := pk.nonces()
+	x := make([]byte, t.xLen)
+	if _, err := io.ReadFull(random, x); err != nil {
+		return nil, fmt.Errorf("draw nonce: %w", err)
 	}
-	return new(big.Int).Exp(r, pk.N, pk.N2), nil
+	return t.exp(x, pk.N2), nil
 }
 
-// validate checks c ∈ [1, n²) with gcd(c, n) = 1.
+// validate checks c ∈ [1, n²). It does not check gcd(c, n) = 1 — a GCD
+// costs many times the Add it would guard — so a non-unit (which only a
+// party knowing a factor of n, or a corrupted frame, produces) surfaces
+// where an inverse is needed, as ScalarMul's ErrInvalidCiphertext, or
+// decrypts to garbage.
 func (pk *PublicKey) validate(c *Ciphertext) error {
 	if c == nil || c.C == nil {
 		return ErrInvalidCiphertext
@@ -402,9 +387,9 @@ func (pk *PublicKey) AddPlain(c *Ciphertext, m *big.Int) (*Ciphertext, error) {
 //
 // The exponentiation is skipped entirely for k ∈ {0, ±1}: E(a)^0 = 1 (a
 // valid, deterministic encryption of zero), E(a)^1 = E(a), and E(a)^{-1}
-// needs only the modular inverse. Other small scalars — Protocol 4's
-// reciprocal multipliers are ~20–40 bits — take a 2^k-ary windowed ladder
-// that avoids math/big's fixed Montgomery setup cost (see exp.go).
+// needs only the modular inverse. Everything else — Protocol 4's
+// reciprocal multipliers are ~20–40 bits — is one math/big Exp, whose
+// word-level Montgomery ladder no big.Int-level windowing has beaten.
 func (pk *PublicKey) ScalarMul(c *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	if err := pk.validate(c); err != nil {
 		return nil, err
@@ -432,7 +417,7 @@ func (pk *PublicKey) ScalarMul(c *Ciphertext, k *big.Int) (*Ciphertext, error) {
 		base = inv
 	}
 	exp := s.Int().Abs(k)
-	return &Ciphertext{C: modExp(base, exp, pk.N2)}, nil
+	return &Ciphertext{C: new(big.Int).Exp(base, exp, pk.N2)}, nil
 }
 
 // Rerandomize multiplies c by a fresh encryption of zero, hiding any link

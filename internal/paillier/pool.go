@@ -10,12 +10,12 @@ import (
 	"time"
 )
 
-// NoncePool pre-computes Paillier blinding factors r^n mod n² in background
-// workers so that encryptions on the protocol's critical path reduce to two
-// modular multiplications. This implements the paper's observation
-// (Section VII-B) that "encryption and decryption are independently executed
-// in parallel during idle time", which is why runtime in Fig. 5(b) is
-// insensitive to the key size.
+// NoncePool pre-computes Paillier blinding factors (see BlindingFactor) in
+// background workers so that encryptions on the protocol's critical path
+// reduce to two modular multiplications. This implements the paper's
+// observation (Section VII-B) that "encryption and decryption are
+// independently executed in parallel during idle time", which is why
+// runtime in Fig. 5(b) is insensitive to the key size.
 //
 // Refill runs in the background whenever the stock is below target — at
 // construction, after every Take, and continuously between windows — so idle
@@ -29,8 +29,7 @@ type NoncePool struct {
 	pk     *PublicKey
 	shared *Workers // optional refill executor (retained until Close)
 
-	randMu sync.Mutex
-	random io.Reader
+	random lockedReader // serializes the source across workers and Take
 
 	mu      sync.Mutex
 	factors []*big.Int // LIFO of precomputed factors
@@ -101,7 +100,7 @@ func NewNoncePool(pk *PublicKey, cfg PoolConfig) *NoncePool {
 	p := &NoncePool{
 		pk:     pk,
 		shared: cfg.Shared.Retain(),
-		random: random,
+		random: lockedReader{r: random},
 		refill: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -177,7 +176,7 @@ func (p *NoncePool) worker() {
 				delay = 0
 				continue
 			}
-			f, err := p.pk.BlindingFactor(p.lockedRandom())
+			f, err := p.pk.BlindingFactor(&p.random)
 			if err != nil {
 				// Transient randomness failure: back off and retry rather
 				// than silently degrading the pool to inline computation
@@ -206,7 +205,7 @@ func (p *NoncePool) refillShared() bool {
 	var produced atomic.Uint64
 	for i := 0; i < n; i++ {
 		p.shared.Go(&wg, func() {
-			f, err := p.pk.BlindingFactor(p.lockedRandom())
+			f, err := p.pk.BlindingFactor(&p.random)
 			if err != nil {
 				p.retries.Add(1)
 				return
@@ -245,13 +244,9 @@ func (p *NoncePool) backoff(delay *time.Duration) bool {
 	}
 }
 
-// lockedRandom serializes access to the randomness source across workers.
-func (p *NoncePool) lockedRandom() io.Reader {
-	return &lockedReader{mu: &p.randMu, r: p.random}
-}
-
+// lockedReader serializes access to a randomness source.
 type lockedReader struct {
-	mu *sync.Mutex
+	mu sync.Mutex
 	r  io.Reader
 }
 
@@ -281,7 +276,7 @@ func (p *NoncePool) Take(ctx context.Context) (*big.Int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.pk.BlindingFactor(p.lockedRandom())
+	return p.pk.BlindingFactor(&p.random)
 }
 
 // Stats returns a snapshot of the pool's health counters.

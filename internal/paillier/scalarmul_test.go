@@ -1,49 +1,67 @@
 package paillier
 
 import (
-	"fmt"
+	"errors"
 	"math/big"
 	"testing"
 )
 
-func TestExpWindowedMatchesBigExp(t *testing.T) {
+// TestScalarMulMatchesExp checks the general path bit for bit against the
+// definition E(a)^k mod n²: scalars of every size class Protocol 4 produces
+// and beyond, both signs (a negative scalar exponentiates the inverse).
+func TestScalarMulMatchesExp(t *testing.T) {
+	key := testKey(t)
 	rng := testRand(11)
-	mod := new(big.Int).Lsh(big.NewInt(1), 512)
-	mod.Add(mod, big.NewInt(12345)) // non-power-of-two modulus
+	c, err := key.EncryptInt64(rng, 1234)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := new(big.Int).ModInverse(c.C, key.N2)
 	for _, bits := range []int{1, 2, 3, 4, 5, 8, 15, 16, 17, 31, 47, 48, 49, 63, 64, 65, 128} {
-		for i := 0; i < 20; i++ {
-			base := new(big.Int).Rand(rng, mod)
-			exp := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
-			got := expWindowed(base, exp, mod)
-			want := new(big.Int).Exp(base, exp, mod)
-			if got.Cmp(want) != 0 {
-				t.Fatalf("expWindowed(%v, %v) = %v, want %v", base, exp, got, want)
+		for i := 0; i < 10; i++ {
+			k := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
+			for _, base := range []*big.Int{c.C, inv} {
+				got, err := key.ScalarMul(c, k)
+				if err != nil {
+					t.Fatalf("ScalarMul(%v): %v", k, err)
+				}
+				if want := new(big.Int).Exp(base, new(big.Int).Abs(k), key.N2); got.C.Cmp(want) != 0 {
+					t.Fatalf("ScalarMul(%v) = %v, want %v", k, got.C, want)
+				}
+				k.Neg(k)
 			}
 		}
 	}
 }
 
-func TestExpWindowedEdgeCases(t *testing.T) {
-	mod := big.NewInt(1_000_003)
-	cases := []struct{ base, exp, want int64 }{
-		{0, 0, 1},
+// TestScalarMulEdgeCases pins the degenerate ciphertexts and scalars: the
+// unit ciphertext stays the unit at any scalar, a zero scalar yields it,
+// and small scalars are the plain products.
+func TestScalarMulEdgeCases(t *testing.T) {
+	key := testKey(t)
+	cases := []struct{ c, k, want int64 }{
 		{7, 0, 1},
 		{7, 1, 7},
 		{7, 2, 49},
-		{0, 5, 0},
 		{1, 1 << 30, 1},
 		{2, 19, 1 << 19},
+		{1, -(1 << 30), 1},
 	}
-	for _, c := range cases {
-		got := expWindowed(big.NewInt(c.base), big.NewInt(c.exp), mod)
-		if got.Int64() != c.want {
-			t.Errorf("expWindowed(%d, %d) = %v, want %d", c.base, c.exp, got, c.want)
+	for _, tc := range cases {
+		got, err := key.ScalarMul(&Ciphertext{C: big.NewInt(tc.c)}, big.NewInt(tc.k))
+		if err != nil {
+			t.Fatalf("ScalarMul(%d, %d): %v", tc.c, tc.k, err)
+		}
+		if got.C.Int64() != tc.want {
+			t.Errorf("ScalarMul(%d, %d) = %v, want %d", tc.c, tc.k, got.C, tc.want)
 		}
 	}
-	// Base larger than the modulus must be reduced first.
-	got := expWindowed(big.NewInt(1_000_003+5), big.NewInt(3), mod)
-	if want := new(big.Int).Exp(big.NewInt(5), big.NewInt(3), mod); got.Cmp(want) != 0 {
-		t.Errorf("unreduced base: got %v want %v", got, want)
+	// A non-unit has no inverse: a negative scalar must say so, not panic.
+	p := &Ciphertext{C: new(big.Int).Set(key.p)}
+	for _, k := range []int64{-1, -5} {
+		if _, err := key.ScalarMul(p, big.NewInt(k)); !errors.Is(err, ErrInvalidCiphertext) {
+			t.Errorf("ScalarMul(non-unit, %d): err = %v, want ErrInvalidCiphertext", k, err)
+		}
 	}
 }
 
@@ -91,8 +109,8 @@ func TestScalarMulFastPaths(t *testing.T) {
 			t.Errorf("decrypt = %d, %v; want -1234", m, err)
 		}
 	})
-	// Boundary scalars around the fast-path cutoffs and the windowed/big.Exp
-	// threshold, checked against the plaintext product.
+	// Boundary scalars around the fast-path cutoffs, checked against the
+	// plaintext product.
 	for _, k := range []int64{2, -2, 3, 15, 16, 17, -17, 1 << 20, -(1 << 20)} {
 		out, err := key.ScalarMul(c, big.NewInt(k))
 		if err != nil {
@@ -106,8 +124,8 @@ func TestScalarMulFastPaths(t *testing.T) {
 			t.Errorf("ScalarMul(%d) decrypts to %d, want %d", k, m, 1234*k)
 		}
 	}
-	// A scalar above smallExpBits exercises the big.Exp fallback; verify via
-	// homomorphism on an encryption of 1.
+	// A scalar wider than a machine word; verify via homomorphism on an
+	// encryption of 1.
 	cOne, err := key.EncryptInt64(rng, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -126,30 +144,8 @@ func TestScalarMulFastPaths(t *testing.T) {
 	}
 }
 
-// BenchmarkExpWindowed tracks the 2^k-ary ladder against math/big's Exp
-// across the exponent sizes Protocol 4 produces; modExp's routing decision
-// (currently: always big.Exp) is based on this comparison.
-func BenchmarkExpWindowed(b *testing.B) {
-	key := testKey(b)
-	rng := testRand(14)
-	base := new(big.Int).Rand(rng, key.N2)
-	for _, bits := range []int{8, 24, 40, 64} {
-		exp := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
-		exp.SetBit(exp, bits-1, 1)
-		name := fmt.Sprintf("%dbit", bits)
-		b.Run("ladder-"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = expWindowed(base, exp, key.N2)
-			}
-		})
-		b.Run("bigexp-"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = new(big.Int).Exp(base, exp, key.N2)
-			}
-		})
-	}
-}
-
+// BenchmarkScalarMulSmallExponent prices Protocol 4's scalar step against
+// the bare exponentiation it wraps.
 func BenchmarkScalarMulSmallExponent(b *testing.B) {
 	key := testKey(b)
 	rng := testRand(13)
@@ -158,7 +154,7 @@ func BenchmarkScalarMulSmallExponent(b *testing.B) {
 		b.Fatal(err)
 	}
 	k := big.NewInt(976562500) // a typical ~30-bit Protocol 4 reciprocal
-	b.Run("windowed", func(b *testing.B) {
+	b.Run("scalarmul", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := key.ScalarMul(c, k); err != nil {
 				b.Fatal(err)
