@@ -369,11 +369,6 @@ func runPrivateWindows(o options, homes, windows, keyBits int) (avgPerWindow tim
 	}
 	total = time.Since(start)
 	bytesTotal = m.Metrics().TotalBytes() - startBytes
-	// A degraded pre-encryption pool (workers stuck retrying randomness
-	// failures) silently skews every timing figure — surface it.
-	if st := m.PoolStats(); st.Retries > 0 {
-		fmt.Fprintf(os.Stderr, "pem-bench: warning: pre-encryption pool degraded: %+v\n", st)
-	}
 	return total / time.Duration(windows), total, bytesTotal, nil
 }
 

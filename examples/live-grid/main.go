@@ -1,9 +1,10 @@
 // Live grid: a multi-day simulation over a churning fleet. The day is split
 // into epochs; at each epoch boundary prosumers join, depart (planned) or
 // fail (crash-style), the partitioner re-partitions the surviving-plus-new
-// roster, and every coalition re-keys — fresh Paillier key material and a
-// fresh transport scope per (epoch, coalition) — over the same shared
-// crypto pool and bus, so churn costs a bounded re-key, not a restart.
+// roster, and every coalition re-keys — a fresh engine, key directory and
+// transport scope per (epoch, coalition), Paillier keys generated for the
+// joiners only — over the same shared crypto pool, bus and key ring, so
+// churn costs a bounded re-key, not a restart.
 //
 // Settlement carries across epochs per agent: an agent's cumulative
 // position survives re-partitioning (it is keyed by ID, not coalition), and

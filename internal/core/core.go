@@ -31,13 +31,13 @@ import (
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	mrand "math/rand"
+	mrand "math/rand/v2"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -205,6 +205,7 @@ type Engine struct {
 	bus     *transport.Bus
 	network *netem.Network // nil unless Config.Network selects a topology
 	workers *paillier.Workers
+	refill  *paillier.Refill // background blinding-factor fills, drained by Close
 	parties []*Party
 	agents  []market.Agent
 
@@ -218,7 +219,8 @@ var ErrEngineClosed = errors.New("core: engine closed")
 
 // Resources are the shared infrastructure an engine can borrow instead of
 // provisioning its own. Zero-value fields mean "own it": a nil Bus gives
-// the engine a private in-memory bus, a nil Workers a private crypto pool.
+// the engine a private in-memory bus, a nil Workers a private crypto pool,
+// a nil Keys a private key ring.
 type Resources struct {
 	// Bus is the transport connecting this engine's parties. When shared by
 	// several engines, each engine must have a distinct Config.Namespace
@@ -229,6 +231,10 @@ type Resources struct {
 	// reference and releases it on Close, so a caller sharing one pool
 	// across engines keeps its reference alive independently.
 	Workers *paillier.Workers
+	// Keys is the ring the engine's parties get their key pairs from: a home
+	// the ring already holds keeps its pair, the rest are generated into it.
+	// A ring outlives the engines that borrow it; Close releases no key.
+	Keys *KeyRing
 }
 
 // NewEngine provisions keys and transport endpoints for the agents, owning
@@ -302,16 +308,24 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 		e.workers = paillier.NewWorkers(cfg.CryptoWorkers)
 	}
 
-	// Key generation (each agent generates its own key pair in Protocol 1
-	// line 2), parallelized across agents through the shared pool.
+	e.refill = paillier.NewRefill(e.workers, partyRandom(cfg, "", "pool"))
+
+	// Key pairs come from the ring (each agent generates its own in Protocol
+	// 1 line 2 — once, so a home the ring already holds costs a look-up),
+	// parallelized across agents through the shared pool.
+	ring := res.Keys
+	if ring == nil {
+		ring = NewKeyRing(cfg)
+	} else if ring.cfg.KeyBits != cfg.KeyBits {
+		e.workers.Release()
+		return nil, fmt.Errorf("core: key ring holds %d-bit keys, engine wants %d", ring.cfg.KeyBits, cfg.KeyBits)
+	}
 	keys := make([]*paillier.PrivateKey, len(agents))
 	keyErr := make([]error, len(agents))
 	var wg sync.WaitGroup
 	for i := range agents {
 		i := i
-		e.workers.Go(&wg, func() {
-			keys[i], keyErr[i] = paillier.GenerateKey(partyRandom(cfg, agents[i].ID, "keygen"), cfg.KeyBits)
-		})
+		e.workers.Go(&wg, func() { keys[i], keyErr[i] = ring.key(agents[i].ID) })
 	}
 	wg.Wait()
 	for i, err := range keyErr {
@@ -347,7 +361,7 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 		if e.network != nil {
 			conn = e.network.Wrap(conn)
 		}
-		e.parties[i] = newParty(cfg, a, conn, keys[i], dir, e.workers, seeds[a.ID])
+		e.parties[i] = newParty(cfg, a, conn, keys[i], dir, e.workers, e.refill, seeds[a.ID])
 	}
 	return e, nil
 }
@@ -384,49 +398,56 @@ func maskSeedMatrix(cfg Config, agents []market.Agent) (map[string]map[string][]
 }
 
 // releaseParties unwinds a partially-constructed or closing engine: it
-// deregisters the engine's endpoints from the (possibly shared) bus, stops
-// the pre-encryption pools and drops the engine's worker-pool reference.
+// deregisters the engine's endpoints from the (possibly shared) bus, drains
+// the blinding-factor fills running on the worker pool and only then drops
+// the engine's reference on it.
 func (e *Engine) releaseParties() {
 	for _, p := range e.parties {
-		if p == nil {
-			continue
+		if p != nil {
+			p.conn.Close()
 		}
-		p.closePools()
-		p.conn.Close()
 	}
+	e.refill.Wait()
 	e.workers.Release()
 }
 
 // partyRandom derives a per-party randomness source: crypto/rand in
-// production, or a seeded PRNG stream when Config.Seed is set.
+// production, or a seeded stream when Config.Seed is set.
 func partyRandom(cfg Config, id, domain string) io.Reader {
+	return seededStream(cfg, id, domain, -1)
+}
+
+// seededStream is the one derivation behind every seeded randomness source:
+// a ChaCha8 stream keyed by the SHA-256 of "pem/<domain>[<window>]/<seed>/
+// <id>" (the window number is appended to the domain when non-negative),
+// built without fmt round trips and recycled through prngFree, so a
+// steady-state window draws its stream allocation-free. An unseeded
+// configuration gets crypto/rand.
+func seededStream(cfg Config, id, domain string, window int) io.Reader {
 	if cfg.Seed == nil {
 		return rand.Reader
 	}
-	h := sha256.Sum256([]byte(fmt.Sprintf("pem/%s/%d/%s", domain, *cfg.Seed, id)))
-	return seededPRNG(int64(binary.BigEndian.Uint64(h[:8])))
-}
-
-// prngFree recycles the seeded per-window PRNG streams. A math/rand source
-// carries a multi-kilobyte state array; re-seeding a recycled one is
-// bit-identical to mrand.New(mrand.NewSource(n)) (Seed resets both the
-// source state and the Read position), so a steady-state window pays no
-// PRNG allocation. Long-lived streams (key generation, nonce pools) simply
-// never return to the pool.
-var prngFree = sync.Pool{New: func() any { return mrand.New(mrand.NewSource(0)) }}
-
-// seededPRNG returns a pooled deterministic stream re-seeded to n.
-func seededPRNG(n int64) *mrand.Rand {
-	r := prngFree.Get().(*mrand.Rand)
-	r.Seed(n)
+	var arr [96]byte
+	b := append(append(arr[:0], "pem/"...), domain...)
+	if window >= 0 {
+		b = strconv.AppendInt(b, int64(window), 10)
+	}
+	b = strconv.AppendInt(append(b, '/'), *cfg.Seed, 10)
+	b = append(append(b, '/'), id...)
+	r := prngFree.Get().(*mrand.ChaCha8)
+	r.Seed(sha256.Sum256(b)) // O(1): the key is the state
 	return r
 }
+
+// prngFree recycles the seeded streams of finished windows. Long-lived
+// streams (key generation, refill) simply never return to the pool.
+var prngFree = sync.Pool{New: func() any { return mrand.NewChaCha8([32]byte{}) }}
 
 // releasePRNG returns a window's seeded stream to the pool once its run is
 // done; crypto/rand readers pass through. The caller must not retain the
 // reader afterwards.
 func releasePRNG(r io.Reader) {
-	if m, ok := r.(*mrand.Rand); ok {
+	if m, ok := r.(*mrand.ChaCha8); ok {
 		prngFree.Put(m)
 	}
 }
@@ -434,19 +455,14 @@ func releasePRNG(r io.Reader) {
 // Metrics exposes the transport byte counters (Table I).
 func (e *Engine) Metrics() *transport.Metrics { return e.bus.Metrics() }
 
-// PoolStats aggregates the pre-encryption pool health counters across the
-// fleet, so harnesses can detect a degraded pool (misses piling up,
-// workers stuck retrying randomness failures).
+// PoolStats sums the health counters of the fleet's blinding-factor pools,
+// one per party key, so harnesses can detect a degraded pool (misses piling
+// up). A pool lives with its key: over a borrowed key ring the counters
+// include what earlier engines took under the same keys.
 func (e *Engine) PoolStats() paillier.PoolStats {
 	var agg paillier.PoolStats
 	for _, p := range e.parties {
-		st := p.PoolStats()
-		agg.Ready += st.Ready
-		agg.Target += st.Target
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.IdleRefills += st.IdleRefills
-		agg.Retries += st.Retries
+		agg.Add(p.key.Pool().Stats())
 	}
 	return agg
 }
@@ -457,8 +473,8 @@ func (e *Engine) Parties() []*Party { return e.parties }
 // KeyFingerprint identifies one party's provisioned Paillier key material
 // by public data only: the SHA-256 of its public modulus. Fingerprints are
 // what the durability layer records per (epoch, coalition) — enough to
-// audit that every epoch re-keyed to fresh material, while the private
-// keys never leave their parties.
+// audit which key every member traded under, while the private keys never
+// leave their parties.
 type KeyFingerprint struct {
 	// Party is the key holder's agent ID.
 	Party string
@@ -467,9 +483,10 @@ type KeyFingerprint struct {
 }
 
 // KeyFingerprints returns the engine's provisioned key fingerprints,
-// sorted by party ID. A seeded engine's fingerprints are deterministic;
-// two epochs of the same coalition never share one (re-keying is real —
-// see the live-grid re-key tests).
+// sorted by party ID. A seeded engine's fingerprints are deterministic, and
+// a home's is the same in every engine keyed from one ring or one seed: in
+// a live grid a survivor keeps its fingerprint across epochs, a joiner
+// brings one never seen before (see the live-grid key-continuity tests).
 func (e *Engine) KeyFingerprints() []KeyFingerprint {
 	out := make([]KeyFingerprint, len(e.parties))
 	for i, p := range e.parties {
@@ -495,11 +512,12 @@ func (e *Engine) beginWindow() error {
 func (e *Engine) endWindow() { e.inflight.Done() }
 
 // Close shuts the session layer down: it stops admitting new windows,
-// drains the ones in flight (their parties keep their nonce pools until
-// they finish), and only then releases the pre-encryption pools, the
-// engine's transport endpoints (deregistering them from a shared bus) and
-// its reference on the crypto worker pool. Close is idempotent and safe to
-// call concurrently with running windows.
+// drains the ones in flight, and only then releases the engine's transport
+// endpoints (deregistering them from a shared bus), waits out the
+// blinding-factor fills it started and drops its reference on the crypto
+// worker pool. Keys, and the pools hanging off them, belong to the key
+// ring. Close is idempotent and safe to call concurrently with running
+// windows.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {

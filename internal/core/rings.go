@@ -10,10 +10,11 @@ import (
 	"github.com/pem-go/pem/internal/transport"
 )
 
-// encryptUnder encrypts m under the public key of holder, using the
+// encryptUnder encrypts m under the public key of holder, using the key's
 // pre-computed blinding-factor pool when enabled (the paper's idle-time
-// encryption). The pool is session-scoped and shared by concurrent
-// windows; the inline fallback draws from this window's own stream.
+// encryption). The pool belongs to the key and is shared by every party and
+// window encrypting under it; the window number tells it whose demand a
+// take is.
 func (r *windowRun) encryptUnder(ctx context.Context, holder string, m *big.Int) (*paillier.Ciphertext, error) {
 	pk, ok := r.dir[holder]
 	if !ok {
@@ -22,8 +23,7 @@ func (r *windowRun) encryptUnder(ctx context.Context, holder string, m *big.Int)
 	if !r.cfg.PreEncrypt {
 		return pk.Encrypt(r.random, m)
 	}
-	pool := r.poolFor(holder, pk)
-	factor, err := pool.Take(ctx)
+	factor, err := pk.Pool().Take(ctx, r.refill, r.window)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"crypto/rand"
-	"crypto/sha256"
-	"encoding/binary"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 
 	"github.com/pem-go/pem/internal/market"
@@ -21,11 +17,12 @@ import (
 //	scheduler        — bounded-parallel window execution (scheduler.go)
 //
 // A Party owns exactly the state that outlives a trading window: its
-// Paillier key pair, the fleet key directory, its transport endpoint and
-// the idle-time pre-encryption pools. Everything window-scoped — roster,
-// masking nonce, message tags, the randomness stream feeding the garbled
-// circuit — lives in a windowRun, so several windows can be in flight on
-// the same Party without sharing any mutable state.
+// Paillier key pair, the fleet key directory and its transport endpoint
+// (the idle-time pre-encryption pools live on the directory's keys, not
+// here). Everything window-scoped — roster, masking nonce, message tags,
+// the randomness stream feeding the garbled circuit — lives in a windowRun,
+// so several windows can be in flight on the same Party without sharing any
+// mutable state.
 
 // Party is one agent's protocol endpoint.
 type Party struct {
@@ -51,6 +48,10 @@ type Party struct {
 	// Engine parties share one pool fleet-wide; standalone parties own
 	// theirs.
 	workers *paillier.Workers
+	// refill lends workers and a randomness stream to the blinding-factor
+	// pools this party takes from (see encryptUnder); shared fleet-wide
+	// inside an engine, owned by a standalone party.
+	refill *paillier.Refill
 
 	// backend is the window crypto layer selected by Config.CryptoBackend;
 	// stateless and shared by every window in flight.
@@ -60,14 +61,11 @@ type Party struct {
 	// hybrid backend (peer -> 32-byte shared seed); nil under the paillier
 	// backend and for standalone parties.
 	maskSeeds map[string][]byte
-
-	poolMu sync.Mutex
-	pools  map[string]*paillier.NoncePool // peer -> blinding-factor pool
 }
 
 // newParty assembles a session from provisioned key material. cfg must have
 // passed Validate, so the backend lookup cannot fail.
-func newParty(cfg Config, agent market.Agent, conn transport.Conn, key *paillier.PrivateKey, dir map[string]*paillier.PublicKey, workers *paillier.Workers, maskSeeds map[string][]byte) *Party {
+func newParty(cfg Config, agent market.Agent, conn transport.Conn, key *paillier.PrivateKey, dir map[string]*paillier.PublicKey, workers *paillier.Workers, refill *paillier.Refill, maskSeeds map[string][]byte) *Party {
 	backend, err := newBackend(cfg.CryptoBackend)
 	if err != nil {
 		panic(err) // unreachable: Validate gates CryptoBackend
@@ -80,9 +78,9 @@ func newParty(cfg Config, agent market.Agent, conn transport.Conn, key *paillier
 		dir:       dir,
 		allSorted: sortedRoster(dir),
 		workers:   workers,
+		refill:    refill,
 		backend:   backend,
 		maskSeeds: maskSeeds,
-		pools:     make(map[string]*paillier.NoncePool),
 	}
 }
 
@@ -106,94 +104,18 @@ func (p *Party) ReplaceConn(c transport.Conn) { p.conn = c }
 // Each (party, window) pair gets an independent stream, which serves two
 // purposes: concurrent windows never contend on a shared (non-thread-safe)
 // PRNG, and a seeded engine produces bit-identical outcomes no matter how
-// the scheduler interleaves windows.
-//
-// The derivation key is byte-identical to
-// partyRandom(cfg, id, fmt.Sprintf("protocol/w%d", window)) — "pem/
-// protocol/w<window>/<seed>/<id>" — built without the fmt round trips, and
-// the PRNG itself is recycled through the pool in core.go (putRun returns
-// it), so a steady-state window draws its stream allocation-free.
+// the scheduler interleaves windows. putRun returns the stream to the pool
+// in core.go.
 func (p *Party) windowRandom(window int) io.Reader {
-	if p.cfg.Seed == nil {
-		return rand.Reader
-	}
-	var arr [96]byte
-	b := append(arr[:0], "pem/protocol/w"...)
-	b = strconv.AppendInt(b, int64(window), 10)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, *p.cfg.Seed, 10)
-	b = append(b, '/')
-	b = append(b, p.agent.ID...)
-	h := sha256.Sum256(b)
-	return seededPRNG(int64(binary.BigEndian.Uint64(h[:8])))
+	return seededStream(p.cfg, p.agent.ID, "protocol/w", window)
 }
 
-// poolTarget is the per-pool stock of precomputed blinding factors. With
-// refill dispatched across the shared worker pool, a deeper stock costs
-// idle time rather than protocol latency, so whole windows can run off
-// precomputed factors.
-const poolTarget = 8
-
-// poolFor returns (lazily creating) the blinding-factor pool for a peer
-// key. Pools are session-scoped: they persist across windows and are shared
-// by every window in flight (NoncePool is safe for concurrent Take). Each
-// pool draws from its own derived randomness stream so background refills
-// never race the protocol-path readers; the refill exponentiations run
-// across the fleet-wide crypto worker pool, converting idle time between
-// windows into ready factors without unbounded goroutine growth.
-func (p *Party) poolFor(holder string, pk *paillier.PublicKey) *paillier.NoncePool {
-	p.poolMu.Lock()
-	defer p.poolMu.Unlock()
-	if pool, ok := p.pools[holder]; ok {
-		return pool
-	}
-	pool := paillier.NewNoncePool(pk, paillier.PoolConfig{
-		Target:  poolTarget,
-		Workers: 1,
-		Shared:  p.workers,
-		Random:  partyRandom(p.cfg, p.agent.ID, "pool/"+holder),
-	})
-	p.pools[holder] = pool
-	return pool
-}
-
-// PoolStats aggregates the health counters of this party's pre-encryption
-// pools. A growing Misses count signals the critical path is paying full
-// encryptions inline; Retries counts transient randomness failures the
-// refill workers recovered from.
-func (p *Party) PoolStats() paillier.PoolStats {
-	p.poolMu.Lock()
-	defer p.poolMu.Unlock()
-	var agg paillier.PoolStats
-	for _, pool := range p.pools {
-		st := pool.Stats()
-		agg.Ready += st.Ready
-		agg.Target += st.Target
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.IdleRefills += st.IdleRefills
-		agg.Retries += st.Retries
-	}
-	return agg
-}
-
-// closePools stops the pre-encryption workers. Called by the engine once no
-// window is in flight; a standalone party may call it via Close.
-func (p *Party) closePools() {
-	p.poolMu.Lock()
-	defer p.poolMu.Unlock()
-	for _, pool := range p.pools {
-		pool.Close()
-	}
-	p.pools = make(map[string]*paillier.NoncePool)
-}
-
-// Close releases the standalone party's background resources, including
-// its reference on the crypto worker pool (a standalone party owns its
-// pool). Parties inside an Engine are closed by Engine.Close, which first
-// drains in-flight windows and then drops the engine's single pool
-// reference — so Close must not be called on engine parties.
+// Close releases the standalone party's background resources: it waits out
+// the blinding-factor fills the party started and drops its reference on
+// the crypto worker pool (a standalone party owns both). Parties inside an
+// Engine are closed by Engine.Close, which first drains in-flight windows —
+// so Close must not be called on engine parties.
 func (p *Party) Close() {
-	p.closePools()
+	p.refill.Wait()
 	p.workers.Release()
 }

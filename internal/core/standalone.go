@@ -43,12 +43,14 @@ func NewStandaloneParty(cfg Config, agent market.Agent, conn transport.Conn) (*P
 		// seeds.
 		return nil, errors.New("core: hybrid backend not supported for standalone parties (mask seeds are engine-provisioned); use the paillier backend")
 	}
-	key, err := paillier.GenerateKey(partyRandom(cfg, agent.ID, "keygen"), cfg.KeyBits)
+	key, err := NewKeyRing(cfg).key(agent.ID)
 	if err != nil {
 		return nil, fmt.Errorf("core: keygen: %w", err)
 	}
 	dir := map[string]*paillier.PublicKey{agent.ID: &key.PublicKey}
-	return newParty(cfg, agent, conn, key, dir, paillier.NewWorkers(cfg.CryptoWorkers), nil), nil
+	workers := paillier.NewWorkers(cfg.CryptoWorkers)
+	refill := paillier.NewRefill(workers, partyRandom(cfg, agent.ID, "pool"))
+	return newParty(cfg, agent, conn, key, dir, workers, refill, nil), nil
 }
 
 // ExchangeKeys broadcasts this party's Paillier public key to every peer

@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"time"
 
+	"github.com/pem-go/pem/internal/core"
 	"github.com/pem-go/pem/internal/dataset"
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/paillier"
@@ -20,21 +21,23 @@ import (
 // A multi-day simulation is split into epochs; at each epoch boundary a
 // seeded churn model (dataset.Evolve) updates the fleet — prosumers join,
 // depart and fail — the partitioner re-partitions the surviving-plus-new
-// agents, and every coalition re-keys: fresh core session key material and
-// a fresh transport scope per (epoch, coalition), over the same shared bus
-// and crypto worker pool, so re-keying is bounded work rather than a
-// restart. Settlement carries across epochs in a market.PositionBook:
-// per-agent cumulative positions survive re-partitioning because they are
-// keyed by agent ID, and an agent that leaves settles and freezes at its
-// exit epoch.
+// agents, and every coalition re-keys: a fresh engine, key directory and
+// transport scope per (epoch, coalition), over the same shared bus, crypto
+// worker pool and key ring. A key pair belongs to a home, not to an epoch:
+// survivors keep theirs in the ring, joiners are generated into it, and a
+// departed or failed home's is evicted and zeroed at the boundary — so
+// re-keying costs what churn costs, not a restart. Settlement carries
+// across epochs in a market.PositionBook: per-agent cumulative positions
+// survive re-partitioning because they are keyed by agent ID, and an agent
+// that leaves settles and freezes at its exit epoch.
 
 // LiveConfig configures a live (epoched) grid run.
 type LiveConfig struct {
 	// Grid carries the per-coalition engine configuration and the
 	// supervisor budgets, exactly as for a one-shot Run. Engine.Namespace
-	// is supervisor-managed; when Engine.Seed is set, a per-epoch seed is
-	// derived from it so every epoch re-keys to fresh — but reproducible —
-	// key material.
+	// is supervisor-managed; when Engine.Seed is set, key pairs derive from
+	// it per home (see core.KeyRing) and everything else — mask seeds,
+	// window randomness — from a per-epoch seed derived from it.
 	Grid Config
 	// Coalitions is the target coalition count per epoch (required). When
 	// churn shrinks the fleet below 2·Coalitions the epoch runs with the
@@ -122,7 +125,8 @@ type EpochResult struct {
 	// trade concurrently. Zero on unemulated runs.
 	VirtualLatency time.Duration
 	// Rekey is the epoch's re-key critical path: the slowest coalition's
-	// engine provisioning (the largest CoalitionRun.Rekey). At the default
+	// engine provisioning (the largest CoalitionRun.Rekey) — key generation
+	// for the coalition's joiners, look-ups for its survivors. At the default
 	// unbounded budget every coalition provisions from the epoch's start, so
 	// this is also the wall-clock until the last engine is keyed. Reported
 	// separately so churn cost stays distinguishable from trading throughput.
@@ -227,11 +231,12 @@ func streamLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sin
 	}
 
 	// Shared infrastructure for the whole simulation: one bus, one bounded
-	// crypto pool. Epochs re-key over it — fresh keys, fresh scopes — but
-	// never tear it down, which is what keeps churn bounded work.
-	bus := transport.NewBus(nil)
+	// crypto pool, one key ring. Epochs re-key over it — fresh engines and
+	// scopes, fresh keys for joiners only — but never tear it down, which is
+	// what keeps churn bounded work.
 	workers := paillier.NewWorkers(cfg.Grid.Engine.CryptoWorkers)
 	defer workers.Release()
+	infra := core.Resources{Bus: transport.NewBus(nil), Workers: workers, Keys: core.NewKeyRing(cfg.Grid.Engine)}
 
 	start := time.Now()
 	res := &LiveResult{}
@@ -244,11 +249,11 @@ func streamLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sin
 		if cfg.Resume != nil && ef.Epoch <= cfg.Resume.Epoch {
 			continue
 		}
-		if err := applyBoundary(book, &ef); err != nil {
+		if err := applyBoundary(book, infra.Keys, &ef); err != nil {
 			firstErr = err
 			break
 		}
-		er, err := runEpoch(ctx, cfg, bus, workers, &ef)
+		er, err := runEpoch(ctx, cfg, infra, &ef)
 		res.Windows += er.Windows
 		res.TotalBytes += er.Bytes
 		res.TotalMessages += er.Msgs
@@ -334,10 +339,14 @@ func persistEpochBoundary(cfg LiveConfig, book *market.PositionBook, ef *dataset
 	return nil
 }
 
-// applyBoundary applies one epoch's churn events to the position book:
-// leavers settle and freeze at their last traded epoch, joiners open fresh
-// positions. Epoch 0 only opens the base fleet's positions.
-func applyBoundary(book *market.PositionBook, ef *dataset.EpochFleet) error {
+// applyBoundary applies one epoch's churn events to the position book and
+// the key ring: leavers settle and freeze at their last traded epoch and
+// lose their key pair, joiners open fresh positions (their keys are
+// generated when their coalition provisions). Epoch 0 only opens the base
+// fleet's positions.
+func applyBoundary(book *market.PositionBook, keys *core.KeyRing, ef *dataset.EpochFleet) error {
+	keys.Evict(ef.Departed...)
+	keys.Evict(ef.Failed...)
 	for _, id := range ef.Departed {
 		if err := book.Exit(id, ef.Epoch-1, string(dataset.ChurnDepart), 0, 0); err != nil {
 			return err
@@ -382,10 +391,10 @@ func applyEpochFlows(book *market.PositionBook, er *EpochResult) error {
 
 // runEpoch executes one epoch: re-partition the epoch's roster and run it as
 // one coalition-day (runDay) over the simulation's infrastructure, under
-// the epoch's own engine seed and "eNN-" scope — which is all that re-keying
-// is. The returned EpochResult is valid even on error, with per-coalition
-// Err set.
-func runEpoch(ctx context.Context, cfg LiveConfig, bus *transport.Bus, workers *paillier.Workers, ef *dataset.EpochFleet) (*EpochResult, error) {
+// the epoch's own engine seed and "eNN-" scope — which, with the key pairs
+// the ring does not hold yet, is all that re-keying is. The returned
+// EpochResult is valid even on error, with per-coalition Err set.
+func runEpoch(ctx context.Context, cfg LiveConfig, infra core.Resources, ef *dataset.EpochFleet) (*EpochResult, error) {
 	begin := time.Now()
 	er := &EpochResult{
 		Epoch:    ef.Epoch,
@@ -411,17 +420,17 @@ func runEpoch(ctx context.Context, cfg LiveConfig, bus *transport.Bus, workers *
 		return er, err
 	}
 
-	// Re-keying gets a per-epoch engine seed so a seeded simulation
-	// provisions fresh — but reproducible — key material each epoch; a
-	// repeated seed would re-derive the very same keys, which is rotation
-	// in name only.
+	// Everything an epoch's engines draw themselves — mask seeds, window
+	// randomness — gets a per-epoch engine seed, so a seeded simulation's
+	// epochs are fresh but reproducible. Key pairs are the exception: the
+	// ring derives them from the simulation seed, per home.
 	gcfg := cfg.Grid
 	if s := gcfg.Engine.Seed; s != nil {
 		es := deriveEpochSeed(*s, ef.Epoch)
 		gcfg.Engine.Seed = &es
 	}
 
-	day, err := runDay(ctx, gcfg, bus, workers, ef.Trace, parts, fmt.Sprintf("e%02d-", ef.Epoch), nil)
+	day, err := runDay(ctx, gcfg, infra, ef.Trace, parts, fmt.Sprintf("e%02d-", ef.Epoch), nil)
 	er.Coalitions = day.Coalitions
 	er.Settlement, er.Tiers = day.Settlement, day.Tiers
 	er.Windows, er.Bytes, er.Msgs = day.Windows, day.TotalBytes, day.TotalMessages

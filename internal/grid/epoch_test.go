@@ -153,9 +153,10 @@ func TestLiveMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestLiveRekeying: every epoch provisions fresh key material under a fresh
-// transport scope — re-key cost is accounted separately from trading, and
-// each (epoch, coalition) scope carries its own traffic.
+// TestLiveRekeying: every epoch provisions fresh engines under fresh
+// transport scopes — re-key cost is accounted separately from trading, and
+// each (epoch, coalition) scope carries its own traffic. (Which keys an
+// epoch reuses and which it generates: TestLiveKeyContinuity.)
 func TestLiveRekeying(t *testing.T) {
 	evo := testEvolution(t, 2, dataset.ChurnConfig{JoinRate: 0.2, DepartRate: 0.1})
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
@@ -528,9 +529,9 @@ func TestLiveRekeyRespectsBudget(t *testing.T) {
 		probe := &provisionedProbe{Store: store.NewMem(), workers: workers}
 		cfg := testLiveConfig(53, budget)
 		cfg.Grid.Store = probe
-		bus := transport.NewBus(nil)
+		infra := core.Resources{Bus: transport.NewBus(nil), Workers: workers, Keys: core.NewKeyRing(cfg.Grid.Engine)}
 		for e := range evo.Epochs {
-			er, err := runEpoch(ctx, cfg, bus, workers, &evo.Epochs[e])
+			er, err := runEpoch(ctx, cfg, infra, &evo.Epochs[e])
 			if err != nil {
 				t.Fatalf("budget %d epoch %d: %v", budget, e, err)
 			}

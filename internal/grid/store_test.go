@@ -319,6 +319,20 @@ func TestLiveCrashResumeBitIdentical(t *testing.T) {
 					t.Error("conservation figures diverged after resume")
 				}
 				gotDigest := digestStore(t, crashStore)
+				// Key material first, by record: a resumed process re-derives
+				// its survivors' keys, so this is where a derivation that
+				// depended on process history would show.
+				if len(gotDigest.keys) != len(refDigest.keys) {
+					t.Errorf("key material: %d records after resume, %d uninterrupted", len(gotDigest.keys), len(refDigest.keys))
+				}
+				for i := 0; i < min(len(gotDigest.keys), len(refDigest.keys)); i++ {
+					if !reflect.DeepEqual(gotDigest.keys[i], refDigest.keys[i]) {
+						t.Errorf("key material diverged after resume, first at record %d:\n%s/%s %x\nvs\n%s/%s %x", i,
+							gotDigest.keys[i].Scope, gotDigest.keys[i].Party, gotDigest.keys[i].Fingerprint,
+							refDigest.keys[i].Scope, refDigest.keys[i].Party, refDigest.keys[i].Fingerprint)
+						break
+					}
+				}
 				if !reflect.DeepEqual(gotDigest, refDigest) {
 					t.Errorf("durable state diverged after resume:\n%+v\nvs\n%+v", gotDigest, refDigest)
 				}

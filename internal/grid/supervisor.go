@@ -156,10 +156,12 @@ type CoalitionRun struct {
 	// coalition) re-keying. Nil for folded and failed coalitions; released
 	// with the rest of the heavy payload on streaming runs.
 	Keys []core.KeyFingerprint
-	// Rekey is the time spent provisioning the coalition's engine — fresh
-	// Paillier key material for every member plus transport registration.
-	// The live grid pays it once per (epoch, coalition); reporting it
-	// separately keeps re-keying cost out of steady-state throughput.
+	// Rekey is the time spent provisioning the coalition's engine — a key
+	// pair generated for every member the key ring does not hold yet (all of
+	// them on a one-shot grid, the joiners in a live-grid epoch) plus
+	// transport registration. The live grid pays it once per (epoch,
+	// coalition); reporting it separately keeps re-keying cost out of
+	// steady-state throughput.
 	Rekey time.Duration
 	// Duration is the coalition-day wall-clock time (engine provisioning
 	// included).
@@ -335,12 +337,12 @@ func execute(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, 
 	}
 	// One bus, one bounded crypto pool. Every engine retains its own pool
 	// reference; the supervisor's is dropped on return, so the pool retires
-	// exactly when the last engine closes.
-	bus := transport.NewBus(nil)
+	// exactly when the last engine closes. No key ring: rosters are disjoint
+	// and the day is the whole run, so each engine's own is the same thing.
 	workers := paillier.NewWorkers(cfg.Engine.CryptoWorkers)
 	defer workers.Release()
 
-	res, err := runDay(ctx, cfg, bus, workers, tr, parts, "", deliver)
+	res, err := runDay(ctx, cfg, core.Resources{Bus: transport.NewBus(nil), Workers: workers}, tr, parts, "", deliver)
 	if err != nil {
 		err = fmt.Errorf("grid: %w", err)
 	}
@@ -355,7 +357,7 @@ func execute(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, 
 // fold the day's traffic and settle its residuals. The returned Result is
 // valid (with per-coalition Err set) even when err is non-nil; err is the
 // launcher's (see launchCoalitions) or, failing that, the settlement's.
-func runDay(ctx context.Context, cfg Config, bus *transport.Bus, workers *paillier.Workers, tr *dataset.Trace, parts [][]int, scope string, deliver func(*CoalitionRun) error) (*Result, error) {
+func runDay(ctx context.Context, cfg Config, infra core.Resources, tr *dataset.Trace, parts [][]int, scope string, deliver func(*CoalitionRun) error) (*Result, error) {
 	start := time.Now()
 	runs := make([]CoalitionRun, len(parts))
 	for i, members := range parts {
@@ -367,7 +369,7 @@ func runDay(ctx context.Context, cfg Config, bus *transport.Bus, workers *pailli
 
 	err := launchCoalitions(ctx, cfg.MaxConcurrent, runs,
 		func(runCtx context.Context, cr *CoalitionRun) {
-			runCoalition(runCtx, cfg, bus, workers, tr, cr)
+			runCoalition(runCtx, cfg, infra, tr, cr)
 		},
 		func(cr *CoalitionRun) error {
 			// Durability first: once the caller has seen a coalition, its
@@ -514,7 +516,7 @@ func launchCoalitions(ctx context.Context, maxConc int, runs []CoalitionRun, run
 // shared resources, run every window through it, and fold the plaintext
 // oracle's residuals and per-agent flows. A roster below MinCoalition is
 // folded to grid-tariff service instead. All outcomes land in cr.
-func runCoalition(ctx context.Context, cfg Config, bus *transport.Bus, workers *paillier.Workers, tr *dataset.Trace, cr *CoalitionRun) {
+func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dataset.Trace, cr *CoalitionRun) {
 	begin := time.Now()
 	defer func() { cr.Duration = time.Since(begin) }()
 
@@ -559,7 +561,7 @@ func runCoalition(ctx context.Context, cfg Config, bus *transport.Bus, workers *
 	// folding them out of the shared sink as windows complete keeps the
 	// bus's metrics bounded by the windows in flight across the whole grid.
 	ecfg.CompactWindowMetrics = true
-	eng, err := core.NewEngineWith(ecfg, agents, core.Resources{Bus: bus, Workers: workers})
+	eng, err := core.NewEngineWith(ecfg, agents, infra)
 	if err != nil {
 		cr.Err = fmt.Errorf("provision: %w", err)
 		return
@@ -574,7 +576,7 @@ func runCoalition(ctx context.Context, cfg Config, bus *transport.Bus, workers *
 		return
 	}
 	cr.Results = results
-	if cr.Err = coalitionAccounting(bus, cr); cr.Err != nil {
+	if cr.Err = coalitionAccounting(infra.Bus, cr); cr.Err != nil {
 		return
 	}
 	cr.Err = oracleAccounting(cfg, sub, cr,

@@ -30,8 +30,10 @@ const (
 	nonceBaseTag = "pem/paillier/djn-nonce-base/v1"
 )
 
-// nonceTable is a key's comb table, built by the first BlindingFactor.
+// nonceTable is a key's comb table, built by the first BlindingFactor, and
+// next to it the key's stock of ready factors (see NoncePool).
 type nonceTable struct {
+	pool NoncePool
 	once sync.Once
 	// xLen is the exponent length in bytes; with combRows = 8 it is also
 	// the block width a in bits.
@@ -66,18 +68,29 @@ func mulMod(r, q, t, x, y, m *big.Int) {
 	q.QuoRem(t, m, r)
 }
 
-// nonces returns pk's comb table, building it on first use. Concurrent
-// first users wait on the one build. The holder hangs off the key through a
-// pointer so that keys stay copyable and the table dies with its key.
-func (pk *PublicKey) nonces() *nonceTable {
+// holder returns the one nonceTable hanging off pk, installing an unbuilt,
+// empty one first. It hangs off the key through a pointer so that keys stay
+// copyable and table and stock die with their key.
+func (pk *PublicKey) holder() *nonceTable {
 	t, _ := pk.table.Load().(*nonceTable)
 	if t == nil {
-		pk.table.CompareAndSwap(nil, new(nonceTable))
+		pk.table.CompareAndSwap(nil, &nonceTable{pool: NoncePool{pk: pk}})
 		t = pk.table.Load().(*nonceTable)
 	}
+	return t
+}
+
+// nonces returns pk's comb table, building it on first use. Concurrent
+// first users wait on the one build.
+func (pk *PublicKey) nonces() *nonceTable {
+	t := pk.holder()
 	t.once.Do(func() { t.build(pk.N, pk.N2) })
 	return t
 }
+
+// Pool returns the key's one stock of blinding factors. Asking builds and
+// computes nothing; the first Take does.
+func (pk *PublicKey) Pool() *NoncePool { return &pk.holder().pool }
 
 func (t *nonceTable) build(n, n2 *big.Int) {
 	s := GetScratch()

@@ -198,6 +198,16 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	}, nil
 }
 
+// Wipe zeroes the private half of the key in place — the factorization and
+// everything derived from it — for a holder that has left for good. The
+// public half stays readable; decrypting with a wiped key is a bug.
+func (sk *PrivateKey) Wipe() {
+	for _, x := range []*big.Int{sk.p, sk.q, sk.lambda, sk.mu, sk.p2, sk.q2, sk.hp, sk.hq, sk.pInvQ, sk.pMinusOne, sk.qMinusOne} {
+		clear(x.Bits())
+		x.SetInt64(0)
+	}
+}
+
 // hConstant computes L_r(g^{r-1} mod r²)^{-1} mod r for r ∈ {p, q}.
 func hConstant(n, r, r2, rm1 *big.Int) (*big.Int, error) {
 	g := new(big.Int).Add(n, one)

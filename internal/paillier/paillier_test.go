@@ -312,12 +312,12 @@ func TestUnmarshalErrors(t *testing.T) {
 
 func TestNoncePool(t *testing.T) {
 	key := testKey(t)
-	pool := NewNoncePool(&key.PublicKey, PoolConfig{Target: 4, Workers: 2, Random: testRand(14)})
-	defer pool.Close()
+	rf := NewRefill(nil, testRand(14))
+	defer rf.Wait()
 
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		f, err := pool.Take(ctx)
+		f, err := key.Pool().Take(ctx, rf, i/4)
 		if err != nil {
 			t.Fatalf("Take %d: %v", i, err)
 		}
@@ -334,19 +334,14 @@ func TestNoncePool(t *testing.T) {
 
 func TestNoncePoolCanceledContext(t *testing.T) {
 	key := testKey(t)
-	pool := NewNoncePool(&key.PublicKey, PoolConfig{Target: 1, Workers: 1, Random: testRand(15)})
-	// Drain and cancel: inline path must respect ctx.
-	pool.Close()
-	for pool.Len() > 0 {
-		if _, err := pool.Take(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rf := NewRefill(nil, testRand(15))
+	// An empty pool and a cancelled context: the inline path must respect ctx.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := pool.Take(ctx); err == nil {
+	if _, err := key.Pool().Take(ctx, rf, 0); err == nil {
 		t.Error("Take with canceled ctx on empty pool: want error")
 	}
+	rf.Wait()
 }
 
 func BenchmarkEncrypt(b *testing.B) {

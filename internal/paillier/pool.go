@@ -7,57 +7,47 @@ import (
 	"math/big"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// NoncePool pre-computes Paillier blinding factors (see BlindingFactor) in
-// background workers so that encryptions on the protocol's critical path
+// NoncePool is one public key's stock of pre-computed blinding factors (see
+// BlindingFactor), so that encryptions on the protocol's critical path
 // reduce to two modular multiplications. This implements the paper's
 // observation (Section VII-B) that "encryption and decryption are
 // independently executed in parallel during idle time", which is why
 // runtime in Fig. 5(b) is insensitive to the key size.
 //
-// Refill runs in the background whenever the stock is below target — at
-// construction, after every Take, and continuously between windows — so idle
-// CPU is converted into ready factors rather than waiting for demand. With
-// PoolConfig.Shared set, the individual exponentiations are dispatched
-// across the shared Workers pool, letting many parties' pools refill in
-// parallel under one process-wide concurrency cap.
+// There is exactly one pool per key: it hangs off the PublicKey next to the
+// comb table (see PublicKey.Pool), is shared by everyone who encrypts under
+// that key and lives as long as the key does. It starts empty and nothing
+// is computed for a key until the first Take. Its fill level is observed,
+// not configured: the target is the most factors any one round (a trading
+// window) has taken from it, so a key nobody encrypts under stocks nothing
+// and a key that serves a 32-party ring stocks 32. Refill is started by
+// Take, runs as jobs on the worker pool the taker's Refill lends, and ends
+// once the stock is back at target — an idle pool has no goroutine.
 //
 // The pool degrades gracefully: if drained, Take computes a factor inline.
 type NoncePool struct {
-	pk     *PublicKey
-	shared *Workers // optional refill executor (retained until Close)
-
-	random lockedReader // serializes the source across workers and Take
+	pk *PublicKey
 
 	mu      sync.Mutex
 	factors []*big.Int // LIFO of precomputed factors
-
-	refill chan struct{}
-	stop   chan struct{}
-	done   chan struct{}
-	target int
-
-	closeOnce sync.Once
-
-	// Health counters (see Stats).
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	retries     atomic.Uint64
-	idleRefills atomic.Uint64
+	round   int        // the round of the latest Take
+	inRound int        // factors that round has taken so far
+	target  int        // the most any one round has taken
+	filling bool       // a fill goroutine is running
+	stats   PoolStats  // the counters; Ready and Target are filled in by Stats
 }
 
-// PoolStats is a snapshot of a pool's health counters. A growing Misses
-// count with Ready stuck at zero means encryptions are paying the full
+// PoolStats is a snapshot of pool health counters. A growing Misses count
+// with Ready stuck at zero means encryptions are paying the full
 // exponentiation inline — the degradation the paper's idle-time
-// pre-computation is meant to avoid; Retries counts transient randomness
-// read failures the workers recovered from.
+// pre-computation is meant to avoid.
 type PoolStats struct {
 	// Ready is the number of precomputed factors currently available.
 	Ready int
-	// Target is the fill level the pool tries to maintain; Ready/Target is
-	// the cache fill ratio.
+	// Target is the fill level the pool tops itself up to: the largest
+	// demand one round has shown. Ready never exceeds it.
 	Target int
 	// Hits counts Take calls served from the precomputed stock.
 	Hits uint64
@@ -66,182 +56,45 @@ type PoolStats struct {
 	// IdleRefills counts factors computed by the background refill path
 	// (as opposed to inline on a miss).
 	IdleRefills uint64
-	// Retries counts worker randomness-read failures that were retried.
-	Retries uint64
 }
 
-// PoolConfig configures a NoncePool.
-type PoolConfig struct {
-	// Target is the number of factors the pool tries to keep ready.
-	Target int
-	// Workers is the number of background goroutines. Defaults to 1.
-	Workers int
-	// Shared, when non-nil, is a Workers pool the background refill
-	// dispatches its exponentiations to, so refill parallelism is governed
-	// by the process-wide crypto cap instead of this pool's private worker
-	// count. The pool retains a reference until Close.
-	Shared *Workers
-	// Random overrides the randomness source (defaults to crypto/rand).
-	Random io.Reader
+// Add folds another snapshot into s (engines sum their keys' pools).
+func (s *PoolStats) Add(o PoolStats) {
+	s.Ready += o.Ready
+	s.Target += o.Target
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.IdleRefills += o.IdleRefills
 }
 
-// NewNoncePool starts a pool for pk. Call Close to stop the workers.
-func NewNoncePool(pk *PublicKey, cfg PoolConfig) *NoncePool {
-	if cfg.Target <= 0 {
-		cfg.Target = 16
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	random := cfg.Random
+// Refill is what a taker lends the pools it takes from: the worker pool
+// their background fills run on and the randomness every factor is drawn
+// from, inline ones included. One Refill serves all of an owner's takes (an
+// engine's, a standalone party's); pools keep no reference to it or to its
+// Workers beyond a running fill, and Wait drains those.
+type Refill struct {
+	workers *Workers
+	random  lockedReader
+	stopped atomic.Bool
+	fills   sync.WaitGroup
+}
+
+// NewRefill lends w (nil: fills compute on their own goroutine) and random
+// (nil: crypto/rand). The caller keeps its own reference on w and must
+// Wait before releasing it.
+func NewRefill(w *Workers, random io.Reader) *Refill {
 	if random == nil {
 		random = rand.Reader
 	}
-	p := &NoncePool{
-		pk:     pk,
-		shared: cfg.Shared.Retain(),
-		random: lockedReader{r: random},
-		refill: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		target: cfg.Target,
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.worker()
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(p.done)
-	}()
-	p.kick()
-	return p
+	return &Refill{workers: w, random: lockedReader{r: random}}
 }
 
-func (p *NoncePool) kick() {
-	select {
-	case p.refill <- struct{}{}:
-	default:
-	}
-}
-
-// deficit reports how many factors are missing from the target stock.
-func (p *NoncePool) deficit() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.target - len(p.factors)
-}
-
-// put appends a background-computed factor, unless the pool stopped while it
-// was being computed (late factors are dropped so Close leaves nothing
-// behind).
-func (p *NoncePool) put(f *big.Int) {
-	select {
-	case <-p.stop:
-		f.SetInt64(0)
-		return
-	default:
-	}
-	p.mu.Lock()
-	p.factors = append(p.factors, f)
-	p.mu.Unlock()
-	p.idleRefills.Add(1)
-}
-
-func (p *NoncePool) worker() {
-	var delay time.Duration // current retry backoff; reset on success
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-p.refill:
-		}
-		for p.deficit() > 0 {
-			select {
-			case <-p.stop:
-				return
-			default:
-			}
-			if p.shared != nil {
-				if !p.refillShared() {
-					if !p.backoff(&delay) {
-						return
-					}
-					continue
-				}
-				delay = 0
-				continue
-			}
-			f, err := p.pk.BlindingFactor(&p.random)
-			if err != nil {
-				// Transient randomness failure: back off and retry rather
-				// than silently degrading the pool to inline computation
-				// for the rest of the session.
-				p.retries.Add(1)
-				if !p.backoff(&delay) {
-					return
-				}
-				continue
-			}
-			delay = 0
-			p.put(f)
-		}
-	}
-}
-
-// refillShared dispatches the current deficit across the shared Workers
-// pool and waits for the batch; it reports whether any factor was produced
-// (false means every draw failed and the caller should back off).
-func (p *NoncePool) refillShared() bool {
-	n := p.deficit()
-	if n <= 0 {
-		return true
-	}
-	var wg sync.WaitGroup
-	var produced atomic.Uint64
-	for i := 0; i < n; i++ {
-		p.shared.Go(&wg, func() {
-			f, err := p.pk.BlindingFactor(&p.random)
-			if err != nil {
-				p.retries.Add(1)
-				return
-			}
-			p.put(f)
-			produced.Add(1)
-		})
-	}
-	wg.Wait()
-	return produced.Load() > 0
-}
-
-// Backoff bounds for worker randomness-read retries.
-const (
-	backoffMin = time.Millisecond
-	backoffMax = time.Second
-)
-
-// backoff sleeps for the current retry delay (doubling it up to backoffMax
-// for the next failure) and reports false if the pool was stopped while
-// waiting.
-func (p *NoncePool) backoff(delay *time.Duration) bool {
-	if *delay == 0 {
-		*delay = backoffMin
-	}
-	t := time.NewTimer(*delay)
-	defer t.Stop()
-	if *delay < backoffMax {
-		*delay *= 2
-	}
-	select {
-	case <-p.stop:
-		return false
-	case <-t.C:
-		return true
-	}
+// Wait stops the fills this Refill started and returns once the last has
+// exited. Takes through it still work afterwards, inline or from stock;
+// they just start no fill. Not to be called concurrently with Take.
+func (rf *Refill) Wait() {
+	rf.stopped.Store(true)
+	rf.fills.Wait()
 }
 
 // lockedReader serializes access to a randomness source.
@@ -259,67 +112,82 @@ func (l *lockedReader) Read(b []byte) (int, error) {
 }
 
 // Take returns a precomputed blinding factor, or computes one inline if the
-// pool is empty (respecting ctx for cancellation of the inline path).
-func (p *NoncePool) Take(ctx context.Context) (*big.Int, error) {
+// stock is empty (respecting ctx for cancellation of the inline path), and
+// starts a background fill through rf when the stock is below the demand
+// seen so far. round names the caller's unit of demand — the trading
+// window; takes of interleaved rounds under-count, which only keeps the
+// stock smaller. A randomness failure ends a fill quietly and surfaces
+// here, from the next inline draw on the same source.
+func (p *NoncePool) Take(ctx context.Context, rf *Refill, round int) (*big.Int, error) {
 	p.mu.Lock()
+	if round != p.round {
+		p.round, p.inRound = round, 0
+	}
+	p.inRound++
+	p.target = max(p.target, p.inRound)
+	var f *big.Int
 	if n := len(p.factors); n > 0 {
-		f := p.factors[n-1]
-		p.factors = p.factors[:n-1]
-		p.mu.Unlock()
-		p.hits.Add(1)
-		p.kick()
-		return f, nil
+		f, p.factors = p.factors[n-1], p.factors[:n-1]
+		p.stats.Hits++
+	} else {
+		p.stats.Misses++
+	}
+	start := !p.filling && len(p.factors) < p.target && !rf.stopped.Load()
+	if start {
+		p.filling = true
+		rf.fills.Add(1)
 	}
 	p.mu.Unlock()
-	p.misses.Add(1)
-	p.kick()
+	if start {
+		go p.fill(rf)
+	}
+	if f != nil {
+		return f, nil
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.pk.BlindingFactor(&p.random)
+	return p.pk.BlindingFactor(&rf.random)
+}
+
+// fill tops the stock up to target, one batch of the current deficit at a
+// time across rf's workers, until there is no deficit, rf is stopped or a
+// draw fails.
+func (p *NoncePool) fill(rf *Refill) {
+	defer rf.fills.Done()
+	var failed atomic.Bool
+	for {
+		p.mu.Lock()
+		n := p.target - len(p.factors)
+		if n <= 0 || failed.Load() || rf.stopped.Load() {
+			p.filling = false
+			p.mu.Unlock()
+			return
+		}
+		p.mu.Unlock()
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			rf.workers.Go(&wg, func() {
+				f, err := p.pk.BlindingFactor(&rf.random)
+				if err != nil {
+					failed.Store(true)
+					return
+				}
+				p.mu.Lock()
+				p.factors = append(p.factors, f)
+				p.stats.IdleRefills++
+				p.mu.Unlock()
+			})
+		}
+		wg.Wait()
+	}
 }
 
 // Stats returns a snapshot of the pool's health counters.
 func (p *NoncePool) Stats() PoolStats {
 	p.mu.Lock()
-	ready := len(p.factors)
-	p.mu.Unlock()
-	return PoolStats{
-		Ready:       ready,
-		Target:      p.target,
-		Hits:        p.hits.Load(),
-		Misses:      p.misses.Load(),
-		IdleRefills: p.idleRefills.Load(),
-		Retries:     p.retries.Load(),
-	}
-}
-
-// Len reports the number of ready factors (for tests and metrics).
-func (p *NoncePool) Len() int {
-	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.factors)
-}
-
-// Close stops the background workers, waits for them to exit, zeroes and
-// drops the precomputed factors (they are key-specific secrets-adjacent
-// material with no further use), and releases the shared Workers reference.
-// Close is idempotent.
-func (p *NoncePool) Close() {
-	select {
-	case <-p.stop:
-	default:
-		close(p.stop)
-	}
-	<-p.done
-	p.closeOnce.Do(func() {
-		p.mu.Lock()
-		for _, f := range p.factors {
-			f.SetInt64(0)
-		}
-		p.factors = nil
-		p.mu.Unlock()
-		p.shared.Release()
-		p.shared = nil
-	})
+	st := p.stats
+	st.Ready, st.Target = len(p.factors), p.target
+	return st
 }

@@ -1,13 +1,10 @@
 package paillier
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 	"testing"
-	"time"
 )
 
 func TestDecryptBatch(t *testing.T) {
@@ -139,106 +136,6 @@ func TestWorkersNilLifecycle(t *testing.T) {
 	w.Release() // must not panic
 	if got := w.Refs(); got != 0 {
 		t.Fatalf("nil pool refs = %d, want 0", got)
-	}
-}
-
-// flakyReader fails its first failures reads, then delegates.
-type flakyReader struct {
-	failures int
-	inner    io.Reader
-}
-
-func (f *flakyReader) Read(b []byte) (int, error) {
-	if f.failures > 0 {
-		f.failures--
-		return 0, fmt.Errorf("transient entropy failure")
-	}
-	return f.inner.Read(b)
-}
-
-// TestNoncePoolRecoversFromRandomnessFailure is the regression test for
-// the silently-dying refill worker: transient randomness errors must be
-// retried (with the failure count visible in Stats) instead of degrading
-// the pool to inline computation for the rest of the session.
-func TestNoncePoolRecoversFromRandomnessFailure(t *testing.T) {
-	key := testKey(t)
-	pool := NewNoncePool(&key.PublicKey, PoolConfig{
-		Target:  3,
-		Workers: 1,
-		Random:  &flakyReader{failures: 2, inner: testRand(5)},
-	})
-	defer pool.Close()
-
-	deadline := time.After(30 * time.Second)
-	for pool.Len() < 3 {
-		select {
-		case <-deadline:
-			t.Fatalf("pool never refilled after transient failures; stats: %+v", pool.Stats())
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	st := pool.Stats()
-	if st.Retries == 0 {
-		t.Errorf("stats recorded no retries: %+v", st)
-	}
-	if st.Ready < 3 {
-		t.Errorf("stats ready = %d, want >= 3", st.Ready)
-	}
-}
-
-func TestNoncePoolStatsCounters(t *testing.T) {
-	key := testKey(t)
-	pool := NewNoncePool(&key.PublicKey, PoolConfig{Target: 2, Workers: 1, Random: testRand(6)})
-	defer pool.Close()
-
-	ctx := context.Background()
-	deadline := time.After(30 * time.Second)
-	for pool.Len() < 2 {
-		select {
-		case <-deadline:
-			t.Fatal("pool never filled")
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	if _, err := pool.Take(ctx); err != nil {
-		t.Fatal(err)
-	}
-	st := pool.Stats()
-	if st.Hits == 0 {
-		t.Errorf("no hit recorded: %+v", st)
-	}
-
-	// Stop the refill workers, drain the stock, and force a miss.
-	pool.Close()
-	for pool.Len() > 0 {
-		if _, err := pool.Take(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := pool.Take(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if st = pool.Stats(); st.Misses == 0 {
-		t.Errorf("no miss recorded after drain: %+v", st)
-	}
-}
-
-func TestNoncePoolCloseDuringBackoff(t *testing.T) {
-	key := testKey(t)
-	pool := NewNoncePool(&key.PublicKey, PoolConfig{
-		Target:  4,
-		Workers: 1,
-		Random:  &flakyReader{failures: 1 << 30, inner: testRand(7)}, // never recovers
-	})
-	done := make(chan struct{})
-	go func() {
-		pool.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close hung on a worker stuck in retry backoff")
 	}
 }
 

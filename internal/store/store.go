@@ -49,8 +49,9 @@ type Aggregate struct {
 
 // KeyRecord fingerprints one party's per-(epoch, coalition) key material:
 // the SHA-256 of its Paillier public modulus. The private key never leaves
-// the engine; the fingerprint is enough to audit that every epoch re-keyed
-// to fresh material.
+// the engine; the fingerprint is enough to audit which key every member of
+// every (epoch, coalition) traded under — the same one for as long as the
+// home stayed, one never seen before for a joiner.
 type KeyRecord struct {
 	// Scope is the coalition's transport scope the key was provisioned for.
 	Scope string

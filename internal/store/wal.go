@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -21,11 +22,13 @@ import (
 // longest valid prefix — the crash model is "the machine died mid-write",
 // and recovery must never lose a record whose append call had returned.
 //
-// The write path keeps O(1) state in memory (the file offset and the
-// cached last checkpoint); the read-side getters scan the segment on
-// demand. That asymmetry is deliberate: a streaming grid run appends one
-// aggregate per coalition for 10^5 coalitions, and the store must not
-// become the memory bound the streaming supervisor just removed.
+// The write path keeps little state in memory — the file offset, the cached
+// last checkpoint and one offset per block record of each scope's current
+// chain — and the read-side getters go back to the segment: Blocks reads
+// exactly its scope's records, the others scan on demand. That asymmetry is
+// deliberate: a streaming grid run appends one aggregate per coalition for
+// 10^5 coalitions, and the store must not become the memory bound the
+// streaming supervisor just removed.
 //
 // Record layout, after an 8-byte magic header:
 //
@@ -43,7 +46,10 @@ type WAL struct {
 	f          *os.File
 	end        int64 // offset past the last valid record
 	checkpoint *Checkpoint
-	recovery   RecoveryInfo
+	// chains indexes each scope's current chain: the offsets of its block
+	// records, in append order, from the latest genesis on.
+	chains   map[string][]int64
+	recovery RecoveryInfo
 }
 
 // RecoveryInfo reports what replay-on-open had to do to reach a valid
@@ -105,7 +111,7 @@ func OpenWAL(path string) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open WAL: %w", err)
 	}
-	w := &WAL{f: f}
+	w := &WAL{f: f, chains: make(map[string][]int64)}
 	if err := w.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -117,7 +123,8 @@ func (w *WAL) lock()   { w.mu.Lock() }
 func (w *WAL) unlock() { w.mu.Unlock() }
 
 // replay validates the header, scans the segment for the last valid
-// prefix, caches the newest intact checkpoint, and truncates a torn tail.
+// prefix, caches the newest intact checkpoint, indexes the block records,
+// and truncates a torn tail.
 func (w *WAL) replay() error {
 	size, err := w.f.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -165,12 +172,19 @@ func (w *WAL) replay() error {
 		if body[0] < recBlock || body[0] > recCheckpoint {
 			break // unknown type: same treatment as corruption
 		}
-		if body[0] == recCheckpoint {
+		switch body[0] {
+		case recCheckpoint:
 			var cp Checkpoint
 			if err := json.Unmarshal(body[1:], &cp); err != nil {
 				return fmt.Errorf("%w: checkpoint at offset %d: %v", ErrCorrupt, off, err)
 			}
 			w.checkpoint = &cp
+		case recBlock:
+			scope, index, err := blockHead(body[1:])
+			if err != nil {
+				return fmt.Errorf("%w: block record at offset %d: %v", ErrCorrupt, off, err)
+			}
+			w.indexBlock(scope, index, off)
 		}
 		off += walHeaderLen + int64(l)
 		w.recovery.Records++
@@ -205,6 +219,36 @@ func (w *WAL) append(typ byte, payload any) error {
 	return w.appendLocked(typ, payload)
 }
 
+// blockHead reads which chain a block record extends, and at what height,
+// from the first seven tokens of its JSON — {"Scope":…,"Block":{"Index":… is
+// how encodeBody lays a blockRecord out — so replay never decodes the
+// trades behind them.
+func blockHead(js []byte) (scope string, index int, err error) {
+	dec := json.NewDecoder(bytes.NewReader(js))
+	var tok [7]json.Token
+	for i := range tok {
+		if tok[i], err = dec.Token(); err != nil {
+			return "", 0, err
+		}
+	}
+	scope, isString := tok[2].(string)
+	height, isNumber := tok[6].(float64)
+	if tok[1] != "Scope" || tok[3] != "Block" || tok[5] != "Index" || !isString || !isNumber {
+		return "", 0, errors.New("not a block record's head")
+	}
+	return scope, int(height), nil
+}
+
+// indexBlock records that the block record at off extends scope's chain. A
+// genesis block restarts it: a replayed epoch's new chain supersedes the
+// one a crash left behind.
+func (w *WAL) indexBlock(scope string, index int, off int64) {
+	if index == 0 {
+		w.chains[scope] = w.chains[scope][:0]
+	}
+	w.chains[scope] = append(w.chains[scope], off)
+}
+
 // appendLocked encodes and appends one record; the caller holds the lock.
 // The whole record — length, CRC, body — goes down in a single write call,
 // keeping the torn-write window as small as one syscall allows.
@@ -222,6 +266,9 @@ func (w *WAL) appendLocked(typ byte, payload any) error {
 	copy(rec[walHeaderLen:], body)
 	if _, err := w.f.WriteAt(rec, w.end); err != nil {
 		return fmt.Errorf("store: WAL append: %w", err)
+	}
+	if br, ok := payload.(blockRecord); ok {
+		w.indexBlock(br.Scope, br.Block.Index, w.end)
 	}
 	w.end += int64(len(rec))
 	w.recovery.Records++
@@ -243,26 +290,34 @@ func encodeBody(typ byte, payload any) ([]byte, error) {
 	return body, nil
 }
 
+// readBody reads the body of the valid record at off. The caller holds the
+// lock.
+func (w *WAL) readBody(off int64) ([]byte, error) {
+	var header [walHeaderLen]byte
+	if _, err := w.f.ReadAt(header[:], off); err != nil {
+		return nil, fmt.Errorf("store: WAL read: %w", err)
+	}
+	body := make([]byte, binary.BigEndian.Uint32(header[0:4]))
+	if _, err := w.f.ReadAt(body, off+walHeaderLen); err != nil {
+		return nil, fmt.Errorf("store: WAL read: %w", err)
+	}
+	return body, nil
+}
+
 // scan walks the valid prefix, handing each record body of the wanted
 // type to visit. The caller holds the lock.
 func (w *WAL) scan(want byte, visit func(body []byte) error) error {
-	off := int64(len(walMagic))
-	var header [walHeaderLen]byte
-	for off < w.end {
-		if _, err := w.f.ReadAt(header[:], off); err != nil {
-			return fmt.Errorf("store: WAL scan: %w", err)
-		}
-		l := binary.BigEndian.Uint32(header[0:4])
-		body := make([]byte, l)
-		if _, err := w.f.ReadAt(body, off+walHeaderLen); err != nil {
-			return fmt.Errorf("store: WAL scan: %w", err)
+	for off := int64(len(walMagic)); off < w.end; {
+		body, err := w.readBody(off)
+		if err != nil {
+			return err
 		}
 		if body[0] == want {
 			if err := visit(body[1:]); err != nil {
 				return err
 			}
 		}
-		off += walHeaderLen + int64(l)
+		off += walHeaderLen + int64(len(body))
 	}
 	return nil
 }
@@ -272,7 +327,8 @@ func (w *WAL) AppendBlock(scope string, blk ledger.Block) error {
 	return w.append(recBlock, blockRecord{Scope: scope, Block: blk})
 }
 
-// Blocks implements Store: the scope's latest chain, in append order.
+// Blocks implements Store: the scope's latest chain, in append order, read
+// through the index — only the scope's own records are touched.
 func (w *WAL) Blocks(scope string) ([]ledger.Block, error) {
 	w.lock()
 	defer w.unlock()
@@ -280,21 +336,18 @@ func (w *WAL) Blocks(scope string) ([]ledger.Block, error) {
 		return nil, ErrClosed
 	}
 	var out []ledger.Block
-	err := w.scan(recBlock, func(body []byte) error {
+	for _, off := range w.chains[scope] {
+		body, err := w.readBody(off)
+		if err != nil {
+			return nil, err
+		}
 		var br blockRecord
-		if err := json.Unmarshal(body, &br); err != nil {
-			return fmt.Errorf("%w: block record: %v", ErrCorrupt, err)
-		}
-		if br.Scope != scope {
-			return nil
-		}
-		if br.Block.Index == 0 {
-			out = out[:0] // replayed epoch: the new chain supersedes
+		if err := json.Unmarshal(body[1:], &br); err != nil {
+			return nil, fmt.Errorf("%w: block record: %v", ErrCorrupt, err)
 		}
 		out = append(out, br.Block)
-		return nil
-	})
-	return out, err
+	}
+	return out, nil
 }
 
 // Scopes implements Store.
@@ -304,20 +357,8 @@ func (w *WAL) Scopes() ([]string, error) {
 	if w.closed {
 		return nil, ErrClosed
 	}
-	seen := make(map[string]bool)
-	err := w.scan(recBlock, func(body []byte) error {
-		var br blockRecord
-		if err := json.Unmarshal(body, &br); err != nil {
-			return fmt.Errorf("%w: block record: %v", ErrCorrupt, err)
-		}
-		seen[br.Scope] = true
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
+	out := make([]string, 0, len(w.chains))
+	for s := range w.chains {
 		out = append(out, s)
 	}
 	sort.Strings(out)

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/pem-go/pem/internal/ledger"
 	"github.com/pem-go/pem/internal/market"
 )
 
@@ -214,4 +215,50 @@ func TestWALCorruptCheckpointPayload(t *testing.T) {
 	if _, err := OpenWAL(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt checkpoint opened: %v", err)
 	}
+}
+
+// TestWALBlockIndex: the per-scope index of block-record offsets is the same
+// whether appends built it or a replay did — interleaved scopes stay apart,
+// a genesis block restarts its chain only, and Scopes keeps superseded
+// chains' names — and Blocks reads through it without scanning the log.
+func TestWALBlockIndex(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "index.wal")
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, a2 := testChain(t, "a", 3), testChain(t, "b", 4), testChain(t, "a2", 2)
+	for i := range b { // interleave a and b, other record types in between
+		if i < len(a) {
+			appendChain(t, w, "e00-c00", a[i:i+1])
+		}
+		if err := w.PutAggregate(Aggregate{Scope: "e00-c01", Windows: i}); err != nil {
+			t.Fatal(err)
+		}
+		appendChain(t, w, "e00-c01", b[i:i+1])
+	}
+	appendChain(t, w, "e00-c00", a2) // a replayed epoch supersedes a
+	check := func(when string) {
+		t.Helper()
+		if scopes, err := w.Scopes(); err != nil || !reflect.DeepEqual(scopes, []string{"e00-c00", "e00-c01"}) {
+			t.Fatalf("%s: Scopes = %v, %v", when, scopes, err)
+		}
+		for scope, want := range map[string][]ledger.Block{"e00-c00": a2, "e00-c01": b} {
+			if got, err := w.Blocks(scope); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Blocks(%s) = %d blocks, %v; want %d", when, scope, len(got), err, len(want))
+			}
+			if got := len(w.chains[scope]); got != len(want) {
+				t.Fatalf("%s: %d offsets indexed for %s, want %d", when, got, scope, len(want))
+			}
+		}
+	}
+	check("appended")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = OpenWAL(path); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	check("replayed")
 }

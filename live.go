@@ -58,8 +58,9 @@ const DefaultMinCoalition = grid.DefaultMinCoalition
 type LiveGridConfig struct {
 	// Market is the per-coalition market configuration, exactly as for
 	// GridConfig. When Market.Seed is set the whole simulation is
-	// deterministic, with fresh (but reproducible) key material derived
-	// per epoch.
+	// deterministic: a home's key pair derives from the seed and its ID
+	// (kept for as long as the home stays), everything else an epoch draws
+	// from a per-epoch seed.
 	Market Config
 	// Coalitions is the target coalition count per epoch (required). When
 	// churn shrinks the fleet too far, an epoch runs with the largest

@@ -280,8 +280,7 @@ func (m *Market) Metrics() *transport.Metrics { return m.engine.Metrics() }
 // PoolStats aggregates the pre-encryption pool health counters across the
 // fleet (all zeros when PreEncrypt is disabled). A growing Misses count
 // means critical-path encryptions are paying the full exponentiation
-// inline; Retries counts transient randomness failures the background
-// workers recovered from.
+// inline.
 func (m *Market) PoolStats() PoolStats { return m.engine.PoolStats() }
 
 // Close releases background resources. Closing while windows are in
