@@ -54,7 +54,7 @@ type cryptoBackend interface {
 
 	// pricingFold is one seller's step of the fused Protocol 3 pass: fold
 	// the pair (k_i, g_i+1+ε_i·b_i−b_i) into the running pair along the
-	// seller ring toward Hb.
+	// configured topology over the sellers, toward Hb.
 	pricingFold(ctx context.Context, r *windowRun, tag string, k, term *big.Int) error
 	// collectPair is Hb's side of pricingFold: recover (Σk_i, Σterm_i).
 	collectPair(ctx context.Context, r *windowRun, tag string) (*big.Int, *big.Int, error)

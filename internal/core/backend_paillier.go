@@ -87,29 +87,26 @@ func (*paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked 
 	}
 }
 
+// pricingFold packs the seller's pair into one plaintext — k_i ≥ 0 in the
+// low slot, the signed Eq. 13 term above it — so the fused pass is one more
+// aggregate: one blinding factor, one ciphertext, one fold per hop.
 func (*paillierBackend) pricingFold(ctx context.Context, r *windowRun, tag string, k, term *big.Int) error {
-	return r.pricingRingStep(ctx, tag, k, term)
+	pair, err := paillier.Pack(k, term)
+	if err != nil {
+		return fmt.Errorf("pricing: pack k: %w", err)
+	}
+	return r.aggregate(ctx, r.ros.sellers, r.ros.hb, r.ros.hb, tag, pair)
 }
 
-// collectPair receives the fused pair aggregate from the last seller in the
-// pricing ring and decrypts both sums across the shared worker pool.
+// collectPair decrypts the packed aggregate and splits it into the two sums
+// (Σk_i stays below the slot width for any coalition below 2^61 sellers).
 func (*paillierBackend) collectPair(ctx context.Context, r *windowRun, tag string) (*big.Int, *big.Int, error) {
-	ros := r.ros
-	last := ros.sellers[len(ros.sellers)-1]
-	raw, err := r.conn.Recv(ctx, last, tag)
+	pair, err := r.collect(ctx, r.ros.sellers, tag)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pricing: recv aggregate: %w", err)
+		return nil, nil, fmt.Errorf("pricing: %w", err)
 	}
-	ctK, ctT, err := decodeCipherPair(raw)
-	transport.PutFrame(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	sums, err := r.key.DecryptBatch(r.workers, []*paillier.Ciphertext{ctK, ctT})
-	if err != nil {
-		return nil, nil, fmt.Errorf("pricing: decrypt aggregates: %w", err)
-	}
-	return sums[0], sums[1], nil
+	sumK, sumT := paillier.Unpack(pair)
+	return sumK, sumT, nil
 }
 
 func (*paillierBackend) distributionTotal(ctx context.Context, r *windowRun, demandSide []string, hs, tagRing, tagTotal string, absSn fixed.Value) error {

@@ -72,8 +72,8 @@ type Config struct {
 	// without any cross-window interference.
 	MaxInflightWindows int
 	// CryptoWorkers sizes the shared worker pool for intra-window parallel
-	// crypto: Hs's batched decryption of the Protocol 4 masked ciphertexts
-	// runs across it (default runtime.NumCPU()). The pool is shared by all
+	// crypto: Hs's packed decryptions of the Protocol 4 masked ciphertexts
+	// run across it (default runtime.NumCPU()). The pool is shared by all
 	// parties and all in-flight windows, capping the process's total crypto
 	// parallelism. Outcomes are bit-identical at any worker count.
 	CryptoWorkers int
@@ -157,8 +157,8 @@ const (
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.KeyBits < 64 {
-		return fmt.Errorf("core: key size %d too small", c.KeyBits)
+	if floor := 2*paillier.SlotBits + 8; c.KeyBits < floor {
+		return fmt.Errorf("core: key size %d too small: Protocol 3's packed pair and Protocol 4's masked products need two %d-bit plaintext slots (min %d)", c.KeyBits, paillier.SlotBits, floor)
 	}
 	if c.CompareBits < c.NonceBits+10 || c.CompareBits > 128 {
 		return fmt.Errorf("core: comparator width %d incompatible with %d-bit nonces", c.CompareBits, c.NonceBits)
@@ -296,8 +296,8 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 	}
 
 	// One crypto worker pool for the whole fleet: key generation,
-	// intra-window parallel decryption and batch scalar multiplication all
-	// run across it, so total CPU parallelism stays bounded by the pool
+	// intra-window parallel decryption and blinding-factor refill all run
+	// across it, so total CPU parallelism stays bounded by the pool
 	// size. A borrowed pool is additionally shared with sibling engines —
 	// many coalitions provisioning at once still generate keys at the
 	// pool's pace, not len(agents)×coalitions goroutines. The engine's own
@@ -614,10 +614,16 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 		}(i, p)
 	}
 	wg.Wait()
+	// Report the failure that stopped the window, not the "context
+	// canceled" of a bystander that merely sorts first.
+	var failed error
 	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		if err != nil && (failed == nil || errors.Is(failed, context.Canceled)) {
+			failed = err
 		}
+	}
+	if failed != nil {
+		return nil, failed
 	}
 
 	res := &WindowResult{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	mrand "math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -271,9 +272,11 @@ func TestEngineValidation(t *testing.T) {
 		t.Error("duplicate IDs accepted")
 	}
 	bad := testConfig(1)
-	bad.KeyBits = 16
-	if _, err := NewEngine(bad, testAgents(2)); err == nil {
-		t.Error("tiny key accepted")
+	for _, bits := range []int{16, 64, 255} { // below two plaintext slots
+		bad.KeyBits = bits
+		if _, err := NewEngine(bad, testAgents(2)); err == nil || !strings.Contains(err.Error(), "slots") {
+			t.Errorf("%d-bit key: err = %v, want the two-slot floor", bits, err)
+		}
 	}
 	bad = testConfig(1)
 	bad.CompareBits = 32 // < NonceBits+10 with 40-bit nonces

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/big"
 
 	"github.com/pem-go/pem/internal/fixed"
 	"github.com/pem-go/pem/internal/market"
@@ -21,8 +20,9 @@ import (
 // learns the sums but no individual seller's parameters.
 //
 // The two ring passes of the paper (lines 2–5 and line 6) are fused into a
-// single pass carrying both running ciphertexts, halving latency without
-// changing what any party sees.
+// single pass carrying both running sums — on the Paillier backend as the
+// two slots of one plaintext (paillier.Pack), so one ciphertext — halving
+// latency without changing what any party sees.
 func (r *windowRun) privatePricing(ctx context.Context) (price, pHat float64, err error) {
 	ros := r.ros
 	tagRing := r.tag("pp/ring")
@@ -71,65 +71,6 @@ func (r *windowRun) privatePricing(ctx context.Context) (price, pHat float64, er
 		return 0, 0, fmt.Errorf("broadcast price %.4f outside [%v, %v]", price, r.cfg.Params.PriceFloor, r.cfg.Params.PriceCeil)
 	}
 	return price, 0, nil
-}
-
-// pricingRingStep folds this seller's two ciphertexts into the running
-// pair and forwards it along the seller ring (sink: Hb).
-func (r *windowRun) pricingRingStep(ctx context.Context, tag string, kContrib, termContrib *big.Int) error {
-	ros := r.ros
-	order := ros.sellers
-	pos := -1
-	for i, id := range order {
-		if id == r.ID() {
-			pos = i
-			break
-		}
-	}
-	if pos == -1 {
-		return fmt.Errorf("seller %s not in pricing ring", r.ID())
-	}
-
-	encK, err := r.encryptUnder(ctx, ros.hb, kContrib)
-	if err != nil {
-		return fmt.Errorf("pricing: encrypt k: %w", err)
-	}
-	encT, err := r.encryptUnder(ctx, ros.hb, termContrib)
-	if err != nil {
-		return fmt.Errorf("pricing: encrypt term: %w", err)
-	}
-
-	accK, accT := encK, encT
-	if pos > 0 {
-		raw, err := r.conn.Recv(ctx, order[pos-1], tag)
-		if err != nil {
-			return fmt.Errorf("pricing ring recv: %w", err)
-		}
-		inK, inT, err := decodeCipherPair(raw)
-		transport.PutFrame(raw)
-		if err != nil {
-			return err
-		}
-		pk := r.dir[ros.hb]
-		if err := pk.AddInPlace(inK, encK); err != nil {
-			return err
-		}
-		if err := pk.AddInPlace(inT, encT); err != nil {
-			return err
-		}
-		accK, accT = inK, inT
-	}
-
-	next := ros.hb
-	if pos+1 < len(order) {
-		next = order[pos+1]
-	}
-	payload, err := encodeCipherPair(r.dir[ros.hb], accK, accT)
-	if err != nil {
-		return err
-	}
-	err = r.conn.Send(ctx, next, tag, payload)
-	transport.PutFrame(payload)
-	return err
 }
 
 // pricingAsHb is the chosen buyer's side: collect the pair aggregate via

@@ -28,11 +28,11 @@ import (
 //     Enc(E_b)^round(S/|sn_j|) = Enc(E_b·S/|sn_j|) — the fixed-point
 //     reciprocal trick that sidesteps Paillier's lack of division — and
 //     sends it to Hs;
-//  3. Hs drains the masked values in arrival order, decrypts them
-//     concurrently across the shared crypto worker pool, recovers the
-//     demand ratios |sn_j|/E_b = S / (E_b·S/|sn_j|), and broadcasts the
-//     ratio vector to the seller coalition (the designed leakage of
-//     Lemma 4);
+//  3. Hs drains the masked values in arrival order, decrypts them packed
+//     — up to Slots() ciphertexts as one plaintext — across the shared
+//     crypto worker pool, recovers the demand ratios
+//     |sn_j|/E_b = S / (E_b·S/|sn_j|), and broadcasts the ratio vector to
+//     the seller coalition (the designed leakage of Lemma 4);
 //  4. every seller i routes e_ij = sn_i · ratio_j to each buyer j, who pays
 //     m_ji = p·e_ij back; the pairwise exchanges run concurrently per peer.
 func (r *windowRun) privateDistribution(ctx context.Context, kind market.Kind, price float64) ([]market.Trade, error) {
@@ -216,48 +216,41 @@ func (r *windowRun) sendMaskedReciprocal(ctx context.Context, hs, tagTotal, tagM
 }
 
 // collectRatios is Hs's side: drain each demand-side member's masked value
-// in arrival order, decrypt the ciphertexts concurrently across the shared
-// crypto worker pool, recover the allocation ratios and broadcast the
-// vector to the supply side. Decryption of already-arrived ciphertexts
-// overlaps the wait for stragglers, so a slow sender no longer serializes
-// the whole collection.
+// in arrival order, decrypt them packed — the n ciphertexts are cut into
+// ⌈n/slots⌉ near-equal batches, each handed to the shared crypto worker
+// pool the moment its last member arrives and decrypted as one plaintext
+// (paillier.DecryptSlots) — recover the allocation ratios and broadcast the
+// vector to the supply side. Decryption of complete batches overlaps the
+// wait for stragglers.
 func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error) {
 	n := len(demandSide)
 	ids := make([]string, n)
 	vals := make([]float64, n)
-	errs := make([]error, n)
+	store := make([]paillier.Ciphertext, n)
+	cts := make([]*paillier.Ciphertext, n)
+	slots := r.key.Slots()
+	batches := (n + slots - 1) / slots
+	errs := make([]error, batches)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		from, raw, err := r.conn.RecvAny(ctx, tagMasked, demandSide)
-		if err != nil {
-			wg.Wait()
-			return nil, fmt.Errorf("distribution: recv masked: %w", err)
-		}
-		i, from, raw := i, from, raw
-		ids[i] = from
-		r.workers.Go(&wg, func() {
-			var ct paillier.Ciphertext
-			err := ct.UnmarshalBinary(raw)
+	i := 0
+	for b := range batches {
+		lo, hi := i, (b+1)*n/batches
+		for ; i < hi; i++ {
+			from, raw, err := r.conn.RecvAny(ctx, tagMasked, demandSide)
+			if err != nil {
+				wg.Wait()
+				return nil, fmt.Errorf("distribution: recv masked: %w", err)
+			}
+			ids[i], cts[i] = from, &store[i]
+			err = cts[i].UnmarshalBinary(raw)
 			transport.PutFrame(raw)
 			if err != nil {
-				errs[i] = fmt.Errorf("distribution: decode masked from %s: %w", from, err)
-				return
+				wg.Wait()
+				return nil, fmt.Errorf("distribution: decode masked from %s: %w", from, err)
 			}
-			m, err := r.key.Decrypt(&ct)
-			if err != nil {
-				errs[i] = fmt.Errorf("distribution: decrypt masked from %s: %w", from, err)
-				return
-			}
-			ratio, err := fixed.RatioFromMasked(m)
-			if err != nil {
-				errs[i] = fmt.Errorf("distribution: ratio from %s: %w", from, err)
-				return
-			}
-			if err := checkRatio(ratio); err != nil {
-				errs[i] = fmt.Errorf("distribution: ratio from %s: %w", from, err)
-				return
-			}
-			vals[i] = ratio
+		}
+		r.workers.Go(&wg, func() {
+			errs[b] = r.ratiosFromMasked(ids[lo:hi], cts[lo:hi], vals[lo:hi])
 		})
 	}
 	wg.Wait()
@@ -283,6 +276,26 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 		return nil, err
 	}
 	return ratios, nil
+}
+
+// ratiosFromMasked decrypts one batch of masked values as a single packed
+// plaintext and turns every slot into its sender's allocation ratio.
+func (r *windowRun) ratiosFromMasked(from []string, cts []*paillier.Ciphertext, ratios []float64) error {
+	masked, err := r.key.DecryptSlots(cts)
+	if err != nil {
+		return fmt.Errorf("distribution: decrypt masked from %v: %w", from, err)
+	}
+	for i, m := range masked {
+		ratio, err := fixed.RatioFromMasked(m)
+		if err == nil {
+			err = checkRatio(ratio)
+		}
+		if err != nil {
+			return fmt.Errorf("distribution: ratio from %s: %w", from[i], err)
+		}
+		ratios[i] = ratio
+	}
+	return nil
 }
 
 // routeAndPay is step 4: every supply-side member initiates one exchange
@@ -514,45 +527,4 @@ func decodeRatios(raw []byte) (map[string]float64, error) {
 		return nil, fmt.Errorf("distribution: trailing ratio bytes")
 	}
 	return out, nil
-}
-
-// cipher-pair codec shared with Protocol 3. Encoding is fixed-width under
-// the pair's key (see Ciphertext.MarshalFixed) so the frame size never
-// depends on the drawn blinding factors. The returned payload is a pooled
-// frame: the caller owns it and hands it back with transport.PutFrame once
-// sent.
-func encodeCipherPair(pk *paillier.PublicKey, a, b *paillier.Ciphertext) ([]byte, error) {
-	n := pk.FixedLen()
-	buf := transport.GetFrame(4 + 2*n)
-	binary.BigEndian.PutUint32(buf[:4], uint32(n))
-	out, err := a.AppendFixed(buf[:4], pk)
-	if err != nil {
-		transport.PutFrame(buf)
-		return nil, err
-	}
-	out, err = b.AppendFixed(out, pk)
-	if err != nil {
-		transport.PutFrame(buf)
-		return nil, err
-	}
-	return out, nil
-}
-
-func decodeCipherPair(raw []byte) (*paillier.Ciphertext, *paillier.Ciphertext, error) {
-	if len(raw) < 4 {
-		return nil, nil, fmt.Errorf("truncated ciphertext pair")
-	}
-	alen := int(binary.BigEndian.Uint32(raw))
-	raw = raw[4:]
-	if len(raw) < alen {
-		return nil, nil, fmt.Errorf("truncated first ciphertext")
-	}
-	var a, b paillier.Ciphertext
-	if err := a.UnmarshalBinary(raw[:alen]); err != nil {
-		return nil, nil, err
-	}
-	if err := b.UnmarshalBinary(raw[alen:]); err != nil {
-		return nil, nil, err
-	}
-	return &a, &b, nil
 }

@@ -65,6 +65,38 @@ func TestBlindingFactorAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDecryptSlotsAllocBudget pins the packed decryption: what it allocates
+// is math/big's own working storage inside Exp (≈ 20 objects a call, two
+// calls per ciphertext: the shift or the final exponentiation, per prime)
+// plus the k results — every temporary of the routine itself is arena
+// storage, so the count per ciphertext does not grow with the batch.
+func TestDecryptSlotsAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops arenas at random under the race detector")
+	}
+	key, err := GenerateKey(testRand(35), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := testRand(36)
+	cts := make([]*Ciphertext, key.Slots())
+	for i := range cts {
+		if cts[i], err = key.EncryptInt64(rng, int64(i)+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []int{1, len(cts)} {
+		avg := testing.AllocsPerRun(50, func() {
+			if _, err := key.DecryptSlots(cts[:k]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if budget := float64(48 * k); avg > budget {
+			t.Errorf("DecryptSlots(k=%d): %.1f allocs/op, budget %.0f", k, avg, budget)
+		}
+	}
+}
+
 // TestAppendFixedAllocFree pins the zero-copy wire encoding: appending a
 // fixed-width ciphertext into a caller-provided buffer of FixedLen capacity
 // allocates nothing.
@@ -115,8 +147,8 @@ func TestUnmarshalReuseAllocFree(t *testing.T) {
 }
 
 // TestAppendFixedRoundTrip is the wire-encoder regression: AppendFixed
-// appended mid-buffer (the cipher-pair frame layout) is byte-identical to
-// a standalone MarshalFixed, and both decode back to the original value.
+// appended mid-buffer is byte-identical to a standalone MarshalFixed, and
+// both decode back to the original value.
 func TestAppendFixedRoundTrip(t *testing.T) {
 	key := testKey(t)
 	pk := &key.PublicKey
@@ -129,7 +161,7 @@ func TestAppendFixedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Append after a 4-byte prefix, as the pair encoder does.
+		// Append after a 4-byte prefix.
 		buf := make([]byte, 4, 4+2*pk.FixedLen())
 		out, err := ct.AppendFixed(buf, pk)
 		if err != nil {

@@ -6,8 +6,12 @@
 //
 //   - key generation (512/1024/2048-bit moduli, matching the paper's sweep)
 //   - encryption with the fast generator g = n+1
-//   - decryption, both the textbook L-function path and a CRT-accelerated
-//     path (the default)
+//   - CRT decryption, and packed decryption: a key holder decrypts several
+//     ciphertexts whose plaintexts are known to be narrow as one plaintext
+//     cut into fixed-width slots, paying the prime-sized exponentiations
+//     once (DecryptSlots; Decrypt is the single-ciphertext case of the same
+//     routine). The same slot layout lets a sender put two narrow values
+//     in one ciphertext (Pack / Unpack); see slots.go
 //   - homomorphic addition of ciphertexts (ciphertext multiplication mod n²),
 //     addition of a plaintext constant, and multiplication by a plaintext
 //     scalar (ciphertext exponentiation), which Protocol 4 uses for the
@@ -41,6 +45,9 @@ var (
 	// ErrKeyMismatch is returned when combining ciphertexts from different
 	// keys.
 	ErrKeyMismatch = errors.New("paillier: ciphertexts under different keys")
+	// ErrKeyWiped is returned when decrypting with a private key whose
+	// secret half has been zeroed by Wipe.
+	ErrKeyWiped = errors.New("paillier: private key has been wiped")
 )
 
 // PublicKey holds the public parameters (n, g=n+1).
@@ -200,7 +207,8 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 
 // Wipe zeroes the private half of the key in place — the factorization and
 // everything derived from it — for a holder that has left for good. The
-// public half stays readable; decrypting with a wiped key is a bug.
+// public half stays readable; decrypting with a wiped key fails with
+// ErrKeyWiped.
 func (sk *PrivateKey) Wipe() {
 	for _, x := range []*big.Int{sk.p, sk.q, sk.lambda, sk.mu, sk.p2, sk.q2, sk.hp, sk.hq, sk.pInvQ, sk.pMinusOne, sk.qMinusOne} {
 		clear(x.Bits())
@@ -440,33 +448,36 @@ func (pk *PublicKey) Rerandomize(random io.Reader, c *Ciphertext) (*Ciphertext, 
 	return pk.Add(c, zero)
 }
 
-// Decrypt recovers the signed plaintext using the CRT-accelerated path.
+// Decrypt recovers the signed plaintext of c: the batch-of-one case of the
+// packed CRT decryption behind DecryptSlots.
 func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
 	s := GetScratch()
 	defer s.Put()
-	return sk.DecryptScratch(s, c)
-}
-
-// DecryptScratch is Decrypt with caller-provided scratch: every temporary
-// of the CRT path comes from s, so batch decryption loops holding one
-// arena per worker run the whole recovery with a single allocation (the
-// returned plaintext, which outlives the arena by design).
-func (sk *PrivateKey) DecryptScratch(s *Scratch, c *Ciphertext) (*big.Int, error) {
-	if err := sk.validate(c); err != nil {
+	m, err := sk.decrypt(s, c)
+	if err != nil {
 		return nil, err
 	}
-	// m_p = L_p(c^{p-1} mod p²)·h_p mod p, likewise mod q, then CRT.
-	cp := s.Int().Exp(c.C, sk.pMinusOne, sk.p2)
-	mp := s.Int().Sub(cp, one)
-	mp.Div(mp, sk.p)
-	mp.Mul(mp, sk.hp)
-	mp.Mod(mp, sk.p)
+	return sk.decodeSignedInPlace(s.Int(), m), nil
+}
 
-	cq := s.Int().Exp(c.C, sk.qMinusOne, sk.q2)
-	mq := s.Int().Sub(cq, one)
-	mq.Div(mq, sk.q)
-	mq.Mul(mq, sk.hq)
-	mq.Mod(mq, sk.q)
+// decrypt is the one CRT decryption routine. It returns the residue in
+// [0, n) of the plaintext of Π_j c_j^(2^(W·(k−1−j))) — for one ciphertext
+// its plaintext, for k of them their plaintexts laid out in W-bit slots
+// (slots.go), the first on top — paying the two prime-sized
+// exponentiations, L, h_p/h_q and the recombination once however many
+// ciphertexts ride along. Every temporary comes from s; the result is the
+// only allocation that outlives it.
+func (sk *PrivateKey) decrypt(s *Scratch, cts ...*Ciphertext) (*big.Int, error) {
+	if sk.p.Sign() == 0 {
+		return nil, ErrKeyWiped
+	}
+	for i, c := range cts {
+		if err := sk.validate(c); err != nil {
+			return nil, fmt.Errorf("ciphertext %d: %w", i, err)
+		}
+	}
+	mp := crtResidue(s, cts, sk.p, sk.p2, sk.pMinusOne, sk.hp)
+	mq := crtResidue(s, cts, sk.q, sk.q2, sk.qMinusOne, sk.hq)
 
 	// CRT: m = mp + p·((mq - mp)·pInvQ mod q).
 	diff := s.Int().Sub(mq, mp)
@@ -474,22 +485,30 @@ func (sk *PrivateKey) DecryptScratch(s *Scratch, c *Ciphertext) (*big.Int, error
 	diff.Mul(diff, sk.pInvQ)
 	diff.Mod(diff, sk.q)
 	m := new(big.Int).Mul(diff, sk.p)
-	m.Add(m, mp)
-
-	return sk.decodeSignedInPlace(s.Int(), m), nil
+	return m.Add(m, mp), nil
 }
 
-// DecryptTextbook recovers the plaintext via the original L-function method;
-// it exists to cross-check the CRT path and for the ablation benchmark.
-func (sk *PrivateKey) DecryptTextbook(c *Ciphertext) (*big.Int, error) {
-	if err := sk.validate(c); err != nil {
-		return nil, err
+// crtResidue is decrypt's half modulo the prime r ∈ {p, q}:
+// m_r = L_r(x^{r-1} mod r²)·h_r mod r, where x is the Horner product
+// acc ← acc^(2^W)·c_j of the ciphertexts, folded mod r² — half the width of
+// n², so a squaring there costs a quarter of one done before the split.
+// Receivers never alias operands: math/big would allocate instead of
+// reusing the arena's storage.
+func crtResidue(s *Scratch, cts []*Ciphertext, r, r2, rm1, h *big.Int) *big.Int {
+	acc, pow, c, wide, quo := s.Int(), s.Int(), s.Int(), s.Int(), s.Int()
+	quo.QuoRem(cts[0].C, r2, acc)
+	for _, ct := range cts[1:] {
+		pow.Exp(acc, slotShift, r2)
+		quo.QuoRem(ct.C, r2, c)
+		wide.Mul(pow, c)
+		quo.QuoRem(wide, r2, acc)
 	}
-	x := new(big.Int).Exp(c.C, sk.lambda, sk.N2)
-	m := lFunc(x, sk.N)
-	m.Mul(m, sk.mu)
-	m.Mod(m, sk.N)
-	return sk.DecodeSigned(m), nil
+	pow.Exp(acc, rm1, r2)
+	pow.Sub(pow, one)
+	quo.QuoRem(pow, r, c)
+	wide.Mul(quo, h)
+	quo.QuoRem(wide, r, acc)
+	return acc
 }
 
 // EncryptInt64 is a convenience wrapper for fixed-point protocol values.

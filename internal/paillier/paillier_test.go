@@ -23,6 +23,20 @@ func testKey(t testing.TB) *PrivateKey {
 	return key
 }
 
+// DecryptTextbook recovers the plaintext via the original L-function method
+// mod n², sharing nothing with the CRT routine but the key: the reference
+// the packed decryption is checked against.
+func (sk *PrivateKey) DecryptTextbook(c *Ciphertext) (*big.Int, error) {
+	if err := sk.validate(c); err != nil {
+		return nil, err
+	}
+	x := new(big.Int).Exp(c.C, sk.lambda, sk.N2)
+	m := lFunc(x, sk.N)
+	m.Mul(m, sk.mu)
+	m.Mod(m, sk.N)
+	return sk.DecodeSigned(m), nil
+}
+
 func TestGenerateKeyRejectsTinyModulus(t *testing.T) {
 	if _, err := GenerateKey(testRand(1), 32); err == nil {
 		t.Fatal("want error for 32-bit modulus")

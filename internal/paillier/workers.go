@@ -1,22 +1,20 @@
 package paillier
 
 import (
-	"errors"
-	"math/big"
 	"runtime"
 	"sync"
 )
 
-// Workers is a shared bounded worker pool for CPU-heavy Paillier batch
-// operations (decryption and ciphertext exponentiation). One pool is shared
-// by every party of an engine — and, when several engines run over shared
-// infrastructure (a coalition grid), by every engine — so the total crypto
-// parallelism of a process is capped at the pool size no matter how many
-// protocol instances run concurrently.
+// Workers is a shared bounded worker pool for CPU-heavy Paillier work
+// (packed decryption, key generation, blinding-factor refill). One pool is
+// shared by every party of an engine — and, when several engines run over
+// shared infrastructure (a coalition grid), by every engine — so the total
+// crypto parallelism of a process is capped at the pool size no matter how
+// many protocol instances run concurrently.
 //
 // The pool is a pure concurrency limiter: it owns no goroutines of its own,
 // and an idle pool costs nothing. A nil *Workers is valid and means "no
-// parallelism": batch operations run inline on the caller's goroutine,
+// parallelism": Go runs its function inline on the caller's goroutine,
 // which keeps single-threaded deployments free of any scheduling overhead.
 //
 // Ownership is explicit and reference-counted. NewWorkers hands the caller
@@ -60,7 +58,7 @@ func (w *Workers) Retain() *Workers {
 }
 
 // Release drops one owner's reference; the last Release retires the pool.
-// Callers must have drained their in-flight batch operations first (engines
+// Callers must have drained their in-flight operations first (engines
 // do: Close waits for in-flight windows before releasing). Releasing a nil
 // pool is a no-op; releasing past zero panics.
 func (w *Workers) Release() {
@@ -126,79 +124,4 @@ func (w *Workers) Go(wg *sync.WaitGroup, f func()) {
 		}()
 		f()
 	}()
-}
-
-// runBatch executes f(i) for i in [0, n) across the pool, returning the
-// first error by index (deterministic regardless of completion order).
-func (w *Workers) runBatch(n int, f func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if w != nil {
-		w.checkLive()
-	}
-	if w == nil || cap(w.sem) == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		w.Go(&wg, func() { errs[i] = f(i) })
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecryptBatch decrypts each ciphertext concurrently across the pool and
-// returns the signed plaintexts in input order. It fails on the first
-// (lowest-index) invalid ciphertext. A nil pool decrypts sequentially.
-func (sk *PrivateKey) DecryptBatch(w *Workers, cts []*Ciphertext) ([]*big.Int, error) {
-	out := make([]*big.Int, len(cts))
-	err := w.runBatch(len(cts), func(i int) error {
-		s := GetScratch()
-		defer s.Put()
-		m, err := sk.DecryptScratch(s, cts[i])
-		if err != nil {
-			return err
-		}
-		out[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ScalarMulBatch computes E(k_i·m_i) for each (ciphertext, scalar) pair
-// concurrently across the pool, in input order. len(ks) must equal
-// len(cts). A nil pool computes sequentially.
-func (pk *PublicKey) ScalarMulBatch(w *Workers, cts []*Ciphertext, ks []*big.Int) ([]*Ciphertext, error) {
-	if len(cts) != len(ks) {
-		return nil, errors.New("paillier: scalar batch length mismatch")
-	}
-	out := make([]*Ciphertext, len(cts))
-	err := w.runBatch(len(cts), func(i int) error {
-		c, err := pk.ScalarMul(cts[i], ks[i])
-		if err != nil {
-			return err
-		}
-		out[i] = c
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

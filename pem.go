@@ -93,7 +93,8 @@ func DefaultParams() Params { return market.DefaultParams() }
 // Config configures a private market.
 type Config struct {
 	// KeyBits is the Paillier modulus size: 512, 1024 or 2048 in the
-	// paper's sweep (default 1024).
+	// paper's sweep (default 1024; at least 256, the width of two
+	// plaintext slots).
 	KeyBits int
 	// Params are the market prices (DefaultParams if zero).
 	Params Params
