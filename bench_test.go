@@ -340,7 +340,7 @@ func BenchmarkParallelWindow(b *testing.B) {
 
 // --- Ablation: paillier vs hybrid crypto backend, full protocol stack ---
 //
-// The hybrid backend computes the Protocol 2/3 aggregations and comparison
+// The hybrid backend computes the Protocol 2–4 sums and the comparison
 // over seeded additive masking and keeps Paillier only for Protocol 4's
 // ratio step; outcomes are bit-identical to the paillier backend (asserted
 // by TestHybridPublicBitIdentical). The per-window speedup is the headline

@@ -1,12 +1,12 @@
 // Hybrid market: the same trading windows executed under the paillier
 // backend (the paper's construction — homomorphic aggregation everywhere,
 // garbled-circuit comparison) and under the hybrid masking fast path
-// (seeded additive masking for the Protocol 2/3 aggregations and the
+// (seeded additive masking for the Protocol 2–4 sums and the
 // comparison, Paillier kept only for Protocol 4's ratio step).
 //
 // The point of the demo: the two backends produce bit-identical market
 // outcomes — same prices, same allocations, and trade ledgers that hash to
-// the same chain head — roughly 4× apart in per-window
+// the same chain head — roughly 5× apart in per-window
 // cost. What differs is the trust anchor, not the market; see DESIGN.md
 // §12 for the threat-model comparison.
 //

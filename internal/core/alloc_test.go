@@ -27,23 +27,24 @@ func TestMaskWordsAllocFree(t *testing.T) {
 	}
 }
 
-// TestMaskedShareCycleAllocFree pins the hybrid fold's per-hop frame work:
-// encode a share into a pooled frame, decode it back, recycle the frame.
+// TestMaskedShareCycleAllocFree pins the hybrid fold's per-hop frame work in
+// every share shape — Protocol 4's 128-bit total included: encode a share
+// into a pooled frame, decode it back, fold it in, recycle the frame.
 func TestMaskedShareCycleAllocFree(t *testing.T) {
-	for _, words := range []int{1, 2} {
+	for _, shape := range []shareShape{shapeWord, shapePair, shapeWide} {
 		avg := testing.AllocsPerRun(100, func() {
-			out := encodeShare(maskedShare{3, 7}, words)
-			s, err := decodeShare(out, words, "t")
+			out := encodeShare(maskedShare{3, 7}, shape.words)
+			s, err := decodeShare(out, shape.words, "peer", "t")
 			transport.PutFrame(out)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s[0] != 3 {
+			if s = s.add(maskedShare{1, 1}, shape); s[0] != 4 {
 				t.Fatal("share corrupted")
 			}
 		})
 		if avg != 0 {
-			t.Errorf("encodeShare/decodeShare(words=%d): %.1f allocs/op, want 0", words, avg)
+			t.Errorf("share cycle %+v: %.1f allocs/op, want 0", shape, avg)
 		}
 	}
 }

@@ -14,11 +14,13 @@ const (
 	// BackendPaillier runs every phase of Protocols 2–4 on Paillier
 	// homomorphic encryption, the paper's construction.
 	BackendPaillier = "paillier"
-	// BackendHybrid runs the aggregation phases of Protocols 2–3 and the
-	// Rb/Rs comparison on seeded additive masking over fixed-point integers,
-	// keeping Paillier only where a single party must decrypt (Protocol 4's
-	// masked-ratio step). Outcomes are bit-identical to BackendPaillier; the
-	// leakage differences are documented in DESIGN.md §12.
+	// BackendHybrid runs every sum of Protocols 2–4 and the Rb/Rs comparison
+	// on seeded additive masking over fixed-point integers, keeping Paillier
+	// only where a single party must decrypt: Protocol 4's demand total is
+	// summed under masks, converted to one ciphertext under Hs's key, and
+	// the masked-ratio step runs on that. Outcomes are bit-identical to
+	// BackendPaillier; the leakage differences are documented in DESIGN.md
+	// §12.
 	BackendHybrid = "hybrid"
 )
 
@@ -59,14 +61,16 @@ type cryptoBackend interface {
 	// collectPair is Hb's side of pricingFold: recover (Σk_i, Σterm_i).
 	collectPair(ctx context.Context, r *windowRun, tag string) (*big.Int, *big.Int, error)
 
-	// distributionTotal is the demand side of Protocol 4 step 1: aggregate
-	// Enc_hs(|sn|) and broadcast the encrypted total within the demand side.
+	// distributionTotal is the demand side of Protocol 4 step 1: sum |sn|
+	// and broadcast the total, encrypted under Hs's key, within the demand
+	// side.
 	distributionTotal(ctx context.Context, r *windowRun, demandSide []string, hs, tagRing, tagTotal string, absSn fixed.Value) error
 	// maskedReciprocal is Protocol 4 step 2: ship Enc(total)^round(S/|sn|)
 	// to Hs.
 	maskedReciprocal(ctx context.Context, r *windowRun, hs, tagTotal, tagMasked string, absSn fixed.Value) error
-	// ratios is Hs's side of Protocol 4 step 3: decrypt the masked values,
-	// recover the allocation ratios and broadcast them to the supply side.
+	// ratios is Hs's side of Protocol 4: whatever step 1 needs of it, then
+	// step 3 — decrypt the masked values, recover the allocation ratios and
+	// broadcast them to the supply side.
 	ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error)
 }
 

@@ -79,11 +79,12 @@ type Config struct {
 	CryptoWorkers int
 	// CryptoBackend selects the window crypto layer: "paillier" (default;
 	// the paper's construction — every phase on homomorphic encryption plus
-	// the garbled-circuit comparison) or "hybrid" (Protocols 2–3 and the
-	// Rb/Rs comparison on seeded additive masking, Paillier kept only for
-	// Protocol 4's single-decryptor ratio step). Outcomes are bit-identical;
+	// the garbled-circuit comparison) or "hybrid" (every sum of Protocols
+	// 2–4 and the Rb/Rs comparison on seeded additive masking, Paillier kept
+	// only for Protocol 4's single-decryptor ratio step and the two
+	// encryptions that hand it the masked total). Outcomes are bit-identical;
 	// the hybrid backend trades the comparison's privacy (Hr1 learns
-	// E_b−E_s) for a ≈ 2× (32 homes, 1024-bit keys) to ≈ 4× (8 homes)
+	// E_b−E_s) for a ≈ 3× (32 homes, 1024-bit keys) to ≈ 5× (8 homes)
 	// window speedup — see DESIGN.md §12.
 	CryptoBackend string
 	// Aggregation selects the encrypted-sum topology for the masked ring

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/pem-go/pem/internal/dataset"
+	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/paillier"
 )
 
@@ -16,7 +17,11 @@ import (
 // in stock, a key's stock never exceeds the most factors one window took
 // from it — measured here, from outside, as the largest per-window rise of
 // its take counters — a key nobody encrypted under has nothing, and closing
-// the engine leaves no goroutine behind.
+// the engine leaves no goroutine behind. It also counts the factors a window
+// costs, key by key: on paillier one per member of each of Protocol 2's two
+// sums, of Protocol 3's and of Protocol 4's (d of them under Hs's key); on
+// hybrid exactly two, both under Hs's key — its unmasking ciphertext and the
+// aggregation root's total — so no key stocks more than two.
 func TestPoolStockFollowsDemand(t *testing.T) {
 	tr, err := dataset.Generate(dataset.Config{Homes: 8, Windows: 32, Seed: 17, StartHour: 15})
 	if err != nil {
@@ -47,15 +52,45 @@ func TestPoolStockFollowsDemand(t *testing.T) {
 				if err != nil {
 					t.Fatalf("window %d: %v", w, err)
 				}
+				want := make(map[string]uint64) // factors this window takes, by key holder
 				if !res.Degenerate {
 					protocolWindows++
+					var sellers, buyers []string
+					for i, in := range inputs {
+						switch market.ClassifyRole(in.NetEnergy()) {
+						case market.RoleSeller:
+							sellers = append(sellers, eng.parties[i].ID())
+						case market.RoleBuyer:
+							buyers = append(buyers, eng.parties[i].ID())
+						}
+					}
+					ros := buildRoster(w, nil, sellers, buyers)
+					demand, supply := buyers, sellers
+					if res.Kind == market.ExtremeMarket {
+						demand, supply = sellers, buyers
+					}
+					hs := supply[publicCoin(w, "hs", sellers, buyers, len(supply))]
+					if backend == BackendHybrid {
+						want[hs] = 2
+					} else {
+						want[ros.hr1] += uint64(len(sellers) + len(buyers) - 1)
+						want[ros.hr2] += uint64(len(sellers) + len(buyers) - 1)
+						if res.Kind == market.GeneralMarket {
+							want[ros.hb] += uint64(len(sellers))
+						}
+						want[hs] += uint64(len(demand))
+					}
 				}
 				for i, p := range eng.parties {
 					st := p.key.Pool().Stats()
 					taken := st.Hits + st.Misses
+					if taken-last[i] != want[p.ID()] {
+						t.Fatalf("window %d (%v, %d sellers, %d buyers): %d factors taken under %s's key, want %d",
+							w, res.Kind, res.SellerCount, res.BuyerCount, taken-last[i], p.ID(), want[p.ID()])
+					}
 					peak[i] = max(peak[i], taken-last[i])
 					last[i] = taken
-					if st.Ready > st.Target || uint64(st.Target) > peak[i] {
+					if st.Ready > st.Target || uint64(st.Target) > peak[i] || (backend == BackendHybrid && st.Target > 2) {
 						t.Fatalf("window %d key %s: stock %d, target %d, largest single-window demand %d",
 							w, p.ID(), st.Ready, st.Target, peak[i])
 					}

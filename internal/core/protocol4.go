@@ -15,6 +15,15 @@ import (
 	"github.com/pem-go/pem/internal/transport"
 )
 
+// Protocol 4 phases the backends name themselves, next to the tags
+// privateDistribution hands them: the demand-side fold (whose tag also
+// scopes the hybrid backend's masks) and the hybrid backend's Hs → root
+// unmasking ciphertext.
+const (
+	phaseFold   = "pd/ring"
+	phaseUnmask = "pd/unmask"
+)
+
 // privateDistribution is Protocol 4: allocate the pairwise trading amounts
 // e_ij in proportion to demand (general market) or supply (extreme market)
 // without revealing E_b, E_s or any |sn| value.
@@ -22,8 +31,10 @@ import (
 // General market mechanics (extreme market swaps the coalitions):
 //
 //  1. the buyers aggregate Enc_pks(|sn_j|) under the chosen seller Hs's key
-//     (ring or tree topology, Config.Aggregation); the aggregation root
-//     broadcasts the encrypted total Enc(E_b) to the whole buyer coalition;
+//     (ring or tree topology, Config.Aggregation) — the hybrid backend sums
+//     under masks and converts once, see hybridBackend.distributionTotal;
+//     the aggregation root broadcasts the encrypted total Enc(E_b) to the
+//     whole buyer coalition;
 //  2. every buyer homomorphically computes
 //     Enc(E_b)^round(S/|sn_j|) = Enc(E_b·S/|sn_j|) — the fixed-point
 //     reciprocal trick that sidesteps Paillier's lack of division — and
@@ -53,7 +64,7 @@ func (r *windowRun) privateDistribution(ctx context.Context, kind market.Kind, p
 	onSupplySide := contains(supplySide, r.ID())
 	r.demandSide = demandSide
 
-	tagRing := r.tag("pd/ring")
+	tagRing := r.tag(phaseFold)
 	tagTotal := r.tag("pd/total")
 	tagMasked := r.tag("pd/masked")
 	tagRatios := r.tag("pd/ratios")
@@ -99,35 +110,25 @@ func (r *windowRun) privateDistribution(ctx context.Context, kind market.Kind, p
 
 // distributionAggregate folds Enc_hs(|sn|) across the demand side using the
 // configured topology; the aggregation root broadcasts the encrypted total
-// to the whole demand side (Protocol 4 line 5) and keeps its own copy in
-// r.encTotal for sendMaskedReciprocal.
+// (Protocol 4 line 5).
 func (r *windowRun) distributionAggregate(ctx context.Context, demandSide []string, hs, tagRing, tagTotal string, absSn fixed.Value) error {
-	var (
-		acc    *paillier.Ciphertext
-		isRoot bool
-		err    error
-	)
-	if r.cfg.Aggregation == AggregationTree {
-		acc, isRoot, err = r.foldTree(ctx, demandSide, hs, tagRing, r.contribBuf[0].SetInt64(int64(absSn)))
-		if err != nil {
-			return fmt.Errorf("distribution: %w", err)
-		}
-	} else {
-		acc, isRoot, err = r.distributionRingFold(ctx, demandSide, hs, tagRing, absSn)
-		if err != nil {
-			return err
-		}
+	acc, isRoot, err := r.fold(ctx, demandSide, hs, tagRing, r.contribBuf[0].SetInt64(int64(absSn)))
+	if err != nil {
+		return fmt.Errorf("distribution: %w", err)
 	}
 	if !isRoot {
 		return nil
 	}
+	return r.broadcastTotal(ctx, demandSide, hs, tagTotal, acc)
+}
 
-	// Root: broadcast the encrypted total within the demand side; its own
-	// copy is handed to sendMaskedReciprocal through the window state. The
-	// broadcast settles before it returns, so the pooled frame can be
-	// recycled immediately after.
+// broadcastTotal is the aggregation root's end of step 1: fan Enc_hs(total)
+// out to the rest of the demand side and keep its own copy in r.encTotal
+// for sendMaskedReciprocal. The broadcast settles before it returns, so the
+// pooled frame can be recycled immediately after.
+func (r *windowRun) broadcastTotal(ctx context.Context, demandSide []string, hs, tagTotal string, total *paillier.Ciphertext) error {
 	buf := transport.GetFrame(r.dir[hs].FixedLen())
-	out, err := acc.AppendFixed(buf[:0], r.dir[hs])
+	out, err := total.AppendFixed(buf[:0], r.dir[hs])
 	if err != nil {
 		transport.PutFrame(buf)
 		return err
@@ -137,51 +138,8 @@ func (r *windowRun) distributionAggregate(ctx context.Context, demandSide []stri
 	if err != nil {
 		return err
 	}
-	r.encTotal = acc
+	r.encTotal = total
 	return nil
-}
-
-// distributionRingFold is the paper's sequential chain: each member folds
-// its encrypted share and forwards; the last member ends up holding the
-// total (isRoot = true) instead of sending it to an external sink.
-func (r *windowRun) distributionRingFold(ctx context.Context, demandSide []string, hs, tagRing string, absSn fixed.Value) (*paillier.Ciphertext, bool, error) {
-	pos := -1
-	for i, id := range demandSide {
-		if id == r.ID() {
-			pos = i
-			break
-		}
-	}
-	if pos == -1 {
-		return nil, false, fmt.Errorf("distribution: %s not on demand side", r.ID())
-	}
-
-	enc, err := r.encryptUnder(ctx, hs, r.contribBuf[0].SetInt64(int64(absSn)))
-	if err != nil {
-		return nil, false, fmt.Errorf("distribution: encrypt share: %w", err)
-	}
-	acc := enc
-	if pos > 0 {
-		raw, err := r.conn.Recv(ctx, demandSide[pos-1], tagRing)
-		if err != nil {
-			return nil, false, fmt.Errorf("distribution ring recv: %w", err)
-		}
-		var in paillier.Ciphertext
-		err = in.UnmarshalBinary(raw)
-		transport.PutFrame(raw)
-		if err != nil {
-			return nil, false, fmt.Errorf("distribution ring decode: %w", err)
-		}
-		if err := r.dir[hs].AddInPlace(&in, enc); err != nil {
-			return nil, false, err
-		}
-		acc = &in
-	}
-
-	if pos+1 < len(demandSide) {
-		return nil, false, r.sendCipher(ctx, r.dir[hs], acc, demandSide[pos+1], tagRing)
-	}
-	return acc, true, nil
 }
 
 // sendMaskedReciprocal computes Enc(total)^round(S/|sn|) and ships it to Hs

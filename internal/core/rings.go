@@ -30,59 +30,92 @@ func (r *windowRun) encryptUnder(ctx context.Context, holder string, m *big.Int)
 	return pk.EncryptWithFactor(m, factor)
 }
 
-// ringAggregate implements the sequential homomorphic accumulation used by
-// Protocols 2–4: the parties in order each fold their encrypted
-// contribution into a running ciphertext, and the final product is sent to
-// sink. Exactly one of the ring members starts the chain.
-//
-// order lists the ring members; every member must call ringAggregate with
-// identical arguments. contribution is this party's plaintext (already
-// fixed-point encoded); keyHolder identifies whose public key encrypts the
-// chain; tag scopes the messages. Members not in order (and the sink)
-// receive the result via collect instead.
-func (r *windowRun) ringAggregate(ctx context.Context, order []string, keyHolder, sink, tag string, contribution *big.Int) error {
-	pos := -1
+// position locates this party in a fold's member order.
+func (r *windowRun) position(order []string, tag string) (int, error) {
 	for i, id := range order {
 		if id == r.ID() {
-			pos = i
-			break
+			return i, nil
 		}
 	}
-	if pos == -1 {
-		return fmt.Errorf("party %s not in ring %s", r.ID(), tag)
-	}
+	return -1, fmt.Errorf("party %s not in fold %s", r.ID(), tag)
+}
 
-	enc, err := r.encryptUnder(ctx, keyHolder, contribution)
+// foldHops is the one place the two sum topologies live — what position pos
+// of order receives and where it forwards — for the Paillier fold below and
+// the hybrid backend's masked fold alike: recv is called once per partial
+// sum this member folds in, send once if it forwards, and the member left
+// holding the total (see aggregationRoot) reports isRoot = true.
+//
+// Ring is the paper's sequential chain: fold the predecessor's partial,
+// forward; the last member ends up with the total. Tree is a binary
+// reduction: at stride s the members still active are the multiples of s;
+// those at odd multiples send their partial to the even-multiple neighbour
+// s positions below and drop out, the rest fold the received partial and
+// continue, so after ceil(log2 n) rounds member 0 holds the total.
+func (r *windowRun) foldHops(order []string, pos int, recv, send func(peer string) error) (isRoot bool, err error) {
+	n := len(order)
+	if r.cfg.Aggregation != AggregationTree {
+		if pos > 0 {
+			if err := recv(order[pos-1]); err != nil {
+				return false, err
+			}
+		}
+		if pos+1 < n {
+			return false, send(order[pos+1])
+		}
+		return true, nil
+	}
+	for stride := 1; stride < n; stride *= 2 {
+		if pos%(2*stride) == stride {
+			return false, send(order[pos-stride])
+		}
+		if partner := pos + stride; partner < n {
+			if err := recv(order[partner]); err != nil {
+				return false, err
+			}
+		}
+	}
+	return true, nil
+}
+
+// fold is one member's side of the homomorphic accumulation used by
+// Protocols 2–4: encrypt the (already fixed-point encoded) contribution
+// under keyHolder's key and fold it into the running ciphertext along the
+// configured topology. Every member of order must call it with identical
+// arguments; the aggregation root gets the accumulated ciphertext back
+// (isRoot = true), everyone else has forwarded theirs.
+func (r *windowRun) fold(ctx context.Context, order []string, keyHolder, tag string, contribution *big.Int) (*paillier.Ciphertext, bool, error) {
+	pos, err := r.position(order, tag)
 	if err != nil {
-		return fmt.Errorf("ring %s: encrypt: %w", tag, err)
+		return nil, false, err
 	}
-
-	acc := enc
-	if pos > 0 {
-		raw, err := r.conn.Recv(ctx, order[pos-1], tag)
+	acc, err := r.encryptUnder(ctx, keyHolder, contribution)
+	if err != nil {
+		return nil, false, fmt.Errorf("agg %s: encrypt: %w", tag, err)
+	}
+	pk := r.dir[keyHolder]
+	var incoming paillier.Ciphertext // reused across hops
+	isRoot, err := r.foldHops(order, pos, func(from string) error {
+		raw, err := r.conn.Recv(ctx, from, tag)
 		if err != nil {
-			return fmt.Errorf("ring %s: recv: %w", tag, err)
+			return fmt.Errorf("recv from %s: %w", from, err)
 		}
-		var incoming paillier.Ciphertext
 		err = incoming.UnmarshalBinary(raw)
 		transport.PutFrame(raw)
 		if err != nil {
-			return fmt.Errorf("ring %s: decode: %w", tag, err)
+			return fmt.Errorf("decode from %s: %w", from, err)
 		}
-		if err := r.dir[keyHolder].AddInPlace(&incoming, enc); err != nil {
-			return fmt.Errorf("ring %s: fold: %w", tag, err)
+		if err := pk.AddInPlace(acc, &incoming); err != nil {
+			return fmt.Errorf("fold from %s: %w", from, err)
 		}
-		acc = &incoming
+		return nil
+	}, func(to string) error {
+		return r.sendCipher(ctx, pk, acc, to, tag)
+	})
+	if err != nil {
+		return nil, false, fmt.Errorf("agg %s: %w", tag, err)
 	}
-
-	next := sink
-	if pos+1 < len(order) {
-		next = order[pos+1]
-	}
-	if err := r.sendCipher(ctx, r.dir[keyHolder], acc, next, tag); err != nil {
-		return fmt.Errorf("ring %s: send: %w", tag, err)
-	}
-	return nil
+	return acc, isRoot, nil
 }
 
 // sendCipher serializes ct fixed-width into a pooled frame, sends it and
@@ -106,20 +139,14 @@ func (r *windowRun) sendCipher(ctx context.Context, pk *paillier.PublicKey, ct *
 // collect instead. Both topologies expose exactly the same information —
 // every intermediate value is a partial sum encrypted under the sink's key.
 func (r *windowRun) aggregate(ctx context.Context, order []string, keyHolder, sink, tag string, contribution *big.Int) error {
-	if r.cfg.Aggregation == AggregationTree {
-		acc, isRoot, err := r.foldTree(ctx, order, keyHolder, tag, contribution)
-		if err != nil {
-			return err
-		}
-		if !isRoot {
-			return nil
-		}
-		if err := r.sendCipher(ctx, r.dir[keyHolder], acc, sink, tag); err != nil {
-			return fmt.Errorf("tree %s: send: %w", tag, err)
-		}
-		return nil
+	acc, isRoot, err := r.fold(ctx, order, keyHolder, tag, contribution)
+	if err != nil || !isRoot {
+		return err
 	}
-	return r.ringAggregate(ctx, order, keyHolder, sink, tag, contribution)
+	if err := r.sendCipher(ctx, r.dir[keyHolder], acc, sink, tag); err != nil {
+		return fmt.Errorf("agg %s: send: %w", tag, err)
+	}
+	return nil
 }
 
 // collect is the sink side of aggregate: receive the final ciphertext from
@@ -152,60 +179,6 @@ func (r *windowRun) aggregationRoot(order []string) string {
 		return order[0]
 	}
 	return order[len(order)-1]
-}
-
-// foldTree is one member's side of the binary reduction tree: at stride s
-// the members still active are the multiples of s; those at odd multiples
-// send their partial to the even-multiple neighbour s positions below and
-// drop out, the rest fold the received partial and continue. After
-// ceil(log2 n) rounds member 0 holds the total and reports isRoot = true
-// (with the accumulated ciphertext); everyone else has already forwarded.
-func (r *windowRun) foldTree(ctx context.Context, order []string, keyHolder, tag string, contribution *big.Int) (*paillier.Ciphertext, bool, error) {
-	pos := -1
-	for i, id := range order {
-		if id == r.ID() {
-			pos = i
-			break
-		}
-	}
-	if pos == -1 {
-		return nil, false, fmt.Errorf("party %s not in tree %s", r.ID(), tag)
-	}
-	n := len(order)
-
-	acc, err := r.encryptUnder(ctx, keyHolder, contribution)
-	if err != nil {
-		return nil, false, fmt.Errorf("tree %s: encrypt: %w", tag, err)
-	}
-	pk := r.dir[keyHolder]
-	var incoming paillier.Ciphertext // reused across strides
-	for stride := 1; stride < n; stride *= 2 {
-		if pos%(2*stride) == stride {
-			// Odd multiple of stride: forward the partial downhill, done.
-			if err := r.sendCipher(ctx, pk, acc, order[pos-stride], tag); err != nil {
-				return nil, false, fmt.Errorf("tree %s: send: %w", tag, err)
-			}
-			return nil, false, nil
-		}
-		// Even multiple: fold the uphill neighbour's partial, if it exists.
-		partner := pos + stride
-		if partner >= n {
-			continue
-		}
-		raw, err := r.conn.Recv(ctx, order[partner], tag)
-		if err != nil {
-			return nil, false, fmt.Errorf("tree %s: recv: %w", tag, err)
-		}
-		err = incoming.UnmarshalBinary(raw)
-		transport.PutFrame(raw)
-		if err != nil {
-			return nil, false, fmt.Errorf("tree %s: decode: %w", tag, err)
-		}
-		if err := pk.AddInPlace(acc, &incoming); err != nil {
-			return nil, false, fmt.Errorf("tree %s: fold: %w", tag, err)
-		}
-	}
-	return acc, true, nil
 }
 
 // without returns order with the given id removed (order is not mutated).

@@ -117,12 +117,14 @@ func backendsAndTopologies(t *testing.T, cfg Config, agents []market.Agent, inpu
 // through its batch boundaries — demand sides of slots, slots+1 and
 // 2·slots+1 members (one full batch; two uneven; three) on 512-bit keys
 // (4 slots) in both market regimes — and Protocol 3's packed pair with
-// them: both backends × both topologies agree bit for bit, with the
-// integer oracle and (within fixed-point rounding) with market.Clear.
+// them; demand sides of 1, 2 and 3 are the edges of the hybrid backend's
+// masked step 1 (a root with nothing to fold, one hop, the first tree with
+// an odd member). Both backends × both topologies agree bit for bit, with
+// the integer oracle and (within fixed-point rounding) with market.Clear.
 func TestPackedRatiosAcrossBatchSplits(t *testing.T) {
 	const slots = 4
 	for _, kind := range []market.Kind{market.GeneralMarket, market.ExtremeMarket} {
-		for _, demand := range []int{slots, slots + 1, 2*slots + 1} {
+		for _, demand := range []int{1, 2, 3, slots, slots + 1, 2*slots + 1} {
 			t.Run(fmt.Sprintf("%v/demand=%d", kind, demand), func(t *testing.T) {
 				const supply = 3
 				agents := testAgents(demand + supply)
@@ -208,72 +210,95 @@ func TestPackedRatiosAtMaxMagnitude(t *testing.T) {
 	}
 }
 
-// frameLog records the length of every frame sent, by bare protocol tag.
-type frameLog struct {
-	mu   sync.Mutex
-	lens map[string][]int
-}
-
-type loggingConn struct {
+// rewriteConn lets a test see — and replace — every frame a party sends.
+type rewriteConn struct {
 	transport.Conn
-	log *frameLog
+	// rewrite gets the bare protocol tag and returns the payload to send.
+	rewrite func(from, to, phase string, payload []byte) []byte
 }
 
-func (c loggingConn) Send(ctx context.Context, to, tag string, payload []byte) error {
+func (c rewriteConn) Send(ctx context.Context, to, tag string, payload []byte) error {
 	_, _, phase, _ := transport.ParseScopedWindowTag(tag)
-	c.log.mu.Lock()
-	c.log.lens[phase] = append(c.log.lens[phase], len(payload))
-	c.log.mu.Unlock()
-	return c.Conn.Send(ctx, to, tag, payload)
+	return c.Conn.Send(ctx, to, tag, c.rewrite(c.Party(), to, phase, payload))
 }
 
-// TestPaillierFrameLengths pins every Paillier frame of a window at the
-// key's FixedLen() — one ciphertext, whatever it carries — in the style of
-// gc.TestCompareFrameLengths: the pricing hop included, which carried a
-// pair (4 + 2·FixedLen bytes) before the two sums shared a plaintext.
+// rewriteFrames routes every frame the engine's parties send through f.
+func rewriteFrames(eng *Engine, f func(from, to, phase string, payload []byte) []byte) {
+	for _, p := range eng.parties {
+		p.ReplaceConn(rewriteConn{p.conn, f})
+	}
+}
+
+// TestPaillierFrameLengths pins the width and the count of every backend frame of a
+// window, in the style of gc.TestCompareFrameLengths. On the paillier
+// backend each is one ciphertext at the key's FixedLen(), whatever it
+// carries — the pricing hop included, which carried a pair (4 + 2·FixedLen
+// bytes) before the two sums shared a plaintext. On hybrid every sum is a
+// fixed 8- or 16-byte word — no ciphertext travels under Protocol 4's fold
+// tag — and the only ciphertexts are Hs's unmasking one, the broadcast
+// total and the masked products.
 func TestPaillierFrameLengths(t *testing.T) {
+	type frames struct{ count, size int }
 	for _, tc := range []struct {
 		bits, fixedLen int
 	}{{256, 68}, {512, 132}, {1024, 260}} {
-		for _, topo := range []string{AggregationRing, AggregationTree} {
-			agents := testAgents(7)
-			inputs := windowInputsMixed(len(agents))
-			cfg := testConfig(int64(9200 + tc.bits))
-			cfg.KeyBits, cfg.Aggregation = tc.bits, topo
-			eng, err := NewEngine(cfg, agents)
-			if err != nil {
-				t.Fatal(err)
-			}
-			log := &frameLog{lens: make(map[string][]int)}
-			for _, p := range eng.parties {
-				p.ReplaceConn(loggingConn{p.conn, log})
-			}
-			res, err := eng.RunWindow(context.Background(), 0, inputs)
-			eng.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Kind != market.GeneralMarket {
-				t.Fatalf("kind = %v: Protocol 3 did not run", res.Kind)
-			}
-			// Hops per phase: a sum over m members is m frames in either
-			// topology (m−1 folds and the delivery to the sink).
-			sellers, buyers := res.SellerCount, res.BuyerCount
-			for phase, count := range map[string]int{
-				"pme/rb":    sellers + buyers - 1,
-				"pme/rs":    sellers + buyers - 1,
-				"pp/ring":   sellers,
-				"pd/ring":   buyers - 1,
-				"pd/total":  buyers - 1,
-				"pd/masked": buyers,
-			} {
-				got := log.lens[phase]
-				if len(got) != count {
-					t.Errorf("bits=%d %s: %d %s frames, want %d", tc.bits, topo, len(got), phase, count)
+		for _, backend := range []string{BackendPaillier, BackendHybrid} {
+			for _, topo := range []string{AggregationRing, AggregationTree} {
+				label := fmt.Sprintf("bits=%d %s/%s", tc.bits, backend, topo)
+				agents := testAgents(7)
+				inputs := windowInputsMixed(len(agents))
+				cfg := testConfig(int64(9200 + tc.bits))
+				cfg.KeyBits, cfg.CryptoBackend, cfg.Aggregation = tc.bits, backend, topo
+				eng, err := NewEngine(cfg, agents)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, n := range got {
-					if n != tc.fixedLen {
-						t.Errorf("bits=%d %s: %s frame of %d bytes, want FixedLen = %d", tc.bits, topo, phase, n, tc.fixedLen)
+				var mu sync.Mutex
+				lens := make(map[string][]int)
+				rewriteFrames(eng, func(_, _, phase string, payload []byte) []byte {
+					mu.Lock()
+					lens[phase] = append(lens[phase], len(payload))
+					mu.Unlock()
+					return payload
+				})
+				res, err := eng.RunWindow(context.Background(), 0, inputs)
+				eng.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Kind != market.GeneralMarket {
+					t.Fatalf("%s: kind = %v: Protocol 3 did not run", label, res.Kind)
+				}
+				// Hops per phase: a sum over m members is m frames in either
+				// topology (m−1 folds and the delivery to the sink); Protocol
+				// 4's root keeps its total, so its fold is m−1.
+				sellers, buyers := res.SellerCount, res.BuyerCount
+				want := map[string]frames{
+					"pme/rb":    {sellers + buyers - 1, tc.fixedLen},
+					"pme/rs":    {sellers + buyers - 1, tc.fixedLen},
+					"pp/ring":   {sellers, tc.fixedLen},
+					"pd/ring":   {buyers - 1, tc.fixedLen},
+					"pd/unmask": {0, 0},
+					"pd/total":  {buyers - 1, tc.fixedLen},
+					"pd/masked": {buyers, tc.fixedLen},
+				}
+				if backend == BackendHybrid {
+					want["pme/rb"] = frames{sellers + buyers - 1, 8}
+					want["pme/rs"] = frames{sellers + buyers - 1, 8}
+					want["pme/cmp"] = frames{1, 8}
+					want["pp/ring"] = frames{sellers, 16}
+					want["pd/ring"] = frames{buyers - 1, 16}
+					want["pd/unmask"] = frames{1, tc.fixedLen}
+				}
+				for phase, w := range want {
+					got := lens[phase]
+					if len(got) != w.count {
+						t.Errorf("%s: %d %s frames, want %d", label, len(got), phase, w.count)
+					}
+					for _, n := range got {
+						if n != w.size {
+							t.Errorf("%s: %s frame of %d bytes, want %d", label, phase, n, w.size)
+						}
 					}
 				}
 			}

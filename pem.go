@@ -133,7 +133,8 @@ type Config struct {
 	// Paillier everywhere) or BackendHybrid, which computes the coalition
 	// aggregations of Protocols 2–4 over pairwise seeded additive masking
 	// with fixed-width frames and keeps Paillier only for Protocol 4's
-	// masked-reciprocal ratio step. Both backends produce bit-identical
+	// masked-reciprocal ratio step (two encryptions a window hand it the
+	// masked demand total). Both backends produce bit-identical
 	// prices, allocations and ledger chains; hybrid trades the stronger
 	// per-message Paillier hiding for one-time pad masking provisioned by
 	// the market (see DESIGN.md §12 for the threat-model comparison).
@@ -169,11 +170,11 @@ const (
 	// BackendPaillier runs every protocol step under Paillier homomorphic
 	// encryption with garbled-circuit comparison — the paper's construction.
 	BackendPaillier = core.BackendPaillier
-	// BackendHybrid replaces the Protocol 2/3 aggregations and comparison
+	// BackendHybrid replaces the Protocol 2–4 aggregations and comparison
 	// with seeded additive masking over fixed-width integer frames, keeping
 	// Paillier for Protocol 4's ratio step. Outcomes are bit-identical to
-	// BackendPaillier; per-window cost drops ≈ 2× at 32 homes and 1024-bit
-	// keys, ≈ 4× on small coalitions.
+	// BackendPaillier; per-window cost drops ≈ 3× at 32 homes and 1024-bit
+	// keys, ≈ 5× on small coalitions.
 	BackendHybrid = core.BackendHybrid
 )
 
