@@ -248,17 +248,9 @@ func synthesizeJoin(seed int64, e, j int, s Scenario) (Home, error) {
 // — the streams were per-(epoch, home) already, so a lazy evolution is
 // bit-identical to an eager one.
 func epochTrace(seed int64, e int, roster []Home, windows int, startHour float64, onDemand bool) (*Trace, error) {
-	tr := &Trace{
-		Homes:     append([]Home(nil), roster...),
-		Windows:   windows,
-		StartHour: startHour,
-		Gen:       make([][]float64, len(roster)),
-		Load:      make([][]float64, len(roster)),
-		Battery:   make([][]float64, len(roster)),
-	}
-	if onDemand {
-		tr.synth = make([]synthFn, len(roster))
-	}
+	tr := newTrace(append([]Home(nil), roster...), windows, startHour)
+	tr.synth = make([]synthFn, len(roster))
+	skies := skyCache{}
 	for i, h := range roster {
 		cfg, err := ScenarioConfig(h.Scenario, 1, windows, 0)
 		if err != nil {
@@ -266,15 +258,14 @@ func epochTrace(seed int64, e int, roster []Home, windows int, startHour float64
 		}
 		cfg.StartHour = startHour
 		cfg = cfg.withDefaults()
+		cfg.sky = skies.curve(cfg)
 		h, daySeed := h, deriveChurnSeed(seed, fmt.Sprintf("day/%d/%s", e, h.ID))
-		synth := func() (gen, load, batt []float64) {
+		tr.synth[i] = func() (gen, load, batt []float64) {
 			return cfg.synthesizeDay(h, mrand.New(mrand.NewSource(daySeed)))
 		}
-		if onDemand {
-			tr.synth[i] = synth
-		} else {
-			tr.Gen[i], tr.Load[i], tr.Battery[i] = synth()
-		}
+	}
+	if !onDemand {
+		tr.Materialize()
 	}
 	return tr, nil
 }

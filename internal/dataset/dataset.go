@@ -26,6 +26,7 @@ import (
 	"hash/fnv"
 	"math"
 	mrand "math/rand"
+	"slices"
 
 	"github.com/pem-go/pem/internal/market"
 )
@@ -102,6 +103,9 @@ type Config struct {
 	// Scenario labels the homes generated under this config (informational;
 	// see the scenario presets in fleet.go).
 	Scenario Scenario
+
+	// sky is the clear-sky factor per window (skyCache.curve), read-only.
+	sky []float64
 }
 
 func (c Config) withDefaults() Config {
@@ -162,19 +166,41 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks config sanity.
+// Validate checks the config as Generate uses it, defaults applied: finite
+// numbers, a sunrise before sunset, no inverted band (uniform would draw
+// from its mirror image).
 func (c Config) Validate() error {
+	c = c.withDefaults()
 	if c.Homes <= 0 {
 		return errors.New("dataset: Homes must be positive")
 	}
 	if c.Windows <= 0 {
 		return errors.New("dataset: Windows must be positive")
 	}
-	if c.CloudFloor < 0 || c.CloudFloor > c.CloudCeil || c.CloudCeil > 1 {
-		return fmt.Errorf("dataset: cloud band [%v, %v] outside 0 ≤ floor ≤ ceil ≤ 1", c.CloudFloor, c.CloudCeil)
+	for _, f := range []struct {
+		name   string
+		lo, hi float64 // a band's bounds, or one value twice
+	}{
+		{"StartHour", c.StartHour, c.StartHour},
+		{"SunriseHour/SunsetHour", c.SunriseHour, c.SunsetHour},
+		{"SolarCapMinKW/SolarCapMaxKW", c.SolarCapMinKW, c.SolarCapMaxKW},
+		{"CloudFloor/CloudCeil", c.CloudFloor, c.CloudCeil},
+		{"SolarFraction", c.SolarFraction, c.SolarFraction},
+		{"BaseLoadMinKW/BaseLoadMaxKW", c.BaseLoadMinKW, c.BaseLoadMaxKW},
+		{"KMin/KMax", c.KMin, c.KMax},
+		{"EpsilonMin/EpsilonMax", c.EpsilonMin, c.EpsilonMax},
+		{"BatteryFraction", c.BatteryFraction, c.BatteryFraction},
+		{"BatteryCapMinKWh/BatteryCapMaxKWh", c.BatteryCapMinKWh, c.BatteryCapMaxKWh},
+	} {
+		if !finite(f.lo) || !finite(f.hi) || f.lo > f.hi {
+			return fmt.Errorf("dataset: %s = %v, %v: want finite, in order", f.name, f.lo, f.hi)
+		}
 	}
-	if c.BatteryCapMinKWh > c.BatteryCapMaxKWh {
-		return fmt.Errorf("dataset: battery capacity band [%v, %v] inverted", c.BatteryCapMinKWh, c.BatteryCapMaxKWh)
+	if c.SunriseHour == c.SunsetHour { // later is rejected above
+		return fmt.Errorf("dataset: SunriseHour/SunsetHour = %v, %v: a sunless day", c.SunriseHour, c.SunsetHour)
+	}
+	if c.CloudFloor < 0 || c.CloudCeil > 1 {
+		return fmt.Errorf("dataset: CloudFloor/CloudCeil band [%v, %v] outside [0, 1]", c.CloudFloor, c.CloudCeil)
 	}
 	return nil
 }
@@ -261,22 +287,32 @@ func (t *Trace) Materialize() {
 	t.synth = nil
 }
 
+// newTrace returns a trace over homes with no day data yet.
+func newTrace(homes []Home, windows int, startHour float64) *Trace {
+	return &Trace{
+		Homes:     homes,
+		Windows:   windows,
+		StartHour: startHour,
+		Gen:       make([][]float64, len(homes)),
+		Load:      make([][]float64, len(homes)),
+		Battery:   make([][]float64, len(homes)),
+	}
+}
+
 // Generate synthesizes a trace.
-func Generate(cfg Config) (*Trace, error) {
+func Generate(cfg Config) (*Trace, error) { return generate(cfg, skyCache{}) }
+
+// generate is Generate drawing its clear-sky curve from the caller's cache.
+func generate(cfg Config, skies skyCache) (*Trace, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.sky = skies.curve(cfg)
 	rng := mrand.New(mrand.NewSource(cfg.Seed))
 
-	tr := &Trace{
-		Homes:     make([]Home, cfg.Homes),
-		Windows:   cfg.Windows,
-		StartHour: cfg.StartHour,
-		Gen:       make([][]float64, cfg.Homes),
-		Load:      make([][]float64, cfg.Homes),
-		Battery:   make([][]float64, cfg.Homes),
-	}
+	tr := newTrace(make([]Home, cfg.Homes), cfg.Windows, cfg.StartHour)
+	tr.synth = make([]synthFn, cfg.Homes)
 
 	// Statics come first, all from the root stream; each home's day is then
 	// drawn from its own derived stream (deriveHomeSeed). Splitting the
@@ -299,19 +335,14 @@ func Generate(cfg Config) (*Trace, error) {
 		}
 		tr.Homes[h] = home
 	}
-	if cfg.OnDemand {
-		tr.synth = make([]synthFn, cfg.Homes)
-	}
 	for h := 0; h < cfg.Homes; h++ {
 		home, daySeed := tr.Homes[h], deriveHomeSeed(cfg.Seed, h)
-		synth := func() (gen, load, batt []float64) {
+		tr.synth[h] = func() (gen, load, batt []float64) {
 			return cfg.synthesizeDay(home, mrand.New(mrand.NewSource(daySeed)))
 		}
-		if cfg.OnDemand {
-			tr.synth[h] = synth
-		} else {
-			tr.Gen[h], tr.Load[h], tr.Battery[h] = synth()
-		}
+	}
+	if !cfg.OnDemand {
+		tr.Materialize()
 	}
 	return tr, nil
 }
@@ -331,7 +362,8 @@ func deriveHomeSeed(seed int64, home int) int64 {
 // schedule are drawn. Generate feeds it each home's share of the trace
 // stream; the churn layer (churn.go) re-invokes it with a per-(epoch, home)
 // stream so a surviving agent gets a fresh day per epoch while its static
-// parameters persist. The receiver must have defaults applied.
+// parameters persist. The receiver must have defaults applied and its
+// clear-sky curve attached: everything computed here is per home.
 func (cfg Config) synthesizeDay(home Home, rng *mrand.Rand) (gen, load, batt []float64) {
 	gen = make([]float64, cfg.Windows)
 	load = make([]float64, cfg.Windows)
@@ -351,12 +383,8 @@ func (cfg Config) synthesizeDay(home Home, rng *mrand.Rand) (gen, load, batt []f
 	for w := 0; w < cfg.Windows; w++ {
 		hour := cfg.StartHour + float64(w)/60
 
-		// Solar: clear-sky bell shaped by daylight fraction.
-		var sunKW float64
-		if hour > cfg.SunriseHour && hour < cfg.SunsetHour {
-			frac := (hour - cfg.SunriseHour) / (cfg.SunsetHour - cfg.SunriseHour)
-			sunKW = home.SolarCapKW * math.Pow(math.Sin(math.Pi*frac), 1.4)
-		}
+		// Solar: the day shape's clear-sky factor scaled by the panels.
+		sunKW := home.SolarCapKW * cfg.sky[w]
 		cloud = clamp(0.92*cloud+0.08*(cfg.CloudFloor+cloudBand*rng.Float64()), cfg.CloudFloor, cfg.CloudCeil)
 		genKW := sunKW * cloud
 
@@ -390,6 +418,32 @@ func (cfg Config) synthesizeDay(home Home, rng *mrand.Rand) (gen, load, batt []f
 	}
 	return gen, load, batt
 }
+
+// skyCache holds one call's clear-sky curves, one per day shape (StartHour,
+// SunriseHour, SunsetHour, Windows) — all the factor depends on — so a
+// fleet's blocks share one per scenario, not a math.Pow per home per window.
+type skyCache map[[4]float64][]float64
+
+// curve returns the defaulted, valid cfg's clear-sky factor per window: the
+// bell sin(π·daylight fraction)^1.4 between sunrise and sunset, 0 outside.
+func (sc skyCache) curve(cfg Config) []float64 {
+	shape := [4]float64{cfg.StartHour, cfg.SunriseHour, cfg.SunsetHour, float64(cfg.Windows)}
+	if sky, ok := sc[shape]; ok {
+		return sky
+	}
+	sky := make([]float64, cfg.Windows)
+	for w := range sky {
+		hour := cfg.StartHour + float64(w)/60
+		if hour > cfg.SunriseHour && hour < cfg.SunsetHour {
+			frac := (hour - cfg.SunriseHour) / (cfg.SunsetHour - cfg.SunriseHour)
+			sky[w] = math.Pow(math.Sin(math.Pi*frac), 1.4)
+		}
+	}
+	sc[shape] = sky
+	return sky
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func uniform(rng *mrand.Rand, lo, hi float64) float64 {
 	return lo + rng.Float64()*(hi-lo)
@@ -429,19 +483,25 @@ func (t *Trace) Agents() []market.Agent {
 // per home, not per window) — callers wanting bounded memory should Select
 // the homes they need and call WindowInputs on the sub-trace.
 func (t *Trace) WindowInputs(w int) ([]market.WindowInput, error) {
+	return t.AppendWindowInputs(nil, w)
+}
+
+// AppendWindowInputs is WindowInputs appending to dst: a loop over a day's
+// windows passes its last result back as dst[:0] and allocates once.
+func (t *Trace) AppendWindowInputs(dst []market.WindowInput, w int) ([]market.WindowInput, error) {
 	if w < 0 || w >= t.Windows {
 		return nil, fmt.Errorf("dataset: window %d out of range [0,%d)", w, t.Windows)
 	}
 	t.Materialize()
-	out := make([]market.WindowInput, len(t.Homes))
+	dst = slices.Grow(dst, len(t.Homes))
 	for h := range t.Homes {
-		out[h] = market.WindowInput{
+		dst = append(dst, market.WindowInput{
 			Generation: t.Gen[h][w],
 			Load:       t.Load[h][w],
 			Battery:    t.Battery[h][w],
-		}
+		})
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Select returns a trace restricted to the listed home indices, in the
@@ -454,14 +514,7 @@ func (t *Trace) Select(indices []int) (*Trace, error) {
 	if len(indices) == 0 {
 		return nil, errors.New("dataset: empty home selection")
 	}
-	sub := &Trace{
-		Homes:     make([]Home, len(indices)),
-		Windows:   t.Windows,
-		StartHour: t.StartHour,
-		Gen:       make([][]float64, len(indices)),
-		Load:      make([][]float64, len(indices)),
-		Battery:   make([][]float64, len(indices)),
-	}
+	sub := newTrace(make([]Home, len(indices)), t.Windows, t.StartHour)
 	if t.synth != nil {
 		sub.synth = make([]synthFn, len(indices))
 	}

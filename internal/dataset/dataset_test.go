@@ -71,6 +71,59 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(Config{Homes: 10, Windows: 0}); err == nil {
 		t.Error("zero windows accepted")
 	}
+
+	// Nonsense that used to pass: a sunless or backwards day, inverted
+	// bands (uniform drew from the mirrored one) and non-finite floats. The
+	// error names the field.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"SunriseHour", func(c *Config) { c.SunriseHour = 20 }},
+		{"SunriseHour", func(c *Config) { c.SunriseHour, c.SunsetHour = 12, 12 }},
+		{"SunsetHour", func(c *Config) { c.SunsetHour = 5 }},
+		{"SunsetHour", func(c *Config) { c.SunsetHour = inf }},
+		{"SunriseHour", func(c *Config) { c.SunriseHour = -inf }},
+		{"StartHour", func(c *Config) { c.StartHour = nan }},
+		{"SolarCapMinKW", func(c *Config) { c.SolarCapMinKW = 10 }},
+		{"SolarCapMaxKW", func(c *Config) { c.SolarCapMaxKW = 1 }},
+		{"SolarCapMaxKW", func(c *Config) { c.SolarCapMaxKW = inf }},
+		{"BaseLoadMinKW", func(c *Config) { c.BaseLoadMinKW = 3 }},
+		{"BaseLoadMaxKW", func(c *Config) { c.BaseLoadMaxKW = nan }},
+		{"KMin", func(c *Config) { c.KMin = 200 }},
+		{"KMax", func(c *Config) { c.KMax = inf }},
+		{"EpsilonMin", func(c *Config) { c.EpsilonMin = 0.99 }},
+		{"EpsilonMax", func(c *Config) { c.EpsilonMax = nan }},
+		{"SolarFraction", func(c *Config) { c.SolarFraction = nan }},
+		{"BatteryFraction", func(c *Config) { c.BatteryFraction = -inf }},
+		{"BatteryCapMinKWh", func(c *Config) { c.BatteryCapMinKWh = 12 }},
+		{"BatteryCapMaxKWh", func(c *Config) { c.BatteryCapMaxKWh = nan }},
+		{"CloudFloor", func(c *Config) { c.CloudFloor = 1.5 }},
+		{"CloudFloor", func(c *Config) { c.CloudFloor = -0.1 }},
+		{"CloudCeil", func(c *Config) { c.CloudCeil = nan }},
+		{"CloudCeil", func(c *Config) { c.CloudCeil = 1.2 }},
+	} {
+		cfg := Config{Homes: 4, Windows: 10}
+		tc.set(&cfg)
+		if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s set to nonsense: err = %v, want one naming the field", tc.field, err)
+		}
+	}
+
+	// Every preset still validates, bare and as a fleet block.
+	for _, s := range Scenarios() {
+		cfg, err := ScenarioConfig(s, 4, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("preset %s: %v", s, err)
+		}
+	}
+	if _, err := GenerateFleet(FleetConfig{Coalitions: len(DefaultFleetScenarios()), HomesPerCoalition: 2, Windows: 10}); err != nil {
+		t.Errorf("default fleet scenarios: %v", err)
+	}
 }
 
 func TestPhysicalPlausibility(t *testing.T) {

@@ -64,6 +64,7 @@ func GenerateFleet(cfg FleetConfig) (*Trace, error) {
 	}
 
 	var fleet *Trace
+	skies := skyCache{} // one curve per scenario day shape, not per block
 	for b := 0; b < cfg.Coalitions; b++ {
 		blockCfg, err := ScenarioConfig(scenarios[b%len(scenarios)], cfg.HomesPerCoalition, cfg.Windows, deriveSeed(cfg.Seed, b))
 		if err != nil {
@@ -72,7 +73,7 @@ func GenerateFleet(cfg FleetConfig) (*Trace, error) {
 		blockCfg.IDPrefix = fmt.Sprintf("c%02d-home-", b)
 		blockCfg.StartHour = cfg.StartHour
 		blockCfg.OnDemand = cfg.OnDemand
-		block, err := Generate(blockCfg)
+		block, err := generate(blockCfg, skies)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: block %d (%s): %w", b, blockCfg.Scenario, err)
 		}

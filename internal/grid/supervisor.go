@@ -536,7 +536,7 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 		// becomes the coalition residual, and the coalition is marked
 		// skipped-but-folded so settlement includes it while failure
 		// handling does not.
-		cr.Err = oracleAccounting(cfg, sub, cr, sub.WindowInputs, market.BaselineClearInto)
+		cr.Err = oracleAccounting(cfg, agents, sub.Windows, cr, sub.AppendWindowInputs, market.BaselineClearInto)
 		if cr.Err == nil {
 			cr.Folded = true
 			cr.Err = fmt.Errorf("%w: %d agents below minimum %d, folded into grid settlement",
@@ -579,8 +579,8 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 	if cr.Err = coalitionAccounting(infra.Bus, cr); cr.Err != nil {
 		return
 	}
-	cr.Err = oracleAccounting(cfg, sub, cr,
-		func(w int) ([]market.WindowInput, error) { return jobs[w].Inputs, nil }, market.ClearInto)
+	cr.Err = oracleAccounting(cfg, agents, sub.Windows, cr,
+		func(_ []market.WindowInput, w int) ([]market.WindowInput, error) { return jobs[w].Inputs, nil }, market.ClearInto)
 }
 
 // coalitionAccounting folds a completed coalition-day's transport and
@@ -619,18 +619,20 @@ func coalitionAccounting(bus *transport.Bus, cr *CoalitionRun) error {
 // private protocols reveal neither side's totals. clear is the PEM oracle
 // (market.ClearInto) for a coalition that traded, and the paper's "without
 // PEM" baseline (market.BaselineClearInto: every member trades only with
-// the main grid) for a folded one.
-func oracleAccounting(cfg Config, sub *dataset.Trace, cr *CoalitionRun,
-	inputs func(window int) ([]market.WindowInput, error),
+// the main grid) for a folded one. inputs may append to dst, which is the
+// previous window's slice (Trace.AppendWindowInputs): with that, one
+// clearing and one flow accumulator, a day allocates nothing per window.
+func oracleAccounting(cfg Config, agents []market.Agent, windows int, cr *CoalitionRun,
+	inputs func(dst []market.WindowInput, window int) ([]market.WindowInput, error),
 	clear func(*market.Clearing, []market.Agent, []market.WindowInput, market.Params) error) error {
 	params := cfg.params()
-	agents := sub.Agents()
 	cr.Residual = market.CoalitionResidual{Coalition: cr.Name}
-	cr.Flows = make(map[string]market.AgentFlows, len(agents))
-	var clr market.Clearing // one clearing's storage serves the whole day
-	for w := 0; w < sub.Windows; w++ {
-		in, err := inputs(w)
-		if err != nil {
+	flows := market.NewFlowAccumulator(agents)
+	var clr market.Clearing
+	var in []market.WindowInput
+	for w := 0; w < windows; w++ {
+		var err error
+		if in, err = inputs(in[:0], w); err != nil {
 			return err
 		}
 		if err := clear(&clr, agents, in, params); err != nil {
@@ -639,7 +641,8 @@ func oracleAccounting(cfg Config, sub *dataset.Trace, cr *CoalitionRun,
 		imp, exp := market.ResidualFromClearing(&clr)
 		cr.Residual.ImportKWh += imp
 		cr.Residual.ExportKWh += exp
-		market.AccumulateFlows(cr.Flows, &clr, params)
+		flows.Add(&clr, params)
 	}
+	cr.Flows = flows.Flows()
 	return nil
 }

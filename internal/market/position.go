@@ -46,27 +46,43 @@ func (f *AgentFlows) add(o AgentFlows) {
 	f.GridRevenueCents += o.GridRevenueCents
 }
 
-// AccumulateFlows folds one window's clearing into a per-agent flow map:
-// each trade credits the seller and debits the buyer, and each agent's
-// residual grid leg is valued at the tariff. Callers accumulate a window
-// sequence (a coalition's epoch) into one map and apply it to a
-// PositionBook in a single step.
-func AccumulateFlows(dst map[string]AgentFlows, c *Clearing, params Params) {
-	for _, tr := range c.Trades {
-		s := dst[tr.Seller]
-		s.SellKWh += tr.Energy
-		s.EarnedCents += tr.Payment
-		dst[tr.Seller] = s
-		b := dst[tr.Buyer]
-		b.BuyKWh += tr.Energy
-		b.PaidCents += tr.Payment
-		dst[tr.Buyer] = b
+// FlowAccumulator folds a window sequence's clearings (a coalition's epoch)
+// into per-agent flows: each trade credits the seller and debits the buyer,
+// and each agent's residual grid leg is valued at the tariff. It accumulates
+// by roster position — nothing allocated or hashed per grid-only window —
+// and yields the ID-keyed map a PositionBook applies once, at the end.
+type FlowAccumulator struct {
+	agents  []Agent
+	flows   []AgentFlows
+	touched []bool         // a trade or a positive grid leg reached the agent
+	index   map[string]int // ID → roster position, for trades
+}
+
+// NewFlowAccumulator accumulates clearings computed over exactly this roster.
+func NewFlowAccumulator(agents []Agent) *FlowAccumulator {
+	n := len(agents)
+	a := &FlowAccumulator{agents: agents, flows: make([]AgentFlows, n), touched: make([]bool, n), index: make(map[string]int, n)}
+	for i, ag := range agents {
+		a.index[ag.ID] = i
 	}
-	for _, o := range c.Outcomes {
+	return a
+}
+
+// Add folds one window's clearing of the accumulator's roster.
+func (a *FlowAccumulator) Add(c *Clearing, params Params) {
+	for _, tr := range c.Trades {
+		s, b := a.index[tr.Seller], a.index[tr.Buyer]
+		a.flows[s].SellKWh += tr.Energy
+		a.flows[s].EarnedCents += tr.Payment
+		a.flows[b].BuyKWh += tr.Energy
+		a.flows[b].PaidCents += tr.Payment
+		a.touched[s], a.touched[b] = true, true
+	}
+	for i, o := range c.Outcomes {
 		if o.GridEnergy <= 0 {
 			continue
 		}
-		f := dst[o.ID]
+		f := &a.flows[i]
 		switch o.Role {
 		case RoleBuyer:
 			f.GridImportKWh += o.GridEnergy
@@ -75,8 +91,20 @@ func AccumulateFlows(dst map[string]AgentFlows, c *Clearing, params Params) {
 			f.GridExportKWh += o.GridEnergy
 			f.GridRevenueCents += o.GridEnergy * params.GridSellPrice
 		}
-		dst[o.ID] = f
+		a.touched[i] = true
 	}
+}
+
+// Flows returns the accumulated flows keyed by agent ID. An agent no trade
+// or grid leg touched is absent, not present with zero flows.
+func (a *FlowAccumulator) Flows() map[string]AgentFlows {
+	out := make(map[string]AgentFlows, len(a.agents))
+	for i, ag := range a.agents {
+		if a.touched[i] {
+			out[ag.ID] = a.flows[i]
+		}
+	}
+	return out
 }
 
 // AgentPosition is one agent's cumulative position across a live-grid
@@ -176,7 +204,7 @@ func (b *PositionBook) Apply(epoch int, flows map[string]AgentFlows) error {
 // residual energy handed over by the supervisor at the grid tariff:
 // residualImportKWh is drawn at retail, residualExportKWh fed in at the
 // grid's buy price. The residuals are normally zero — each window's grid
-// legs are already valued by AccumulateFlows — and become non-zero only
+// legs are already valued by FlowAccumulator — and become non-zero only
 // when the agent's final energy could not clear through a market at all
 // (e.g. it was stranded in a coalition too small to run). kind is "depart"
 // (planned) or "fail" (crash); the accounting is identical, the label is

@@ -1,11 +1,15 @@
 package market
 
 import (
+	"fmt"
 	"math"
+	mrand "math/rand"
 	"testing"
 )
 
-func testClearing(t *testing.T) *Clearing {
+// testFlows clears one three-agent window (one seller, two buyers) and
+// returns the clearing with its per-agent flows.
+func testFlows(t *testing.T) (*Clearing, map[string]AgentFlows) {
 	t.Helper()
 	agents := []Agent{
 		{ID: "a", K: 80, Epsilon: 0.9},
@@ -21,13 +25,13 @@ func testClearing(t *testing.T) *Clearing {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	acc := NewFlowAccumulator(agents)
+	acc.Add(c, DefaultParams())
+	return c, acc.Flows()
 }
 
-func TestAccumulateFlowsBalances(t *testing.T) {
-	c := testClearing(t)
-	flows := make(map[string]AgentFlows)
-	AccumulateFlows(flows, c, DefaultParams())
+func TestFlowAccumulatorBalances(t *testing.T) {
+	c, flows := testFlows(t)
 
 	var sell, buy, earned, paid float64
 	for _, f := range flows {
@@ -72,8 +76,7 @@ func TestPositionBookLifecycle(t *testing.T) {
 		t.Error("double join accepted")
 	}
 
-	flows := make(map[string]AgentFlows)
-	AccumulateFlows(flows, testClearing(t), DefaultParams())
+	_, flows := testFlows(t)
 	if err := b.Apply(0, flows); err != nil {
 		t.Fatal(err)
 	}
@@ -143,5 +146,90 @@ func TestPositionBookRejectsBadFlows(t *testing.T) {
 	}
 	if err := b.Exit("a", 0, "depart", -1, 0); err == nil {
 		t.Error("negative exit residual accepted")
+	}
+}
+
+// accumulateFlowsByID is the map-per-window accumulation FlowAccumulator
+// replaced, kept as the reference for its semantics: a string-keyed
+// read-modify-write per trade side and per positive grid leg, so an agent is
+// a key iff something touched it.
+func accumulateFlowsByID(dst map[string]AgentFlows, c *Clearing, params Params) {
+	for _, tr := range c.Trades {
+		s := dst[tr.Seller]
+		s.SellKWh += tr.Energy
+		s.EarnedCents += tr.Payment
+		dst[tr.Seller] = s
+		b := dst[tr.Buyer]
+		b.BuyKWh += tr.Energy
+		b.PaidCents += tr.Payment
+		dst[tr.Buyer] = b
+	}
+	for _, o := range c.Outcomes {
+		if o.GridEnergy <= 0 {
+			continue
+		}
+		f := dst[o.ID]
+		switch o.Role {
+		case RoleBuyer:
+			f.GridImportKWh += o.GridEnergy
+			f.GridCostCents += o.GridEnergy * params.GridRetailPrice
+		case RoleSeller:
+			f.GridExportKWh += o.GridEnergy
+			f.GridRevenueCents += o.GridEnergy * params.GridSellPrice
+		}
+		dst[o.ID] = f
+	}
+}
+
+// TestFlowAccumulatorMatchesMapSemantics: over seeded random window
+// sequences cleared by the PEM oracle (trades and grid legs) and by the
+// grid-only baseline (grid legs alone), the indexed accumulator yields the
+// reference's key set and bit-equal fields. Rosters include agents that stay
+// off-market all day (net exactly 0), which must stay absent.
+func TestFlowAccumulatorMatchesMapSemantics(t *testing.T) {
+	params := DefaultParams()
+	clearers := map[string]func(*Clearing, []Agent, []WindowInput, Params) error{
+		"pem": ClearInto, "baseline": BaselineClearInto,
+	}
+	for name, clearInto := range clearers {
+		var trades, absent int // the generator must reach both cases
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := mrand.New(mrand.NewSource(seed))
+			agents := make([]Agent, 2+rng.Intn(9))
+			idle := make([]bool, len(agents))
+			for i := range agents {
+				agents[i] = Agent{ID: fmt.Sprintf("h%02d", i), K: 60 + 50*rng.Float64(), Epsilon: 0.75 + 0.2*rng.Float64()}
+				idle[i] = rng.Intn(4) == 0
+			}
+			acc, want := NewFlowAccumulator(agents), make(map[string]AgentFlows)
+			var clr Clearing
+			for w := 0; w < 30; w++ {
+				inputs := make([]WindowInput, len(agents))
+				for i := range inputs {
+					if !idle[i] {
+						inputs[i] = WindowInput{Generation: rng.Float64() * float64(rng.Intn(2)), Load: rng.Float64()}
+					}
+				}
+				if err := clearInto(&clr, agents, inputs, params); err != nil {
+					t.Fatal(err)
+				}
+				acc.Add(&clr, params)
+				accumulateFlowsByID(want, &clr, params)
+				trades += len(clr.Trades)
+			}
+			got := acc.Flows()
+			absent += len(agents) - len(got)
+			if len(got) != len(want) {
+				t.Errorf("%s seed %d: %d agents with flows, reference has %d", name, seed, len(got), len(want))
+			}
+			for id, w := range want {
+				if g, ok := got[id]; !ok || g != w {
+					t.Errorf("%s seed %d agent %s: flows %+v (present %v), reference %+v", name, seed, id, g, ok, w)
+				}
+			}
+		}
+		if absent == 0 || (trades > 0) != (name == "pem") {
+			t.Errorf("%s: %d trades, %d untouched agents: the sequences miss a case", name, trades, absent)
+		}
 	}
 }
