@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/csv"
-	"os"
-	"path/filepath"
-	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -22,7 +19,8 @@ func TestScaleResolution(t *testing.T) {
 		{"full with override", options{full: true, homes: 50}, 50, 720},
 	}
 	for _, c := range cases {
-		homes, windows := c.opt.scale(200, 720, 8, 4)
+		homes := c.opt.sweep([]int{8}, []int{200}, c.opt.homes)[0]
+		windows := c.opt.sweep([]int{4}, []int{720}, c.opt.windows)[0]
 		if homes != c.wantHomes || windows != c.wantWindows {
 			t.Errorf("%s: got %d/%d, want %d/%d", c.name, homes, windows, c.wantHomes, c.wantWindows)
 		}
@@ -33,6 +31,10 @@ func TestRunRejectsBadTargets(t *testing.T) {
 	if err := run([]string{"-fig", "99"}); err == nil {
 		t.Error("unknown figure accepted")
 	}
+	// The figures benchmark/ measures are gone from here.
+	if err := run([]string{"-fig", "grid"}); err == nil || !strings.Contains(err.Error(), "unknown figure") {
+		t.Errorf("-fig grid: %v, want unknown figure", err)
+	}
 	if err := run([]string{"-table", "7"}); err == nil {
 		t.Error("unknown table accepted")
 	}
@@ -42,178 +44,57 @@ func TestRunRejectsBadTargets(t *testing.T) {
 }
 
 func TestRunTinyFigure(t *testing.T) {
-	// Smoke-test the plaintext figure paths end to end at tiny scale.
-	if err := run([]string{"-fig", "4", "-homes", "10", "-windows", "30", "-sample", "15"}); err != nil {
+	// The command line end to end: two plaintext figures, claims included.
+	if err := run([]string{"-fig", "4", "-homes", "10", "-sample", "120"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-fig", "6a", "-homes", "10", "-windows", "30", "-sample", "15"}); err != nil {
+	if err := run([]string{"-fig", "6a", "-homes", "10", "-sample", "120"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestRunTinyGrid(t *testing.T) {
-	// The grid sweep end to end at tiny scale, with CSV output.
-	path := filepath.Join(t.TempDir(), "grid.csv")
-	err := run([]string{
-		"-fig", "grid", "-homes", "8", "-windows", "1", "-keybits", "256",
-		"-coalitions", "2", "-partition", "fixed", "-csv", path,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestRegistryClaims runs every artefact at tiny scale — a full 720-window
+// day for the plaintext figures, one midday window at 256/512/1024-bit keys
+// for the crypto ones — and requires its claim to hold, then feeds the claim
+// a hand-made table that breaks it, which it must reject.
+func TestRegistryClaims(t *testing.T) {
+	plain := options{homes: 10, seed: 20200425}
+	crypto := options{homes: 6, windows: 1, keyBits: 256, seed: 20200425}
+	bad := func(mismatches float64) *table {
+		return &table{cols: cryptoCols, rows: [][]float64{{256, 6, 1, 10, 10, 0.5, 0}, {512, 6, 1, 20, 20, 0.6, mismatches}}}
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
+	violations := map[string]*table{
+		"4":  {cols: []string{"window", "buyers", "sellers"}, rows: [][]float64{{0, 3, 1}, {1, 3, 2}, {2, 3, 0}}},
+		"5a": bad(1),
+		"5b": bad(1),
+		"5c": bad(2),
+		"6a": {cols: []string{"window", "price", "p_hat"}, rows: [][]float64{{0, 120, 0}, {1, 100, 100}, {2, 111, 111}}},
+		"6b": {cols: []string{"window", "k20_pem", "k20_no_pem", "k40_pem", "k40_no_pem"}, rows: [][]float64{{0, 3, 2, 4, 3}, {1, 5, 4, 2, 3}}},
+		"6c": {cols: []string{"homes", "window", "pem", "no_pem"}, rows: [][]float64{{100, 0, 5, 4}, {100, 1, 1, 3}}},
+		"6d": {cols: []string{"homes", "window", "pem", "no_pem"}, rows: [][]float64{{200, 0, 2, 2}, {200, 1, 1, 1}}},
+		"t1": {cols: cryptoCols, rows: [][]float64{{256, 6, 1, 10, 10, 0.5, 0}, {512, 6, 1, 20, 20, 0.5, 0}}},
 	}
-	defer f.Close()
-	rows, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		t.Fatal(err)
+	if len(violations) != len(registry) {
+		t.Fatalf("%d violating tables for %d artefacts", len(violations), len(registry))
 	}
-	// Header + one row per swept coalition count (1 and 2).
-	if len(rows) != 3 || rows[0][0] != "coalitions" || rows[1][0] != "1" || rows[2][0] != "2" {
-		t.Fatalf("csv shape wrong: %v", rows)
-	}
-	if err := run([]string{"-fig", "grid", "-homes", "8", "-windows", "1", "-partition", "spiral"}); err == nil {
-		t.Error("unknown partition strategy accepted")
-	}
-}
-
-func TestRunTinyNet(t *testing.T) {
-	// The communication-cost figure end to end at tiny scale over the wan
-	// preset: ring and tree rows with CSV output, and the acceptance check
-	// that tree aggregation beats the ring on a high-latency topology in
-	// both rounds and virtual latency.
-	path := filepath.Join(t.TempDir(), "net.csv")
-	err := run([]string{
-		"-fig", "net", "-homes", "6", "-windows", "1", "-keybits", "256",
-		"-net", "wan", "-csv", path,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rows, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Header + ring + tree.
-	if len(rows) != 3 || rows[0][0] != "topology" || rows[1][1] != "ring" || rows[2][1] != "tree" {
-		t.Fatalf("csv shape wrong: %v", rows)
-	}
-	col := func(name string) int {
-		for i, h := range rows[0] {
-			if h == name {
-				return i
+	for _, a := range registry {
+		t.Run(a.name, func(t *testing.T) {
+			o := plain
+			if a.name[0] == '5' || a.name == "t1" {
+				o = crypto
 			}
-		}
-		t.Fatalf("column %q missing from %v", name, rows[0])
-		return -1
-	}
-	num := func(row int, name string) float64 {
-		v, err := strconv.ParseFloat(rows[row][col(name)], 64)
-		if err != nil {
-			t.Fatalf("row %d %s: %v", row, name, err)
-		}
-		return v
-	}
-	if num(2, "rounds_max") >= num(1, "rounds_max") {
-		t.Errorf("tree rounds %v not below ring rounds %v on wan", num(2, "rounds_max"), num(1, "rounds_max"))
-	}
-	if num(2, "virt_ms_day") >= num(1, "virt_ms_day") {
-		t.Errorf("tree virtual day %v not below ring %v on wan", num(2, "virt_ms_day"), num(1, "virt_ms_day"))
-	}
-	if num(1, "msgs") == 0 || num(1, "msgs_pd") == 0 {
-		t.Error("message-count columns empty")
-	}
-	if err := run([]string{"-fig", "net", "-net", "dialup", "-homes", "6", "-windows", "1", "-keybits", "256"}); err == nil {
-		t.Error("unknown topology preset accepted")
-	}
-}
-
-func TestRunTinyScale(t *testing.T) {
-	// The scale figure end to end at tiny scale: a 3-decade agent sweep ×
-	// tier depths (flat, one, two levels), all-folded plaintext coalitions,
-	// with CSV output and the RSS budget gate armed high enough to pass.
-	path := filepath.Join(t.TempDir(), "scale.csv")
-	err := run([]string{
-		"-fig", "scale", "-homes", "400", "-windows", "2",
-		"-tiers", "4,4", "-rss-budget-mb", "8192", "-csv", path,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rows, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Header + (3 fleet sizes × 3 tier depths).
-	if len(rows) != 10 || rows[0][0] != "agents" || rows[1][2] != "flat" || rows[3][2] != "4,4" {
-		t.Fatalf("csv shape wrong: %v", rows)
-	}
-	col := func(name string) int {
-		for i, h := range rows[0] {
-			if h == name {
-				return i
+			tbl, err := a.run(o)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		t.Fatalf("column %q missing from %v", name, rows[0])
-		return -1
-	}
-	for r := 1; r < len(rows); r++ {
-		aps, err := strconv.ParseFloat(rows[r][col("agents_per_sec")], 64)
-		if err != nil || aps <= 0 {
-			t.Errorf("row %d: agents_per_sec %q not positive", r, rows[r][col("agents_per_sec")])
-		}
-		hwm, err := strconv.ParseFloat(rows[r][col("rss_hwm_mb")], 64)
-		if err != nil || hwm <= 0 {
-			t.Errorf("row %d: rss_hwm_mb %q not positive (procfs expected in CI)", r, rows[r][col("rss_hwm_mb")])
-		}
-	}
-	// Tiered rows carry tier nodes; flat rows none.
-	if rows[1][col("tier_nodes")] != "0" || rows[3][col("tier_nodes")] == "0" {
-		t.Errorf("tier_nodes wrong: flat %q, tiered %q", rows[1][col("tier_nodes")], rows[3][col("tier_nodes")])
-	}
-
-	// A malformed tier schedule and a busted budget must both fail hard.
-	if err := run([]string{"-fig", "scale", "-homes", "16", "-windows", "1", "-tiers", "4,zero"}); err == nil {
-		t.Error("malformed -tiers accepted")
-	}
-	if err := run([]string{"-fig", "scale", "-homes", "16", "-windows", "1", "-tiers", "2", "-rss-budget-mb", "1"}); err == nil {
-		t.Error("1 MiB RSS budget not enforced")
-	}
-}
-
-func TestRunTinyLive(t *testing.T) {
-	// The live (epoched) figure end to end at tiny scale: ≥4 epochs of
-	// ≥20% churn with CSV output — one row per epoch.
-	path := filepath.Join(t.TempDir(), "live.csv")
-	err := run([]string{
-		"-fig", "live", "-homes", "8", "-windows", "1", "-keybits", "256",
-		"-coalitions", "2", "-epochs", "4", "-churn", "0.25", "-csv", path,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rows, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 || rows[0][0] != "epoch" || rows[4][0] != "3" {
-		t.Fatalf("csv shape wrong: %v", rows)
+			if note, err := a.claim(tbl); err != nil {
+				t.Errorf("claim rejects the reproduction: %v", err)
+			} else {
+				t.Log(note)
+			}
+			if _, err := a.claim(violations[a.name]); err == nil {
+				t.Error("claim accepts a violating table")
+			}
+		})
 	}
 }

@@ -43,7 +43,7 @@ func (d DeviationOutcome) Gain() float64 { return d.DeviantPayoff - d.HonestPayo
 // that stops short of over-buying, and over-buying turns the gain into a
 // loss (extra units bought at p* ≥ pl return only pbtg). The tests assert
 // the gain never exceeds the coverage-gap bound and that over-inflation
-// backfires; see EXPERIMENTS.md for the measured curves.
+// backfires.
 func BuyerDemandInflation(agents []market.Agent, inputs []market.WindowInput, params market.Params, agentIdx int, scale float64) (*DeviationOutcome, error) {
 	if agentIdx < 0 || agentIdx >= len(agents) {
 		return nil, fmt.Errorf("audit: agent index %d out of range", agentIdx)

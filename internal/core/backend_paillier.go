@@ -37,11 +37,7 @@ func (*paillierBackend) collectSum(ctx context.Context, r *windowRun, order []st
 // learned it inside the comparison.
 func (*paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked uint64) (market.Kind, error) {
 	ros := r.ros
-	opts := gc.ProtocolOptions{
-		Random:         r.random,
-		DisableFreeXOR: r.cfg.DisableFreeXOR,
-		GRR3:           r.cfg.GRR3,
-	}
+	opts := gc.ProtocolOptions{Random: r.random}
 	session := r.tag("pme/cmp")
 	kindTag := r.tag("pme/kind")
 

@@ -57,13 +57,9 @@ type Config struct {
 	CompareBits int
 	// NonceBits is the masking-nonce width of Protocol 2 (default 40).
 	NonceBits int
-	// DisableFreeXOR garbles XOR gates as tables (ablation only).
-	DisableFreeXOR bool
-	// GRR3 enables garbled row reduction for the comparator tables.
-	GRR3 bool
 	// PreEncrypt enables background pre-computation of Paillier blinding
-	// factors (the paper's idle-time encryption; Fig 5b's key-size
-	// insensitivity depends on it).
+	// factors (the paper's idle-time encryption): it takes encryption off
+	// the critical path, not decryption or scalar multiplication.
 	PreEncrypt bool
 	// MaxInflightWindows is the number of trading windows the scheduler
 	// keeps in flight concurrently (default 1: strictly sequential, the

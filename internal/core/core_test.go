@@ -438,36 +438,6 @@ func TestRandomizedWindowsMatchPlaintext(t *testing.T) {
 	}
 }
 
-func TestWindowWithGRR3(t *testing.T) {
-	cfg := testConfig(6060)
-	cfg.GRR3 = true
-	agents := testAgents(4)
-	inputs := []market.WindowInput{
-		{Generation: 0.3, Load: 0.1},
-		{Generation: 0.0, Load: 0.3},
-		{Generation: 0.0, Load: 0.2},
-		{Generation: 0.25, Load: 0.1},
-	}
-	res := runOneWindow(t, cfg, agents, inputs)
-	if res.Kind != market.GeneralMarket {
-		t.Fatalf("kind = %v", res.Kind)
-	}
-	assertMatchesPlaintext(t, res, agents, inputs)
-}
-
-func TestWindowWithFreeXORDisabled(t *testing.T) {
-	cfg := testConfig(6161)
-	cfg.DisableFreeXOR = true
-	agents := testAgents(3)
-	inputs := []market.WindowInput{
-		{Generation: 0.3, Load: 0.1},
-		{Generation: 0.0, Load: 0.3},
-		{Generation: 0.0, Load: 0.2},
-	}
-	res := runOneWindow(t, cfg, agents, inputs)
-	assertMatchesPlaintext(t, res, agents, inputs)
-}
-
 func TestMetricsAccumulateAcrossWindows(t *testing.T) {
 	agents := testAgents(4)
 	eng, err := NewEngine(testConfig(6262), agents)

@@ -26,35 +26,19 @@ func (l Label) xor(o Label) Label {
 	return out
 }
 
-// Options controls garbling behaviour.
+// Options controls garbling behaviour. XOR and NOT gates are always free
+// (free-XOR) and every other gate is a four-row point-and-permute table.
 type Options struct {
-	// DisableFreeXOR garbles XOR and NOT gates as full tables.
-	// Used only by the ablation benchmark; keep the default (false).
-	DisableFreeXOR bool
-	// GRR3 enables garbled row reduction: the table row addressed by
-	// select bits (0,0) is defined implicitly as the gate hash, shrinking
-	// every non-free gate from four rows to three (25% less material on
-	// the wire).
-	GRR3 bool
 	// Random overrides the label randomness source (defaults to
 	// crypto/rand).
 	Random io.Reader
 }
 
-func (o Options) rowsPerTable() int {
-	if o.GRR3 {
-		return 3
-	}
-	return 4
-}
-
 // Garbled is the material sent to the evaluator: encrypted gate tables (for
 // non-free gates, in gate order) and the output decode bits.
 type Garbled struct {
-	// Tables holds 4 rows per gate, or 3 with GRR3 (row 0 implicit).
+	// Tables holds 4 rows per gate.
 	Tables [][]Label
-	// GRR3 records whether row reduction was used (the evaluator needs it).
-	GRR3 bool
 	// OutputPerm[i] is the permute bit of the FALSE label of output wire i;
 	// the evaluator decodes bit = permute(activeLabel) ⊕ OutputPerm[i].
 	OutputPerm []byte
@@ -133,98 +117,39 @@ func Garble(c *Circuit, opts Options) (*Garbled, *Assignment, error) {
 
 	trueLabel := func(w int) Label { return false0[w].xor(delta) }
 
-	g := &Garbled{GRR3: opts.GRR3}
+	g := &Garbled{}
 	for gi, gate := range c.Gates {
-		free := !opts.DisableFreeXOR && (gate.Kind == GateXOR || gate.Kind == GateNOT)
-		if free {
-			switch gate.Kind {
-			case GateXOR:
-				false0[gate.Out] = false0[gate.In0].xor(false0[gate.In1])
-			case GateNOT:
-				// FALSE of output is TRUE of input.
-				false0[gate.Out] = trueLabel(gate.In0)
-			}
+		switch gate.Kind {
+		case GateXOR:
+			false0[gate.Out] = false0[gate.In0].xor(false0[gate.In1])
+			continue
+		case GateNOT:
+			// FALSE of output is TRUE of input.
+			false0[gate.Out] = trueLabel(gate.In0)
 			continue
 		}
-
-		in1 := gate.In1
-		if gate.Kind == GateNOT {
-			in1 = gate.In0 // degenerate second input; rows still line up
-		}
-		tt := gate.Kind.truthTable()
-
-		if opts.GRR3 {
-			// Garbled row reduction: pick the output labels so the row
-			// addressed by select bits (0,0) encrypts to all-zero and can
-			// be omitted — the evaluator recomputes it as the bare hash.
-			la0, va0 := false0[gate.In0], 0
-			if la0.permuteBit() == 1 {
-				la0, va0 = trueLabel(gate.In0), 1
-			}
-			lb0, vb0 := false0[in1], 0
-			if lb0.permuteBit() == 1 {
-				lb0, vb0 = trueLabel(in1), 1
-			}
-			h00 := gateHash(la0, lb0, gi)
-			if tt[va0<<1|vb0] {
-				false0[gate.Out] = h00.xor(delta)
-			} else {
-				false0[gate.Out] = h00
-			}
-		} else if err := newWireLabel(gate.Out); err != nil {
+		if err := newWireLabel(gate.Out); err != nil {
 			return nil, nil, err
 		}
 
-		rows := opts.rowsPerTable()
-		table := make([]Label, rows)
-		var filled [4]bool
-		if opts.GRR3 {
-			filled[0] = true // implicit row
-		}
+		tt := gate.Kind.truthTable()
+		table := make([]Label, 4)
 		for _, va := range []int{0, 1} {
 			for _, vb := range []int{0, 1} {
-				if gate.Kind == GateNOT && va != vb {
-					continue // unreachable rows for the degenerate input
-				}
 				la := false0[gate.In0]
 				if va == 1 {
 					la = trueLabel(gate.In0)
 				}
-				lb := false0[in1]
+				lb := false0[gate.In1]
 				if vb == 1 {
-					lb = trueLabel(in1)
-				}
-				row := la.permuteBit()<<1 | lb.permuteBit()
-				if opts.GRR3 && row == 0 {
-					continue // implicit
+					lb = trueLabel(gate.In1)
 				}
 				outLabel := false0[gate.Out]
 				if tt[va<<1|vb] {
 					outLabel = trueLabel(gate.Out)
 				}
-				idx := row
-				if opts.GRR3 {
-					idx = row - 1
-				}
-				table[idx] = gateHash(la, lb, gi).xor(outLabel)
-				filled[row] = true
+				table[la.permuteBit()<<1|lb.permuteBit()] = gateHash(la, lb, gi).xor(outLabel)
 			}
-		}
-		// Fill unreachable rows with random junk so tables are
-		// indistinguishable from fully used ones.
-		for row := 0; row < 4; row++ {
-			if filled[row] || (opts.GRR3 && row == 0) {
-				continue
-			}
-			junk, err := randomLabel(random)
-			if err != nil {
-				return nil, nil, err
-			}
-			idx := row
-			if opts.GRR3 {
-				idx = row - 1
-			}
-			table[idx] = junk
 		}
 		g.Tables = append(g.Tables, table)
 	}
@@ -249,11 +174,14 @@ func Garble(c *Circuit, opts Options) (*Garbled, *Assignment, error) {
 
 // Evaluate walks the garbled circuit with the active input labels and
 // returns the active output labels. garblerLabels/evaluatorLabels are the
-// single active label per input bit, in input order. useFreeXOR must match
-// the garbling options; the GRR3 scheme is carried by the material itself.
+// single active label per input bit, in input order. useFreeXOR must be
+// true: free-XOR is the only garbling scheme.
 func Evaluate(c *Circuit, g *Garbled, garblerLabels, evaluatorLabels []Label, useFreeXOR bool) ([]Label, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
+	}
+	if !useFreeXOR {
+		return nil, errors.New("gc: free-XOR is the only garbling scheme")
 	}
 	if len(garblerLabels) != len(c.GarblerInput) {
 		return nil, fmt.Errorf("gc: got %d garbler labels, want %d", len(garblerLabels), len(c.GarblerInput))
@@ -270,44 +198,25 @@ func Evaluate(c *Circuit, g *Garbled, garblerLabels, evaluatorLabels []Label, us
 		active[w] = evaluatorLabels[i]
 	}
 
-	wantRows := 4
-	if g.GRR3 {
-		wantRows = 3
-	}
 	tableIdx := 0
 	for gi, gate := range c.Gates {
-		free := useFreeXOR && (gate.Kind == GateXOR || gate.Kind == GateNOT)
-		if free {
-			switch gate.Kind {
-			case GateXOR:
-				active[gate.Out] = active[gate.In0].xor(active[gate.In1])
-			case GateNOT:
-				active[gate.Out] = active[gate.In0] // label carries through
-			}
+		switch gate.Kind {
+		case GateXOR:
+			active[gate.Out] = active[gate.In0].xor(active[gate.In1])
+			continue
+		case GateNOT:
+			active[gate.Out] = active[gate.In0] // label carries through
 			continue
 		}
 		if tableIdx >= len(g.Tables) {
 			return nil, errors.New("gc: garbled material has too few tables")
 		}
 		table := g.Tables[tableIdx]
-		if len(table) != wantRows {
-			return nil, fmt.Errorf("gc: table %d has %d rows, want %d", tableIdx, len(table), wantRows)
+		if len(table) != 4 {
+			return nil, fmt.Errorf("gc: table %d has %d rows, want 4", tableIdx, len(table))
 		}
-		in1 := gate.In1
-		if gate.Kind == GateNOT {
-			in1 = gate.In0
-		}
-		la, lb := active[gate.In0], active[in1]
-		row := la.permuteBit()<<1 | lb.permuteBit()
-		pad := gateHash(la, lb, gi)
-		switch {
-		case g.GRR3 && row == 0:
-			active[gate.Out] = pad // implicit all-zero row
-		case g.GRR3:
-			active[gate.Out] = table[row-1].xor(pad)
-		default:
-			active[gate.Out] = table[row].xor(pad)
-		}
+		la, lb := active[gate.In0], active[gate.In1]
+		active[gate.Out] = table[la.permuteBit()<<1|lb.permuteBit()].xor(gateHash(la, lb, gi))
 		tableIdx++
 	}
 	if tableIdx != len(g.Tables) {

@@ -123,7 +123,7 @@ func garbleEvalLocal(t *testing.T, circ *Circuit, gBits, eBits []bool, opts Opti
 			el[i] = asg.Evaluator[i][0]
 		}
 	}
-	outLabels, err := Evaluate(circ, garbled, gl, el, !opts.DisableFreeXOR)
+	outLabels, err := Evaluate(circ, garbled, gl, el, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,22 +147,6 @@ func TestGarbledMatchesPlainProperty(t *testing.T) {
 		return got[0] == (a > b)
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGarbledNoFreeXORMatchesPlain(t *testing.T) {
-	circ, err := BuildGreaterThan(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := mrand.New(mrand.NewSource(43))
-	for _, pair := range [][2]uint64{{0, 0}, {5, 3}, {3, 5}, {255, 255}, {128, 127}} {
-		gBits := uintToBits(pair[0], 8)
-		eBits := uintToBits(pair[1], 8)
-		got := garbleEvalLocal(t, circ, gBits, eBits, Options{DisableFreeXOR: true, Random: rng})
-		if got[0] != (pair[0] > pair[1]) {
-			t.Errorf("no-free-xor GT(%d,%d) = %v", pair[0], pair[1], got[0])
-		}
 	}
 }
 
@@ -208,13 +192,13 @@ func TestMaterialRoundTrip(t *testing.T) {
 	for i := range active {
 		active[i] = asg.Garbler[i][0]
 	}
-	raw := encodeMaterial(garbled, active, true)
-	g2, labels, freeXOR, err := decodeMaterial(raw, circ)
+	raw := encodeMaterial(garbled, active)
+	if raw[0] != materialFlags {
+		t.Errorf("scheme flags %#x, want %#x", raw[0], materialFlags)
+	}
+	g2, labels, err := decodeMaterial(raw, circ)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !freeXOR {
-		t.Error("freeXOR flag lost")
 	}
 	if len(g2.Tables) != len(garbled.Tables) {
 		t.Error("tables lost")
@@ -239,10 +223,18 @@ func TestDecodeMaterialRejectsCorruption(t *testing.T) {
 	for i := range active {
 		active[i] = asg.Garbler[i][0]
 	}
-	raw := encodeMaterial(garbled, active, true)
+	raw := encodeMaterial(garbled, active)
 	for _, cut := range []int{0, 1, 3, 10, len(raw) - 1} {
-		if _, _, _, err := decodeMaterial(raw[:cut], circ); err == nil {
+		if _, _, err := decodeMaterial(raw[:cut], circ); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
+		}
+	}
+	// The scheme byte is always 0x01 (free-XOR, four-row tables); the
+	// retired GRR3 (0x03) and table-XOR (0x00) schemes are corruption.
+	for _, flags := range []byte{0x00, 0x02, 0x03, 0xff} {
+		bad := append([]byte{flags}, raw[1:]...)
+		if _, _, err := decodeMaterial(bad, circ); err == nil {
+			t.Errorf("scheme flags %#x accepted", flags)
 		}
 	}
 	// Wrong circuit (different width) must be rejected.
@@ -250,7 +242,7 @@ func TestDecodeMaterialRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := decodeMaterial(raw, other); err == nil {
+	if _, _, err := decodeMaterial(raw, other); err == nil {
 		t.Error("material for wrong circuit accepted")
 	}
 }
@@ -383,7 +375,6 @@ func TestCompareFrameLengths(t *testing.T) {
 		// flags + (count, 64 tables × rows × 16) + (count, 1 packed output
 		// bit) + (count, 64 garbler labels × 16)
 		{"four-row", ProtocolOptions{}, 1 + 4 + 64*4*16 + 4 + 1 + 4 + 64*16},
-		{"GRR3", ProtocolOptions{GRR3: true}, 1 + 4 + 64*3*16 + 4 + 1 + 4 + 64*16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bus := transport.NewBus(nil)
@@ -470,20 +461,6 @@ func BenchmarkGarbleComparator64(b *testing.B) {
 	}
 }
 
-func BenchmarkGarbleComparator64NoFreeXOR(b *testing.B) {
-	circ, err := BuildGreaterThan(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := mrand.New(mrand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Garble(circ, Options{Random: rng, DisableFreeXOR: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEvaluateComparator64(b *testing.B) {
 	circ, err := BuildGreaterThan(64)
 	if err != nil {
@@ -504,124 +481,6 @@ func BenchmarkEvaluateComparator64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Evaluate(circ, garbled, gl, el, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestGRR3MatchesPlainProperty(t *testing.T) {
-	circ, err := BuildGreaterThan(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := mrand.New(mrand.NewSource(45))
-	if err := quick.Check(func(a, b uint16) bool {
-		gBits := uintToBits(uint64(a), 16)
-		eBits := uintToBits(uint64(b), 16)
-		got := garbleEvalLocal(t, circ, gBits, eBits, Options{GRR3: true, Random: rng})
-		return got[0] == (a > b)
-	}, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGRR3WithNotGates(t *testing.T) {
-	// BuildEquals uses NOT gates; with GRR3 they garble as reduced tables
-	// when free-XOR is disabled and stay free otherwise.
-	circ, err := BuildEquals(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := mrand.New(mrand.NewSource(46))
-	for _, disableFX := range []bool{false, true} {
-		for _, pair := range [][2]uint64{{9, 9}, {9, 10}, {0, 255}} {
-			got := garbleEvalLocal(t, circ,
-				uintToBits(pair[0], 8), uintToBits(pair[1], 8),
-				Options{GRR3: true, DisableFreeXOR: disableFX, Random: rng})
-			if got[0] != (pair[0] == pair[1]) {
-				t.Errorf("freeXOR-off=%v EQ(%d,%d) = %v", disableFX, pair[0], pair[1], got[0])
-			}
-		}
-	}
-}
-
-func TestGRR3ShrinksTables(t *testing.T) {
-	circ, err := BuildGreaterThan(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := mrand.New(mrand.NewSource(47))
-	g4, _, err := Garble(circ, Options{Random: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g3, _, err := Garble(circ, Options{GRR3: true, Random: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g4.Tables) != len(g3.Tables) {
-		t.Fatal("table count differs")
-	}
-	for i := range g4.Tables {
-		if len(g4.Tables[i]) != 4 || len(g3.Tables[i]) != 3 {
-			t.Fatalf("row counts: %d vs %d", len(g4.Tables[i]), len(g3.Tables[i]))
-		}
-	}
-}
-
-func TestGRR3ProtocolEndToEnd(t *testing.T) {
-	opts := ProtocolOptions{
-		Random: mrand.New(mrand.NewSource(48)),
-		GRR3:   true,
-	}
-	gr, er := runSecureCompare(t, 1000, 999, 32, opts)
-	if gr != LeftGreater || er != LeftGreater {
-		t.Errorf("GRR3 compare(1000, 999) = %v / %v", gr, er)
-	}
-	gr, er = runSecureCompare(t, 999, 1000, 32, opts)
-	if gr != NotGreater || er != NotGreater {
-		t.Errorf("GRR3 compare(999, 1000) = %v / %v", gr, er)
-	}
-}
-
-func TestGRR3MaterialSmallerOnWire(t *testing.T) {
-	circ, err := BuildGreaterThan(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := mrand.New(mrand.NewSource(49))
-	g4, asg4, err := Garble(circ, Options{Random: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g3, asg3, err := Garble(circ, Options{GRR3: true, Random: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	active4 := make([]Label, 64)
-	active3 := make([]Label, 64)
-	for i := 0; i < 64; i++ {
-		active4[i] = asg4.Garbler[i][0]
-		active3[i] = asg3.Garbler[i][0]
-	}
-	raw4 := encodeMaterial(g4, active4, true)
-	raw3 := encodeMaterial(g3, active3, true)
-	saved := len(raw4) - len(raw3)
-	want := 64 * LabelSize // one row per AND gate
-	if saved != want {
-		t.Errorf("GRR3 saved %d bytes, want %d", saved, want)
-	}
-}
-
-func BenchmarkGarbleComparator64GRR3(b *testing.B) {
-	circ, err := BuildGreaterThan(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := mrand.New(mrand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Garble(circ, Options{GRR3: true, Random: rng}); err != nil {
 			b.Fatal(err)
 		}
 	}

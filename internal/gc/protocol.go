@@ -26,10 +26,6 @@ type ProtocolOptions struct {
 	Group *ot.Group
 	// Random is the randomness source (defaults to crypto/rand).
 	Random io.Reader
-	// DisableFreeXOR garbles XOR/NOT gates as tables (ablation only).
-	DisableFreeXOR bool
-	// GRR3 enables garbled row reduction (3 rows per table on the wire).
-	GRR3 bool
 }
 
 // RunGarbler executes the garbler role of a two-party secure computation of
@@ -40,11 +36,7 @@ func RunGarbler(ctx context.Context, conn transport.Conn, peer, session string, 
 	if len(inputBits) != len(circ.GarblerInput) {
 		return nil, fmt.Errorf("gc: garbler has %d bits, circuit wants %d", len(inputBits), len(circ.GarblerInput))
 	}
-	garbled, asg, err := Garble(circ, Options{
-		DisableFreeXOR: opts.DisableFreeXOR,
-		GRR3:           opts.GRR3,
-		Random:         opts.Random,
-	})
+	garbled, asg, err := Garble(circ, Options{Random: opts.Random})
 	if err != nil {
 		return nil, fmt.Errorf("gc: garble: %w", err)
 	}
@@ -58,7 +50,7 @@ func RunGarbler(ctx context.Context, conn transport.Conn, peer, session string, 
 			active[i] = asg.Garbler[i][0]
 		}
 	}
-	material := encodeMaterial(garbled, active, !opts.DisableFreeXOR)
+	material := encodeMaterial(garbled, active)
 	if err := conn.Send(ctx, peer, session+tagMaterial, material); err != nil {
 		return nil, fmt.Errorf("gc: send material: %w", err)
 	}
@@ -95,7 +87,7 @@ func RunEvaluator(ctx context.Context, conn transport.Conn, peer, session string
 	if err != nil {
 		return nil, fmt.Errorf("gc: recv material: %w", err)
 	}
-	garbled, garblerLabels, freeXOR, err := decodeMaterial(raw, circ)
+	garbled, garblerLabels, err := decodeMaterial(raw, circ)
 	transport.PutFrame(raw) // decodeMaterial copied everything out
 	if err != nil {
 		return nil, err
@@ -110,7 +102,7 @@ func RunEvaluator(ctx context.Context, conn transport.Conn, peer, session string
 		copy(evalLabels[i][:], b)
 	}
 
-	outLabels, err := Evaluate(circ, garbled, garblerLabels, evalLabels, freeXOR)
+	outLabels, err := Evaluate(circ, garbled, garblerLabels, evalLabels, true)
 	if err != nil {
 		return nil, fmt.Errorf("gc: evaluate: %w", err)
 	}
@@ -126,26 +118,20 @@ func RunEvaluator(ctx context.Context, conn transport.Conn, peer, session string
 
 // --- wire encoding of the garbled material ---
 //
-//	u8  scheme flags: bit0 = free-XOR, bit1 = GRR3
-//	u32 numTables | tables (3 or 4 × LabelSize each)
+//	u8  scheme flags: always materialFlags (bit0 = free-XOR)
+//	u32 numTables | tables (4 × LabelSize each)
 //	u32 numOutputs | permute bits (packed)
 //	u32 numGarblerLabels | labels (LabelSize each)
 
-func encodeMaterial(g *Garbled, garblerActive []Label, freeXOR bool) []byte {
-	rows := 4
-	if g.GRR3 {
-		rows = 3
-	}
-	size := 1 + 4 + len(g.Tables)*rows*LabelSize + 4 + (len(g.OutputPerm)+7)/8 + 4 + len(garblerActive)*LabelSize
+// materialFlags is the scheme byte: free-XOR, four-row tables. The byte
+// stays on the wire so the frame keeps its length; any other value is
+// rejected.
+const materialFlags = 0x01
+
+func encodeMaterial(g *Garbled, garblerActive []Label) []byte {
+	size := 1 + 4 + len(g.Tables)*4*LabelSize + 4 + (len(g.OutputPerm)+7)/8 + 4 + len(garblerActive)*LabelSize
 	buf := make([]byte, 0, size)
-	var flags byte
-	if freeXOR {
-		flags |= 1
-	}
-	if g.GRR3 {
-		flags |= 2
-	}
-	buf = append(buf, flags)
+	buf = append(buf, materialFlags)
 	var u32 [4]byte
 	binary.BigEndian.PutUint32(u32[:], uint32(len(g.Tables)))
 	buf = append(buf, u32[:]...)
@@ -171,20 +157,18 @@ func encodeMaterial(g *Garbled, garblerActive []Label, freeXOR bool) []byte {
 	return buf
 }
 
-func decodeMaterial(raw []byte, circ *Circuit) (*Garbled, []Label, bool, error) {
-	fail := func(msg string) (*Garbled, []Label, bool, error) {
-		return nil, nil, false, errors.New("gc: bad material: " + msg)
+func decodeMaterial(raw []byte, circ *Circuit) (*Garbled, []Label, error) {
+	fail := func(msg string) (*Garbled, []Label, error) {
+		return nil, nil, errors.New("gc: bad material: " + msg)
 	}
 	if len(raw) < 1 {
 		return fail("empty")
 	}
-	freeXOR := raw[0]&1 != 0
-	grr3 := raw[0]&2 != 0
-	raw = raw[1:]
-	rows := 4
-	if grr3 {
-		rows = 3
+	if raw[0] != materialFlags {
+		return fail(fmt.Sprintf("scheme flags %#04x, want %#04x", raw[0], materialFlags))
 	}
+	raw = raw[1:]
+	const rows = 4
 
 	if len(raw) < 4 {
 		return fail("truncated table count")
@@ -194,7 +178,7 @@ func decodeMaterial(raw []byte, circ *Circuit) (*Garbled, []Label, bool, error) 
 	if nTables < 0 || len(raw) < nTables*rows*LabelSize {
 		return fail("truncated tables")
 	}
-	g := &Garbled{Tables: make([][]Label, nTables), GRR3: grr3}
+	g := &Garbled{Tables: make([][]Label, nTables)}
 	for i := 0; i < nTables; i++ {
 		g.Tables[i] = make([]Label, rows)
 		for r := 0; r < rows; r++ {
@@ -240,15 +224,10 @@ func decodeMaterial(raw []byte, circ *Circuit) (*Garbled, []Label, bool, error) 
 		raw = raw[LabelSize:]
 	}
 
-	// Cross-check table count against the circuit and flag.
-	want := circ.NonFreeGates()
-	if !freeXOR {
-		want = len(circ.Gates)
-	}
-	if nTables != want {
+	if nTables != circ.NonFreeGates() {
 		return fail("table count mismatch with circuit")
 	}
-	return g, labels, freeXOR, nil
+	return g, labels, nil
 }
 
 // packBits packs booleans LSB-first.

@@ -101,9 +101,6 @@ type Config struct {
 	// PreEncrypt precomputes Paillier blinding factors in idle time
 	// (default true, matching the paper's deployment).
 	PreEncrypt *bool
-	// GRR3 enables garbled row reduction in the secure comparator,
-	// shrinking its tables by 25% on the wire.
-	GRR3 bool
 	// Seed makes the run deterministic (tests/benchmarks only).
 	Seed *int64
 	// RecordLedger appends every window's trades to a hash-chained ledger
@@ -215,7 +212,6 @@ func (cfg Config) coreConfig() core.Config {
 	return core.Config{
 		KeyBits:            cfg.KeyBits,
 		Params:             cfg.Params,
-		GRR3:               cfg.GRR3,
 		PreEncrypt:         cfg.PreEncrypt == nil || *cfg.PreEncrypt,
 		Seed:               cfg.Seed,
 		MaxInflightWindows: cfg.MaxInflightWindows,
