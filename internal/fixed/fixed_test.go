@@ -3,6 +3,7 @@ package fixed
 import (
 	"math"
 	"math/big"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -184,6 +185,62 @@ func TestRecipRoundTripProperty(t *testing.T) {
 		return relErr < 1e-3
 	}, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMaskedProductsRevealTotalByGCD documents a leak beyond Lemma 4
+// (DESIGN.md §8): Hs decrypts the exact integers y_j = E_b·k_j, k_j =
+// round(RecipScale/|sn_j|), so gcd(y_1, …, y_d) = E_b·gcd(k_1, …, k_d) — E_b
+// itself whenever the k_j are coprime, which d random integers are with
+// probability 1/ζ(d): ≈ 61 % at d = 2, ≈ 99.6 % at d = 8. E_b then gives
+// every k_j = y_j/E_b and with it |sn_j| to within |sn_j|²/RecipScale
+// micro-units — the micro-kWh itself for shares up to 1 kWh — where the
+// lemma grants Hs only the ratios |sn_j|/E_b. Both backends decrypt the same
+// y_j, so both leak; this test pins the arithmetic, not a protocol run.
+func TestMaskedProductsRevealTotalByGCD(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2020, 425))
+	for _, tc := range []struct {
+		d    int
+		want float64 // least share of coalitions whose total the gcd gives away
+	}{{2, 0.55}, {8, 0.98}} {
+		const trials = 1000
+		exposed := 0
+		for trial := 0; trial < trials; trial++ {
+			sn := make([]Value, tc.d)
+			eb := new(big.Int)
+			for j := range sn {
+				sn[j] = Value(50_000 + rng.Int64N(5_000_000)) // 0.05–5 kWh
+				eb.Add(eb, sn[j].Big())
+			}
+			ys := make([]*big.Int, tc.d)
+			g := new(big.Int)
+			for j := range sn {
+				k, err := ReciprocalExponent(sn[j])
+				if err != nil {
+					t.Fatal(err)
+				}
+				ys[j] = new(big.Int).Mul(eb, k)
+				g.GCD(nil, nil, g, ys[j])
+			}
+			if new(big.Int).Mod(g, eb).Sign() != 0 {
+				t.Fatalf("gcd %v of the masked products is not a multiple of E_b = %v", g, eb)
+			}
+			if g.Cmp(eb) != 0 {
+				continue
+			}
+			exposed++
+			for j, y := range ys {
+				k := new(big.Int).Quo(y, g).Int64()
+				guess := Value(RecipScale / k)
+				if tol := sn[j]*sn[j]/RecipScale + 1; (guess - sn[j]).Abs() > tol {
+					t.Fatalf("d=%d: recovered |sn_j| = %d from k_j = %d, share is %d (tolerance %d)", tc.d, guess, k, sn[j], tol)
+				}
+			}
+		}
+		t.Logf("d=%d: the gcd is E_b in %d of %d coalitions", tc.d, exposed, trials)
+		if rate := float64(exposed) / trials; rate < tc.want {
+			t.Errorf("d=%d: gcd gave away E_b in %.1f %% of coalitions, want ≥ %.0f %%", tc.d, 100*rate, 100*tc.want)
+		}
 	}
 }
 

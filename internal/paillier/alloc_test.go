@@ -46,6 +46,30 @@ func TestScalarMulFastPathAllocBudget(t *testing.T) {
 	}
 }
 
+// TestScalarMulWordAllocBudget pins the ladder at the word-size scalars
+// Protocol 4's reciprocals are: the result (ciphertext, integer, words) and nothing per
+// bit — every product and reduction works in arena storage.
+func TestScalarMulWordAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops arenas at random under the race detector")
+	}
+	key := testKey(t)
+	ct, err := key.EncryptInt64(testRand(37), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []*big.Int{big.NewInt(976562500), new(big.Int).SetUint64(1<<64 - 1)} {
+		avg := testing.AllocsPerRun(100, func() {
+			if _, err := key.ScalarMul(ct, k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > 3 {
+			t.Errorf("ScalarMul(k=%v): %.1f allocs/op, budget 3", k, avg)
+		}
+	}
+}
+
 // TestBlindingFactorAllocBudget pins the refill path: a factor costs its
 // result (the integer and its words) and the exponent buffer, whatever the
 // key size — every temporary of the table walk is arena storage.

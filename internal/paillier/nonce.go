@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
+	"math/bits"
 	"sync"
 )
 
@@ -31,9 +32,11 @@ const (
 )
 
 // nonceTable is a key's comb table, built by the first BlindingFactor, and
-// next to it the key's stock of ready factors (see NoncePool).
+// next to it the key's stock of ready factors (see NoncePool) and the
+// reducer every product mod n² under the key goes through.
 type nonceTable struct {
 	pool NoncePool
+	red  barrett
 	once sync.Once
 	// xLen is the exponent length in bytes; with combRows = 8 it is also
 	// the block width a in bits.
@@ -61,20 +64,47 @@ func nonceBase(n *big.Int) *big.Int {
 	return h.Mod(h, n)
 }
 
-// mulMod sets r = x·y mod m with every temporary in t and q; r may alias x
+// barrett reduces modulo m without long division (HAC 14.42). With b =
+// 2^W, k the word length of m and μ = ⌊b^(2k)/m⌋, for 0 ≤ t < b^(2k) the
+// estimate q = ⌊⌊t/b^(k−1)⌋·μ/b^(k+1)⌋ falls at most 2 short of ⌊t/m⌋: two
+// multiplications, two shifts and at most two subtractions, where QuoRem
+// normalizes both operands and divides word by word.
+type barrett struct {
+	m, mu *big.Int
+	k     uint
+}
+
+func newBarrett(m *big.Int) barrett {
+	k := uint(len(m.Bits()))
+	mu := new(big.Int).Lsh(one, 2*k*bits.UintSize)
+	return barrett{m: m, mu: mu.Quo(mu, m), k: k}
+}
+
+// mulMod sets r = x·y mod m with every temporary in q and t; r may alias x
 // or y.
-func mulMod(r, q, t, x, y, m *big.Int) {
+func (b *barrett) mulMod(r, q, t, x, y *big.Int) {
 	t.Mul(x, y)
-	q.QuoRem(t, m, r)
+	if t.Sign() < 0 || uint(len(t.Bits())) > 2*b.k { // outside Barrett's range
+		r.Mod(t, b.m)
+		return
+	}
+	q.Rsh(t, (b.k-1)*bits.UintSize)
+	r.Mul(q, b.mu)
+	q.Rsh(r, (b.k+1)*bits.UintSize)
+	r.Mul(q, b.m)
+	r.Sub(t, r)
+	for r.Cmp(b.m) >= 0 {
+		r.Sub(r, b.m)
+	}
 }
 
 // holder returns the one nonceTable hanging off pk, installing an unbuilt,
-// empty one first. It hangs off the key through a pointer so that keys stay
-// copyable and table and stock die with their key.
+// empty one (but its reducer) first. It hangs off the key through a pointer
+// so that keys stay copyable and table and stock die with their key.
 func (pk *PublicKey) holder() *nonceTable {
 	t, _ := pk.table.Load().(*nonceTable)
 	if t == nil {
-		pk.table.CompareAndSwap(nil, &nonceTable{pool: NoncePool{pk: pk}})
+		pk.table.CompareAndSwap(nil, &nonceTable{pool: NoncePool{pk: pk}, red: newBarrett(pk.N2)})
 		t = pk.table.Load().(*nonceTable)
 	}
 	return t
@@ -91,6 +121,13 @@ func (pk *PublicKey) nonces() *nonceTable {
 // Pool returns the key's one stock of blinding factors. Asking builds and
 // computes nothing; the first Take does.
 func (pk *PublicKey) Pool() *NoncePool { return &pk.holder().pool }
+
+// mulMod returns x·y mod n² in an integer of s.
+func (pk *PublicKey) mulMod(s *Scratch, x, y *big.Int) *big.Int {
+	r := s.Int()
+	pk.holder().red.mulMod(r, s.Int(), s.Int(), x, y)
+	return r
+}
 
 func (t *nonceTable) build(n, n2 *big.Int) {
 	s := GetScratch()
@@ -113,7 +150,7 @@ func (t *nonceTable) build(n, n2 *big.Int) {
 		for j, step := range [combCols]int{b, a - b} {
 			set(j<<combRows|1<<i, pow)
 			for ; step > 0; step-- {
-				mulMod(pow, q, prod, pow, pow, n2)
+				t.red.mulMod(pow, q, prod, pow, pow)
 			}
 		}
 	}
@@ -122,7 +159,7 @@ func (t *nonceTable) build(n, n2 *big.Int) {
 		row := t.entries[j<<combRows : (j+1)<<combRows]
 		for u := 3; u < len(row); u++ {
 			if low := u & -u; low != u {
-				mulMod(pow, q, prod, &row[u^low], &row[low], n2)
+				t.red.mulMod(pow, q, prod, &row[u^low], &row[low])
 				set(j<<combRows|u, pow)
 			}
 		}
@@ -130,14 +167,14 @@ func (t *nonceTable) build(n, n2 *big.Int) {
 }
 
 // exp computes h_s^x mod n² for the big-endian exponent x of t.xLen bytes.
-func (t *nonceTable) exp(x []byte, n2 *big.Int) *big.Int {
+func (t *nonceTable) exp(x []byte) *big.Int {
 	s := GetScratch()
 	defer s.Put()
 	q, prod, acc := s.Int(), s.Int(), s.Int().SetUint64(1)
 
 	a, b := t.xLen, (t.xLen+1)/2
 	for k := b - 1; k >= 0; k-- {
-		mulMod(acc, q, prod, acc, acc, n2)
+		t.red.mulMod(acc, q, prod, acc, acc)
 		for j := 0; j < combCols && j*b+k < a; j++ {
 			u := 0
 			for i := combRows - 1; i >= 0; i-- {
@@ -145,7 +182,7 @@ func (t *nonceTable) exp(x []byte, n2 *big.Int) *big.Int {
 				u = u<<1 | int(x[len(x)-1-bit>>3]>>(bit&7)&1)
 			}
 			if u != 0 {
-				mulMod(acc, q, prod, acc, &t.entries[j<<combRows|u], n2)
+				t.red.mulMod(acc, q, prod, acc, &t.entries[j<<combRows|u])
 			}
 		}
 	}

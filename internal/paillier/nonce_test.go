@@ -344,7 +344,7 @@ func BenchmarkNonceTableBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				new(nonceTable).build(key.N, key.N2)
+				(&nonceTable{red: newBarrett(key.N2)}).build(key.N, key.N2)
 			}
 		})
 	}

@@ -31,7 +31,7 @@ func (sk *PrivateKey) DecryptTextbook(c *Ciphertext) (*big.Int, error) {
 		return nil, err
 	}
 	x := new(big.Int).Exp(c.C, sk.lambda, sk.N2)
-	m := lFunc(x, sk.N)
+	m := new(big.Int).Div(x.Sub(x, one), sk.N) // L(x) = (x−1)/n
 	m.Mul(m, sk.mu)
 	m.Mod(m, sk.N)
 	return sk.DecodeSigned(m), nil

@@ -13,8 +13,10 @@ import (
 // BlindingFactor), so that encryptions on the protocol's critical path
 // reduce to two modular multiplications. This implements the paper's
 // observation (Section VII-B) that "encryption and decryption are
-// independently executed in parallel during idle time", which is why
-// runtime in Fig. 5(b) is insensitive to the key size.
+// independently executed in parallel during idle time". The paper credits
+// it with Fig. 5(b)'s key-size insensitivity; here it hides encryption
+// only, and runtime still grows with the key (docs/BENCHMARKS.md,
+// departure 1).
 //
 // There is exactly one pool per key: it hangs off the PublicKey next to the
 // comb table (see PublicKey.Pool), is shared by everyone who encrypts under

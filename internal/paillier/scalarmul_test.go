@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestScalarMulMatchesExp checks the general path bit for bit against the
+// TestScalarMulMatchesExp checks the Barrett ladder bit for bit against the
 // definition E(a)^k mod n²: scalars of every size class Protocol 4 produces
-// and beyond, both signs (a negative scalar exponentiates the inverse).
+// and beyond, both signs (a negative scalar exponentiates the inverse), and
+// its edges — the shortest scalars, word boundaries and multi-word scalars.
 func TestScalarMulMatchesExp(t *testing.T) {
 	key := testKey(t)
 	rng := testRand(11)
@@ -17,19 +18,23 @@ func TestScalarMulMatchesExp(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := new(big.Int).ModInverse(c.C, key.N2)
+	scalars := []*big.Int{big.NewInt(2), big.NewInt(3), big.NewInt(1 << 32), big.NewInt(1<<40 - 1),
+		new(big.Int).SetUint64(1 << 63), new(big.Int).SetUint64(1<<64 - 1), new(big.Int).Lsh(one, 64)}
 	for _, bits := range []int{1, 2, 3, 4, 5, 8, 15, 16, 17, 31, 47, 48, 49, 63, 64, 65, 128} {
 		for i := 0; i < 10; i++ {
-			k := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
-			for _, base := range []*big.Int{c.C, inv} {
-				got, err := key.ScalarMul(c, k)
-				if err != nil {
-					t.Fatalf("ScalarMul(%v): %v", k, err)
-				}
-				if want := new(big.Int).Exp(base, new(big.Int).Abs(k), key.N2); got.C.Cmp(want) != 0 {
-					t.Fatalf("ScalarMul(%v) = %v, want %v", k, got.C, want)
-				}
-				k.Neg(k)
+			scalars = append(scalars, new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits))))
+		}
+	}
+	for _, k := range scalars {
+		for _, base := range []*big.Int{c.C, inv} {
+			got, err := key.ScalarMul(c, k)
+			if err != nil {
+				t.Fatalf("ScalarMul(%v): %v", k, err)
 			}
+			if want := new(big.Int).Exp(base, new(big.Int).Abs(k), key.N2); got.C.Cmp(want) != 0 {
+				t.Fatalf("ScalarMul(%v) = %v, want %v", k, got.C, want)
+			}
+			k.Neg(k)
 		}
 	}
 }
