@@ -173,12 +173,11 @@ func runPrivate(tr *pem.Trace, keyBits int, seed int64, storePath string) error 
 		fmt.Printf("  protocol traffic: %.2f MB total, %.3f MB/window\n",
 			float64(bytesTotal)/1e6, float64(bytesTotal)/float64(windows)/1e6)
 	}
-	if l := m.Ledger(); l != nil && l.Len() > 0 {
-		if err := l.Verify(); err != nil {
-			return fmt.Errorf("ledger verification: %w", err)
-		}
-		fmt.Printf("  ledger: %d blocks, chain verified, head %s\n", l.Len(), headHash(l))
+	l := m.Ledger()
+	if err := l.Verify(); err != nil {
+		return fmt.Errorf("ledger verification: %w", err)
 	}
+	fmt.Printf("  ledger: %d blocks, chain verified, head %s\n", l.Len(), headHash(l))
 	if wal != nil {
 		if err := wal.Sync(); err != nil {
 			return err

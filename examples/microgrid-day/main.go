@@ -86,14 +86,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// RunWindows numbers windows by slice index, which would not match the
-	// trace windows being spot-checked — skip the ledger so no mismatched
-	// window numbers are committed.
-	noLedger := false
+	// RunWindows numbers windows by slice index, so the market's ledger
+	// records the spot-checks as windows 0–2; nothing below reads it.
 	m, err := pem.NewMarket(pem.Config{
 		KeyBits:            512,
 		MaxInflightWindows: 3,
-		RecordLedger:       &noLedger,
 	}, sub.Agents())
 	if err != nil {
 		log.Fatal(err)

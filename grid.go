@@ -79,14 +79,16 @@ var ErrCoalitionSkipped = grid.ErrCoalitionSkipped
 type GridConfig struct {
 	// Market is the per-coalition market configuration: every coalition
 	// runs a full private market under it (key size, pipeline depth,
-	// crypto workers, aggregation topology, network emulation, seed). The
-	// crypto worker pool is shared across coalitions, so CryptoWorkers
-	// bounds the whole process. RecordLedger is ignored: each completed
-	// coalition-day instead carries its own tamper-evident chain in
-	// CoalitionRun.Ledger, committed on the settlement path.
+	// aggregation topology, network emulation, seed). One crypto worker
+	// pool of runtime.NumCPU() workers is shared across coalitions, so it
+	// bounds the whole process. Each completed coalition-day carries its
+	// own tamper-evident chain in CoalitionRun.Ledger, committed on the
+	// settlement path.
 	Market Config
 	// Coalitions is how many coalitions to partition the fleet into
-	// (required; every coalition needs at least two agents).
+	// (required; the partition gives each at least two agents, so at most
+	// half the fleet). A coalition below MinCoalition — 3 by default — is
+	// folded into grid settlement instead of running a private market.
 	Coalitions int
 	// Partition selects the strategy: PartitionFixed (default),
 	// PartitionRandom or PartitionBalanced.

@@ -43,7 +43,7 @@ func (*paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked 
 
 	switch r.ID() {
 	case ros.hr1:
-		res, err := gc.SecureCompareGarbler(ctx, r.conn, ros.hr2, session, masked, r.cfg.CompareBits, opts)
+		res, err := gc.SecureCompareGarbler(ctx, r.conn, ros.hr2, session, masked, compareBits, opts)
 		if err != nil {
 			return 0, fmt.Errorf("secure comparison: %w", err)
 		}
@@ -63,7 +63,7 @@ func (*paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked 
 		return kind, nil
 
 	case ros.hr2:
-		res, err := gc.SecureCompareEvaluator(ctx, r.conn, ros.hr1, session, masked, r.cfg.CompareBits, opts)
+		res, err := gc.SecureCompareEvaluator(ctx, r.conn, ros.hr1, session, masked, compareBits, opts)
 		if err != nil {
 			return 0, fmt.Errorf("secure comparison: %w", err)
 		}

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand/v2"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -53,10 +52,6 @@ type Config struct {
 	KeyBits int
 	// Params are the public market prices and bounds.
 	Params market.Params
-	// CompareBits is the width of the Rb/Rs comparator (default 64).
-	CompareBits int
-	// NonceBits is the masking-nonce width of Protocol 2 (default 40).
-	NonceBits int
 	// PreEncrypt enables background pre-computation of Paillier blinding
 	// factors (the paper's idle-time encryption): it takes encryption off
 	// the critical path, not decryption or scalar multiplication.
@@ -67,12 +62,6 @@ type Config struct {
 	// window-namespaced message tags, so raising this pipelines the day
 	// without any cross-window interference.
 	MaxInflightWindows int
-	// CryptoWorkers sizes the shared worker pool for intra-window parallel
-	// crypto: Hs's packed decryptions of the Protocol 4 masked ciphertexts
-	// run across it (default runtime.NumCPU()). The pool is shared by all
-	// parties and all in-flight windows, capping the process's total crypto
-	// parallelism. Outcomes are bit-identical at any worker count.
-	CryptoWorkers int
 	// CryptoBackend selects the window crypto layer: "paillier" (default;
 	// the paper's construction — every phase on homomorphic encryption plus
 	// the garbled-circuit comparison) or "hybrid" (every sum of Protocols
@@ -89,21 +78,6 @@ type Config struct {
 	// (log-depth binary reduction — each partial sum stays encrypted under
 	// the sink's key, so the leakage profile is unchanged).
 	Aggregation string
-	// Namespace scopes every window tag this engine emits under an extra
-	// transport namespace (see transport.ScopedWindowTag). Empty for solo
-	// engines; a coalition grid gives each engine a distinct namespace so
-	// concurrent coalitions sharing one bus can reuse window numbers
-	// without cross-talk and keep disjoint byte accounting.
-	Namespace string
-	// CompactWindowMetrics folds each window's per-window transport
-	// counters (bytes, messages, virtual latency, rounds) back into their
-	// scope aggregates as soon as the window's WindowResult has captured
-	// them, keeping the shared metrics sink O(windows in flight) instead of
-	// O(windows run). Solo engines leave it off so per-window queries
-	// (Metrics().WindowBytes et al.) keep working after a run; the grid
-	// supervisor turns it on for coalition engines, whose per-window figures
-	// live on in their WindowResults.
-	CompactWindowMetrics bool
 	// Network selects a network-emulation topology preset (see
 	// netem.Presets: "lan", "metro", "wan", "cellular", "lossy"). When set,
 	// every endpoint is wrapped in the deterministic emulation layer: all
@@ -122,20 +96,11 @@ func (c Config) withDefaults() Config {
 	if c.KeyBits == 0 {
 		c.KeyBits = 1024
 	}
-	if c.CompareBits == 0 {
-		c.CompareBits = 64
-	}
-	if c.NonceBits == 0 {
-		c.NonceBits = 40
-	}
 	if c.Params == (market.Params{}) {
 		c.Params = market.DefaultParams()
 	}
 	if c.MaxInflightWindows == 0 {
 		c.MaxInflightWindows = 1
-	}
-	if c.CryptoWorkers == 0 {
-		c.CryptoWorkers = runtime.NumCPU()
 	}
 	if c.Aggregation == "" {
 		c.Aggregation = AggregationRing
@@ -157,23 +122,14 @@ func (c Config) Validate() error {
 	if floor := 2*paillier.SlotBits + 8; c.KeyBits < floor {
 		return fmt.Errorf("core: key size %d too small: Protocol 3's packed pair and Protocol 4's masked products need two %d-bit plaintext slots (min %d)", c.KeyBits, paillier.SlotBits, floor)
 	}
-	if c.CompareBits < c.NonceBits+10 || c.CompareBits > 128 {
-		return fmt.Errorf("core: comparator width %d incompatible with %d-bit nonces", c.CompareBits, c.NonceBits)
-	}
 	if c.MaxInflightWindows < 0 {
 		return fmt.Errorf("core: negative MaxInflightWindows %d", c.MaxInflightWindows)
-	}
-	if c.CryptoWorkers < 0 {
-		return fmt.Errorf("core: negative CryptoWorkers %d", c.CryptoWorkers)
 	}
 	if c.Aggregation != AggregationRing && c.Aggregation != AggregationTree {
 		return fmt.Errorf("core: unknown aggregation topology %q", c.Aggregation)
 	}
 	if c.CryptoBackend != BackendPaillier && c.CryptoBackend != BackendHybrid {
 		return fmt.Errorf("core: unknown crypto backend %q (have %q, %q)", c.CryptoBackend, BackendPaillier, BackendHybrid)
-	}
-	if c.Namespace != "" && !transport.ValidScope(c.Namespace) {
-		return fmt.Errorf("core: invalid namespace %q (letters, digits, '.', '_', '-'; not a w<n> window prefix)", c.Namespace)
 	}
 	if c.Network != "" && !netem.ValidPreset(c.Network) {
 		return fmt.Errorf("core: unknown network topology %q (have %v)", c.Network, netem.Presets())
@@ -199,6 +155,7 @@ func (c Config) Validate() error {
 // shared and solo lifecycles go through the same code path.
 type Engine struct {
 	cfg     Config
+	scope   string // Resources.Scope
 	bus     *transport.Bus
 	network *netem.Network // nil unless Config.Network selects a topology
 	workers *paillier.Workers
@@ -215,18 +172,27 @@ type Engine struct {
 var ErrEngineClosed = errors.New("core: engine closed")
 
 // Resources are the shared infrastructure an engine can borrow instead of
-// provisioning its own. Zero-value fields mean "own it": a nil Bus gives
-// the engine a private in-memory bus, a nil Workers a private crypto pool,
-// a nil Keys a private key ring.
+// provisioning its own. A nil resource means "own it": a nil Bus gives
+// the engine a private in-memory bus, a nil Workers a private crypto pool
+// of runtime.NumCPU() workers, a nil Keys a private key ring.
 type Resources struct {
 	// Bus is the transport connecting this engine's parties. When shared by
-	// several engines, each engine must have a distinct Config.Namespace
-	// (enforced implicitly by party registration: rosters must be disjoint)
-	// and registers only its own parties.
+	// several engines, each engine must have a distinct Scope (rosters must
+	// be disjoint too: party registration enforces it) and registers only
+	// its own parties.
 	Bus *transport.Bus
-	// Workers is the bounded batch-crypto pool. The engine retains its own
-	// reference and releases it on Close, so a caller sharing one pool
-	// across engines keeps its reference alive independently.
+	// Scope namespaces every window tag the engine emits on Bus (see
+	// transport.ScopedWindowTag). Empty for an engine alone on its bus; a
+	// coalition grid gives each coalition's engine its own, so concurrent
+	// coalitions can reuse window numbers without cross-talk and keep
+	// disjoint byte accounting.
+	Scope string
+	// Workers is the bounded batch-crypto pool: Hs's packed decryptions of
+	// the Protocol 4 masked ciphertexts, key generation and blinding-factor
+	// refill run across it. The engine retains its own reference and
+	// releases it on Close, so a caller sharing one pool across engines
+	// keeps its reference alive independently. Outcomes are bit-identical
+	// at any pool size.
 	Workers *paillier.Workers
 	// Keys is the ring the engine's parties get their key pairs from: a home
 	// the ring already holds keeps its pair, the rest are generated into it.
@@ -248,6 +214,9 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if res.Scope != "" && !transport.ValidScope(res.Scope) {
+		return nil, fmt.Errorf("core: invalid scope %q (letters, digits, '.', '_', '-'; not a w<n> window prefix)", res.Scope)
+	}
 	if len(agents) < 2 {
 		return nil, errors.New("core: need at least two agents")
 	}
@@ -268,6 +237,7 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 	}
 	e := &Engine{
 		cfg:    cfg,
+		scope:  res.Scope,
 		bus:    bus,
 		agents: append([]market.Agent(nil), agents...),
 	}
@@ -275,8 +245,8 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 	// Network emulation: every endpoint of this engine is wrapped in the
 	// virtual-clock layer. The network is engine-owned even over a shared
 	// bus — its state is keyed by this engine's tag scope, so sibling
-	// coalitions never interact — and it records virtual latency and round
-	// counts into the bus's metrics sink next to the byte accounting.
+	// coalitions never interact — and each window's virtual latency and
+	// round count are read from it into the window's result.
 	if cfg.Network != "" {
 		topo, err := netem.Preset(cfg.Network)
 		if err != nil {
@@ -286,7 +256,7 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 		if cfg.Seed != nil {
 			netSeed = *cfg.Seed
 		}
-		e.network, err = netem.New(topo, netSeed, bus.Metrics())
+		e.network, err = netem.New(topo, netSeed)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -302,7 +272,7 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 	if res.Workers != nil {
 		e.workers = res.Workers.Retain()
 	} else {
-		e.workers = paillier.NewWorkers(cfg.CryptoWorkers)
+		e.workers = paillier.NewWorkers(0)
 	}
 
 	e.refill = paillier.NewRefill(e.workers, partyRandom(cfg, "", "pool"))
@@ -358,7 +328,7 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 		if e.network != nil {
 			conn = e.network.Wrap(conn)
 		}
-		e.parties[i] = newParty(cfg, a, conn, keys[i], dir, e.workers, e.refill, seeds[a.ID])
+		e.parties[i] = newParty(cfg, e.scope, a, conn, keys[i], dir, e.workers, e.refill, seeds[a.ID])
 	}
 	return e, nil
 }
@@ -449,7 +419,8 @@ func releasePRNG(r io.Reader) {
 	}
 }
 
-// Metrics exposes the transport byte counters (Table I).
+// Metrics exposes the transport byte counters (Table I): the bus's totals,
+// and the counters of the windows in flight.
 func (e *Engine) Metrics() *transport.Metrics { return e.bus.Metrics() }
 
 // PoolStats sums the health counters of the fleet's blinding-factor pools,
@@ -574,21 +545,16 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 	if len(inputs) != len(e.parties) {
 		return nil, fmt.Errorf("core: %d inputs for %d parties", len(inputs), len(e.parties))
 	}
-	startBytes := e.bus.Metrics().ScopedWindowBytes(e.cfg.Namespace, window)
-	startMsgs := e.bus.Metrics().ScopedWindowMessages(e.cfg.Namespace, window)
 	start := time.Now()
-	if e.cfg.CompactWindowMetrics {
-		// Fold the window's per-window transport counters into their scope
-		// aggregates once the WindowResult below has captured them (the
-		// deferred fold fires after the reads), failed windows included:
-		// the shared sink stays bounded by the windows in flight.
-		defer e.bus.Metrics().FoldWindow(e.cfg.Namespace, window)
-	}
+	// Drop the window's transport counters and virtual-clock state once it
+	// completes (the WindowResult below reads them before the deferred
+	// releases fire), failed windows included: the shared sink and the
+	// emulated network stay bounded by the windows in flight, and the
+	// result is the one record of the window's traffic.
+	m := e.bus.Metrics()
+	defer m.FoldWindow(e.scope, window)
 	if e.network != nil {
-		// Drop the window's virtual-clock state once it completes (stats are
-		// read before the deferred release fires), failed windows included:
-		// netem memory stays bounded by the windows in flight.
-		defer e.network.ReleaseWindow(e.cfg.Namespace, window)
+		defer e.network.ReleaseWindow(e.scope, window)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -626,16 +592,11 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 	res := &WindowResult{
 		Window:      window,
 		Duration:    time.Since(start),
-		BytesOnWire: e.bus.Metrics().ScopedWindowBytes(e.cfg.Namespace, window) - startBytes,
-		Messages:    e.bus.Metrics().ScopedWindowMessages(e.cfg.Namespace, window) - startMsgs,
+		BytesOnWire: m.ScopedWindowBytes(e.scope, window),
+		Messages:    m.ScopedWindowMessages(e.scope, window),
 	}
 	if e.network != nil {
-		// Read the window's virtual maxima from the live lanes; the
-		// deferred release (above) then drops them, so the result reflects
-		// only this run even if a caller reuses the window number later.
-		// (The metrics sink keeps the recorded maxima for scope-level
-		// aggregation, with WindowBytes' re-run caveat.)
-		res.VirtualLatency, res.Rounds = e.network.WindowStats(e.cfg.Namespace, window)
+		res.VirtualLatency, res.Rounds = e.network.WindowStats(e.scope, window)
 	}
 	// All parties observed the same public outcome; adopt the first
 	// report and cross-check the rest.

@@ -38,7 +38,13 @@ func testAgents(n int) []market.Agent {
 
 func runOneWindow(t *testing.T, cfg Config, agents []market.Agent, inputs []market.WindowInput) *WindowResult {
 	t.Helper()
-	eng, err := NewEngine(cfg, agents)
+	return runOneWindowWith(t, cfg, Resources{}, agents, inputs)
+}
+
+// runOneWindowWith is runOneWindow over borrowed resources.
+func runOneWindowWith(t *testing.T, cfg Config, infra Resources, agents []market.Agent, inputs []market.WindowInput) *WindowResult {
+	t.Helper()
+	eng, err := NewEngineWith(cfg, agents, infra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +284,8 @@ func TestEngineValidation(t *testing.T) {
 			t.Errorf("%d-bit key: err = %v, want the two-slot floor", bits, err)
 		}
 	}
-	bad = testConfig(1)
-	bad.CompareBits = 32 // < NonceBits+10 with 40-bit nonces
-	if _, err := NewEngine(bad, testAgents(2)); err == nil {
-		t.Error("incompatible comparator width accepted")
+	if _, err := NewEngineWith(testConfig(1), testAgents(2), Resources{Scope: "w3"}); err == nil {
+		t.Error("window-shaped scope accepted")
 	}
 }
 

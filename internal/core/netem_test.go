@@ -7,6 +7,7 @@ import (
 
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/netem"
+	"github.com/pem-go/pem/internal/paillier"
 )
 
 // netemConfig is testConfig over an emulated topology.
@@ -54,12 +55,18 @@ func fingerprint(res *WindowResult) windowFingerprint {
 	}
 }
 
-// runEmulatedDay runs `windows` windows under the given config and returns
-// the per-window fingerprints.
-func runEmulatedDay(t *testing.T, cfg Config, nAgents, windows int) []windowFingerprint {
+// runEmulatedDay runs `windows` windows under the given config over a crypto
+// pool of `workers` (0: the engine's own) and returns the per-window
+// fingerprints.
+func runEmulatedDay(t *testing.T, cfg Config, workers, nAgents, windows int) []windowFingerprint {
 	t.Helper()
 	agents := testAgents(nAgents)
-	eng, err := NewEngine(cfg, agents)
+	var res Resources
+	if workers > 0 {
+		res.Workers = paillier.NewWorkers(workers)
+		defer res.Workers.Release()
+	}
+	eng, err := NewEngineWith(cfg, agents, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +95,7 @@ func runEmulatedDay(t *testing.T, cfg Config, nAgents, windows int) []windowFing
 func TestEmulatedRunBitIdenticalAcrossConcurrency(t *testing.T) {
 	base := netemConfig(42, netem.TopologyWAN)
 
-	sequential := runEmulatedDay(t, base, 6, 3)
+	sequential := runEmulatedDay(t, base, 0, 6, 3)
 	for _, w := range sequential {
 		if w.latency == 0 || w.rounds == 0 || w.messages == 0 {
 			t.Fatalf("emulated window missing virtual metrics: %+v", w)
@@ -97,8 +104,7 @@ func TestEmulatedRunBitIdenticalAcrossConcurrency(t *testing.T) {
 
 	piped := base
 	piped.MaxInflightWindows = 3
-	piped.CryptoWorkers = 4
-	pipelined := runEmulatedDay(t, piped, 6, 3)
+	pipelined := runEmulatedDay(t, piped, 4, 6, 3)
 
 	for w := range sequential {
 		if sequential[w] != pipelined[w] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/pem-go/pem/internal/market"
+	"github.com/pem-go/pem/internal/paillier"
 )
 
 // windowInputsMixed is a fleet input with populated coalitions on both
@@ -66,9 +67,9 @@ func TestWorkerCountBitIdentical(t *testing.T) {
 	inputs := windowInputsMixed(7)
 
 	run := func(workers int) *WindowResult {
-		cfg := testConfig(720)
-		cfg.CryptoWorkers = workers
-		return runOneWindow(t, cfg, agents, inputs)
+		pool := paillier.NewWorkers(workers)
+		defer pool.Release()
+		return runOneWindowWith(t, testConfig(720), Resources{Workers: pool}, agents, inputs)
 	}
 	base := run(1)
 	for _, workers := range []int{2, 4, 8} {
@@ -89,9 +90,9 @@ func TestWorkerCountBitIdentical(t *testing.T) {
 
 func TestConfigValidatesParallelKnobs(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.CryptoWorkers = -1
+	cfg.MaxInflightWindows = -1
 	if _, err := NewEngine(cfg, testAgents(2)); err == nil {
-		t.Error("negative CryptoWorkers accepted")
+		t.Error("negative MaxInflightWindows accepted")
 	}
 	cfg = testConfig(1)
 	cfg.Aggregation = "star"

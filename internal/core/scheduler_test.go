@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,6 +173,13 @@ func TestFailFastStopsLaunchingWindows(t *testing.T) {
 	fc := transport.NewFaultConn(partyConn(p))
 	fc.FailWindow(1)
 	p.ReplaceConn(fc)
+	// Every party's sends in window 3 are counted as they happen: the
+	// engine folds each window's transport counters once it ends, so the
+	// metrics sink cannot tell afterwards whether window 3 ever ran.
+	var w3Sends atomic.Int64
+	for _, p := range eng.Parties() {
+		p.ReplaceConn(windowSendSpy{Conn: partyConn(p), window: 3, sends: &w3Sends})
+	}
 
 	jobs := make([]WindowJob, 6)
 	for w := range jobs {
@@ -188,14 +196,70 @@ func TestFailFastStopsLaunchingWindows(t *testing.T) {
 		t.Error("window 0 missing")
 	}
 	// With depth 1, nothing past the failed window may have been launched.
-	startBytes := eng.Metrics().WindowBytes(3)
 	for w := 2; w < 6; w++ {
 		if results[w] != nil {
 			t.Errorf("window %d ran after fail-fast", w)
 		}
 	}
-	if startBytes != 0 {
-		t.Error("window 3 put traffic on the wire after fail-fast")
+	if n := w3Sends.Load(); n != 0 {
+		t.Errorf("window 3 put %d messages on the wire after fail-fast", n)
+	}
+}
+
+// windowSendSpy counts one window's sends through a party's transport.
+type windowSendSpy struct {
+	transport.Conn
+	window int
+	sends  *atomic.Int64
+}
+
+func (c windowSendSpy) Send(ctx context.Context, to, tag string, payload []byte) error {
+	if _, w, _, ok := transport.ParseScopedWindowTag(tag); ok && w == c.window {
+		c.sends.Add(1)
+	}
+	return c.Conn.Send(ctx, to, tag, payload)
+}
+
+// TestMetricsSinkEndsEmpty: a window's transport counters live only while
+// the window does. After a seeded day with one window failed mid-flight,
+// the sink holds no window's counters, and every completed window's traffic
+// is in its WindowResult and the totals.
+func TestMetricsSinkEndsEmpty(t *testing.T) {
+	tr, err := dataset.Generate(dataset.Config{Homes: 4, Windows: 6, Seed: 21, StartHour: 16.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(39)
+	cfg.MaxInflightWindows = 2
+	eng, err := NewEngine(cfg, tr.Agents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	p := eng.Parties()[1]
+	fc := transport.NewFaultConn(partyConn(p))
+	fc.FailWindow(3)
+	p.ReplaceConn(fc)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	results, err := eng.RunWindows(ctx, traceJobs(t, tr))
+	var werr *WindowError
+	if !errors.As(err, &werr) || werr.Window != 3 {
+		t.Fatalf("error does not identify window 3: %v", err)
+	}
+	m := eng.Metrics()
+	if n := m.LiveWindows(); n != 0 {
+		t.Errorf("%d window counters left in the sink after the day", n)
+	}
+	var sum int64
+	for _, res := range results {
+		if res != nil {
+			sum += res.BytesOnWire
+		}
+	}
+	if sum == 0 || sum > m.TotalBytes() {
+		t.Errorf("completed windows carry %d bytes, bus total %d", sum, m.TotalBytes())
 	}
 }
 
@@ -229,7 +293,7 @@ func TestCloseDrainsInflightWindows(t *testing.T) {
 	}()
 
 	// Wait until the window is demonstrably in flight, then close.
-	for eng.Metrics().WindowBytes(0) == 0 {
+	for eng.Metrics().ScopedWindowBytes("", 0) == 0 {
 		select {
 		case out := <-resCh:
 			t.Fatalf("window finished before close raced it: %v", out.err)

@@ -28,6 +28,9 @@ import (
 type Party struct {
 	agent market.Agent
 	cfg   Config
+	// scope namespaces the party's window tags (Resources.Scope; empty for
+	// standalone parties).
+	scope string
 
 	conn transport.Conn
 	key  *paillier.PrivateKey
@@ -44,7 +47,7 @@ type Party struct {
 	// per-window state instead of reallocating it each window.
 	runFree sync.Pool
 
-	// workers is the shared batch-crypto pool (see Config.CryptoWorkers).
+	// workers is the shared batch-crypto pool (see Resources.Workers).
 	// Engine parties share one pool fleet-wide; standalone parties own
 	// theirs.
 	workers *paillier.Workers
@@ -65,7 +68,7 @@ type Party struct {
 
 // newParty assembles a session from provisioned key material. cfg must have
 // passed Validate, so the backend lookup cannot fail.
-func newParty(cfg Config, agent market.Agent, conn transport.Conn, key *paillier.PrivateKey, dir map[string]*paillier.PublicKey, workers *paillier.Workers, refill *paillier.Refill, maskSeeds map[string][]byte) *Party {
+func newParty(cfg Config, scope string, agent market.Agent, conn transport.Conn, key *paillier.PrivateKey, dir map[string]*paillier.PublicKey, workers *paillier.Workers, refill *paillier.Refill, maskSeeds map[string][]byte) *Party {
 	backend, err := newBackend(cfg.CryptoBackend)
 	if err != nil {
 		panic(err) // unreachable: Validate gates CryptoBackend
@@ -73,6 +76,7 @@ func newParty(cfg Config, agent market.Agent, conn transport.Conn, key *paillier
 	return &Party{
 		agent:     agent,
 		cfg:       cfg,
+		scope:     scope,
 		conn:      conn,
 		key:       key,
 		dir:       dir,

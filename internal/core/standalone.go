@@ -48,9 +48,9 @@ func NewStandaloneParty(cfg Config, agent market.Agent, conn transport.Conn) (*P
 		return nil, fmt.Errorf("core: keygen: %w", err)
 	}
 	dir := map[string]*paillier.PublicKey{agent.ID: &key.PublicKey}
-	workers := paillier.NewWorkers(cfg.CryptoWorkers)
+	workers := paillier.NewWorkers(0)
 	refill := paillier.NewRefill(workers, partyRandom(cfg, agent.ID, "pool"))
-	return newParty(cfg, agent, conn, key, dir, workers, refill, nil), nil
+	return newParty(cfg, "", agent, conn, key, dir, workers, refill, nil), nil
 }
 
 // ExchangeKeys broadcasts this party's Paillier public key to every peer

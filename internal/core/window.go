@@ -166,7 +166,7 @@ func (p *Party) putRun(r *windowRun) {
 // for engines inside a coalition grid, under the engine's coalition
 // namespace on top of it.
 func (r *windowRun) tag(parts string) string {
-	return transport.ScopedWindowTag(r.cfg.Namespace, r.window, parts)
+	return transport.ScopedWindowTag(r.scope, r.window, parts)
 }
 
 // forkVirtual snapshots this window's virtual-time lane into the context —
@@ -180,7 +180,7 @@ func (r *windowRun) forkVirtual(ctx context.Context) context.Context {
 	for {
 		switch v := c.(type) {
 		case *netem.Conn:
-			return v.ForkLane(ctx, r.cfg.Namespace, r.window)
+			return v.ForkLane(ctx, r.scope, r.window)
 		case interface{ Inner() transport.Conn }:
 			c = v.Inner()
 		default:
@@ -255,13 +255,21 @@ func (p *Party) runWindow(ctx context.Context, window int, input market.WindowIn
 	return rep, nil
 }
 
-// drawNonce samples the Protocol 2 masking nonce in [0, 2^NonceBits).
+// Protocol 2's widths: each party's masking nonce r_i is drawn below
+// 2^nonceBits, and the garbled circuit compares the masked totals Rb and Rs
+// (uint64s) as compareBits-bit integers.
+const (
+	nonceBits   = 40
+	compareBits = 64
+)
+
+// drawNonce samples the Protocol 2 masking nonce in [0, 2^nonceBits).
 func (r *windowRun) drawNonce() (uint64, error) {
 	var buf [8]byte
 	if _, err := r.random.Read(buf[:]); err != nil {
 		return 0, fmt.Errorf("draw nonce: %w", err)
 	}
-	return binary.BigEndian.Uint64(buf[:]) >> (64 - uint(r.cfg.NonceBits)), nil
+	return binary.BigEndian.Uint64(buf[:]) >> (64 - nonceBits), nil
 }
 
 // announceRoles broadcasts this party's role and collects everyone else's,

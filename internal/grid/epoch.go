@@ -34,10 +34,10 @@ import (
 // LiveConfig configures a live (epoched) grid run.
 type LiveConfig struct {
 	// Grid carries the per-coalition engine configuration and the
-	// supervisor budgets, exactly as for a one-shot Run. Engine.Namespace
-	// is supervisor-managed; when Engine.Seed is set, key pairs derive from
-	// it per home (see core.KeyRing) and everything else — mask seeds,
-	// window randomness — from a per-epoch seed derived from it.
+	// supervisor budgets, exactly as for a one-shot Run. When Engine.Seed
+	// is set, key pairs derive from it per home (see core.KeyRing) and
+	// everything else — mask seeds, window randomness — from a per-epoch
+	// seed derived from it.
 	Grid Config
 	// Coalitions is the target coalition count per epoch (required). When
 	// churn shrinks the fleet below 2·Coalitions the epoch runs with the
@@ -234,7 +234,7 @@ func streamLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sin
 	// crypto pool, one key ring. Epochs re-key over it — fresh engines and
 	// scopes, fresh keys for joiners only — but never tear it down, which is
 	// what keeps churn bounded work.
-	workers := paillier.NewWorkers(cfg.Grid.Engine.CryptoWorkers)
+	workers := paillier.NewWorkers(0)
 	defer workers.Release()
 	infra := core.Resources{Bus: transport.NewBus(nil), Workers: workers, Keys: core.NewKeyRing(cfg.Grid.Engine)}
 

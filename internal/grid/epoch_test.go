@@ -366,11 +366,6 @@ func TestLiveRejectsBadConfig(t *testing.T) {
 		t.Error("accepted zero coalitions")
 	}
 	cfg := testLiveConfig(1, 0)
-	cfg.Grid.Engine.Namespace = "mine"
-	if _, err := RunLive(ctx, cfg, evo); err == nil {
-		t.Error("accepted caller-set namespace")
-	}
-	cfg = testLiveConfig(1, 0)
 	cfg.Partition = "zodiac"
 	if _, err := RunLive(ctx, cfg, evo); err == nil {
 		t.Error("accepted unknown partition strategy")

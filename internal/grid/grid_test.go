@@ -12,6 +12,7 @@ import (
 	"github.com/pem-go/pem/internal/core"
 	"github.com/pem-go/pem/internal/dataset"
 	"github.com/pem-go/pem/internal/market"
+	"github.com/pem-go/pem/internal/transport"
 )
 
 func testEngineConfig(seed int64) core.Config {
@@ -339,6 +340,38 @@ func TestGridNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestGridMetricsSinkEndsEmpty: coalition engines fold each window's
+// transport counters as it ends, so after a seeded grid day the shared
+// bus's sink holds none, and the day's traffic — summed from the windows'
+// results — is all the bus carried.
+func TestGridMetricsSinkEndsEmpty(t *testing.T) {
+	tr, err := dataset.GenerateFleet(dataset.FleetConfig{Coalitions: 2, HomesPerCoalition: 3, Windows: 2, Seed: 42, StartHour: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := Partition(StrategyBalanced, tr.Homes, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Engine: testEngineConfig(17)}
+	cfg.Engine.Network = "wan"
+	bus := transport.NewBus(nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
+	defer cancel()
+	res, err := runDay(ctx, cfg, core.Resources{Bus: bus}, tr, parts, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := bus.Metrics()
+	if n := m.LiveWindows(); n != 0 {
+		t.Errorf("%d window counters left in the shared sink after the day", n)
+	}
+	if res.TotalBytes == 0 || res.TotalBytes != m.TotalBytes() || res.TotalMessages != m.TotalMessages() {
+		t.Errorf("day traffic %d B / %d msgs, bus carried %d B / %d msgs",
+			res.TotalBytes, res.TotalMessages, m.TotalBytes(), m.TotalMessages())
+	}
+}
+
 // TestGridCancelReportsContextError: a clean cancel must surface as the
 // context's error, not as a coalition failure — skipped-on-cancel markers
 // are bookkeeping, not failures.
@@ -427,11 +460,6 @@ func TestGridRejectsBadConfig(t *testing.T) {
 	tr := testFleet(t, 2, 2, 1)
 	parts, _ := Partition(StrategyFixed, tr.Homes, 2, 0)
 	ctx := context.Background()
-	cfg := Config{Engine: testEngineConfig(1)}
-	cfg.Engine.Namespace = "mine"
-	if _, err := Run(ctx, cfg, tr, parts); err == nil {
-		t.Error("accepted caller-set namespace")
-	}
 	if _, err := Run(ctx, Config{Engine: testEngineConfig(1), MaxConcurrent: -1}, tr, parts); err == nil {
 		t.Error("accepted negative MaxConcurrent")
 	}

@@ -19,9 +19,9 @@ import (
 
 // Config configures a grid run.
 type Config struct {
-	// Engine is the per-coalition protocol configuration. Namespace is
-	// managed by the supervisor (each coalition gets its own); setting it
-	// here is an error. A non-nil Seed makes every coalition's outcome
+	// Engine is the per-coalition protocol configuration; each coalition's
+	// engine runs under its own transport scope (core.Resources.Scope), the
+	// coalition's name. A non-nil Seed makes every coalition's outcome
 	// bit-identical regardless of coalition concurrency, partition held
 	// fixed.
 	Engine core.Config
@@ -74,9 +74,6 @@ func (c Config) minCoalition() int {
 // validate checks the supervisor-level configuration shared by Run and
 // RunLive.
 func (c Config) validate() error {
-	if c.Engine.Namespace != "" {
-		return fmt.Errorf("grid: Engine.Namespace %q is supervisor-managed; leave it empty", c.Engine.Namespace)
-	}
 	if c.MaxConcurrent < 0 {
 		return fmt.Errorf("grid: negative MaxConcurrent %d", c.MaxConcurrent)
 	}
@@ -126,10 +123,11 @@ type CoalitionRun struct {
 	// baseline clearings for a folded coalition). The live grid folds it
 	// into cross-epoch positions; one-shot callers may ignore it.
 	Flows map[string]market.AgentFlows
-	// Bytes is the coalition's protocol traffic on the shared bus.
+	// Bytes is the coalition's protocol traffic on the shared bus: the sum
+	// of its windows' BytesOnWire.
 	Bytes int64
-	// Msgs is the coalition's protocol message count on the shared bus,
-	// mirroring Bytes.
+	// Msgs is the coalition's protocol message count on the shared bus: the
+	// sum of its windows' Messages.
 	Msgs int64
 	// VirtualLatency is the coalition-day's virtual duration on the
 	// emulated network (Engine.Network): the sum of its windows'
@@ -339,7 +337,7 @@ func execute(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, 
 	// reference; the supervisor's is dropped on return, so the pool retires
 	// exactly when the last engine closes. No key ring: rosters are disjoint
 	// and the day is the whole run, so each engine's own is the same thing.
-	workers := paillier.NewWorkers(cfg.Engine.CryptoWorkers)
+	workers := paillier.NewWorkers(0)
 	defer workers.Release()
 
 	res, err := runDay(ctx, cfg, core.Resources{Bus: transport.NewBus(nil), Workers: workers}, tr, parts, "", deliver)
@@ -555,13 +553,8 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 		jobs[w] = core.WindowJob{Window: w, Inputs: inputs}
 	}
 
-	ecfg := cfg.Engine
-	ecfg.Namespace = cr.Name
-	// The coalition's per-window figures live on in its WindowResults;
-	// folding them out of the shared sink as windows complete keeps the
-	// bus's metrics bounded by the windows in flight across the whole grid.
-	ecfg.CompactWindowMetrics = true
-	eng, err := core.NewEngineWith(ecfg, agents, infra)
+	infra.Scope = cr.Name
+	eng, err := core.NewEngineWith(cfg.Engine, agents, infra)
 	if err != nil {
 		cr.Err = fmt.Errorf("provision: %w", err)
 		return
@@ -576,30 +569,26 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 		return
 	}
 	cr.Results = results
-	if cr.Err = coalitionAccounting(infra.Bus, cr); cr.Err != nil {
+	if cr.Err = coalitionAccounting(cr); cr.Err != nil {
 		return
 	}
 	cr.Err = oracleAccounting(cfg, agents, sub.Windows, cr,
 		func(_ []market.WindowInput, w int) ([]market.WindowInput, error) { return jobs[w].Inputs, nil }, market.ClearInto)
 }
 
-// coalitionAccounting folds a completed coalition-day's transport and
-// virtual-clock figures out of the shared metrics sink — then retires the
-// coalition's scope, so a long-running grid does not accumulate one
-// aggregate per (epoch, coalition) — and commits the day's trades to the
-// coalition's tamper-evident ledger: the settlement-path bookkeeping shared
-// by one-shot and live grids.
-func coalitionAccounting(bus *transport.Bus, cr *CoalitionRun) error {
-	m := bus.Metrics()
-	cr.Bytes = m.ScopeBytes(cr.Name)
-	cr.Msgs = m.ScopeMessages(cr.Name)
-	cr.VirtualLatency = m.ScopeVirtualLatency(cr.Name)
-	m.DropScope(cr.Name)
+// coalitionAccounting sums a completed coalition-day's traffic and
+// virtual-clock figures from its WindowResults and commits the day's trades
+// to the coalition's tamper-evident ledger: the settlement-path bookkeeping
+// shared by one-shot and live grids.
+func coalitionAccounting(cr *CoalitionRun) error {
 	led := ledger.New()
 	for _, res := range cr.Results {
 		if res == nil {
 			continue
 		}
+		cr.Bytes += res.BytesOnWire
+		cr.Msgs += res.Messages
+		cr.VirtualLatency += res.VirtualLatency
 		if res.Rounds > cr.Rounds {
 			cr.Rounds = res.Rounds
 		}

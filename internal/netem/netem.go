@@ -43,13 +43,11 @@ import (
 )
 
 // Network holds the emulated topology and all virtual-clock state shared by
-// the wrapped connections of one engine. It records per-window virtual
-// latency and round counts into the transport metrics sink, next to the
-// byte accounting.
+// the wrapped connections of one engine. A window's virtual latency and
+// round count are read from it (WindowStats) while the window's lanes live.
 type Network struct {
-	topo    Topology
-	seed    int64
-	metrics *transport.Metrics
+	topo Topology
+	seed int64
 
 	mu    sync.Mutex
 	lanes map[laneKey]*lane
@@ -109,21 +107,17 @@ type meta struct {
 }
 
 // New builds a network over the given topology. The seed drives every
-// jitter, loss and per-pair-spread draw; metrics receives the per-window
-// virtual-latency and round records (it is typically the wrapped bus's
-// sink, so bytes and virtual time land side by side). A nil metrics sink
-// disables recording but keeps the lane accounting intact.
-func New(topo Topology, seed int64, metrics *transport.Metrics) (*Network, error) {
+// jitter, loss and per-pair-spread draw.
+func New(topo Topology, seed int64) (*Network, error) {
 	if err := topo.validate(); err != nil {
 		return nil, err
 	}
 	return &Network{
-		topo:    topo,
-		seed:    seed,
-		metrics: metrics,
-		lanes:   make(map[laneKey]*lane),
-		links:   make(map[linkKey]*link),
-		pairs:   make(map[pairKey]LinkParams),
+		topo:  topo,
+		seed:  seed,
+		lanes: make(map[laneKey]*lane),
+		links: make(map[linkKey]*link),
+		pairs: make(map[pairKey]LinkParams),
 	}, nil
 }
 
@@ -209,10 +203,10 @@ func (n *Network) laneSnapshot(scope string, window int, party string) (time.Dur
 	return l.clock, l.depth
 }
 
-// laneAdvance folds one delivery into a lane (Lamport max) and records the
-// lane's new maxima into the metrics sink.
+// laneAdvance folds one delivery into a lane (Lamport max).
 func (n *Network) laneAdvance(scope string, window int, party string, m meta) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	k := laneKey{scope: scope, window: window, party: party}
 	l, ok := n.lanes[k]
 	if !ok {
@@ -224,11 +218,6 @@ func (n *Network) laneAdvance(scope string, window int, party string, m meta) {
 	}
 	if m.depth > l.depth {
 		l.depth = m.depth
-	}
-	clock, depth := l.clock, l.depth
-	n.mu.Unlock()
-	if n.metrics != nil {
-		n.metrics.RecordVirtual(scope, window, clock, depth)
 	}
 }
 

@@ -79,11 +79,10 @@ func TestPairSpreadSymmetricAndSeeded(t *testing.T) {
 }
 
 // wire builds a wrapped two-party (plus extras) bus for conn-level tests.
-func wire(t *testing.T, topo Topology, seed int64, parties ...string) (*Network, map[string]*Conn, *transport.Metrics) {
+func wire(t *testing.T, topo Topology, seed int64, parties ...string) (*Network, map[string]*Conn) {
 	t.Helper()
-	metrics := transport.NewMetrics()
-	bus := transport.NewBus(metrics)
-	n, err := New(topo, seed, metrics)
+	bus := transport.NewBus(nil)
+	n, err := New(topo, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func wire(t *testing.T, topo Topology, seed int64, parties ...string) (*Network,
 	for _, p := range parties {
 		conns[p] = n.Wrap(bus.MustRegister(p))
 	}
-	return n, conns, metrics
+	return n, conns
 }
 
 // fixedTopo is a spread-free topology for exact-arithmetic tests.
@@ -106,7 +105,7 @@ func fixedTopo(latency time.Duration, bandwidth int64) Topology {
 
 func TestVirtualChainAccumulates(t *testing.T) {
 	const hop = 10 * time.Millisecond
-	n, conns, metrics := wire(t, fixedTopo(hop, 0), 1, "a", "b", "c")
+	n, conns := wire(t, fixedTopo(hop, 0), 1, "a", "b", "c")
 	ctx := context.Background()
 	tag := transport.WindowTag(0, "ring")
 
@@ -132,21 +131,16 @@ func TestVirtualChainAccumulates(t *testing.T) {
 	if rounds != 2 {
 		t.Errorf("chain rounds = %d, want 2", rounds)
 	}
-	if got := metrics.WindowVirtualLatency("", 0); got != lat {
-		t.Errorf("metrics latency = %v, want %v", got, lat)
-	}
-	if got := metrics.WindowRounds("", 0); got != 2 {
-		t.Errorf("metrics rounds = %d, want 2", got)
-	}
-	if got := metrics.ScopeVirtualLatency(""); got != lat {
-		t.Errorf("scope latency = %v, want %v", got, lat)
+	n.ReleaseWindow("", 0)
+	if lat, rounds := n.WindowStats("", 0); lat != 0 || rounds != 0 {
+		t.Errorf("released window still reports %v over %d rounds", lat, rounds)
 	}
 }
 
 func TestSerializationDelay(t *testing.T) {
 	// 1 kB/s link: a message of wireSize w takes w ms of serialization on
 	// top of zero propagation.
-	n, conns, _ := wire(t, fixedTopo(0, 1000), 1, "a", "b")
+	n, conns := wire(t, fixedTopo(0, 1000), 1, "a", "b")
 	ctx := context.Background()
 	tag := transport.WindowTag(3, "bulk")
 	payload := make([]byte, 100)
@@ -164,7 +158,7 @@ func TestSerializationDelay(t *testing.T) {
 
 func TestWindowsAreIndependentLanes(t *testing.T) {
 	const hop = 5 * time.Millisecond
-	n, conns, _ := wire(t, fixedTopo(hop, 0), 1, "a", "b")
+	n, conns := wire(t, fixedTopo(hop, 0), 1, "a", "b")
 	ctx := context.Background()
 	for w := 0; w < 3; w++ {
 		if err := conns["a"].Send(ctx, "b", transport.WindowTag(w, "t"), []byte{1}); err != nil {
@@ -182,7 +176,7 @@ func TestWindowsAreIndependentLanes(t *testing.T) {
 }
 
 func TestSessionTagsUnmodeled(t *testing.T) {
-	n, conns, _ := wire(t, fixedTopo(time.Second, 0), 1, "a", "b")
+	n, conns := wire(t, fixedTopo(time.Second, 0), 1, "a", "b")
 	ctx := context.Background()
 	if err := conns["a"].Send(ctx, "b", "keys/paillier", []byte{1}); err != nil {
 		t.Fatal(err)
@@ -204,7 +198,7 @@ func TestFIFODeliveryOrder(t *testing.T) {
 			return LinkParams{Latency: 10 * time.Millisecond, Jitter: 9 * time.Millisecond}
 		},
 	}
-	n, conns, _ := wire(t, topo, 42, "a", "b")
+	n, conns := wire(t, topo, 42, "a", "b")
 	ctx := context.Background()
 	tag := transport.WindowTag(0, "seq")
 	var prev time.Duration
@@ -229,7 +223,7 @@ func TestSeededDrawsAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, conns, _ := wire(t, topo, 99, "a", "b", "c")
+		n, conns := wire(t, topo, 99, "a", "b", "c")
 		ctx := context.Background()
 		for w := 0; w < 2; w++ {
 			for i := 0; i < 10; i++ {
@@ -268,7 +262,7 @@ func TestBackToBackSendsQueueOnBandwidth(t *testing.T) {
 	// 1 kB/s, zero propagation: five equal frames sent back to back must
 	// serialize one after another, so the last delivery lands at 5× the
 	// per-frame transmission time.
-	n, conns, _ := wire(t, fixedTopo(0, 1000), 1, "a", "b")
+	n, conns := wire(t, fixedTopo(0, 1000), 1, "a", "b")
 	ctx := context.Background()
 	tag := transport.WindowTag(0, "bulk")
 	payload := make([]byte, 100)
@@ -295,7 +289,7 @@ func TestLossChargesRetransmissions(t *testing.T) {
 			return LinkParams{Latency: time.Millisecond, Loss: 0.95, RTO: time.Second}
 		},
 	}
-	n, err := New(lossy, 5, nil)
+	n, err := New(lossy, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +317,7 @@ func TestLossChargesRetransmissions(t *testing.T) {
 
 func TestForkBranchIsolation(t *testing.T) {
 	const hop = 10 * time.Millisecond
-	n, conns, _ := wire(t, fixedTopo(hop, 0), 1, "hub", "x", "y")
+	n, conns := wire(t, fixedTopo(hop, 0), 1, "hub", "x", "y")
 	ctx := context.Background()
 	tagReq := transport.WindowTag(0, "req")
 	tagRep := transport.WindowTag(0, "rep")
@@ -365,7 +359,7 @@ func TestBranchWithoutForkPassesThrough(t *testing.T) {
 
 func TestSendFailureRetractsMeta(t *testing.T) {
 	const hop = 10 * time.Millisecond
-	n, conns, _ := wire(t, fixedTopo(hop, 0), 1, "a", "b")
+	n, conns := wire(t, fixedTopo(hop, 0), 1, "a", "b")
 	ctx := context.Background()
 	tag := transport.WindowTag(0, "t")
 

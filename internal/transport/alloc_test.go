@@ -24,7 +24,7 @@ func TestFramePoolSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestFoldWindowAllocFree pins the metrics compaction the engine runs after
-// every window under CompactWindowMetrics: folding a completed window is
+// every window: folding a completed window is
 // pure map surgery and must never allocate — it runs once per window for
 // the lifetime of a grid simulation.
 func TestFoldWindowAllocFree(t *testing.T) {

@@ -1,273 +1,90 @@
 package transport
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
-// windowCounters holds one (scope, window)'s traffic and virtual-clock
-// figures while the window is live. The per-scope aggregates (scopeAgg) are
-// maintained incrementally as these grow, so a completed window's counters
-// can be folded away (FoldWindow) without losing any scope- or total-level
-// figure — that is what keeps the sink O(1) memory per window at scale.
+// windowKey names one window of one scope: the unit a window namespace tag
+// (see WindowTag and ScopedWindowTag) attributes its message to.
+type windowKey struct {
+	scope  string
+	window int
+}
+
+// windowCounters holds one live window's traffic.
 type windowCounters struct {
 	bytes, msgs int64
-	lat         time.Duration
-	rounds      int
 }
 
-// scopeAgg accumulates one scope's running totals across its windows. It is
-// grown incrementally on every send and virtual-clock observation, never
-// recomputed from the per-window counters, so it survives FoldWindow and
-// DropScope-style compaction of the per-window state.
-type scopeAgg struct {
-	bytes, msgs int64
-	lat         time.Duration
-}
-
-// Metrics accumulates per-party traffic counters. It feeds the Table I
-// bandwidth experiment ("average bandwidth over m trading windows of all
-// the smart homes"). Messages whose tag carries a window namespace (see
-// WindowTag and ScopedWindowTag) are additionally attributed to that
-// (scope, window) pair, so that windows executing concurrently — including
-// same-numbered windows of different coalitions sharing one bus — still get
-// exact per-window byte accounting. Message counts mirror the byte counters
-// at every granularity (party, window, scope, total).
+// Metrics is a bus's traffic sink. It keeps two kinds of figure: the totals
+// over every message sent — the Table I bandwidth ("average bandwidth over m
+// trading windows of all the smart homes") — and, for each window still
+// running, that window's bytes and messages. A message is attributed to the
+// (scope, window) its tag names, so windows executing concurrently —
+// same-numbered windows of different coalitions on one bus included — are
+// counted apart.
 //
-// When a run executes over the network-emulation layer (internal/netem),
-// the sink additionally carries each window's virtual-time observations:
-// the critical-path latency an identical deployment would wait out on the
-// emulated links, and the protocol round count (the longest chain of
-// message dependencies). Both are running maxima recorded by the emulation
-// as deliveries advance the per-party virtual clocks; they stay zero on
-// unemulated runs.
-//
-// Memory model: per-window counters are kept in per-scope maps so a caller
-// that is done with a window (FoldWindow) or a whole coalition's scope
-// (DropScope) can compact them away in O(1) while every aggregate —
-// per-scope, per-phase, per-party, total — remains exact. The grid
-// supervisor uses this to keep the shared bus's sink bounded by the windows
-// in flight rather than the windows ever run; solo engines never compact,
-// so the PR 1 per-window queries keep working unchanged.
+// A window's counters live only as long as the window: the engine copies
+// them into the window's WindowResult and then folds them (FoldWindow), so
+// the sink holds O(windows in flight) however long a run goes. Every
+// per-window, per-coalition or per-epoch figure is read from those results,
+// never from here.
 type Metrics struct {
 	mu      sync.Mutex
-	bytes   map[string]int64
-	msgs    map[string]int64
-	windows map[string]map[int]*windowCounters
-	scopes  map[string]*scopeAgg
-	phaseM  map[string]int64
+	windows map[windowKey]*windowCounters
 	totalB  int64
 	totalM  int64
 }
 
 // NewMetrics creates an empty sink.
 func NewMetrics() *Metrics {
-	m := &Metrics{}
-	m.init()
-	return m
+	return &Metrics{windows: make(map[windowKey]*windowCounters)}
 }
 
-// init allocates the counter maps (shared by NewMetrics and Reset).
-func (m *Metrics) init() {
-	m.bytes = make(map[string]int64)
-	m.msgs = make(map[string]int64)
-	m.windows = make(map[string]map[int]*windowCounters)
-	m.scopes = make(map[string]*scopeAgg)
-	m.phaseM = make(map[string]int64)
-}
-
-// window returns (creating if needed) the live counters of one window of
-// one scope. Callers hold m.mu.
-func (m *Metrics) window(scope string, window int) *windowCounters {
-	ws := m.windows[scope]
-	if ws == nil {
-		ws = make(map[int]*windowCounters)
-		m.windows[scope] = ws
-	}
-	wc := ws[window]
-	if wc == nil {
-		wc = &windowCounters{}
-		ws[window] = wc
-	}
-	return wc
-}
-
-// scope returns (creating if needed) one scope's running aggregates.
-// Callers hold m.mu.
-func (m *Metrics) scope(scope string) *scopeAgg {
-	sa := m.scopes[scope]
-	if sa == nil {
-		sa = &scopeAgg{}
-		m.scopes[scope] = sa
-	}
-	return sa
-}
-
-func (m *Metrics) recordSend(party, tag string, n int) {
+func (m *Metrics) recordSend(tag string, n int) {
+	scope, w, _, scoped := ParseScopedWindowTag(tag)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.bytes[party] += int64(n)
-	m.msgs[party]++
-	if scope, w, rest, ok := ParseScopedWindowTag(tag); ok {
-		wc := m.window(scope, w)
-		wc.bytes += int64(n)
-		wc.msgs++
-		sa := m.scope(scope)
-		sa.bytes += int64(n)
-		sa.msgs++
-		m.phaseM[phaseOf(rest)]++
-	}
 	m.totalB += int64(n)
 	m.totalM++
+	if !scoped {
+		return
+	}
+	k := windowKey{scope, w}
+	wc := m.windows[k]
+	if wc == nil {
+		wc = &windowCounters{}
+		m.windows[k] = wc
+	}
+	wc.bytes += int64(n)
+	wc.msgs++
 }
 
-// phaseOf maps a bare protocol tag onto its protocol phase — the first path
-// segment: "role" (Protocol 1's announcements), "pme" (Protocol 2), "pp"
-// (Protocol 3), "pd" (Protocol 4).
-func phaseOf(rest string) string {
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == '/' {
-			return rest[:i]
-		}
-	}
-	return rest
-}
-
-// RecordVirtual folds one virtual-clock observation into a window's
-// critical-path maxima: the network-emulation layer calls it as message
-// deliveries advance the per-party clocks, so the stored values converge to
-// the window's longest dependency chain (rounds) and its virtual end time
-// (latency). The scope's latency sum is maintained incrementally alongside,
-// so it survives later compaction of the window's counters.
-func (m *Metrics) RecordVirtual(scope string, window int, latency time.Duration, rounds int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	wc := m.window(scope, window)
-	if latency > wc.lat {
-		m.scope(scope).lat += latency - wc.lat
-		wc.lat = latency
-	}
-	if rounds > wc.rounds {
-		wc.rounds = rounds
-	}
-}
-
-// FoldWindow compacts one completed window's per-window counters. Every
-// aggregate the window contributed to — scope bytes/messages/latency, phase
-// and party counters, totals — is maintained incrementally and unaffected;
-// only the per-(scope, window) queries for that window return zero
-// afterwards. The engine calls it (under Config.CompactWindowMetrics) once
-// a window's figures have been copied into its WindowResult, which bounds
-// the sink's memory by the windows in flight instead of the windows run.
+// FoldWindow drops one completed window's counters; the totals keep its
+// traffic. The engine calls it once the window's WindowResult has captured
+// them, failed windows included, so later queries for that window read zero.
 func (m *Metrics) FoldWindow(scope string, window int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ws := m.windows[scope]; ws != nil {
-		delete(ws, window)
-		if len(ws) == 0 {
-			delete(m.windows, scope)
-		}
-	}
+	delete(m.windows, windowKey{scope, window})
 }
 
-// DropScope discards one scope's aggregates and any remaining per-window
-// counters. The grid supervisor calls it after folding a coalition's
-// figures into its CoalitionRun, so a long live-grid run does not retain
-// one map entry per (epoch, coalition) scope forever. Party, phase and
-// total counters are unaffected.
-func (m *Metrics) DropScope(scope string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.scopes, scope)
-	delete(m.windows, scope)
-}
-
-// WindowBytes returns the bytes sent so far within one window's tag
-// namespace (unscoped form), across all parties. Re-running the same window
-// number on the same sink accumulates; callers that need a per-run figure
-// should diff before/after values.
-func (m *Metrics) WindowBytes(window int) int64 {
-	return m.ScopedWindowBytes("", window)
-}
-
-// ScopedWindowBytes returns the bytes sent within one window of one scope.
-// The empty scope reads the unscoped (solo-engine) namespace. Zero once the
-// window has been folded (FoldWindow).
+// ScopedWindowBytes returns the bytes sent so far within one live window of
+// one scope. The empty scope reads the unscoped (solo-engine) namespace.
 func (m *Metrics) ScopedWindowBytes(scope string, window int) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if wc := m.windows[scope][window]; wc != nil {
+	if wc := m.windows[windowKey{scope, window}]; wc != nil {
 		return wc.bytes
 	}
 	return 0
 }
 
-// ScopedWindowMessages returns the messages sent within one window of one
-// scope, mirroring ScopedWindowBytes.
+// ScopedWindowMessages returns the messages sent so far within one live
+// window of one scope, mirroring ScopedWindowBytes.
 func (m *Metrics) ScopedWindowMessages(scope string, window int) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if wc := m.windows[scope][window]; wc != nil {
+	if wc := m.windows[windowKey{scope, window}]; wc != nil {
 		return wc.msgs
-	}
-	return 0
-}
-
-// WindowVirtualLatency returns one window's critical-path virtual latency
-// over the emulated network — the longest chain of link delays any party
-// waited out. Zero when the run is not emulated.
-func (m *Metrics) WindowVirtualLatency(scope string, window int) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if wc := m.windows[scope][window]; wc != nil {
-		return wc.lat
-	}
-	return 0
-}
-
-// WindowRounds returns one window's protocol round count: the longest
-// message dependency chain observed on the emulated network. Zero when the
-// run is not emulated.
-func (m *Metrics) WindowRounds(scope string, window int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if wc := m.windows[scope][window]; wc != nil {
-		return wc.rounds
-	}
-	return 0
-}
-
-// ScopeBytes returns the total window-tagged bytes sent under one scope —
-// one coalition's protocol traffic on a shared bus. The empty scope covers
-// solo-engine traffic.
-func (m *Metrics) ScopeBytes(scope string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if sa := m.scopes[scope]; sa != nil {
-		return sa.bytes
-	}
-	return 0
-}
-
-// ScopeMessages returns the total window-tagged messages sent under one
-// scope, mirroring ScopeBytes.
-func (m *Metrics) ScopeMessages(scope string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if sa := m.scopes[scope]; sa != nil {
-		return sa.msgs
-	}
-	return 0
-}
-
-// ScopeVirtualLatency sums one scope's per-window critical-path latencies —
-// the virtual duration of the scope's trading day if its windows ran
-// back-to-back on the emulated network. Zero when the run is not emulated.
-func (m *Metrics) ScopeVirtualLatency(scope string) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if sa := m.scopes[scope]; sa != nil {
-		return sa.lat
 	}
 	return 0
 }
@@ -286,64 +103,11 @@ func (m *Metrics) TotalMessages() int64 {
 	return m.totalM
 }
 
-// PartyBytes returns the bytes sent by one party.
-func (m *Metrics) PartyBytes(party string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytes[party]
-}
-
-// PartyMessages returns the number of messages sent by one party.
-func (m *Metrics) PartyMessages(party string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.msgs[party]
-}
-
-// Snapshot returns a copy of the per-party byte counters.
-func (m *Metrics) Snapshot() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.bytes))
-	for k, v := range m.bytes {
-		out[k] = v
-	}
-	return out
-}
-
-// PhaseMessages returns a copy of the per-protocol-phase message counters,
-// keyed by the first segment of the bare protocol tag ("role", "pme", "pp",
-// "pd"). Phases aggregate across all scopes and windows; they expose each
-// protocol's share of the message volume, the communication-cost figure's
-// round-structure breakdown.
-func (m *Metrics) PhaseMessages() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.phaseM))
-	for k, v := range m.phaseM {
-		out[k] = v
-	}
-	return out
-}
-
-// LiveWindows reports how many (scope, window) counter entries the sink
-// currently retains — the figure FoldWindow bounds. Tests use it to assert
-// the compaction contract; it is not a traffic metric.
+// LiveWindows reports how many windows the sink currently holds counters
+// for — zero once every window a run started has been folded. Tests use it
+// to assert that contract; it is not a traffic metric.
 func (m *Metrics) LiveWindows() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, ws := range m.windows {
-		n += len(ws)
-	}
-	return n
-}
-
-// Reset zeroes all counters.
-func (m *Metrics) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.init()
-	m.totalB = 0
-	m.totalM = 0
+	return len(m.windows)
 }

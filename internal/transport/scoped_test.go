@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 func TestScopedWindowTagRoundTrip(t *testing.T) {
@@ -79,18 +78,15 @@ func TestScopedMetricsIsolation(t *testing.T) {
 	m := bus.Metrics()
 	w0 := m.ScopedWindowBytes("c0", 3)
 	w1 := m.ScopedWindowBytes("c1", 3)
-	solo := m.WindowBytes(3)
+	solo := m.ScopedWindowBytes("", 3)
 	if w0 == 0 || w1 == 0 || solo == 0 {
 		t.Fatalf("missing attribution: c0=%d c1=%d solo=%d", w0, w1, solo)
 	}
 	if w1-w0 != 900 || w0-solo != int64(90+len("c0/")) {
 		t.Errorf("cross-scope counters mixed: c0=%d c1=%d solo=%d", w0, w1, solo)
 	}
-	if got := m.ScopeBytes("c0"); got != w0 {
-		t.Errorf("ScopeBytes(c0) = %d, want %d", got, w0)
-	}
-	if got := m.ScopeBytes(""); got != solo {
-		t.Errorf("ScopeBytes(\"\") = %d, want %d", got, solo)
+	if m.LiveWindows() != 3 {
+		t.Errorf("LiveWindows = %d, want 3", m.LiveWindows())
 	}
 	if m.TotalBytes() <= w0+w1+solo {
 		t.Errorf("total %d should also include session traffic", m.TotalBytes())
@@ -121,8 +117,8 @@ func TestScopedMailboxIsolation(t *testing.T) {
 }
 
 // TestFoldWindowKeepsAggregates is the compaction contract: folding a
-// completed window zeroes only that window's per-window queries while every
-// aggregate it fed — scope, party, phase, total — stays exact.
+// completed window zeroes only that window's counters while the totals it
+// fed and every other live window stay exact.
 func TestFoldWindowKeepsAggregates(t *testing.T) {
 	bus := NewBus(nil)
 	a := bus.MustRegister("a")
@@ -140,14 +136,8 @@ func TestFoldWindowKeepsAggregates(t *testing.T) {
 	send(ScopedWindowTag("c1", 1, "role"), 50)
 
 	m := bus.Metrics()
-	m.RecordVirtual("c0", 1, 5*time.Second, 3)
-	m.RecordVirtual("c0", 2, 7*time.Second, 4)
-
-	scopeB := m.ScopeBytes("c0")
-	scopeM := m.ScopeMessages("c0")
-	scopeLat := m.ScopeVirtualLatency("c0")
 	totalB, totalM := m.TotalBytes(), m.TotalMessages()
-	phases := m.PhaseMessages()
+	kept := m.ScopedWindowBytes("c0", 2)
 	if m.LiveWindows() != 3 {
 		t.Fatalf("LiveWindows = %d, want 3", m.LiveWindows())
 	}
@@ -157,71 +147,26 @@ func TestFoldWindowKeepsAggregates(t *testing.T) {
 	if got := m.ScopedWindowBytes("c0", 1); got != 0 {
 		t.Errorf("folded window still reports %d bytes", got)
 	}
-	if got := m.WindowVirtualLatency("c0", 1); got != 0 {
-		t.Errorf("folded window still reports latency %v", got)
-	}
-	if got := m.WindowRounds("c0", 1); got != 0 {
-		t.Errorf("folded window still reports %d rounds", got)
+	if got := m.ScopedWindowMessages("c0", 1); got != 0 {
+		t.Errorf("folded window still reports %d messages", got)
 	}
 	if m.LiveWindows() != 2 {
 		t.Errorf("LiveWindows = %d after fold, want 2", m.LiveWindows())
 	}
 	// Unfolded state is untouched.
-	if got := m.ScopedWindowBytes("c0", 2); got == 0 {
-		t.Error("unfolded window lost its bytes")
+	if got := m.ScopedWindowBytes("c0", 2); got != kept {
+		t.Errorf("unfolded window reads %d bytes, want %d", got, kept)
 	}
 	if got := m.ScopedWindowBytes("c1", 1); got == 0 {
 		t.Error("other scope lost its bytes")
 	}
-	// Aggregates survive exactly.
-	if m.ScopeBytes("c0") != scopeB || m.ScopeMessages("c0") != scopeM {
-		t.Errorf("scope aggregates changed: %d/%d vs %d/%d",
-			m.ScopeBytes("c0"), m.ScopeMessages("c0"), scopeB, scopeM)
-	}
-	if m.ScopeVirtualLatency("c0") != scopeLat {
-		t.Errorf("scope latency changed: %v vs %v", m.ScopeVirtualLatency("c0"), scopeLat)
-	}
 	if m.TotalBytes() != totalB || m.TotalMessages() != totalM {
 		t.Error("totals changed across fold")
-	}
-	for k, v := range phases {
-		if m.PhaseMessages()[k] != v {
-			t.Errorf("phase %q changed across fold", k)
-		}
 	}
 	// Folding is idempotent and tolerant of unknown keys.
 	m.FoldWindow("c0", 1)
 	m.FoldWindow("nope", 9)
-}
-
-// TestDropScope checks that retiring a coalition's scope discards its
-// aggregates and remaining windows without touching other scopes or totals.
-func TestDropScope(t *testing.T) {
-	bus := NewBus(nil)
-	a := bus.MustRegister("a")
-	bus.MustRegister("b")
-	ctx := context.Background()
-
-	if err := a.Send(ctx, "b", ScopedWindowTag("c0", 1, "role"), make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(ctx, "b", ScopedWindowTag("c1", 1, "role"), make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	m := bus.Metrics()
-	totalB := m.TotalBytes()
-
-	m.DropScope("c0")
-	if m.ScopeBytes("c0") != 0 || m.ScopedWindowBytes("c0", 1) != 0 {
-		t.Error("dropped scope still has counters")
-	}
-	if m.ScopeBytes("c1") == 0 {
-		t.Error("other scope lost its counters")
-	}
-	if m.TotalBytes() != totalB {
-		t.Error("totals changed across DropScope")
-	}
-	if m.LiveWindows() != 1 {
-		t.Errorf("LiveWindows = %d after drop, want 1", m.LiveWindows())
+	if m.LiveWindows() != 2 {
+		t.Errorf("LiveWindows = %d after repeat folds, want 2", m.LiveWindows())
 	}
 }

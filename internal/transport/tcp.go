@@ -165,7 +165,7 @@ func (n *TCPNode) Send(ctx context.Context, to, tag string, payload []byte) erro
 		n.mu.Unlock()
 		return fmt.Errorf("transport: send to %q: %w", to, err)
 	}
-	n.metrics.recordSend(n.party, tag, msg.wireSize())
+	n.metrics.recordSend(tag, msg.wireSize())
 	return nil
 }
 

@@ -184,22 +184,14 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 	m := bus.Metrics()
 	want := int64(100 + 1 + 1 + 3 + frameHeaderSize)
-	if got := m.PartyBytes("a"); got != want {
-		t.Errorf("PartyBytes = %d, want %d", got, want)
-	}
 	if m.TotalBytes() != want {
 		t.Errorf("TotalBytes = %d, want %d", m.TotalBytes(), want)
 	}
 	if m.TotalMessages() != 1 {
 		t.Errorf("TotalMessages = %d, want 1", m.TotalMessages())
 	}
-	snap := m.Snapshot()
-	if snap["a"] != want {
-		t.Errorf("Snapshot[a] = %d", snap["a"])
-	}
-	m.Reset()
-	if m.TotalBytes() != 0 || m.TotalMessages() != 0 {
-		t.Error("Reset did not zero counters")
+	if m.LiveWindows() != 0 {
+		t.Errorf("session-tagged message opened %d window counters", m.LiveWindows())
 	}
 }
 
@@ -505,14 +497,14 @@ func TestMetricsWindowBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := bus.Metrics()
-	b4, b7 := m.WindowBytes(4), m.WindowBytes(7)
+	b4, b7 := m.ScopedWindowBytes("", 4), m.ScopedWindowBytes("", 7)
 	if b4 <= 0 || b7 <= 0 {
 		t.Fatalf("window bytes not recorded: w4=%d w7=%d", b4, b7)
 	}
 	if b4+b7 >= m.TotalBytes() {
 		t.Fatalf("session traffic leaked into window accounting: %d+%d vs total %d", b4, b7, m.TotalBytes())
 	}
-	if m.WindowBytes(5) != 0 {
+	if m.ScopedWindowBytes("", 5) != 0 {
 		t.Error("untouched window has traffic")
 	}
 }

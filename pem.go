@@ -103,9 +103,6 @@ type Config struct {
 	PreEncrypt *bool
 	// Seed makes the run deterministic (tests/benchmarks only).
 	Seed *int64
-	// RecordLedger appends every window's trades to a hash-chained ledger
-	// (the paper's blockchain-deployment discussion). Default true.
-	RecordLedger *bool
 	// MaxInflightWindows is how many trading windows RunWindows, RunDay and
 	// StreamDay keep in flight concurrently (default 1: strictly
 	// sequential, the paper's deployment). Each window is an independent
@@ -113,13 +110,6 @@ type Config struct {
 	// randomness stream, so pipelining never changes outcomes — a seeded
 	// market produces bit-identical results at any depth.
 	MaxInflightWindows int
-	// CryptoWorkers sizes the shared worker pool for intra-window parallel
-	// crypto — the chosen counterparty's batched decryption of Protocol 4's
-	// masked ciphertexts (default: runtime.NumCPU()). The pool is shared
-	// fleet-wide, so total crypto parallelism stays bounded no matter how
-	// many windows are in flight. Outcomes are bit-identical at any worker
-	// count.
-	CryptoWorkers int
 	// Aggregation selects the encrypted-sum topology for the coalition
 	// aggregations of Protocols 2 and 4: AggregationRing (default, the
 	// paper's O(n)-latency sequential chain) or AggregationTree (log-depth
@@ -151,8 +141,8 @@ type Config struct {
 	// every ledger block at commit, under scope "market". A store error
 	// fails the operation that hit it — durability failures must not pass
 	// silently. Nil (the default) keeps the market purely in-memory. In a
-	// grid configuration this field is ignored (like RecordLedger); set
-	// GridConfig.Store or LiveGridConfig.Store instead.
+	// grid configuration this field is ignored; set GridConfig.Store or
+	// LiveGridConfig.Store instead.
 	Store Store `json:"-"`
 }
 
@@ -215,7 +205,6 @@ func (cfg Config) coreConfig() core.Config {
 		PreEncrypt:         cfg.PreEncrypt == nil || *cfg.PreEncrypt,
 		Seed:               cfg.Seed,
 		MaxInflightWindows: cfg.MaxInflightWindows,
-		CryptoWorkers:      cfg.CryptoWorkers,
 		Aggregation:        cfg.Aggregation,
 		CryptoBackend:      cfg.CryptoBackend,
 		Network:            cfg.Network,
@@ -232,10 +221,7 @@ func NewMarket(cfg Config, agents []Agent) (*Market, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pem: %w", err)
 	}
-	m := &Market{cfg: cfg, engine: eng, agents: append([]Agent(nil), agents...)}
-	if cfg.RecordLedger == nil || *cfg.RecordLedger {
-		m.ledger = ledger.New()
-	}
+	m := &Market{cfg: cfg, engine: eng, agents: append([]Agent(nil), agents...), ledger: ledger.New()}
 	if cfg.Store != nil {
 		for _, fp := range eng.KeyFingerprints() {
 			rec := KeyRecord{Scope: marketScope, Party: fp.Party, Fingerprint: append([]byte(nil), fp.Digest[:]...)}
@@ -244,17 +230,15 @@ func NewMarket(cfg Config, agents []Agent) (*Market, error) {
 				return nil, fmt.Errorf("pem: store key material: %w", err)
 			}
 		}
-		if m.ledger != nil {
-			// Persist the genesis block up front so the stored chain verifies
-			// end-to-end (FromBlocks) even before the first window commits.
-			genesis, err := m.ledger.Block(0)
-			if err == nil {
-				err = cfg.Store.AppendBlock(marketScope, genesis)
-			}
-			if err != nil {
-				eng.Close()
-				return nil, fmt.Errorf("pem: store genesis: %w", err)
-			}
+		// Persist the genesis block up front so the stored chain verifies
+		// end-to-end (FromBlocks) even before the first window commits.
+		genesis, err := m.ledger.Block(0)
+		if err == nil {
+			err = cfg.Store.AppendBlock(marketScope, genesis)
+		}
+		if err != nil {
+			eng.Close()
+			return nil, fmt.Errorf("pem: store genesis: %w", err)
 		}
 	}
 	return m, nil
@@ -269,7 +253,9 @@ func (m *Market) Agents() []Agent {
 	return append([]Agent(nil), m.agents...)
 }
 
-// Ledger returns the trade ledger (nil if disabled).
+// Ledger returns the market's hash-chained trade ledger (the paper's
+// blockchain-deployment discussion): every committed window's trades and
+// clearing price, in window order.
 func (m *Market) Ledger() *Ledger { return m.ledger }
 
 // Metrics exposes transport byte accounting (Table I).
@@ -327,16 +313,13 @@ func (m *Market) RunWindows(ctx context.Context, inputs [][]WindowInput) ([]*Win
 // reaches the sink — so ledger, store and sink always agree on order.
 func (m *Market) streamWindows(ctx context.Context, jobs []core.WindowJob, sink func(*WindowResult) error) ([]*WindowResult, error) {
 	return m.engine.StreamWindows(ctx, jobs, func(res *WindowResult) error {
-		if m.ledger != nil {
-			records := ledger.RecordsFromTrades(res.Trades)
-			blk, err := m.ledger.Append(res.Window, res.Price, records)
-			if err != nil {
-				return fmt.Errorf("pem: ledger append: %w", err)
-			}
-			if m.cfg.Store != nil {
-				if err := m.cfg.Store.AppendBlock(marketScope, blk); err != nil {
-					return fmt.Errorf("pem: store block: %w", err)
-				}
+		blk, err := m.ledger.Append(res.Window, res.Price, ledger.RecordsFromTrades(res.Trades))
+		if err != nil {
+			return fmt.Errorf("pem: ledger append: %w", err)
+		}
+		if m.cfg.Store != nil {
+			if err := m.cfg.Store.AppendBlock(marketScope, blk); err != nil {
+				return fmt.Errorf("pem: store block: %w", err)
 			}
 		}
 		if sink != nil {

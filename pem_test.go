@@ -67,7 +67,7 @@ func TestLedgerRecordsTrades(t *testing.T) {
 	}
 	l := m.Ledger()
 	if l == nil {
-		t.Fatal("ledger disabled by default?")
+		t.Fatal("market kept no ledger")
 	}
 	if l.Len() != 2 { // genesis + window 0
 		t.Fatalf("ledger height = %d", l.Len())
@@ -84,25 +84,6 @@ func TestLedgerRecordsTrades(t *testing.T) {
 	}
 	if blk.Trades[0].Seller != "a" || blk.Trades[0].Buyer != "b" {
 		t.Errorf("trade parties wrong: %+v", blk.Trades[0])
-	}
-}
-
-func TestLedgerDisabled(t *testing.T) {
-	off := false
-	m, err := pem.NewMarket(pem.Config{
-		KeyBits:      256,
-		Seed:         seedPtr(3),
-		RecordLedger: &off,
-	}, []pem.Agent{
-		{ID: "a", K: 85, Epsilon: 0.9},
-		{ID: "b", K: 75, Epsilon: 0.85},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.Ledger() != nil {
-		t.Error("ledger should be nil when disabled")
 	}
 }
 
@@ -325,61 +306,6 @@ func TestRunWindowsPipelinedBitIdentical(t *testing.T) {
 		for i := range s.Trades {
 			if s.Trades[i] != p.Trades[i] {
 				t.Errorf("window %d trade %d: %+v vs %+v", w, i, s.Trades[i], p.Trades[i])
-			}
-		}
-	}
-}
-
-// TestRunWindowParallelCryptoBitIdentical is the determinism acceptance
-// check for the intra-window parallel engine: with the default ring
-// topology, a seeded run must produce bit-identical per-window results at
-// every crypto worker count.
-func TestRunWindowParallelCryptoBitIdentical(t *testing.T) {
-	tr, err := pem.GenerateTrace(pem.TraceConfig{Homes: 8, Windows: 12, Seed: 171717, StartHour: 16.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := make([][]pem.WindowInput, tr.Windows)
-	for w := 0; w < tr.Windows; w++ {
-		if inputs[w], err = tr.WindowInputs(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	run := func(workers int) []*pem.WindowResult {
-		m, err := pem.NewMarket(pem.Config{
-			KeyBits:       256,
-			Seed:          seedPtr(55),
-			CryptoWorkers: workers,
-		}, tr.Agents())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 600*time.Second)
-		defer cancel()
-		results, err := m.RunWindows(ctx, inputs)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return results
-	}
-
-	seq := run(1)
-	for _, workers := range []int{4, 16} {
-		par := run(workers)
-		for w := range seq {
-			s, p := seq[w], par[w]
-			if s.Kind != p.Kind || s.Price != p.Price || s.PHat != p.PHat || s.Degenerate != p.Degenerate {
-				t.Errorf("workers=%d window %d: outcome differs: %+v vs %+v", workers, w, s, p)
-			}
-			if len(s.Trades) != len(p.Trades) {
-				t.Fatalf("workers=%d window %d: trade counts differ", workers, w)
-			}
-			for i := range s.Trades {
-				if s.Trades[i] != p.Trades[i] {
-					t.Errorf("workers=%d window %d trade %d: %+v vs %+v", workers, w, i, s.Trades[i], p.Trades[i])
-				}
 			}
 		}
 	}
