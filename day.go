@@ -113,7 +113,8 @@ func SellerUtilitySeries(trace *Trace, homeIndex int, k float64, params Params) 
 type DayResult struct {
 	// Results holds one outcome per window, in window order.
 	Results []*WindowResult
-	// TotalBytes is the transport traffic of the whole day.
+	// TotalBytes is the day's protocol traffic: the sum of its windows'
+	// BytesOnWire, so windows run outside the day are never counted.
 	TotalBytes int64
 }
 
@@ -144,13 +145,13 @@ func (m *Market) StreamDay(ctx context.Context, trace *Trace, sink func(*WindowR
 		}
 		jobs[w] = core.WindowJob{Window: w, Inputs: inputs}
 	}
-	startBytes := m.Metrics().TotalBytes()
 	results, err := m.streamWindows(ctx, jobs, sink)
 	if err != nil {
 		return nil, fmt.Errorf("pem: %w", err)
 	}
-	return &DayResult{
-		Results:    results,
-		TotalBytes: m.Metrics().TotalBytes() - startBytes,
-	}, nil
+	day := &DayResult{Results: results}
+	for _, res := range results {
+		day.TotalBytes += res.BytesOnWire
+	}
+	return day, nil
 }

@@ -1,13 +1,97 @@
+// Package audit holds only tests: a post-hoc check of a window's clearing
+// against the market rules, and one tampered clearing per rule that the
+// check must reject. market's TestAllocationConservationProperty asserts
+// the same rules on every sampled clearing; these tests show each rule
+// catches the corruption it exists for.
 package audit
 
 import (
-	mrand "math/rand"
+	"fmt"
+	"math"
 	"testing"
 
 	"github.com/pem-go/pem/internal/market"
 )
 
-func scenario() ([]market.Agent, []market.WindowInput) {
+// Tolerances for floating/fixed-point comparisons.
+const (
+	energyTol  = 1e-4
+	paymentTol = 1e-2
+	priceTol   = 1e-6
+)
+
+// verifyClearing lists every market rule c breaks: price in its corridor
+// (floor for an extreme market, retail with no sellers), the regime
+// matching supply against demand, payments at the clearing price, traded
+// energy equal to the short side, and Section III-D's pro-rata shares.
+func verifyClearing(c *market.Clearing, params market.Params) []string {
+	var bad []string
+	add := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
+
+	switch {
+	case len(c.SellerIDs) == 0:
+		if math.Abs(c.Price-params.GridRetailPrice) > priceTol {
+			add("price: seller-less window priced %.6f, want retail %.2f", c.Price, params.GridRetailPrice)
+		}
+	case c.Kind == market.ExtremeMarket:
+		if math.Abs(c.Price-params.PriceFloor) > priceTol {
+			add("price: extreme market priced %.6f, want floor %.2f", c.Price, params.PriceFloor)
+		}
+	case c.Price < params.PriceFloor-priceTol || c.Price > params.PriceCeil+priceTol:
+		add("price: general-market price %.6f outside [%.2f, %.2f]", c.Price, params.PriceFloor, params.PriceCeil)
+	}
+
+	traded := 0.0
+	bySeller := map[string]float64{}
+	byBuyer := map[string]float64{}
+	for _, tr := range c.Trades {
+		traded += tr.Energy
+		bySeller[tr.Seller] += tr.Energy
+		byBuyer[tr.Buyer] += tr.Energy
+		if tr.Energy < -energyTol {
+			add("trade: %s->%s negative energy %.6f", tr.Seller, tr.Buyer, tr.Energy)
+		}
+		if math.Abs(tr.Payment-tr.Energy*c.Price) > paymentTol {
+			add("payment: %s->%s paid %.4f for %.6f kWh at %.4f", tr.Seller, tr.Buyer, tr.Payment, tr.Energy, c.Price)
+		}
+	}
+	if len(c.SellerIDs) == 0 || len(c.BuyerIDs) == 0 {
+		return bad
+	}
+
+	if (c.Kind == market.ExtremeMarket) != (c.Supply >= c.Demand) {
+		add("regime: kind %v with supply %.6f vs demand %.6f", c.Kind, c.Supply, c.Demand)
+	}
+	if short := math.Min(c.Supply, c.Demand); math.Abs(traded-short) > energyTol*float64(len(c.Trades)+1) {
+		add("conservation: traded %.6f, short side %.6f", traded, short)
+	}
+	// The short side trades its whole position; the long side trades in
+	// proportion to its own.
+	for _, o := range c.Outcomes {
+		var got, want float64
+		switch {
+		case o.Role == market.RoleSeller && c.Kind == market.GeneralMarket:
+			got, want = bySeller[o.ID], o.Net
+		case o.Role == market.RoleSeller:
+			got, want = bySeller[o.ID], c.Demand*o.Net/c.Supply
+		case o.Role == market.RoleBuyer && c.Kind == market.GeneralMarket:
+			got, want = byBuyer[o.ID], c.Supply*-o.Net/c.Demand
+		case o.Role == market.RoleBuyer:
+			got, want = byBuyer[o.ID], -o.Net
+		default:
+			continue
+		}
+		if math.Abs(got-want) > energyTol*10 {
+			add("pro-rata: %s %s traded %.6f, want %.6f", o.Role, o.ID, got, want)
+		}
+	}
+	return bad
+}
+
+// clearScenario clears a general market: two sellers (0.43 kWh) against
+// three buyers (0.73 kWh).
+func clearScenario(t *testing.T) (*market.Clearing, market.Params) {
+	t.Helper()
 	agents := []market.Agent{
 		{ID: "s1", K: 85, Epsilon: 0.9},
 		{ID: "s2", K: 75, Epsilon: 0.85},
@@ -22,88 +106,55 @@ func scenario() ([]market.Agent, []market.WindowInput) {
 		{Generation: 0.02, Load: 0.25}, // −0.23
 		{Generation: 0.00, Load: 0.20}, // −0.20
 	}
-	return agents, inputs
-}
-
-func TestVerifyCleanClearing(t *testing.T) {
-	agents, inputs := scenario()
 	params := market.DefaultParams()
 	c, err := market.Clear(agents, inputs, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := VerifyClearing(c, params)
-	if !rep.OK() {
-		t.Fatalf("clean clearing flagged: %v", rep.Violations)
-	}
-	if rep.Err() != nil {
-		t.Fatal("Err on clean report")
+	return c, params
+}
+
+func TestVerifyCleanClearing(t *testing.T) {
+	c, params := clearScenario(t)
+	if bad := verifyClearing(c, params); len(bad) != 0 {
+		t.Fatalf("clean clearing flagged: %v", bad)
 	}
 }
 
 func TestVerifyDetectsPriceOutOfBand(t *testing.T) {
-	agents, inputs := scenario()
-	params := market.DefaultParams()
-	c, err := market.Clear(agents, inputs, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, params := clearScenario(t)
 	c.Price = 150 // outside [90, 110]
-	rep := VerifyClearing(c, params)
-	if rep.OK() {
+	if len(verifyClearing(c, params)) == 0 {
 		t.Fatal("out-of-band price not detected")
 	}
 }
 
 func TestVerifyDetectsSkimmedPayment(t *testing.T) {
-	agents, inputs := scenario()
-	params := market.DefaultParams()
-	c, err := market.Clear(agents, inputs, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, params := clearScenario(t)
 	c.Trades[0].Payment *= 0.5
-	rep := VerifyClearing(c, params)
-	if rep.OK() {
+	if len(verifyClearing(c, params)) == 0 {
 		t.Fatal("skimmed payment not detected")
 	}
 }
 
 func TestVerifyDetectsMissingTrade(t *testing.T) {
-	agents, inputs := scenario()
-	params := market.DefaultParams()
-	c, err := market.Clear(agents, inputs, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, params := clearScenario(t)
 	c.Trades = c.Trades[1:] // drop one allocation
-	rep := VerifyClearing(c, params)
-	if rep.OK() {
+	if len(verifyClearing(c, params)) == 0 {
 		t.Fatal("dropped trade not detected")
 	}
 }
 
 func TestVerifyDetectsWrongRegime(t *testing.T) {
-	agents, inputs := scenario()
-	params := market.DefaultParams()
-	c, err := market.Clear(agents, inputs, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, params := clearScenario(t)
 	c.Kind = market.ExtremeMarket // supply < demand, so this lies
-	rep := VerifyClearing(c, params)
-	if rep.OK() {
+	if len(verifyClearing(c, params)) == 0 {
 		t.Fatal("wrong regime not detected")
 	}
 }
 
 func TestVerifyDetectsSkewedShares(t *testing.T) {
-	agents, inputs := scenario()
-	params := market.DefaultParams()
-	c, err := market.Clear(agents, inputs, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, params := clearScenario(t)
 	// Move energy from one buyer to another, keeping totals constant.
 	moved := false
 	for i := range c.Trades {
@@ -117,182 +168,7 @@ func TestVerifyDetectsSkewedShares(t *testing.T) {
 			moved = true
 		}
 	}
-	rep := VerifyClearing(c, params)
-	if rep.OK() {
+	if len(verifyClearing(c, params)) == 0 {
 		t.Fatal("skewed pro-rata shares not detected")
-	}
-}
-
-func TestTradesToClearingRoundTrip(t *testing.T) {
-	agents, inputs := scenario()
-	params := market.DefaultParams()
-	ref, err := market.Clear(agents, inputs, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := TradesToClearing(ref.Kind, ref.Price, ref.Trades, agents, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := VerifyClearing(c, params)
-	if !rep.OK() {
-		t.Fatalf("reconstructed clearing flagged: %v", rep.Violations)
-	}
-	if _, err := TradesToClearing(ref.Kind, ref.Price, nil, agents, nil); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestBuyerDemandInflationBoundedAndBackfires(t *testing.T) {
-	agents, inputs := scenario()
-	params := market.DefaultParams()
-	honest, err := market.Clear(agents, inputs, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deviant: b3, whose demand (0.20) is well below the market supply
-	// (0.43), so heavy inflation over-buys far past its true need.
-	const deviant = 4
-	trueDemand := -inputs[deviant].NetEnergy()
-	bound := BuyerInflationBound(honest, agents[deviant].ID, trueDemand, params)
-
-	gains := map[float64]float64{}
-	for _, scale := range []float64{1.5, 2, 5, 50} {
-		out, err := BuyerDemandInflation(agents, inputs, params, deviant, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gains[scale] = out.Gain()
-		// The gain can be positive (the documented coverage gap) but never
-		// exceeds the bound.
-		if out.Gain() > bound+1e-9 {
-			t.Errorf("scale %.1f: gain %v exceeds coverage-gap bound %v", scale, out.Gain(), bound)
-		}
-	}
-	// Mild inflation profits (the incentive gap Protocol 4 hides data to
-	// blunt)…
-	if gains[2] <= 0 {
-		t.Errorf("expected positive gain at scale 2, got %v", gains[2])
-	}
-	// …but over-inflation backfires: phantom demand buys energy at the
-	// market price that can only be resold at pbtg.
-	if gains[50] >= gains[2] {
-		t.Errorf("over-inflation did not backfire: gain(50)=%v ≥ gain(2)=%v", gains[50], gains[2])
-	}
-}
-
-func TestBuyerDemandInflationErrors(t *testing.T) {
-	agents, inputs := scenario()
-	params := market.DefaultParams()
-	if _, err := BuyerDemandInflation(agents, inputs, params, 0, 2); err == nil {
-		t.Error("seller index accepted as buyer")
-	}
-	if _, err := BuyerDemandInflation(agents, inputs, params, 99, 2); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-	if _, err := BuyerDemandInflation(agents, inputs, params, 2, -1); err == nil {
-		t.Error("negative scale accepted")
-	}
-}
-
-func TestSellerSupplyInflationBoundedAndBackfires(t *testing.T) {
-	// Extreme market: plenty of supply.
-	agents := []market.Agent{
-		{ID: "s1", K: 85, Epsilon: 0.9},
-		{ID: "s2", K: 75, Epsilon: 0.85},
-		{ID: "s3", K: 95, Epsilon: 0.9},
-		{ID: "b1", K: 80, Epsilon: 0.9},
-	}
-	// The buyer's demand (1.0) exceeds the deviant's true surplus (0.30),
-	// so heavy inflation forces over-delivery.
-	inputs := []market.WindowInput{
-		{Generation: 0.40, Load: 0.10}, // +0.30 (deviant)
-		{Generation: 0.90, Load: 0.10}, // +0.80
-		{Generation: 0.80, Load: 0.10}, // +0.70
-		{Generation: 0.00, Load: 1.00}, // −1.00
-	}
-	params := market.DefaultParams()
-	honest, err := market.Clear(agents, inputs, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trueSurplus := inputs[0].NetEnergy()
-	bound := SellerInflationBound(honest, agents[0].ID, trueSurplus, params)
-
-	gains := map[float64]float64{}
-	for _, scale := range []float64{1.5, 2, 4, 50} {
-		out, err := SellerSupplyInflation(agents, inputs, params, 0, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gains[scale] = out.Gain()
-		if out.Gain() > bound+1e-9 {
-			t.Errorf("scale %.1f: gain %v exceeds feed-in-gap bound %v", scale, out.Gain(), bound)
-		}
-	}
-	// Over-inflation backfires: phantom supply must be bought back at
-	// retail and sold at the floor price.
-	if gains[50] >= gains[1.5] {
-		t.Errorf("over-inflation did not backfire: gain(50)=%v ≥ gain(1.5)=%v", gains[50], gains[1.5])
-	}
-	if _, err := SellerSupplyInflation(agents, inputs, params, 3, 2); err == nil {
-		t.Error("buyer index accepted as seller")
-	}
-	if _, err := SellerSupplyInflation(agents, inputs, params, 0, 0); err == nil {
-		t.Error("zero scale accepted")
-	}
-}
-
-func TestIncentivePropertyRandomized(t *testing.T) {
-	params := market.DefaultParams()
-	rng := mrand.New(mrand.NewSource(99))
-	for trial := 0; trial < 40; trial++ {
-		n := 3 + rng.Intn(6)
-		agents := make([]market.Agent, n)
-		inputs := make([]market.WindowInput, n)
-		for i := range agents {
-			agents[i] = market.Agent{
-				ID:      "h" + string(rune('a'+i)),
-				K:       60 + rng.Float64()*60,
-				Epsilon: 0.6 + rng.Float64()*0.3,
-			}
-			inputs[i] = market.WindowInput{
-				Generation: rng.Float64() * 0.3,
-				Load:       rng.Float64() * 0.3,
-			}
-		}
-		// Individual rationality holds for every agent.
-		worse, err := IndividualRationality(agents, inputs, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(worse) > 0 {
-			t.Fatalf("trial %d: agents worse off under PEM: %v", trial, worse)
-		}
-		// Any buyer's inflation gain stays within the coverage-gap bound.
-		honest, err := market.Clear(agents, inputs, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range agents {
-			if market.ClassifyRole(inputs[i].NetEnergy()) != market.RoleBuyer {
-				continue
-			}
-			out, err := BuyerDemandInflation(agents, inputs, params, i, 1+rng.Float64()*3)
-			if err != nil {
-				continue // window may be degenerate for this agent
-			}
-			bound := BuyerInflationBound(honest, agents[i].ID, -inputs[i].NetEnergy(), params)
-			if out.Gain() > bound+1e-6 {
-				t.Fatalf("trial %d: buyer %s gain %v exceeds bound %v", trial, agents[i].ID, out.Gain(), bound)
-			}
-		}
-	}
-}
-
-func TestViolationString(t *testing.T) {
-	v := Violation{Check: "price", Detail: "too high"}
-	if v.String() != "price: too high" {
-		t.Errorf("got %q", v.String())
 	}
 }

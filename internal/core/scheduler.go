@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/pem-go/pem/internal/market"
 )
@@ -55,10 +56,10 @@ func (e *Engine) RunWindows(ctx context.Context, jobs []WindowJob) ([]*WindowRes
 	return e.StreamWindows(ctx, jobs, nil)
 }
 
-// StreamWindows is the scheduler: it pipelines the jobs with bounded
-// parallelism and invokes sink (when non-nil) for each result in strict
-// job order as soon as that window — and every window before it — has
-// completed.
+// StreamWindows is the scheduler: it pipelines the jobs through RunOrdered
+// with up to Config.MaxInflightWindows windows in flight and invokes sink
+// (when non-nil) for each result in strict job order as soon as that window
+// — and every window before it — has completed.
 //
 // Window numbers must be unique within one call: the number names the
 // window's transport tag namespace, so two instances of the same number in
@@ -66,108 +67,116 @@ func (e *Engine) RunWindows(ctx context.Context, jobs []WindowJob) ([]*WindowRes
 // issuing concurrent scheduling calls against one engine must keep their
 // window numbers disjoint.
 //
-// Failure semantics: a failing window cancels only itself. The scheduler
-// then stops launching new windows, lets the ones already in flight drain,
-// and returns the failed window's error (the earliest by job order when
-// several fail). Results of windows that completed are still filled in;
-// sink is never called for jobs at or after the first failure. A sink
-// error aborts the whole run, cancelling the in-flight windows.
+// Failure semantics are RunOrdered's: a failing window cancels only itself,
+// no window is launched after it, and its error (the earliest by job order
+// when several fail) is returned. Results of windows that completed are
+// still filled in; sink is never called for jobs at or after the first
+// failure. A sink error aborts the whole run, cancelling the in-flight
+// windows.
 func (e *Engine) StreamWindows(ctx context.Context, jobs []WindowJob, sink func(*WindowResult) error) ([]*WindowResult, error) {
-	n := len(jobs)
-	results := make([]*WindowResult, n)
-	if n == 0 {
-		return results, nil
-	}
-	seen := make(map[int]bool, n)
+	results := make([]*WindowResult, len(jobs))
+	seen := make(map[int]bool, len(jobs))
 	for _, job := range jobs {
 		if seen[job.Window] {
 			return results, fmt.Errorf("core: duplicate window %d in schedule", job.Window)
 		}
 		seen[job.Window] = true
 	}
-	maxInflight := e.cfg.MaxInflightWindows
-	if maxInflight < 1 {
-		maxInflight = 1
+	var deliver func(int) error
+	if sink != nil {
+		deliver = func(i int) error { return sink(results[i]) }
 	}
+	err := RunOrdered(ctx, len(jobs), e.cfg.MaxInflightWindows, func(ctx context.Context, i int) error {
+		var err error
+		results[i], err = e.runScheduled(ctx, jobs[i])
+		return err
+	}, nil, deliver)
+	return results, err
+}
 
+// skipped marks an item RunOrdered never started; the text is the cause.
+type skipped string
+
+func (s skipped) Error() string { return string(s) }
+
+// RunOrdered is the one ordered, fail-fast executor: the window scheduler
+// and the grid's coalition launcher are both adapters over it. It runs
+// items 0..n-1 on width long-lived workers (width ≤ 0 or > n means n), each
+// claiming the next index as it finishes its last, and calls deliver (when
+// non-nil) on the caller's goroutine for every item that succeeded, in
+// index order, as soon as it and every item before it are done.
+//
+// A failing item — run returned an error — cancels only itself. Once an
+// item has failed, ctx is cancelled or deliver has returned an error (which
+// also cancels the items in flight), no further item is started: skip (when
+// non-nil) is called for each with the cause, "on cancellation", "after
+// delivery aborted" or "after earlier failure". Nothing at or after a
+// failed index, and no skipped item, is delivered. The return value is the
+// earliest failure by index, else the deliver error, else ctx.Err().
+func RunOrdered(ctx context.Context, n, width int, run func(ctx context.Context, i int) error, skip func(i int, cause string), deliver func(i int) error) error {
+	if width <= 0 || width > n {
+		width = n
+	}
 	runCtx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
 	var (
-		mu     sync.Mutex
-		failed bool
+		failed atomic.Bool
+		next   atomic.Int64
+		wg     sync.WaitGroup
 		errs   = make([]error, n)
 		done   = make([]chan struct{}, n)
-		wg     sync.WaitGroup
 	)
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	sem := make(chan struct{}, maxInflight)
 
-	// Launcher: admit jobs in order as pipeline slots free up, stopping at
-	// the first observed failure. Unlaunched jobs have their done channels
-	// closed with neither a result nor an error ("skipped").
-	go func() {
-		for i := range jobs {
-			sem <- struct{}{}
-			mu.Lock()
-			stop := failed
-			mu.Unlock()
-			if stop || runCtx.Err() != nil {
-				<-sem
-				for j := i; j < n; j++ {
-					close(done[j])
+	// Workers: claim the next index, run it or — once there is a reason to
+	// stop — skip it. A cancel also fails the items it interrupts, so the
+	// contexts are tested before blaming a failure.
+	for k := 0; k < width; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				switch {
+				case ctx.Err() != nil:
+					errs[i] = skipped("on cancellation")
+				case runCtx.Err() != nil:
+					errs[i] = skipped("after delivery aborted")
+				case failed.Load():
+					errs[i] = skipped("after earlier failure")
+				default:
+					if errs[i] = run(runCtx, i); errs[i] != nil {
+						failed.Store(true)
+					}
 				}
-				return
+				if cause, ok := errs[i].(skipped); ok && skip != nil {
+					skip(i, string(cause))
+				}
+				close(done[i])
 			}
-			wg.Add(1)
-			go func(i int, job WindowJob) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				defer close(done[i])
-				res, err := e.runScheduled(runCtx, job)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					errs[i] = err
-					failed = true
-					return
-				}
-				results[i] = res
-			}(i, jobs[i])
-		}
-	}()
+		}()
+	}
 
-	// Waiter: deliver results in job order; remember the earliest failure.
+	// Deliver in index order; the earliest failure stops delivery.
 	var firstErr error
 	for i := 0; i < n; i++ {
 		<-done[i]
-		mu.Lock()
-		res, err := results[i], errs[i]
-		mu.Unlock()
-		if firstErr != nil {
+		if _, ok := errs[i].(skipped); ok || firstErr != nil {
 			continue
 		}
-		switch {
-		case err != nil:
-			firstErr = err
-		case res != nil && sink != nil:
-			if err := sink(res); err != nil {
-				firstErr = err
-				cancelAll() // caller aborted: tear down the in-flight windows
+		if firstErr = errs[i]; firstErr == nil && deliver != nil {
+			if firstErr = deliver(i); firstErr != nil {
+				cancelAll() // caller aborted: tear down the items in flight
 			}
 		}
 	}
 	wg.Wait()
 	if firstErr == nil {
-		// Jobs the launcher skipped carry neither a result nor an error;
-		// that only happens without a window failure when the caller's
-		// context was cancelled — surface it rather than returning nil
-		// results with a nil error.
 		firstErr = ctx.Err()
 	}
-	return results, firstErr
+	return firstErr
 }
 
 // runScheduled wraps one window execution with session-lifecycle

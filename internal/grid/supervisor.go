@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/pem-go/pem/internal/core"
@@ -284,9 +282,10 @@ type Result struct {
 
 // Run executes one trading day for every coalition of the partition over
 // shared infrastructure, retaining every coalition's full outcome. Failure
-// semantics mirror the window scheduler's: a failing coalition cancels only
-// itself; the supervisor then stops launching new coalitions, drains the
-// ones in flight, and reports the earliest failed coalition's error.
+// semantics are core.RunOrdered's, as for windows: a failing coalition
+// cancels only itself; the supervisor then stops launching new coalitions,
+// drains the ones in flight, and reports the earliest failed coalition's
+// error.
 // Completed coalitions keep their results, and the returned Result is valid
 // (with per-coalition Err set) even when err is non-nil. Coalitions below
 // Config.MinCoalition are not failures: they are folded into grid
@@ -426,88 +425,28 @@ func settleGrid(cfg Config, runs []CoalitionRun) (*market.GridSettlement, *marke
 	return tiers.Grid, tiers, nil
 }
 
-// launchCoalitions runs runOne for every coalition in runs concurrently
-// under the maxConc budget (0 = all), filling each entry in place, and
-// invokes deliver for each completed or folded entry in runs order, as soon
-// as it and every entry before it are done. A failing coalition cancels
-// only itself. Once a coalition has genuinely failed, ctx is cancelled or
-// deliver has returned an error (which also cancels the coalitions in
-// flight), no further coalition is started: the rest are marked
-// ErrCoalitionSkipped, naming which of the three stopped them; nothing at or
-// after a failed index, and no skipped entry, is delivered. The returned
-// error is the earliest genuine failure ("coalition <name>: …"), a deliver
-// error, or ctx.Err() on a clean cancel.
+// launchCoalitions runs runOne for every coalition in runs through
+// core.RunOrdered under the maxConc budget (0 = all), filling each entry in
+// place, and invokes deliver for each completed or folded entry in runs
+// order. A genuine failure (not a skip marker) stops launching; the entries
+// never started are marked ErrCoalitionSkipped with the runner's cause. The
+// returned error is the earliest genuine failure ("coalition <name>: …"), a
+// deliver error, or ctx.Err() on a clean cancel.
 func launchCoalitions(ctx context.Context, maxConc int, runs []CoalitionRun, runOne func(context.Context, *CoalitionRun), deliver func(*CoalitionRun) error) error {
-	n := len(runs)
-	if maxConc <= 0 || maxConc > n {
-		maxConc = n
-	}
-
-	runCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-
-	var (
-		failed atomic.Bool
-		next   atomic.Int64
-		wg     sync.WaitGroup
-		done   = make([]chan struct{}, n)
-	)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-
-	// Launchers: maxConc of them, each claiming the next coalition in order
-	// as it finishes its last, running it — or, once there is a reason to
-	// stop, marking it skipped. A cancel also fails the coalitions it
-	// interrupts, so the contexts are tested before blaming a failure.
-	for k := 0; k < maxConc; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				cr := &runs[i]
-				switch {
-				case ctx.Err() != nil:
-					cr.Err = fmt.Errorf("%w on cancellation", ErrCoalitionSkipped)
-				case runCtx.Err() != nil:
-					cr.Err = fmt.Errorf("%w after delivery aborted", ErrCoalitionSkipped)
-				case failed.Load():
-					cr.Err = fmt.Errorf("%w after earlier failure", ErrCoalitionSkipped)
-				default:
-					if runOne(runCtx, cr); cr.failure() {
-						failed.Store(true)
-					}
-				}
-				close(done[i])
+	return core.RunOrdered(ctx, len(runs), maxConc,
+		func(runCtx context.Context, i int) error {
+			if runOne(runCtx, &runs[i]); runs[i].failure() {
+				return fmt.Errorf("coalition %s: %w", runs[i].Name, runs[i].Err)
 			}
-		}()
-	}
-
-	// Waiter: deliver completed and folded entries in runs order; remember
-	// the earliest genuine failure and stop delivering from it on. Skipped
-	// entries have no outcome to deliver.
-	var firstErr error
-	for i := 0; i < n; i++ {
-		<-done[i]
-		cr := &runs[i]
-		if firstErr != nil {
-			continue
-		}
-		switch {
-		case cr.failure():
-			firstErr = fmt.Errorf("coalition %s: %w", cr.Name, cr.Err)
-		case deliver != nil && cr.settleable():
-			if err := deliver(cr); err != nil {
-				firstErr = err
-				cancelAll() // caller aborted: tear down the in-flight coalitions
+			return nil
+		},
+		func(i int, cause string) { runs[i].Err = fmt.Errorf("%w %s", ErrCoalitionSkipped, cause) },
+		func(i int) error {
+			if deliver == nil || !runs[i].settleable() {
+				return nil
 			}
-		}
-	}
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
+			return deliver(&runs[i])
+		})
 }
 
 // runCoalition executes one coalition's day: provision an engine over the

@@ -475,7 +475,11 @@ func TestIndividualRationalityProperty(t *testing.T) {
 
 func TestAllocationConservationProperty(t *testing.T) {
 	// Σ e_ij equals min(E_s, E_b) side: full supply in general markets,
-	// full demand in extreme ones.
+	// full demand in extreme ones. Every clearing also obeys the market
+	// rules: payments at the clearing price, the price inside its corridor,
+	// the regime matching supply against demand, and Section III-D's
+	// pro-rata shares on both sides.
+	params := DefaultParams()
 	rng := mrand.New(mrand.NewSource(4))
 	if err := quick.Check(func(seed int64) bool {
 		r := mrand.New(mrand.NewSource(seed))
@@ -486,19 +490,69 @@ func TestAllocationConservationProperty(t *testing.T) {
 			agents[i] = Agent{ID: "h" + string(rune('a'+i)), K: 70 + r.Float64()*50, Epsilon: 0.6 + r.Float64()*0.3}
 			inputs[i] = WindowInput{Generation: r.Float64(), Load: r.Float64()}
 		}
-		c, err := Clear(agents, inputs, DefaultParams())
+		c, err := Clear(agents, inputs, params)
 		if err != nil {
 			return false
 		}
-		var traded float64
+		ok := true
+		fail := func(format string, args ...any) {
+			t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
+			ok = false
+		}
+		traded := 0.0
+		bySeller := map[string]float64{}
+		byBuyer := map[string]float64{}
 		for _, tr := range c.Trades {
 			traded += tr.Energy
+			bySeller[tr.Seller] += tr.Energy
+			byBuyer[tr.Buyer] += tr.Energy
+			if !almostEqual(tr.Payment, tr.Energy*c.Price, 1e-9) {
+				fail("%s->%s paid %v for %v kWh at %v", tr.Seller, tr.Buyer, tr.Payment, tr.Energy, c.Price)
+			}
 		}
-		want := math.Min(c.Supply, c.Demand)
+		switch {
+		case len(c.SellerIDs) == 0:
+			if c.Price != params.GridRetailPrice {
+				fail("seller-less window priced %v, want retail", c.Price)
+			}
+		case c.Kind == ExtremeMarket:
+			if c.Price != params.PriceFloor {
+				fail("extreme market priced %v, want floor", c.Price)
+			}
+		case c.Price < params.PriceFloor || c.Price > params.PriceCeil:
+			fail("general-market price %v outside [%v, %v]", c.Price, params.PriceFloor, params.PriceCeil)
+		}
 		if len(c.SellerIDs) == 0 || len(c.BuyerIDs) == 0 {
-			want = 0
+			if traded != 0 {
+				fail("one-sided window traded %v kWh", traded)
+			}
+			return ok
 		}
-		return almostEqual(traded, want, 1e-6)
+		if (c.Kind == ExtremeMarket) != (c.Supply >= c.Demand) {
+			fail("%v market with supply %v, demand %v", c.Kind, c.Supply, c.Demand)
+		}
+		if want := math.Min(c.Supply, c.Demand); !almostEqual(traded, want, 1e-6) {
+			fail("traded %v, short side %v", traded, want)
+		}
+		// Pro-rata: the short side trades its whole position; the long side
+		// trades in proportion to its own.
+		for _, o := range c.Outcomes {
+			var got, want float64
+			switch {
+			case o.Role == RoleSeller && c.Kind == GeneralMarket:
+				got, want = bySeller[o.ID], o.Net
+			case o.Role == RoleSeller:
+				got, want = bySeller[o.ID], c.Demand*o.Net/c.Supply
+			case o.Role == RoleBuyer && c.Kind == GeneralMarket:
+				got, want = byBuyer[o.ID], c.Supply*-o.Net/c.Demand
+			case o.Role == RoleBuyer:
+				got, want = byBuyer[o.ID], -o.Net
+			}
+			if !almostEqual(got, want, 1e-9) {
+				fail("%s %s traded %v, pro-rata share %v", o.Role, o.ID, got, want)
+			}
+		}
+		return ok
 	}, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
 		t.Error(err)
 	}

@@ -28,8 +28,8 @@
 //	})
 //
 // res.Price is the private Stackelberg price, res.Trades the pairwise
-// allocations. See examples/ for full programs and DESIGN.md for the
-// architecture.
+// allocations. The package examples (ExampleNewGrid, ExampleNewLiveGrid, …)
+// are full runs with checked output; DESIGN.md describes the architecture.
 package pem
 
 import (

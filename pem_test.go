@@ -426,3 +426,45 @@ func TestStreamDayInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStreamDayTotalBytesIsTheDays: a window run on the same market while
+// the day streams — here from the sink — is not the day's traffic.
+// DayResult.TotalBytes sums the day's own WindowResults, not the bus.
+func TestStreamDayTotalBytesIsTheDays(t *testing.T) {
+	tr, err := pem.GenerateTrace(pem.TraceConfig{Homes: 4, Windows: 3, Seed: 9, StartHour: 16.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := pem.NewMarket(pem.Config{KeyBits: 256, Seed: seedPtr(11)}, tr.Agents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	var extra int64
+	day, err := m.StreamDay(ctx, tr, func(res *pem.WindowResult) error {
+		if res.Window != 0 {
+			return nil
+		}
+		side, err := m.RunWindow(ctx, 1000, []pem.WindowInput{
+			{Generation: 0.4, Load: 0.1}, {Load: 0.3}, {Load: 0.2}, {Generation: 0.3, Load: 0.1},
+		})
+		if err != nil {
+			return err
+		}
+		extra = side.BytesOnWire
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, res := range day.Results {
+		sum += res.BytesOnWire
+	}
+	if extra == 0 || day.TotalBytes != sum {
+		t.Fatalf("TotalBytes %d, day's windows carry %d (side window %d)", day.TotalBytes, sum, extra)
+	}
+}
