@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/pem-go/pem/internal/market"
-	"github.com/pem-go/pem/internal/transport"
 )
 
 // assertSameOutcome checks that two backends produced bit-identical public
@@ -150,18 +149,5 @@ func TestConfigValidatesCryptoBackend(t *testing.T) {
 	err := cfg.Validate()
 	if err == nil || !strings.Contains(err.Error(), "crypto backend") {
 		t.Fatalf("want crypto-backend validation error, got %v", err)
-	}
-}
-
-func TestStandaloneRejectsHybrid(t *testing.T) {
-	bus := transport.NewBus(nil)
-	conn, err := bus.Register("solo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(1)
-	cfg.CryptoBackend = BackendHybrid
-	if _, err := NewStandaloneParty(cfg, market.Agent{ID: "solo", K: 80, Epsilon: 0.8}, conn); err == nil {
-		t.Fatal("want error: hybrid backend has no standalone mask-seed provisioning")
 	}
 }

@@ -357,6 +357,11 @@ func TestFaultInjectionCorruptedRole(t *testing.T) {
 // partyConn exposes the party's transport for wrapping in tests.
 func partyConn(p *Party) transport.Conn { return p.conn }
 
+// buildRoster fills the selection fields on a fresh roster.
+func buildRoster(window int, all, sellers, buyers []string) *roster {
+	return fillRoster(new(roster), window, all, sellers, buyers)
+}
+
 func TestRosterSelectionDeterministic(t *testing.T) {
 	sellers := []string{"s1", "s2", "s3"}
 	buyers := []string{"b1", "b2"}

@@ -114,28 +114,6 @@ func TestEmulatedRunBitIdenticalAcrossConcurrency(t *testing.T) {
 	}
 }
 
-// TestEmulatedOutcomeMatchesUnemulated: emulation prices the network but
-// must never change what the market decides.
-func TestEmulatedOutcomeMatchesUnemulated(t *testing.T) {
-	agents := testAgents(6)
-	inputs := netemInputs(6)
-	plain := runOneWindow(t, testConfig(7), agents, inputs)
-	emulated := runOneWindow(t, netemConfig(7, netem.TopologyCellular), agents, inputs)
-	if plain.Kind != emulated.Kind || plain.Price != emulated.Price || len(plain.Trades) != len(emulated.Trades) {
-		t.Fatalf("emulation changed the market: %v/%v/%d vs %v/%v/%d",
-			plain.Kind, plain.Price, len(plain.Trades), emulated.Kind, emulated.Price, len(emulated.Trades))
-	}
-	for i := range plain.Trades {
-		if plain.Trades[i] != emulated.Trades[i] {
-			t.Fatalf("trade %d changed under emulation: %+v vs %+v", i, plain.Trades[i], emulated.Trades[i])
-		}
-	}
-	if plain.VirtualLatency != 0 || plain.Rounds != 0 {
-		t.Errorf("unemulated run reported virtual metrics: %v/%d", plain.VirtualLatency, plain.Rounds)
-	}
-	assertMatchesPlaintext(t, emulated, agents, inputs)
-}
-
 // TestTreeBeatsRingOnWAN is the headline communication-cost result: on a
 // high-latency topology the log-depth aggregation tree must show a shorter
 // critical path (fewer rounds, less virtual latency) than the paper's

@@ -177,9 +177,9 @@ func (r *windowRun) sendMaskedReciprocal(ctx context.Context, hs, tagTotal, tagM
 // in arrival order, decrypt them packed — the n ciphertexts are cut into
 // ⌈n/slots⌉ near-equal batches, each handed to the shared crypto worker
 // pool the moment its last member arrives and decrypted as one plaintext
-// (paillier.DecryptSlots) — recover the allocation ratios and broadcast the
-// vector to the supply side. Decryption of complete batches overlaps the
-// wait for stragglers.
+// (paillier.DecryptSlots) — recover the allocation ratios, refuse them unless
+// they sum to 1, and broadcast the vector to the supply side. Decryption of
+// complete batches overlaps the wait for stragglers.
 func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error) {
 	n := len(demandSide)
 	ids := make([]string, n)
@@ -219,11 +219,16 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 	}
 
 	ratios := make(map[string]float64, n)
+	sum := 0.0
 	for i, id := range ids {
 		ratios[id] = vals[i]
+		sum += vals[i]
 	}
 	if len(ratios) != n {
 		return nil, fmt.Errorf("distribution: duplicate masked sender")
+	}
+	if math.Abs(sum-1) > paymentTolerance {
+		return nil, &RatioSumError{Window: r.window, Sum: sum}
 	}
 
 	payload, err := encodeRatios(ratios)
@@ -393,8 +398,22 @@ func (r *windowRun) exchangeAsDemander(ctx context.Context, kind market.Kind, pr
 	return r.conn.Send(ctx, peer, tagReply, msg[:])
 }
 
-// paymentTolerance absorbs fixed-point rounding in the pay/confirm checks.
+// paymentTolerance absorbs fixed-point rounding in the pay/confirm checks
+// and in the sum of a window's allocation ratios.
 const paymentTolerance = 1e-4
+
+// RatioSumError refuses a window whose Protocol 4 allocation ratios do not
+// sum to 1: round(10^12/|sn_j|) loses precision as |sn_j| grows, and trading
+// on such ratios would allocate a member more or less than its surplus.
+type RatioSumError struct {
+	Window int     // the refused trading window
+	Sum    float64 // what its decoded ratios summed to
+}
+
+// Error names the window and the sum.
+func (e *RatioSumError) Error() string {
+	return fmt.Sprintf("core: window %d: allocation ratios sum to %.6f, not 1", e.Window, e.Sum)
+}
 
 // ratioSlack bounds how far above 1 a decoded allocation ratio may land.
 // Ratios are |sn_j|/E_b ∈ (0, 1] exactly, but the reciprocal trick rounds

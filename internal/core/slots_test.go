@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"strings"
 	"sync"
@@ -94,33 +96,15 @@ func assertTradesExactly(t *testing.T, label string, got, want []market.Trade) {
 	}
 }
 
-// backendsAndTopologies runs one window under every backend × aggregation
-// topology, asserts the four outcomes bit-identical, and returns one.
-func backendsAndTopologies(t *testing.T, cfg Config, agents []market.Agent, inputs []market.WindowInput) *WindowResult {
-	t.Helper()
-	var first *WindowResult
-	for _, backend := range []string{BackendPaillier, BackendHybrid} {
-		for _, topo := range []string{AggregationRing, AggregationTree} {
-			cfg.CryptoBackend, cfg.Aggregation = backend, topo
-			res := runOneWindow(t, cfg, agents, inputs)
-			if first == nil {
-				first = res
-				continue
-			}
-			assertSameOutcome(t, backend+"/"+topo, first, res)
-		}
-	}
-	return first
-}
-
 // TestPackedRatiosAcrossBatchSplits drives Protocol 4's packed decryption
 // through its batch boundaries — demand sides of slots, slots+1 and
 // 2·slots+1 members (one full batch; two uneven; three) on 512-bit keys
 // (4 slots) in both market regimes — and Protocol 3's packed pair with
 // them; demand sides of 1, 2 and 3 are the edges of the hybrid backend's
 // masked step 1 (a root with nothing to fold, one hop, the first tree with
-// an odd member). Both backends × both topologies agree bit for bit, with
-// the integer oracle and (within fixed-point rounding) with market.Clear.
+// an odd member). The hybrid tree reproduces the integer oracle bit for bit
+// and market.Clear within fixed-point rounding; every other backend ×
+// topology cell is TestInvariantMatrix's.
 func TestPackedRatiosAcrossBatchSplits(t *testing.T) {
 	const slots = 4
 	for _, kind := range []market.Kind{market.GeneralMarket, market.ExtremeMarket} {
@@ -144,8 +128,8 @@ func TestPackedRatiosAcrossBatchSplits(t *testing.T) {
 					}
 				}
 				cfg := testConfig(int64(9000 + demand))
-				cfg.KeyBits = 512
-				res := backendsAndTopologies(t, cfg, agents, inputs)
+				cfg.KeyBits, cfg.CryptoBackend, cfg.Aggregation = 512, BackendHybrid, AggregationTree
+				res := runOneWindow(t, cfg, agents, inputs)
 				if res.Kind != kind || res.Degenerate {
 					t.Fatalf("kind = %v, degenerate = %v", res.Kind, res.Degenerate)
 				}
@@ -167,10 +151,12 @@ func TestPackedRatiosAcrossBatchSplits(t *testing.T) {
 // (ROADMAP correctness item (d)): the widest masked product the reciprocal
 // trick can produce — a 1 µ-unit member (k = 10^12, the largest exponent)
 // next to members at the largest share that still has a non-zero
-// reciprocal, 2·10^12 µ-units — on both backends and topologies against
-// the integer oracle. One step further, shares near MaxInt64/n have
-// round(10^12/|sn|) = 0: every configuration must refuse the window with
-// the same typed cause instead of trading on a zero ratio.
+// reciprocal, 2·10^12 µ-units. There k = round(0.5) = 1 and the ratios sum
+// to ≈ 0.5, so every backend and topology must refuse the window with a
+// RatioSumError rather than sell half the sellers' surplus. One step
+// further, shares near MaxInt64/n have round(10^12/|sn|) = 0: every
+// configuration must refuse the window with the zero-reciprocal cause
+// instead of trading on a zero ratio.
 func TestPackedRatiosAtMaxMagnitude(t *testing.T) {
 	agents := testAgents(8)
 	window := func(share float64) []market.WindowInput {
@@ -185,15 +171,8 @@ func TestPackedRatiosAtMaxMagnitude(t *testing.T) {
 	}
 	cfg := testConfig(9100)
 	cfg.KeyBits = 512
-
-	inputs := window(2e6) // 2·10^12 µ-units: k = round(0.5) = 1
-	res := backendsAndTopologies(t, cfg, agents, inputs)
-	if res.Kind != market.GeneralMarket || res.BuyerCount != 6 {
-		t.Fatalf("kind = %v, %d buyers", res.Kind, res.BuyerCount)
-	}
-	assertTradesExactly(t, "integer oracle", res.Trades, integerOracle(t, res, agents, inputs))
-
-	inputs = window(float64(1<<63-1) / fixed.Scale / 8) // near MaxInt64/n
+	halfSold := window(2e6)                                 // 2·10^12 µ-units: k = round(0.5) = 1
+	zeroRecip := window(float64(1<<63-1) / fixed.Scale / 8) // near MaxInt64/n
 	for _, backend := range []string{BackendPaillier, BackendHybrid} {
 		for _, topo := range []string{AggregationRing, AggregationTree} {
 			cfg.CryptoBackend, cfg.Aggregation = backend, topo
@@ -201,7 +180,12 @@ func TestPackedRatiosAtMaxMagnitude(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = eng.RunWindow(context.Background(), 0, inputs)
+			_, err = eng.RunWindow(context.Background(), 0, halfSold)
+			var sumErr *RatioSumError
+			if !errors.As(err, &sumErr) || sumErr.Window != 0 || math.Abs(sumErr.Sum-0.5) > 1e-6 {
+				t.Errorf("%s/%s: err = %v, want a RatioSumError for window 0 at sum 0.5", backend, topo, err)
+			}
+			_, err = eng.RunWindow(context.Background(), 1, zeroRecip)
 			eng.Close()
 			if err == nil || !strings.Contains(err.Error(), "masked ratio must be positive") {
 				t.Errorf("%s/%s: err = %v, want the zero-reciprocal refusal", backend, topo, err)

@@ -2,128 +2,11 @@ package core
 
 import (
 	"context"
-	"math"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/pem-go/pem/internal/market"
-	"github.com/pem-go/pem/internal/secchan"
 	"github.com/pem-go/pem/internal/transport"
 )
-
-// TestStandalonePartiesOverTCP runs a full private window across four
-// standalone parties communicating via real TCP sockets wrapped in secure
-// channels — the cmd/pem-agent deployment shape.
-func TestStandalonePartiesOverTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow: TCP + full protocol")
-	}
-	agents := []market.Agent{
-		{ID: "house-a", K: 85, Epsilon: 0.9},
-		{ID: "house-b", K: 70, Epsilon: 0.8},
-		{ID: "house-c", K: 95, Epsilon: 0.85},
-		{ID: "house-d", K: 80, Epsilon: 0.9},
-	}
-	inputs := []market.WindowInput{
-		{Generation: 0.35, Load: 0.10}, // seller
-		{Generation: 0.00, Load: 0.25}, // buyer
-		{Generation: 0.00, Load: 0.20}, // buyer
-		{Generation: 0.30, Load: 0.12}, // seller
-	}
-
-	// Transport: one TCP node per agent plus secure channels.
-	dir := secchan.NewDirectory()
-	nodes := make([]*transport.TCPNode, len(agents))
-	ids := make([]*secchan.Identity, len(agents))
-	for i, a := range agents {
-		node, err := transport.ListenTCP(a.ID, "127.0.0.1:0", nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer node.Close()
-		nodes[i] = node
-		id, err := secchan.NewIdentity(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-		dir.Register(a.ID, id.PublicKey())
-	}
-	for i := range nodes {
-		for j := range nodes {
-			if i != j {
-				nodes[i].SetPeer(agents[j].ID, nodes[j].Addr())
-			}
-		}
-	}
-
-	peerIDs := make([]string, len(agents))
-	for i, a := range agents {
-		peerIDs[i] = a.ID
-	}
-
-	seed := int64(42)
-	cfg := testConfig(seed)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
-	defer cancel()
-
-	outcomes := make([]*PartyOutcome, len(agents))
-	errs := make([]error, len(agents))
-	var wg sync.WaitGroup
-	for i, a := range agents {
-		wg.Add(1)
-		go func(i int, a market.Agent) {
-			defer wg.Done()
-			conn := secchan.New(nodes[i], ids[i], dir)
-			party, err := NewStandaloneParty(cfg, a, conn)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := party.ExchangeKeys(ctx, peerIDs); err != nil {
-				errs[i] = err
-				return
-			}
-			outcomes[i], errs[i] = party.RunTradingWindow(ctx, 0, inputs[i])
-		}(i, a)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("party %s: %v", agents[i].ID, err)
-		}
-	}
-
-	// All parties agree on the public outcome...
-	for i := 1; i < len(outcomes); i++ {
-		if outcomes[i].Kind != outcomes[0].Kind {
-			t.Fatalf("kind disagreement: %v vs %v", outcomes[i].Kind, outcomes[0].Kind)
-		}
-		if math.Abs(outcomes[i].Price-outcomes[0].Price) > 1e-9 {
-			t.Fatalf("price disagreement")
-		}
-	}
-	// ...and it matches the plaintext reference.
-	ref, err := market.Clear(agents, inputs, market.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcomes[0].Kind != ref.Kind {
-		t.Fatalf("kind %v, want %v", outcomes[0].Kind, ref.Kind)
-	}
-	if math.Abs(outcomes[0].Price-ref.Price) > 1e-4 {
-		t.Fatalf("price %v, want %v", outcomes[0].Price, ref.Price)
-	}
-	var gotTrades int
-	for _, o := range outcomes {
-		gotTrades += len(o.Trades)
-	}
-	if gotTrades != len(ref.Trades) {
-		t.Fatalf("trades %d, want %d", gotTrades, len(ref.Trades))
-	}
-}
 
 func TestStandaloneValidation(t *testing.T) {
 	bus := transport.NewBus(nil)

@@ -87,11 +87,6 @@ func fillRoster(r *roster, window int, all, sellers, buyers []string) *roster {
 	return r
 }
 
-// buildRoster fills the selection fields on a fresh roster.
-func buildRoster(window int, all, sellers, buyers []string) *roster {
-	return fillRoster(new(roster), window, all, sellers, buyers)
-}
-
 // windowRun is one party's protocol-run object for a single trading
 // window: its private view of the window, the window-scoped randomness
 // stream and the window's tag namespace. It embeds the session layer

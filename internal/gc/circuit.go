@@ -299,7 +299,3 @@ func BuildEquals(bits int) (*Circuit, error) {
 	}
 	return &circ, nil
 }
-
-// BuildMillionaires is an alias for BuildGreaterThan kept for readability at
-// call sites that implement the Yao millionaires comparison.
-func BuildMillionaires(bits int) (*Circuit, error) { return BuildGreaterThan(bits) }

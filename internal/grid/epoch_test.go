@@ -104,55 +104,6 @@ func TestLiveDeterministicAcrossConcurrency(t *testing.T) {
 	}
 }
 
-// TestLiveMatchesOracle checks every epoch's private outcomes against the
-// plaintext clearing oracle over that epoch's trace and partition.
-func TestLiveMatchesOracle(t *testing.T) {
-	evo := testEvolution(t, 3, dataset.ChurnConfig{JoinRate: 0.2, DepartRate: 0.2})
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
-	defer cancel()
-	res, err := RunLive(ctx, testLiveConfig(9, 0), evo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := market.DefaultParams()
-	for e, er := range res.Epochs {
-		if er.Windows == 0 {
-			t.Errorf("epoch %d completed no windows", e)
-		}
-		for _, cr := range er.Coalitions {
-			if cr.Folded {
-				continue
-			}
-			if cr.Err != nil {
-				t.Fatalf("epoch %d coalition %s: %v", e, cr.Name, cr.Err)
-			}
-			sub, err := evo.Epochs[e].Trace.Select(cr.Members)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for w, got := range cr.Results {
-				inputs, err := sub.WindowInputs(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				clr, err := market.Clear(sub.Agents(), inputs, params)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Kind != clr.Kind {
-					t.Errorf("epoch %d %s w%d: kind %v, oracle %v", e, cr.Name, w, got.Kind, clr.Kind)
-				}
-				if math.Abs(got.Price-clr.Price) > 1e-4 {
-					t.Errorf("epoch %d %s w%d: price %v, oracle %v", e, cr.Name, w, got.Price, clr.Price)
-				}
-				if len(got.Trades) != len(clr.Trades) {
-					t.Errorf("epoch %d %s w%d: %d trades, oracle %d", e, cr.Name, w, len(got.Trades), len(clr.Trades))
-				}
-			}
-		}
-	}
-}
-
 // TestLiveRekeying: every epoch provisions fresh engines under fresh
 // transport scopes — re-key cost is accounted separately from trading, and
 // each (epoch, coalition) scope carries its own traffic. (Which keys an

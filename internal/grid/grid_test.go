@@ -205,9 +205,10 @@ func TestGridDeterministicAcrossConcurrency(t *testing.T) {
 	}
 }
 
-// TestGridMatchesOracle checks every coalition's private outcome against
-// the plaintext market.Clear under its mixed scenario, and the settlement
-// against hand-computed residuals.
+// TestGridMatchesOracle checks every coalition's residual, and the
+// settlement, against residuals hand-computed from the plaintext
+// market.Clear under its mixed scenario; the windows themselves are held to
+// the oracle by the root package's TestInvariantMatrix.
 func TestGridMatchesOracle(t *testing.T) {
 	tr := testFleet(t, 2, 3, 2)
 	parts, err := Partition(StrategyRandom, tr.Homes, 2, 11)
@@ -238,16 +239,6 @@ func TestGridMatchesOracle(t *testing.T) {
 			clr, err := market.Clear(agents, inputs, params)
 			if err != nil {
 				t.Fatal(err)
-			}
-			got := cr.Results[w]
-			if got.Kind != clr.Kind {
-				t.Errorf("%s w%d: kind %v, oracle %v", cr.Name, w, got.Kind, clr.Kind)
-			}
-			if math.Abs(got.Price-clr.Price) > 1e-4 {
-				t.Errorf("%s w%d: price %v, oracle %v", cr.Name, w, got.Price, clr.Price)
-			}
-			if len(got.Trades) != len(clr.Trades) {
-				t.Errorf("%s w%d: %d trades, oracle %d", cr.Name, w, len(got.Trades), len(clr.Trades))
 			}
 			imp, exp := market.ResidualFromClearing(clr)
 			want.ImportKWh += imp

@@ -175,12 +175,6 @@ func SellerUtility(k, epsilon, load, gen, battery, price float64) float64 {
 	return k*math.Log(1+load+epsilon*battery) + price*(gen-load-battery)
 }
 
-// BuyerCost is C_j^t of Eq. 5: the market purchase x at the trading price
-// plus the residual demand bought from the grid at retail.
-func BuyerCost(load, gen, battery, marketPurchase, price, gridRetail float64) float64 {
-	return price*marketPurchase + gridRetail*(load+battery-gen-marketPurchase)
-}
-
 // OptimalLoad is the follower's best response l*_i, clamped to be
 // non-negative (loads cannot be negative; the clamp corresponds to the
 // boundary optimum of the concave utility).

@@ -1,8 +1,10 @@
 package market
 
 import (
+	"fmt"
 	"math"
 	mrand "math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -473,12 +475,74 @@ func TestIndividualRationalityProperty(t *testing.T) {
 	}
 }
 
+// clearingViolations lists every market rule c breaks: payments at the
+// clearing price; the price inside its corridor (the floor in an extreme
+// market, retail with no sellers); nothing traded in a one-sided window;
+// the regime matching supply against demand; Σ e_ij equal to the short
+// side — full supply in general markets, full demand in extreme ones — and
+// Section III-D's pro-rata shares on both sides.
+func clearingViolations(c *Clearing, params Params) []string {
+	var bad []string
+	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
+	traded := 0.0
+	bySeller := map[string]float64{}
+	byBuyer := map[string]float64{}
+	for _, tr := range c.Trades {
+		traded += tr.Energy
+		bySeller[tr.Seller] += tr.Energy
+		byBuyer[tr.Buyer] += tr.Energy
+		if !almostEqual(tr.Payment, tr.Energy*c.Price, 1e-9) {
+			fail("%s->%s paid %v for %v kWh at %v", tr.Seller, tr.Buyer, tr.Payment, tr.Energy, c.Price)
+		}
+	}
+	switch {
+	case len(c.SellerIDs) == 0:
+		if c.Price != params.GridRetailPrice {
+			fail("seller-less window priced %v, want retail", c.Price)
+		}
+	case c.Kind == ExtremeMarket:
+		if c.Price != params.PriceFloor {
+			fail("extreme market priced %v, want floor", c.Price)
+		}
+	case c.Price < params.PriceFloor || c.Price > params.PriceCeil:
+		fail("general-market price %v outside [%v, %v]", c.Price, params.PriceFloor, params.PriceCeil)
+	}
+	if len(c.SellerIDs) == 0 || len(c.BuyerIDs) == 0 {
+		if traded != 0 {
+			fail("one-sided window traded %v kWh", traded)
+		}
+		return bad
+	}
+	if (c.Kind == ExtremeMarket) != (c.Supply >= c.Demand) {
+		fail("%v market with supply %v, demand %v", c.Kind, c.Supply, c.Demand)
+	}
+	if want := math.Min(c.Supply, c.Demand); !almostEqual(traded, want, 1e-6) {
+		fail("traded %v, short side %v", traded, want)
+	}
+	// Pro-rata: the short side trades its whole position; the long side
+	// trades in proportion to its own.
+	for _, o := range c.Outcomes {
+		var got, want float64
+		switch {
+		case o.Role == RoleSeller && c.Kind == GeneralMarket:
+			got, want = bySeller[o.ID], o.Net
+		case o.Role == RoleSeller:
+			got, want = bySeller[o.ID], c.Demand*o.Net/c.Supply
+		case o.Role == RoleBuyer && c.Kind == GeneralMarket:
+			got, want = byBuyer[o.ID], c.Supply*-o.Net/c.Demand
+		case o.Role == RoleBuyer:
+			got, want = byBuyer[o.ID], -o.Net
+		}
+		if !almostEqual(got, want, 1e-9) {
+			fail("%s %s traded %v, pro-rata share %v", o.Role, o.ID, got, want)
+		}
+	}
+	return bad
+}
+
+// TestAllocationConservationProperty holds every sampled clearing to the
+// market rules of clearingViolations.
 func TestAllocationConservationProperty(t *testing.T) {
-	// Σ e_ij equals min(E_s, E_b) side: full supply in general markets,
-	// full demand in extreme ones. Every clearing also obeys the market
-	// rules: payments at the clearing price, the price inside its corridor,
-	// the regime matching supply against demand, and Section III-D's
-	// pro-rata shares on both sides.
 	params := DefaultParams()
 	rng := mrand.New(mrand.NewSource(4))
 	if err := quick.Check(func(seed int64) bool {
@@ -494,67 +558,59 @@ func TestAllocationConservationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ok := true
-		fail := func(format string, args ...any) {
-			t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
-			ok = false
+		bad := clearingViolations(c, params)
+		for _, v := range bad {
+			t.Errorf("seed %d: %s", seed, v)
 		}
-		traded := 0.0
-		bySeller := map[string]float64{}
-		byBuyer := map[string]float64{}
-		for _, tr := range c.Trades {
-			traded += tr.Energy
-			bySeller[tr.Seller] += tr.Energy
-			byBuyer[tr.Buyer] += tr.Energy
-			if !almostEqual(tr.Payment, tr.Energy*c.Price, 1e-9) {
-				fail("%s->%s paid %v for %v kWh at %v", tr.Seller, tr.Buyer, tr.Payment, tr.Energy, c.Price)
-			}
-		}
-		switch {
-		case len(c.SellerIDs) == 0:
-			if c.Price != params.GridRetailPrice {
-				fail("seller-less window priced %v, want retail", c.Price)
-			}
-		case c.Kind == ExtremeMarket:
-			if c.Price != params.PriceFloor {
-				fail("extreme market priced %v, want floor", c.Price)
-			}
-		case c.Price < params.PriceFloor || c.Price > params.PriceCeil:
-			fail("general-market price %v outside [%v, %v]", c.Price, params.PriceFloor, params.PriceCeil)
-		}
-		if len(c.SellerIDs) == 0 || len(c.BuyerIDs) == 0 {
-			if traded != 0 {
-				fail("one-sided window traded %v kWh", traded)
-			}
-			return ok
-		}
-		if (c.Kind == ExtremeMarket) != (c.Supply >= c.Demand) {
-			fail("%v market with supply %v, demand %v", c.Kind, c.Supply, c.Demand)
-		}
-		if want := math.Min(c.Supply, c.Demand); !almostEqual(traded, want, 1e-6) {
-			fail("traded %v, short side %v", traded, want)
-		}
-		// Pro-rata: the short side trades its whole position; the long side
-		// trades in proportion to its own.
-		for _, o := range c.Outcomes {
-			var got, want float64
-			switch {
-			case o.Role == RoleSeller && c.Kind == GeneralMarket:
-				got, want = bySeller[o.ID], o.Net
-			case o.Role == RoleSeller:
-				got, want = bySeller[o.ID], c.Demand*o.Net/c.Supply
-			case o.Role == RoleBuyer && c.Kind == GeneralMarket:
-				got, want = byBuyer[o.ID], c.Supply*-o.Net/c.Demand
-			case o.Role == RoleBuyer:
-				got, want = byBuyer[o.ID], -o.Net
-			}
-			if !almostEqual(got, want, 1e-9) {
-				fail("%s %s traded %v, pro-rata share %v", o.Role, o.ID, got, want)
-			}
-		}
-		return ok
+		return len(bad) == 0
 	}, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestClearingRulesCatchTampering shows each rule of clearingViolations
+// rejecting the corruption it exists for, on a general market of two
+// sellers (0.43 kWh) against three buyers (0.73 kWh).
+func TestClearingRulesCatchTampering(t *testing.T) {
+	agents := []Agent{
+		{ID: "s1", K: 85, Epsilon: 0.9},
+		{ID: "s2", K: 75, Epsilon: 0.85},
+		{ID: "b1", K: 80, Epsilon: 0.9},
+		{ID: "b2", K: 90, Epsilon: 0.8},
+		{ID: "b3", K: 70, Epsilon: 0.85},
+	}
+	inputs := []WindowInput{
+		{Generation: 0.35, Load: 0.10}, // +0.25
+		{Generation: 0.30, Load: 0.12}, // +0.18
+		{Generation: 0.00, Load: 0.30}, // −0.30
+		{Generation: 0.02, Load: 0.25}, // −0.23
+		{Generation: 0.00, Load: 0.20}, // −0.20
+	}
+	for name, tamper := range map[string]func(c *Clearing){
+		"Clean":          func(*Clearing) {},
+		"PriceOutOfBand": func(c *Clearing) { c.Price = 150 },
+		"SkimmedPayment": func(c *Clearing) { c.Trades[0].Payment *= 0.5 },
+		"MissingTrade":   func(c *Clearing) { c.Trades = c.Trades[1:] },
+		"WrongRegime":    func(c *Clearing) { c.Kind = ExtremeMarket }, // supply < demand
+		"SkewedShares": func(c *Clearing) { // b1 gains what b2 loses, paid at the price
+			for buyer, kWh := range map[string]float64{"b1": 0.05, "b2": -0.05} {
+				i := slices.IndexFunc(c.Trades, func(tr Trade) bool { return tr.Buyer == buyer })
+				c.Trades[i].Energy += kWh
+				c.Trades[i].Payment = c.Trades[i].Energy * c.Price
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			params := DefaultParams()
+			c, err := Clear(agents, inputs, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tamper(c)
+			if bad := clearingViolations(c, params); (len(bad) == 0) != (name == "Clean") {
+				t.Errorf("violations: %v", bad)
+			}
+		})
 	}
 }
 

@@ -282,6 +282,9 @@ var ErrMarketClosed = core.ErrEngineClosed
 // sink error — are returned as-is.
 type WindowError = core.WindowError
 
+// RatioSumError refuses a window whose allocation ratios do not sum to 1.
+type RatioSumError = core.RatioSumError
+
 // RunWindow executes one private trading window (Protocol 1) — the
 // depth-1 special case of the pipelined scheduler behind RunWindows.
 func (m *Market) RunWindow(ctx context.Context, window int, inputs []WindowInput) (*WindowResult, error) {

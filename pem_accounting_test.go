@@ -15,75 +15,6 @@ import (
 	"github.com/pem-go/pem/internal/transport"
 )
 
-// TestGridAccountingGolden pins a seeded grid's traffic accounting on the
-// emulated WAN — every coalition's bytes, messages, virtual latency and
-// rounds, and the day's totals — for both crypto backends, flat and tiered
-// (tiers settle residuals, so they must not move a byte). The constants are
-// the figures of the grid when each coalition's traffic was read from
-// per-scope aggregates on the shared bus; summing the coalition's
-// WindowResults must reproduce them exactly.
-func TestGridAccountingGolden(t *testing.T) {
-	type coalition struct {
-		bytes, msgs int64
-		latency     time.Duration
-		rounds      int
-	}
-	type day struct {
-		coalitions  []coalition
-		bytes, msgs int64
-		latency     time.Duration
-	}
-	want := map[string]day{
-		pem.BackendPaillier: {
-			coalitions: []coalition{
-				{37251, 126, 2097667366, 18},
-				{34740, 102, 1870553629, 14},
-				{35976, 114, 1846755756, 16},
-			},
-			bytes: 107967, msgs: 342, latency: 2097667366,
-		},
-		pem.BackendHybrid: {
-			coalitions: []coalition{
-				{7506, 120, 1860702757, 16},
-				{5463, 96, 1879472410, 14},
-				{6543, 108, 1716662887, 15},
-			},
-			bytes: 19512, msgs: 324, latency: 1879472410,
-		},
-	}
-
-	tr, err := pem.GenerateFleet(pem.FleetConfig{Coalitions: 3, HomesPerCoalition: 4, Windows: 3, Seed: 24, StartHour: 16.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
-	defer cancel()
-	for _, backend := range []string{pem.BackendPaillier, pem.BackendHybrid} {
-		for _, tiers := range [][]int{nil, {2}} {
-			g, err := pem.NewGrid(pem.GridConfig{
-				Market:     pem.Config{KeyBits: 256, Seed: seedPtr(24), CryptoBackend: backend, Network: pem.NetworkWAN},
-				Coalitions: 3,
-				Partition:  pem.PartitionBalanced,
-				Tiers:      tiers,
-			}, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := g.Run(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := day{bytes: res.TotalBytes, msgs: res.TotalMessages, latency: res.VirtualLatency}
-			for _, cr := range res.Coalitions {
-				got.coalitions = append(got.coalitions, coalition{cr.Bytes, cr.Msgs, cr.VirtualLatency, cr.Rounds})
-			}
-			if !reflect.DeepEqual(got, want[backend]) {
-				t.Errorf("%s tiers %v:\n got  %+v\n want %+v", backend, tiers, got, want[backend])
-			}
-		}
-	}
-}
-
 // parentCheckpointConfig is a checkpoint configuration blob exactly as a
 // durable live grid wrote it while pem.Config still carried RecordLedger and
 // CryptoWorkers: a WAL written then must still resume.

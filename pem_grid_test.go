@@ -2,7 +2,8 @@ package pem_test
 
 import (
 	"context"
-	"math"
+	"crypto/sha256"
+	"slices"
 	"testing"
 	"time"
 
@@ -62,43 +63,14 @@ func TestGridPublicAPI(t *testing.T) {
 		t.Fatalf("run shape: %d windows, %d coalitions", res.Windows, len(res.Coalitions))
 	}
 
-	// Every coalition's private outcome must match the plaintext oracle
-	// under its mixed scenario (the coalition members come from different
-	// GenerateFleet scenario blocks after balanced partitioning).
-	params := pem.DefaultParams()
-	for i, cr := range res.Coalitions {
-		if cr.Err != nil {
-			t.Fatalf("coalition %s failed: %v", cr.Name, cr.Err)
+	// Every coalition trades the members its public partition names, under
+	// their mixed scenario blocks, to the plaintext oracle.
+	for i := range res.Coalitions {
+		cr := &res.Coalitions[i]
+		if cr.Err != nil || !slices.Equal(cr.IDs, parts[i]) {
+			t.Fatalf("coalition %s ran %v, partition %v: %v", cr.Name, cr.IDs, parts[i], cr.Err)
 		}
-		agents := make([]pem.Agent, 0, len(parts[i]))
-		byID := make(map[string]pem.Agent)
-		for _, a := range tr.Agents() {
-			byID[a.ID] = a
-		}
-		for _, id := range parts[i] {
-			agents = append(agents, byID[id])
-		}
-		for w, winRes := range cr.Results {
-			inputs := make([]pem.WindowInput, len(cr.Members))
-			for j, h := range cr.Members {
-				inputs[j] = pem.WindowInput{
-					Generation: tr.Gen[h][w],
-					Load:       tr.Load[h][w],
-					Battery:    tr.Battery[h][w],
-				}
-			}
-			clr, err := pem.Clear(agents, inputs, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if winRes.Kind != clr.Kind || math.Abs(winRes.Price-clr.Price) > 1e-4 {
-				t.Errorf("%s w%d: kind/price %v/%v, oracle %v/%v",
-					cr.Name, w, winRes.Kind, winRes.Price, clr.Kind, clr.Price)
-			}
-			if len(winRes.Trades) != len(clr.Trades) {
-				t.Errorf("%s w%d: %d trades, oracle %d", cr.Name, w, len(winRes.Trades), len(clr.Trades))
-			}
-		}
+		checkCoalition(t, sha256.New(), tr, cr)
 	}
 
 	if res.Settlement == nil || len(res.Settlement.PerCoalition) != 2 {

@@ -2,7 +2,6 @@ package pem_test
 
 import (
 	"context"
-	"math"
 	"testing"
 	"time"
 
@@ -188,46 +187,6 @@ func TestSellerUtilitySeries(t *testing.T) {
 	}
 }
 
-func TestRunDayPrivateMatchesSimulation(t *testing.T) {
-	tr, err := pem.GenerateTrace(pem.TraceConfig{Homes: 6, Windows: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := testMarket(t, tr.Agents(), 8)
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
-	defer cancel()
-
-	day, err := m.RunDay(ctx, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := pem.SimulateDay(tr, pem.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(day.Results) != sim.Windows {
-		t.Fatalf("windows: %d vs %d", len(day.Results), sim.Windows)
-	}
-	for w, res := range day.Results {
-		if math.Abs(res.Price-sim.Price[w]) > 1e-4 {
-			t.Errorf("window %d: private price %v, simulated %v", w, res.Price, sim.Price[w])
-		}
-		if res.SellerCount != sim.SellerCount[w] || res.BuyerCount != sim.BuyerCount[w] {
-			t.Errorf("window %d: coalition sizes disagree", w)
-		}
-	}
-	if day.TotalBytes <= 0 {
-		t.Error("no bytes accounted")
-	}
-	// Ledger sanity: one block per window plus genesis.
-	if m.Ledger().Len() != tr.Windows+1 {
-		t.Errorf("ledger height %d", m.Ledger().Len())
-	}
-	if err := m.Ledger().Verify(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestClearAndBaselineExported(t *testing.T) {
 	agents := []pem.Agent{
 		{ID: "s", K: 85, Epsilon: 0.9},
@@ -308,67 +267,6 @@ func TestRunWindowsPipelinedBitIdentical(t *testing.T) {
 				t.Errorf("window %d trade %d: %+v vs %+v", w, i, s.Trades[i], p.Trades[i])
 			}
 		}
-	}
-}
-
-// TestRunDayTreeAggregationMatchesSimulation validates the log-depth tree
-// topology against the plaintext oracle over a full (small) trace: every
-// window's clearing must match market.Clear to fixed-point precision, as
-// with the default ring.
-func TestRunDayTreeAggregationMatchesSimulation(t *testing.T) {
-	tr, err := pem.GenerateTrace(pem.TraceConfig{Homes: 6, Windows: 6, Seed: 7, StartHour: 16.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := pem.NewMarket(pem.Config{
-		KeyBits:            256,
-		Seed:               seedPtr(77),
-		Aggregation:        pem.AggregationTree,
-		MaxInflightWindows: 2,
-	}, tr.Agents())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
-	defer cancel()
-
-	day, err := m.RunDay(ctx, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := pem.SimulateDay(tr, pem.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w, res := range day.Results {
-		if math.Abs(res.Price-sim.Price[w]) > 1e-4 {
-			t.Errorf("window %d: tree price %v, simulated %v", w, res.Price, sim.Price[w])
-		}
-		if res.Kind != sim.Kind[w] {
-			t.Errorf("window %d: tree kind %v, simulated %v", w, res.Kind, sim.Kind[w])
-		}
-		if res.SellerCount != sim.SellerCount[w] || res.BuyerCount != sim.BuyerCount[w] {
-			t.Errorf("window %d: coalition sizes disagree", w)
-		}
-		// Per-window traded volume must match the oracle's clearing.
-		clr, err := pem.Clear(tr.Agents(), mustInputs(t, tr, w), pem.DefaultParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got, want float64
-		for _, tr := range res.Trades {
-			got += tr.Energy
-		}
-		for _, tr := range clr.Trades {
-			want += tr.Energy
-		}
-		if math.Abs(got-want) > 1e-3 {
-			t.Errorf("window %d: tree volume %v, oracle %v", w, got, want)
-		}
-	}
-	if err := m.Ledger().Verify(); err != nil {
-		t.Error(err)
 	}
 }
 
