@@ -186,7 +186,8 @@ func (g *Grid) Partition() [][]string {
 // its siblings in flight drain normally, unlaunched coalitions are skipped,
 // and the returned GridResult carries per-coalition outcomes (with Err set
 // on the failed and skipped ones) alongside the earliest failure, so a
-// partial day is still observable.
+// partial day is still observable. Run keeps every coalition's full payload;
+// Stream releases each one once its sink returns.
 func (g *Grid) Run(ctx context.Context) (*GridResult, error) {
 	res, err := grid.Run(ctx, g.cfg, g.trace, g.parts)
 	if err != nil {

@@ -150,9 +150,7 @@ func (c Config) Validate() error {
 // An engine does not necessarily own its heavyweight infrastructure: it
 // *borrows* the transport bus and the crypto worker pool when a caller
 // provides them (see Resources and NewEngineWith), which is how a coalition
-// grid runs many engines over one bus and one bounded pool. The engine
-// always holds its own reference on the pool and releases it on Close, so
-// shared and solo lifecycles go through the same code path.
+// grid runs many engines over one bus and one bounded pool.
 type Engine struct {
 	cfg     Config
 	scope   string // Resources.Scope
@@ -189,10 +187,9 @@ type Resources struct {
 	Scope string
 	// Workers is the bounded batch-crypto pool: Hs's packed decryptions of
 	// the Protocol 4 masked ciphertexts, key generation and blinding-factor
-	// refill run across it. The engine retains its own reference and
-	// releases it on Close, so a caller sharing one pool across engines
-	// keeps its reference alive independently. Outcomes are bit-identical
-	// at any pool size.
+	// refill run across it. Lending one pool to every engine of a grid
+	// bounds the whole grid's crypto parallelism; the pool has no lifecycle,
+	// so nothing is released. Outcomes are bit-identical at any pool size.
 	Workers *paillier.Workers
 	// Keys is the ring the engine's parties get their key pairs from: a home
 	// the ring already holds keeps its pair, the rest are generated into it.
@@ -267,11 +264,9 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 	// across it, so total CPU parallelism stays bounded by the pool
 	// size. A borrowed pool is additionally shared with sibling engines —
 	// many coalitions provisioning at once still generate keys at the
-	// pool's pace, not len(agents)×coalitions goroutines. The engine's own
-	// reference is dropped by Close.
-	if res.Workers != nil {
-		e.workers = res.Workers.Retain()
-	} else {
+	// pool's pace, not len(agents)×coalitions goroutines.
+	e.workers = res.Workers
+	if e.workers == nil {
 		e.workers = paillier.NewWorkers(0)
 	}
 
@@ -284,7 +279,6 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 	if ring == nil {
 		ring = NewKeyRing(cfg)
 	} else if ring.cfg.KeyBits != cfg.KeyBits {
-		e.workers.Release()
 		return nil, fmt.Errorf("core: key ring holds %d-bit keys, engine wants %d", ring.cfg.KeyBits, cfg.KeyBits)
 	}
 	keys := make([]*paillier.PrivateKey, len(agents))
@@ -297,7 +291,6 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 	wg.Wait()
 	for i, err := range keyErr {
 		if err != nil {
-			e.workers.Release()
 			return nil, fmt.Errorf("core: keygen for %s: %w", agents[i].ID, err)
 		}
 	}
@@ -314,7 +307,6 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 	// seeds from a pairwise DH handshake instead (see standalone.go).
 	seeds, err := maskSeedMatrix(cfg, agents)
 	if err != nil {
-		e.workers.Release()
 		return nil, err
 	}
 
@@ -365,9 +357,8 @@ func maskSeedMatrix(cfg Config, agents []market.Agent) (map[string]map[string][]
 }
 
 // releaseParties unwinds a partially-constructed or closing engine: it
-// deregisters the engine's endpoints from the (possibly shared) bus, drains
-// the blinding-factor fills running on the worker pool and only then drops
-// the engine's reference on it.
+// deregisters the engine's endpoints from the (possibly shared) bus and
+// drains the blinding-factor fills running on the worker pool.
 func (e *Engine) releaseParties() {
 	for _, p := range e.parties {
 		if p != nil {
@@ -375,7 +366,6 @@ func (e *Engine) releaseParties() {
 		}
 	}
 	e.refill.Wait()
-	e.workers.Release()
 }
 
 // partyRandom derives a per-party randomness source: crypto/rand in
@@ -481,11 +471,10 @@ func (e *Engine) endWindow() { e.inflight.Done() }
 
 // Close shuts the session layer down: it stops admitting new windows,
 // drains the ones in flight, and only then releases the engine's transport
-// endpoints (deregistering them from a shared bus), waits out the
-// blinding-factor fills it started and drops its reference on the crypto
-// worker pool. Keys, and the pools hanging off them, belong to the key
-// ring. Close is idempotent and safe to call concurrently with running
-// windows.
+// endpoints (deregistering them from a shared bus) and waits out the
+// blinding-factor fills it started. Keys, and the pools hanging off them,
+// belong to the key ring. Close is idempotent and safe to call
+// concurrently with running windows.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {

@@ -64,7 +64,6 @@ func runEmulatedDay(t *testing.T, cfg Config, workers, nAgents, windows int) []w
 	var res Resources
 	if workers > 0 {
 		res.Workers = paillier.NewWorkers(workers)
-		defer res.Workers.Release()
 	}
 	eng, err := NewEngineWith(cfg, agents, res)
 	if err != nil {

@@ -68,7 +68,6 @@ func TestWorkerCountBitIdentical(t *testing.T) {
 
 	run := func(workers int) *WindowResult {
 		pool := paillier.NewWorkers(workers)
-		defer pool.Release()
 		return runOneWindowWith(t, testConfig(720), Resources{Workers: pool}, agents, inputs)
 	}
 	base := run(1)

@@ -114,12 +114,9 @@ func (p *Party) windowRandom(window int) io.Reader {
 	return seededStream(p.cfg, p.agent.ID, "protocol/w", window)
 }
 
-// Close releases the standalone party's background resources: it waits out
-// the blinding-factor fills the party started and drops its reference on
-// the crypto worker pool (a standalone party owns both). Parties inside an
-// Engine are closed by Engine.Close, which first drains in-flight windows —
-// so Close must not be called on engine parties.
+// Close waits out the blinding-factor fills the standalone party started.
+// Parties inside an Engine are closed by Engine.Close, which first drains
+// in-flight windows — so Close must not be called on engine parties.
 func (p *Party) Close() {
 	p.refill.Wait()
-	p.workers.Release()
 }

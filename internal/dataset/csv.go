@@ -45,7 +45,9 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a trace written by WriteCSV (or an equivalently shaped
-// real-data export).
+// real-data export). Every (home, window) cell from window 0 to the largest
+// window in the file must be given exactly once, and every value must be a
+// finite number; an error names the offending line, or the missing cell.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
@@ -61,76 +63,72 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 
 	tr := &Trace{StartHour: 7}
 	homeIdx := make(map[string]int)
+	type cell struct{ home, window int }
 	type row struct {
-		home   int
-		window int
-		gen    float64
-		load   float64
-		batt   float64
+		cell
+		gen, load, batt float64
 	}
 	var rows []row
+	lineOf := make(map[cell]int)
 	maxWindow := -1
 
-	for lineNo, rec := range records[1:] {
+	for i, rec := range records[1:] {
+		line := i + 2
 		parse := func(col int) (float64, error) {
 			v, err := strconv.ParseFloat(rec[col], 64)
+			if err == nil && !finite(v) {
+				err = fmt.Errorf("%v is not finite", v)
+			}
 			if err != nil {
-				return 0, fmt.Errorf("dataset: line %d col %d: %w", lineNo+2, col+1, err)
+				return 0, fmt.Errorf("dataset: line %d col %d: %w", line, col+1, err)
 			}
 			return v, nil
 		}
 		id := rec[0]
 		h, ok := homeIdx[id]
 		if !ok {
-			solar, err := parse(1)
-			if err != nil {
-				return nil, err
-			}
-			base, err := parse(2)
-			if err != nil {
-				return nil, err
-			}
-			k, err := parse(3)
-			if err != nil {
-				return nil, err
-			}
-			eps, err := parse(4)
-			if err != nil {
-				return nil, err
-			}
-			cap, err := parse(5)
-			if err != nil {
-				return nil, err
+			var params [5]float64
+			for j := range params {
+				if params[j], err = parse(1 + j); err != nil {
+					return nil, err
+				}
 			}
 			h = len(tr.Homes)
 			homeIdx[id] = h
 			tr.Homes = append(tr.Homes, Home{
-				ID: id, SolarCapKW: solar, BaseLoadKW: base, K: k, Epsilon: eps, BatteryCapKWh: cap,
+				ID: id, SolarCapKW: params[0], BaseLoadKW: params[1], K: params[2], Epsilon: params[3], BatteryCapKWh: params[4],
 			})
 		}
 		win, err := strconv.Atoi(rec[6])
 		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad window: %w", lineNo+2, err)
+			return nil, fmt.Errorf("dataset: line %d: bad window: %w", line, err)
 		}
-		if win > maxWindow {
-			maxWindow = win
+		if win < 0 {
+			return nil, fmt.Errorf("dataset: line %d: window %d out of range", line, win)
 		}
-		gen, err := parse(7)
-		if err != nil {
-			return nil, err
+		c := cell{h, win}
+		if prev, dup := lineOf[c]; dup {
+			return nil, fmt.Errorf("dataset: line %d: home %s window %d already given on line %d", line, id, win, prev)
 		}
-		load, err := parse(8)
-		if err != nil {
-			return nil, err
+		lineOf[c] = line
+		maxWindow = max(maxWindow, win)
+		rw := row{cell: c}
+		for j, v := range []*float64{&rw.gen, &rw.load, &rw.batt} {
+			if *v, err = parse(7 + j); err != nil {
+				return nil, err
+			}
 		}
-		batt, err := parse(9)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row{home: h, window: win, gen: gen, load: load, batt: batt})
+		rows = append(rows, rw)
 	}
 
 	tr.Windows = maxWindow + 1
+	for h, home := range tr.Homes {
+		for w := 0; w < tr.Windows; w++ {
+			if _, ok := lineOf[cell{h, w}]; !ok {
+				return nil, fmt.Errorf("dataset: csv has no row for home %s window %d", home.ID, w)
+			}
+		}
+	}
 	tr.Gen = make([][]float64, len(tr.Homes))
 	tr.Load = make([][]float64, len(tr.Homes))
 	tr.Battery = make([][]float64, len(tr.Homes))
@@ -140,9 +138,6 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		tr.Battery[h] = make([]float64, tr.Windows)
 	}
 	for _, rw := range rows {
-		if rw.window < 0 || rw.window >= tr.Windows {
-			return nil, fmt.Errorf("dataset: window %d out of range", rw.window)
-		}
 		tr.Gen[rw.home][rw.window] = rw.gen
 		tr.Load[rw.home][rw.window] = rw.load
 		tr.Battery[rw.home][rw.window] = rw.batt

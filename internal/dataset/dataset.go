@@ -537,24 +537,3 @@ func (t *Trace) Select(indices []int) (*Trace, error) {
 	}
 	return sub, nil
 }
-
-// Subset returns a trace restricted to the first n homes (sharing the
-// underlying slices; do not mutate). Like Select, a lazy trace's subset
-// inherits the pending synthesizers.
-func (t *Trace) Subset(n int) (*Trace, error) {
-	if n <= 0 || n > len(t.Homes) {
-		return nil, fmt.Errorf("dataset: subset of %d from %d homes", n, len(t.Homes))
-	}
-	sub := &Trace{
-		Homes:     t.Homes[:n],
-		Windows:   t.Windows,
-		StartHour: t.StartHour,
-		Gen:       t.Gen[:n],
-		Load:      t.Load[:n],
-		Battery:   t.Battery[:n],
-	}
-	if t.synth != nil {
-		sub.synth = append([]synthFn(nil), t.synth[:n]...)
-	}
-	return sub, nil
-}

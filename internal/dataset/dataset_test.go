@@ -240,23 +240,6 @@ func TestWindowInputsBounds(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	tr := smallTrace(t)
-	sub, err := tr.Subset(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub.Homes) != 5 || len(sub.Gen) != 5 {
-		t.Error("subset shapes wrong")
-	}
-	if _, err := tr.Subset(0); err == nil {
-		t.Error("zero subset accepted")
-	}
-	if _, err := tr.Subset(100); err == nil {
-		t.Error("oversized subset accepted")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tr, err := Generate(Config{Homes: 4, Windows: 10, Seed: 9})
 	if err != nil {
@@ -298,6 +281,12 @@ func TestReadCSVErrors(t *testing.T) {
 		"wrong width": "a,b\n1,2\n",
 		"bad number":  "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\nh1,x,1,1,0.9,0,0,0.1,0.1,0\n",
 		"bad window":  "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\nh1,1,1,1,0.9,0,zz,0.1,0.1,0\n",
+		"missing cell": "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\n" +
+			"a,1,1,1,0.9,0,0,0.1,0.1,0\na,1,1,1,0.9,0,2,0.1,0.1,0\nb,1,1,1,0.9,0,0,0.1,0.1,0\n",
+		"duplicate cell": "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\n" +
+			"a,1,1,1,0.9,0,0,0.1,0.1,0\na,1,1,1,0.9,0,0,0.2,0.1,0\n",
+		"nan": "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\nh1,1,1,1,0.9,0,0,NaN,0.1,0\n",
+		"inf": "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\nh1,1,1,Inf,0.9,0,0,0.1,0.1,0\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {

@@ -50,13 +50,6 @@ type LiveConfig struct {
 	// PartitionSeed feeds the random strategy; a per-epoch seed is derived
 	// from it so consecutive epochs shuffle differently.
 	PartitionSeed int64
-	// RetainResults keeps every epoch's heavy per-coalition payload —
-	// window results, flows, ledgers, rosters — alive in the returned
-	// LiveResult. By default the live grid releases each epoch's payload
-	// once its flows are folded into the position book, so a long
-	// simulation's memory is bounded by one epoch, not the run length;
-	// set RetainResults to audit per-window outcomes after the run.
-	RetainResults bool
 	// Resume, when set, restarts the simulation from a durable checkpoint:
 	// the position book is restored bit-exactly from Resume.Positions and
 	// every epoch up to and including Resume.Epoch is skipped. The
@@ -140,12 +133,11 @@ type EpochResult struct {
 
 // LiveResult is the outcome of a full live-grid simulation.
 type LiveResult struct {
-	// Epochs holds one entry per executed epoch, in order. On failure the
-	// last entry is the partial epoch that failed. Each entry's heavy
-	// per-coalition payload (window results, flows, ledgers, rosters) is
-	// released once its flows reach the position book unless
-	// LiveConfig.RetainResults is set; streaming runs (StreamLive) leave
-	// Epochs nil entirely and deliver each epoch to the sink instead.
+	// Epochs holds one entry per executed epoch, in order, each with its
+	// full per-coalition payload (window results, flows, ledgers, rosters).
+	// On failure the last entry is the partial epoch that failed. Streaming
+	// runs (StreamLive) leave Epochs nil and deliver each epoch to the sink
+	// instead.
 	Epochs []EpochResult
 	// Positions are the per-agent cumulative positions across all epochs,
 	// sorted by agent ID; departed and failed agents are frozen at their
@@ -186,19 +178,20 @@ type LiveResult struct {
 // genuine coalition failure aborts the simulation after draining its epoch;
 // the returned LiveResult keeps all completed epochs plus the partial one.
 // With Grid.Engine.Seed set, the whole simulation is deterministic:
-// bit-identical per (epoch, coalition) at any coalition concurrency.
+// bit-identical per (epoch, coalition) at any coalition concurrency. RunLive
+// keeps every epoch's full payload, as Run keeps every coalition's; StreamLive
+// is the bounded-memory form.
 func RunLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution) (*LiveResult, error) {
 	return streamLive(ctx, cfg, evo, nil)
 }
 
 // StreamLive executes the same simulation as RunLive but delivers each
 // epoch's full outcome to sink as soon as its flows are settled into the
-// position book, then releases the epoch's heavy payload (unless
-// cfg.RetainResults is set) and moves on. The returned LiveResult carries
-// the cross-epoch fold — positions, conservation, traffic, throughput —
-// with Epochs nil (except on failure, where the partial failing epoch is
-// kept for diagnosis), so an unbounded simulation runs in the memory of
-// one epoch. The *EpochResult passed to sink is valid only during the call
+// position book, then releases the epoch's heavy payload once the sink
+// returns and moves on. The returned LiveResult carries the cross-epoch
+// fold — positions, conservation, traffic, throughput — with Epochs nil
+// (except on failure, where the partial failing epoch is kept for
+// diagnosis), so an unbounded simulation runs in the memory of one epoch. The *EpochResult passed to sink is valid only during the call
 // (copy what must outlive it); a sink error aborts the simulation. Sink is
 // not called for an epoch that failed. A seeded StreamLive is bit-identical
 // to the batch RunLive — same per-epoch settlements, positions and ledger
@@ -234,9 +227,7 @@ func streamLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sin
 	// crypto pool, one key ring. Epochs re-key over it — fresh engines and
 	// scopes, fresh keys for joiners only — but never tear it down, which is
 	// what keeps churn bounded work.
-	workers := paillier.NewWorkers(0)
-	defer workers.Release()
-	infra := core.Resources{Bus: transport.NewBus(nil), Workers: workers, Keys: core.NewKeyRing(cfg.Grid.Engine)}
+	infra := core.Resources{Bus: transport.NewBus(nil), Workers: paillier.NewWorkers(0), Keys: core.NewKeyRing(cfg.Grid.Engine)}
 
 	start := time.Now()
 	res := &LiveResult{}
@@ -269,17 +260,16 @@ func streamLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sin
 		if err == nil {
 			err = persistEpochBoundary(cfg, book, &ef, er)
 		}
-		// The epoch's flows are in the book and the sink has seen the full
-		// payload; from here only the fold is needed, so drop the heavy
-		// per-coalition state unless the caller wants a post-run audit.
-		// (Failed epochs keep theirs — they carry the diagnosis.)
-		if err == nil && !cfg.RetainResults {
+		// RunLive keeps every epoch, and a failed epoch is kept for its
+		// diagnosis. A streamed epoch's flows are in the book and the sink
+		// has seen the full payload; from here only the fold is needed, so
+		// drop the heavy per-coalition state.
+		if sink == nil || err != nil {
+			res.Epochs = append(res.Epochs, *er)
+		} else {
 			for i := range er.Coalitions {
 				er.Coalitions[i].releasePayload()
 			}
-		}
-		if sink == nil || err != nil {
-			res.Epochs = append(res.Epochs, *er)
 		}
 		if err != nil {
 			firstErr = fmt.Errorf("grid: epoch %d: %w", ef.Epoch, err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -38,9 +39,6 @@ func testLiveConfig(seed int64, conc int) LiveConfig {
 		Grid:       Config{Engine: testEngineConfig(seed), MaxConcurrent: conc},
 		Coalitions: 3,
 		Partition:  StrategyBalanced,
-		// Most tests here audit per-window payloads after the run; the
-		// default-release path is covered by TestLivePayloadRelease.
-		RetainResults: true,
 	}
 }
 
@@ -263,7 +261,7 @@ func TestLiveCoalitionCapRespectsFloor(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	cfg := LiveConfig{Grid: Config{Engine: testEngineConfig(19)}, Coalitions: 3, RetainResults: true}
+	cfg := LiveConfig{Grid: Config{Engine: testEngineConfig(19)}, Coalitions: 3}
 	res, err := RunLive(ctx, cfg, evo)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +367,6 @@ func TestGridIsOneEpochLiveGrid(t *testing.T) {
 					Coalitions:    coalitions,
 					Partition:     StrategyRandom,
 					PartitionSeed: partSeed,
-					RetainResults: true,
 				}, evo)
 				if err != nil {
 					t.Fatal(err)
@@ -445,19 +442,30 @@ func TestGridIsOneEpochLiveGrid(t *testing.T) {
 	}
 }
 
-// provisionedProbe is a Store that samples, on every coalition delivery, how
-// many engines hold a reference on the shared crypto pool — one per
-// provisioned, not yet closed engine, plus the test's own.
+// provisionedProbe is a Store that records, on every coalition delivery,
+// which of the epoch's homes have an endpoint on the shared bus. An engine
+// registers its parties' endpoints in NewEngineWith and closes them in
+// Close, so a home is live exactly while its coalition's engine is
+// provisioned: the probe's Send to it fails with ErrUnknownParty otherwise.
 type provisionedProbe struct {
 	store.Store
-	workers *paillier.Workers
-	peak    int
+	conn  transport.Conn
+	homes []string
+	live  []map[string]bool // one snapshot per delivery
+}
+
+func (p *provisionedProbe) snapshot() map[string]bool {
+	live := make(map[string]bool)
+	for _, id := range p.homes {
+		if err := p.conn.Send(context.Background(), id, "probe", nil); !errors.Is(err, transport.ErrUnknownParty) {
+			live[id] = true
+		}
+	}
+	return live
 }
 
 func (p *provisionedProbe) PutAggregate(a store.Aggregate) error {
-	if refs := p.workers.Refs() - 1; refs > p.peak {
-		p.peak = refs
-	}
+	p.live = append(p.live, p.snapshot())
 	return p.Store.PutAggregate(a)
 }
 
@@ -471,26 +479,41 @@ func TestLiveRekeyRespectsBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 	for _, budget := range []int{1, 2} {
-		workers := paillier.NewWorkers(0)
-		probe := &provisionedProbe{Store: store.NewMem(), workers: workers}
+		bus := transport.NewBus(nil)
+		probe := &provisionedProbe{Store: store.NewMem(), conn: bus.MustRegister("probe")}
 		cfg := testLiveConfig(53, budget)
 		cfg.Grid.Store = probe
-		infra := core.Resources{Bus: transport.NewBus(nil), Workers: workers, Keys: core.NewKeyRing(cfg.Grid.Engine)}
+		infra := core.Resources{Bus: bus, Workers: paillier.NewWorkers(0), Keys: core.NewKeyRing(cfg.Grid.Engine)}
+		peak := 0
 		for e := range evo.Epochs {
-			er, err := runEpoch(ctx, cfg, infra, &evo.Epochs[e])
+			ef := &evo.Epochs[e]
+			probe.homes, probe.live = nil, nil
+			for _, h := range ef.Trace.Homes {
+				probe.homes = append(probe.homes, h.ID)
+			}
+			er, err := runEpoch(ctx, cfg, infra, ef)
 			if err != nil {
 				t.Fatalf("budget %d epoch %d: %v", budget, e, err)
 			}
 			if len(er.Coalitions) <= budget {
 				t.Fatalf("budget %d epoch %d: only %d coalitions, the bound is vacuous", budget, e, len(er.Coalitions))
 			}
+			// An engine is provisioned while any of its coalition's homes is live.
+			for _, live := range probe.live {
+				engines := 0
+				for _, cr := range er.Coalitions {
+					if slices.ContainsFunc(cr.IDs, func(id string) bool { return live[id] }) {
+						engines++
+					}
+				}
+				peak = max(peak, engines)
+			}
+			if live := probe.snapshot(); len(live) != 0 {
+				t.Errorf("budget %d epoch %d: %d homes still have endpoints after the epoch", budget, e, len(live))
+			}
 		}
-		if probe.peak > budget {
-			t.Errorf("budget %d: %d engines provisioned at once", budget, probe.peak)
+		if peak > budget {
+			t.Errorf("budget %d: %d engines provisioned at once", budget, peak)
 		}
-		if refs := workers.Refs(); refs != 1 {
-			t.Errorf("budget %d: %d pool references after the epochs, want the test's own", budget, refs)
-		}
-		workers.Release()
 	}
 }

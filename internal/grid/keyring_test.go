@@ -34,9 +34,7 @@ func TestLiveKeyContinuity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			workers := paillier.NewWorkers(0)
-			defer workers.Release()
-			infra := core.Resources{Bus: transport.NewBus(nil), Workers: workers, Keys: core.NewKeyRing(cfg.Grid.Engine)}
+			infra := core.Resources{Bus: transport.NewBus(nil), Workers: paillier.NewWorkers(0), Keys: core.NewKeyRing(cfg.Grid.Engine)}
 
 			byHome := make(map[string][32]byte) // every home ever keyed
 			everSeen := make(map[[32]byte]string)

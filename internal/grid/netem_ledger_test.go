@@ -87,9 +87,8 @@ func TestEpochCoalitionLedgersVerify(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 	res, err := RunLive(ctx, LiveConfig{
-		Grid:          Config{Engine: testEngineConfig(5), MinCoalition: 2},
-		Coalitions:    2,
-		RetainResults: true,
+		Grid:       Config{Engine: testEngineConfig(5), MinCoalition: 2},
+		Coalitions: 2,
 	}, evo)
 	if err != nil {
 		t.Fatal(err)

@@ -363,7 +363,6 @@ func TestLiveStoreMemoryBounded(t *testing.T) {
 	before := ms.HeapAlloc
 
 	cfg := testLiveConfig(51, 0)
-	cfg.RetainResults = false
 	cfg.Grid.Store = w
 	res, err := StreamLive(ctx, cfg, evo, func(er *EpochResult) error { return nil })
 	if err != nil {

@@ -249,7 +249,6 @@ func TestStreamLiveMatchesRunLive(t *testing.T) {
 	}
 
 	cfg := testLiveConfig(41, 0)
-	cfg.RetainResults = false
 	type epochDigest struct {
 		Epoch   int
 		Agents  int
@@ -296,25 +295,33 @@ func TestStreamLiveMatchesRunLive(t *testing.T) {
 }
 
 // TestLivePayloadRelease is the memory regression test for the epoch layer:
-// by default RunLive must not retain any epoch's heavy per-coalition
-// payload once its flows reach the position book — the payloads are real,
-// reclaimable memory, verified with runtime.ReadMemStats.
+// StreamLive's sink sees each epoch's full per-coalition payload, and the
+// payload is released once the sink returns; RunLive keeps it. The payloads
+// are real, reclaimable memory, verified with runtime.ReadMemStats.
 func TestLivePayloadRelease(t *testing.T) {
 	evo := testEvolution(t, 3, dataset.ChurnConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 
-	// Default: released. Light aggregates survive.
+	// Streamed: full in the sink, released after it. Light aggregates survive.
 	cfg := testLiveConfig(43, 0)
-	cfg.RetainResults = false
-	res, err := RunLive(ctx, cfg, evo)
+	var seen []*EpochResult
+	_, err := StreamLive(ctx, cfg, evo, func(er *EpochResult) error {
+		for _, cr := range er.Coalitions {
+			if !cr.Folded && (cr.Results == nil || cr.Flows == nil || cr.Ledger == nil) {
+				t.Errorf("epoch %d: sink saw %s without its payload", er.Epoch, cr.Name)
+			}
+		}
+		seen = append(seen, er)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, er := range res.Epochs {
+	for _, er := range seen {
 		for _, cr := range er.Coalitions {
 			if cr.Results != nil || cr.Flows != nil || cr.Ledger != nil || cr.Members != nil || cr.IDs != nil {
-				t.Fatalf("%s retained heavy payload by default", cr.Name)
+				t.Fatalf("%s kept its heavy payload after the sink returned", cr.Name)
 			}
 			if !cr.Folded {
 				if cr.Windows == 0 || cr.ChainHead == "" {
@@ -324,13 +331,19 @@ func TestLivePayloadRelease(t *testing.T) {
 		}
 	}
 
-	// Retained: the payloads exist, and releasing them frees measurable
+	// Run keeps: the payloads exist, and releasing them frees measurable
 	// heap — the regression guard that they never become dark, unreachable-
 	// but-held memory again.
-	cfg.RetainResults = true
 	retained, err := RunLive(ctx, cfg, evo)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, er := range retained.Epochs {
+		for _, cr := range er.Coalitions {
+			if !cr.Folded && (cr.Results == nil || cr.Flows == nil || cr.Ledger == nil) {
+				t.Fatalf("epoch %d: RunLive dropped %s's payload", er.Epoch, cr.Name)
+			}
+		}
 	}
 	var ms runtime.MemStats
 	runtime.GC()

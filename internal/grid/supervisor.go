@@ -281,11 +281,11 @@ type Result struct {
 }
 
 // Run executes one trading day for every coalition of the partition over
-// shared infrastructure, retaining every coalition's full outcome. Failure
-// semantics are core.RunOrdered's, as for windows: a failing coalition
-// cancels only itself; the supervisor then stops launching new coalitions,
-// drains the ones in flight, and reports the earliest failed coalition's
-// error.
+// shared infrastructure, keeping every coalition's full outcome; Stream is
+// the bounded-memory form. Failure semantics are core.RunOrdered's, as for
+// windows: a failing coalition cancels only itself; the supervisor then
+// stops launching new coalitions, drains the ones in flight, and reports the
+// earliest failed coalition's error.
 // Completed coalitions keep their results, and the returned Result is valid
 // (with per-coalition Err set) even when err is non-nil. Coalitions below
 // Config.MinCoalition are not failures: they are folded into grid
@@ -332,14 +332,9 @@ func execute(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, 
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// One bus, one bounded crypto pool. Every engine retains its own pool
-	// reference; the supervisor's is dropped on return, so the pool retires
-	// exactly when the last engine closes. No key ring: rosters are disjoint
+	// One bus, one bounded crypto pool. No key ring: rosters are disjoint
 	// and the day is the whole run, so each engine's own is the same thing.
-	workers := paillier.NewWorkers(0)
-	defer workers.Release()
-
-	res, err := runDay(ctx, cfg, core.Resources{Bus: transport.NewBus(nil), Workers: workers}, tr, parts, "", deliver)
+	res, err := runDay(ctx, cfg, core.Resources{Bus: transport.NewBus(nil), Workers: paillier.NewWorkers(0)}, tr, parts, "", deliver)
 	if err != nil {
 		err = fmt.Errorf("grid: %w", err)
 	}

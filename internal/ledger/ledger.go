@@ -208,19 +208,5 @@ func (l *Ledger) TamperForTest(i int, mutate func(*Block)) error {
 	return nil
 }
 
-// EnergyBySeller aggregates total energy sold per seller across the chain,
-// a typical audit query.
-func (l *Ledger) EnergyBySeller() map[string]float64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make(map[string]float64)
-	for _, b := range l.blocks {
-		for _, t := range b.Trades {
-			out[t.Seller] += t.EnergyKWh
-		}
-	}
-	return out
-}
-
 // HashString renders a block hash for logs.
 func HashString(h [32]byte) string { return hex.EncodeToString(h[:8]) }

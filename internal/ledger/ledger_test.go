@@ -110,21 +110,6 @@ func TestBlockAccess(t *testing.T) {
 	}
 }
 
-func TestEnergyBySeller(t *testing.T) {
-	l := New()
-	l.Append(0, 95, []TradeRecord{
-		{Seller: "s1", Buyer: "b1", EnergyKWh: 1},
-		{Seller: "s2", Buyer: "b1", EnergyKWh: 2},
-	})
-	l.Append(1, 95, []TradeRecord{
-		{Seller: "s1", Buyer: "b2", EnergyKWh: 3},
-	})
-	agg := l.EnergyBySeller()
-	if agg["s1"] != 4 || agg["s2"] != 2 {
-		t.Errorf("aggregation wrong: %v", agg)
-	}
-}
-
 func TestConcurrentAppend(t *testing.T) {
 	l := New()
 	var wg sync.WaitGroup

@@ -96,8 +96,14 @@ func (p Params) Validate() error {
 	if p.GridSellPrice <= 0 {
 		return errors.New("market: grid sell price must be positive")
 	}
+	if !finite(p.GridRetailPrice) {
+		return errors.New("market: grid retail price must be finite")
+	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Agent is one smart home / microgrid.
 type Agent struct {
@@ -116,14 +122,14 @@ func (a Agent) Validate() error {
 	if a.ID == "" {
 		return errors.New("market: agent has empty ID")
 	}
-	if a.K <= 0 {
-		return fmt.Errorf("market: agent %s: preference k must be > 0, got %v", a.ID, a.K)
+	if a.K <= 0 || !finite(a.K) {
+		return fmt.Errorf("market: agent %s: preference k must be finite and > 0, got %v", a.ID, a.K)
 	}
-	if a.Epsilon <= 0 || a.Epsilon >= 1 {
+	if a.Epsilon <= 0 || a.Epsilon >= 1 || !finite(a.Epsilon) {
 		return fmt.Errorf("market: agent %s: epsilon must be in (0,1), got %v", a.ID, a.Epsilon)
 	}
-	if a.BatteryCapacity < 0 {
-		return fmt.Errorf("market: agent %s: battery capacity must be ≥ 0", a.ID)
+	if a.BatteryCapacity < 0 || !finite(a.BatteryCapacity) {
+		return fmt.Errorf("market: agent %s: battery capacity must be finite and ≥ 0, got %v", a.ID, a.BatteryCapacity)
 	}
 	return nil
 }

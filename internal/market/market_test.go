@@ -81,6 +81,9 @@ func TestParamsValidate(t *testing.T) {
 		{GridSellPrice: 80, GridRetailPrice: 100, PriceFloor: 90, PriceCeil: 110}, // ph > pstg
 		{GridSellPrice: 80, GridRetailPrice: 120, PriceFloor: 110, PriceCeil: 90}, // floor > ceil
 		{GridSellPrice: -1, GridRetailPrice: 120, PriceFloor: 90, PriceCeil: 110}, // negative
+		{GridSellPrice: 80, GridRetailPrice: math.Inf(1), PriceFloor: 90, PriceCeil: 110},
+		{GridSellPrice: 80, GridRetailPrice: math.NaN(), PriceFloor: 90, PriceCeil: 110},
+		{GridSellPrice: 80, GridRetailPrice: 120, PriceFloor: math.NaN(), PriceCeil: 110},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -100,6 +103,11 @@ func TestAgentValidate(t *testing.T) {
 		{ID: "x", K: 20, Epsilon: 0},
 		{ID: "x", K: 20, Epsilon: 1},
 		{ID: "x", K: 20, Epsilon: 0.9, BatteryCapacity: -1},
+		{ID: "x", K: math.NaN(), Epsilon: 0.9},
+		{ID: "x", K: math.Inf(1), Epsilon: 0.9},
+		{ID: "x", K: 20, Epsilon: math.NaN()},
+		{ID: "x", K: 20, Epsilon: 0.9, BatteryCapacity: math.NaN()},
+		{ID: "x", K: 20, Epsilon: 0.9, BatteryCapacity: math.Inf(1)},
 	}
 	for i, a := range bad {
 		if err := a.Validate(); err == nil {

@@ -3,7 +3,6 @@ package market
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -132,13 +131,6 @@ type AgentPosition struct {
 // Active reports whether the agent is still on the fleet roster.
 func (p AgentPosition) Active() bool { return p.ExitEpoch < 0 }
 
-// NetCents is the agent's cumulative cash position: everything earned
-// (PEM sales plus grid feed-in) minus everything paid (PEM purchases plus
-// grid retail). Negative means the agent paid on balance.
-func (p AgentPosition) NetCents() float64 {
-	return p.Flows.EarnedCents + p.Flows.GridRevenueCents - p.Flows.PaidCents - p.Flows.GridCostCents
-}
-
 // PositionBook tracks per-agent cumulative positions across the epochs of
 // a live grid. It is not safe for concurrent use; the epoch supervisor
 // applies coalition flows sequentially between epochs, which also keeps
@@ -191,7 +183,7 @@ func (b *PositionBook) Apply(epoch int, flows map[string]AgentFlows) error {
 		f := flows[id]
 		for _, v := range []float64{f.BuyKWh, f.SellKWh, f.PaidCents, f.EarnedCents,
 			f.GridImportKWh, f.GridExportKWh, f.GridCostCents, f.GridRevenueCents} {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			if v < 0 || !finite(v) {
 				return fmt.Errorf("market: agent %q epoch %d: flow not a non-negative quantity: %+v", id, epoch, f)
 			}
 		}
@@ -220,8 +212,7 @@ func (b *PositionBook) Exit(id string, lastEpoch int, kind string, residualImpor
 	if kind != exitDepart && kind != exitFail {
 		return fmt.Errorf("market: unknown exit kind %q", kind)
 	}
-	if residualImportKWh < 0 || residualExportKWh < 0 ||
-		math.IsNaN(residualImportKWh) || math.IsNaN(residualExportKWh) {
+	if residualImportKWh < 0 || residualExportKWh < 0 || !finite(residualImportKWh) || !finite(residualExportKWh) {
 		return fmt.Errorf("market: agent %q exit residual not a non-negative quantity: import=%v export=%v",
 			id, residualImportKWh, residualExportKWh)
 	}

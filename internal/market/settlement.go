@@ -89,8 +89,7 @@ func SettleResiduals(residuals []CoalitionResidual, params Params) (*GridSettlem
 			return nil, fmt.Errorf("market: duplicate coalition %q in residuals", r.Coalition)
 		}
 		seen[r.Coalition] = true
-		if r.ImportKWh < 0 || r.ExportKWh < 0 ||
-			r.ImportKWh != r.ImportKWh || r.ExportKWh != r.ExportKWh {
+		if r.ImportKWh < 0 || r.ExportKWh < 0 || !finite(r.ImportKWh) || !finite(r.ExportKWh) {
 			return nil, fmt.Errorf("market: coalition %q residual not a non-negative quantity: import=%v export=%v",
 				r.Coalition, r.ImportKWh, r.ExportKWh)
 		}

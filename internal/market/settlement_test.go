@@ -45,6 +45,7 @@ func TestSettleResidualsRejectsBadInput(t *testing.T) {
 		"duplicate": {{Coalition: "a"}, {Coalition: "a"}},
 		"negative":  {{Coalition: "a", ImportKWh: -1}},
 		"nan":       {{Coalition: "a", ExportKWh: math.NaN()}},
+		"inf":       {{Coalition: "a", ImportKWh: math.Inf(1)}},
 	}
 	for name, in := range cases {
 		if _, err := SettleResiduals(in, params); err == nil {

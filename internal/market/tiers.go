@@ -157,8 +157,7 @@ func (ts *TieredSettlement) settleNode(n *TierNode, level int, params Params, se
 			return zero, fmt.Errorf("market: duplicate name %q in tier tree", r.Coalition)
 		}
 		seenNames[r.Coalition] = true
-		if r.ImportKWh < 0 || r.ExportKWh < 0 ||
-			r.ImportKWh != r.ImportKWh || r.ExportKWh != r.ExportKWh {
+		if r.ImportKWh < 0 || r.ExportKWh < 0 || !finite(r.ImportKWh) || !finite(r.ExportKWh) {
 			return zero, fmt.Errorf("market: coalition %q residual not a non-negative quantity: import=%v export=%v",
 				r.Coalition, r.ImportKWh, r.ExportKWh)
 		}

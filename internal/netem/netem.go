@@ -173,23 +173,17 @@ func (n *Network) ReleaseWindow(scope string, window int) {
 }
 
 // pairParams resolves (and memoizes) the directed pair's link parameters.
-func (n *Network) pairParams(from, to string) (LinkParams, error) {
+// New validated the topology, and the spread keeps every pair's link valid.
+func (n *Network) pairParams(from, to string) LinkParams {
 	k := pairKey{from: from, to: to}
 	n.mu.Lock()
-	if p, ok := n.pairs[k]; ok {
-		n.mu.Unlock()
-		return p, nil
+	defer n.mu.Unlock()
+	p, ok := n.pairs[k]
+	if !ok {
+		p = n.topo.link(n.seed, from, to)
+		n.pairs[k] = p
 	}
-	n.mu.Unlock()
-	// Resolve outside the lock: a custom Link function is caller code.
-	p := n.topo.link(n.seed, from, to)
-	if err := p.validate(); err != nil {
-		return LinkParams{}, err
-	}
-	n.mu.Lock()
-	n.pairs[k] = p
-	n.mu.Unlock()
-	return p, nil
+	return p
 }
 
 // laneSnapshot reads one lane's current clock and depth.
@@ -275,10 +269,7 @@ func (c *Conn) Send(ctx context.Context, to, tag string, payload []byte) error {
 		return c.inner.Send(ctx, to, tag, payload)
 	}
 	from := c.inner.Party()
-	params, err := c.net.pairParams(from, to)
-	if err != nil {
-		return err
-	}
+	params := c.net.pairParams(from, to)
 
 	var t0 time.Duration
 	var depth int

@@ -95,12 +95,7 @@ func wire(t *testing.T, topo Topology, seed int64, parties ...string) (*Network,
 
 // fixedTopo is a spread-free topology for exact-arithmetic tests.
 func fixedTopo(latency time.Duration, bandwidth int64) Topology {
-	return Topology{
-		Name: "test",
-		Link: func(from, to string) LinkParams {
-			return LinkParams{Latency: latency, Bandwidth: bandwidth}
-		},
-	}
+	return Topology{Name: "test", Base: LinkParams{Latency: latency, Bandwidth: bandwidth}}
 }
 
 func TestVirtualChainAccumulates(t *testing.T) {
@@ -192,12 +187,7 @@ func TestSessionTagsUnmodeled(t *testing.T) {
 func TestFIFODeliveryOrder(t *testing.T) {
 	// High jitter could reorder same-stream deliveries; the FIFO floor must
 	// keep them monotone, matching the mailbox's queue semantics.
-	topo := Topology{
-		Name: "jittery",
-		Link: func(from, to string) LinkParams {
-			return LinkParams{Latency: 10 * time.Millisecond, Jitter: 9 * time.Millisecond}
-		},
-	}
+	topo := Topology{Name: "jittery", Base: LinkParams{Latency: 10 * time.Millisecond, Jitter: 9 * time.Millisecond}}
 	n, conns := wire(t, topo, 42, "a", "b")
 	ctx := context.Background()
 	tag := transport.WindowTag(0, "seq")
@@ -283,17 +273,12 @@ func TestBackToBackSendsQueueOnBandwidth(t *testing.T) {
 }
 
 func TestLossChargesRetransmissions(t *testing.T) {
-	lossy := Topology{
-		Name: "drop",
-		Link: func(from, to string) LinkParams {
-			return LinkParams{Latency: time.Millisecond, Loss: 0.95, RTO: time.Second}
-		},
-	}
+	lossy := Topology{Name: "drop", Base: LinkParams{Latency: time.Millisecond, Loss: 0.95, RTO: time.Second}}
 	n, err := New(lossy, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := lossy.Link("a", "b").withDefaults()
+	p := lossy.Base.withDefaults()
 	// With 95% loss nearly every message pays at least one RTO; across 20
 	// identities at least one must (and none may exceed the retransmit cap).
 	var penalized bool

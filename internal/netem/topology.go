@@ -69,9 +69,6 @@ type Topology struct {
 	// [1−Spread, 1+Spread] drawn from the network seed, so a "40ms WAN" is
 	// a cloud of 30–50ms links rather than a perfectly uniform star.
 	Spread float64
-	// Link, when non-nil, overrides Base/Spread entirely: it is consulted
-	// per directed pair and must be deterministic.
-	Link func(from, to string) LinkParams
 }
 
 // Topology preset names accepted by Preset (and by the public
@@ -151,14 +148,11 @@ func ValidPreset(name string) bool {
 	return ok
 }
 
-// link resolves the directed pair's parameters: the custom Link function if
-// set, otherwise Base scaled by the pair's deterministic latency spread.
-// The spread factor is symmetric (hashing the sorted pair) so both
-// directions of a link share one propagation delay, like a real circuit.
+// link resolves the directed pair's parameters: Base scaled by the pair's
+// deterministic latency spread. The spread factor is symmetric (hashing the
+// sorted pair) so both directions of a link share one propagation delay,
+// like a real circuit.
 func (t Topology) link(seed int64, from, to string) LinkParams {
-	if t.Link != nil {
-		return t.Link(from, to).withDefaults()
-	}
 	p := t.Base
 	if t.Spread > 0 {
 		a, b := from, to
@@ -173,12 +167,8 @@ func (t Topology) link(seed int64, from, to string) LinkParams {
 	return p.withDefaults()
 }
 
-// validate checks the topology's base link (custom Link functions are
-// validated per pair as they are consulted).
+// validate checks the topology's spread and base link.
 func (t Topology) validate() error {
-	if t.Link != nil {
-		return nil
-	}
 	if t.Spread < 0 || t.Spread >= 1 {
 		return fmt.Errorf("netem: latency spread %g outside [0, 1)", t.Spread)
 	}

@@ -478,16 +478,6 @@ func (pk *PublicKey) ScalarMul(c *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{C: new(big.Int).Set(acc)}, nil
 }
 
-// Rerandomize multiplies c by a fresh encryption of zero, hiding any link
-// to the ciphertext it was derived from.
-func (pk *PublicKey) Rerandomize(random io.Reader, c *Ciphertext) (*Ciphertext, error) {
-	zero, err := pk.Encrypt(random, big.NewInt(0))
-	if err != nil {
-		return nil, err
-	}
-	return pk.Add(c, zero)
-}
-
 // Decrypt recovers the signed plaintext of c: the batch-of-one case of the
 // packed CRT decryption behind DecryptSlots.
 func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {

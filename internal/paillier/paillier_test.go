@@ -149,29 +149,6 @@ func TestAddPlain(t *testing.T) {
 	}
 }
 
-func TestRerandomizePreservesPlaintext(t *testing.T) {
-	key := testKey(t)
-	rng := testRand(7)
-	c, err := key.EncryptInt64(rng, 777)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := key.Rerandomize(rng, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.C.Cmp(c.C) == 0 {
-		t.Error("Rerandomize returned an identical ciphertext")
-	}
-	got, err := key.DecryptInt64(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 777 {
-		t.Errorf("Rerandomize changed plaintext: %d", got)
-	}
-}
-
 func TestSemanticSecuritySmokeTest(t *testing.T) {
 	// Two encryptions of the same value must differ (probabilistic
 	// encryption).

@@ -72,8 +72,8 @@ func (s *PoolStats) Add(o PoolStats) {
 // Refill is what a taker lends the pools it takes from: the worker pool
 // their background fills run on and the randomness every factor is drawn
 // from, inline ones included. One Refill serves all of an owner's takes (an
-// engine's, a standalone party's); pools keep no reference to it or to its
-// Workers beyond a running fill, and Wait drains those.
+// engine's, a standalone party's); pools hold it only for a running fill,
+// and Wait drains those.
 type Refill struct {
 	workers *Workers
 	random  lockedReader
@@ -82,8 +82,8 @@ type Refill struct {
 }
 
 // NewRefill lends w (nil: fills compute on their own goroutine) and random
-// (nil: crypto/rand). The caller keeps its own reference on w and must
-// Wait before releasing it.
+// (nil: crypto/rand). The owner must Wait before it goes away, so no fill
+// outlives it.
 func NewRefill(w *Workers, random io.Reader) *Refill {
 	if random == nil {
 		random = rand.Reader

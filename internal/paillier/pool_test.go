@@ -46,9 +46,7 @@ func takeRound(t *testing.T, p *NoncePool, rf *Refill, round, n int) {
 // no further, and every factor computed is either taken or in stock.
 func TestNoncePoolFollowsDemand(t *testing.T) {
 	key := testKey(t)
-	w := NewWorkers(4)
-	defer w.Release()
-	rf := NewRefill(w, testRand(21))
+	rf := NewRefill(NewWorkers(4), testRand(21))
 
 	if key.table.Load() != nil {
 		t.Fatal("a fresh key already has a table holder")
@@ -85,18 +83,13 @@ func TestNoncePoolFollowsDemand(t *testing.T) {
 	}
 
 	rf.Wait()
-	if got := w.Refs(); got != 1 {
-		t.Errorf("workers refs = %d: a pool or Refill kept a reference of its own", got)
-	}
 }
 
 // TestNoncePoolFirstTakeRace races 64 goroutines on the first Take of a
 // fresh key: one table build, and 64 distinct factors that all encrypt.
 func TestNoncePoolFirstTakeRace(t *testing.T) {
 	key := testKey(t)
-	w := NewWorkers(4)
-	defer w.Release()
-	rf := NewRefill(w, nil)
+	rf := NewRefill(NewWorkers(4), nil)
 	defer rf.Wait()
 
 	const n = 64
@@ -189,7 +182,6 @@ func TestNoncePoolRandomnessFailure(t *testing.T) {
 // Refill started are gone when its Wait returns.
 func TestRefillWaitLeavesNoGoroutine(t *testing.T) {
 	w := NewWorkers(4)
-	defer w.Release()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		key, err := GenerateKey(testRand(int64(30+i)), 256)

@@ -12,7 +12,7 @@ import (
 // and the reference implementation the conformance suite holds the WAL to.
 // It retains everything written to it, so unlike the WAL it is not
 // memory-bounded over an unbounded run — it trades durability for zero
-// I/O, exactly like RetainResults trades memory for auditability.
+// I/O, exactly like a batch Run trades memory for auditability.
 type Mem struct {
 	mu         sync.Mutex
 	closed     bool

@@ -86,13 +86,6 @@ type LiveGridConfig struct {
 	// and regions, netting surplus against deficit at every level before
 	// the remainder touches the tariff. Empty means flat settlement.
 	Tiers []int
-	// RetainCoalitionResults keeps every epoch's heavy per-coalition
-	// payload — window results, flows, ledgers, rosters — on the returned
-	// LiveGridResult. By default the live grid releases each epoch's
-	// payload once its flows are settled into the position book, so a long
-	// simulation runs in the memory of one epoch; set this to audit
-	// per-window outcomes after the run.
-	RetainCoalitionResults bool
 	// Store, when set, makes the simulation durable: each coalition's
 	// blocks, key fingerprints and aggregate persist as it completes
 	// (scopes "e00-c00", …), the position book and an epoch checkpoint
@@ -194,7 +187,6 @@ func (cfg LiveGridConfig) lower() (grid.LiveConfig, error) {
 		Coalitions:    cfg.Coalitions,
 		Partition:     grid.Strategy(cfg.Partition),
 		PartitionSeed: seed,
-		RetainResults: cfg.RetainCoalitionResults,
 	}
 	if err := lcfg.Validate(); err != nil {
 		return lcfg, fmt.Errorf("pem: %w", err)
@@ -225,7 +217,8 @@ func (lg *LiveGrid) Rosters() [][]string {
 // settlement carried across epochs per agent. Epochs run in order; within
 // an epoch coalitions run concurrently with the one-shot grid's fail-fast
 // semantics. On failure the returned LiveGridResult still carries all
-// completed epochs plus the partial one.
+// completed epochs plus the partial one. Run keeps every epoch's full
+// payload; Stream releases each one once its sink returns.
 func (lg *LiveGrid) Run(ctx context.Context) (*LiveGridResult, error) {
 	res, err := grid.RunLive(ctx, lg.cfg, lg.evo)
 	if err != nil {
@@ -236,8 +229,8 @@ func (lg *LiveGrid) Run(ctx context.Context) (*LiveGridResult, error) {
 
 // Stream executes the same simulation as Run but delivers each epoch's
 // full outcome to sink as soon as its flows are settled into the position
-// book, then releases the epoch's heavy payload (unless
-// RetainCoalitionResults is set). The returned LiveGridResult carries the
+// book, then releases the epoch's heavy payload once the sink returns. The
+// returned LiveGridResult carries the
 // cross-epoch fold — positions, conservation, traffic, throughput — with
 // Epochs nil, so an unbounded simulation runs in the memory of one epoch.
 // The *EpochResult is valid only during the sink call; a sink error aborts

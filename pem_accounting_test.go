@@ -15,10 +15,15 @@ import (
 	"github.com/pem-go/pem/internal/transport"
 )
 
-// parentCheckpointConfig is a checkpoint configuration blob exactly as a
-// durable live grid wrote it while pem.Config still carried RecordLedger and
-// CryptoWorkers: a WAL written then must still resume.
-const parentCheckpointConfig = `{"Live":{"Market":{"KeyBits":256,"Params":{"GridSellPrice":0,"GridRetailPrice":0,"PriceFloor":0,"PriceCeil":0},"PreEncrypt":null,"Seed":41,"RecordLedger":null,"MaxInflightWindows":0,"CryptoWorkers":0,"Aggregation":"","CryptoBackend":"","Network":""},"Coalitions":2,"Partition":"balanced","PartitionSeed":0,"MaxConcurrentCoalitions":0,"MinCoalition":0,"Tiers":null,"RetainCoalitionResults":false,"Epochs":3,"Churn":{"Epochs":0,"JoinRate":0.25,"DepartRate":0.15,"FailRate":0.1,"MinHomes":0,"Seed":0,"Scenarios":null}},"Fleet":{"Coalitions":2,"HomesPerCoalition":4,"Windows":2,"Seed":7,"StartHour":12,"Scenarios":null,"OnDemand":false}}`
+// oldCheckpointConfigs are checkpoint configuration blobs exactly as a
+// durable live grid wrote them while its configuration still carried fields
+// since removed: a WAL written then must still resume.
+var oldCheckpointConfigs = map[string]string{
+	// pem.Config with RecordLedger and CryptoWorkers.
+	"RecordLedger": `{"Live":{"Market":{"KeyBits":256,"Params":{"GridSellPrice":0,"GridRetailPrice":0,"PriceFloor":0,"PriceCeil":0},"PreEncrypt":null,"Seed":41,"RecordLedger":null,"MaxInflightWindows":0,"CryptoWorkers":0,"Aggregation":"","CryptoBackend":"","Network":""},"Coalitions":2,"Partition":"balanced","PartitionSeed":0,"MaxConcurrentCoalitions":0,"MinCoalition":0,"Tiers":null,"RetainCoalitionResults":false,"Epochs":3,"Churn":{"Epochs":0,"JoinRate":0.25,"DepartRate":0.15,"FailRate":0.1,"MinHomes":0,"Seed":0,"Scenarios":null}},"Fleet":{"Coalitions":2,"HomesPerCoalition":4,"Windows":2,"Seed":7,"StartHour":12,"Scenarios":null,"OnDemand":false}}`,
+	// LiveGridConfig with RetainCoalitionResults set.
+	"RetainCoalitionResults": `{"Live":{"Market":{"KeyBits":256,"Params":{"GridSellPrice":0,"GridRetailPrice":0,"PriceFloor":0,"PriceCeil":0},"PreEncrypt":null,"Seed":41,"MaxInflightWindows":0,"Aggregation":"","CryptoBackend":"","Network":""},"Coalitions":2,"Partition":"balanced","PartitionSeed":0,"MaxConcurrentCoalitions":0,"MinCoalition":0,"Tiers":null,"RetainCoalitionResults":true,"Epochs":3,"Churn":{"Epochs":0,"JoinRate":0.25,"DepartRate":0.15,"FailRate":0.1,"MinHomes":0,"Seed":0,"Scenarios":null}},"Fleet":{"Coalitions":2,"HomesPerCoalition":4,"Windows":2,"Seed":7,"StartHour":12,"Scenarios":null,"OnDemand":false}}`,
+}
 
 // checkpointLog is a Store that keeps every checkpoint written through it.
 type checkpointLog struct {
@@ -31,10 +36,11 @@ func (c *checkpointLog) PutCheckpoint(cp pem.Checkpoint) error {
 	return c.Store.PutCheckpoint(cp)
 }
 
-// TestResumeOldCheckpointConfig: a WAL whose checkpoint embeds the older
+// TestResumeOldCheckpointConfig: a WAL whose checkpoint embeds an older
 // configuration blob — with the since-removed "RecordLedger" and
-// "CryptoWorkers" keys — resumes, and replays the remaining epochs to the
-// same coalition ledger heads and positions as an uninterrupted run.
+// "CryptoWorkers" keys, or "RetainCoalitionResults" — resumes, and replays
+// the remaining epochs to the same coalition ledger heads and positions as
+// an uninterrupted run.
 func TestResumeOldCheckpointConfig(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
@@ -52,53 +58,57 @@ func TestResumeOldCheckpointConfig(t *testing.T) {
 		t.Fatalf("reference wrote %d checkpoints over %d epochs, want 3", len(log.cps), len(ref.Epochs))
 	}
 
-	cp := log.cps[0]
-	cp.Config = []byte(parentCheckpointConfig)
-	sum := sha256.Sum256(cp.Config)
-	cp.ConfigHash = hex.EncodeToString(sum[:])
-	path := filepath.Join(t.TempDir(), "old.wal")
-	wal, err := pem.OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.PutCheckpoint(cp); err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	lg, err := pem.Resume(path)
-	if err != nil {
-		t.Fatalf("resume of an old checkpoint configuration: %v", err)
-	}
-	defer lg.Close()
-	if lg.ResumedEpoch() != 0 {
-		t.Fatalf("resumed after epoch %d, want 0", lg.ResumedEpoch())
-	}
-	res, err := lg.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Epochs) != 2 {
-		t.Fatalf("resumed run replayed %d epochs, want 2", len(res.Epochs))
-	}
-	for i, er := range res.Epochs {
-		want := ref.Epochs[i+1]
-		if len(er.Coalitions) != len(want.Coalitions) {
-			t.Fatalf("epoch %d: %d coalitions, uninterrupted run %d", er.Epoch, len(er.Coalitions), len(want.Coalitions))
-		}
-		for j, cr := range er.Coalitions {
-			if cr.ChainHead == "" || cr.ChainHead != want.Coalitions[j].ChainHead {
-				t.Errorf("%s: ledger head %q, uninterrupted run %q", cr.Name, cr.ChainHead, want.Coalitions[j].ChainHead)
+	for name, blob := range oldCheckpointConfigs {
+		t.Run(name, func(t *testing.T) {
+			cp := log.cps[0]
+			cp.Config = []byte(blob)
+			sum := sha256.Sum256(cp.Config)
+			cp.ConfigHash = hex.EncodeToString(sum[:])
+			path := filepath.Join(t.TempDir(), name+".wal")
+			wal, err := pem.OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if !reflect.DeepEqual(res.Positions, ref.Positions) {
-		t.Error("positions diverged from the uninterrupted run")
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
+			if err := wal.PutCheckpoint(cp); err != nil {
+				t.Fatal(err)
+			}
+			if err := wal.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			lg, err := pem.Resume(path)
+			if err != nil {
+				t.Fatalf("resume of an old checkpoint configuration: %v", err)
+			}
+			defer lg.Close()
+			if lg.ResumedEpoch() != 0 {
+				t.Fatalf("resumed after epoch %d, want 0", lg.ResumedEpoch())
+			}
+			res, err := lg.Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Epochs) != 2 {
+				t.Fatalf("resumed run replayed %d epochs, want 2", len(res.Epochs))
+			}
+			for i, er := range res.Epochs {
+				want := ref.Epochs[i+1]
+				if len(er.Coalitions) != len(want.Coalitions) {
+					t.Fatalf("epoch %d: %d coalitions, uninterrupted run %d", er.Epoch, len(er.Coalitions), len(want.Coalitions))
+				}
+				for j, cr := range er.Coalitions {
+					if cr.ChainHead == "" || cr.ChainHead != want.Coalitions[j].ChainHead {
+						t.Errorf("%s: ledger head %q, uninterrupted run %q", cr.Name, cr.ChainHead, want.Coalitions[j].ChainHead)
+					}
+				}
+			}
+			if !reflect.DeepEqual(res.Positions, ref.Positions) {
+				t.Error("positions diverged from the uninterrupted run")
+			}
+			if err := lg.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -131,7 +141,7 @@ func TestConfigSurface(t *testing.T) {
 		"pem.GridConfig": {fields(pem.GridConfig{}),
 			"Market Coalitions Partition PartitionSeed MaxConcurrentCoalitions MinCoalition Tiers Store"},
 		"pem.LiveGridConfig": {fields(pem.LiveGridConfig{}),
-			"Market Coalitions Partition PartitionSeed MaxConcurrentCoalitions MinCoalition Tiers RetainCoalitionResults Store Epochs Churn"},
+			"Market Coalitions Partition PartitionSeed MaxConcurrentCoalitions MinCoalition Tiers Store Epochs Churn"},
 		"core.Config": {fields(core.Config{}),
 			"KeyBits Params PreEncrypt MaxInflightWindows CryptoBackend Aggregation Network Seed"},
 		"core.Resources": {fields(core.Resources{}),

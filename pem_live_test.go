@@ -149,8 +149,8 @@ func TestLiveGridRejectsBadConfig(t *testing.T) {
 
 // TestLiveGridStreamPublicAPI: the live streaming variant delivers each
 // epoch in order with its settlement, retains no epochs on the result, and
-// folds to the same positions as the batch Run; heavy per-coalition
-// payloads are released by default and kept under RetainCoalitionResults.
+// folds to the same positions as the batch Run; Run keeps every epoch's
+// heavy per-coalition payload, and Stream releases each once its sink returns.
 func TestLiveGridStreamPublicAPI(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
@@ -159,21 +159,22 @@ func TestLiveGridStreamPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Default: heavy payloads are released once each epoch settles.
 	for _, er := range batch.Epochs {
 		for _, cr := range er.Coalitions {
-			if cr.Results != nil || cr.Ledger != nil || cr.Flows != nil {
-				t.Fatalf("%s retained heavy payload by default", cr.Name)
+			if cr.Err == nil && (cr.Results == nil || cr.Ledger == nil || cr.Flows == nil) {
+				t.Errorf("%s: Run dropped its payload", cr.Name)
 			}
 		}
 	}
 
 	var epochs []int
+	var delivered []*pem.EpochResult
 	streamed, err := testLiveGrid(t, 0).Stream(ctx, func(er *pem.EpochResult) error {
 		if er.Settlement == nil {
 			t.Errorf("epoch %d streamed without settlement", er.Epoch)
 		}
 		epochs = append(epochs, er.Epoch)
+		delivered = append(delivered, er)
 		return nil
 	})
 	if err != nil {
@@ -185,6 +186,13 @@ func TestLiveGridStreamPublicAPI(t *testing.T) {
 	if streamed.Epochs != nil {
 		t.Error("streamed live result retained epochs")
 	}
+	for _, er := range delivered {
+		for _, cr := range er.Coalitions {
+			if cr.Results != nil || cr.Ledger != nil || cr.Flows != nil {
+				t.Errorf("%s kept its heavy payload after the sink returned", cr.Name)
+			}
+		}
+	}
 	if len(streamed.Positions) != len(batch.Positions) {
 		t.Fatal("position counts diverged")
 	}
@@ -195,29 +203,5 @@ func TestLiveGridStreamPublicAPI(t *testing.T) {
 	}
 	if _, err := testLiveGrid(t, 0).Stream(ctx, nil); err == nil {
 		t.Error("nil sink accepted")
-	}
-
-	// Opt-in retention keeps the audit payloads.
-	lg, err := pem.NewLiveGrid(pem.LiveGridConfig{
-		Market:                 pem.Config{KeyBits: 256, Seed: seedPtr(41)},
-		Coalitions:             2,
-		Partition:              pem.PartitionBalanced,
-		Epochs:                 2,
-		RetainCoalitionResults: true,
-		Churn:                  pem.ChurnConfig{JoinRate: 0.2},
-	}, pem.FleetConfig{Coalitions: 2, HomesPerCoalition: 3, Windows: 1, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	retained, err := lg.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, er := range retained.Epochs {
-		for _, cr := range er.Coalitions {
-			if cr.Err == nil && (cr.Results == nil || cr.Ledger == nil) {
-				t.Errorf("%s lost its payload despite RetainCoalitionResults", cr.Name)
-			}
-		}
 	}
 }

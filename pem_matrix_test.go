@@ -367,7 +367,6 @@ func liveScenario(c cell, store pem.Store) (pem.LiveGridConfig, pem.FleetConfig)
 			Coalitions:              2,
 			Partition:               pem.PartitionBalanced,
 			MaxConcurrentCoalitions: width,
-			RetainCoalitionResults:  c == refCell, // Run releases them otherwise
 			Store:                   store,
 			Epochs:                  3,
 			Churn:                   pem.ChurnConfig{JoinRate: 0.25, DepartRate: 0.15, FailRate: 0.1},
