@@ -1,7 +1,7 @@
 // Benchmarks kept beside benchmark/, which measures throughput, latency
 // and per-layer cost end to end with a stronger method: the backend
 // comparison over one real window and the pre-encryption ablation that is
-// PreEncrypt's measured reason (DESIGN.md §6). TestWindowAllocBudget is the
+// PreEncrypt's measured reason (DESIGN.md §3). TestWindowAllocBudget is the
 // allocation gate of a private window.
 package pem_test
 
@@ -58,7 +58,7 @@ func BenchmarkCryptoBackends(b *testing.B) {
 }
 
 // BenchmarkAblationPreEncryption runs the midday window at 2048-bit keys with
-// idle-time blinding factors on and off (DESIGN.md §6).
+// idle-time blinding factors on and off (DESIGN.md §3).
 func BenchmarkAblationPreEncryption(b *testing.B) {
 	for _, on := range []bool{true, false} {
 		name := "pool=on"

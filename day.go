@@ -2,7 +2,9 @@ package pem
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 
 	"github.com/pem-go/pem/internal/core"
 	"github.com/pem-go/pem/internal/market"
@@ -31,11 +33,17 @@ type DaySeries struct {
 	GridPEM, GridBase []float64
 }
 
+// errNilTrace refuses a nil *Trace where a day needs one.
+var errNilTrace = errors.New("pem: nil trace")
+
 // SimulateDay runs the plaintext market over every window of the trace.
 // It is the fast path used to regenerate the trading-performance figures;
 // the cryptographic engine produces identical outcomes (asserted by the
 // integration tests) but pays the full protocol cost per window.
 func SimulateDay(trace *Trace, params Params) (*DaySeries, error) {
+	if trace == nil {
+		return nil, errNilTrace
+	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,11 +91,14 @@ func SimulateDay(trace *Trace, params Params) (*DaySeries, error) {
 // baseline, with the preference parameter overridden to k (the paper fixes
 // k = 20 and 40). Windows where the home is not a seller contribute zero.
 func SellerUtilitySeries(trace *Trace, homeIndex int, k float64, params Params) (withPEM, withoutPEM []float64, err error) {
+	if trace == nil {
+		return nil, nil, errNilTrace
+	}
 	if homeIndex < 0 || homeIndex >= len(trace.Homes) {
 		return nil, nil, fmt.Errorf("pem: home index %d out of range", homeIndex)
 	}
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("pem: preference k must be positive")
+	if !(k > 0) || math.IsInf(k, 1) {
+		return nil, nil, fmt.Errorf("pem: preference k must be positive and finite, got %v", k)
 	}
 	ds, err := SimulateDay(trace, params)
 	if err != nil {
@@ -134,6 +145,9 @@ func (m *Market) RunDay(ctx context.Context, trace *Trace) (*DayResult, error) {
 // and every window before it — has completed, while later windows are
 // still executing. A sink error aborts the day.
 func (m *Market) StreamDay(ctx context.Context, trace *Trace, sink func(*WindowResult) error) (*DayResult, error) {
+	if trace == nil {
+		return nil, errNilTrace
+	}
 	if len(trace.Homes) != len(m.agents) {
 		return nil, fmt.Errorf("pem: trace has %d homes, market has %d agents", len(trace.Homes), len(m.agents))
 	}

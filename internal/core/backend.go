@@ -20,7 +20,7 @@ const (
 	// summed under masks, converted to one ciphertext under Hs's key, and
 	// the masked-ratio step runs on that. Outcomes are bit-identical to
 	// BackendPaillier; the leakage differences are documented in DESIGN.md
-	// §12.
+	// §7.
 	BackendHybrid = "hybrid"
 )
 
@@ -36,9 +36,6 @@ const (
 // carried (fixed-width ciphertexts or fixed-width masked words), so netem's
 // byte and message accounting stays exact across backends.
 type cryptoBackend interface {
-	// name reports the Config.CryptoBackend constant this backend serves.
-	name() string
-
 	// aggregateSum is the member side of a Protocol 2 masked sum: fold this
 	// party's contribution into the running total along the configured
 	// topology (ring or tree) over order, delivering the result to sink —

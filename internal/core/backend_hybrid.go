@@ -26,7 +26,7 @@ import (
 //   - the Rb/Rs decision becomes a masked compare: Hr2 hands its
 //     nonce-masked total to Hr1, who compares and broadcasts the one-bit
 //     outcome (leaking Rb−Rs = E_b−E_s to Hr1 — the designed trade-off
-//     documented in DESIGN.md §12);
+//     documented in DESIGN.md §7);
 //   - Protocol 4's opening sum is a masked fold too: the demand side folds
 //     |sn_j| under 128-bit masks shared with Hs and the aggregation root
 //     keeps the masked total M; Hs sends the root one Enc_hs(−Σμ_j), and the
@@ -48,8 +48,6 @@ type hybridBackend struct {
 }
 
 var _ cryptoBackend = (*hybridBackend)(nil)
-
-func (*hybridBackend) name() string { return BackendHybrid }
 
 // maskWords derives this party's two mask words for a (peer, tag) pair from
 // the engine-provisioned pairwise seed. Both endpoints of the pair derive

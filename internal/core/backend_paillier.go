@@ -21,8 +21,6 @@ type paillierBackend struct{}
 
 var _ cryptoBackend = (*paillierBackend)(nil)
 
-func (*paillierBackend) name() string { return BackendPaillier }
-
 func (*paillierBackend) aggregateSum(ctx context.Context, r *windowRun, order []string, sink, tag string, contribution *big.Int) error {
 	return r.aggregate(ctx, order, sink, sink, tag, contribution)
 }

@@ -70,7 +70,7 @@ type Config struct {
 	// encryptions that hand it the masked total). Outcomes are bit-identical;
 	// the hybrid backend trades the comparison's privacy (Hr1 learns
 	// E_b−E_s) for a ≈ 3× (32 homes, 1024-bit keys) to ≈ 5× (8 homes)
-	// window speedup — see DESIGN.md §12.
+	// window speedup — see DESIGN.md §7.
 	CryptoBackend string
 	// Aggregation selects the encrypted-sum topology for the masked ring
 	// aggregations of Protocol 2 and the demand-side total of Protocol 4:

@@ -88,7 +88,7 @@ func newHybridP4Fixture(t *testing.T, seed int64, demand int, topo string) *hybr
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.eb.Add(f.eb, sn.Abs().Big())
+		f.eb.Add(f.eb, big.NewInt(int64(sn.Abs())))
 		f.buyers = append(f.buyers, agents[i].ID)
 	}
 	cfg := testConfig(seed)
@@ -200,7 +200,7 @@ func TestHybridWrappedTotalFailsTyped(t *testing.T) {
 					t.Error(err)
 					return payload
 				}
-				out, err := shifted.MarshalFixed(pk)
+				out, err := shifted.AppendFixed(nil, pk)
 				if err != nil {
 					t.Error(err)
 				}
@@ -220,7 +220,7 @@ func TestHybridWrappedTotalFailsTyped(t *testing.T) {
 func TestHybridRejectsMalformedFrames(t *testing.T) {
 	cipher := func(body func(pk *paillier.PublicKey) []byte) func([]byte, *paillier.PublicKey) []byte {
 		return func(_ []byte, pk *paillier.PublicKey) []byte {
-			out, err := (&paillier.Ciphertext{C: new(big.Int).SetBytes(body(pk))}).MarshalFixed(pk)
+			out, err := (&paillier.Ciphertext{C: new(big.Int).SetBytes(body(pk))}).AppendFixed(nil, pk)
 			if err != nil {
 				panic(err)
 			}

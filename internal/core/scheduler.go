@@ -61,11 +61,12 @@ func (e *Engine) RunWindows(ctx context.Context, jobs []WindowJob) ([]*WindowRes
 // (when non-nil) for each result in strict job order as soon as that window
 // — and every window before it — has completed.
 //
-// Window numbers must be unique within one call: the number names the
-// window's transport tag namespace, so two instances of the same number in
-// flight would share queues and cross-talk. For the same reason, callers
-// issuing concurrent scheduling calls against one engine must keep their
-// window numbers disjoint.
+// Window numbers must be non-negative and unique within one call: the
+// number names the window's transport tag namespace, which has no form for
+// a negative number, and two instances of the same number in flight would
+// share queues and cross-talk. For the same reason, callers issuing
+// concurrent scheduling calls against one engine must keep their window
+// numbers disjoint.
 //
 // Failure semantics are RunOrdered's: a failing window cancels only itself,
 // no window is launched after it, and its error (the earliest by job order
@@ -77,6 +78,9 @@ func (e *Engine) StreamWindows(ctx context.Context, jobs []WindowJob, sink func(
 	results := make([]*WindowResult, len(jobs))
 	seen := make(map[int]bool, len(jobs))
 	for _, job := range jobs {
+		if job.Window < 0 {
+			return results, fmt.Errorf("core: negative window %d in schedule", job.Window)
+		}
 		if seen[job.Window] {
 			return results, fmt.Errorf("core: duplicate window %d in schedule", job.Window)
 		}

@@ -369,3 +369,25 @@ func TestRunWindowsRejectsDuplicateNumbers(t *testing.T) {
 		t.Fatal("duplicate window numbers accepted")
 	}
 }
+
+// TestRunWindowsRejectsNegativeNumbers: a negative number names no tag
+// namespace (the transport cannot parse "w-1"), so its traffic would go
+// unaccounted; it is refused like a duplicate.
+func TestRunWindowsRejectsNegativeNumbers(t *testing.T) {
+	eng, err := NewEngine(testConfig(41), testAgents(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	inputs := []market.WindowInput{
+		{Generation: 0.3, Load: 0.1},
+		{Generation: 0.0, Load: 0.3},
+	}
+	if res, err := eng.RunWindow(context.Background(), -1, inputs); err == nil {
+		t.Fatalf("negative window accepted: %+v", res)
+	}
+	jobs := []WindowJob{{Window: 0, Inputs: inputs}, {Window: -1, Inputs: inputs}}
+	if _, err := eng.RunWindows(context.Background(), jobs); err == nil {
+		t.Fatal("negative window in a schedule accepted")
+	}
+}

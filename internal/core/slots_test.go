@@ -45,7 +45,7 @@ func integerOracle(t *testing.T, res *WindowResult, agents []market.Agent, input
 	}
 	total := new(big.Int)
 	for _, d := range demand {
-		total.Add(total, d.sn.Big())
+		total.Add(total, big.NewInt(int64(d.sn)))
 	}
 	var trades []market.Trade
 	for _, s := range supply {

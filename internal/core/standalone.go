@@ -115,9 +115,12 @@ type PartyOutcome struct {
 }
 
 // RunTradingWindow executes Protocol 1 for one window from this party's
-// side. Every party in the key directory must call it with the same window
-// number concurrently.
+// side. Every party in the key directory must call it with the same
+// non-negative window number concurrently.
 func (p *Party) RunTradingWindow(ctx context.Context, window int, input market.WindowInput) (*PartyOutcome, error) {
+	if window < 0 {
+		return nil, fmt.Errorf("core: negative window %d", window)
+	}
 	if len(p.dir) < 2 {
 		return nil, errors.New("core: key directory not populated; call ExchangeKeys first")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"github.com/pem-go/pem/internal/market"
@@ -25,5 +26,8 @@ func TestStandaloneValidation(t *testing.T) {
 	}
 	if _, err := p.RunTradingWindow(context.Background(), 0, market.WindowInput{}); err == nil {
 		t.Error("window without key exchange accepted")
+	}
+	if _, err := p.RunTradingWindow(context.Background(), -1, market.WindowInput{}); err == nil || !strings.Contains(err.Error(), "negative window") {
+		t.Errorf("negative window: err = %v, want refusal", err)
 	}
 }

@@ -33,9 +33,6 @@ type roster struct {
 	// a seller in general markets, a buyer in extreme ones (chosen lazily).
 }
 
-func (r *roster) isSeller(id string) bool { return contains(r.sellers, id) }
-func (r *roster) isBuyer(id string) bool  { return contains(r.buyers, id) }
-
 func contains(sorted []string, id string) bool {
 	i := sort.SearchStrings(sorted, id)
 	return i < len(sorted) && sorted[i] == id

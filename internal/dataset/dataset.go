@@ -5,7 +5,7 @@
 // minute from 07:00 to 19:00 (720 trading windows). That dataset is not
 // redistributable here, so this package generates a synthetic equivalent
 // that exercises the same code paths and produces the same qualitative
-// market dynamics (DESIGN.md §4):
+// market dynamics (DESIGN.md §10):
 //
 //   - solar output follows a clear-sky bell curve between sunrise and
 //     sunset, scaled by a per-home panel capacity and modulated by an AR(1)
@@ -255,16 +255,6 @@ type Trace struct {
 	// stream, so Select can hand them to sub-traces that materialize
 	// independently of the parent.
 	synth []synthFn
-}
-
-// Lazy reports whether the trace still has unmaterialized homes.
-func (t *Trace) Lazy() bool {
-	for _, s := range t.synth {
-		if s != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // materialize fills home h's day rows if they are still pending.

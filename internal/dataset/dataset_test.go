@@ -295,11 +295,20 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// scenarioTrace synthesizes a trace for a named preset.
+func scenarioTrace(s Scenario, homes, windows int, seed int64) (*Trace, error) {
+	cfg, err := ScenarioConfig(s, homes, windows, seed)
+	if err != nil {
+		return nil, err
+	}
+	return Generate(cfg)
+}
+
 func TestScenarios(t *testing.T) {
 	for _, s := range Scenarios() {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
-			tr, err := GenerateScenario(s, 40, 240, 17)
+			tr, err := scenarioTrace(s, 40, 240, 17)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,7 +317,7 @@ func TestScenarios(t *testing.T) {
 			}
 		})
 	}
-	if _, err := GenerateScenario("volcanic", 10, 10, 1); err == nil {
+	if _, err := scenarioTrace("volcanic", 10, 10, 1); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 }
@@ -318,7 +327,7 @@ func TestScenarioMarketRegimes(t *testing.T) {
 	// days push supply past demand (extreme markets); overcast days stay
 	// demand-dominated.
 	count := func(s Scenario) (extremeish, generalish int) {
-		tr, err := GenerateScenario(s, 60, 720, 23)
+		tr, err := scenarioTrace(s, 60, 720, 23)
 		if err != nil {
 			t.Fatal(err)
 		}

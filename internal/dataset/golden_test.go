@@ -58,7 +58,7 @@ func TestTraceGoldenDigest(t *testing.T) {
 	check("default 32x720", goldenDefault, tr, err)
 
 	for _, s := range Scenarios() {
-		tr, err := GenerateScenario(s, 8, 720, seed)
+		tr, err := scenarioTrace(s, 8, 720, seed)
 		check("scenario "+string(s), goldenScenario[s], tr, err)
 	}
 

@@ -72,15 +72,6 @@ func ScenarioConfig(s Scenario, homes, windows int, seed int64) (Config, error) 
 	return cfg, nil
 }
 
-// GenerateScenario synthesizes a trace for a named preset.
-func GenerateScenario(s Scenario, homes, windows int, seed int64) (*Trace, error) {
-	cfg, err := ScenarioConfig(s, homes, windows, seed)
-	if err != nil {
-		return nil, err
-	}
-	return Generate(cfg)
-}
-
 // UnknownScenarioError is returned for unrecognized preset names.
 type UnknownScenarioError struct {
 	// Scenario is the unrecognized preset name.

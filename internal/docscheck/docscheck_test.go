@@ -1,10 +1,12 @@
-// Package docscheck enforces the exported-comment policy offline: every
-// exported identifier in the public package and the documented internal
-// packages must carry a real doc comment (no bare names), and type/function
-// comments must start with the identifier they document — the same policy
-// the revive `exported` rule enforces in CI. Keeping an AST-based mirror in
-// the test suite means doc coverage cannot regress even where CI's
-// network-installed linters are unavailable.
+// Package docscheck enforces three documentation and surface rules offline,
+// with go/ast only. Every exported identifier in the public package and the
+// internal packages must carry a real doc comment (no bare names), and
+// type/function comments must start with the identifier they document — the
+// same policy the revive `exported` rule enforces in CI, mirrored here so doc
+// coverage cannot regress where CI's network-installed linters are
+// unavailable. Every exported function or method under internal/ must have a
+// non-test caller (callers_test.go). Every "DESIGN.md §N" reference must name
+// a section (design_test.go).
 package docscheck
 
 import (
@@ -19,7 +21,8 @@ import (
 	"testing"
 )
 
-// packages under the exported-comment policy, relative to the repo root.
+// packages under the exported-comment policy, relative to the repo root:
+// the public package and every internal package with non-test code.
 var packages = []string{
 	".",
 	"internal/grid",
@@ -31,6 +34,10 @@ var packages = []string{
 	"internal/transport",
 	"internal/ledger",
 	"internal/store",
+	"internal/fixed",
+	"internal/gc",
+	"internal/ot",
+	"internal/secchan",
 }
 
 // repoRoot locates the repository root from this test file's path.

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/bits"
 )
 
 const (
@@ -49,24 +48,9 @@ func FromFloat(f float64) (Value, error) {
 	return Value(math.Round(scaled)), nil
 }
 
-// MustFromFloat is FromFloat for known-safe constants; it panics on error.
-// Intended for package-level defaults and tests only.
-func MustFromFloat(f float64) Value {
-	v, err := FromFloat(f)
-	if err != nil {
-		panic(fmt.Sprintf("fixed: MustFromFloat(%v): %v", f, err))
-	}
-	return v
-}
-
 // Float converts v back to a float64 base-unit quantity.
 func (v Value) Float() float64 {
 	return float64(v) / Scale
-}
-
-// Big returns v as a big.Int in micro-units.
-func (v Value) Big() *big.Int {
-	return big.NewInt(int64(v))
 }
 
 // FromBig converts a micro-unit big.Int back to a Value.
@@ -96,56 +80,6 @@ func (v Value) String() string {
 		sign = "-"
 	}
 	return fmt.Sprintf("%s%d.%06d", sign, whole, frac)
-}
-
-// Mul returns a*b in micro-units, i.e. (a*b)/Scale with round-to-nearest.
-// It uses 128-bit intermediate arithmetic, so it cannot silently overflow
-// the intermediate product; it returns ErrOverflow if the result does not
-// fit in a Value.
-func Mul(a, b Value) (Value, error) {
-	return mulDiv(a, b, Scale)
-}
-
-// Div returns a/b in micro-units, i.e. (a*Scale)/b with round-to-nearest.
-func Div(a, b Value) (Value, error) {
-	if b == 0 {
-		return 0, errors.New("fixed: division by zero")
-	}
-	return mulDiv(a, Scale, int64(b))
-}
-
-// mulDiv computes round(a*b/den) using 128-bit intermediates.
-func mulDiv(a, b Value, den int64) (Value, error) {
-	neg := false
-	ua, ub, uden := uint64(a), uint64(b), uint64(den)
-	if a < 0 {
-		neg = !neg
-		ua = uint64(-a)
-	}
-	if b < 0 {
-		neg = !neg
-		ub = uint64(-b)
-	}
-	if den < 0 {
-		neg = !neg
-		uden = uint64(-den)
-	}
-	hi, lo := bits.Mul64(ua, ub)
-	if hi >= uden {
-		return 0, ErrOverflow
-	}
-	q, r := bits.Div64(hi, lo, uden)
-	// Round to nearest, ties away from zero.
-	if r >= uden-r {
-		q++
-	}
-	if q > math.MaxInt64 {
-		return 0, ErrOverflow
-	}
-	if neg {
-		return Value(-int64(q)), nil
-	}
-	return Value(int64(q)), nil
 }
 
 // ReciprocalExponent returns the integer exponent k = round(RecipScale/v)

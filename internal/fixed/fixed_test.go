@@ -58,7 +58,7 @@ func TestFloatInverse(t *testing.T) {
 func TestBigRoundTrip(t *testing.T) {
 	if err := quick.Check(func(raw int64) bool {
 		v := Value(raw)
-		back, err := FromBig(v.Big())
+		back, err := FromBig(big.NewInt(int64(v)))
 		return err == nil && back == v
 	}, nil); err != nil {
 		t.Error(err)
@@ -69,81 +69,6 @@ func TestFromBigOverflow(t *testing.T) {
 	huge := new(big.Int).Lsh(big.NewInt(1), 80)
 	if _, err := FromBig(huge); err == nil {
 		t.Error("FromBig(2^80): want overflow error")
-	}
-}
-
-func TestMul(t *testing.T) {
-	cases := []struct {
-		a, b, want Value
-	}{
-		{Scale, Scale, Scale},               // 1 * 1 = 1
-		{2 * Scale, 3 * Scale, 6 * Scale},   // 2 * 3 = 6
-		{Scale / 2, Scale / 2, Scale / 4},   // 0.5 * 0.5 = 0.25
-		{-2 * Scale, 3 * Scale, -6 * Scale}, // sign handling
-		{-2 * Scale, -3 * Scale, 6 * Scale},
-		{0, 12345, 0},
-	}
-	for _, c := range cases {
-		got, err := Mul(c.a, c.b)
-		if err != nil {
-			t.Fatalf("Mul(%d, %d): %v", c.a, c.b, err)
-		}
-		if got != c.want {
-			t.Errorf("Mul(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestMulOverflow(t *testing.T) {
-	big := Value(math.MaxInt64 / 2)
-	if _, err := Mul(big, big); err == nil {
-		t.Error("Mul(huge, huge): want overflow error")
-	}
-}
-
-func TestDiv(t *testing.T) {
-	got, err := Div(6*Scale, 3*Scale)
-	if err != nil || got != 2*Scale {
-		t.Errorf("Div(6, 3) = %d, %v; want 2", got, err)
-	}
-	got, err = Div(Scale, 3*Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 333_333 {
-		t.Errorf("Div(1, 3) = %d, want 333333", got)
-	}
-	if _, err := Div(Scale, 0); err == nil {
-		t.Error("Div by zero: want error")
-	}
-}
-
-func TestMulDivInverseProperty(t *testing.T) {
-	// (a*b)/b ≈ a within 1 micro-unit for moderate magnitudes.
-	if err := quick.Check(func(ra, rb int32) bool {
-		a := Value(ra)
-		b := Value(rb)
-		if b == 0 {
-			return true
-		}
-		prod, err := Mul(a, b)
-		if err != nil {
-			return true
-		}
-		back, err := Div(prod, b)
-		if err != nil {
-			return true
-		}
-		diff := back - a
-		if diff < 0 {
-			diff = -diff
-		}
-		// Rounding in Mul can lose up to 0.5 micro-unit, amplified by
-		// Scale/|b| in Div.
-		tol := Value(Scale/int64(b.Abs())) + 1
-		return diff <= tol
-	}, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -175,7 +100,7 @@ func TestRecipRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		masked := new(big.Int).Mul(eb.Big(), exp)
+		masked := new(big.Int).Mul(big.NewInt(int64(eb)), exp)
 		ratio, err := RatioFromMasked(masked)
 		if err != nil {
 			return false
@@ -210,7 +135,7 @@ func TestMaskedProductsRevealTotalByGCD(t *testing.T) {
 			eb := new(big.Int)
 			for j := range sn {
 				sn[j] = Value(50_000 + rng.Int64N(5_000_000)) // 0.05–5 kWh
-				eb.Add(eb, sn[j].Big())
+				eb.Add(eb, big.NewInt(int64(sn[j])))
 			}
 			ys := make([]*big.Int, tc.d)
 			g := new(big.Int)

@@ -62,12 +62,14 @@ func (k GateKind) truthTable() [4]bool {
 	}
 }
 
-// Gate is one gate. Wires are identified by dense indexes. For NOT gates
-// In1 is unused.
+// Gate is one gate. Wires are identified by dense indexes.
 type Gate struct {
-	Kind     GateKind
+	// Kind is the gate's boolean function.
+	Kind GateKind
+	// In0 and In1 are the input wires (In1 unused for NOT).
 	In0, In1 int
-	Out      int
+	// Out is the wire the gate drives.
+	Out int
 }
 
 // Circuit is a boolean circuit with two input bundles: the garbler's bits
@@ -233,7 +235,6 @@ func (b *builder) gate2(kind GateKind, in0, in1 int) int {
 
 func (b *builder) xor(a, x int) int { return b.gate2(GateXOR, a, x) }
 func (b *builder) and(a, x int) int { return b.gate2(GateAND, a, x) }
-func (b *builder) or(a, x int) int  { return b.gate2(GateOR, a, x) }
 
 func (b *builder) not(a int) int {
 	out := b.wire()
@@ -266,33 +267,6 @@ func BuildGreaterThan(bits int) (*Circuit, error) {
 		c = b.xor(a[i], t)
 	}
 	b.c.Outputs = []int{c}
-	circ := b.c
-	if err := circ.Validate(); err != nil {
-		return nil, err
-	}
-	return &circ, nil
-}
-
-// BuildEquals constructs an equality circuit [A == B] over bits-bit inputs
-// (useful for protocol sanity checks): AND over XNORs.
-func BuildEquals(bits int) (*Circuit, error) {
-	if bits <= 0 || bits > 512 {
-		return nil, fmt.Errorf("gc: equality width %d out of range", bits)
-	}
-	b := newBuilder()
-	a := b.garblerInputs(bits)
-	e := b.evaluatorInputs(bits)
-	var acc int = -1
-	for i := 0; i < bits; i++ {
-		x := b.xor(a[i], e[i])
-		eq := b.not(x)
-		if acc < 0 {
-			acc = eq
-		} else {
-			acc = b.and(acc, eq)
-		}
-	}
-	b.c.Outputs = []int{acc}
 	circ := b.c
 	if err := circ.Validate(); err != nil {
 		return nil, err

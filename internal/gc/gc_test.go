@@ -33,11 +33,26 @@ func TestGreaterThanPlainTruthTable(t *testing.T) {
 	}
 }
 
-func TestEqualsPlainTruthTable(t *testing.T) {
-	circ, err := BuildEquals(3)
-	if err != nil {
+// buildEquals is the equality circuit [A == B], an AND chain over XNORs: a
+// second circuit shape, with a NOT on every bit, for the garbling tests.
+func buildEquals(t *testing.T, bits int) *Circuit {
+	t.Helper()
+	b := newBuilder()
+	a := b.garblerInputs(bits)
+	e := b.evaluatorInputs(bits)
+	acc := b.not(b.xor(a[0], e[0]))
+	for i := 1; i < bits; i++ {
+		acc = b.and(acc, b.not(b.xor(a[i], e[i])))
+	}
+	b.c.Outputs = []int{acc}
+	if err := b.c.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return &b.c
+}
+
+func TestEqualsPlainTruthTable(t *testing.T) {
+	circ := buildEquals(t, 3)
 	for a := uint64(0); a < 8; a++ {
 		for b := uint64(0); b < 8; b++ {
 			out, err := circ.EvalPlain(uintToBits(a, 3), uintToBits(b, 3))
@@ -151,10 +166,7 @@ func TestGarbledMatchesPlainProperty(t *testing.T) {
 }
 
 func TestEqualsGarbled(t *testing.T) {
-	circ, err := BuildEquals(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	circ := buildEquals(t, 8)
 	rng := mrand.New(mrand.NewSource(44))
 	for _, pair := range [][2]uint64{{7, 7}, {7, 9}, {0, 0}, {255, 0}} {
 		got := garbleEvalLocal(t, circ, uintToBits(pair[0], 8), uintToBits(pair[1], 8), Options{Random: rng})

@@ -44,11 +44,6 @@ const (
 	StrategyBalanced Strategy = "balanced"
 )
 
-// Strategies lists the built-in partition strategies.
-func Strategies() []Strategy {
-	return []Strategy{StrategyFixed, StrategyRandom, StrategyBalanced}
-}
-
 // Partition splits the fleet into the given number of coalitions, returning
 // each coalition's member indices into homes. Coalition sizes differ by at
 // most one; every coalition has at least two members (an engine needs a

@@ -261,15 +261,6 @@ func (b *PositionBook) Restore(positions []AgentPosition) error {
 	return nil
 }
 
-// Position returns one agent's position.
-func (b *PositionBook) Position(id string) (AgentPosition, bool) {
-	p, ok := b.byID[id]
-	if !ok {
-		return AgentPosition{}, false
-	}
-	return *p, true
-}
-
 // Positions returns every agent's position, frozen and active alike,
 // sorted by agent ID.
 func (b *PositionBook) Positions() []AgentPosition {

@@ -85,11 +85,11 @@ func TestPositionBookLifecycle(t *testing.T) {
 	}
 
 	// Depart "a" with a residual surplus: valued at the grid's buy price.
-	before, _ := b.Position("a")
+	before := *b.byID["a"]
 	if err := b.Exit("a", 0, "depart", 0, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := b.Position("a")
+	after := *b.byID["a"]
 	if after.Active() || after.ExitEpoch != 0 || after.ExitKind != "depart" {
 		t.Errorf("exit not recorded: %+v", after)
 	}
@@ -116,7 +116,7 @@ func TestPositionBookLifecycle(t *testing.T) {
 	if err := b.Apply(1, map[string]AgentFlows{"b": {BuyKWh: 1, PaidCents: 90}}); err != nil {
 		t.Fatal(err)
 	}
-	again, _ := b.Position("a")
+	again := *b.byID["a"]
 	if again.Flows != after.Flows {
 		t.Errorf("frozen position drifted: %+v vs %+v", again.Flows, after.Flows)
 	}

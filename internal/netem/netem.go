@@ -121,9 +121,6 @@ func New(topo Topology, seed int64) (*Network, error) {
 	}, nil
 }
 
-// Topology returns the emulated topology.
-func (n *Network) Topology() Topology { return n.topo }
-
 // Wrap layers the emulation over one party's endpoint. All endpoints of one
 // protocol instance must be wrapped by the same Network, since delivery
 // metadata travels through it from sender to receiver.

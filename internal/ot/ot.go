@@ -53,6 +53,7 @@ func TestGroup() *Group { return DefaultGroup() }
 // Pair is one OT instance from the sender's perspective: two messages of
 // exactly KeySize bytes.
 type Pair struct {
+	// M0 and M1 are the messages the receiver's choice bit 0 and 1 select.
 	M0, M1 []byte
 }
 
@@ -75,6 +76,7 @@ type frameError struct {
 	got, want int // frame lengths, when index < 0
 }
 
+// Error names the frame and, for a bad point, its index.
 func (e *frameError) Error() string {
 	if e.index < 0 {
 		return fmt.Sprintf("ot: %s frame has %d bytes, want %d", e.frame, e.got, e.want)

@@ -19,7 +19,7 @@ import (
 func TestScalarMulFastPathAllocBudget(t *testing.T) {
 	key := testKey(t)
 	pk := &key.PublicKey
-	ct, err := pk.EncryptInt64(testRand(31), 7)
+	ct, err := pk.encryptInt64(testRand(31), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestScalarMulWordAllocBudget(t *testing.T) {
 		t.Skip("sync.Pool drops arenas at random under the race detector")
 	}
 	key := testKey(t)
-	ct, err := key.EncryptInt64(testRand(37), 7)
+	ct, err := key.encryptInt64(testRand(37), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDecryptSlotsAllocBudget(t *testing.T) {
 	rng := testRand(36)
 	cts := make([]*Ciphertext, key.Slots())
 	for i := range cts {
-		if cts[i], err = key.EncryptInt64(rng, int64(i)+1); err != nil {
+		if cts[i], err = key.encryptInt64(rng, int64(i)+1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestDecryptSlotsAllocBudget(t *testing.T) {
 func TestAppendFixedAllocFree(t *testing.T) {
 	key := testKey(t)
 	pk := &key.PublicKey
-	ct, err := pk.EncryptInt64(testRand(32), 1234)
+	ct, err := pk.encryptInt64(testRand(32), 1234)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestAppendFixedAllocFree(t *testing.T) {
 func TestUnmarshalReuseAllocFree(t *testing.T) {
 	key := testKey(t)
 	pk := &key.PublicKey
-	ct, err := pk.EncryptInt64(testRand(33), 99)
+	ct, err := pk.encryptInt64(testRand(33), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := ct.MarshalFixed(pk)
+	wire, err := ct.AppendFixed(nil, pk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,17 +171,17 @@ func TestUnmarshalReuseAllocFree(t *testing.T) {
 }
 
 // TestAppendFixedRoundTrip is the wire-encoder regression: AppendFixed
-// appended mid-buffer is byte-identical to a standalone MarshalFixed, and
-// both decode back to the original value.
+// appended mid-buffer is byte-identical to one into a nil buffer, and both
+// decode back to the original value.
 func TestAppendFixedRoundTrip(t *testing.T) {
 	key := testKey(t)
 	pk := &key.PublicKey
 	for i := int64(0); i < 8; i++ {
-		ct, err := pk.EncryptInt64(testRand(40+i), i-4)
+		ct, err := pk.encryptInt64(testRand(40+i), i-4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := ct.MarshalFixed(pk)
+		ref, err := ct.AppendFixed(nil, pk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestAppendFixedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out[4:], ref) {
-			t.Fatalf("AppendFixed mid-buffer differs from MarshalFixed")
+			t.Fatalf("AppendFixed mid-buffer differs from AppendFixed into nil")
 		}
 		var back Ciphertext
 		if err := back.UnmarshalBinary(out[4:]); err != nil {
@@ -206,8 +206,8 @@ func TestAppendFixedRoundTrip(t *testing.T) {
 
 // FuzzAppendFixedPooled drives the pooled marshal path against the
 // allocating reference: for arbitrary plaintexts, AppendFixed into a reused
-// buffer must produce bytes identical to a fresh MarshalFixed, and both
-// must round-trip to the same ciphertext value.
+// buffer must produce bytes identical to AppendFixed into nil, and both must
+// round-trip to the same ciphertext value.
 func FuzzAppendFixedPooled(f *testing.F) {
 	key, err := GenerateKey(testRand(16), 128)
 	if err != nil {
@@ -220,13 +220,13 @@ func FuzzAppendFixedPooled(f *testing.F) {
 	f.Add(int64(-1))
 	f.Add(int64(1<<40 + 12345))
 	f.Fuzz(func(t *testing.T, m int64) {
-		ct, err := pk.EncryptInt64(testRand(m^0x5eed), m)
+		ct, err := pk.encryptInt64(testRand(m^0x5eed), m)
 		if err != nil {
 			// Out of the signed range for this key size — not this fuzz
 			// target's concern.
 			return
 		}
-		ref, err := ct.MarshalFixed(pk)
+		ref, err := ct.AppendFixed(nil, pk)
 		if err != nil {
 			t.Fatal(err)
 		}

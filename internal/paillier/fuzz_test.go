@@ -13,16 +13,16 @@ import (
 func TestSignedEncodingBoundaries(t *testing.T) {
 	key := testKey(t)
 	pk := &key.PublicKey
-	half := pk.MaxSigned() // floor(n/2); n is odd, so |v| <= half-1 is legal
+	half := new(big.Int).Rsh(pk.N, 1) // floor(n/2); n is odd, so |v| <= half-1 is legal
 
 	maxPos := new(big.Int).Sub(half, big.NewInt(1))
 	maxNeg := new(big.Int).Neg(maxPos)
 	for _, v := range []*big.Int{maxPos, maxNeg, big.NewInt(0), big.NewInt(1), big.NewInt(-1)} {
-		m, err := pk.EncodeSigned(v)
-		if err != nil {
-			t.Fatalf("EncodeSigned(%v): %v", v, err)
+		m := new(big.Int)
+		if err := pk.encodeSignedInto(m, v); err != nil {
+			t.Fatalf("encodeSignedInto(%v): %v", v, err)
 		}
-		if back := pk.DecodeSigned(m); back.Cmp(v) != 0 {
+		if back := pk.decodeSignedInPlace(new(big.Int), m); back.Cmp(v) != 0 {
 			t.Fatalf("round trip %v -> %v", v, back)
 		}
 		// The boundary values must also survive actual encryption.
@@ -45,16 +45,16 @@ func TestSignedEncodingBoundaries(t *testing.T) {
 		new(big.Int).Add(half, big.NewInt(1)),
 		pk.N,
 	} {
-		if _, err := pk.EncodeSigned(v); !errors.Is(err, ErrMessageTooLarge) {
-			t.Fatalf("EncodeSigned(%v): err = %v, want ErrMessageTooLarge", v, err)
+		if err := pk.encodeSignedInto(new(big.Int), v); !errors.Is(err, ErrMessageTooLarge) {
+			t.Fatalf("encodeSignedInto(%v): err = %v, want ErrMessageTooLarge", v, err)
 		}
 	}
 }
 
 // TestMarshalFixedWidth pins the fixed-width ciphertext encoding: every
-// ciphertext under one key marshals to exactly len(n²) magnitude bytes
+// ciphertext under one key encodes to exactly len(n²) magnitude bytes
 // regardless of its leading zeros, and UnmarshalBinary decodes the padded
-// form to the same value as the variable-width one.
+// form to the same value.
 func TestMarshalFixedWidth(t *testing.T) {
 	key := testKey(t)
 	pk := &key.PublicKey
@@ -62,7 +62,7 @@ func TestMarshalFixedWidth(t *testing.T) {
 
 	values := []*big.Int{big.NewInt(1), big.NewInt(255), new(big.Int).Sub(pk.N2, big.NewInt(1))}
 	for i := int64(0); i < 8; i++ {
-		ct, err := pk.EncryptInt64(testRand(100+i), i)
+		ct, err := pk.encryptInt64(testRand(100+i), i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,9 +70,9 @@ func TestMarshalFixedWidth(t *testing.T) {
 	}
 	for _, v := range values {
 		ct := &Ciphertext{C: v}
-		fixed, err := ct.MarshalFixed(pk)
+		fixed, err := ct.AppendFixed(nil, pk)
 		if err != nil {
-			t.Fatalf("MarshalFixed(%v): %v", v, err)
+			t.Fatalf("AppendFixed(%v): %v", v, err)
 		}
 		if len(fixed) != 4+width {
 			t.Fatalf("fixed encoding of %v is %d bytes, want %d", v, len(fixed), 4+width)
@@ -89,26 +89,28 @@ func TestMarshalFixedWidth(t *testing.T) {
 	// A value wider than n² cannot be a ciphertext; the encoder must refuse
 	// rather than truncate.
 	over := &Ciphertext{C: new(big.Int).Lsh(big.NewInt(1), uint(8*width))}
-	if _, err := over.MarshalFixed(pk); err == nil {
+	if _, err := over.AppendFixed(nil, pk); err == nil {
 		t.Fatal("over-wide ciphertext accepted")
 	}
-	if _, err := (&Ciphertext{C: big.NewInt(1)}).MarshalFixed(nil); err == nil {
+	if _, err := (&Ciphertext{C: big.NewInt(1)}).AppendFixed(nil, nil); err == nil {
 		t.Fatal("nil key accepted")
 	}
 }
 
 // FuzzCiphertextUnmarshal checks the ciphertext wire decoder never panics
-// and that every accepted encoding re-marshals to the same bytes.
+// and that every accepted value re-encodes to bytes that decode to it again;
+// AppendFixed may refuse only a value wider than the key's n².
 func FuzzCiphertextUnmarshal(f *testing.F) {
 	key, err := GenerateKey(testRand(12), 128)
 	if err != nil {
 		f.Fatal(err)
 	}
-	ct, err := key.EncryptInt64(testRand(13), 42)
+	pk := &key.PublicKey
+	ct, err := key.encryptInt64(testRand(13), 42)
 	if err != nil {
 		f.Fatal(err)
 	}
-	seed, err := ct.MarshalBinary()
+	seed, err := ct.AppendFixed(nil, pk)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -121,9 +123,12 @@ func FuzzCiphertextUnmarshal(f *testing.F) {
 		if err := c.UnmarshalBinary(raw); err != nil {
 			return
 		}
-		out, err := c.MarshalBinary()
+		out, err := c.AppendFixed(nil, pk)
 		if err != nil {
-			t.Fatalf("re-marshal accepted ciphertext: %v", err)
+			if (c.C.BitLen()+7)/8 <= pk.FixedLen()-4 {
+				t.Fatalf("re-encode accepted ciphertext: %v", err)
+			}
+			return
 		}
 		var back Ciphertext
 		if err := back.UnmarshalBinary(out); err != nil {
@@ -158,7 +163,7 @@ func FuzzCiphertextRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		wire, err := ct.MarshalBinary()
+		wire, err := ct.AppendFixed(nil, &key.PublicKey)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +171,7 @@ func FuzzCiphertextRoundTrip(f *testing.F) {
 		if err := back.UnmarshalBinary(wire); err != nil {
 			t.Fatalf("unmarshal own encoding: %v", err)
 		}
-		wire2, err := back.MarshalBinary()
+		wire2, err := back.AppendFixed(nil, &key.PublicKey)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,9 +8,10 @@ import (
 	"sync/atomic"
 )
 
-// Wire format: every big.Int is encoded as a uint32 big-endian length
-// followed by the magnitude bytes (values are always non-negative on the
-// wire). Keys and ciphertexts use this shared primitive.
+// Wire format: every big.Int is a uint32 big-endian length followed by the
+// magnitude bytes (values are always non-negative on the wire). A public key
+// is its n in this form; a ciphertext is too, with the magnitude left-padded
+// to the key's width (AppendFixed).
 
 func appendBig(dst []byte, x *big.Int) []byte {
 	b := x.Bytes()
@@ -58,30 +59,15 @@ func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the ciphertext value.
-func (c *Ciphertext) MarshalBinary() ([]byte, error) {
-	if c.C == nil {
-		return nil, errors.New("paillier: nil ciphertext")
-	}
-	return appendBig(nil, c.C), nil
-}
-
-// MarshalFixed encodes the ciphertext like MarshalBinary but left-pads the
-// magnitude to pk's canonical ciphertext width — the byte length of n² —
-// so every ciphertext under one key has the same wire size. Protocol code
-// uses it for on-the-wire ciphertexts: constant-size frames close the
-// (harmless but noisy) magnitude-length channel and make byte accounting —
-// and the network emulation's serialization pricing — independent of which
-// pre-computed blinding factor an encryption happened to draw.
-// UnmarshalBinary decodes both forms identically.
-func (c *Ciphertext) MarshalFixed(pk *PublicKey) ([]byte, error) {
-	return c.AppendFixed(nil, pk)
-}
-
-// AppendFixed appends the MarshalFixed encoding to dst and returns the
-// extended slice — the allocation-lean form of MarshalFixed: the wire
-// encoders pass a pooled frame buffer (see transport.GetFrame) sized with
-// FixedLen so steady-state serialization allocates nothing. dst may be nil.
+// AppendFixed appends the ciphertext's wire encoding to dst and returns the
+// extended slice: a 4-byte big-endian width prefix, then the magnitude
+// left-padded to pk's canonical ciphertext width — the byte length of n² —
+// so every ciphertext under one key has the same wire size. Constant-size
+// frames close the magnitude-length channel and make byte accounting, and
+// the network emulation's serialization pricing, independent of which
+// pre-computed blinding factor an encryption drew. The wire encoders pass a
+// pooled frame buffer (see transport.GetFrame) sized with FixedLen so
+// steady-state serialization allocates nothing. dst may be nil.
 func (c *Ciphertext) AppendFixed(dst []byte, pk *PublicKey) ([]byte, error) {
 	if c.C == nil {
 		return nil, errors.New("paillier: nil ciphertext")
@@ -107,15 +93,15 @@ func (c *Ciphertext) AppendFixed(dst []byte, pk *PublicKey) ([]byte, error) {
 	return dst, nil
 }
 
-// FixedLen returns the exact encoded size of one AppendFixed/MarshalFixed
+// FixedLen returns the exact encoded size of one AppendFixed
 // ciphertext under this key: the 4-byte width prefix plus the byte length
 // of n². Wire encoders use it to size pooled frame buffers.
 func (pk *PublicKey) FixedLen() int {
 	return 4 + (pk.N2.BitLen()+7)/8
 }
 
-// UnmarshalBinary decodes a ciphertext produced by MarshalBinary,
-// MarshalFixed or AppendFixed. A non-nil c.C is reused in place (its
+// UnmarshalBinary decodes a ciphertext produced by AppendFixed, or any
+// other length-prefixed magnitude. A non-nil c.C is reused in place (its
 // storage absorbs the decoded value), so a fold loop that decodes into the
 // same Ciphertext every hop stops allocating once the integer has grown to
 // ciphertext width.
@@ -135,35 +121,5 @@ func (c *Ciphertext) UnmarshalBinary(data []byte) error {
 		c.C = new(big.Int)
 	}
 	c.C.SetBytes(body)
-	return nil
-}
-
-// MarshalBinary encodes the private key (p and q; everything else is
-// recomputed). Intended for checkpointing agents to disk, never the wire.
-func (sk *PrivateKey) MarshalBinary() ([]byte, error) {
-	if sk.p == nil || sk.q == nil {
-		return nil, errors.New("paillier: nil private key")
-	}
-	return appendBig(appendBig(nil, sk.p), sk.q), nil
-}
-
-// UnmarshalBinary decodes a private key produced by MarshalBinary.
-func (sk *PrivateKey) UnmarshalBinary(data []byte) error {
-	p, rest, err := readBig(data)
-	if err != nil {
-		return fmt.Errorf("decode private key p: %w", err)
-	}
-	q, rest, err := readBig(rest)
-	if err != nil {
-		return fmt.Errorf("decode private key q: %w", err)
-	}
-	if len(rest) != 0 {
-		return errors.New("paillier: trailing bytes after private key")
-	}
-	key, err := newPrivateKey(p, q)
-	if err != nil {
-		return err
-	}
-	*sk = *key
 	return nil
 }

@@ -133,7 +133,7 @@ func TestBlindingFactorIsNthResidue(t *testing.T) {
 				t.Fatalf("bits=%d: factor %d is not an n-th residue", bits, i)
 			}
 		}
-		edge := new(big.Int).Sub(key.MaxSigned(), one) // n/2 − 1
+		edge := new(big.Int).Sub(new(big.Int).Rsh(key.N, 1), one) // n/2 − 1
 		for _, m := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(-1), edge, new(big.Int).Neg(edge)} {
 			c, err := key.Encrypt(rng, m)
 			if err != nil {
@@ -168,12 +168,12 @@ func TestFirstEncryptRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			c, err := key.EncryptInt64(testRand(int64(g)), int64(g)-32)
+			c, err := key.encryptInt64(testRand(int64(g)), int64(g)-32)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if m, err := key.DecryptInt64(c); err != nil || m != int64(g)-32 {
+			if m, err := key.decryptInt64(c); err != nil || m != int64(g)-32 {
 				t.Errorf("goroutine %d: decrypted %d, %v", g, m, err)
 			}
 		}(g)
@@ -202,11 +202,11 @@ func TestUnmarshalDropsNonceTable(t *testing.T) {
 		if err := pk.UnmarshalBinary(wire); err != nil {
 			t.Fatal(err)
 		}
-		c, err := pk.EncryptInt64(testRand(11), -77)
+		c, err := pk.encryptInt64(testRand(11), -77)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m, err := key.DecryptInt64(c); err != nil || m != -77 {
+		if m, err := key.decryptInt64(c); err != nil || m != -77 {
 			t.Fatalf("decrypt under the key just unmarshalled: %d, %v", m, err)
 		}
 	}
@@ -245,14 +245,14 @@ func TestABI(t *testing.T) {
 	rd := &patternReader{next: 1, step: 7}
 	var cts [2][]byte
 	for i, m := range []int64{42, -42} {
-		c, err := pk.EncryptInt64(rd, m)
+		c, err := pk.encryptInt64(rd, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := key.DecryptInt64(c); err != nil || got != m {
+		if got, err := key.decryptInt64(c); err != nil || got != m {
 			t.Fatalf("golden ciphertext decrypts to %d, %v", got, err)
 		}
-		if cts[i], err = c.MarshalFixed(pk); err != nil {
+		if cts[i], err = c.AppendFixed(nil, pk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,8 +264,8 @@ func TestABI(t *testing.T) {
 		{"PublicKey.MarshalBinary", wire, abiGolden.pk},
 		{"nonce base h (specification)", h.Bytes(), abiGolden.h},
 		{"nonce base h (package)", nonceBase(pk.N).Bytes(), abiGolden.h},
-		{"MarshalFixed(Encrypt(42))", cts[0], abiGolden.ct42},
-		{"MarshalFixed(Encrypt(-42))", cts[1], abiGolden.ctNeg42},
+		{"AppendFixed(Encrypt(42))", cts[0], abiGolden.ct42},
+		{"AppendFixed(Encrypt(-42))", cts[1], abiGolden.ctNeg42},
 	} {
 		if hex.EncodeToString(g.got) != g.want {
 			t.Errorf("%s = %x, want %s", g.name, g.got, g.want)
@@ -300,11 +300,11 @@ func TestFixedLenAcrossKeySizes(t *testing.T) {
 		}
 		rng := testRand(12)
 		for _, m := range []int64{0, 42, -42} {
-			c, err := pk.EncryptInt64(rng, m)
+			c, err := pk.encryptInt64(rng, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := c.MarshalFixed(pk)
+			b, err := c.AppendFixed(nil, pk)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -270,35 +270,9 @@ func (sk *PrivateKey) Wipe() {
 // Bits returns the modulus size in bits.
 func (pk *PublicKey) Bits() int { return pk.N.BitLen() }
 
-// MaxSigned returns the largest magnitude representable by the signed
-// encoding, i.e. values v with |v| < n/2 round-trip.
-func (pk *PublicKey) MaxSigned() *big.Int {
-	return new(big.Int).Rsh(pk.N, 1)
-}
-
-// EncodeSigned maps a signed integer into Z_n (negative values wrap to
-// n - |v|). It returns ErrMessageTooLarge when |v| ≥ n/2.
-func (pk *PublicKey) EncodeSigned(v *big.Int) (*big.Int, error) {
-	if new(big.Int).Abs(v).Cmp(pk.MaxSigned()) >= 0 {
-		return nil, ErrMessageTooLarge
-	}
-	if v.Sign() >= 0 {
-		return new(big.Int).Set(v), nil
-	}
-	return new(big.Int).Add(pk.N, v), nil
-}
-
-// DecodeSigned inverts EncodeSigned: residues above n/2 are interpreted as
-// negative.
-func (pk *PublicKey) DecodeSigned(m *big.Int) *big.Int {
-	if m.Cmp(pk.MaxSigned()) > 0 {
-		return new(big.Int).Sub(m, pk.N)
-	}
-	return new(big.Int).Set(m)
-}
-
-// encodeSignedInto is the allocation-lean EncodeSigned: the encoded residue
-// lands in dst (typically a Scratch integer). dst must not alias v.
+// encodeSignedInto maps a signed integer into Z_n (negative values wrap to
+// n − |v|), landing the residue in dst (typically a Scratch integer). It
+// returns ErrMessageTooLarge when |v| ≥ n/2. dst must not alias v.
 func (pk *PublicKey) encodeSignedInto(dst, v *big.Int) error {
 	dst.Rsh(pk.N, 1)
 	if v.CmpAbs(dst) >= 0 {
@@ -312,8 +286,9 @@ func (pk *PublicKey) encodeSignedInto(dst, v *big.Int) error {
 	return nil
 }
 
-// decodeSignedInPlace is the allocation-lean DecodeSigned: m itself becomes
-// the signed plaintext and is returned. half is scratch for the n/2 bound.
+// decodeSignedInPlace inverts encodeSignedInto: residues above n/2 are
+// negative. m itself becomes the signed plaintext and is returned. half is
+// scratch for the n/2 bound.
 func (pk *PublicKey) decodeSignedInPlace(half, m *big.Int) *big.Int {
 	half.Rsh(pk.N, 1)
 	if m.Cmp(half) > 0 {
@@ -539,21 +514,4 @@ func crtResidue(s *Scratch, cts []*Ciphertext, r, r2, rm1, h *big.Int) *big.Int 
 	wide.Mul(quo, h)
 	quo.QuoRem(wide, r, acc)
 	return acc
-}
-
-// EncryptInt64 is a convenience wrapper for fixed-point protocol values.
-func (pk *PublicKey) EncryptInt64(random io.Reader, v int64) (*Ciphertext, error) {
-	return pk.Encrypt(random, big.NewInt(v))
-}
-
-// DecryptInt64 decrypts and narrows to int64, failing loudly on overflow.
-func (sk *PrivateKey) DecryptInt64(c *Ciphertext) (int64, error) {
-	m, err := sk.Decrypt(c)
-	if err != nil {
-		return 0, err
-	}
-	if !m.IsInt64() {
-		return 0, fmt.Errorf("paillier: plaintext %s overflows int64", m)
-	}
-	return m.Int64(), nil
 }

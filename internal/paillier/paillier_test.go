@@ -2,6 +2,8 @@ package paillier
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -34,7 +36,24 @@ func (sk *PrivateKey) DecryptTextbook(c *Ciphertext) (*big.Int, error) {
 	m := new(big.Int).Div(x.Sub(x, one), sk.N) // L(x) = (x−1)/n
 	m.Mul(m, sk.mu)
 	m.Mod(m, sk.N)
-	return sk.DecodeSigned(m), nil
+	return sk.decodeSignedInPlace(new(big.Int), m), nil
+}
+
+// encryptInt64 encrypts a small signed plaintext.
+func (pk *PublicKey) encryptInt64(random io.Reader, v int64) (*Ciphertext, error) {
+	return pk.Encrypt(random, big.NewInt(v))
+}
+
+// decryptInt64 decrypts and narrows to int64, failing loudly on overflow.
+func (sk *PrivateKey) decryptInt64(c *Ciphertext) (int64, error) {
+	m, err := sk.Decrypt(c)
+	if err != nil {
+		return 0, err
+	}
+	if !m.IsInt64() {
+		return 0, fmt.Errorf("paillier: plaintext %s overflows int64", m)
+	}
+	return m.Int64(), nil
 }
 
 func TestGenerateKeyRejectsTinyModulus(t *testing.T) {
@@ -47,11 +66,11 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	key := testKey(t)
 	rng := testRand(2)
 	for _, v := range []int64{0, 1, -1, 42, -42, 1 << 40, -(1 << 40)} {
-		c, err := key.EncryptInt64(rng, v)
+		c, err := key.encryptInt64(rng, v)
 		if err != nil {
 			t.Fatalf("Encrypt(%d): %v", v, err)
 		}
-		got, err := key.DecryptInt64(c)
+		got, err := key.decryptInt64(c)
 		if err != nil {
 			t.Fatalf("Decrypt(%d): %v", v, err)
 		}
@@ -91,11 +110,11 @@ func TestHomomorphicAddProperty(t *testing.T) {
 	key := testKey(t)
 	rng := testRand(4)
 	if err := quick.Check(func(a, b int32) bool {
-		ca, err := key.EncryptInt64(rng, int64(a))
+		ca, err := key.encryptInt64(rng, int64(a))
 		if err != nil {
 			return false
 		}
-		cb, err := key.EncryptInt64(rng, int64(b))
+		cb, err := key.encryptInt64(rng, int64(b))
 		if err != nil {
 			return false
 		}
@@ -103,7 +122,7 @@ func TestHomomorphicAddProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := key.DecryptInt64(sum)
+		got, err := key.decryptInt64(sum)
 		return err == nil && got == int64(a)+int64(b)
 	}, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -114,7 +133,7 @@ func TestHomomorphicScalarMulProperty(t *testing.T) {
 	key := testKey(t)
 	rng := testRand(5)
 	if err := quick.Check(func(a int32, k int16) bool {
-		ca, err := key.EncryptInt64(rng, int64(a))
+		ca, err := key.encryptInt64(rng, int64(a))
 		if err != nil {
 			return false
 		}
@@ -122,7 +141,7 @@ func TestHomomorphicScalarMulProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := key.DecryptInt64(ck)
+		got, err := key.decryptInt64(ck)
 		return err == nil && got == int64(a)*int64(k)
 	}, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -132,7 +151,7 @@ func TestHomomorphicScalarMulProperty(t *testing.T) {
 func TestAddPlain(t *testing.T) {
 	key := testKey(t)
 	rng := testRand(6)
-	c, err := key.EncryptInt64(rng, 100)
+	c, err := key.encryptInt64(rng, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +159,7 @@ func TestAddPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := key.DecryptInt64(c2)
+	got, err := key.decryptInt64(c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +173,8 @@ func TestSemanticSecuritySmokeTest(t *testing.T) {
 	// encryption).
 	key := testKey(t)
 	rng := testRand(8)
-	c1, _ := key.EncryptInt64(rng, 5)
-	c2, _ := key.EncryptInt64(rng, 5)
+	c1, _ := key.encryptInt64(rng, 5)
+	c2, _ := key.encryptInt64(rng, 5)
 	if c1.C.Cmp(c2.C) == 0 {
 		t.Error("two encryptions of 5 are identical")
 	}
@@ -163,20 +182,20 @@ func TestSemanticSecuritySmokeTest(t *testing.T) {
 
 func TestSignedEncoding(t *testing.T) {
 	key := testKey(t)
-	max := key.MaxSigned()
+	max := new(big.Int).Rsh(key.N, 1)
 	almostMax := new(big.Int).Sub(max, big.NewInt(1))
 	for _, v := range []*big.Int{almostMax, new(big.Int).Neg(almostMax)} {
-		enc, err := key.EncodeSigned(v)
-		if err != nil {
-			t.Fatalf("EncodeSigned(%s): %v", v, err)
+		enc := new(big.Int)
+		if err := key.encodeSignedInto(enc, v); err != nil {
+			t.Fatalf("encodeSignedInto(%s): %v", v, err)
 		}
-		dec := key.DecodeSigned(enc)
+		dec := key.decodeSignedInPlace(new(big.Int), enc)
 		if dec.Cmp(v) != 0 {
 			t.Errorf("signed round trip %s -> %s", v, dec)
 		}
 	}
-	if _, err := key.EncodeSigned(max); err == nil {
-		t.Error("EncodeSigned(n/2): want ErrMessageTooLarge")
+	if err := key.encodeSignedInto(new(big.Int), max); err == nil {
+		t.Error("encodeSignedInto(n/2): want ErrMessageTooLarge")
 	}
 }
 
@@ -215,7 +234,7 @@ func TestEncryptWithFactorMatchesEncrypt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := key.DecryptInt64(c)
+	got, err := key.decryptInt64(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,43 +257,23 @@ func TestPublicKeyMarshalRoundTrip(t *testing.T) {
 		t.Error("public key did not round trip")
 	}
 	// A ciphertext produced under the decoded key must decrypt correctly.
-	c, err := pk.EncryptInt64(testRand(11), 99)
+	c, err := pk.encryptInt64(testRand(11), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := key.DecryptInt64(c)
+	got, err := key.decryptInt64(c)
 	if err != nil || got != 99 {
 		t.Errorf("cross-key decrypt: %d, %v", got, err)
 	}
 }
 
-func TestPrivateKeyMarshalRoundTrip(t *testing.T) {
-	key := testKey(t)
-	data, err := key.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sk PrivateKey
-	if err := sk.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	c, err := key.EncryptInt64(testRand(12), 4242)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.DecryptInt64(c)
-	if err != nil || got != 4242 {
-		t.Errorf("restored key decrypt: %d, %v", got, err)
-	}
-}
-
 func TestCiphertextMarshalRoundTrip(t *testing.T) {
 	key := testKey(t)
-	c, err := key.EncryptInt64(testRand(13), 7)
+	c, err := key.encryptInt64(testRand(13), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := c.MarshalBinary()
+	data, err := c.AppendFixed(nil, &key.PublicKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +315,7 @@ func TestNoncePool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := key.DecryptInt64(c)
+		got, err := key.decryptInt64(c)
 		if err != nil || got != int64(i) {
 			t.Fatalf("pool factor %d: decrypt got %d, %v", i, got, err)
 		}
@@ -345,7 +344,7 @@ func BenchmarkEncrypt(b *testing.B) {
 			rng := testRand(21)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := key.EncryptInt64(rng, int64(i)); err != nil {
+				if _, err := key.encryptInt64(rng, int64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -376,7 +375,7 @@ func BenchmarkDecryptCRT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := key.EncryptInt64(testRand(25), 123456)
+	c, err := key.encryptInt64(testRand(25), 123456)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -394,7 +393,7 @@ func BenchmarkDecryptTextbook(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := key.EncryptInt64(testRand(25), 123456)
+	c, err := key.encryptInt64(testRand(25), 123456)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestNoncePoolFirstTakeRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := key.DecryptInt64(c); err != nil || got != int64(i) {
+		if got, err := key.decryptInt64(c); err != nil || got != int64(i) {
 			t.Fatalf("factor %d: decrypt got %d, %v", i, got, err)
 		}
 	}

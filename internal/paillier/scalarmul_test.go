@@ -13,7 +13,7 @@ import (
 func TestScalarMulMatchesExp(t *testing.T) {
 	key := testKey(t)
 	rng := testRand(11)
-	c, err := key.EncryptInt64(rng, 1234)
+	c, err := key.encryptInt64(rng, 1234)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestScalarMulEdgeCases(t *testing.T) {
 func TestScalarMulFastPaths(t *testing.T) {
 	key := testKey(t)
 	rng := testRand(12)
-	c, err := key.EncryptInt64(rng, 1234)
+	c, err := key.encryptInt64(rng, 1234)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestScalarMulFastPaths(t *testing.T) {
 		if out.C.Cmp(big.NewInt(1)) != 0 {
 			t.Errorf("E(m)^0 = %v, want 1", out.C)
 		}
-		if m, err := key.DecryptInt64(out); err != nil || m != 0 {
+		if m, err := key.decryptInt64(out); err != nil || m != 0 {
 			t.Errorf("decrypt(E(m)^0) = %d, %v; want 0", m, err)
 		}
 	})
@@ -101,7 +101,7 @@ func TestScalarMulFastPaths(t *testing.T) {
 		if out.C == c.C {
 			t.Error("E(m)^1 must not alias the input ciphertext")
 		}
-		if m, err := key.DecryptInt64(out); err != nil || m != 1234 {
+		if m, err := key.decryptInt64(out); err != nil || m != 1234 {
 			t.Errorf("decrypt = %d, %v; want 1234", m, err)
 		}
 	})
@@ -110,7 +110,7 @@ func TestScalarMulFastPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m, err := key.DecryptInt64(out); err != nil || m != -1234 {
+		if m, err := key.decryptInt64(out); err != nil || m != -1234 {
 			t.Errorf("decrypt = %d, %v; want -1234", m, err)
 		}
 	})
@@ -121,7 +121,7 @@ func TestScalarMulFastPaths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ScalarMul(%d): %v", k, err)
 		}
-		m, err := key.DecryptInt64(out)
+		m, err := key.decryptInt64(out)
 		if err != nil {
 			t.Fatalf("Decrypt after ScalarMul(%d): %v", k, err)
 		}
@@ -131,7 +131,7 @@ func TestScalarMulFastPaths(t *testing.T) {
 	}
 	// A scalar wider than a machine word; verify via homomorphism on an
 	// encryption of 1.
-	cOne, err := key.EncryptInt64(rng, 1)
+	cOne, err := key.encryptInt64(rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestScalarMulFastPaths(t *testing.T) {
 func BenchmarkScalarMulSmallExponent(b *testing.B) {
 	key := testKey(b)
 	rng := testRand(13)
-	c, err := key.EncryptInt64(rng, 42)
+	c, err := key.encryptInt64(rng, 42)
 	if err != nil {
 		b.Fatal(err)
 	}

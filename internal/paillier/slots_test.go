@@ -180,7 +180,7 @@ func TestDecryptSlotsRejects(t *testing.T) {
 // division by zero.
 func TestDecryptWipedKey(t *testing.T) {
 	key := testKey(t)
-	c, err := key.EncryptInt64(testRand(63), 5)
+	c, err := key.encryptInt64(testRand(63), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +222,8 @@ func TestSlotLayoutABI(t *testing.T) {
 		if g.residue == "" {
 			continue
 		}
-		em, err := pk.EncodeSigned(m)
-		if err != nil {
+		em := new(big.Int)
+		if err := pk.encodeSignedInto(em, m); err != nil {
 			t.Fatal(err)
 		}
 		if got := em.Text(16); got != g.residue {

@@ -124,7 +124,7 @@ type Config struct {
 	// masked demand total). Both backends produce bit-identical
 	// prices, allocations and ledger chains; hybrid trades the stronger
 	// per-message Paillier hiding for one-time pad masking provisioned by
-	// the market (see DESIGN.md §12 for the threat-model comparison).
+	// the market (see DESIGN.md §7 for the threat-model comparison).
 	CryptoBackend string
 	// Network selects a deterministic network-emulation topology for the
 	// market's transport: NetworkLAN, NetworkMetro, NetworkWAN,

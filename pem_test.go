@@ -2,6 +2,7 @@ package pem_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -135,6 +136,9 @@ func TestSimulateDaySeries(t *testing.T) {
 	if !traded {
 		t.Error("no window had both coalitions non-empty")
 	}
+	if _, err := pem.SimulateDay(nil, params); err == nil {
+		t.Error("nil trace accepted")
+	}
 }
 
 func TestSellerUtilitySeries(t *testing.T) {
@@ -184,6 +188,14 @@ func TestSellerUtilitySeries(t *testing.T) {
 	}
 	if _, _, err := pem.SellerUtilitySeries(tr, 0, 0, params); err == nil {
 		t.Error("zero k accepted")
+	}
+	for _, k := range []float64{math.NaN(), math.Inf(1)} {
+		if _, _, err := pem.SellerUtilitySeries(tr, 0, k, params); err == nil {
+			t.Errorf("k = %v accepted", k)
+		}
+	}
+	if _, _, err := pem.SellerUtilitySeries(nil, 0, 20, params); err == nil {
+		t.Error("nil trace accepted")
 	}
 }
 
@@ -322,6 +334,9 @@ func TestStreamDayInOrder(t *testing.T) {
 	}
 	if err := m.Ledger().Verify(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := m.RunDay(ctx, nil); err == nil {
+		t.Error("nil trace accepted")
 	}
 }
 

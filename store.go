@@ -12,7 +12,7 @@ import (
 // ledger blocks, settlement aggregates, key-material fingerprints, agent
 // positions and live-grid epoch checkpoints — with an in-memory default and
 // an append-only, CRC-checked write-ahead log whose replay-on-open recovery
-// survives crashes and torn writes. See DESIGN.md §15 for the record format
+// survives crashes and torn writes. See DESIGN.md §12 for the record format
 // and resume semantics.
 
 // Re-exported durability model types.
