@@ -152,7 +152,8 @@ type Grid struct {
 // NewGrid validates the config and partitions the fleet trace into
 // coalitions. The partition is deterministic given the config and visible
 // via Partition before any protocol runs; a statically-bad config (unknown
-// partition strategy, negative budgets) fails here, not in Run.
+// partition strategy, negative budgets, a Market every coalition would
+// refuse) fails here, not in Run.
 func NewGrid(cfg GridConfig, trace *Trace) (*Grid, error) {
 	if trace == nil || len(trace.Homes) == 0 {
 		return nil, errors.New("pem: grid needs a non-empty fleet trace")

@@ -117,8 +117,10 @@ const (
 	AggregationTree = "tree"
 )
 
-// Validate checks the configuration.
+// Validate checks the configuration as an engine will run it: zero fields
+// take their defaults first.
 func (c Config) Validate() error {
+	c = c.withDefaults()
 	if floor := 2*paillier.SlotBits + 8; c.KeyBits < floor {
 		return fmt.Errorf("core: key size %d too small: Protocol 3's packed pair and Protocol 4's masked products need two %d-bit plaintext slots (min %d)", c.KeyBits, paillier.SlotBits, floor)
 	}

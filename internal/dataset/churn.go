@@ -66,9 +66,9 @@ type ChurnConfig struct {
 	// FailRate is the per-agent probability of a crash-style failure at
 	// each boundary. DepartRate+FailRate must stay below 1.
 	FailRate float64
-	// MinHomes is the roster floor (default 4): departures and failures are
-	// vetoed, deterministically and in roster order, when they would drop
-	// the fleet below it — a live market needs counterparties.
+	// MinHomes is the roster floor (default 4, minimum 2): departures and
+	// failures are vetoed, deterministically and in roster order, when they
+	// would drop the fleet below it — a live market needs counterparties.
 	MinHomes int
 	// Seed drives the churn schedule and the joining agents' synthesis
 	// (default: the fleet seed). Per-boundary and per-join streams are
@@ -84,14 +84,16 @@ func (c ChurnConfig) Validate() error {
 	if c.Epochs < 1 {
 		return fmt.Errorf("dataset: churn Epochs must be ≥ 1, got %d", c.Epochs)
 	}
-	if c.JoinRate < 0 || c.DepartRate < 0 || c.FailRate < 0 {
-		return errors.New("dataset: churn rates must be non-negative")
+	for _, r := range []float64{c.JoinRate, c.DepartRate, c.FailRate} {
+		if r < 0 || !finite(r) {
+			return errors.New("dataset: churn rates must be finite and non-negative")
+		}
 	}
 	if c.DepartRate+c.FailRate >= 1 {
 		return fmt.Errorf("dataset: DepartRate+FailRate = %v leaves no survivors", c.DepartRate+c.FailRate)
 	}
-	if c.MinHomes < 0 {
-		return fmt.Errorf("dataset: negative MinHomes %d", c.MinHomes)
+	if c.MinHomes < 0 || c.MinHomes == 1 {
+		return fmt.Errorf("dataset: MinHomes %d out of range (0 = default 4, minimum 2: a market needs a counterparty)", c.MinHomes)
 	}
 	return nil
 }

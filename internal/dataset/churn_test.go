@@ -154,15 +154,25 @@ func TestEvolveTraceSane(t *testing.T) {
 	}
 }
 
+// TestEvolveRejectsBadConfig: churn the run could not honour fails up
+// front. A NaN or infinite rate would otherwise draw no churn at all, and a
+// one-home floor would let churn empty a coalition after earlier epochs had
+// traded (and been checkpointed).
 func TestEvolveRejectsBadConfig(t *testing.T) {
 	fleet := FleetConfig{Coalitions: 1, HomesPerCoalition: 4, Windows: 2, Seed: 1}
-	if _, err := Evolve(fleet, ChurnConfig{Epochs: 0}); err == nil {
-		t.Error("accepted zero epochs")
+	cases := map[string]ChurnConfig{
+		"zero epochs":           {Epochs: 0},
+		"depart+fail ≥ 1":       {Epochs: 2, DepartRate: 0.6, FailRate: 0.5},
+		"negative join rate":    {Epochs: 2, JoinRate: -0.1},
+		"NaN join rate":         {Epochs: 2, JoinRate: math.NaN()},
+		"NaN depart rate":       {Epochs: 2, DepartRate: math.NaN()},
+		"NaN fail rate":         {Epochs: 2, FailRate: math.NaN()},
+		"infinite join rate":    {Epochs: 2, JoinRate: math.Inf(1)},
+		"one-home roster floor": {Epochs: 2, DepartRate: 0.5, MinHomes: 1},
 	}
-	if _, err := Evolve(fleet, ChurnConfig{Epochs: 2, DepartRate: 0.6, FailRate: 0.5}); err == nil {
-		t.Error("accepted depart+fail ≥ 1")
-	}
-	if _, err := Evolve(fleet, ChurnConfig{Epochs: 2, JoinRate: -0.1}); err == nil {
-		t.Error("accepted negative join rate")
+	for name, churn := range cases {
+		if _, err := Evolve(fleet, churn); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

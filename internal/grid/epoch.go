@@ -29,7 +29,7 @@ import (
 // re-keying costs what churn costs, not a restart. Settlement carries
 // across epochs in a market.PositionBook: per-agent cumulative positions
 // survive re-partitioning because they are keyed by agent ID, and an agent
-// that leaves settles and freezes at its exit epoch.
+// that leaves freezes at its exit epoch.
 
 // LiveConfig configures a live (epoched) grid run.
 type LiveConfig struct {
@@ -213,10 +213,7 @@ func streamLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sin
 		return nil, err
 	}
 
-	book, err := market.NewPositionBook(cfg.Grid.params())
-	if err != nil {
-		return nil, err
-	}
+	book := market.NewPositionBook()
 	if cfg.Resume != nil {
 		if err := book.Restore(cfg.Resume.Positions); err != nil {
 			return nil, err
@@ -298,7 +295,7 @@ func persistEpochBoundary(cfg LiveConfig, book *market.PositionBook, ef *dataset
 	if st == nil {
 		return nil
 	}
-	positions := book.Snapshot()
+	positions := book.Positions()
 	if err := st.UpsertPositions(positions); err != nil {
 		return fmt.Errorf("store: epoch %d positions: %w", ef.Epoch, err)
 	}
@@ -330,20 +327,20 @@ func persistEpochBoundary(cfg LiveConfig, book *market.PositionBook, ef *dataset
 }
 
 // applyBoundary applies one epoch's churn events to the position book and
-// the key ring: leavers settle and freeze at their last traded epoch and
-// lose their key pair, joiners open fresh positions (their keys are
-// generated when their coalition provisions). Epoch 0 only opens the base
-// fleet's positions.
+// the key ring: leavers freeze at their last traded epoch and lose their
+// key pair, joiners open fresh positions (their keys are generated when
+// their coalition provisions). Epoch 0 only opens the base fleet's
+// positions.
 func applyBoundary(book *market.PositionBook, keys *core.KeyRing, ef *dataset.EpochFleet) error {
 	keys.Evict(ef.Departed...)
 	keys.Evict(ef.Failed...)
 	for _, id := range ef.Departed {
-		if err := book.Exit(id, ef.Epoch-1, string(dataset.ChurnDepart), 0, 0); err != nil {
+		if err := book.Exit(id, ef.Epoch-1, string(dataset.ChurnDepart)); err != nil {
 			return err
 		}
 	}
 	for _, id := range ef.Failed {
-		if err := book.Exit(id, ef.Epoch-1, string(dataset.ChurnFail), 0, 0); err != nil {
+		if err := book.Exit(id, ef.Epoch-1, string(dataset.ChurnFail)); err != nil {
 			return err
 		}
 	}

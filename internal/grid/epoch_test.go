@@ -480,7 +480,7 @@ func TestLiveRekeyRespectsBudget(t *testing.T) {
 	defer cancel()
 	for _, budget := range []int{1, 2} {
 		bus := transport.NewBus(nil)
-		probe := &provisionedProbe{Store: store.NewMem(), conn: bus.MustRegister("probe")}
+		probe := &provisionedProbe{Store: tempWAL(t), conn: bus.MustRegister("probe")}
 		cfg := testLiveConfig(53, budget)
 		cfg.Grid.Store = probe
 		infra := core.Resources{Bus: bus, Workers: paillier.NewWorkers(0), Keys: core.NewKeyRing(cfg.Grid.Engine)}

@@ -30,10 +30,7 @@ func TestLiveKeyContinuity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			evo := testEvolution(t, 5, churn)
 			cfg := testLiveConfig(61, 0)
-			book, err := market.NewPositionBook(cfg.Grid.params())
-			if err != nil {
-				t.Fatal(err)
-			}
+			book := market.NewPositionBook()
 			infra := core.Resources{Bus: transport.NewBus(nil), Workers: paillier.NewWorkers(0), Keys: core.NewKeyRing(cfg.Grid.Engine)}
 
 			byHome := make(map[string][32]byte) // every home ever keyed

@@ -18,6 +18,18 @@ import (
 	"github.com/pem-go/pem/internal/store"
 )
 
+// tempWAL opens a fresh WAL in the test's temporary directory, closed when
+// the test ends.
+func tempWAL(t *testing.T) *store.WAL {
+	t.Helper()
+	w, err := store.OpenWAL(filepath.Join(t.TempDir(), "test.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
 // countingStore wraps a Store to observe the block-append stream: the total
 // append count and the count at the moment the first checkpoint committed.
 // The live grid writes from a single goroutine, so plain fields suffice.
@@ -129,7 +141,7 @@ func TestLiveStorePersistsRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 
-	st := store.NewMem()
+	st := tempWAL(t)
 	cfg := testLiveConfig(45, 0)
 	cfg.Grid.Store = st
 	cfg.CheckpointMeta = []byte(`{"run":"store-test"}`)
@@ -219,12 +231,12 @@ func TestLiveStorePersistsRun(t *testing.T) {
 }
 
 // TestLiveCrashResumeBitIdentical is the crash-recovery property test: for
-// a table of seeds × churn mixes × backends, a run killed right after a
-// seeded random block append — window granularity, mid-epoch — and resumed
-// from its last durable checkpoint must converge to the same final state as
-// the uninterrupted reference run, bit for bit: positions, conservation,
-// every coalition chain (re-verified from the store) and its head, key
-// material and aggregates.
+// a table of seeds × churn mixes, a run killed right after a seeded random
+// block append — window granularity, mid-epoch — and resumed from the last
+// durable checkpoint of its reopened WAL must converge to the same final
+// state as the uninterrupted reference run, bit for bit: positions,
+// conservation, every coalition chain (re-verified from the replayed store)
+// and its head, key material and aggregates.
 func TestLiveCrashResumeBitIdentical(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -236,108 +248,110 @@ func TestLiveCrashResumeBitIdentical(t *testing.T) {
 		{"fail-heavy", 49, dataset.ChurnConfig{FailRate: 0.35, JoinRate: 0.1}},
 		{"mixed", 50, dataset.ChurnConfig{JoinRate: 0.25, DepartRate: 0.2, FailRate: 0.15}},
 	}
-	backends := map[string]func(t *testing.T) store.Store{
-		"mem": func(*testing.T) store.Store { return store.NewMem() },
-		"wal": func(t *testing.T) store.Store {
-			w, err := store.OpenWAL(filepath.Join(t.TempDir(), "live.wal"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { w.Close() })
-			return w
-		},
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 600*time.Second)
 	defer cancel()
 
 	for _, tc := range cases {
-		for bname, open := range backends {
-			t.Run(tc.name+"/"+bname, func(t *testing.T) {
-				evo := testEvolution(t, 4, tc.churn)
+		t.Run(tc.name+"/wal", func(t *testing.T) {
+			evo := testEvolution(t, 4, tc.churn)
 
-				// Reference: the uninterrupted durable run, counting the
-				// block-append stream so the kill point can be seeded inside
-				// the checkpointed region.
-				refStore := open(t)
-				counter := &countingStore{Store: refStore}
-				cfg := testLiveConfig(tc.seed, 0)
-				cfg.Grid.Store = counter
-				cfg.CheckpointMeta = []byte(`{"case":"` + tc.name + `"}`)
-				ref, err := RunLive(ctx, cfg, evo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refDigest := digestStore(t, refStore)
-				if !counter.haveFirstCkpt || counter.appends <= counter.atFirstCkpt+1 {
-					t.Fatalf("fixture too small to kill mid-run: %d appends, first checkpoint at %d",
-						counter.appends, counter.atFirstCkpt)
-				}
+			// Reference: the uninterrupted durable run, counting the
+			// block-append stream so the kill point can be seeded inside
+			// the checkpointed region.
+			refStore := tempWAL(t)
+			counter := &countingStore{Store: refStore}
+			cfg := testLiveConfig(tc.seed, 0)
+			cfg.Grid.Store = counter
+			cfg.CheckpointMeta = []byte(`{"case":"` + tc.name + `"}`)
+			ref, err := RunLive(ctx, cfg, evo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refDigest := digestStore(t, refStore)
+			if !counter.haveFirstCkpt || counter.appends <= counter.atFirstCkpt+1 {
+				t.Fatalf("fixture too small to kill mid-run: %d appends, first checkpoint at %d",
+					counter.appends, counter.atFirstCkpt)
+			}
 
-				// Crash: kill right after a seeded random append past the
-				// first checkpoint, so there is always a resume point and
-				// always unfinished work.
-				rng := rand.New(rand.NewSource(tc.seed))
-				killAt := counter.atFirstCkpt + 1 + rng.Intn(counter.appends-counter.atFirstCkpt-1)
-				crashStore := open(t)
-				kcfg := testLiveConfig(tc.seed, 0)
-				kcfg.Grid.Store = &killSwitch{Store: crashStore, killAt: killAt}
-				kcfg.CheckpointMeta = cfg.CheckpointMeta
-				if _, err := RunLive(ctx, kcfg, evo); !errors.Is(err, errKilled) {
-					t.Fatalf("kill after append %d did not surface: %v", killAt, err)
-				}
+			// Crash: kill right after a seeded random append past the
+			// first checkpoint, so there is always a resume point and
+			// always unfinished work.
+			rng := rand.New(rand.NewSource(tc.seed))
+			killAt := counter.atFirstCkpt + 1 + rng.Intn(counter.appends-counter.atFirstCkpt-1)
+			crashed := tempWAL(t)
+			kcfg := testLiveConfig(tc.seed, 0)
+			kcfg.Grid.Store = &killSwitch{Store: crashed, killAt: killAt}
+			kcfg.CheckpointMeta = cfg.CheckpointMeta
+			if _, err := RunLive(ctx, kcfg, evo); !errors.Is(err, errKilled) {
+				t.Fatalf("kill after append %d did not surface: %v", killAt, err)
+			}
 
-				// Resume from the last durable checkpoint and replay forward.
-				cp, ok, err := crashStore.LastCheckpoint()
-				if err != nil || !ok {
-					t.Fatalf("no checkpoint after crash: ok=%v err=%v", ok, err)
-				}
-				if cp.Epoch >= len(evo.Epochs)-1 {
-					t.Fatalf("crash left nothing to replay: checkpoint at epoch %d", cp.Epoch)
-				}
-				rcfg := testLiveConfig(tc.seed, 0)
-				rcfg.Grid.Store = crashStore
-				rcfg.CheckpointMeta = cfg.CheckpointMeta
-				rcfg.Resume = &cp
-				resumed, err := RunLive(ctx, rcfg, evo)
-				if err != nil {
-					t.Fatal(err)
-				}
+			// The process is gone: reopen its segment, so everything below
+			// reads the replayed index. The kill lands on a record
+			// boundary, so replay must drop nothing.
+			if err := crashed.Close(); err != nil {
+				t.Fatal(err)
+			}
+			crashStore, err := store.OpenWAL(crashed.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { crashStore.Close() })
+			if rec := crashStore.Recovered(); rec.Truncated {
+				t.Fatalf("kill on a record boundary left a torn tail: %+v", rec)
+			}
 
-				// The resumed run's final state is bit-identical to the
-				// reference's — in the result and in the store.
-				if len(resumed.Positions) != len(ref.Positions) {
-					t.Fatalf("position counts diverge: %d vs %d", len(resumed.Positions), len(ref.Positions))
+			// Resume from the last durable checkpoint and replay forward.
+			cp, ok, err := crashStore.LastCheckpoint()
+			if err != nil || !ok {
+				t.Fatalf("no checkpoint after crash: ok=%v err=%v", ok, err)
+			}
+			if cp.Epoch >= len(evo.Epochs)-1 {
+				t.Fatalf("crash left nothing to replay: checkpoint at epoch %d", cp.Epoch)
+			}
+			rcfg := testLiveConfig(tc.seed, 0)
+			rcfg.Grid.Store = crashStore
+			rcfg.CheckpointMeta = cfg.CheckpointMeta
+			rcfg.Resume = &cp
+			resumed, err := RunLive(ctx, rcfg, evo)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The resumed run's final state is bit-identical to the
+			// reference's — in the result and in the store.
+			if len(resumed.Positions) != len(ref.Positions) {
+				t.Fatalf("position counts diverge: %d vs %d", len(resumed.Positions), len(ref.Positions))
+			}
+			for i := range ref.Positions {
+				if resumed.Positions[i] != ref.Positions[i] {
+					t.Fatalf("position %s diverged after resume:\n%+v\nvs\n%+v",
+						ref.Positions[i].ID, resumed.Positions[i], ref.Positions[i])
 				}
-				for i := range ref.Positions {
-					if resumed.Positions[i] != ref.Positions[i] {
-						t.Fatalf("position %s diverged after resume:\n%+v\nvs\n%+v",
-							ref.Positions[i].ID, resumed.Positions[i], ref.Positions[i])
-					}
+			}
+			if resumed.EnergyImbalanceKWh != ref.EnergyImbalanceKWh ||
+				resumed.PaymentImbalanceCents != ref.PaymentImbalanceCents {
+				t.Error("conservation figures diverged after resume")
+			}
+			gotDigest := digestStore(t, crashStore)
+			// Key material first, by record: a resumed process re-derives
+			// its survivors' keys, so this is where a derivation that
+			// depended on process history would show.
+			if len(gotDigest.keys) != len(refDigest.keys) {
+				t.Errorf("key material: %d records after resume, %d uninterrupted", len(gotDigest.keys), len(refDigest.keys))
+			}
+			for i := 0; i < min(len(gotDigest.keys), len(refDigest.keys)); i++ {
+				if !reflect.DeepEqual(gotDigest.keys[i], refDigest.keys[i]) {
+					t.Errorf("key material diverged after resume, first at record %d:\n%s/%s %x\nvs\n%s/%s %x", i,
+						gotDigest.keys[i].Scope, gotDigest.keys[i].Party, gotDigest.keys[i].Fingerprint,
+						refDigest.keys[i].Scope, refDigest.keys[i].Party, refDigest.keys[i].Fingerprint)
+					break
 				}
-				if resumed.EnergyImbalanceKWh != ref.EnergyImbalanceKWh ||
-					resumed.PaymentImbalanceCents != ref.PaymentImbalanceCents {
-					t.Error("conservation figures diverged after resume")
-				}
-				gotDigest := digestStore(t, crashStore)
-				// Key material first, by record: a resumed process re-derives
-				// its survivors' keys, so this is where a derivation that
-				// depended on process history would show.
-				if len(gotDigest.keys) != len(refDigest.keys) {
-					t.Errorf("key material: %d records after resume, %d uninterrupted", len(gotDigest.keys), len(refDigest.keys))
-				}
-				for i := 0; i < min(len(gotDigest.keys), len(refDigest.keys)); i++ {
-					if !reflect.DeepEqual(gotDigest.keys[i], refDigest.keys[i]) {
-						t.Errorf("key material diverged after resume, first at record %d:\n%s/%s %x\nvs\n%s/%s %x", i,
-							gotDigest.keys[i].Scope, gotDigest.keys[i].Party, gotDigest.keys[i].Fingerprint,
-							refDigest.keys[i].Scope, refDigest.keys[i].Party, refDigest.keys[i].Fingerprint)
-						break
-					}
-				}
-				if !reflect.DeepEqual(gotDigest, refDigest) {
-					t.Errorf("durable state diverged after resume:\n%+v\nvs\n%+v", gotDigest, refDigest)
-				}
-			})
-		}
+			}
+			if !reflect.DeepEqual(gotDigest, refDigest) {
+				t.Errorf("durable state diverged after resume:\n%+v\nvs\n%+v", gotDigest, refDigest)
+			}
+		})
 	}
 }
 
@@ -350,11 +364,7 @@ func TestLiveStoreMemoryBounded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 
-	w, err := store.OpenWAL(filepath.Join(t.TempDir(), "bounded.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
+	w := tempWAL(t)
 
 	var ms runtime.MemStats
 	runtime.GC()

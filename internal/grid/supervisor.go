@@ -69,9 +69,13 @@ func (c Config) minCoalition() int {
 	return c.MinCoalition
 }
 
-// validate checks the supervisor-level configuration shared by Run and
-// RunLive.
+// validate checks the configuration shared by Run and RunLive: the
+// supervisor's budgets and the engine configuration every coalition
+// provisions under.
 func (c Config) validate() error {
+	if err := c.Engine.Validate(); err != nil {
+		return err
+	}
 	if c.MaxConcurrent < 0 {
 		return fmt.Errorf("grid: negative MaxConcurrent %d", c.MaxConcurrent)
 	}

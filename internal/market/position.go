@@ -137,16 +137,12 @@ func (p AgentPosition) Active() bool { return p.ExitEpoch < 0 }
 // the floating-point accumulation order — and therefore the book —
 // deterministic.
 type PositionBook struct {
-	params Params
-	byID   map[string]*AgentPosition
+	byID map[string]*AgentPosition
 }
 
-// NewPositionBook creates an empty book settling exits at the given tariff.
-func NewPositionBook(params Params) (*PositionBook, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	return &PositionBook{params: params, byID: make(map[string]*AgentPosition)}, nil
+// NewPositionBook creates an empty book.
+func NewPositionBook() *PositionBook {
+	return &PositionBook{byID: make(map[string]*AgentPosition)}
 }
 
 // Join opens a position for an agent entering at the given epoch. Joining
@@ -192,16 +188,12 @@ func (b *PositionBook) Apply(epoch int, flows map[string]AgentFlows) error {
 	return nil
 }
 
-// Exit freezes an agent's position at its last traded epoch, settling any
-// residual energy handed over by the supervisor at the grid tariff:
-// residualImportKWh is drawn at retail, residualExportKWh fed in at the
-// grid's buy price. The residuals are normally zero — each window's grid
-// legs are already valued by FlowAccumulator — and become non-zero only
-// when the agent's final energy could not clear through a market at all
-// (e.g. it was stranded in a coalition too small to run). kind is "depart"
+// Exit freezes an agent's position at its last traded epoch. Its flows stay
+// as they are: each window's grid legs, folded coalitions' included, are
+// already valued at the tariff by FlowAccumulator. kind is "depart"
 // (planned) or "fail" (crash); the accounting is identical, the label is
 // reporting. A frozen position rejects all further Apply and Exit calls.
-func (b *PositionBook) Exit(id string, lastEpoch int, kind string, residualImportKWh, residualExportKWh float64) error {
+func (b *PositionBook) Exit(id string, lastEpoch int, kind string) error {
 	p, ok := b.byID[id]
 	if !ok {
 		return fmt.Errorf("market: exit of unknown agent %q", id)
@@ -212,14 +204,6 @@ func (b *PositionBook) Exit(id string, lastEpoch int, kind string, residualImpor
 	if kind != exitDepart && kind != exitFail {
 		return fmt.Errorf("market: unknown exit kind %q", kind)
 	}
-	if residualImportKWh < 0 || residualExportKWh < 0 || !finite(residualImportKWh) || !finite(residualExportKWh) {
-		return fmt.Errorf("market: agent %q exit residual not a non-negative quantity: import=%v export=%v",
-			id, residualImportKWh, residualExportKWh)
-	}
-	p.Flows.GridImportKWh += residualImportKWh
-	p.Flows.GridCostCents += residualImportKWh * b.params.GridRetailPrice
-	p.Flows.GridExportKWh += residualExportKWh
-	p.Flows.GridRevenueCents += residualExportKWh * b.params.GridSellPrice
 	p.ExitEpoch = lastEpoch
 	p.ExitKind = kind
 	return nil
@@ -233,18 +217,10 @@ const (
 	exitFail   = "fail"
 )
 
-// Snapshot returns the book's full per-agent state, sorted by agent ID —
-// the durable representation a store checkpoints at epoch boundaries. It
-// is Positions under a name that pairs with Restore; the copies share no
-// state with the book.
-func (b *PositionBook) Snapshot() []AgentPosition { return b.Positions() }
-
-// Restore replaces the book's state with a snapshot, bit-exactly: every
-// float lands unchanged, so a resumed simulation accumulates onto exactly
-// the state the checkpointed one held. The tariff params are not part of
-// the snapshot — the caller reconstructs the book from its configuration
-// and restores positions into it. Duplicate or empty IDs are an error and
-// leave the book unchanged.
+// Restore replaces the book's state with a Positions snapshot, bit-exactly:
+// every float lands unchanged, so a resumed simulation accumulates onto
+// exactly the state the checkpointed one held. Duplicate or empty IDs are
+// an error and leave the book unchanged.
 func (b *PositionBook) Restore(positions []AgentPosition) error {
 	fresh := make(map[string]*AgentPosition, len(positions))
 	for _, p := range positions {
@@ -262,7 +238,8 @@ func (b *PositionBook) Restore(positions []AgentPosition) error {
 }
 
 // Positions returns every agent's position, frozen and active alike,
-// sorted by agent ID.
+// sorted by agent ID — the durable representation a store checkpoints at
+// epoch boundaries. The copies share no state with the book.
 func (b *PositionBook) Positions() []AgentPosition {
 	out := make([]AgentPosition, 0, len(b.byID))
 	for _, p := range b.byID {

@@ -63,10 +63,7 @@ func TestFlowAccumulatorBalances(t *testing.T) {
 }
 
 func TestPositionBookLifecycle(t *testing.T) {
-	b, err := NewPositionBook(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewPositionBook()
 	for _, id := range []string{"a", "b", "c"} {
 		if err := b.Join(id, 0); err != nil {
 			t.Fatal(err)
@@ -84,28 +81,28 @@ func TestPositionBookLifecycle(t *testing.T) {
 		t.Errorf("conservation after apply: energy %v, payments %v", e, p)
 	}
 
-	// Depart "a" with a residual surplus: valued at the grid's buy price.
+	// Depart "a": the position freezes with its flows as they were — its
+	// grid legs are already in them.
 	before := *b.byID["a"]
-	if err := b.Exit("a", 0, "depart", 0, 2.5); err != nil {
+	if err := b.Exit("a", 0, "depart"); err != nil {
 		t.Fatal(err)
 	}
 	after := *b.byID["a"]
 	if after.Active() || after.ExitEpoch != 0 || after.ExitKind != "depart" {
 		t.Errorf("exit not recorded: %+v", after)
 	}
-	wantRev := before.Flows.GridRevenueCents + 2.5*DefaultParams().GridSellPrice
-	if math.Abs(after.Flows.GridRevenueCents-wantRev) > 1e-9 {
-		t.Errorf("residual export not settled at tariff: %v, want %v", after.Flows.GridRevenueCents, wantRev)
+	if after.Flows != before.Flows {
+		t.Errorf("exit changed the flows: %+v, before %+v", after.Flows, before.Flows)
 	}
 
 	// Frozen: no more flows, no second exit.
 	if err := b.Apply(1, map[string]AgentFlows{"a": {BuyKWh: 1}}); err == nil {
 		t.Error("applied flows to frozen position")
 	}
-	if err := b.Exit("a", 1, "fail", 0, 0); err == nil {
+	if err := b.Exit("a", 1, "fail"); err == nil {
 		t.Error("double exit accepted")
 	}
-	if err := b.Exit("b", 1, "vanish", 0, 0); err == nil {
+	if err := b.Exit("b", 1, "vanish"); err == nil {
 		t.Error("unknown exit kind accepted")
 	}
 	if err := b.Apply(1, map[string]AgentFlows{"ghost": {}}); err == nil {
@@ -128,10 +125,7 @@ func TestPositionBookLifecycle(t *testing.T) {
 }
 
 func TestPositionBookRejectsBadFlows(t *testing.T) {
-	b, err := NewPositionBook(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewPositionBook()
 	if err := b.Join("", 0); err == nil {
 		t.Error("empty ID accepted")
 	}
@@ -143,9 +137,6 @@ func TestPositionBookRejectsBadFlows(t *testing.T) {
 	}
 	if err := b.Apply(0, map[string]AgentFlows{"a": {SellKWh: math.NaN()}}); err == nil {
 		t.Error("NaN flow accepted")
-	}
-	if err := b.Exit("a", 0, "depart", -1, 0); err == nil {
-		t.Error("negative exit residual accepted")
 	}
 }
 

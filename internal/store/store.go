@@ -2,9 +2,8 @@
 // interface over the artifacts the protocol stack must not lose across a
 // crash — tamper-evident ledger blocks, cross-epoch agent positions,
 // per-(epoch, coalition) key-material fingerprints, and live-grid epoch
-// checkpoints — with two implementations: an in-memory default (Mem) and
-// an append-only, CRC-checked file WAL (WAL) whose replay-on-open recovery
-// truncates a torn tail.
+// checkpoints — implemented by an append-only, CRC-checked file WAL (WAL)
+// whose replay-on-open recovery truncates a torn tail.
 //
 // The store only ever sees what the settlement harness already observes:
 // committed ledger blocks, oracle-derived aggregates and public key
@@ -137,7 +136,7 @@ type Store interface {
 	// LastCheckpoint returns the newest intact checkpoint, with ok=false
 	// when none has been written.
 	LastCheckpoint() (cp Checkpoint, ok bool, err error)
-	// Sync flushes buffered state to stable storage (no-op for Mem).
+	// Sync flushes buffered state to stable storage.
 	Sync() error
 	// Close releases the store. A closed store rejects further writes.
 	Close() error

@@ -42,7 +42,7 @@ const (
 	// ChurnJoin marks a prosumer entering the fleet at an epoch boundary.
 	ChurnJoin = dataset.ChurnJoin
 	// ChurnDepart marks a planned departure: the agent finishes its epoch
-	// and settles its cumulative position on exit.
+	// and its cumulative position freezes on exit.
 	ChurnDepart = dataset.ChurnDepart
 	// ChurnFail marks a crash-style failure; settlement freezes the
 	// position exactly like a departure.
@@ -140,7 +140,8 @@ func (lg *LiveGrid) Close() error {
 // the base fleet from the fleet config, then Epochs−1 seeded churn
 // boundaries. The evolution is deterministic given the fleet seed and the
 // churn config; a statically-bad config (unknown partition strategy,
-// negative budgets) fails here, before any protocol runs.
+// negative budgets, a Market every coalition would refuse, churn the run
+// cannot honour) fails here, before any protocol runs.
 func NewLiveGrid(cfg LiveGridConfig, fleet FleetConfig) (*LiveGrid, error) {
 	if cfg.Epochs < 1 {
 		return nil, fmt.Errorf("pem: LiveGridConfig.Epochs must be ≥ 1, got %d", cfg.Epochs)

@@ -47,7 +47,7 @@ func TestResumeOldCheckpointConfig(t *testing.T) {
 
 	// The uninterrupted run of the configuration the blob describes; its
 	// epoch-0 checkpoint supplies the positions a crash after epoch 0 leaves.
-	log := &checkpointLog{Store: pem.NewMemStore()}
+	log := &checkpointLog{Store: tempWAL(t)}
 	lcfg, fleet := storeLiveConfig(log)
 	fleet.StartHour = 12
 	ref, err := mustLiveGrid(t, lcfg, fleet).Run(ctx)

@@ -140,22 +140,41 @@ func TestGridBitIdenticalAcrossConcurrency(t *testing.T) {
 
 func TestNewGridValidation(t *testing.T) {
 	tr := testFleetTrace(t, 2, 2, 1)
+	inverted := pem.Params{GridSellPrice: 120, GridRetailPrice: 80, PriceFloor: 90, PriceCeil: 110}
 	cases := map[string]pem.GridConfig{
 		"no-coalitions": {Market: pem.Config{KeyBits: 256}},
-		"too-many":      {Market: pem.Config{KeyBits: 256}, Coalitions: 3},
 		"unknown-split": {Market: pem.Config{KeyBits: 256}, Coalitions: 2, Partition: "zodiac"},
 		"negative-budget": {
 			Market: pem.Config{KeyBits: 256}, Coalitions: 2, MaxConcurrentCoalitions: -1,
 		},
-		"min-coalition-1": {Market: pem.Config{KeyBits: 256}, Coalitions: 2, MinCoalition: 1},
-		"zero-fanout":     {Market: pem.Config{KeyBits: 256}, Coalitions: 2, Tiers: []int{2, 0}},
+		"min-coalition-1":     {Market: pem.Config{KeyBits: 256}, Coalitions: 2, MinCoalition: 1},
+		"zero-fanout":         {Market: pem.Config{KeyBits: 256}, Coalitions: 2, Tiers: []int{2, 0}},
+		"unknown-backend":     {Market: pem.Config{KeyBits: 256, CryptoBackend: "bogus"}, Coalitions: 2},
+		"64-bit-keys":         {Market: pem.Config{KeyBits: 64}, Coalitions: 2},
+		"unknown-network":     {Market: pem.Config{KeyBits: 256, Network: "moon"}, Coalitions: 2},
+		"inverted-prices":     {Market: pem.Config{KeyBits: 256, Params: inverted}, Coalitions: 2},
+		"unknown-aggregation": {Market: pem.Config{KeyBits: 256, Aggregation: "star"}, Coalitions: 2},
+		"negative-inflight":   {Market: pem.Config{KeyBits: 256, MaxInflightWindows: -1}, Coalitions: 2},
 	}
-	// A statically-bad config fails at construction, exactly as NewLiveGrid
-	// rejects it — never as late as Run.
+	// A statically-bad config — the market every coalition would provision
+	// included — fails at construction, in NewGrid and NewLiveGrid alike,
+	// never as late as Run.
+	fleet := pem.FleetConfig{Coalitions: 2, HomesPerCoalition: 2, Windows: 1, Seed: 99}
 	for name, cfg := range cases {
 		if _, err := pem.NewGrid(cfg, tr); err == nil {
-			t.Errorf("%s: accepted", name)
+			t.Errorf("%s: NewGrid accepted", name)
 		}
+		live := pem.LiveGridConfig{
+			Market: cfg.Market, Coalitions: cfg.Coalitions, Partition: cfg.Partition,
+			MaxConcurrentCoalitions: cfg.MaxConcurrentCoalitions, MinCoalition: cfg.MinCoalition,
+			Tiers: cfg.Tiers, Epochs: 1,
+		}
+		if _, err := pem.NewLiveGrid(live, fleet); err == nil {
+			t.Errorf("%s: NewLiveGrid accepted", name)
+		}
+	}
+	if _, err := pem.NewGrid(pem.GridConfig{Market: pem.Config{KeyBits: 256}, Coalitions: 3}, tr); err == nil {
+		t.Error("more coalitions than the fleet can fill accepted")
 	}
 	if _, err := pem.NewGrid(pem.GridConfig{Coalitions: 1}, nil); err == nil {
 		t.Error("nil trace accepted")

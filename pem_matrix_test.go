@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -401,11 +400,7 @@ func (s *epochKill) PutCheckpoint(cp pem.Checkpoint) error {
 // resumeCell kills a durable LiveGrid run early in epoch 2, resumes it from
 // the WAL file alone and checks the replayed epoch.
 func resumeCell(t *testing.T, c cell) string {
-	path := filepath.Join(t.TempDir(), "live.wal")
-	wal, err := pem.OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wal := tempWAL(t)
 	cfg, fleet := liveScenario(c, &epochKill{crashStore{Store: wal}, 1})
 	if _, err := mustLiveGrid(t, cfg, fleet).Run(t.Context()); !errors.Is(err, errCrashed) {
 		t.Fatalf("kill after epoch 1 did not surface: %v", err)
@@ -413,7 +408,7 @@ func resumeCell(t *testing.T, c cell) string {
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lg, err := pem.Resume(path)
+	lg, err := pem.Resume(wal.Path())
 	if err != nil {
 		t.Fatal(err)
 	}

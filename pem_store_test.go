@@ -13,6 +13,18 @@ import (
 	"github.com/pem-go/pem"
 )
 
+// tempWAL opens a fresh WAL in the test's temporary directory, closed when
+// the test ends.
+func tempWAL(t *testing.T) *pem.WALStore {
+	t.Helper()
+	w, err := pem.OpenWAL(filepath.Join(t.TempDir(), "test.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
 // storeLiveConfig is the durable variant of testLiveGrid's fixture: same
 // seeded market, coalitions and churn, with a Store attached.
 func storeLiveConfig(st pem.Store) (pem.LiveGridConfig, pem.FleetConfig) {
@@ -155,7 +167,7 @@ func TestLiveGridResumeAfterCrash(t *testing.T) {
 
 	// Reference: the same simulation, uninterrupted, with a counting store
 	// so the kill point can be seeded inside the checkpointed region.
-	counter := &crashStore{Store: pem.NewMemStore()}
+	counter := &crashStore{Store: tempWAL(t)}
 	lcfg, fleet := storeLiveConfig(counter)
 	ref, err := mustLiveGrid(t, lcfg, fleet).Run(ctx)
 	if err != nil {
@@ -169,11 +181,7 @@ func TestLiveGridResumeAfterCrash(t *testing.T) {
 	// shear a few bytes off the segment tail to model the torn last write.
 	rng := rand.New(rand.NewSource(99))
 	killAt := counter.appends/2 + 1 + rng.Intn(counter.appends/2-1)
-	path := filepath.Join(t.TempDir(), "live.wal")
-	wal, err := pem.OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wal := tempWAL(t)
 	kcfg, kfleet := storeLiveConfig(&crashStore{Store: wal, killAt: killAt})
 	if _, err := mustLiveGrid(t, kcfg, kfleet).Run(ctx); !errors.Is(err, errCrashed) {
 		t.Fatalf("kill after append %d did not surface: %v", killAt, err)
@@ -181,6 +189,7 @@ func TestLiveGridResumeAfterCrash(t *testing.T) {
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
+	path := wal.Path()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

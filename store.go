@@ -10,10 +10,10 @@ import (
 // This file is the public face of the durability layer: a pluggable Store
 // the market and grid stacks write their committed artifacts through —
 // ledger blocks, settlement aggregates, key-material fingerprints, agent
-// positions and live-grid epoch checkpoints — with an in-memory default and
-// an append-only, CRC-checked write-ahead log whose replay-on-open recovery
-// survives crashes and torn writes. See DESIGN.md §12 for the record format
-// and resume semantics.
+// positions and live-grid epoch checkpoints. A nil Store keeps a run purely
+// in memory; the library's Store is an append-only, CRC-checked write-ahead
+// log whose replay-on-open recovery survives crashes and torn writes. See
+// DESIGN.md §12 for the record format and resume semantics.
 
 // Re-exported durability model types.
 type (
@@ -51,11 +51,6 @@ var (
 	// contents are not usable (e.g. an undecodable checkpoint payload).
 	ErrStoreCorrupt = store.ErrCorrupt
 )
-
-// NewMemStore returns the in-memory Store: full interface semantics, no
-// durability. It is the reference implementation the WAL is tested against
-// and the right default for simulations that only need the accounting.
-func NewMemStore() Store { return store.NewMem() }
 
 // LedgerFromBlocks rebuilds a settlement ledger from blocks persisted by a
 // Store, re-verifying the whole hash chain — the audit path for durable
