@@ -68,11 +68,11 @@ func GenerateFleet(cfg FleetConfig) (*Trace, error) {
 	return dataset.GenerateFleet(cfg)
 }
 
-// ErrCoalitionSkipped marks coalitions whose private market did not run:
-// the grid had stopped admitting work (after an earlier coalition's failure,
-// a context cancellation or a sink/store error — the message says which),
-// or, with CoalitionRun.Folded set, the roster was below MinCoalition and
-// the coalition was folded into grid-tariff settlement instead.
+// ErrCoalitionSkipped marks coalitions that were never launched because the
+// grid had stopped admitting work: after an earlier coalition's failure, a
+// context cancellation or a sink/store error (the message says which). A
+// coalition folded below MinCoalition is not skipped: it has Err nil and
+// CoalitionRun.Folded set.
 var ErrCoalitionSkipped = grid.ErrCoalitionSkipped
 
 // GridConfig configures a sharded coalition grid.
@@ -101,11 +101,10 @@ type GridConfig struct {
 	// bit-identical at any setting when Market.Seed is set.
 	MaxConcurrentCoalitions int
 	// MinCoalition is the smallest roster that still runs a private market
-	// (default DefaultMinCoalition = 3). A smaller coalition is not an
-	// error: it is folded into grid settlement — its stranded agents trade
-	// at the grid tariff — and marked ErrCoalitionSkipped with
-	// CoalitionRun.Folded set. Set to 2 to run every coalition the
-	// partitioner can produce.
+	// (default DefaultMinCoalition = 3). A smaller coalition is folded: its
+	// agents trade at the grid tariff, and it is delivered and settled like
+	// any other, with CoalitionRun.Folded set and Err nil. Set to 2 to run
+	// every coalition the partitioner can produce.
 	MinCoalition int
 	// Tiers makes settlement hierarchical — a grid of grids. Tiers[0]
 	// consecutive coalitions form a district, Tiers[1] districts a region,
@@ -190,24 +189,29 @@ func (g *Grid) Partition() [][]string {
 // partial day is still observable. Run keeps every coalition's full payload;
 // Stream releases each one once its sink returns.
 func (g *Grid) Run(ctx context.Context) (*GridResult, error) {
-	res, err := grid.Run(ctx, g.cfg, g.trace, g.parts)
-	if err != nil {
-		return res, fmt.Errorf("pem: %w", err)
-	}
-	return res, nil
+	return g.run(ctx, nil)
 }
 
 // Stream executes the same grid day as Run but delivers each coalition's
 // full outcome to sink in partition order as soon as it (and every
 // coalition before it) completes, then releases the coalition's heavy
 // payload. The returned GridResult is the fold — settlement, tiers,
-// traffic, throughput — with Coalitions nil, so memory stays bounded by
-// the coalitions in flight rather than the fleet size. The *CoalitionRun
-// is valid only during the sink call; a sink error cancels the in-flight
-// coalitions and aborts the run. With Market.Seed set, a Stream is
-// bit-identical to Run at any sink consumption speed.
+// windows, traffic — with Coalitions nil, so memory stays bounded by the
+// coalitions in flight rather than the fleet size. The *CoalitionRun is
+// valid only during the sink call; a sink error cancels the in-flight
+// coalitions and aborts the run, and a nil sink is refused. With
+// Market.Seed set, a Stream is bit-identical to Run at any sink
+// consumption speed.
 func (g *Grid) Stream(ctx context.Context, sink func(*CoalitionRun) error) (*GridResult, error) {
-	res, err := grid.Stream(ctx, g.cfg, g.trace, g.parts, sink)
+	if sink == nil {
+		return nil, errors.New("pem: Grid.Stream needs a sink (use Run)")
+	}
+	return g.run(ctx, sink)
+}
+
+// run is Run (nil sink) and Stream.
+func (g *Grid) run(ctx context.Context, sink func(*CoalitionRun) error) (*GridResult, error) {
+	res, err := grid.Run(ctx, g.cfg, g.trace, g.parts, sink)
 	if err != nil {
 		return res, fmt.Errorf("pem: %w", err)
 	}

@@ -3,7 +3,6 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	mrand "math/rand"
 )
 
@@ -159,7 +158,7 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 	roster := append([]Home(nil), base.Homes...)
 	joinSerial := 0 // total joins so far, cycles the scenario rotation
 	for e := 1; e < churn.Epochs; e++ {
-		rng := mrand.New(mrand.NewSource(deriveChurnSeed(churn.Seed, fmt.Sprintf("boundary/%d", e))))
+		rng := mrand.New(mrand.NewSource(deriveSeed("evolve", churn.Seed, fmt.Sprintf("boundary/%d", e))))
 
 		// Draw leavers in roster order: one uniform per agent decides
 		// depart / fail / stay, so the schedule is stable under any later
@@ -230,7 +229,7 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 // its own derived stream. Its day data is drawn later by epochTrace like
 // any other roster member's.
 func synthesizeJoin(seed int64, e, j int, s Scenario) (Home, error) {
-	cfg, err := ScenarioConfig(s, 1, 1, deriveChurnSeed(seed, fmt.Sprintf("join/%d/%d", e, j)))
+	cfg, err := ScenarioConfig(s, 1, 1, deriveSeed("evolve", seed, fmt.Sprintf("join/%d/%d", e, j)))
 	if err != nil {
 		return Home{}, err
 	}
@@ -261,7 +260,7 @@ func epochTrace(seed int64, e int, roster []Home, windows int, startHour float64
 		cfg.StartHour = startHour
 		cfg = cfg.withDefaults()
 		cfg.sky = skies.curve(cfg)
-		h, daySeed := h, deriveChurnSeed(seed, fmt.Sprintf("day/%d/%s", e, h.ID))
+		h, daySeed := h, deriveSeed("evolve", seed, fmt.Sprintf("day/%d/%s", e, h.ID))
 		tr.synth[i] = func() (gen, load, batt []float64) {
 			return cfg.synthesizeDay(h, mrand.New(mrand.NewSource(daySeed)))
 		}
@@ -270,13 +269,4 @@ func epochTrace(seed int64, e int, roster []Home, windows int, startHour float64
 		tr.Materialize()
 	}
 	return tr, nil
-}
-
-// deriveChurnSeed expands the evolution seed into independent streams keyed
-// by a domain string ("boundary/3", "day/2/c00-home-001", …), FNV-hashed
-// like deriveSeed so the mapping is stable across runs and platforms.
-func deriveChurnSeed(seed int64, key string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "pem/evolve/%d/%s", seed, key)
-	return int64(h.Sum64())
 }

@@ -305,7 +305,7 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 	tr.synth = make([]synthFn, cfg.Homes)
 
 	// Statics come first, all from the root stream; each home's day is then
-	// drawn from its own derived stream (deriveHomeSeed). Splitting the
+	// drawn from its own derived stream (deriveSeed). Splitting the
 	// streams this way is what makes lazy synthesis possible: any home's
 	// day can be materialized on demand without replaying anyone else's
 	// draws, and eager and lazy traces are bit-identical by construction.
@@ -326,7 +326,7 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 		tr.Homes[h] = home
 	}
 	for h := 0; h < cfg.Homes; h++ {
-		home, daySeed := tr.Homes[h], deriveHomeSeed(cfg.Seed, h)
+		home, daySeed := tr.Homes[h], deriveSeed("home", cfg.Seed, h)
 		tr.synth[h] = func() (gen, load, batt []float64) {
 			return cfg.synthesizeDay(home, mrand.New(mrand.NewSource(daySeed)))
 		}
@@ -337,12 +337,15 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 	return tr, nil
 }
 
-// deriveHomeSeed expands the trace seed into one independent day stream per
-// home, FNV-hashed like fleet.go's deriveSeed so the mapping is stable
-// across runs and platforms.
-func deriveHomeSeed(seed int64, home int) int64 {
+// deriveSeed expands a seed into independent streams, one per (domain, key):
+// a trace's home days ("home", home index), a fleet's blocks ("fleet", block
+// index) and an evolution's boundaries, joins and days ("evolve",
+// "boundary/3", …). FNV over "pem/<domain>/<seed>/<key>" keeps the mapping
+// stable across runs and platforms without pulling in crypto for what is
+// test-data synthesis.
+func deriveSeed(domain string, seed int64, key any) int64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "pem/home/%d/%d", seed, home)
+	fmt.Fprintf(h, "pem/%s/%d/%v", domain, seed, key)
 	return int64(h.Sum64())
 }
 

@@ -3,7 +3,6 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 )
 
 // Fleet synthesis: the coalition grid trades a heterogeneous fleet, not one
@@ -66,7 +65,7 @@ func GenerateFleet(cfg FleetConfig) (*Trace, error) {
 	var fleet *Trace
 	skies := skyCache{} // one curve per scenario day shape, not per block
 	for b := 0; b < cfg.Coalitions; b++ {
-		blockCfg, err := ScenarioConfig(scenarios[b%len(scenarios)], cfg.HomesPerCoalition, cfg.Windows, deriveSeed(cfg.Seed, b))
+		blockCfg, err := ScenarioConfig(scenarios[b%len(scenarios)], cfg.HomesPerCoalition, cfg.Windows, deriveSeed("fleet", cfg.Seed, b))
 		if err != nil {
 			return nil, err
 		}
@@ -91,13 +90,4 @@ func GenerateFleet(cfg FleetConfig) (*Trace, error) {
 		fleet.synth = append(fleet.synth, block.synth...)
 	}
 	return fleet, nil
-}
-
-// deriveSeed expands the fleet seed into one independent stream per block.
-// FNV over (seed, block) keeps the mapping stable across runs and platforms
-// without pulling in crypto for what is test-data synthesis.
-func deriveSeed(seed int64, block int) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "pem/fleet/%d/%d", seed, block)
-	return int64(h.Sum64())
 }

@@ -1,4 +1,4 @@
-// Package docscheck enforces three documentation and surface rules offline,
+// Package docscheck enforces four documentation and surface rules offline,
 // with go/ast only. Every exported identifier in the public package and the
 // internal packages must carry a real doc comment (no bare names), and
 // type/function comments must start with the identifier they document — the
@@ -6,7 +6,8 @@
 // coverage cannot regress where CI's network-installed linters are
 // unavailable. Every exported function or method under internal/ must have a
 // non-test caller (callers_test.go). Every "DESIGN.md §N" reference must name
-// a section (design_test.go).
+// a section (design_test.go). The non-test Go code and DESIGN.md stay under
+// their line ceilings (size_test.go).
 package docscheck
 
 import (

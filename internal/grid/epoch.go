@@ -87,7 +87,7 @@ func (c LiveConfig) Validate() error {
 }
 
 // EpochResult is the outcome of one epoch of a live grid: one trading day
-// over that epoch's roster and partition.
+// over that epoch's roster and partition, plus the churn that led to it.
 type EpochResult struct {
 	// Epoch is the epoch index.
 	Epoch int
@@ -96,27 +96,12 @@ type EpochResult struct {
 	// Joined, Departed and Failed list the churn applied at the boundary
 	// entering this epoch (all empty for epoch 0).
 	Joined, Departed, Failed []string
-	// Coalitions holds the per-coalition outcomes, in partition order,
-	// named "e<epoch>-c<index>" (also their transport scope).
-	Coalitions []CoalitionRun
-	// Settlement clears the epoch's coalition residuals — completed and
-	// folded alike — against the grid tariff. With Grid.Tiers it is the
-	// epoch hierarchy's grid boundary and equals Tiers.Grid.
-	Settlement *market.GridSettlement
-	// Tiers is the epoch's recursive settlement under Grid.Tiers: the
-	// epoch's coalitions roll up through districts and regions before the
-	// unmatched remainder touches the tariff. Nil on flat runs.
-	Tiers *market.TieredSettlement
-	// Windows counts completed trading windows across the epoch.
-	Windows int
-	// Bytes is the epoch's protocol traffic on the shared bus.
-	Bytes int64
-	// Msgs is the epoch's protocol message count, mirroring Bytes.
-	Msgs int64
-	// VirtualLatency is the epoch's virtual duration on the emulated
-	// network: the slowest coalition's day, since the epoch's coalitions
-	// trade concurrently. Zero on unemulated runs.
-	VirtualLatency time.Duration
+	// Result is the epoch's trading day exactly as a one-shot Run reports
+	// it, its coalitions named "e<epoch>-c<index>" (also their transport
+	// scope) and settled under Grid.Tiers — except that Duration is the
+	// epoch's whole wall-clock time: partitioning, re-keying, trading,
+	// settlement and teardown.
+	Result
 	// Rekey is the epoch's re-key critical path: the slowest coalition's
 	// engine provisioning (the largest CoalitionRun.Rekey) — key generation
 	// for the coalition's joiners, look-ups for its survivors. At the default
@@ -126,18 +111,15 @@ type EpochResult struct {
 	Rekey time.Duration
 	// Trading is the rest of the epoch: Duration − Rekey.
 	Trading time.Duration
-	// Duration is the epoch's total wall-clock time (partitioning,
-	// re-keying, trading, settlement and teardown).
-	Duration time.Duration
 }
 
 // LiveResult is the outcome of a full live-grid simulation.
 type LiveResult struct {
 	// Epochs holds one entry per executed epoch, in order, each with its
 	// full per-coalition payload (window results, flows, ledgers, rosters).
-	// On failure the last entry is the partial epoch that failed. Streaming
-	// runs (StreamLive) leave Epochs nil and deliver each epoch to the sink
-	// instead.
+	// On failure the last entry is the partial epoch that failed. A run with
+	// a sink delivers each epoch to the sink instead, keeping only a failed
+	// one here.
 	Epochs []EpochResult
 	// Positions are the per-agent cumulative positions across all epochs,
 	// sorted by agent ID; departed and failed agents are frozen at their
@@ -161,9 +143,6 @@ type LiveResult struct {
 	// Trading sums the epochs' remainders (EpochResult.Trading), so Rekey +
 	// Trading is the time spent inside epochs.
 	Trading time.Duration
-	// WindowsPerSec is the steady-state throughput — Windows / Trading —
-	// with re-keying cost excluded (it is reported in Rekey instead).
-	WindowsPerSec float64
 	// EnergyImbalanceKWh and PaymentImbalanceCents are the fleet-wide PEM
 	// conservation checks over the whole simulation (zero up to float
 	// noise): energy sold inside the markets equals energy bought, and
@@ -175,37 +154,21 @@ type LiveResult struct {
 // fleet history. Epochs run in order (they are consecutive trading days);
 // within an epoch, coalition-days — provisioning included — run concurrently
 // under Grid.MaxConcurrent, through the same supervisor as a one-shot Run. A
-// genuine coalition failure aborts the simulation after draining its epoch;
-// the returned LiveResult keeps all completed epochs plus the partial one.
-// With Grid.Engine.Seed set, the whole simulation is deterministic:
-// bit-identical per (epoch, coalition) at any coalition concurrency. RunLive
-// keeps every epoch's full payload, as Run keeps every coalition's; StreamLive
-// is the bounded-memory form.
-func RunLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution) (*LiveResult, error) {
-	return streamLive(ctx, cfg, evo, nil)
-}
-
-// StreamLive executes the same simulation as RunLive but delivers each
-// epoch's full outcome to sink as soon as its flows are settled into the
-// position book, then releases the epoch's heavy payload once the sink
-// returns and moves on. The returned LiveResult carries the cross-epoch
-// fold — positions, conservation, traffic, throughput — with Epochs nil
-// (except on failure, where the partial failing epoch is kept for
-// diagnosis), so an unbounded simulation runs in the memory of one epoch. The *EpochResult passed to sink is valid only during the call
-// (copy what must outlive it); a sink error aborts the simulation. Sink is
-// not called for an epoch that failed. A seeded StreamLive is bit-identical
-// to the batch RunLive — same per-epoch settlements, positions and ledger
-// chain heads — at any sink consumption speed.
-func StreamLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sink func(*EpochResult) error) (*LiveResult, error) {
-	if sink == nil {
-		return nil, errors.New("grid: StreamLive needs a sink (use RunLive)")
-	}
-	return streamLive(ctx, cfg, evo, sink)
-}
-
-// streamLive is the shared body of RunLive (nil sink: epochs retained on
-// the result) and StreamLive (epochs delivered and released).
-func streamLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sink func(*EpochResult) error) (*LiveResult, error) {
+// coalition failure aborts the simulation after draining its epoch; the
+// returned LiveResult keeps all completed epochs plus the partial one. With
+// Grid.Engine.Seed set, the whole simulation is deterministic: bit-identical
+// per (epoch, coalition) at any coalition concurrency.
+//
+// The sink follows Run's convention. With a nil sink every epoch's full
+// payload is kept in LiveResult.Epochs. With a sink, each epoch's full
+// outcome is delivered as soon as its flows are settled into the position
+// book, and its heavy payload is released once the sink returns; Epochs
+// then stays nil (except for a failed epoch, kept for diagnosis), so an
+// unbounded simulation runs in the memory of one epoch. The *EpochResult
+// passed to sink is valid only during the call; a sink error aborts the
+// simulation, and the sink never sees a failed epoch. A seeded run is
+// bit-identical with or without a sink.
+func RunLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sink func(*EpochResult) error) (*LiveResult, error) {
 	if evo == nil || len(evo.Epochs) == 0 {
 		return nil, errors.New("grid: live run needs a non-empty evolution")
 	}
@@ -243,8 +206,8 @@ func streamLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sin
 		}
 		er, err := runEpoch(ctx, cfg, infra, &ef)
 		res.Windows += er.Windows
-		res.TotalBytes += er.Bytes
-		res.TotalMessages += er.Msgs
+		res.TotalBytes += er.TotalBytes
+		res.TotalMessages += er.TotalMessages
 		res.VirtualLatency += er.VirtualLatency
 		res.Rekey += er.Rekey
 		res.Trading += er.Trading
@@ -257,10 +220,10 @@ func streamLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sin
 		if err == nil {
 			err = persistEpochBoundary(cfg, book, &ef, er)
 		}
-		// RunLive keeps every epoch, and a failed epoch is kept for its
-		// diagnosis. A streamed epoch's flows are in the book and the sink
-		// has seen the full payload; from here only the fold is needed, so
-		// drop the heavy per-coalition state.
+		// Without a sink every epoch is kept, and a failed epoch is kept for
+		// its diagnosis. A delivered epoch's flows are in the book and the
+		// sink has seen the full payload; from here only the fold is needed,
+		// so drop the heavy per-coalition state.
 		if sink == nil || err != nil {
 			res.Epochs = append(res.Epochs, *er)
 		} else {
@@ -277,9 +240,6 @@ func streamLive(ctx context.Context, cfg LiveConfig, evo *dataset.Evolution, sin
 	res.Duration = time.Since(start)
 	res.Positions = book.Positions()
 	res.EnergyImbalanceKWh, res.PaymentImbalanceCents = book.Conservation()
-	if res.Trading > 0 {
-		res.WindowsPerSec = float64(res.Windows) / res.Trading.Seconds()
-	}
 	return res, firstErr
 }
 
@@ -360,13 +320,13 @@ func applyBoundary(book *market.PositionBook, keys *core.KeyRing, ef *dataset.Ep
 	return nil
 }
 
-// applyEpochFlows folds every coalition's per-agent flows — completed and
+// applyEpochFlows folds every coalition's per-agent flows — traded and
 // folded coalitions alike — into the position book, in coalition order so
 // the floating-point accumulation is deterministic.
 func applyEpochFlows(book *market.PositionBook, er *EpochResult) error {
 	for i := range er.Coalitions {
 		cr := &er.Coalitions[i]
-		if !cr.settleable() {
+		if cr.Err != nil {
 			continue
 		}
 		if err := book.Apply(er.Epoch, cr.Flows); err != nil {
@@ -391,7 +351,8 @@ func runEpoch(ctx context.Context, cfg LiveConfig, infra core.Resources, ef *dat
 		Failed:   ef.Failed,
 	}
 	// The epoch's phase split is defined here and nowhere else: Rekey is the
-	// slowest coalition's provisioning (set below), Trading the remainder.
+	// slowest coalition's provisioning (set below), Trading the remainder of
+	// the epoch's wall clock, which replaces the day's own Duration.
 	defer func() {
 		er.Duration = time.Since(begin)
 		er.Trading = er.Duration - er.Rekey
@@ -418,10 +379,7 @@ func runEpoch(ctx context.Context, cfg LiveConfig, infra core.Resources, ef *dat
 	}
 
 	day, err := runDay(ctx, gcfg, infra, ef.Trace, parts, fmt.Sprintf("e%02d-", ef.Epoch), nil)
-	er.Coalitions = day.Coalitions
-	er.Settlement, er.Tiers = day.Settlement, day.Tiers
-	er.Windows, er.Bytes, er.Msgs = day.Windows, day.TotalBytes, day.TotalMessages
-	er.VirtualLatency = day.VirtualLatency
+	er.Result = *day
 	for i := range er.Coalitions {
 		if rk := er.Coalitions[i].Rekey; rk > er.Rekey {
 			er.Rekey = rk

@@ -53,7 +53,7 @@ func TestLiveDeterministicAcrossConcurrency(t *testing.T) {
 
 	var base *LiveResult
 	for _, conc := range []int{1, 2, 4} {
-		res, err := RunLive(ctx, testLiveConfig(5, conc), evo)
+		res, err := RunLive(ctx, testLiveConfig(5, conc), evo, nil)
 		if err != nil {
 			t.Fatalf("concurrency %d: %v", conc, err)
 		}
@@ -110,7 +110,7 @@ func TestLiveRekeying(t *testing.T) {
 	evo := testEvolution(t, 2, dataset.ChurnConfig{JoinRate: 0.2, DepartRate: 0.1})
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	res, err := RunLive(ctx, testLiveConfig(13, 0), evo)
+	res, err := RunLive(ctx, testLiveConfig(13, 0), evo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestLiveConservationAcrossChurn(t *testing.T) {
 	for name, churn := range mixes {
 		t.Run(name, func(t *testing.T) {
 			evo := testEvolution(t, 3, churn)
-			res, err := RunLive(ctx, testLiveConfig(31, 0), evo)
+			res, err := RunLive(ctx, testLiveConfig(31, 0), evo, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,7 +232,7 @@ func TestLiveShrinksCoalitionCount(t *testing.T) {
 		Grid:       Config{Engine: testEngineConfig(17), MinCoalition: 2},
 		Coalitions: 3,
 	}
-	res, err := RunLive(ctx, cfg, evo)
+	res, err := RunLive(ctx, cfg, evo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestLiveCoalitionCapRespectsFloor(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 	cfg := LiveConfig{Grid: Config{Engine: testEngineConfig(19)}, Coalitions: 3}
-	res, err := RunLive(ctx, cfg, evo)
+	res, err := RunLive(ctx, cfg, evo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestLiveFailureKeepsCompletedEpochs(t *testing.T) {
 	defer cancel()
 	cfg := testLiveConfig(23, 0)
 	cfg.Grid.MinCoalition = 2
-	res, err := RunLive(ctx, cfg, evo)
+	res, err := RunLive(ctx, cfg, evo, nil)
 	if err == nil {
 		t.Fatal("poisoned live grid returned nil error")
 	}
@@ -298,7 +298,7 @@ func TestLiveFailureKeepsCompletedEpochs(t *testing.T) {
 	}
 	var anyFailed bool
 	for _, cr := range res.Epochs[1].Coalitions {
-		if cr.failure() {
+		if cr.Err != nil && !errors.Is(cr.Err, ErrCoalitionSkipped) {
 			anyFailed = true
 		}
 	}
@@ -311,20 +311,20 @@ func TestLiveFailureKeepsCompletedEpochs(t *testing.T) {
 func TestLiveRejectsBadConfig(t *testing.T) {
 	evo := testEvolution(t, 1, dataset.ChurnConfig{})
 	ctx := context.Background()
-	if _, err := RunLive(ctx, LiveConfig{Grid: Config{Engine: testEngineConfig(1)}}, evo); err == nil {
+	if _, err := RunLive(ctx, LiveConfig{Grid: Config{Engine: testEngineConfig(1)}}, evo, nil); err == nil {
 		t.Error("accepted zero coalitions")
 	}
 	cfg := testLiveConfig(1, 0)
 	cfg.Partition = "zodiac"
-	if _, err := RunLive(ctx, cfg, evo); err == nil {
+	if _, err := RunLive(ctx, cfg, evo, nil); err == nil {
 		t.Error("accepted unknown partition strategy")
 	}
-	if _, err := RunLive(ctx, testLiveConfig(1, 0), nil); err == nil {
+	if _, err := RunLive(ctx, testLiveConfig(1, 0), nil, nil); err == nil {
 		t.Error("accepted nil evolution")
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := RunLive(cancelled, testLiveConfig(1, 0), evo); !errors.Is(err, context.Canceled) {
+	if _, err := RunLive(cancelled, testLiveConfig(1, 0), evo, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run: err = %v, want context.Canceled", err)
 	}
 }
@@ -367,7 +367,7 @@ func TestGridIsOneEpochLiveGrid(t *testing.T) {
 					Coalitions:    coalitions,
 					Partition:     StrategyRandom,
 					PartitionSeed: partSeed,
-				}, evo)
+				}, evo, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -379,7 +379,7 @@ func TestGridIsOneEpochLiveGrid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				day, err := Run(ctx, Config{Engine: engine, Tiers: tiers}, tr, parts)
+				day, err := Run(ctx, Config{Engine: engine, Tiers: tiers}, tr, parts, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -434,8 +434,8 @@ func TestGridIsOneEpochLiveGrid(t *testing.T) {
 				if tiers != nil && !reflect.DeepEqual(day.Tiers.Tiers, epoch.Tiers.Tiers) {
 					t.Errorf("tier outcomes diverged:\n%+v\nvs\n%+v", day.Tiers.Tiers, epoch.Tiers.Tiers)
 				}
-				if day.Windows != epoch.Windows || day.TotalMessages != epoch.Msgs {
-					t.Errorf("fold diverged: windows %d/%d, msgs %d/%d", day.Windows, epoch.Windows, day.TotalMessages, epoch.Msgs)
+				if day.Windows != epoch.Windows || day.TotalMessages != epoch.TotalMessages {
+					t.Errorf("fold diverged: windows %d/%d, msgs %d/%d", day.Windows, epoch.Windows, day.TotalMessages, epoch.TotalMessages)
 				}
 			})
 		}

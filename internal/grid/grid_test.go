@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"github.com/pem-go/pem/internal/core"
 	"github.com/pem-go/pem/internal/dataset"
 	"github.com/pem-go/pem/internal/market"
+	"github.com/pem-go/pem/internal/store"
 	"github.com/pem-go/pem/internal/transport"
 )
 
@@ -171,7 +173,7 @@ func TestGridDeterministicAcrossConcurrency(t *testing.T) {
 	var base [][]windowSnap
 	var baseRes *Result
 	for _, conc := range []int{1, 2, 4} {
-		res, err := Run(ctx, Config{Engine: testEngineConfig(5), MaxConcurrent: conc}, tr, parts)
+		res, err := Run(ctx, Config{Engine: testEngineConfig(5), MaxConcurrent: conc}, tr, parts, nil)
 		if err != nil {
 			t.Fatalf("concurrency %d: %v", conc, err)
 		}
@@ -217,7 +219,7 @@ func TestGridMatchesOracle(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	res, err := Run(ctx, Config{Engine: testEngineConfig(9)}, tr, parts)
+	res, err := Run(ctx, Config{Engine: testEngineConfig(9)}, tr, parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +252,12 @@ func TestGridMatchesOracle(t *testing.T) {
 		}
 		wantResiduals = append(wantResiduals, want)
 	}
-	wantSettle, err := market.SettleResiduals(wantResiduals, params)
+	wantSettle, err := market.SettleTiers(&market.TierNode{Name: "grid", Residuals: wantResiduals}, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Settlement.Fleet.NetCost-wantSettle.Fleet.NetCost) > 1e-6 {
-		t.Errorf("settlement net cost %v, want %v", res.Settlement.Fleet.NetCost, wantSettle.Fleet.NetCost)
+	if math.Abs(res.Settlement.Fleet.NetCost-wantSettle.Grid.Fleet.NetCost) > 1e-6 {
+		t.Errorf("settlement net cost %v, want %v", res.Settlement.Fleet.NetCost, wantSettle.Grid.Fleet.NetCost)
 	}
 }
 
@@ -273,7 +275,7 @@ func TestGridFailFastIsolation(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	res, err := Run(ctx, Config{Engine: testEngineConfig(3), MaxConcurrent: 1, MinCoalition: 2}, tr, parts)
+	res, err := Run(ctx, Config{Engine: testEngineConfig(3), MaxConcurrent: 1, MinCoalition: 2}, tr, parts, nil)
 	if err == nil {
 		t.Fatal("poisoned grid returned nil error")
 	}
@@ -305,7 +307,7 @@ func TestGridNoGoroutineLeak(t *testing.T) {
 	defer cancel()
 
 	// Warm-up run so lazily-started runtime goroutines don't count.
-	if _, err := Run(ctx, Config{Engine: testEngineConfig(7), MinCoalition: 2}, tr, parts); err != nil {
+	if _, err := Run(ctx, Config{Engine: testEngineConfig(7), MinCoalition: 2}, tr, parts, nil); err != nil {
 		t.Fatal(err)
 	}
 	settle := func() int {
@@ -321,7 +323,7 @@ func TestGridNoGoroutineLeak(t *testing.T) {
 	}
 	before := settle()
 	for i := 0; i < 3; i++ {
-		if _, err := Run(ctx, Config{Engine: testEngineConfig(7), MinCoalition: 2}, tr, parts); err != nil {
+		if _, err := Run(ctx, Config{Engine: testEngineConfig(7), MinCoalition: 2}, tr, parts, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,7 +376,7 @@ func TestGridCancelReportsContextError(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, Config{Engine: testEngineConfig(1), MaxConcurrent: 1}, tr, parts)
+	res, err := Run(ctx, Config{Engine: testEngineConfig(1), MaxConcurrent: 1}, tr, parts, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -451,25 +453,26 @@ func TestGridRejectsBadConfig(t *testing.T) {
 	tr := testFleet(t, 2, 2, 1)
 	parts, _ := Partition(StrategyFixed, tr.Homes, 2, 0)
 	ctx := context.Background()
-	if _, err := Run(ctx, Config{Engine: testEngineConfig(1), MaxConcurrent: -1}, tr, parts); err == nil {
+	if _, err := Run(ctx, Config{Engine: testEngineConfig(1), MaxConcurrent: -1}, tr, parts, nil); err == nil {
 		t.Error("accepted negative MaxConcurrent")
 	}
-	if _, err := Run(ctx, Config{Engine: testEngineConfig(1)}, tr, nil); err == nil {
+	if _, err := Run(ctx, Config{Engine: testEngineConfig(1)}, tr, nil, nil); err == nil {
 		t.Error("accepted empty partition")
 	}
-	if _, err := Run(ctx, Config{Engine: testEngineConfig(1), MinCoalition: 1}, tr, parts); err == nil {
+	if _, err := Run(ctx, Config{Engine: testEngineConfig(1), MinCoalition: 1}, tr, parts, nil); err == nil {
 		t.Error("accepted MinCoalition below the engine's two-agent floor")
 	}
-	if _, err := Run(ctx, Config{Engine: testEngineConfig(1), MinCoalition: -3}, tr, parts); err == nil {
+	if _, err := Run(ctx, Config{Engine: testEngineConfig(1), MinCoalition: -3}, tr, parts, nil); err == nil {
 		t.Error("accepted negative MinCoalition")
 	}
 }
 
 // TestGridFoldsSmallCoalition is the regression test for graceful
 // degradation: a coalition below MinCoalition — routine once churn shrinks
-// rosters — must not fail the grid. It is folded into grid settlement
-// (members trade at the tariff), marked ErrCoalitionSkipped with Folded
-// set, and the rest of the grid completes normally.
+// rosters — must not fail the grid. Folding is an outcome, not an error:
+// the coalition has Err nil and Folded set, its members trade at the tariff,
+// it is delivered to the sink, persisted as folded and settled, and the rest
+// of the grid completes normally.
 func TestGridFoldsSmallCoalition(t *testing.T) {
 	tr := testFleet(t, 2, 4, 2) // 8 homes
 	// Three coalitions of sizes 3, 3, 2: the last is below the default
@@ -480,7 +483,7 @@ func TestGridFoldsSmallCoalition(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	res, err := Run(ctx, Config{Engine: testEngineConfig(21)}, tr, parts)
+	res, err := Run(ctx, Config{Engine: testEngineConfig(21)}, tr, parts, nil)
 	if err != nil {
 		t.Fatalf("grid with a small coalition failed: %v", err)
 	}
@@ -493,8 +496,8 @@ func TestGridFoldsSmallCoalition(t *testing.T) {
 	if !folded.Folded {
 		t.Fatalf("coalition 2 not folded: %+v", folded)
 	}
-	if !errors.Is(folded.Err, ErrCoalitionSkipped) {
-		t.Errorf("folded coalition err = %v, want ErrCoalitionSkipped", folded.Err)
+	if folded.Err != nil {
+		t.Errorf("folded coalition err = %v, want nil", folded.Err)
 	}
 	if folded.Results != nil {
 		t.Error("folded coalition ran protocol windows")
@@ -527,8 +530,34 @@ func TestGridFoldsSmallCoalition(t *testing.T) {
 	if res.Settlement == nil || len(res.Settlement.PerCoalition) != 3 {
 		t.Fatalf("settlement must include the folded coalition: %+v", res.Settlement)
 	}
+
+	// With a sink and a store: the folded coalition is delivered with its
+	// flows and persisted as folded, like any other outcome.
+	st := tempWAL(t)
+	var delivered []string
+	if _, err := Run(ctx, Config{Engine: testEngineConfig(21), Store: st}, tr, parts, func(cr *CoalitionRun) error {
+		if cr.Folded && (cr.Err != nil || len(cr.Flows) != 2) {
+			t.Errorf("%s delivered folded with err %v, %d flows", cr.Name, cr.Err, len(cr.Flows))
+		}
+		delivered = append(delivered, cr.Name)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(delivered, []string{"c00", "c01", "c02"}) {
+		t.Errorf("delivered %v, want every coalition", delivered)
+	}
+	aggs, err := st.Aggregates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(aggs, func(a store.Aggregate) bool { return a.Scope == "c02" })
+	if i < 0 || !aggs[i].Folded || aggs[i].ImportKWh != folded.Residual.ImportKWh {
+		t.Errorf("folded coalition not persisted as folded: %+v", aggs)
+	}
+
 	// MinCoalition 2 runs the same roster as a real market.
-	res2, err := Run(ctx, Config{Engine: testEngineConfig(21), MinCoalition: 2}, tr, parts)
+	res2, err := Run(ctx, Config{Engine: testEngineConfig(21), MinCoalition: 2}, tr, parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestLiveRekeyOfSurvivorsIsCheap(t *testing.T) {
 	cfg.Grid.Engine.KeyBits = 512
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	res, err := RunLive(ctx, cfg, evo)
+	res, err := RunLive(ctx, cfg, evo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestLiveKeysIndependentOfSchedule(t *testing.T) {
 	defer cancel()
 	var base *LiveResult
 	for _, conc := range []int{1, 3} {
-		res, err := RunLive(ctx, testLiveConfig(71, conc), evo)
+		res, err := RunLive(ctx, testLiveConfig(71, conc), evo, nil)
 		if err != nil {
 			t.Fatalf("concurrency %d: %v", conc, err)
 		}

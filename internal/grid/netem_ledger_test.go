@@ -21,7 +21,7 @@ func runTestGrid(t *testing.T, ecfg core.Config, maxConc int) *Result {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	res, err := Run(ctx, Config{Engine: ecfg, MaxConcurrent: maxConc}, tr, parts)
+	res, err := Run(ctx, Config{Engine: ecfg, MaxConcurrent: maxConc}, tr, parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestEpochCoalitionLedgersVerify(t *testing.T) {
 	res, err := RunLive(ctx, LiveConfig{
 		Grid:       Config{Engine: testEngineConfig(5), MinCoalition: 2},
 		Coalitions: 2,
-	}, evo)
+	}, evo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

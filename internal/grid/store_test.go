@@ -145,7 +145,7 @@ func TestLiveStorePersistsRun(t *testing.T) {
 	cfg := testLiveConfig(45, 0)
 	cfg.Grid.Store = st
 	cfg.CheckpointMeta = []byte(`{"run":"store-test"}`)
-	res, err := RunLive(ctx, cfg, evo)
+	res, err := RunLive(ctx, cfg, evo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestLiveCrashResumeBitIdentical(t *testing.T) {
 			cfg := testLiveConfig(tc.seed, 0)
 			cfg.Grid.Store = counter
 			cfg.CheckpointMeta = []byte(`{"case":"` + tc.name + `"}`)
-			ref, err := RunLive(ctx, cfg, evo)
+			ref, err := RunLive(ctx, cfg, evo, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,7 +282,7 @@ func TestLiveCrashResumeBitIdentical(t *testing.T) {
 			kcfg := testLiveConfig(tc.seed, 0)
 			kcfg.Grid.Store = &killSwitch{Store: crashed, killAt: killAt}
 			kcfg.CheckpointMeta = cfg.CheckpointMeta
-			if _, err := RunLive(ctx, kcfg, evo); !errors.Is(err, errKilled) {
+			if _, err := RunLive(ctx, kcfg, evo, nil); !errors.Is(err, errKilled) {
 				t.Fatalf("kill after append %d did not surface: %v", killAt, err)
 			}
 
@@ -313,7 +313,7 @@ func TestLiveCrashResumeBitIdentical(t *testing.T) {
 			rcfg.Grid.Store = crashStore
 			rcfg.CheckpointMeta = cfg.CheckpointMeta
 			rcfg.Resume = &cp
-			resumed, err := RunLive(ctx, rcfg, evo)
+			resumed, err := RunLive(ctx, rcfg, evo, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -374,7 +374,7 @@ func TestLiveStoreMemoryBounded(t *testing.T) {
 
 	cfg := testLiveConfig(51, 0)
 	cfg.Grid.Store = w
-	res, err := StreamLive(ctx, cfg, evo, func(er *EpochResult) error { return nil })
+	res, err := RunLive(ctx, cfg, evo, func(er *EpochResult) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

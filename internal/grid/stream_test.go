@@ -46,14 +46,14 @@ func TestGridTiersSingletonIdentity(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 
-	flat, err := Run(ctx, Config{Engine: testEngineConfig(33)}, tr, parts)
+	flat, err := Run(ctx, Config{Engine: testEngineConfig(33)}, tr, parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if flat.Tiers != nil {
 		t.Fatal("flat run reports tiers")
 	}
-	tiered, err := Run(ctx, Config{Engine: testEngineConfig(33), Tiers: []int{1}}, tr, parts)
+	tiered, err := Run(ctx, Config{Engine: testEngineConfig(33), Tiers: []int{1}}, tr, parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestGridTiersWithFoldedCoalitions(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	res, err := Run(ctx, Config{Engine: testEngineConfig(35), Tiers: []int{2, 2}}, tr, parts)
+	res, err := Run(ctx, Config{Engine: testEngineConfig(35), Tiers: []int{2, 2}}, tr, parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestGridTiersWithFoldedCoalitions(t *testing.T) {
 	// sides.
 	var leafImp, leafExp float64
 	for _, cr := range res.Coalitions {
-		if cr.settleable() {
+		if cr.Err == nil {
 			leafImp += cr.Residual.ImportKWh
 			leafExp += cr.Residual.ExportKWh
 		}
@@ -145,10 +145,10 @@ func TestGridTiersWithFoldedCoalitions(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesRun is the streaming determinism guarantee: a seeded
-// Stream delivers the same per-coalition outcomes — ledger chain heads,
+// TestStreamMatchesRun is the streaming determinism guarantee: a seeded Run
+// with a sink delivers the same per-coalition outcomes — ledger chain heads,
 // residuals, traffic — in partition order and folds to the same settlement
-// as the batch Run, at any sink consumption speed and coalition
+// as Run without one, at any sink consumption speed and coalition
 // concurrency; and the streamed result retains no per-coalition payload.
 func TestStreamMatchesRun(t *testing.T) {
 	tr := testFleet(t, 3, 3, 2)
@@ -160,7 +160,7 @@ func TestStreamMatchesRun(t *testing.T) {
 	defer cancel()
 	cfg := Config{Engine: testEngineConfig(37)}
 
-	batch, err := Run(ctx, cfg, tr, parts)
+	batch, err := Run(ctx, cfg, tr, parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestStreamMatchesRun(t *testing.T) {
 			scfg := cfg
 			scfg.MaxConcurrent = conc
 			var got []coalitionDigest
-			res, err := Stream(ctx, scfg, tr, parts, func(cr *CoalitionRun) error {
+			res, err := Run(ctx, scfg, tr, parts, func(cr *CoalitionRun) error {
 				time.Sleep(delay(len(got)))
 				if !cr.Folded && (cr.Results == nil || cr.Ledger == nil) {
 					t.Errorf("%s/%d: %s delivered without payload", name, conc, cr.Name)
@@ -222,7 +222,7 @@ func TestStreamSinkErrorAborts(t *testing.T) {
 	defer cancel()
 	boom := errors.New("sink full")
 	calls := 0
-	_, err = Stream(ctx, Config{Engine: testEngineConfig(39), MinCoalition: 2, MaxConcurrent: 1}, tr, parts,
+	_, err = Run(ctx, Config{Engine: testEngineConfig(39), MinCoalition: 2, MaxConcurrent: 1}, tr, parts,
 		func(cr *CoalitionRun) error {
 			calls++
 			return boom
@@ -235,15 +235,15 @@ func TestStreamSinkErrorAborts(t *testing.T) {
 	}
 }
 
-// TestStreamLiveMatchesRunLive: the live-grid streaming variant delivers
-// every epoch's settlement and folds to the same positions and conservation
-// figures as the batch RunLive, with no epochs retained on the result.
+// TestStreamLiveMatchesRunLive: RunLive with a sink delivers every epoch's
+// settlement and folds to the same positions and conservation figures as
+// RunLive without one, with no epochs retained on the result.
 func TestStreamLiveMatchesRunLive(t *testing.T) {
 	evo := testEvolution(t, 3, dataset.ChurnConfig{JoinRate: 0.2, DepartRate: 0.15})
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 
-	batch, err := RunLive(ctx, testLiveConfig(41, 0), evo)
+	batch, err := RunLive(ctx, testLiveConfig(41, 0), evo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestStreamLiveMatchesRunLive(t *testing.T) {
 		Fleet   market.CoalitionSettlement
 	}
 	var got []epochDigest
-	res, err := StreamLive(ctx, cfg, evo, func(er *EpochResult) error {
+	res, err := RunLive(ctx, cfg, evo, func(er *EpochResult) error {
 		time.Sleep(2 * time.Millisecond)
 		got = append(got, epochDigest{er.Epoch, er.Agents, er.Windows, er.Settlement.Fleet})
 		return nil
@@ -289,15 +289,13 @@ func TestStreamLiveMatchesRunLive(t *testing.T) {
 		res.Windows != batch.Windows || res.TotalBytes != batch.TotalBytes {
 		t.Error("streamed live fold diverged from batch")
 	}
-	if _, err := StreamLive(ctx, cfg, evo, nil); err == nil {
-		t.Error("nil sink accepted")
-	}
 }
 
 // TestLivePayloadRelease is the memory regression test for the epoch layer:
-// StreamLive's sink sees each epoch's full per-coalition payload, and the
-// payload is released once the sink returns; RunLive keeps it. The payloads
-// are real, reclaimable memory, verified with runtime.ReadMemStats.
+// a RunLive sink sees each epoch's full per-coalition payload, and the
+// payload is released once the sink returns; RunLive without a sink keeps
+// it. The payloads are real, reclaimable memory, verified with
+// runtime.ReadMemStats.
 func TestLivePayloadRelease(t *testing.T) {
 	evo := testEvolution(t, 3, dataset.ChurnConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
@@ -306,7 +304,7 @@ func TestLivePayloadRelease(t *testing.T) {
 	// Streamed: full in the sink, released after it. Light aggregates survive.
 	cfg := testLiveConfig(43, 0)
 	var seen []*EpochResult
-	_, err := StreamLive(ctx, cfg, evo, func(er *EpochResult) error {
+	_, err := RunLive(ctx, cfg, evo, func(er *EpochResult) error {
 		for _, cr := range er.Coalitions {
 			if !cr.Folded && (cr.Results == nil || cr.Flows == nil || cr.Ledger == nil) {
 				t.Errorf("epoch %d: sink saw %s without its payload", er.Epoch, cr.Name)
@@ -331,10 +329,10 @@ func TestLivePayloadRelease(t *testing.T) {
 		}
 	}
 
-	// Run keeps: the payloads exist, and releasing them frees measurable
+	// No sink keeps: the payloads exist, and releasing them frees measurable
 	// heap — the regression guard that they never become dark, unreachable-
 	// but-held memory again.
-	retained, err := RunLive(ctx, cfg, evo)
+	retained, err := RunLive(ctx, cfg, evo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

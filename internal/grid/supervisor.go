@@ -31,11 +31,10 @@ type Config struct {
 	MaxConcurrent int
 	// MinCoalition is the smallest roster the supervisor will run a
 	// private market for (default 3). A coalition below it — routine once
-	// churn shrinks rosters — is not an error: it is folded into grid
-	// settlement instead, its stranded agents trading with the main grid
-	// at the tariff, and marked with ErrCoalitionSkipped. Set to 2 to run
-	// every coalition the partitioner can produce (an engine needs a
-	// counterparty, so 2 is the hard floor).
+	// churn shrinks rosters — is folded: its agents trade with the main grid
+	// at the tariff, an outcome like any other (CoalitionRun.Folded, Err
+	// nil). Set to 2 to run every coalition the partitioner can produce (an
+	// engine needs a counterparty, so 2 is the hard floor).
 	MinCoalition int
 	// Tiers makes the settlement hierarchy recursive: Tiers[0] coalitions
 	// roll up into a district, Tiers[1] districts into a region, and so on
@@ -109,8 +108,7 @@ type CoalitionRun struct {
 	// IDs are the members' agent IDs.
 	IDs []string
 	// Results holds the per-window protocol outcomes (nil on failure and
-	// for folded coalitions; released after delivery on streaming runs —
-	// see Stream).
+	// for folded coalitions; released after delivery when Run has a sink).
 	Results []*core.WindowResult
 	// Windows counts the coalition's completed trading windows. Unlike
 	// len(Results) it survives the streaming payload release.
@@ -166,43 +164,31 @@ type CoalitionRun struct {
 	// Duration is the coalition-day wall-clock time (engine provisioning
 	// included).
 	Duration time.Duration
-	// Folded marks a coalition that was settled at the grid tariff instead
-	// of running a private market because its roster was below
-	// Config.MinCoalition. Folded coalitions carry ErrCoalitionSkipped in
-	// Err but count as degraded service, not failure: their residuals and
-	// flows are real and included in settlement.
+	// Folded marks a coalition whose roster was below Config.MinCoalition:
+	// its members traded at the grid tariff instead of in a private market.
+	// That is an outcome, not a failure — Err stays nil, and the folded
+	// residual and flows are delivered, persisted and settled like any
+	// other. Folded and Err are independent.
 	Folded bool
-	// Err is the coalition's failure, nil on success. ErrCoalitionSkipped
-	// marks coalitions never launched — because the run was already
-	// stopping (the message names the cause), or (with Folded set) because
-	// the roster was too small to run.
+	// Err is the coalition's failure, nil for a coalition that traded or
+	// folded. ErrCoalitionSkipped marks a coalition never launched because
+	// the run was already stopping (the message names the cause).
+	// Delivery, persistence and settlement cover exactly the coalitions
+	// with Err nil.
 	Err error
 }
 
-// ErrCoalitionSkipped marks coalitions whose private market did not run:
-// either the supervisor had stopped admitting work — after an earlier
-// coalition failed, on context cancellation, or after a sink or store error
-// aborted delivery; the wrapped message names which — or the roster was
-// below Config.MinCoalition and the coalition was folded into grid
-// settlement (distinguished by CoalitionRun.Folded).
+// ErrCoalitionSkipped marks coalitions that were never launched because the
+// supervisor had stopped admitting work — after an earlier coalition failed,
+// on context cancellation, or after a sink or store error aborted delivery;
+// the wrapped message names which.
 var ErrCoalitionSkipped = errors.New("grid: coalition skipped")
-
-// failure reports whether the coalition genuinely failed — skip markers
-// (launch-stop bookkeeping and too-small-roster folds) are not failures.
-func (cr *CoalitionRun) failure() bool {
-	return cr.Err != nil && !errors.Is(cr.Err, ErrCoalitionSkipped)
-}
-
-// settleable reports whether the coalition produced a residual position to
-// settle: it completed its day, or it was folded to grid-tariff service.
-func (cr *CoalitionRun) settleable() bool {
-	return cr.Err == nil || cr.Folded
-}
 
 // releasePayload drops the coalition's heavy per-window payload — results,
 // flows, ledger, roster — keeping only the O(1) aggregates a settlement
-// fold needs. Streaming runs call it after the sink has seen the run, which
-// is what bounds a 10^5-coalition day to the coalitions in flight.
+// fold needs. A run with a sink calls it once the sink has seen the
+// coalition, which is what bounds a 10^5-coalition day to the coalitions in
+// flight.
 func (cr *CoalitionRun) releasePayload() {
 	cr.Results = nil
 	cr.Flows = nil
@@ -216,7 +202,7 @@ func (cr *CoalitionRun) releasePayload() {
 // ledger block in chain order (genesis included — appending it resets the
 // scope on a resumed replay), the key-material fingerprints, and the O(1)
 // settlement aggregate. Called from the delivery path, so records land in
-// partition order and strictly before the streaming payload release. A nil
+// partition order and strictly before the sink's payload release. A nil
 // store is a no-op.
 func persistCoalition(st store.Store, cr *CoalitionRun) error {
 	if st == nil {
@@ -256,11 +242,11 @@ func persistCoalition(st store.Store, cr *CoalitionRun) error {
 // Result is the outcome of a full grid run.
 type Result struct {
 	// Coalitions holds one entry per partition element, in partition order.
-	// Streaming runs leave it nil: per-coalition outcomes are delivered to
-	// the sink instead, and only the fold below is retained.
+	// A run with a sink leaves it nil: per-coalition outcomes are delivered
+	// to the sink instead, and only the fold below is retained.
 	Coalitions []CoalitionRun
-	// Settlement clears the completed and folded coalitions' residuals
-	// against the grid tariff (nil when no coalition produced one). With
+	// Settlement clears the traded and folded coalitions' residuals against
+	// the grid tariff (nil when no coalition produced one). With
 	// Config.Tiers it is the hierarchy's grid boundary — what survives
 	// every tier of netting — and equals Tiers.Grid.
 	Settlement *market.GridSettlement
@@ -280,56 +266,27 @@ type Result struct {
 	// network: the slowest coalition's day, since coalition-days run
 	// concurrently. Zero on unemulated runs.
 	VirtualLatency time.Duration
-	// WindowsPerSec is the aggregate throughput: Windows / Duration.
-	WindowsPerSec float64
 }
 
 // Run executes one trading day for every coalition of the partition over
-// shared infrastructure, keeping every coalition's full outcome; Stream is
-// the bounded-memory form. Failure semantics are core.RunOrdered's, as for
-// windows: a failing coalition cancels only itself; the supervisor then
-// stops launching new coalitions, drains the ones in flight, and reports the
-// earliest failed coalition's error.
-// Completed coalitions keep their results, and the returned Result is valid
-// (with per-coalition Err set) even when err is non-nil. Coalitions below
-// Config.MinCoalition are not failures: they are folded into grid
-// settlement (see CoalitionRun.Folded).
-func Run(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int) (*Result, error) {
-	return execute(ctx, cfg, tr, parts, nil)
-}
-
-// Stream executes the same grid day as Run but delivers each coalition's
-// full outcome to sink in partition order as soon as that coalition — and
-// every coalition before it — has completed, then releases its heavy
-// payload. The returned Result carries the fold (settlement, tiers,
-// traffic, throughput) with Coalitions nil, so memory stays bounded by the
-// coalitions in flight rather than the partition size. The *CoalitionRun
-// passed to sink is valid only during the call (copy what must outlive
-// it); a sink error cancels the in-flight coalitions and aborts the run.
-// Sink is never called for skipped coalitions, nor at or after the first
-// failure. A seeded Stream is bit-identical to the batch Run — same
-// per-coalition outcomes, ledger chain heads and settlement — at any sink
+// shared infrastructure of its own. With a nil sink the returned Result
+// keeps every coalition's full outcome. With a sink, each coalition's full
+// outcome is delivered in partition order as soon as it — and every
+// coalition before it — has completed, and its heavy payload is released
+// once the sink returns; the Result then carries the fold (settlement,
+// tiers, traffic) with Coalitions nil, so memory stays bounded by the
+// coalitions in flight. The *CoalitionRun passed to sink is valid only
+// during the call; a sink error cancels the in-flight coalitions and aborts
+// the run. A seeded run is bit-identical with or without a sink, at any sink
 // consumption speed.
-func Stream(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, sink func(*CoalitionRun) error) (*Result, error) {
-	if sink == nil {
-		return nil, errors.New("grid: Stream needs a sink (use Run)")
-	}
-	res, err := execute(ctx, cfg, tr, parts, func(cr *CoalitionRun) error {
-		if err := sink(cr); err != nil {
-			return err
-		}
-		cr.releasePayload()
-		return nil
-	})
-	if res != nil {
-		res.Coalitions = nil
-	}
-	return res, err
-}
-
-// execute is the shared body of Run and Stream: a one-shot grid is one
-// coalition-day on infrastructure of its own.
-func execute(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, deliver func(*CoalitionRun) error) (*Result, error) {
+//
+// Failure semantics are core.RunOrdered's, as for windows: a failing
+// coalition cancels only itself; the supervisor then stops launching new
+// coalitions, drains the ones in flight, and reports the earliest failed
+// coalition's error. The returned Result is valid (with per-coalition Err
+// set) even when err is non-nil; the sink never sees a failed or skipped
+// coalition, nor anything after the first failure.
+func Run(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, sink func(*CoalitionRun) error) (*Result, error) {
 	if len(parts) == 0 {
 		return nil, errors.New("grid: empty partition")
 	}
@@ -338,7 +295,7 @@ func execute(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, 
 	}
 	// One bus, one bounded crypto pool. No key ring: rosters are disjoint
 	// and the day is the whole run, so each engine's own is the same thing.
-	res, err := runDay(ctx, cfg, core.Resources{Bus: transport.NewBus(nil), Workers: paillier.NewWorkers(0)}, tr, parts, "", deliver)
+	res, err := runDay(ctx, cfg, core.Resources{Bus: transport.NewBus(nil), Workers: paillier.NewWorkers(0)}, tr, parts, "", sink)
 	if err != nil {
 		err = fmt.Errorf("grid: %w", err)
 	}
@@ -347,13 +304,14 @@ func execute(ctx context.Context, cfg Config, tr *dataset.Trace, parts [][]int, 
 
 // runDay is the one coalition-day supervisor, shared by the one-shot grid
 // (fresh infrastructure, scope "") and every live-grid epoch (the
-// simulation's infrastructure, scope "eNN-"): name the partition's
+// simulation's infrastructure, scope "eNN-", no sink): name the partition's
 // coalitions scope+"cNN", run them provision-then-trade under the
-// MaxConcurrent budget, persist and deliver each in partition order, then
-// fold the day's traffic and settle its residuals. The returned Result is
-// valid (with per-coalition Err set) even when err is non-nil; err is the
-// launcher's (see launchCoalitions) or, failing that, the settlement's.
-func runDay(ctx context.Context, cfg Config, infra core.Resources, tr *dataset.Trace, parts [][]int, scope string, deliver func(*CoalitionRun) error) (*Result, error) {
+// MaxConcurrent budget, persist each in partition order and hand it to the
+// sink (if any), then fold the day's traffic and settle its residuals. The
+// returned Result is valid (with per-coalition Err set) even when err is
+// non-nil; err is the launcher's (see launchCoalitions) or, failing that,
+// the settlement's.
+func runDay(ctx context.Context, cfg Config, infra core.Resources, tr *dataset.Trace, parts [][]int, scope string, sink func(*CoalitionRun) error) (*Result, error) {
 	start := time.Now()
 	runs := make([]CoalitionRun, len(parts))
 	for i, members := range parts {
@@ -374,13 +332,20 @@ func runDay(ctx context.Context, cfg Config, infra core.Resources, tr *dataset.T
 			if err := persistCoalition(cfg.Store, cr); err != nil {
 				return err
 			}
-			if deliver == nil {
+			if sink == nil {
 				return nil
 			}
-			return deliver(cr)
+			if err := sink(cr); err != nil {
+				return err
+			}
+			cr.releasePayload()
+			return nil
 		})
 
-	res := &Result{Coalitions: runs}
+	res := &Result{}
+	if sink == nil {
+		res.Coalitions = runs
+	}
 	for i := range runs {
 		cr := &runs[i]
 		if cr.Err != nil {
@@ -399,16 +364,13 @@ func runDay(ctx context.Context, cfg Config, infra core.Resources, tr *dataset.T
 		err = fmt.Errorf("settlement: %w", serr)
 	}
 	res.Duration = time.Since(start)
-	if res.Duration > 0 {
-		res.WindowsPerSec = float64(res.Windows) / res.Duration.Seconds()
-	}
 	return res, err
 }
 
-// settleGrid clears the settleable coalitions' residuals through the tier
-// tree: recursively under cfg.Tiers, or — empty schedule, a bare root —
-// flat against the tariff, in which case no tiered settlement is reported.
-// Returns (nil, nil, nil) when no coalition produced a residual.
+// settleGrid clears the residuals of the coalitions with Err nil through
+// the tier tree: recursively under cfg.Tiers, or — empty schedule, a bare
+// root — flat against the tariff, in which case no tiered settlement is
+// reported. Returns (nil, nil, nil) when no coalition produced a residual.
 func settleGrid(cfg Config, runs []CoalitionRun) (*market.GridSettlement, *market.TieredSettlement, error) {
 	root := tierTree(cfg.Tiers, runs)
 	if root == nil {
@@ -426,26 +388,21 @@ func settleGrid(cfg Config, runs []CoalitionRun) (*market.GridSettlement, *marke
 
 // launchCoalitions runs runOne for every coalition in runs through
 // core.RunOrdered under the maxConc budget (0 = all), filling each entry in
-// place, and invokes deliver for each completed or folded entry in runs
-// order. A genuine failure (not a skip marker) stops launching; the entries
+// place, and invokes deliver for each entry left with Err nil (traded or
+// folded) in runs order. A coalition's Err stops launching; the entries
 // never started are marked ErrCoalitionSkipped with the runner's cause. The
-// returned error is the earliest genuine failure ("coalition <name>: …"), a
-// deliver error, or ctx.Err() on a clean cancel.
+// returned error is the earliest failure ("coalition <name>: …"), a deliver
+// error, or ctx.Err() on a clean cancel.
 func launchCoalitions(ctx context.Context, maxConc int, runs []CoalitionRun, runOne func(context.Context, *CoalitionRun), deliver func(*CoalitionRun) error) error {
 	return core.RunOrdered(ctx, len(runs), maxConc,
 		func(runCtx context.Context, i int) error {
-			if runOne(runCtx, &runs[i]); runs[i].failure() {
+			if runOne(runCtx, &runs[i]); runs[i].Err != nil {
 				return fmt.Errorf("coalition %s: %w", runs[i].Name, runs[i].Err)
 			}
 			return nil
 		},
 		func(i int, cause string) { runs[i].Err = fmt.Errorf("%w %s", ErrCoalitionSkipped, cause) },
-		func(i int) error {
-			if deliver == nil || !runs[i].settleable() {
-				return nil
-			}
-			return deliver(&runs[i])
-		})
+		func(i int) error { return deliver(&runs[i]) })
 }
 
 // runCoalition executes one coalition's day: provision an engine over the
@@ -469,15 +426,9 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 
 	if len(agents) < cfg.minCoalition() {
 		// Too small to run a private market: the members' grid-only position
-		// becomes the coalition residual, and the coalition is marked
-		// skipped-but-folded so settlement includes it while failure
-		// handling does not.
+		// becomes the coalition residual.
+		cr.Folded = true
 		cr.Err = oracleAccounting(cfg, agents, sub.Windows, cr, sub.AppendWindowInputs, market.BaselineClearInto)
-		if cr.Err == nil {
-			cr.Folded = true
-			cr.Err = fmt.Errorf("%w: %d agents below minimum %d, folded into grid settlement",
-				ErrCoalitionSkipped, len(agents), cfg.minCoalition())
-		}
 		return
 	}
 

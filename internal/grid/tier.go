@@ -15,7 +15,7 @@ import (
 // keeps the tree a pure function of (partition, fanout): the same grid run
 // settles identically whether streamed or batched, at any concurrency.
 //
-// Coalitions that produced no residual (failed before settlement) simply
+// Coalitions that produced no residual (failed or never launched) simply
 // don't appear; a group left with no members at all is skipped rather than
 // materialised empty, so churn-shrunken grids still form legal trees.
 
@@ -34,11 +34,11 @@ func tierName(level, group int) string {
 	}
 }
 
-// tierTree builds the market.TierNode hierarchy for the settleable
-// coalitions of runs under the fanout schedule, a coalition's partition
-// index deciding its district. With an empty schedule every residual
-// attaches directly to the root — the flat grid, which SettleTiers settles
-// exactly as SettleResiduals would. Nil when no coalition is settleable.
+// tierTree builds the market.TierNode hierarchy for the coalitions of runs
+// with Err nil — traded and folded — under the fanout schedule, a
+// coalition's partition index deciding its district. With an empty schedule
+// every residual attaches directly to the root: the flat grid. Nil when no
+// coalition produced a residual.
 func tierTree(fanout []int, runs []CoalitionRun) *market.TierNode {
 	root := &market.TierNode{Name: "grid"}
 
@@ -48,7 +48,7 @@ func tierTree(fanout []int, runs []CoalitionRun) *market.TierNode {
 	var order []int
 	for i := range runs {
 		cr := &runs[i]
-		if !cr.settleable() {
+		if cr.Err != nil {
 			continue
 		}
 		if len(fanout) == 0 {

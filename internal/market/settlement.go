@@ -66,13 +66,11 @@ type GridSettlement struct {
 	NettingGainCents float64
 }
 
-// SettleResiduals clears the coalitions' residual supply and demand against
-// the grid tariff. Residual coalition names must be unique; quantities must
-// be non-negative and finite.
-func SettleResiduals(residuals []CoalitionResidual, params Params) (*GridSettlement, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
+// settleResiduals clears the coalitions' residual supply and demand against
+// the grid tariff, for SettleTiers' root, which has validated params.
+// Residual coalition names must be unique, and every residual must pass
+// checkResidual.
+func settleResiduals(residuals []CoalitionResidual, params Params) (*GridSettlement, error) {
 	if len(residuals) == 0 {
 		return nil, errors.New("market: no coalition residuals to settle")
 	}
@@ -82,17 +80,13 @@ func SettleResiduals(residuals []CoalitionResidual, params Params) (*GridSettlem
 		Fleet:        CoalitionSettlement{Coalition: "fleet"},
 	}
 	for _, r := range residuals {
-		if r.Coalition == "" {
-			return nil, errors.New("market: residual with empty coalition name")
+		if err := checkResidual(r); err != nil {
+			return nil, err
 		}
 		if seen[r.Coalition] {
 			return nil, fmt.Errorf("market: duplicate coalition %q in residuals", r.Coalition)
 		}
 		seen[r.Coalition] = true
-		if r.ImportKWh < 0 || r.ExportKWh < 0 || !finite(r.ImportKWh) || !finite(r.ExportKWh) {
-			return nil, fmt.Errorf("market: coalition %q residual not a non-negative quantity: import=%v export=%v",
-				r.Coalition, r.ImportKWh, r.ExportKWh)
-		}
 		cs := CoalitionSettlement{
 			Coalition:     r.Coalition,
 			ImportKWh:     r.ImportKWh,
@@ -118,6 +112,19 @@ func SettleResiduals(residuals []CoalitionResidual, params Params) (*GridSettlem
 	}
 	s.NettingGainCents = s.MatchedKWh * (params.GridRetailPrice - params.GridSellPrice)
 	return s, nil
+}
+
+// checkResidual refuses a residual with an empty coalition name or an import
+// or export that is negative or not finite.
+func checkResidual(r CoalitionResidual) error {
+	if r.Coalition == "" {
+		return errors.New("market: residual with empty coalition name")
+	}
+	if r.ImportKWh < 0 || r.ExportKWh < 0 || !finite(r.ImportKWh) || !finite(r.ExportKWh) {
+		return fmt.Errorf("market: coalition %q residual not a non-negative quantity: import=%v export=%v",
+			r.Coalition, r.ImportKWh, r.ExportKWh)
+	}
+	return nil
 }
 
 // ResidualFromClearing extracts one window's contribution to a coalition's

@@ -7,7 +7,7 @@ import (
 
 func TestSettleResiduals(t *testing.T) {
 	params := DefaultParams() // feed-in 80, retail 120
-	s, err := SettleResiduals([]CoalitionResidual{
+	s, err := settleResiduals([]CoalitionResidual{
 		{Coalition: "c1", ImportKWh: 10, ExportKWh: 0},
 		{Coalition: "c0", ImportKWh: 2, ExportKWh: 6},
 		{Coalition: "c2", ImportKWh: 0, ExportKWh: 1},
@@ -48,7 +48,7 @@ func TestSettleResidualsRejectsBadInput(t *testing.T) {
 		"inf":       {{Coalition: "a", ImportKWh: math.Inf(1)}},
 	}
 	for name, in := range cases {
-		if _, err := SettleResiduals(in, params); err == nil {
+		if _, err := settleResiduals(in, params); err == nil {
 			t.Errorf("%s: accepted %+v", name, in)
 		}
 	}

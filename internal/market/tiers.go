@@ -17,9 +17,9 @@ import (
 // retail−feed-in per matched kWh, exactly like the flat layer's
 // cross-coalition netting opportunity) and passes only the unmatched
 // remainder upward. The root is the grid boundary: its children's upward
-// residuals are settled by SettleResiduals unchanged, so a 1-tier tree —
-// every coalition attached directly to the root — reproduces the flat
-// GridSettlement bit for bit.
+// residuals are settled flat against the tariff (settleResiduals), so a
+// 1-tier tree — every coalition attached directly to the root — is the flat
+// GridSettlement.
 
 // TierNode is one node of the settlement hierarchy. Leaves carry coalition
 // residuals; intermediate nodes group children (sub-tiers and/or coalitions
@@ -77,8 +77,8 @@ type TieredSettlement struct {
 // SettleTiers settles a hierarchy of coalition residuals: every
 // intermediate tier nets its children's surplus against their deficit and
 // passes the remainder up; the root's children are settled against the
-// grid tariff by SettleResiduals. Conservation holds at every tier (gross
-// = matched + upward, per side), and fleet-wide:
+// grid tariff. Conservation holds at every tier (gross = matched + upward,
+// per side), and fleet-wide:
 //
 //	Σ coalition imports = Σ tier MatchedKWh + Grid.Fleet.ImportKWh
 //
@@ -116,7 +116,7 @@ func SettleTiers(root *TierNode, params Params) (*TieredSettlement, error) {
 		}
 		return ts.Tiers[i].Tier < ts.Tiers[j].Tier
 	})
-	grid, err := SettleResiduals(residuals, params)
+	grid, err := settleResiduals(residuals, params)
 	if err != nil {
 		return nil, err
 	}
@@ -150,17 +150,13 @@ func (ts *TieredSettlement) settleNode(n *TierNode, level int, params Params, se
 	// sub-tiers by recursion.
 	var children []CoalitionResidual
 	for _, r := range n.Residuals {
-		if r.Coalition == "" {
-			return zero, fmt.Errorf("market: tier %q holds a residual with empty coalition name", n.Name)
+		if err := checkResidual(r); err != nil {
+			return zero, err
 		}
 		if seenNames[r.Coalition] {
 			return zero, fmt.Errorf("market: duplicate name %q in tier tree", r.Coalition)
 		}
 		seenNames[r.Coalition] = true
-		if r.ImportKWh < 0 || r.ExportKWh < 0 || !finite(r.ImportKWh) || !finite(r.ExportKWh) {
-			return zero, fmt.Errorf("market: coalition %q residual not a non-negative quantity: import=%v export=%v",
-				r.Coalition, r.ImportKWh, r.ExportKWh)
-		}
 		children = append(children, r)
 	}
 	for _, child := range n.Children {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestSettleTiersFlatIdentity is the 1-tier contract: coalitions attached
-// directly to the root settle bit-identically to the flat SettleResiduals
+// directly to the root settle bit-identically to the flat settleResiduals
 // path — no tiers, no netting, same GridSettlement.
 func TestSettleTiersFlatIdentity(t *testing.T) {
 	params := DefaultParams()
@@ -16,7 +16,7 @@ func TestSettleTiersFlatIdentity(t *testing.T) {
 		{Coalition: "c01", ImportKWh: 0, ExportKWh: 2.75},
 		{Coalition: "c02", ImportKWh: 1.125, ExportKWh: 1.125},
 	}
-	flat, err := SettleResiduals(residuals, params)
+	flat, err := settleResiduals(residuals, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSettleTiersSingletonWrapper(t *testing.T) {
 		t.Errorf("singleton tier altered the position: %+v", d)
 	}
 	// The grid boundary sees the same quantities under the tier's name.
-	flat, err := SettleResiduals([]CoalitionResidual{{Coalition: "d00", ImportKWh: r.ImportKWh, ExportKWh: r.ExportKWh}}, params)
+	flat, err := settleResiduals([]CoalitionResidual{{Coalition: "d00", ImportKWh: r.ImportKWh, ExportKWh: r.ExportKWh}}, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSettleTiersConservation(t *testing.T) {
 		}
 
 		// Tiered cost = flat cost − released gain (to rounding).
-		flat, err := SettleResiduals(leaves, params)
+		flat, err := settleResiduals(leaves, params)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package pem
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"github.com/pem-go/pem/internal/dataset"
@@ -31,7 +32,9 @@ type (
 	// AgentPosition is one agent's cumulative cross-epoch position,
 	// frozen at its exit epoch if it left the fleet.
 	AgentPosition = market.AgentPosition
-	// EpochResult is one epoch's outcome inside a LiveGridResult.
+	// EpochResult is one epoch's outcome inside a LiveGridResult: the
+	// epoch's trading day (an embedded GridResult, whose Duration is the
+	// whole epoch's) plus its churn and its re-key/trading split.
 	EpochResult = grid.EpochResult
 	// LiveGridResult is the outcome of a full live-grid simulation.
 	LiveGridResult = grid.LiveResult
@@ -78,8 +81,9 @@ type LiveGridConfig struct {
 	// set.
 	MaxConcurrentCoalitions int
 	// MinCoalition is the smallest roster that still runs a private
-	// market (default DefaultMinCoalition). Coalitions churned below it
-	// are folded into grid settlement instead of failing the epoch.
+	// market (default DefaultMinCoalition). A coalition churned below it
+	// is folded: its agents trade at the grid tariff, with
+	// CoalitionRun.Folded set and Err nil, and the epoch goes on.
 	MinCoalition int
 	// Tiers makes each epoch's settlement hierarchical, exactly as
 	// GridConfig.Tiers: consecutive coalitions roll up through districts
@@ -221,24 +225,28 @@ func (lg *LiveGrid) Rosters() [][]string {
 // completed epochs plus the partial one. Run keeps every epoch's full
 // payload; Stream releases each one once its sink returns.
 func (lg *LiveGrid) Run(ctx context.Context) (*LiveGridResult, error) {
-	res, err := grid.RunLive(ctx, lg.cfg, lg.evo)
-	if err != nil {
-		return res, fmt.Errorf("pem: %w", err)
-	}
-	return res, nil
+	return lg.run(ctx, nil)
 }
 
 // Stream executes the same simulation as Run but delivers each epoch's
 // full outcome to sink as soon as its flows are settled into the position
 // book, then releases the epoch's heavy payload once the sink returns. The
-// returned LiveGridResult carries the
-// cross-epoch fold — positions, conservation, traffic, throughput — with
-// Epochs nil, so an unbounded simulation runs in the memory of one epoch.
-// The *EpochResult is valid only during the sink call; a sink error aborts
-// the simulation. With Market.Seed set, a Stream is bit-identical to Run
-// at any sink consumption speed.
+// returned LiveGridResult carries the cross-epoch fold — positions,
+// conservation, windows, traffic, re-key and trading time — with Epochs
+// nil, so an unbounded simulation runs in the memory of one epoch. The
+// *EpochResult is valid only during the sink call; a sink error aborts the
+// simulation, and a nil sink is refused. With Market.Seed set, a Stream is
+// bit-identical to Run at any sink consumption speed.
 func (lg *LiveGrid) Stream(ctx context.Context, sink func(*EpochResult) error) (*LiveGridResult, error) {
-	res, err := grid.StreamLive(ctx, lg.cfg, lg.evo, sink)
+	if sink == nil {
+		return nil, errors.New("pem: LiveGrid.Stream needs a sink (use Run)")
+	}
+	return lg.run(ctx, sink)
+}
+
+// run is Run (nil sink) and Stream.
+func (lg *LiveGrid) run(ctx context.Context, sink func(*EpochResult) error) (*LiveGridResult, error) {
+	res, err := grid.RunLive(ctx, lg.cfg, lg.evo, sink)
 	if err != nil {
 		return res, fmt.Errorf("pem: %w", err)
 	}

@@ -73,8 +73,8 @@ func TestLiveGridPublicAPI(t *testing.T) {
 		t.Errorf("conservation violated: energy %v kWh, payments %v cents",
 			res.EnergyImbalanceKWh, res.PaymentImbalanceCents)
 	}
-	if res.Rekey <= 0 || res.WindowsPerSec <= 0 {
-		t.Errorf("throughput accounting missing: rekey %v, windows/sec %v", res.Rekey, res.WindowsPerSec)
+	if perSec := float64(res.Windows) / res.Trading.Seconds(); res.Rekey <= 0 || !(perSec > 0) {
+		t.Errorf("throughput accounting missing: rekey %v, windows/sec %v", res.Rekey, perSec)
 	}
 
 	// Every agent that ever traded has a position; leavers are frozen.
@@ -119,7 +119,7 @@ func TestLiveGridDeterministicAcrossConcurrency(t *testing.T) {
 		}
 	}
 	for e := range a.Epochs {
-		if a.Epochs[e].Windows != b.Epochs[e].Windows || a.Epochs[e].Bytes != b.Epochs[e].Bytes {
+		if a.Epochs[e].Windows != b.Epochs[e].Windows || a.Epochs[e].TotalBytes != b.Epochs[e].TotalBytes {
 			t.Fatalf("epoch %d diverged across concurrency", e)
 		}
 	}
