@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/ecdh"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -36,8 +37,8 @@ import (
 //     paillierBackend's: the ratio step needs one party (Hs) to decrypt
 //     values others computed, which masking cannot express.
 //
-// Masks are derived per (pair, tag) with SHA-256 over the engine-provisioned
-// pairwise seed and the scoped window tag, so every window, phase and
+// Masks are derived per (pair, tag) with SHA-256 over the pairwise seed
+// (maskSeed) and the scoped window tag, so every window, phase and
 // coalition namespace gets independent masks and the netem byte accounting
 // of two identically-configured runs stays identical. Protocols 2–3 add
 // mod 2^64 and decode sums as two's-complement int64, which covers every
@@ -49,16 +50,30 @@ type hybridBackend struct {
 
 var _ cryptoBackend = (*hybridBackend)(nil)
 
-// maskWords derives this party's two mask words for a (peer, tag) pair from
-// the engine-provisioned pairwise seed. Both endpoints of the pair derive
-// identical words; anyone else sees uniformly random shares. The hash input
-// seed||tag is assembled in the run's recycled buffer and digested with
-// sha256.Sum256 — byte-identical to the streaming-hash formulation, without
-// its per-call state allocation.
+// maskSeed is the one derivation of a pair's mask seed, for engines and
+// ExchangeKeys: SHA-256("pem/maskseed/v1" ‖ scope ‖ min(a,b) ‖ max(a,b) ‖
+// X25519(priv, pub)), strings 4-byte length-prefixed; a low-order pub fails.
+func maskSeed(priv *ecdh.PrivateKey, pub *ecdh.PublicKey, scope, a, b string) ([]byte, error) {
+	secret, err := priv.ECDH(pub)
+	if err != nil {
+		return nil, err
+	}
+	buf := []byte("pem/maskseed/v1")
+	for _, f := range [...]string{scope, min(a, b), max(a, b)} {
+		buf = append(binary.BigEndian.AppendUint32(buf, uint32(len(f))), f...)
+	}
+	s := sha256.Sum256(append(buf, secret...))
+	return s[:], nil
+}
+
+// maskWords derives this party's two mask words for a (peer, tag) pair,
+// SHA-256(seed ‖ tag)[:16], hashing in the run's recycled buffer so it
+// allocates nothing. Both endpoints of the pair derive identical words;
+// anyone else sees uniformly random shares.
 func (r *windowRun) maskWords(peer, tag string) (uint64, uint64, error) {
 	seed, ok := r.maskSeeds[peer]
 	if !ok {
-		return 0, 0, fmt.Errorf("hybrid: no mask seed for %s (backend requires engine provisioning)", peer)
+		return 0, 0, fmt.Errorf("hybrid: no mask seed for %s", peer)
 	}
 	b := append(r.hashBuf[:0], seed...)
 	b = append(b, tag...)

@@ -29,6 +29,7 @@ package core
 
 import (
 	"context"
+	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
@@ -284,11 +285,11 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 		return nil, fmt.Errorf("core: key ring holds %d-bit keys, engine wants %d", ring.cfg.KeyBits, cfg.KeyBits)
 	}
 	keys := make([]*paillier.PrivateKey, len(agents))
+	dhs := make([]*ecdh.PrivateKey, len(agents))
 	keyErr := make([]error, len(agents))
 	var wg sync.WaitGroup
 	for i := range agents {
-		i := i
-		e.workers.Go(&wg, func() { keys[i], keyErr[i] = ring.key(agents[i].ID) })
+		e.workers.Go(&wg, func() { keys[i], dhs[i], keyErr[i] = ring.key(agents[i].ID, cfg.CryptoBackend == BackendHybrid) })
 	}
 	wg.Wait()
 	for i, err := range keyErr {
@@ -302,14 +303,20 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 		dir[a.ID] = &keys[i].PublicKey
 	}
 
-	// Hybrid backend: provision the pairwise masking seeds. The engine
-	// already generates every party's private key (Protocol 1 line 2 run
-	// centrally), so central seed provisioning adds no trust the deployment
-	// model doesn't assume; a multi-process deployment would derive the
-	// seeds from a pairwise DH handshake instead (see standalone.go).
-	seeds, err := maskSeedMatrix(cfg, agents)
-	if err != nil {
-		return nil, err
+	// Hybrid backend: one X25519 exchange per unordered pair (maskSeed), run
+	// here rather than queued behind the pool's refill and decryption work.
+	seeds := make([]map[string][]byte, len(agents))
+	if cfg.CryptoBackend == BackendHybrid {
+		for i := range seeds {
+			seeds[i] = make(map[string][]byte, len(agents)-1)
+			for j := range i {
+				s, err := maskSeed(dhs[i], dhs[j].PublicKey(), e.scope, agents[i].ID, agents[j].ID)
+				if err != nil {
+					return nil, fmt.Errorf("core: mask seed for %s, %s: %w", agents[i].ID, agents[j].ID, err)
+				}
+				seeds[i][agents[j].ID], seeds[j][agents[i].ID] = s, s
+			}
+		}
 	}
 
 	e.parties = make([]*Party, len(agents))
@@ -322,40 +329,9 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 		if e.network != nil {
 			conn = e.network.Wrap(conn)
 		}
-		e.parties[i] = newParty(cfg, e.scope, a, conn, keys[i], dir, e.workers, e.refill, seeds[a.ID])
+		e.parties[i] = newParty(cfg, e.scope, a, conn, keys[i], dir, e.workers, e.refill, seeds[i], nil)
 	}
 	return e, nil
-}
-
-// maskSeedMatrix draws one 32-byte seed per unordered party pair for the
-// hybrid backend's PRF masks, returning each party's peer->seed view.
-// Under the paillier backend it returns nil: no masking phase exists.
-// Seeds come from partyRandom, so a seeded engine derives deterministic
-// masks and an unseeded one uses crypto/rand.
-func maskSeedMatrix(cfg Config, agents []market.Agent) (map[string]map[string][]byte, error) {
-	if cfg.CryptoBackend != BackendHybrid {
-		return nil, nil
-	}
-	ids := make([]string, len(agents))
-	for i, a := range agents {
-		ids[i] = a.ID
-	}
-	sort.Strings(ids)
-	seeds := make(map[string]map[string][]byte, len(ids))
-	for _, id := range ids {
-		seeds[id] = make(map[string][]byte, len(ids)-1)
-	}
-	for i, a := range ids {
-		for _, b := range ids[i+1:] {
-			var s [32]byte
-			if _, err := io.ReadFull(partyRandom(cfg, a+"\x00"+b, "maskseed"), s[:]); err != nil {
-				return nil, fmt.Errorf("core: mask seed for (%s, %s): %w", a, b, err)
-			}
-			seeds[a][b] = s[:]
-			seeds[b][a] = s[:]
-		}
-	}
-	return seeds, nil
 }
 
 // releaseParties unwinds a partially-constructed or closing engine: it

@@ -484,3 +484,25 @@ func TestMetricsAccumulateAcrossWindows(t *testing.T) {
 		t.Errorf("window traffic ratio %v suspicious", ratio)
 	}
 }
+
+// TestKeyRingEvictZeroesScalar: Evict zeroes a home's X25519 scalar with
+// its Paillier private half, a paillier engine's request builds no X25519
+// key, and a seeded ring keyed again derives the same key as before.
+func TestKeyRingEvictZeroesScalar(t *testing.T) {
+	ring := NewKeyRing(testConfig(5))
+	_, dh, err := ring.key("h", true)
+	if err != nil || dh == nil {
+		t.Fatalf("key: %v, %v", dh, err)
+	}
+	if _, none, _ := ring.key("h", false); none != nil {
+		t.Error("a request without withDH built an X25519 key")
+	}
+	k := ring.keys["h"]
+	ring.Evict("h")
+	if k.scalar != ([32]byte{}) || ring.Holds("h") {
+		t.Errorf("evicted home: scalar %x, still held %v", k.scalar, ring.Holds("h"))
+	}
+	if _, again, err := ring.key("h", true); err != nil || !again.PublicKey().Equal(dh.PublicKey()) {
+		t.Errorf("re-keyed home: %v, public key changed %v", err, again != nil && !again.PublicKey().Equal(dh.PublicKey()))
+	}
+}

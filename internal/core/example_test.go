@@ -14,9 +14,10 @@ import (
 )
 
 // ExampleNewStandaloneParty runs one private window across four parties
-// that share no state: each has its own TCP listener on loopback and an
-// end-to-end encrypted channel to every peer, the cmd/pem-agent deployment
-// shape.
+// that share no state, once per crypto backend: each has its own TCP
+// listener on loopback and an end-to-end encrypted channel to every peer,
+// the cmd/pem-agent deployment shape. Under the hybrid backend each pair
+// agrees its mask seed in the key exchange itself.
 func ExampleNewStandaloneParty() {
 	agents := []market.Agent{
 		{ID: "bakery", K: 85, Epsilon: 0.90},
@@ -30,7 +31,31 @@ func ExampleNewStandaloneParty() {
 		{Generation: 0.00, Load: 0.22},
 		{Generation: 0.38, Load: 0.10},
 	}
+	for _, backend := range []string{core.BackendPaillier, core.BackendHybrid} {
+		outcomes := standaloneWindow(backend, agents, inputs)
+		fmt.Printf("%s: %s market at %.2f cents/kWh\n", backend, outcomes[0].Kind, outcomes[0].Price)
+		for _, out := range outcomes {
+			for _, tr := range out.Trades {
+				fmt.Printf("%s -> %s: %.3f kWh\n", tr.Seller, tr.Buyer, tr.Energy)
+			}
+		}
+	}
+	// Output:
+	// paillier: extreme market at 90.00 cents/kWh
+	// bakery -> school: 0.171 kWh
+	// depot -> school: 0.159 kWh
+	// bakery -> clinic: 0.114 kWh
+	// depot -> clinic: 0.106 kWh
+	// hybrid: extreme market at 90.00 cents/kWh
+	// bakery -> school: 0.171 kWh
+	// depot -> school: 0.159 kWh
+	// bakery -> clinic: 0.114 kWh
+	// depot -> clinic: 0.106 kWh
+}
 
+// standaloneWindow runs window 0 across one standalone party per agent on
+// the given backend and returns their outcomes.
+func standaloneWindow(backend string, agents []market.Agent, inputs []market.WindowInput) []*core.PartyOutcome {
 	// One listener and one static channel identity per agent; the identity
 	// directory plays the role of the paper's published public keys.
 	dir := secchan.NewDirectory()
@@ -58,13 +83,14 @@ func ExampleNewStandaloneParty() {
 	}
 
 	seed := int64(7) // deterministic for the example; omit in production
+	cfg := core.Config{KeyBits: 256, Seed: &seed, CryptoBackend: backend}
 	outcomes, errs := make([]*core.PartyOutcome, len(agents)), make([]error, len(agents))
 	var wg sync.WaitGroup
 	for i, a := range agents {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			party, err := core.NewStandaloneParty(core.Config{KeyBits: 256, Seed: &seed}, a, secchan.New(nodes[i], ids[i], dir))
+			party, err := core.NewStandaloneParty(cfg, a, secchan.New(nodes[i], ids[i], dir))
 			if err != nil {
 				errs[i] = err
 				return
@@ -79,17 +105,5 @@ func ExampleNewStandaloneParty() {
 	if err := errors.Join(errs...); err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Printf("%s market at %.2f cents/kWh\n", outcomes[0].Kind, outcomes[0].Price)
-	for _, out := range outcomes {
-		for _, tr := range out.Trades {
-			fmt.Printf("%s -> %s: %.3f kWh\n", tr.Seller, tr.Buyer, tr.Energy)
-		}
-	}
-	// Output:
-	// extreme market at 90.00 cents/kWh
-	// bakery -> school: 0.171 kWh
-	// depot -> school: 0.159 kWh
-	// bakery -> clinic: 0.114 kWh
-	// depot -> clinic: 0.106 kWh
+	return outcomes
 }

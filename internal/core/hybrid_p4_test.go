@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/ecdh"
 	"encoding/hex"
 	"errors"
+	"maps"
 	"math/big"
 	"sync"
 	"testing"
@@ -57,6 +59,83 @@ func TestMaskWordABI(t *testing.T) {
 		back, err := decodeShare(frame, g.shape.words, "peer", "t")
 		if err != nil || !bytes.Equal(encodeShare(back, g.shape.words), frame) {
 			t.Errorf("%s frame does not round-trip: %v", g.name, err)
+		}
+	}
+}
+
+// TestMaskSeedABI pins the pairwise seed derivation that feeds maskWords:
+// the two parties of a pair — in a deployment, two processes — must hash the
+// same bytes, so a drift here is a wire break. The scalars are RFC 7748
+// §6.1's, so the shared secret K is that vector's, and the goldens are
+// SHA-256("pem/maskseed/v1" ‖ len ‖ scope ‖ len ‖ "alice" ‖ len ‖ "bob" ‖ K),
+// lengths 4-byte big-endian, by hand. Then the one path: a seeded hybrid
+// engine's parties and four seeded standalone parties that ran ExchangeKeys
+// hold byte-identical seeds.
+func TestMaskSeedABI(t *testing.T) {
+	key := func(scalar string) *ecdh.PrivateKey {
+		b, err := hex.DecodeString(scalar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := ecdh.X25519().NewPrivateKey(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	alice := key("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a")
+	bob := key("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb")
+	if got := hex.EncodeToString(bob.PublicKey().Bytes()); got != "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f" {
+		t.Fatalf("bob's public key = %s", got)
+	}
+	for _, g := range []struct{ scope, want string }{
+		{"e02-c03", "0c54c42fd31628bf0487a1363688b78c29fa4947dd72039da01c686382c74602"},
+		{"", "8d4418995f5d8df7e49f932c2ca469424dcbece0dbe3a6e1eccda1c40ab1f758"},
+	} {
+		ab, errA := maskSeed(alice, bob.PublicKey(), g.scope, "alice", "bob")
+		ba, errB := maskSeed(bob, alice.PublicKey(), g.scope, "bob", "alice")
+		if err := errors.Join(errA, errB); err != nil {
+			t.Fatal(err)
+		}
+		if hex.EncodeToString(ab) != g.want || !bytes.Equal(ab, ba) {
+			t.Errorf("scope %q: alice derives %x, bob %x, want %s", g.scope, ab, ba, g.want)
+		}
+	}
+
+	cfg := testConfig(31)
+	cfg.CryptoBackend = BackendHybrid
+	agents := testAgents(4)
+	eng, err := NewEngine(cfg, agents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	bus := transport.NewBus(nil)
+	ids := make([]string, len(agents))
+	solo := make([]*Party, len(agents))
+	for i, a := range agents {
+		if solo[i], err = NewStandaloneParty(cfg, a, bus.MustRegister(a.ID)); err != nil {
+			t.Fatal(err)
+		}
+		defer solo[i].Close()
+		ids[i] = a.ID
+	}
+	errs := make([]error, len(solo))
+	var wg sync.WaitGroup
+	for i, p := range solo {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = p.ExchangeKeys(t.Context(), ids)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range eng.Parties() {
+		if len(p.maskSeeds) != len(agents)-1 || !maps.EqualFunc(p.maskSeeds, solo[i].maskSeeds, bytes.Equal) {
+			t.Errorf("%s: engine seeds %x, standalone %x", p.ID(), p.maskSeeds, solo[i].maskSeeds)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/ecdh"
 	"io"
 	"sort"
 	"sync"
@@ -60,15 +61,15 @@ type Party struct {
 	// stateless and shared by every window in flight.
 	backend cryptoBackend
 
-	// maskSeeds holds the engine-provisioned pairwise masking seeds of the
-	// hybrid backend (peer -> 32-byte shared seed); nil under the paillier
-	// backend and for standalone parties.
+	// maskSeeds maps each peer to its hybrid mask seed (maskSeed), derived by
+	// the engine or, from dh, by ExchangeKeys; nil in a paillier engine.
 	maskSeeds map[string][]byte
+	dh        *ecdh.PrivateKey // a standalone party's X25519 key; nil in an engine
 }
 
 // newParty assembles a session from provisioned key material. cfg must have
 // passed Validate, so the backend lookup cannot fail.
-func newParty(cfg Config, scope string, agent market.Agent, conn transport.Conn, key *paillier.PrivateKey, dir map[string]*paillier.PublicKey, workers *paillier.Workers, refill *paillier.Refill, maskSeeds map[string][]byte) *Party {
+func newParty(cfg Config, scope string, agent market.Agent, conn transport.Conn, key *paillier.PrivateKey, dir map[string]*paillier.PublicKey, workers *paillier.Workers, refill *paillier.Refill, maskSeeds map[string][]byte, dh *ecdh.PrivateKey) *Party {
 	backend, err := newBackend(cfg.CryptoBackend)
 	if err != nil {
 		panic(err) // unreachable: Validate gates CryptoBackend
@@ -85,6 +86,7 @@ func newParty(cfg Config, scope string, agent market.Agent, conn transport.Conn,
 		refill:    refill,
 		backend:   backend,
 		maskSeeds: maskSeeds,
+		dh:        dh,
 	}
 }
 

@@ -2,9 +2,10 @@ package core
 
 import (
 	"context"
+	"crypto/ecdh"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/paillier"
@@ -16,11 +17,11 @@ import (
 // Protocol 1 line 2 — "Hi generates key pair and shares pki" — is realized
 // by ExchangeKeys.
 
-// keyExchangeTag is the tag for the Paillier public-key broadcast.
+// keyExchangeTag tags the key broadcast: Paillier key ‖ 32-byte X25519 key.
 const keyExchangeTag = "keys/paillier"
 
-// NewStandaloneParty creates a self-contained party: it generates its own
-// Paillier key pair and will discover peers' keys via ExchangeKeys.
+// NewStandaloneParty creates a self-contained party on either backend: it
+// generates its own keys and agrees peers' keys and mask seeds in ExchangeKeys.
 func NewStandaloneParty(cfg Config, agent market.Agent, conn transport.Conn) (*Party, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -35,59 +36,68 @@ func NewStandaloneParty(cfg Config, agent market.Agent, conn transport.Conn) (*P
 	if conn.Party() != agent.ID {
 		return nil, fmt.Errorf("core: transport party %q != agent %q", conn.Party(), agent.ID)
 	}
-	if cfg.CryptoBackend == BackendHybrid {
-		// The hybrid backend's pairwise mask seeds are engine-provisioned;
-		// a standalone fleet would need a pairwise DH handshake grafted
-		// onto ExchangeKeys to establish them. Until that exists, fail
-		// loudly instead of running a window that deadlocks on missing
-		// seeds.
-		return nil, errors.New("core: hybrid backend not supported for standalone parties (mask seeds are engine-provisioned); use the paillier backend")
-	}
-	key, err := NewKeyRing(cfg).key(agent.ID)
+	key, dh, err := NewKeyRing(cfg).key(agent.ID, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: keygen: %w", err)
 	}
 	dir := map[string]*paillier.PublicKey{agent.ID: &key.PublicKey}
 	workers := paillier.NewWorkers(0)
 	refill := paillier.NewRefill(workers, partyRandom(cfg, agent.ID, "pool"))
-	return newParty(cfg, "", agent, conn, key, dir, workers, refill, nil), nil
+	return newParty(cfg, "", agent, conn, key, dir, workers, refill, map[string][]byte{}, dh), nil
 }
 
-// ExchangeKeys broadcasts this party's Paillier public key to every peer
-// and collects theirs, populating the key directory. All parties must call
-// it with the same peer roster (excluding themselves is allowed; the local
-// ID is skipped).
+// peerError names the peer ExchangeKeys refused.
+type peerError struct {
+	peer string
+	err  error
+}
+
+func (e *peerError) Error() string { return "core: key exchange with " + e.peer + ": " + e.err.Error() }
+func (e *peerError) Unwrap() error { return e.err }
+
+// ExchangeKeys sends every peer this party's Paillier and X25519 public keys
+// in one frame, and enters each peer's key and mask seed as its frame comes.
+// All parties pass the same roster (the local ID is skipped). A peer listed
+// twice or sending unsound keys fails with a *peerError and gets no entry.
 func (p *Party) ExchangeKeys(ctx context.Context, peers []string) error {
+	sorted := slices.DeleteFunc(slices.Sorted(slices.Values(peers)), func(id string) bool { return id == p.ID() })
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return &peerError{sorted[i], errors.New("listed twice")}
+		}
+	}
 	raw, err := p.key.PublicKey.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	sorted := append([]string(nil), peers...)
-	sort.Strings(sorted)
+	raw = append(raw, p.dh.PublicKey().Bytes()...)
 	for _, id := range sorted {
-		if id == p.ID() {
-			continue
-		}
 		if err := p.conn.Send(ctx, id, keyExchangeTag, raw); err != nil {
-			return fmt.Errorf("core: send key to %s: %w", id, err)
+			return &peerError{id, err}
 		}
 	}
 	for _, id := range sorted {
-		if id == p.ID() {
-			continue
-		}
 		data, err := p.conn.Recv(ctx, id, keyExchangeTag)
 		if err != nil {
-			return fmt.Errorf("core: recv key from %s: %w", id, err)
+			return &peerError{id, err}
 		}
+		cut := max(len(data)-32, 0) // a shorter frame fails as a Paillier key
 		var pk paillier.PublicKey
-		if err := pk.UnmarshalBinary(data); err != nil {
-			return fmt.Errorf("core: bad key from %s: %w", id, err)
+		if err := pk.UnmarshalBinary(data[:cut]); err != nil {
+			return &peerError{id, err}
 		}
 		if pk.Bits() < p.cfg.KeyBits-1 {
-			return fmt.Errorf("core: %s offered a %d-bit key, expected ≥%d", id, pk.Bits(), p.cfg.KeyBits-1)
+			return &peerError{id, fmt.Errorf("offered a %d-bit key, expected ≥%d", pk.Bits(), p.cfg.KeyBits-1)}
 		}
-		p.dir[id] = &pk
+		x, err := ecdh.X25519().NewPublicKey(data[cut:])
+		if err != nil {
+			return &peerError{id, err}
+		}
+		seed, err := maskSeed(p.dh, x, p.scope, p.ID(), id)
+		if err != nil {
+			return &peerError{id, err}
+		}
+		p.dir[id], p.maskSeeds[id] = &pk, seed
 	}
 	// The key directory just grew: refresh the cached fleet roster the
 	// role-announcement phase iterates every window.

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/transport"
@@ -29,5 +32,70 @@ func TestStandaloneValidation(t *testing.T) {
 	}
 	if _, err := p.RunTradingWindow(context.Background(), -1, market.WindowInput{}); err == nil || !strings.Contains(err.Error(), "negative window") {
 		t.Errorf("negative window: err = %v, want refusal", err)
+	}
+}
+
+// TestExchangeKeysRefusals plays peer b of a key exchange by hand, sending
+// party a one crafted frame. A roster naming b twice, a frame too short for
+// the X25519 key, a frame without a Paillier key and a low-order X25519 key
+// must each fail at once with a *peerError naming b — not at the deadline —
+// and leave a holding no key and no mask seed for b.
+func TestExchangeKeysRefusals(t *testing.T) {
+	cfg := testConfig(3)
+	cfg.CryptoBackend = BackendHybrid
+	agents := testAgents(2)
+	b, err := NewStandaloneParty(cfg, agents[1], transport.NewBus(nil).MustRegister(agents[1].ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paillierKey, err := b.key.PublicKey.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x25519Key := b.dh.PublicKey().Bytes()
+	frame := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	a0, a1 := agents[0].ID, agents[1].ID
+
+	for _, tc := range []struct {
+		name  string
+		peers []string
+		frame []byte // what b sends a
+		ok    bool
+	}{
+		{"valid", []string{a0, a1}, frame(paillierKey, x25519Key), true},
+		{"duplicate peer", []string{a0, a1, a1}, frame(paillierKey, x25519Key), false},
+		{"short frame", []string{a0, a1}, x25519Key[:31], false},
+		{"no paillier key", []string{a0, a1}, x25519Key, false},
+		{"low-order key", []string{a0, a1}, frame(paillierKey, make([]byte, 32)), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bus := transport.NewBus(nil)
+			a, err := NewStandaloneParty(cfg, agents[0], bus.MustRegister(a0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			ctx, cancel := context.WithTimeout(t.Context(), 2*time.Second)
+			defer cancel()
+			if err := bus.MustRegister(a1).Send(ctx, a0, keyExchangeTag, tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			err = a.ExchangeKeys(ctx, tc.peers)
+			seed, hasSeed := a.maskSeeds[a1]
+			if tc.ok {
+				want, werr := maskSeed(b.dh, a.dh.PublicKey(), "", a1, a0)
+				if err != nil || werr != nil || !bytes.Equal(seed, want) || a.dir[a1] == nil {
+					t.Fatalf("err = %v, %v; seed %x, b derives %x", err, werr, seed, want)
+				}
+				return
+			}
+			var pe *peerError
+			if !errors.As(err, &pe) || pe.peer != a1 || errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want a *peerError naming %s", err, a1)
+			}
+			if hasSeed || a.dir[a1] != nil {
+				t.Errorf("refused peer left key %v, seed %x", a.dir[a1], seed)
+			}
+		})
 	}
 }

@@ -121,10 +121,10 @@ type Config struct {
 	// aggregations of Protocols 2–4 over pairwise seeded additive masking
 	// with fixed-width frames and keeps Paillier only for Protocol 4's
 	// masked-reciprocal ratio step (two encryptions a window hand it the
-	// masked demand total). Both backends produce bit-identical
-	// prices, allocations and ledger chains; hybrid trades the stronger
-	// per-message Paillier hiding for one-time pad masking provisioned by
-	// the market (see DESIGN.md §7 for the threat-model comparison).
+	// masked demand total). Both backends produce bit-identical prices,
+	// allocations and ledger chains; hybrid trades the stronger per-message
+	// Paillier hiding for one-time pad masks whose pairwise seeds come from
+	// X25519 exchanges (see DESIGN.md §7 for the threat-model comparison).
 	CryptoBackend string
 	// Network selects a deterministic network-emulation topology for the
 	// market's transport: NetworkLAN, NetworkMetro, NetworkWAN,

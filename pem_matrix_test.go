@@ -27,8 +27,8 @@ import (
 // scenario per deployment — Market, Grid, LiveGrid and Resume — runs in
 // every backend × aggregation × network cell, the network being the
 // in-memory bus ("mem") or an emulated preset; Market adds standalone
-// parties over loopback TCP, plain ("tcp") and sealed ("secchan"), which
-// the hybrid backend refuses. Every cell is held to the plaintext oracle
+// parties over loopback TCP, plain ("tcp") and sealed ("secchan"). Every
+// cell is held to the plaintext oracle
 // (pem.Clear: kind, price, coalition sizes, trades), Ledger.Verify, energy
 // and payment conservation across epochs, and one outcome digest — kinds,
 // prices, trades, chain heads, settlement, positions — equal in every cell
@@ -67,7 +67,7 @@ func TestInvariantMatrix(t *testing.T) {
 		})
 		ref, ok := digests[refCell.name()]
 		for name, d := range digests {
-			if ok && d != "" && d != ref {
+			if ok && d != ref {
 				t.Errorf("%s/%s: outcome digest %s, reference cell %s", dep.name, name, d, ref)
 			}
 		}
@@ -214,12 +214,6 @@ func standaloneCell(t *testing.T, c cell) string {
 			conn = secchan.New(node, id, dir)
 		}
 		p, err := core.NewStandaloneParty(core.Config{KeyBits: 256, Seed: seedPtr(26), CryptoBackend: c.backend, Aggregation: c.agg}, a, conn)
-		if c.backend == pem.BackendHybrid {
-			if err == nil || !strings.Contains(err.Error(), "hybrid backend not supported") {
-				t.Fatalf("standalone hybrid party: err = %v, want the refusal", err)
-			}
-			return ""
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
