@@ -140,7 +140,7 @@ func run(args []string) error {
 		start := time.Now()
 		out, err := party.RunTradingWindow(ctx, w, input)
 		if err != nil {
-			return fmt.Errorf("window %d: %w", w, err)
+			return err
 		}
 		fmt.Printf("[%s] window %d: %s market, price %.2f c/kWh, %d sellers / %d buyers (%s)\n",
 			*id, w, out.Kind, out.Price, out.SellerCount, out.BuyerCount,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/big"
 
 	"github.com/pem-go/pem/internal/fixed"
@@ -28,7 +27,10 @@ const (
 // Protocols 2–4 actually perform, abstracted over how the intermediate
 // values are protected in transit. protocol{2,3,4}.go orchestrate *who*
 // performs each phase; a backend decides *how* a phase's values are hidden
-// (Paillier ciphertexts vs pairwise additive masks) and moves the bytes.
+// (Paillier ciphertexts vs pairwise additive masks) and moves the bytes
+// through the window's wire path (frames.go). The seven methods are where
+// the backends differ; each states all seven and inherits none, and what
+// both share — Protocol 4's step 2 — is a plain windowRun method.
 //
 // Every implementation must preserve two invariants the rest of the engine
 // relies on: phase outcomes are bit-identical to the plaintext oracle for
@@ -62,42 +64,18 @@ type cryptoBackend interface {
 	// and broadcast the total, encrypted under Hs's key, within the demand
 	// side.
 	distributionTotal(ctx context.Context, r *windowRun, demandSide []string, hs, tagRing, tagTotal string, absSn fixed.Value) error
-	// maskedReciprocal is Protocol 4 step 2: ship Enc(total)^round(S/|sn|)
-	// to Hs.
-	maskedReciprocal(ctx context.Context, r *windowRun, hs, tagTotal, tagMasked string, absSn fixed.Value) error
 	// ratios is Hs's side of Protocol 4: whatever step 1 needs of it, then
 	// step 3 — decrypt the masked values, recover the allocation ratios and
 	// broadcast them to the supply side.
 	ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error)
 }
 
-// Backend singletons: backends are stateless (all per-party and per-window
-// state lives on Party and windowRun), so one instance serves every party.
-var (
-	thePaillierBackend = &paillierBackend{}
-	theHybridBackend   = &hybridBackend{}
-)
-
-// newBackend maps a validated Config.CryptoBackend to its implementation.
-func newBackend(name string) (cryptoBackend, error) {
-	switch name {
-	case BackendPaillier:
-		return thePaillierBackend, nil
-	case BackendHybrid:
-		return theHybridBackend, nil
-	default:
-		return nil, fmt.Errorf("core: unknown crypto backend %q", name)
+// backendFor maps a validated Config.CryptoBackend to its implementation.
+// Backends are stateless empty values: all per-party and per-window state
+// lives on Party and windowRun.
+func backendFor(name string) cryptoBackend {
+	if name == BackendHybrid {
+		return hybridBackend{}
 	}
-}
-
-// parseKindByte validates a one-byte market-kind announcement.
-func parseKindByte(raw []byte) (market.Kind, error) {
-	if len(raw) != 1 {
-		return 0, fmt.Errorf("bad market-kind announcement")
-	}
-	kind := market.Kind(raw[0])
-	if kind != market.GeneralMarket && kind != market.ExtremeMarket {
-		return 0, fmt.Errorf("invalid market kind %d", raw[0])
-	}
-	return kind, nil
+	return paillierBackend{}
 }

@@ -12,7 +12,6 @@ import (
 	"github.com/pem-go/pem/internal/fixed"
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/paillier"
-	"github.com/pem-go/pem/internal/transport"
 )
 
 // hybridBackend replaces every Paillier sum by information-theoretic
@@ -33,8 +32,8 @@ import (
 //     keeps the masked total M; Hs sends the root one Enc_hs(−Σμ_j), and the
 //     root turns M into Enc_hs(E_b) with one encryption of its own — two
 //     blinding factors a window instead of one per member. From the
-//     broadcast of Enc_hs(E_b) on, Protocol 4 is the embedded
-//     paillierBackend's: the ratio step needs one party (Hs) to decrypt
+//     broadcast of Enc_hs(E_b) on, Protocol 4 runs on Paillier as under
+//     paillierBackend: the ratio step needs one party (Hs) to decrypt
 //     values others computed, which masking cannot express.
 //
 // Masks are derived per (pair, tag) with SHA-256 over the pairwise seed
@@ -44,11 +43,7 @@ import (
 // mod 2^64 and decode sums as two's-complement int64, which covers every
 // protocol total by the same margin as the fixed-point encoding itself;
 // Protocol 4's sum adds mod 2^128 (see distributionTotal for the wrap).
-type hybridBackend struct {
-	paillierBackend
-}
-
-var _ cryptoBackend = (*hybridBackend)(nil)
+type hybridBackend struct{}
 
 // maskSeed is the one derivation of a pair's mask seed, for engines and
 // ExchangeKeys: SHA-256("pem/maskseed/v1" ‖ scope ‖ min(a,b) ‖ max(a,b) ‖
@@ -91,9 +86,6 @@ func int64Word(v *big.Int, what string) (uint64, error) {
 	return uint64(v.Int64()), nil
 }
 
-// maskedShare is a running partial sum in one of three shapes.
-type maskedShare [2]uint64
-
 // shareShape says how wide a share is on the wire and how it adds.
 type shareShape struct {
 	words int  // 64-bit words framed, big-endian: 8 or 16 bytes
@@ -112,66 +104,6 @@ func (s maskedShare) add(o maskedShare, shape shareShape) maskedShare {
 		carry = 0
 	}
 	return maskedShare{s[0] + o[0] + carry, lo}
-}
-
-// frameError reports a received frame a hybrid phase cannot use: who sent
-// it, under which tag, and either the two lengths or the decoding failure.
-type frameError struct {
-	from, tag string
-	got, want int
-	err       error
-}
-
-func (e *frameError) Error() string {
-	if e.err != nil {
-		return fmt.Sprintf("hybrid %s: frame from %s: %v", e.tag, e.from, e.err)
-	}
-	return fmt.Sprintf("hybrid %s: frame from %s has %d bytes, want %d", e.tag, e.from, e.got, e.want)
-}
-
-func (e *frameError) Unwrap() error { return e.err }
-
-// encodeShare writes the first `words` words as a fixed-width frame: the
-// frame size depends only on the phase, never on the values, preserving
-// exact netem byte accounting. The frame is pooled — the caller owns it and
-// recycles it with transport.PutFrame once sent.
-func encodeShare(s maskedShare, words int) []byte {
-	out := transport.GetFrame(8 * words)
-	for i := 0; i < words; i++ {
-		binary.BigEndian.PutUint64(out[8*i:], s[i])
-	}
-	return out
-}
-
-func decodeShare(raw []byte, words int, from, tag string) (maskedShare, error) {
-	var s maskedShare
-	if len(raw) != 8*words {
-		return s, &frameError{from: from, tag: tag, got: len(raw), want: 8 * words}
-	}
-	for i := 0; i < words; i++ {
-		s[i] = binary.BigEndian.Uint64(raw[8*i:])
-	}
-	return s, nil
-}
-
-func (r *windowRun) sendShare(ctx context.Context, to, tag string, words int, s maskedShare) error {
-	out := encodeShare(s, words)
-	err := r.conn.Send(ctx, to, tag, out)
-	transport.PutFrame(out)
-	if err != nil {
-		return fmt.Errorf("hybrid %s: send to %s: %w", tag, to, err)
-	}
-	return nil
-}
-
-func (r *windowRun) recvShare(ctx context.Context, from, tag string, words int) (maskedShare, error) {
-	raw, err := r.conn.Recv(ctx, from, tag)
-	if err != nil {
-		return maskedShare{}, fmt.Errorf("hybrid %s: recv from %s: %w", tag, from, err)
-	}
-	s, err := decodeShare(raw, words, from, tag)
-	transport.PutFrame(raw)
-	return s, err
 }
 
 // maskedFold is the member side of a hybrid aggregation: fold this party's
@@ -230,7 +162,7 @@ func (r *windowRun) maskedCollect(ctx context.Context, order []string, tag strin
 	return maskedShare{total[0] - masks[0], total[1] - masks[1]}, err
 }
 
-func (*hybridBackend) aggregateSum(ctx context.Context, r *windowRun, order []string, sink, tag string, contribution *big.Int) error {
+func (hybridBackend) aggregateSum(ctx context.Context, r *windowRun, order []string, sink, tag string, contribution *big.Int) error {
 	w, err := int64Word(contribution, "contribution")
 	if err != nil {
 		return err
@@ -242,7 +174,7 @@ func (*hybridBackend) aggregateSum(ctx context.Context, r *windowRun, order []st
 	return r.maskedFoldTo(ctx, order, sink, tag, shapeWord, maskedShare{w + m0, m1})
 }
 
-func (*hybridBackend) collectSum(ctx context.Context, r *windowRun, order []string, tag string) (*big.Int, error) {
+func (hybridBackend) collectSum(ctx context.Context, r *windowRun, order []string, tag string) (*big.Int, error) {
 	total, err := r.maskedCollect(ctx, order, tag, shapeWord)
 	if err != nil {
 		return nil, err
@@ -254,7 +186,7 @@ func (*hybridBackend) collectSum(ctx context.Context, r *windowRun, order []stri
 // to Hr1, who decides general iff Rb > Rs and broadcasts the one-bit
 // outcome to everyone (Hr2 included — unlike the garbled-circuit path it
 // does not learn the bit as a protocol by-product).
-func (*hybridBackend) compareTotals(ctx context.Context, r *windowRun, masked uint64) (market.Kind, error) {
+func (hybridBackend) compareTotals(ctx context.Context, r *windowRun, masked uint64) (market.Kind, error) {
 	ros := r.ros
 	cmpTag := r.tag("pme/cmp")
 	kindTag := r.tag("pme/kind")
@@ -263,7 +195,7 @@ func (*hybridBackend) compareTotals(ctx context.Context, r *windowRun, masked ui
 	case ros.hr1:
 		rs, err := r.recvShare(ctx, ros.hr2, cmpTag, shapeWord.words)
 		if err != nil {
-			return 0, fmt.Errorf("masked comparison: %w", err)
+			return 0, err
 		}
 		kind := market.ExtremeMarket
 		if masked > rs[0] {
@@ -278,20 +210,15 @@ func (*hybridBackend) compareTotals(ctx context.Context, r *windowRun, masked ui
 	default:
 		if r.ID() == ros.hr2 {
 			if err := r.sendShare(ctx, ros.hr1, cmpTag, shapeWord.words, maskedShare{masked}); err != nil {
-				return 0, fmt.Errorf("masked comparison: %w", err)
+				return 0, err
 			}
 		}
-		raw, err := r.conn.Recv(ctx, ros.hr1, kindTag)
-		if err != nil {
-			return 0, err
-		}
-		kind, err := parseKindByte(raw)
-		transport.PutFrame(raw)
-		return kind, err
+		kind, err := r.recvKind(ctx, ros.hr1, kindTag, byte(market.ExtremeMarket))
+		return market.Kind(kind), err
 	}
 }
 
-func (*hybridBackend) pricingFold(ctx context.Context, r *windowRun, tag string, k, term *big.Int) error {
+func (hybridBackend) pricingFold(ctx context.Context, r *windowRun, tag string, k, term *big.Int) error {
 	ros := r.ros
 	kw, err := int64Word(k, "Σk contribution")
 	if err != nil {
@@ -308,7 +235,7 @@ func (*hybridBackend) pricingFold(ctx context.Context, r *windowRun, tag string,
 	return r.maskedFoldTo(ctx, ros.sellers, ros.hb, tag, shapePair, maskedShare{kw + m0, tw + m1})
 }
 
-func (*hybridBackend) collectPair(ctx context.Context, r *windowRun, tag string) (*big.Int, *big.Int, error) {
+func (hybridBackend) collectPair(ctx context.Context, r *windowRun, tag string) (*big.Int, *big.Int, error) {
 	total, err := r.maskedCollect(ctx, r.ros.sellers, tag, shapePair)
 	if err != nil {
 		return nil, nil, err
@@ -343,7 +270,7 @@ func (r *windowRun) wideInt(s maskedShare) *big.Int {
 // wrapped total makes every masked product negative, which Hs's packed
 // decryption refuses (paillier.ErrSlotOverflow): the window fails, it never
 // trades on it.
-func (*hybridBackend) distributionTotal(ctx context.Context, r *windowRun, demandSide []string, hs, tagRing, tagTotal string, absSn fixed.Value) error {
+func (hybridBackend) distributionTotal(ctx context.Context, r *windowRun, demandSide []string, hs, tagRing, tagTotal string, absSn fixed.Value) error {
 	m0, m1, err := r.maskWords(hs, tagRing)
 	if err != nil {
 		return err
@@ -356,25 +283,14 @@ func (*hybridBackend) distributionTotal(ctx context.Context, r *windowRun, deman
 
 	encM, err := r.encryptUnder(ctx, hs, r.wideInt(masked))
 	if err != nil {
-		return fmt.Errorf("distribution: encrypt masked total: %w", err)
-	}
-	pk, tag := r.dir[hs], r.tag(phaseUnmask)
-	raw, err := r.conn.Recv(ctx, hs, tag)
-	if err != nil {
-		return fmt.Errorf("hybrid %s: recv from %s: %w", tag, hs, err)
-	}
-	if len(raw) != pk.FixedLen() {
-		transport.PutFrame(raw)
-		return &frameError{from: hs, tag: tag, got: len(raw), want: pk.FixedLen()}
+		return fmt.Errorf("encrypt masked total: %w", err)
 	}
 	var total paillier.Ciphertext
-	err = total.UnmarshalBinary(raw)
-	transport.PutFrame(raw)
-	if err == nil {
-		err = pk.AddInPlace(&total, encM) // refuses a total outside [1, n²)
+	if err := r.recvCipher(ctx, r.dir[hs], &total, hs, r.tag(phaseUnmask)); err != nil {
+		return err
 	}
-	if err != nil {
-		return &frameError{from: hs, tag: tag, err: err}
+	if err := r.dir[hs].AddInPlace(&total, encM); err != nil {
+		return err
 	}
 	return r.broadcastTotal(ctx, demandSide, hs, tagTotal, &total)
 }
@@ -382,7 +298,7 @@ func (*hybridBackend) distributionTotal(ctx context.Context, r *windowRun, deman
 // ratios is Hs's side. Its half of step 1 comes first: Enc_hs(−μ) needs
 // nothing the fold produces, so it is on its way to the root while the fold
 // runs and adds no round to the window's critical path.
-func (*hybridBackend) ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error) {
+func (hybridBackend) ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error) {
 	mu, err := r.maskTotal(demandSide, r.tag(phaseFold), shapeWide)
 	if err != nil {
 		return nil, err
@@ -390,10 +306,10 @@ func (*hybridBackend) ratios(ctx context.Context, r *windowRun, demandSide, supp
 	neg := r.wideInt(mu)
 	unmask, err := r.encryptUnder(ctx, r.ID(), neg.Neg(neg))
 	if err != nil {
-		return nil, fmt.Errorf("distribution: encrypt unmask: %w", err)
+		return nil, fmt.Errorf("encrypt unmask: %w", err)
 	}
-	if err := r.sendCipher(ctx, r.dir[r.ID()], unmask, r.aggregationRoot(demandSide), r.tag(phaseUnmask)); err != nil {
-		return nil, fmt.Errorf("distribution: send unmask: %w", err)
+	if err := r.sendCipher(ctx, r.dir[r.ID()], unmask, r.tag(phaseUnmask), r.aggregationRoot(demandSide)); err != nil {
+		return nil, fmt.Errorf("send unmask: %w", err)
 	}
 	return r.collectRatios(ctx, demandSide, supplySide, tagMasked, tagRatios)
 }

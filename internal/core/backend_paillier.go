@@ -9,7 +9,6 @@ import (
 	"github.com/pem-go/pem/internal/gc"
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/paillier"
-	"github.com/pem-go/pem/internal/transport"
 )
 
 // paillierBackend is the paper's construction: every aggregation folds
@@ -19,13 +18,11 @@ import (
 // helpers that implement those mechanics.
 type paillierBackend struct{}
 
-var _ cryptoBackend = (*paillierBackend)(nil)
-
-func (*paillierBackend) aggregateSum(ctx context.Context, r *windowRun, order []string, sink, tag string, contribution *big.Int) error {
-	return r.aggregate(ctx, order, sink, sink, tag, contribution)
+func (paillierBackend) aggregateSum(ctx context.Context, r *windowRun, order []string, sink, tag string, contribution *big.Int) error {
+	return r.aggregate(ctx, order, sink, tag, contribution)
 }
 
-func (*paillierBackend) collectSum(ctx context.Context, r *windowRun, order []string, tag string) (*big.Int, error) {
+func (paillierBackend) collectSum(ctx context.Context, r *windowRun, order []string, tag string) (*big.Int, error) {
 	return r.collect(ctx, order, tag)
 }
 
@@ -33,7 +30,7 @@ func (*paillierBackend) collectSum(ctx context.Context, r *windowRun, order []st
 // and Hr2 (evaluator, input Rs): general market iff Rb > Rs ⇔ E_b > E_s.
 // Hr1 then announces the public one-bit outcome to everyone except Hr2, who
 // learned it inside the comparison.
-func (*paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked uint64) (market.Kind, error) {
+func (paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked uint64) (market.Kind, error) {
 	ros := r.ros
 	opts := gc.ProtocolOptions{Random: r.random}
 	session := r.tag("pme/cmp")
@@ -71,46 +68,44 @@ func (*paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked 
 		return market.ExtremeMarket, nil
 
 	default:
-		raw, err := r.conn.Recv(ctx, ros.hr1, kindTag)
-		if err != nil {
-			return 0, err
-		}
-		kind, err := parseKindByte(raw)
-		transport.PutFrame(raw)
-		return kind, err
+		kind, err := r.recvKind(ctx, ros.hr1, kindTag, byte(market.ExtremeMarket))
+		return market.Kind(kind), err
 	}
 }
 
 // pricingFold packs the seller's pair into one plaintext — k_i ≥ 0 in the
 // low slot, the signed Eq. 13 term above it — so the fused pass is one more
 // aggregate: one blinding factor, one ciphertext, one fold per hop.
-func (*paillierBackend) pricingFold(ctx context.Context, r *windowRun, tag string, k, term *big.Int) error {
+func (paillierBackend) pricingFold(ctx context.Context, r *windowRun, tag string, k, term *big.Int) error {
 	pair, err := paillier.Pack(k, term)
 	if err != nil {
-		return fmt.Errorf("pricing: pack k: %w", err)
+		return fmt.Errorf("pack k: %w", err)
 	}
-	return r.aggregate(ctx, r.ros.sellers, r.ros.hb, r.ros.hb, tag, pair)
+	return r.aggregate(ctx, r.ros.sellers, r.ros.hb, tag, pair)
 }
 
 // collectPair decrypts the packed aggregate and splits it into the two sums
 // (Σk_i stays below the slot width for any coalition below 2^61 sellers).
-func (*paillierBackend) collectPair(ctx context.Context, r *windowRun, tag string) (*big.Int, *big.Int, error) {
+func (paillierBackend) collectPair(ctx context.Context, r *windowRun, tag string) (*big.Int, *big.Int, error) {
 	pair, err := r.collect(ctx, r.ros.sellers, tag)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pricing: %w", err)
+		return nil, nil, err
 	}
 	sumK, sumT := paillier.Unpack(pair)
 	return sumK, sumT, nil
 }
 
-func (*paillierBackend) distributionTotal(ctx context.Context, r *windowRun, demandSide []string, hs, tagRing, tagTotal string, absSn fixed.Value) error {
-	return r.distributionAggregate(ctx, demandSide, hs, tagRing, tagTotal, absSn)
+// distributionTotal folds Enc_hs(|sn|) across the demand side along the
+// configured topology; the aggregation root broadcasts the encrypted total
+// (Protocol 4 line 5).
+func (paillierBackend) distributionTotal(ctx context.Context, r *windowRun, demandSide []string, hs, tagRing, tagTotal string, absSn fixed.Value) error {
+	acc, isRoot, err := r.fold(ctx, demandSide, hs, tagRing, r.contribBuf[0].SetInt64(int64(absSn)))
+	if err != nil || !isRoot {
+		return err
+	}
+	return r.broadcastTotal(ctx, demandSide, hs, tagTotal, acc)
 }
 
-func (*paillierBackend) maskedReciprocal(ctx context.Context, r *windowRun, hs, tagTotal, tagMasked string, absSn fixed.Value) error {
-	return r.sendMaskedReciprocal(ctx, hs, tagTotal, tagMasked, absSn)
-}
-
-func (*paillierBackend) ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error) {
+func (paillierBackend) ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error) {
 	return r.collectRatios(ctx, demandSide, supplySide, tagMasked, tagRatios)
 }

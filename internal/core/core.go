@@ -527,7 +527,7 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	reports := make([]*partyReport, len(e.parties))
+	reports := make([]*PartyOutcome, len(e.parties))
 	errs := make([]error, len(e.parties))
 	var wg sync.WaitGroup
 	for i, p := range e.parties {
@@ -568,22 +568,22 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 	// All parties observed the same public outcome; adopt the first
 	// report and cross-check the rest.
 	first := reports[0]
-	res.Kind = first.kind
-	res.Price = first.price
-	res.Degenerate = first.degenerate
-	res.SellerCount = first.sellerCount
-	res.BuyerCount = first.buyerCount
+	res.Kind = first.Kind
+	res.Price = first.Price
+	res.Degenerate = first.Degenerate
+	res.SellerCount = first.SellerCount
+	res.BuyerCount = first.BuyerCount
 	for _, rep := range reports {
-		if rep.kind != first.kind || rep.degenerate != first.degenerate {
+		if rep.Kind != first.Kind || rep.Degenerate != first.Degenerate {
 			return nil, errors.New("core: parties disagree on market outcome")
 		}
-		if diff := rep.price - first.price; diff > 1e-9 || diff < -1e-9 {
+		if diff := rep.Price - first.Price; diff > 1e-9 || diff < -1e-9 {
 			return nil, errors.New("core: parties disagree on price")
 		}
 		if rep.pHat != 0 {
 			res.PHat = rep.pHat
 		}
-		res.Trades = append(res.Trades, rep.sellerTrades...)
+		res.Trades = append(res.Trades, rep.Trades...)
 	}
 	sort.Slice(res.Trades, func(i, j int) bool {
 		if res.Trades[i].Seller != res.Trades[j].Seller {
@@ -592,18 +592,4 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 		return res.Trades[i].Buyer < res.Trades[j].Buyer
 	})
 	return res, nil
-}
-
-// partyReport is what one party learned from a window (public info only,
-// except its own trades).
-type partyReport struct {
-	kind        market.Kind
-	price       float64
-	pHat        float64
-	degenerate  bool
-	sellerCount int
-	buyerCount  int
-	// sellerTrades holds the trades this party initiated as a seller
-	// (general market) — collected so the harness sees each trade once.
-	sellerTrades []market.Trade
 }

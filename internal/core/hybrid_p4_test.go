@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/ecdh"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"maps"
@@ -140,10 +141,10 @@ func TestMaskSeedABI(t *testing.T) {
 	}
 }
 
-// hybridP4Fixture is a general-market window on the hybrid backend whose
-// Protocol 4 roles are known before it runs: sellers a00 and a01, buyers —
-// the demand side — a02 and up.
-type hybridP4Fixture struct {
+// p4Fixture is a general-market window whose Protocol 4 roles are known
+// before it runs: sellers a00 and a01, buyers — the demand side — a02 and
+// up.
+type p4Fixture struct {
 	eng     *Engine
 	inputs  []market.WindowInput
 	buyers  []string
@@ -153,10 +154,15 @@ type hybridP4Fixture struct {
 	eb      *big.Int // Σ|sn_j| over the buyers, in µ-units
 }
 
-func newHybridP4Fixture(t *testing.T, seed int64, demand int, topo string) *hybridP4Fixture {
+func newHybridP4Fixture(t *testing.T, seed int64, demand int, topo string) *p4Fixture {
+	t.Helper()
+	return newP4Fixture(t, BackendHybrid, seed, demand, topo)
+}
+
+func newP4Fixture(t *testing.T, backend string, seed int64, demand int, topo string) *p4Fixture {
 	t.Helper()
 	agents := testAgents(2 + demand)
-	f := &hybridP4Fixture{inputs: make([]market.WindowInput, len(agents)), eb: new(big.Int)}
+	f := &p4Fixture{inputs: make([]market.WindowInput, len(agents)), eb: new(big.Int)}
 	for i := range agents {
 		if i < 2 {
 			f.inputs[i] = market.WindowInput{Generation: 0.05 + 0.01*float64(i)}
@@ -171,7 +177,7 @@ func newHybridP4Fixture(t *testing.T, seed int64, demand int, topo string) *hybr
 		f.buyers = append(f.buyers, agents[i].ID)
 	}
 	cfg := testConfig(seed)
-	cfg.KeyBits, cfg.CryptoBackend, cfg.Aggregation = 512, BackendHybrid, topo
+	cfg.KeyBits, cfg.CryptoBackend, cfg.Aggregation = 512, backend, topo
 	eng, err := NewEngine(cfg, agents)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +192,7 @@ func newHybridP4Fixture(t *testing.T, seed int64, demand int, topo string) *hybr
 }
 
 // maskTotal is μ, as Hs derives it.
-func (f *hybridP4Fixture) maskTotal(t *testing.T) *big.Int {
+func (f *p4Fixture) maskTotal(t *testing.T) *big.Int {
 	t.Helper()
 	r := &windowRun{Party: f.hs}
 	mu, err := r.maskTotal(f.buyers, f.foldTag, shapeWide)
@@ -196,7 +202,7 @@ func (f *hybridP4Fixture) maskTotal(t *testing.T) *big.Int {
 	return new(big.Int).Set(r.wideInt(mu))
 }
 
-func (f *hybridP4Fixture) run() (*WindowResult, error) {
+func (f *p4Fixture) run() (*WindowResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	return f.eng.RunWindow(ctx, 0, f.inputs)
@@ -293,10 +299,23 @@ func TestHybridWrappedTotalFailsTyped(t *testing.T) {
 	}
 }
 
-// TestHybridRejectsMalformedFrames feeds each of the two receives Protocol
-// 4's masked step 1 adds one bad frame: the window fails with a frameError
-// naming the sender and the tag, and never panics.
-func TestHybridRejectsMalformedFrames(t *testing.T) {
+// TestRejectsMalformedFrames feeds every frame kind a window receives, on
+// both backends and both topologies, one bad frame — a byte short or long,
+// or for a ciphertext the same value one byte wider, behind a leading zero —
+// and for hybrid's masked Protocol 4 a few more: the window fails with a
+// *frameError naming the sender and the tag, and never panics.
+func TestRejectsMalformedFrames(t *testing.T) {
+	type row struct {
+		backend, name, phase string
+		mangle               func(payload []byte, pk *paillier.PublicKey) []byte
+		invalid              bool // the cause is paillier.ErrInvalidCiphertext, not a length
+	}
+	short := func(p []byte, _ *paillier.PublicKey) []byte { return p[:len(p)-1] }
+	long := func(p []byte, _ *paillier.PublicKey) []byte { return append(p[:len(p):len(p)], 0) }
+	wide := func(p []byte, _ *paillier.PublicKey) []byte {
+		out := binary.BigEndian.AppendUint32(nil, binary.BigEndian.Uint32(p)+1)
+		return append(append(out, 0), p[4:]...)
+	}
 	cipher := func(body func(pk *paillier.PublicKey) []byte) func([]byte, *paillier.PublicKey) []byte {
 		return func(_ []byte, pk *paillier.PublicKey) []byte {
 			out, err := (&paillier.Ciphertext{C: new(big.Int).SetBytes(body(pk))}).AppendFixed(nil, pk)
@@ -306,47 +325,96 @@ func TestHybridRejectsMalformedFrames(t *testing.T) {
 			return out
 		}
 	}
-	for _, tc := range []struct {
-		name    string
-		phase   string
-		mangle  func(payload []byte, pk *paillier.PublicKey) []byte
-		invalid bool // the cause is paillier.ErrInvalidCiphertext, not a length
+	rows := []row{
+		{BackendHybrid, "fold word empty", phaseFold, func([]byte, *paillier.PublicKey) []byte { return nil }, false},
+		{BackendHybrid, "unmask narrow", phaseUnmask, func([]byte, *paillier.PublicKey) []byte { return []byte{0, 0, 0, 1, 7} }, false},
+		{BackendHybrid, "unmask zero", phaseUnmask, cipher(func(*paillier.PublicKey) []byte { return nil }), true},
+		{BackendHybrid, "unmask n²", phaseUnmask, cipher(func(pk *paillier.PublicKey) []byte { return pk.N2.Bytes() }), true},
+	}
+	// Every core-owned tag: ciphertexts, then 8- and 16-byte words and the
+	// one-byte role and kind frames.
+	for _, b := range []struct {
+		backend        string
+		ciphers, plain []string
 	}{
-		{"fold word short", phaseFold, func(p []byte, _ *paillier.PublicKey) []byte { return p[:15] }, false},
-		{"fold word long", phaseFold, func(p []byte, _ *paillier.PublicKey) []byte { return append(p[:16:16], 0) }, false},
-		{"fold word empty", phaseFold, func([]byte, *paillier.PublicKey) []byte { return nil }, false},
-		{"unmask short", phaseUnmask, func(p []byte, _ *paillier.PublicKey) []byte { return p[:len(p)-1] }, false},
-		{"unmask narrow", phaseUnmask, func([]byte, *paillier.PublicKey) []byte { return []byte{0, 0, 0, 1, 7} }, false},
-		{"unmask zero", phaseUnmask, cipher(func(*paillier.PublicKey) []byte { return nil }), true},
-		{"unmask n²", phaseUnmask, cipher(func(pk *paillier.PublicKey) []byte { return pk.N2.Bytes() }), true},
+		{BackendPaillier,
+			[]string{"pme/rb", "pme/rs", "pp/ring", "pd/ring", "pd/total", "pd/masked"},
+			[]string{"role", "pme/kind", "pp/price", "pd/energy", "pd/reply"}},
+		{BackendHybrid,
+			[]string{"pd/unmask", "pd/total", "pd/masked"},
+			[]string{"role", "pme/rb", "pme/rs", "pme/cmp", "pme/kind", "pp/ring", "pp/price", "pd/ring", "pd/energy", "pd/reply"}},
 	} {
-		for _, topo := range []string{AggregationRing, AggregationTree} {
-			t.Run(tc.name+"/"+topo, func(t *testing.T) {
-				f := newHybridP4Fixture(t, 9500, 3, topo)
-				var mu sync.Mutex
-				var sender string
-				rewriteFrames(f.eng, func(from, _, phase string, payload []byte) []byte {
-					mu.Lock()
-					defer mu.Unlock()
-					if phase != tc.phase || sender != "" {
-						return payload
-					}
-					sender = from
-					return tc.mangle(payload, &f.hs.key.PublicKey)
-				})
-				_, err := f.run()
-				var fe *frameError
-				if !errors.As(err, &fe) {
-					t.Fatalf("err = %v, want a *frameError", err)
-				}
-				_, _, phase, _ := transport.ParseScopedWindowTag(fe.tag)
-				if fe.from != sender || phase != tc.phase {
-					t.Errorf("error names sender %q, tag %q (%v); the bad frame came from %q under %s", fe.from, fe.tag, err, sender, tc.phase)
-				}
-				if errors.Is(err, paillier.ErrInvalidCiphertext) != tc.invalid {
-					t.Errorf("err = %v, ErrInvalidCiphertext cause = %v", err, !tc.invalid)
-				}
-			})
+		for _, phase := range b.ciphers {
+			rows = append(rows, row{b.backend, phase + " short", phase, short, false}, row{b.backend, phase + " long", phase, wide, false})
 		}
+		for _, phase := range b.plain {
+			rows = append(rows, row{b.backend, phase + " short", phase, short, false}, row{b.backend, phase + " long", phase, long, false})
+		}
+	}
+
+	// One engine per backend and topology runs a window per row: a failed
+	// window leaves the next one nothing to trip on.
+	for _, backend := range []string{BackendPaillier, BackendHybrid} {
+		for _, topo := range []string{AggregationRing, AggregationTree} {
+			f := newP4Fixture(t, backend, 9500, 3, topo)
+			keys := make(map[string]*paillier.PublicKey)
+			for _, p := range f.eng.parties {
+				keys[p.ID()] = &p.key.PublicKey
+			}
+			var mu sync.Mutex
+			var cur row
+			var sender string
+			rewriteFrames(f.eng, func(from, _, phase string, payload []byte) []byte {
+				mu.Lock()
+				defer mu.Unlock()
+				if phase != cur.phase || sender != "" {
+					return payload
+				}
+				sender = from
+				return cur.mangle(payload, keys[from])
+			})
+			for w, tc := range rows {
+				if tc.backend != backend {
+					continue
+				}
+				t.Run(backend+"/"+tc.name+"/"+topo, func(t *testing.T) {
+					mu.Lock()
+					cur, sender = tc, ""
+					mu.Unlock()
+					ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+					defer cancel()
+					_, err := f.eng.RunWindow(ctx, w, f.inputs)
+					var fe *frameError
+					if !errors.As(err, &fe) {
+						t.Fatalf("err = %v, want a *frameError", err)
+					}
+					_, _, phase, _ := transport.ParseScopedWindowTag(fe.tag)
+					if fe.from != sender || phase != tc.phase {
+						t.Errorf("error names sender %q, tag %q (%v); the bad frame came from %q under %s", fe.from, fe.tag, err, sender, tc.phase)
+					}
+					if errors.Is(err, paillier.ErrInvalidCiphertext) != tc.invalid {
+						t.Errorf("err = %v, ErrInvalidCiphertext cause = %v", err, !tc.invalid)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestWindowErrorNamesEachLayerOnce pins one whole failure message: the
+// window (WindowError), the party (runOne), the phase (runWindow), then the
+// frame's tag and sender (frameError) — each named once.
+func TestWindowErrorNamesEachLayerOnce(t *testing.T) {
+	f := newP4Fixture(t, BackendPaillier, 9500, 3, AggregationRing)
+	rewriteFrames(f.eng, func(from, _, phase string, p []byte) []byte {
+		if phase != phaseFold || from != "a02" { // a02 → a03, the ring's first hop
+			return p
+		}
+		out := binary.BigEndian.AppendUint32(nil, binary.BigEndian.Uint32(p)+1)
+		return append(append(out, 0), p[4:]...)
+	})
+	const want = "core: window 0: party a03: distribution: frame w0/pd/ring from a02 has 133 bytes, want 132"
+	if _, err := f.run(); err == nil || err.Error() != want {
+		t.Errorf("err = %v\nwant  %s", err, want)
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -57,18 +57,13 @@ func (r *windowRun) privatePricing(ctx context.Context) (price, pHat float64, er
 
 	// Everyone except Hb waits for the broadcast price pair (p*, p̂ is not
 	// revealed — only the clamped price goes out; p̂ stays with Hb).
-	raw, err := r.conn.Recv(ctx, ros.hb, tagPrice)
+	pv, err := r.recvShare(ctx, ros.hb, tagPrice, 1)
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(raw) != 8 {
-		return 0, 0, fmt.Errorf("bad price broadcast")
-	}
-	pv := fixed.Value(int64(binary.BigEndian.Uint64(raw)))
-	transport.PutFrame(raw)
-	price = pv.Float()
+	price = fixed.Value(int64(pv[0])).Float()
 	if price < r.cfg.Params.PriceFloor-1e-9 || price > r.cfg.Params.PriceCeil+1e-9 {
-		return 0, 0, fmt.Errorf("broadcast price %.4f outside [%v, %v]", price, r.cfg.Params.PriceFloor, r.cfg.Params.PriceCeil)
+		return 0, 0, &frameError{from: ros.hb, tag: tagPrice, err: fmt.Errorf("price %.4f outside [%v, %v]", price, r.cfg.Params.PriceFloor, r.cfg.Params.PriceCeil)}
 	}
 	return price, 0, nil
 }
@@ -83,19 +78,19 @@ func (r *windowRun) pricingAsHb(ctx context.Context, tagRing, tagPrice string) (
 	}
 	sumK, err := fixed.FromBig(sumKBig)
 	if err != nil {
-		return 0, 0, fmt.Errorf("pricing: Σk overflow: %w", err)
+		return 0, 0, fmt.Errorf("Σk overflow: %w", err)
 	}
 	sumT, err := fixed.FromBig(sumTBig)
 	if err != nil {
-		return 0, 0, fmt.Errorf("pricing: Σterm overflow: %w", err)
+		return 0, 0, fmt.Errorf("Σterm overflow: %w", err)
 	}
 
 	pHat, err = market.RawOptimalPrice(sumK.Float(), sumT.Float(), r.cfg.Params.GridRetailPrice)
 	if err != nil {
-		return 0, 0, fmt.Errorf("pricing: %w", err)
+		return 0, 0, err
 	}
 	if math.IsNaN(pHat) {
-		return 0, 0, fmt.Errorf("pricing: p̂ is NaN")
+		return 0, 0, errors.New("p̂ is NaN")
 	}
 	price = market.ClampPrice(pHat, r.cfg.Params.PriceFloor, r.cfg.Params.PriceCeil)
 
@@ -103,9 +98,10 @@ func (r *windowRun) pricingAsHb(ctx context.Context, tagRing, tagPrice string) (
 	if err != nil {
 		return 0, 0, err
 	}
-	var msg [8]byte
-	binary.BigEndian.PutUint64(msg[:], uint64(int64(pv)))
-	if err := r.broadcast(ctx, ros.all, tagPrice, msg[:]); err != nil {
+	msg := encodeShare(maskedShare{uint64(int64(pv))}, 1)
+	err = r.broadcast(ctx, ros.all, tagPrice, msg)
+	transport.PutFrame(msg)
+	if err != nil {
 		return 0, 0, err
 	}
 	// Adopt the quantized value that went on the wire so every party —

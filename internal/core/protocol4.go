@@ -12,7 +12,6 @@ import (
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/netem"
 	"github.com/pem-go/pem/internal/paillier"
-	"github.com/pem-go/pem/internal/transport"
 )
 
 // Protocol 4 phases the backends name themselves, next to the tags
@@ -88,18 +87,13 @@ func (r *windowRun) privateDistribution(ctx context.Context, kind market.Kind, p
 			return nil, err
 		}
 	case onDemandSide:
-		if err := r.backend.maskedReciprocal(ctx, r, hs, tagTotal, tagMasked, absSn); err != nil {
+		if err := r.sendMaskedReciprocal(ctx, hs, tagTotal, tagMasked, absSn); err != nil {
 			return nil, err
 		}
 	}
 	if onSupplySide && r.ID() != hs {
-		raw, err := r.conn.Recv(ctx, hs, tagRatios)
-		if err != nil {
-			return nil, fmt.Errorf("distribution: recv ratios: %w", err)
-		}
-		ratios, err = decodeRatios(raw)
-		transport.PutFrame(raw)
-		if err != nil {
+		var err error
+		if ratios, err = r.recvRatios(ctx, hs, tagRatios); err != nil {
 			return nil, err
 		}
 	}
@@ -108,69 +102,35 @@ func (r *windowRun) privateDistribution(ctx context.Context, kind market.Kind, p
 	return r.routeAndPay(ctx, kind, price, demandSide, supplySide, ratios)
 }
 
-// distributionAggregate folds Enc_hs(|sn|) across the demand side using the
-// configured topology; the aggregation root broadcasts the encrypted total
-// (Protocol 4 line 5).
-func (r *windowRun) distributionAggregate(ctx context.Context, demandSide []string, hs, tagRing, tagTotal string, absSn fixed.Value) error {
-	acc, isRoot, err := r.fold(ctx, demandSide, hs, tagRing, r.contribBuf[0].SetInt64(int64(absSn)))
-	if err != nil {
-		return fmt.Errorf("distribution: %w", err)
-	}
-	if !isRoot {
-		return nil
-	}
-	return r.broadcastTotal(ctx, demandSide, hs, tagTotal, acc)
-}
-
 // broadcastTotal is the aggregation root's end of step 1: fan Enc_hs(total)
-// out to the rest of the demand side and keep its own copy in r.encTotal
-// for sendMaskedReciprocal. The broadcast settles before it returns, so the
-// pooled frame can be recycled immediately after.
+// out to the rest of the demand side and keep its own copy for
+// sendMaskedReciprocal.
 func (r *windowRun) broadcastTotal(ctx context.Context, demandSide []string, hs, tagTotal string, total *paillier.Ciphertext) error {
-	buf := transport.GetFrame(r.dir[hs].FixedLen())
-	out, err := total.AppendFixed(buf[:0], r.dir[hs])
-	if err != nil {
-		transport.PutFrame(buf)
-		return err
-	}
-	err = r.broadcast(ctx, demandSide, tagTotal, out)
-	transport.PutFrame(out)
-	if err != nil {
-		return err
-	}
 	r.encTotal = total
-	return nil
+	return r.sendCipher(ctx, r.dir[hs], total, tagTotal, demandSide...)
 }
 
-// sendMaskedReciprocal computes Enc(total)^round(S/|sn|) and ships it to Hs
-// together with its identity.
+// sendMaskedReciprocal is Protocol 4 step 2, the same on every backend:
+// compute Enc(total)^round(S/|sn|) and ship it to Hs.
 func (r *windowRun) sendMaskedReciprocal(ctx context.Context, hs, tagTotal, tagMasked string, absSn fixed.Value) error {
 	total := r.encTotal
 	if total == nil {
 		// Everyone but the aggregation root receives the broadcast total.
-		root := r.aggregationRoot(r.demandSide)
-		raw, err := r.conn.Recv(ctx, root, tagTotal)
-		if err != nil {
-			return fmt.Errorf("distribution: recv total: %w", err)
+		total = new(paillier.Ciphertext)
+		if err := r.recvCipher(ctx, r.dir[hs], total, r.aggregationRoot(r.demandSide), tagTotal); err != nil {
+			return err
 		}
-		var ct paillier.Ciphertext
-		err = ct.UnmarshalBinary(raw)
-		transport.PutFrame(raw)
-		if err != nil {
-			return fmt.Errorf("distribution: decode total: %w", err)
-		}
-		total = &ct
 	}
 
 	exp, err := fixed.ReciprocalExponent(absSn)
 	if err != nil {
-		return fmt.Errorf("distribution: reciprocal: %w", err)
+		return fmt.Errorf("reciprocal: %w", err)
 	}
 	masked, err := r.dir[hs].ScalarMul(total, exp)
 	if err != nil {
-		return fmt.Errorf("distribution: scalar mul: %w", err)
+		return fmt.Errorf("scalar mul: %w", err)
 	}
-	return r.sendCipher(ctx, r.dir[hs], masked, hs, tagMasked)
+	return r.sendCipher(ctx, r.dir[hs], masked, tagMasked, hs)
 }
 
 // collectRatios is Hs's side: drain each demand-side member's masked value
@@ -194,17 +154,11 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 	for b := range batches {
 		lo, hi := i, (b+1)*n/batches
 		for ; i < hi; i++ {
-			from, raw, err := r.conn.RecvAny(ctx, tagMasked, demandSide)
-			if err != nil {
+			var err error
+			cts[i] = &store[i]
+			if ids[i], err = r.recvAnyCipher(ctx, &r.key.PublicKey, cts[i], demandSide, tagMasked); err != nil {
 				wg.Wait()
-				return nil, fmt.Errorf("distribution: recv masked: %w", err)
-			}
-			ids[i], cts[i] = from, &store[i]
-			err = cts[i].UnmarshalBinary(raw)
-			transport.PutFrame(raw)
-			if err != nil {
-				wg.Wait()
-				return nil, fmt.Errorf("distribution: decode masked from %s: %w", from, err)
+				return nil, err
 			}
 		}
 		r.workers.Go(&wg, func() {
@@ -225,7 +179,7 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 		sum += vals[i]
 	}
 	if len(ratios) != n {
-		return nil, fmt.Errorf("distribution: duplicate masked sender")
+		return nil, fmt.Errorf("duplicate masked sender")
 	}
 	if math.Abs(sum-1) > paymentTolerance {
 		return nil, &RatioSumError{Window: r.window, Sum: sum}
@@ -246,7 +200,7 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 func (r *windowRun) ratiosFromMasked(from []string, cts []*paillier.Ciphertext, ratios []float64) error {
 	masked, err := r.key.DecryptSlots(cts)
 	if err != nil {
-		return fmt.Errorf("distribution: decrypt masked from %v: %w", from, err)
+		return fmt.Errorf("decrypt masked from %v: %w", from, err)
 	}
 	for i, m := range masked {
 		ratio, err := fixed.RatioFromMasked(m)
@@ -254,7 +208,7 @@ func (r *windowRun) ratiosFromMasked(from []string, cts []*paillier.Ciphertext, 
 			err = checkRatio(ratio)
 		}
 		if err != nil {
-			return fmt.Errorf("distribution: ratio from %s: %w", from[i], err)
+			return fmt.Errorf("ratio from %s: %w", from[i], err)
 		}
 		ratios[i] = ratio
 	}
@@ -296,7 +250,7 @@ func (r *windowRun) routeAndPay(ctx context.Context, kind market.Kind, price flo
 				defer wg.Done()
 				ratio, ok := ratios[id]
 				if !ok {
-					errs[i] = fmt.Errorf("distribution: missing ratio for %s", id)
+					errs[i] = fmt.Errorf("missing ratio for %s", id)
 					return
 				}
 				trades[i], errs[i] = r.exchangeAsSupplier(ctx, kind, price, id, myShare, ratio, tagEnergy, tagReply)
@@ -337,32 +291,26 @@ func (r *windowRun) exchangeAsSupplier(ctx context.Context, kind market.Kind, pr
 	if err != nil {
 		return market.Trade{}, err
 	}
-	var msg [8]byte
-	binary.BigEndian.PutUint64(msg[:], uint64(int64(ev)))
-	if err := r.conn.Send(ctx, peer, tagEnergy, msg[:]); err != nil {
+	if err := r.sendShare(ctx, peer, tagEnergy, 1, maskedShare{uint64(int64(ev))}); err != nil {
 		return market.Trade{}, err
 	}
-	raw, err := r.conn.Recv(ctx, peer, tagReply)
+	rw, err := r.recvShare(ctx, peer, tagReply, 1)
 	if err != nil {
-		return market.Trade{}, fmt.Errorf("distribution: reply from %s: %w", peer, err)
+		return market.Trade{}, err
 	}
-	if len(raw) != 8 {
-		return market.Trade{}, fmt.Errorf("distribution: bad reply from %s", peer)
-	}
-	reply := fixed.Value(int64(binary.BigEndian.Uint64(raw))).Float()
-	transport.PutFrame(raw)
+	reply := fixed.Value(int64(rw[0])).Float()
 
 	e := ev.Float() // what was actually put on the wire
 	if kind == market.GeneralMarket {
 		// Seller initiated; the reply is the buyer's payment.
 		if diff := reply - e*price; diff > paymentTolerance || diff < -paymentTolerance {
-			return market.Trade{}, fmt.Errorf("distribution: %s paid %.6f for %.6f kWh at %.4f", peer, reply, e, price)
+			return market.Trade{}, fmt.Errorf("%s paid %.6f for %.6f kWh at %.4f", peer, reply, e, price)
 		}
 		return market.Trade{Seller: r.ID(), Buyer: peer, Energy: e, Payment: reply}, nil
 	}
 	// Buyer initiated; the reply confirms the routed energy.
 	if diff := reply - e; diff > paymentTolerance || diff < -paymentTolerance {
-		return market.Trade{}, fmt.Errorf("distribution: %s confirmed %.6f of %.6f kWh", peer, reply, e)
+		return market.Trade{}, fmt.Errorf("%s confirmed %.6f of %.6f kWh", peer, reply, e)
 	}
 	return market.Trade{Seller: peer, Buyer: r.ID(), Energy: e, Payment: e * price}, nil
 }
@@ -371,17 +319,13 @@ func (r *windowRun) exchangeAsSupplier(ctx context.Context, kind market.Kind, pr
 // routed energy from peer and answer with the payment (general market) or
 // the routing confirmation (extreme market).
 func (r *windowRun) exchangeAsDemander(ctx context.Context, kind market.Kind, price float64, peer, tagEnergy, tagReply string) error {
-	raw, err := r.conn.Recv(ctx, peer, tagEnergy)
+	ew, err := r.recvShare(ctx, peer, tagEnergy, 1)
 	if err != nil {
-		return fmt.Errorf("distribution: energy from %s: %w", peer, err)
+		return err
 	}
-	if len(raw) != 8 {
-		return fmt.Errorf("distribution: bad energy from %s", peer)
-	}
-	e := fixed.Value(int64(binary.BigEndian.Uint64(raw))).Float()
-	transport.PutFrame(raw)
+	e := fixed.Value(int64(ew[0])).Float()
 	if e < 0 {
-		return fmt.Errorf("distribution: negative energy from %s", peer)
+		return &frameError{from: peer, tag: tagEnergy, err: fmt.Errorf("negative energy %g", e)}
 	}
 	var replyVal float64
 	if kind == market.GeneralMarket {
@@ -393,9 +337,7 @@ func (r *windowRun) exchangeAsDemander(ctx context.Context, kind market.Kind, pr
 	if err != nil {
 		return err
 	}
-	var msg [8]byte
-	binary.BigEndian.PutUint64(msg[:], uint64(int64(rv)))
-	return r.conn.Send(ctx, peer, tagReply, msg[:])
+	return r.sendShare(ctx, peer, tagReply, 1, maskedShare{uint64(int64(rv))})
 }
 
 // paymentTolerance absorbs fixed-point rounding in the pay/confirm checks
@@ -448,7 +390,7 @@ func encodeRatios(ratios map[string]float64) ([]byte, error) {
 	buf = append(buf, u32[:]...)
 	for _, id := range ids {
 		if len(id) > 0xffff {
-			return nil, fmt.Errorf("distribution: party ID too long")
+			return nil, fmt.Errorf("party ID too long")
 		}
 		var u16 [2]byte
 		binary.BigEndian.PutUint16(u16[:], uint16(len(id)))
@@ -471,37 +413,37 @@ const ratioEntryMin = 2 + 8
 // reach routeAndPay.
 func decodeRatios(raw []byte) (map[string]float64, error) {
 	if len(raw) < 4 {
-		return nil, fmt.Errorf("distribution: truncated ratios")
+		return nil, fmt.Errorf("truncated ratios")
 	}
 	n := int(binary.BigEndian.Uint32(raw))
 	raw = raw[4:]
 	if n > len(raw)/ratioEntryMin {
-		return nil, fmt.Errorf("distribution: ratio count %d exceeds payload", n)
+		return nil, fmt.Errorf("ratio count %d exceeds payload", n)
 	}
 	out := make(map[string]float64, n)
 	for i := 0; i < n; i++ {
 		if len(raw) < 2 {
-			return nil, fmt.Errorf("distribution: truncated ratio id length")
+			return nil, fmt.Errorf("truncated ratio id length")
 		}
 		idLen := int(binary.BigEndian.Uint16(raw))
 		raw = raw[2:]
 		if len(raw) < idLen+8 {
-			return nil, fmt.Errorf("distribution: truncated ratio entry")
+			return nil, fmt.Errorf("truncated ratio entry")
 		}
 		id := string(raw[:idLen])
 		raw = raw[idLen:]
 		v := math.Float64frombits(binary.BigEndian.Uint64(raw))
 		raw = raw[8:]
 		if err := checkRatio(v); err != nil {
-			return nil, fmt.Errorf("distribution: %s: %w", id, err)
+			return nil, fmt.Errorf("%s: %w", id, err)
 		}
 		if _, dup := out[id]; dup {
-			return nil, fmt.Errorf("distribution: duplicate ratio for %s", id)
+			return nil, fmt.Errorf("duplicate ratio for %s", id)
 		}
 		out[id] = v
 	}
 	if len(raw) != 0 {
-		return nil, fmt.Errorf("distribution: trailing ratio bytes")
+		return nil, fmt.Errorf("trailing ratio bytes")
 	}
 	return out, nil
 }

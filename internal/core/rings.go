@@ -91,85 +91,47 @@ func (r *windowRun) fold(ctx context.Context, order []string, keyHolder, tag str
 	}
 	acc, err := r.encryptUnder(ctx, keyHolder, contribution)
 	if err != nil {
-		return nil, false, fmt.Errorf("agg %s: encrypt: %w", tag, err)
+		return nil, false, fmt.Errorf("encrypt %s: %w", tag, err)
 	}
 	pk := r.dir[keyHolder]
 	var incoming paillier.Ciphertext // reused across hops
 	isRoot, err := r.foldHops(order, pos, func(from string) error {
-		raw, err := r.conn.Recv(ctx, from, tag)
-		if err != nil {
-			return fmt.Errorf("recv from %s: %w", from, err)
+		if err := r.recvCipher(ctx, pk, &incoming, from, tag); err != nil {
+			return err
 		}
-		err = incoming.UnmarshalBinary(raw)
-		transport.PutFrame(raw)
-		if err != nil {
-			return fmt.Errorf("decode from %s: %w", from, err)
-		}
-		if err := pk.AddInPlace(acc, &incoming); err != nil {
-			return fmt.Errorf("fold from %s: %w", from, err)
-		}
-		return nil
+		return pk.AddInPlace(acc, &incoming)
 	}, func(to string) error {
-		return r.sendCipher(ctx, pk, acc, to, tag)
+		return r.sendCipher(ctx, pk, acc, tag, to)
 	})
-	if err != nil {
-		return nil, false, fmt.Errorf("agg %s: %w", tag, err)
-	}
-	return acc, isRoot, nil
-}
-
-// sendCipher serializes ct fixed-width into a pooled frame, sends it and
-// recycles the frame (Send leaves buffer ownership with the caller).
-func (r *windowRun) sendCipher(ctx context.Context, pk *paillier.PublicKey, ct *paillier.Ciphertext, to, tag string) error {
-	buf := transport.GetFrame(pk.FixedLen())
-	out, err := ct.AppendFixed(buf[:0], pk)
-	if err != nil {
-		transport.PutFrame(buf)
-		return err
-	}
-	err = r.conn.Send(ctx, to, tag, out)
-	transport.PutFrame(out)
-	return err
+	return acc, isRoot, err
 }
 
 // aggregate folds the ring members' encrypted contributions into a single
-// ciphertext delivered to sink, using the configured topology: the paper's
-// sequential ring (O(n) message latency) or a log-depth binary reduction
-// tree. Every member must call it with identical arguments; the sink calls
-// collect instead. Both topologies expose exactly the same information —
-// every intermediate value is a partial sum encrypted under the sink's key.
-func (r *windowRun) aggregate(ctx context.Context, order []string, keyHolder, sink, tag string, contribution *big.Int) error {
-	acc, isRoot, err := r.fold(ctx, order, keyHolder, tag, contribution)
+// ciphertext delivered to sink under sink's key, using the configured
+// topology: the paper's sequential ring (O(n) message latency) or a
+// log-depth binary reduction tree. Every member must call it with identical
+// arguments; the sink calls collect instead. Both topologies expose exactly
+// the same information — every intermediate value is a partial sum
+// encrypted under the sink's key.
+func (r *windowRun) aggregate(ctx context.Context, order []string, sink, tag string, contribution *big.Int) error {
+	acc, isRoot, err := r.fold(ctx, order, sink, tag, contribution)
 	if err != nil || !isRoot {
 		return err
 	}
-	if err := r.sendCipher(ctx, r.dir[keyHolder], acc, sink, tag); err != nil {
-		return fmt.Errorf("agg %s: send: %w", tag, err)
-	}
-	return nil
+	return r.sendCipher(ctx, r.dir[sink], acc, tag, sink)
 }
 
 // collect is the sink side of aggregate: receive the final ciphertext from
 // the topology's root member and decrypt it.
 func (r *windowRun) collect(ctx context.Context, order []string, tag string) (*big.Int, error) {
 	if len(order) == 0 {
-		return nil, fmt.Errorf("agg %s: empty member set", tag)
-	}
-	raw, err := r.conn.Recv(ctx, r.aggregationRoot(order), tag)
-	if err != nil {
-		return nil, fmt.Errorf("agg %s: recv final: %w", tag, err)
+		return nil, fmt.Errorf("%s: empty member set", tag)
 	}
 	var ct paillier.Ciphertext
-	err = ct.UnmarshalBinary(raw)
-	transport.PutFrame(raw)
-	if err != nil {
-		return nil, fmt.Errorf("agg %s: decode final: %w", tag, err)
+	if err := r.recvCipher(ctx, &r.key.PublicKey, &ct, r.aggregationRoot(order), tag); err != nil {
+		return nil, err
 	}
-	m, err := r.key.Decrypt(&ct)
-	if err != nil {
-		return nil, fmt.Errorf("agg %s: decrypt: %w", tag, err)
-	}
-	return m, nil
+	return r.key.Decrypt(&ct)
 }
 
 // aggregationRoot returns the member holding the final aggregate: the last

@@ -67,13 +67,9 @@ type Party struct {
 	dh        *ecdh.PrivateKey // a standalone party's X25519 key; nil in an engine
 }
 
-// newParty assembles a session from provisioned key material. cfg must have
-// passed Validate, so the backend lookup cannot fail.
+// newParty assembles a session from provisioned key material; cfg has
+// passed Validate.
 func newParty(cfg Config, scope string, agent market.Agent, conn transport.Conn, key *paillier.PrivateKey, dir map[string]*paillier.PublicKey, workers *paillier.Workers, refill *paillier.Refill, maskSeeds map[string][]byte, dh *ecdh.PrivateKey) *Party {
-	backend, err := newBackend(cfg.CryptoBackend)
-	if err != nil {
-		panic(err) // unreachable: Validate gates CryptoBackend
-	}
 	return &Party{
 		agent:     agent,
 		cfg:       cfg,
@@ -84,7 +80,7 @@ func newParty(cfg Config, scope string, agent market.Agent, conn transport.Conn,
 		allSorted: sortedRoster(dir),
 		workers:   workers,
 		refill:    refill,
-		backend:   backend,
+		backend:   backendFor(cfg.CryptoBackend),
 		maskSeeds: maskSeeds,
 		dh:        dh,
 	}

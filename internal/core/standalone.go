@@ -122,29 +122,23 @@ type PartyOutcome struct {
 	BuyerCount int
 	// Trades are the allocations this party initiated as a seller.
 	Trades []market.Trade
+
+	pHat float64 // the unclamped price, known to Hb alone (WindowResult.PHat)
 }
 
 // RunTradingWindow executes Protocol 1 for one window from this party's
 // side. Every party in the key directory must call it with the same
-// non-negative window number concurrently.
+// non-negative window number concurrently. A failure is a *WindowError.
 func (p *Party) RunTradingWindow(ctx context.Context, window int, input market.WindowInput) (*PartyOutcome, error) {
 	if window < 0 {
-		return nil, fmt.Errorf("core: negative window %d", window)
+		return nil, &WindowError{Window: window, Err: errors.New("negative window")}
 	}
 	if len(p.dir) < 2 {
-		return nil, errors.New("core: key directory not populated; call ExchangeKeys first")
+		return nil, &WindowError{Window: window, Err: errors.New("key directory not populated; call ExchangeKeys first")}
 	}
-	rep, err := p.runWindow(ctx, window, input)
+	out, err := p.runWindow(ctx, window, input)
 	if err != nil {
-		return nil, err
+		return nil, &WindowError{Window: window, Err: err}
 	}
-	return &PartyOutcome{
-		Window:      window,
-		Kind:        rep.kind,
-		Price:       rep.price,
-		Degenerate:  rep.degenerate,
-		SellerCount: rep.sellerCount,
-		BuyerCount:  rep.buyerCount,
-		Trades:      rep.sellerTrades,
-	}, nil
+	return out, nil
 }

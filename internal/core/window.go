@@ -181,11 +181,12 @@ func (r *windowRun) forkVirtual(ctx context.Context) context.Context {
 	}
 }
 
-// runWindow is Protocol 1 from one party's perspective.
-func (p *Party) runWindow(ctx context.Context, window int, input market.WindowInput) (*partyReport, error) {
+// runWindow is Protocol 1 from one party's perspective. A failure names
+// its phase; the caller adds the window and, in an engine, the party.
+func (p *Party) runWindow(ctx context.Context, window int, input market.WindowInput) (*PartyOutcome, error) {
 	snFixed, err := fixed.FromFloat(input.NetEnergy())
 	if err != nil {
-		return nil, fmt.Errorf("window %d: net energy: %w", window, err)
+		return nil, fmt.Errorf("net energy: %w", err)
 	}
 	r := p.getRun(window, input, snFixed)
 	defer p.putRun(r)
@@ -197,54 +198,48 @@ func (p *Party) runWindow(ctx context.Context, window int, input market.WindowIn
 
 	// Phase 0: role announcement — coalition membership is public.
 	if err := r.announceRoles(ctx); err != nil {
-		return nil, fmt.Errorf("window %d: roles: %w", window, err)
+		return nil, fmt.Errorf("roles: %w", err)
 	}
-	rep := &partyReport{
-		sellerCount: len(r.ros.sellers),
-		buyerCount:  len(r.ros.buyers),
+	out := &PartyOutcome{
+		Window:      window,
+		SellerCount: len(r.ros.sellers),
+		BuyerCount:  len(r.ros.buyers),
 	}
 
 	// Degenerate coalitions: no protocols; grid handles everything
 	// (Protocol 1 initialization rule).
 	if len(r.ros.sellers) == 0 {
-		rep.kind = market.GeneralMarket
-		rep.price = p.cfg.Params.GridRetailPrice
-		rep.degenerate = true
-		return rep, nil
+		out.Kind = market.GeneralMarket
+		out.Price = p.cfg.Params.GridRetailPrice
+		out.Degenerate = true
+		return out, nil
 	}
 	if len(r.ros.buyers) == 0 {
-		rep.kind = market.ExtremeMarket
-		rep.price = p.cfg.Params.PriceFloor
-		rep.degenerate = true
-		return rep, nil
+		out.Kind = market.ExtremeMarket
+		out.Price = p.cfg.Params.PriceFloor
+		out.Degenerate = true
+		return out, nil
 	}
 
 	// Phase 1: Private Market Evaluation (Protocol 2).
-	kind, err := r.privateMarketEvaluation(ctx)
+	out.Kind, err = r.privateMarketEvaluation(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("window %d: market evaluation: %w", window, err)
+		return nil, fmt.Errorf("market evaluation: %w", err)
 	}
-	rep.kind = kind
 
 	// Phase 2: price discovery.
-	if kind == market.GeneralMarket {
-		price, pHat, err := r.privatePricing(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("window %d: pricing: %w", window, err)
+	out.Price = p.cfg.Params.PriceFloor
+	if out.Kind == market.GeneralMarket {
+		if out.Price, out.pHat, err = r.privatePricing(ctx); err != nil {
+			return nil, fmt.Errorf("pricing: %w", err)
 		}
-		rep.price = price
-		rep.pHat = pHat
-	} else {
-		rep.price = p.cfg.Params.PriceFloor
 	}
 
 	// Phase 3: Private Distribution (Protocol 4).
-	trades, err := r.privateDistribution(ctx, kind, rep.price)
-	if err != nil {
-		return nil, fmt.Errorf("window %d: distribution: %w", window, err)
+	if out.Trades, err = r.privateDistribution(ctx, out.Kind, out.Price); err != nil {
+		return nil, fmt.Errorf("distribution: %w", err)
 	}
-	rep.sellerTrades = trades
-	return rep, nil
+	return out, nil
 }
 
 // Protocol 2's widths: each party's masking nonce r_i is drawn below
@@ -287,23 +282,15 @@ func (r *windowRun) announceRoles(ctx context.Context) error {
 		if id == r.ID() {
 			continue
 		}
-		raw, err := r.conn.Recv(ctx, id, tag)
+		role, err := r.recvKind(ctx, id, tag, byte(market.RoleOff))
 		if err != nil {
 			return err
 		}
-		if len(raw) != 1 {
-			return fmt.Errorf("bad role announcement from %s", id)
-		}
-		role := market.Role(raw[0])
-		transport.PutFrame(raw)
-		switch role {
+		switch market.Role(role) {
 		case market.RoleSeller:
 			sellers = append(sellers, id)
 		case market.RoleBuyer:
 			buyers = append(buyers, id)
-		case market.RoleOff:
-		default:
-			return fmt.Errorf("invalid role %d from %s", role, id)
 		}
 	}
 	sort.Strings(sellers)
