@@ -16,16 +16,24 @@
 //	    -peers 'solar=127.0.0.1:7001,town=127.0.0.1:7002' \
 //	    -gen 0.1 -load 0.2 -windows 3
 //
-// Secure-channel identities are exchanged over the TCP roster at startup
-// (trust-on-first-use); production deployments would pin the directory.
+// Each agent generates its keys once at startup and runs one handshake: a
+// frame to every peer carrying its Paillier and X25519 public keys
+// (trust-on-first-use; production deployments would pin them). The X25519
+// agreement keys both the hybrid mask seeds and, unless -insecure-transport,
+// the AES-GCM channels every window then runs over. Agents may start in any
+// order: each waits until every peer listens before it sends.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
+	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -37,13 +45,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "pem-agent:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pem-agent", flag.ContinueOnError)
 	id := fs.String("id", "", "this agent's unique ID (required)")
 	listen := fs.String("listen", "127.0.0.1:0", "TCP listen address")
@@ -76,7 +84,7 @@ func run(args []string) error {
 		return err
 	}
 	defer node.Close()
-	fmt.Printf("[%s] listening on %s\n", *id, node.Addr())
+	fmt.Fprintf(stdout, "[%s] listening on %s\n", *id, node.Addr())
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -99,42 +107,28 @@ func run(args []string) error {
 		}
 	}()
 
-	peerIDs := make([]string, 0, len(peers)+1)
-	peerIDs = append(peerIDs, *id)
-	for pid := range peers {
-		peerIDs = append(peerIDs, pid)
-	}
-
-	var conn transport.Conn = node
-	if !*plain {
-		identity, err := secchan.NewIdentity(nil)
-		if err != nil {
-			return err
-		}
-		dir := secchan.NewDirectory()
-		dir.Register(*id, identity.PublicKey())
-		if err := exchangeChannelKeys(ctx, node, identity, dir, peerIDs, *id); err != nil {
-			return err
-		}
-		conn = secchan.New(node, identity, dir)
-		fmt.Printf("[%s] secure channels established with %d peers\n", *id, len(peers))
-	}
-
 	agent := market.Agent{ID: *id, K: *k, Epsilon: *epsilon}
-	party, err := core.NewStandaloneParty(core.Config{KeyBits: *keyBits}, agent, conn)
+	party, err := core.NewStandaloneParty(core.Config{KeyBits: *keyBits}, agent, node)
 	if err != nil {
 		return err
 	}
 	defer party.Close()
-	if err := party.ExchangeKeys(ctx, peerIDs); err != nil {
+	if err := awaitPeers(ctx, peers); err != nil {
 		return err
 	}
-	fmt.Printf("[%s] Paillier keys exchanged (%d-bit)\n", *id, *keyBits)
+	if err := party.ExchangeKeys(ctx, slices.Collect(maps.Keys(peers))); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "[%s] keys exchanged with %d peers (%d-bit Paillier)\n", *id, len(peers), *keyBits)
+	if !*plain {
+		party.ReplaceConn(secchan.New(node, party.PairKey))
+		fmt.Fprintf(stdout, "[%s] secure channels keyed\n", *id)
+	}
 
 	input := market.WindowInput{Generation: *gen, Load: *load, Battery: *batt}
 	for w := 0; w < *windows; w++ {
 		if sigCtx.Err() != nil {
-			fmt.Printf("[%s] drained: exiting after %d of %d windows\n", *id, w, *windows)
+			fmt.Fprintf(stdout, "[%s] drained: exiting after %d of %d windows\n", *id, w, *windows)
 			return nil
 		}
 		start := time.Now()
@@ -142,11 +136,11 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("[%s] window %d: %s market, price %.2f c/kWh, %d sellers / %d buyers (%s)\n",
+		fmt.Fprintf(stdout, "[%s] window %d: %s market, price %.2f c/kWh, %d sellers / %d buyers (%s)\n",
 			*id, w, out.Kind, out.Price, out.SellerCount, out.BuyerCount,
 			time.Since(start).Round(time.Millisecond))
 		for _, tr := range out.Trades {
-			fmt.Printf("[%s]   trade: %s -> %s  %.4f kWh for %.2f cents\n",
+			fmt.Fprintf(stdout, "[%s]   trade: %s -> %s  %.4f kWh for %.2f cents\n",
 				*id, tr.Seller, tr.Buyer, tr.Energy, tr.Payment)
 		}
 	}
@@ -169,36 +163,24 @@ func parsePeers(s string) (map[string]string, error) {
 	return peers, nil
 }
 
-// exchangeChannelKeys publishes this agent's X25519 public key and collects
-// the peers' keys (trust-on-first-use).
-func exchangeChannelKeys(ctx context.Context, node *transport.TCPNode, id *secchan.Identity, dir *secchan.Directory, peerIDs []string, self string) error {
-	const tag = "keys/x25519"
-	for _, pid := range peerIDs {
-		if pid == self {
-			continue
-		}
-		// Peers may not be listening yet; retry until the deadline.
+// awaitPeers waits until every peer accepts a TCP connection, so agents
+// started one at a time all reach their first send; the protocol's own sends
+// then fail fast.
+func awaitPeers(ctx context.Context, peers map[string]string) error {
+	var d net.Dialer
+	for pid, addr := range peers {
 		for {
-			err := node.Send(ctx, pid, tag, id.PublicKey())
+			c, err := d.DialContext(ctx, "tcp", addr)
 			if err == nil {
+				c.Close()
 				break
 			}
 			select {
 			case <-ctx.Done():
-				return fmt.Errorf("send channel key to %s: %w", pid, err)
-			case <-time.After(500 * time.Millisecond):
+				return fmt.Errorf("peer %s not listening: %w", pid, err)
+			case <-time.After(200 * time.Millisecond):
 			}
 		}
-	}
-	for _, pid := range peerIDs {
-		if pid == self {
-			continue
-		}
-		pub, err := node.Recv(ctx, pid, tag)
-		if err != nil {
-			return fmt.Errorf("recv channel key from %s: %w", pid, err)
-		}
-		dir.Register(pid, pub)
 	}
 	return nil
 }

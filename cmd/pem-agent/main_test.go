@@ -1,6 +1,15 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"errors"
+	"net"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
 
 func TestParsePeers(t *testing.T) {
 	peers, err := parsePeers("a=127.0.0.1:1,b=host:2")
@@ -37,5 +46,79 @@ func TestParsePeersErrors(t *testing.T) {
 		if _, err := parsePeers(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
+	}
+}
+
+// TestStaggeredStart runs three agents in-process, the third starting a
+// second late as agents launched one shell at a time do, once sealed and
+// once with -insecure-transport: every agent reports the same windows, and
+// both modes report the same trades.
+func TestStaggeredStart(t *testing.T) {
+	homes := []struct{ id, gen, load string }{{"solar", "0.4", "0.1"}, {"town", "0", "0.3"}, {"ev", "0.1", "0.2"}}
+	trades := map[string][]string{}
+	for _, mode := range []string{"sealed", "plain"} {
+		t.Run(mode, func(t *testing.T) {
+			addrs := make([]string, len(homes))
+			for i := range homes {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				addrs[i] = ln.Addr().String()
+				ln.Close()
+			}
+			outs := make([]bytes.Buffer, len(homes))
+			errs := make([]error, len(homes))
+			var wg sync.WaitGroup
+			for i, h := range homes {
+				var peers []string
+				for j, o := range homes {
+					if j != i {
+						peers = append(peers, o.id+"="+addrs[j])
+					}
+				}
+				args := []string{"-id", h.id, "-listen", addrs[i], "-peers", strings.Join(peers, ","),
+					"-gen", h.gen, "-load", h.load, "-windows", "2", "-keybits", "256", "-timeout", "30s"}
+				if mode == "plain" {
+					args = append(args, "-insecure-transport")
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if i == len(homes)-1 {
+						time.Sleep(time.Second)
+					}
+					errs[i] = run(args, &outs[i])
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+
+			var first []string
+			for i, out := range outs {
+				var windows []string
+				for _, line := range strings.Split(out.String(), "\n") {
+					_, rest, _ := strings.Cut(line, "] ")
+					if strings.HasPrefix(rest, "window ") {
+						rest, _, _ = strings.Cut(rest, " (") // drop the elapsed time
+						windows = append(windows, rest)
+					} else if strings.Contains(rest, "trade:") {
+						trades[mode] = append(trades[mode], strings.TrimSpace(rest))
+					}
+				}
+				if i == 0 {
+					first = windows
+				}
+				if len(windows) != 2 || !slices.Equal(windows, first) {
+					t.Errorf("%s reports %q, %s %q", homes[i].id, windows, homes[0].id, first)
+				}
+			}
+			slices.Sort(trades[mode])
+		})
+	}
+	if len(trades["sealed"]) == 0 || !slices.Equal(trades["sealed"], trades["plain"]) {
+		t.Errorf("sealed trades %q, plain %q", trades["sealed"], trades["plain"])
 	}
 }

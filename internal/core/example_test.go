@@ -56,11 +56,9 @@ func ExampleNewStandaloneParty() {
 // standaloneWindow runs window 0 across one standalone party per agent on
 // the given backend and returns their outcomes.
 func standaloneWindow(backend string, agents []market.Agent, inputs []market.WindowInput) []*core.PartyOutcome {
-	// One listener and one static channel identity per agent; the identity
-	// directory plays the role of the paper's published public keys.
-	dir := secchan.NewDirectory()
+	// One listener per agent; the key exchange plays the role of the paper's
+	// published public keys and keys every pair's sealed channel.
 	nodes := make([]*transport.TCPNode, len(agents))
-	ids := make([]*secchan.Identity, len(agents))
 	peers := make([]string, len(agents))
 	for i, a := range agents {
 		node, err := transport.ListenTCP(a.ID, "127.0.0.1:0", nil, nil)
@@ -68,10 +66,6 @@ func standaloneWindow(backend string, agents []market.Agent, inputs []market.Win
 			log.Fatal(err)
 		}
 		defer node.Close()
-		if ids[i], err = secchan.NewIdentity(nil); err != nil {
-			log.Fatal(err)
-		}
-		dir.Register(a.ID, ids[i].PublicKey())
 		nodes[i], peers[i] = node, a.ID
 	}
 	for i := range nodes {
@@ -90,13 +84,14 @@ func standaloneWindow(backend string, agents []market.Agent, inputs []market.Win
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			party, err := core.NewStandaloneParty(cfg, a, secchan.New(nodes[i], ids[i], dir))
+			party, err := core.NewStandaloneParty(cfg, a, nodes[i])
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			defer party.Close()
 			if errs[i] = party.ExchangeKeys(context.Background(), peers); errs[i] == nil {
+				party.ReplaceConn(secchan.New(nodes[i], party.PairKey))
 				outcomes[i], errs[i] = party.RunTradingWindow(context.Background(), 0, inputs[i])
 			}
 		}()

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/ecdh"
 	"encoding/binary"
 	"encoding/hex"
@@ -16,6 +18,7 @@ import (
 	"github.com/pem-go/pem/internal/fixed"
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/paillier"
+	"github.com/pem-go/pem/internal/secchan"
 	"github.com/pem-go/pem/internal/transport"
 )
 
@@ -138,6 +141,77 @@ func TestMaskSeedABI(t *testing.T) {
 		if len(p.maskSeeds) != len(agents)-1 || !maps.EqualFunc(p.maskSeeds, solo[i].maskSeeds, bytes.Equal) {
 			t.Errorf("%s: engine seeds %x, standalone %x", p.ID(), p.maskSeeds, solo[i].maskSeeds)
 		}
+	}
+}
+
+// TestChannelKeyABI pins the channel key secchan seals a pair's frames under,
+// keyed by the scalar ExchangeKeys agreed (PairKey): HKDF-SHA256 with salt
+// SHA-256("pem/secchan/v1|" ‖ min(a,b) ‖ "|" ‖ max(a,b)), IKM X25519(a, B)
+// and info "pem/secchan/aes256gcm". The scalars are RFC 7748 §6.1's; the
+// golden was computed by hand (Python hmac/hashlib) and is the key secchan
+// derived for the same two scalars when it held X25519 identities of its own,
+// so a sealed frame keeps its bytes. A frame alice seals opens under the
+// golden key, bob's reply opens at alice, and the key is not the pair's mask
+// seed: one secret, two labels.
+func TestChannelKeyABI(t *testing.T) {
+	key := func(scalar string) *ecdh.PrivateKey {
+		b, err := hex.DecodeString(scalar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := ecdh.X25519().NewPrivateKey(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	alice := key("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a")
+	bob := key("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb")
+	golden, _ := hex.DecodeString("5cedc426a0c5ae9b0434d92a57772491558cbee40bb0b759b35d386fc355049f")
+	party := func(id string, dh *ecdh.PrivateKey, peer string, pub *ecdh.PublicKey) *Party {
+		return &Party{agent: market.Agent{ID: id}, dh: dh, peerDH: map[string]*ecdh.PublicKey{peer: pub}}
+	}
+	pa := party("alice", alice, "bob", bob.PublicKey())
+	pb := party("bob", bob, "alice", alice.PublicKey())
+
+	bus := transport.NewBus(nil)
+	rawA, rawB := bus.MustRegister("alice"), bus.MustRegister("bob")
+	if err := secchan.New(rawA, pa.PairKey).Send(t.Context(), "bob", "w0/role", []byte("seller")); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := rawB.Recv(t.Context(), "alice", "w0/role")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := aes.NewCipher(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := gcm.NonceSize()
+	if plain, err := gcm.Open(nil, sealed[:ns], sealed[ns:], []byte("alice\x00bob\x00w0/role")); err != nil || string(plain) != "seller" {
+		t.Errorf("alice's frame under the golden key: %q, %v", plain, err)
+	}
+
+	if err := secchan.New(rawB, pb.PairKey).Send(t.Context(), "alice", "w0/role", []byte("buyer")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := secchan.New(rawA, pa.PairKey).Recv(t.Context(), "bob", "w0/role"); err != nil || string(got) != "buyer" {
+		t.Errorf("bob's frame at alice: %q, %v", got, err)
+	}
+	if _, err := pa.PairKey("carol", nil); err == nil {
+		t.Error("PairKey for a peer no exchange entered: want an error")
+	}
+
+	seed, err := maskSeed(alice, bob.PublicKey(), "", "alice", "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(seed, golden) {
+		t.Error("channel key equals the pair's mask seed")
 	}
 }
 

@@ -126,7 +126,15 @@ func TestFaultWindowCancelsOnlyItself(t *testing.T) {
 	p := eng.Parties()[1]
 	fc := transport.NewFaultConn(partyConn(p))
 	fc.FailWindow(2)
-	p.ReplaceConn(fc)
+	// Window 2's fault waits until window 3 is on the wire: a fault landing
+	// before window 3 launched would rightly skip it, and no in-flight
+	// sibling would be left to survive.
+	w3 := make(chan struct{})
+	p.ReplaceConn(windowHold{Conn: fc, window: 2, until: w3})
+	var w3Sends atomic.Int64
+	for _, q := range eng.Parties() {
+		q.ReplaceConn(windowSendSpy{Conn: partyConn(q), window: 3, sends: &w3Sends, first: w3})
+	}
 
 	jobs := make([]WindowJob, 4)
 	for w := range jobs {
@@ -206,16 +214,38 @@ func TestFailFastStopsLaunchingWindows(t *testing.T) {
 	}
 }
 
-// windowSendSpy counts one window's sends through a party's transport.
+// windowSendSpy counts one window's sends through a party's transport and,
+// given first, closes it on the first of them across the parties sharing sends.
 type windowSendSpy struct {
 	transport.Conn
 	window int
 	sends  *atomic.Int64
+	first  chan struct{}
 }
 
 func (c windowSendSpy) Send(ctx context.Context, to, tag string, payload []byte) error {
 	if _, w, _, ok := transport.ParseScopedWindowTag(tag); ok && w == c.window {
-		c.sends.Add(1)
+		if c.sends.Add(1) == 1 && c.first != nil {
+			close(c.first)
+		}
+	}
+	return c.Conn.Send(ctx, to, tag, payload)
+}
+
+// windowHold holds a party's sends in one window until until closes.
+type windowHold struct {
+	transport.Conn
+	window int
+	until  <-chan struct{}
+}
+
+func (c windowHold) Send(ctx context.Context, to, tag string, payload []byte) error {
+	if _, w, _, ok := transport.ParseScopedWindowTag(tag); ok && w == c.window {
+		select {
+		case <-c.until:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	return c.Conn.Send(ctx, to, tag, payload)
 }

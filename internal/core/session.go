@@ -64,7 +64,8 @@ type Party struct {
 	// maskSeeds maps each peer to its hybrid mask seed (maskSeed), derived by
 	// the engine or, from dh, by ExchangeKeys; nil in a paillier engine.
 	maskSeeds map[string][]byte
-	dh        *ecdh.PrivateKey // a standalone party's X25519 key; nil in an engine
+	dh        *ecdh.PrivateKey           // a standalone party's X25519 key; nil in an engine
+	peerDH    map[string]*ecdh.PublicKey // peers' X25519 keys, entered by ExchangeKeys (PairKey)
 }
 
 // newParty assembles a session from provisioned key material; cfg has
@@ -99,7 +100,8 @@ func sortedRoster(dir map[string]*paillier.PublicKey) []string {
 // ID returns the party identifier.
 func (p *Party) ID() string { return p.agent.ID }
 
-// ReplaceConn swaps a party's transport (tests wrap it in a FaultConn).
+// ReplaceConn swaps a party's transport: pem-agent seals it with secchan once
+// ExchangeKeys has keyed the channels, benchmarks and tests wrap it.
 func (p *Party) ReplaceConn(c transport.Conn) { p.conn = c }
 
 // windowRandom derives the randomness stream for one window's protocol run.

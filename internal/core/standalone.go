@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"crypto/ecdh"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -43,7 +45,9 @@ func NewStandaloneParty(cfg Config, agent market.Agent, conn transport.Conn) (*P
 	dir := map[string]*paillier.PublicKey{agent.ID: &key.PublicKey}
 	workers := paillier.NewWorkers(0)
 	refill := paillier.NewRefill(workers, partyRandom(cfg, agent.ID, "pool"))
-	return newParty(cfg, "", agent, conn, key, dir, workers, refill, map[string][]byte{}, dh), nil
+	p := newParty(cfg, "", agent, conn, key, dir, workers, refill, map[string][]byte{}, dh)
+	p.peerDH = map[string]*ecdh.PublicKey{}
+	return p, nil
 }
 
 // peerError names the peer ExchangeKeys refused.
@@ -56,7 +60,8 @@ func (e *peerError) Error() string { return "core: key exchange with " + e.peer 
 func (e *peerError) Unwrap() error { return e.err }
 
 // ExchangeKeys sends every peer this party's Paillier and X25519 public keys
-// in one frame, and enters each peer's key and mask seed as its frame comes.
+// in one frame, and enters each peer's keys and mask seed as its frame comes:
+// the party's whole handshake, which also keys its channels (PairKey).
 // All parties pass the same roster (the local ID is skipped). A peer listed
 // twice or sending unsound keys fails with a *peerError and gets no entry.
 func (p *Party) ExchangeKeys(ctx context.Context, peers []string) error {
@@ -97,12 +102,30 @@ func (p *Party) ExchangeKeys(ctx context.Context, peers []string) error {
 		if err != nil {
 			return &peerError{id, err}
 		}
-		p.dir[id], p.maskSeeds[id] = &pk, seed
+		p.dir[id], p.maskSeeds[id], p.peerDH[id] = &pk, seed, x
 	}
 	// The key directory just grew: refresh the cached fleet roster the
 	// role-announcement phase iterates every window.
 	p.allSorted = sortedRoster(p.dir)
 	return nil
+}
+
+// PairKey returns HKDF-Extract(salt, X25519(this party's scalar, peer's key)),
+// that is HMAC-SHA256 keyed by salt, for a peer ExchangeKeys entered: the key
+// source secchan.New expands into the pair's channel key. The scalar and the
+// shared secret never leave the party.
+func (p *Party) PairKey(peer string, salt []byte) ([]byte, error) {
+	pub, ok := p.peerDH[peer]
+	if !ok {
+		return nil, fmt.Errorf("core: no key exchanged with %s", peer)
+	}
+	secret, err := p.dh.ECDH(pub)
+	if err != nil {
+		return nil, err
+	}
+	mac := hmac.New(sha256.New, salt)
+	mac.Write(secret)
+	return mac.Sum(nil), nil
 }
 
 // PartyOutcome is the public result of one window as seen by a standalone

@@ -14,7 +14,7 @@ import (
 const (
 	// maxCodeLines bounds the non-test Go lines of the root package,
 	// internal/ and cmd/, counted as `wc -l` counts them.
-	maxCodeLines = 14040
+	maxCodeLines = 13966
 	// maxDesignLines bounds DESIGN.md.
 	maxDesignLines = 500
 )

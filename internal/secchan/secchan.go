@@ -2,12 +2,12 @@
 // ("all the messages in the framework are assumed to be transmitted in a
 // secure channel", Section II-B).
 //
-// Each agent holds a static X25519 key pair whose public half is published
-// in the market roster, exactly like the Paillier public keys in
-// Protocol 1. A channel key for an (i, j) pair is derived with
-// HKDF-SHA256 from the static-static Diffie–Hellman shared secret, salted
-// with the sorted party identifiers so both ends derive the same key. Every
-// payload is then sealed with AES-256-GCM under a random nonce, with the
+// A channel holds no key of its own. For an (i, j) pair it asks its key
+// source for HKDF-Extract over the pair's Diffie–Hellman secret, salted with
+// the sorted party identifiers so both ends agree — in a deployment the
+// source is core.Party.PairKey, over the X25519 scalar whose public half
+// ExchangeKeys shipped with the Paillier key — and expands it into an
+// AES-256-GCM key. Every payload is then sealed under a random nonce, with the
 // (from, to, tag) triple bound as additional authenticated data so messages
 // cannot be replayed across conversations.
 package secchan
@@ -16,78 +16,23 @@ import (
 	"context"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"github.com/pem-go/pem/internal/transport"
 )
 
-// Errors surfaced by the package.
-var (
-	ErrUnknownPeerKey = errors.New("secchan: no public key registered for peer")
-	ErrDecrypt        = errors.New("secchan: message authentication failed")
-)
-
-// Identity is an agent's static X25519 key pair.
-type Identity struct {
-	priv *ecdh.PrivateKey
-}
-
-// NewIdentity generates a static key pair from the given randomness source
-// (crypto/rand if nil).
-func NewIdentity(random io.Reader) (*Identity, error) {
-	if random == nil {
-		random = rand.Reader
-	}
-	priv, err := ecdh.X25519().GenerateKey(random)
-	if err != nil {
-		return nil, fmt.Errorf("secchan: generate identity: %w", err)
-	}
-	return &Identity{priv: priv}, nil
-}
-
-// PublicKey returns the shareable public half (32 bytes).
-func (id *Identity) PublicKey() []byte {
-	return id.priv.PublicKey().Bytes()
-}
-
-// Directory maps party IDs to their static public keys.
-type Directory struct {
-	mu   sync.RWMutex
-	keys map[string][]byte
-}
-
-// NewDirectory creates an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{keys: make(map[string][]byte)}
-}
-
-// Register stores a party's public key (copying the slice).
-func (d *Directory) Register(party string, pub []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.keys[party] = append([]byte(nil), pub...)
-}
-
-// Lookup returns a party's public key.
-func (d *Directory) Lookup(party string) ([]byte, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	k, ok := d.keys[party]
-	return k, ok
-}
+// ErrDecrypt reports a sealed payload that failed to authenticate.
+var ErrDecrypt = errors.New("secchan: message authentication failed")
 
 // Conn wraps a transport.Conn, sealing every payload end-to-end.
 type Conn struct {
-	inner transport.Conn
-	id    *Identity
-	dir   *Directory
+	inner   transport.Conn
+	extract func(peer string, salt []byte) ([]byte, error)
 
 	mu    sync.Mutex
 	aeads map[string]cipher.AEAD // peer -> sealed channel
@@ -95,14 +40,13 @@ type Conn struct {
 
 var _ transport.Conn = (*Conn)(nil)
 
-// New wraps inner with encryption under the local identity and the peer
-// directory.
-func New(inner transport.Conn, id *Identity, dir *Directory) *Conn {
+// New wraps inner, keying the channel with each peer from extract(peer,
+// salt): HKDF-Extract(salt, secret), the secret one the peer's end holds too.
+func New(inner transport.Conn, extract func(peer string, salt []byte) ([]byte, error)) *Conn {
 	return &Conn{
-		inner: inner,
-		id:    id,
-		dir:   dir,
-		aeads: make(map[string]cipher.AEAD),
+		inner:   inner,
+		extract: extract,
+		aeads:   make(map[string]cipher.AEAD),
 	}
 }
 
@@ -116,20 +60,16 @@ func (c *Conn) aead(peer string) (cipher.AEAD, error) {
 	if a, ok := c.aeads[peer]; ok {
 		return a, nil
 	}
-	pubBytes, ok := c.dir.Lookup(peer)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPeerKey, peer)
-	}
-	pub, err := ecdh.X25519().NewPublicKey(pubBytes)
+	salt := sha256.Sum256([]byte("pem/secchan/v1|" + min(c.Party(), peer) + "|" + max(c.Party(), peer)))
+	prk, err := c.extract(peer, salt[:])
 	if err != nil {
-		return nil, fmt.Errorf("secchan: bad public key for %q: %w", peer, err)
+		return nil, fmt.Errorf("secchan: channel key for %q: %w", peer, err)
 	}
-	shared, err := c.id.priv.ECDH(pub)
-	if err != nil {
-		return nil, fmt.Errorf("secchan: ECDH with %q: %w", peer, err)
-	}
-	key := deriveKey(shared, c.Party(), peer)
-	block, err := aes.NewCipher(key)
+	// HKDF-Expand(prk, info, 32): one block suffices for 32 bytes.
+	exp := hmac.New(sha256.New, prk)
+	exp.Write([]byte("pem/secchan/aes256gcm"))
+	exp.Write([]byte{1})
+	block, err := aes.NewCipher(exp.Sum(nil))
 	if err != nil {
 		return nil, fmt.Errorf("secchan: cipher: %w", err)
 	}
@@ -139,27 +79,6 @@ func (c *Conn) aead(peer string) (cipher.AEAD, error) {
 	}
 	c.aeads[peer] = a
 	return a, nil
-}
-
-// deriveKey runs HKDF-SHA256 (extract+expand, one block) over the shared
-// secret, salted with the sorted pair of party IDs so both directions agree.
-func deriveKey(shared []byte, a, b string) []byte {
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	salt := sha256.Sum256([]byte("pem/secchan/v1|" + lo + "|" + hi))
-
-	// HKDF-Extract(salt, ikm).
-	ext := hmac.New(sha256.New, salt[:])
-	ext.Write(shared)
-	prk := ext.Sum(nil)
-
-	// HKDF-Expand(prk, info, 32) — single block suffices for 32 bytes.
-	exp := hmac.New(sha256.New, prk)
-	exp.Write([]byte("pem/secchan/aes256gcm"))
-	exp.Write([]byte{1})
-	return exp.Sum(nil)[:32]
 }
 
 // Send seals payload and forwards it.

@@ -3,32 +3,57 @@ package secchan
 import (
 	"bytes"
 	"context"
-	"strings"
+	"crypto/ecdh"
+	"crypto/hmac"
+	"crypto/rand"
+	"crypto/sha256"
+	"errors"
 	"testing"
 	"time"
 
 	"github.com/pem-go/pem/internal/transport"
 )
 
+var errNoKey = errors.New("no key exchanged")
+
+// keySources gives each listed party a key source over a fresh X25519 key,
+// extracting as core.Party.PairKey does: HMAC-SHA256(salt, X25519(own, peer)).
+func keySources(t *testing.T, ids ...string) map[string]func(string, []byte) ([]byte, error) {
+	t.Helper()
+	keys := map[string]*ecdh.PrivateKey{}
+	for _, id := range ids {
+		k, err := ecdh.X25519().GenerateKey(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[id] = k
+	}
+	src := map[string]func(string, []byte) ([]byte, error){}
+	for _, id := range ids {
+		src[id] = func(peer string, salt []byte) ([]byte, error) {
+			pk, ok := keys[peer]
+			if !ok {
+				return nil, errNoKey
+			}
+			secret, err := keys[id].ECDH(pk.PublicKey())
+			if err != nil {
+				return nil, err
+			}
+			mac := hmac.New(sha256.New, salt)
+			mac.Write(secret)
+			return mac.Sum(nil), nil
+		}
+	}
+	return src
+}
+
 // setupPair wires two secure endpoints over an in-memory bus.
 func setupPair(t *testing.T) (*Conn, *Conn, *transport.Bus) {
 	t.Helper()
 	bus := transport.NewBus(nil)
-	dir := NewDirectory()
-
-	idA, err := NewIdentity(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idB, err := NewIdentity(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir.Register("a", idA.PublicKey())
-	dir.Register("b", idB.PublicKey())
-
-	a := New(bus.MustRegister("a"), idA, dir)
-	b := New(bus.MustRegister("b"), idB, dir)
+	src := keySources(t, "a", "b")
+	a := New(bus.MustRegister("a"), src["a"])
+	b := New(bus.MustRegister("b"), src["b"])
 	return a, b, bus
 }
 
@@ -74,14 +99,10 @@ func TestBothDirections(t *testing.T) {
 func TestCiphertextOnWire(t *testing.T) {
 	// Inspect the raw bus traffic: plaintext must not appear.
 	bus := transport.NewBus(nil)
-	dir := NewDirectory()
-	idA, _ := NewIdentity(nil)
-	idB, _ := NewIdentity(nil)
-	dir.Register("a", idA.PublicKey())
-	dir.Register("b", idB.PublicKey())
+	src := keySources(t, "a", "b")
 
 	rawB := bus.MustRegister("b")
-	a := New(bus.MustRegister("a"), idA, dir)
+	a := New(bus.MustRegister("a"), src["a"])
 	ctx := context.Background()
 
 	secret := []byte("household load profile 07:00-08:00")
@@ -103,15 +124,11 @@ func TestCiphertextOnWire(t *testing.T) {
 func TestTamperedMessageRejected(t *testing.T) {
 	// Relay through a raw endpoint that flips a bit.
 	bus := transport.NewBus(nil)
-	dir := NewDirectory()
-	idA, _ := NewIdentity(nil)
-	idB, _ := NewIdentity(nil)
-	dir.Register("a", idA.PublicKey())
-	dir.Register("b", idB.PublicKey())
+	src := keySources(t, "a", "b")
 
 	innerA := transport.NewFaultConn(bus.MustRegister("a"))
-	a := New(innerA, idA, dir)
-	b := New(bus.MustRegister("b"), idB, dir)
+	a := New(innerA, src["a"])
+	b := New(bus.MustRegister("b"), src["b"])
 	ctx := context.Background()
 
 	innerA.CorruptNext("t", 1)
@@ -127,16 +144,12 @@ func TestWrongTagRejected(t *testing.T) {
 	// AAD binds the tag: delivering a ciphertext under a different tag via
 	// a raw relay must fail to authenticate.
 	bus := transport.NewBus(nil)
-	dir := NewDirectory()
-	idA, _ := NewIdentity(nil)
-	idB, _ := NewIdentity(nil)
-	dir.Register("a", idA.PublicKey())
-	dir.Register("b", idB.PublicKey())
+	src := keySources(t, "a", "b")
 
 	rawA := bus.MustRegister("a")
-	a := New(rawA, idA, dir)
+	a := New(rawA, src["a"])
 	rawB := bus.MustRegister("b")
-	b := New(rawB, idB, dir)
+	b := New(rawB, src["b"])
 	ctx := context.Background()
 
 	if err := a.Send(ctx, "b", "tag1", []byte("bound")); err != nil {
@@ -159,28 +172,19 @@ func TestWrongTagRejected(t *testing.T) {
 
 func TestUnknownPeer(t *testing.T) {
 	bus := transport.NewBus(nil)
-	dir := NewDirectory()
-	id, _ := NewIdentity(nil)
-	dir.Register("a", id.PublicKey())
-	a := New(bus.MustRegister("a"), id, dir)
+	a := New(bus.MustRegister("a"), keySources(t, "a")["a"])
 	bus.MustRegister("stranger")
-	if err := a.Send(context.Background(), "stranger", "t", []byte("x")); err == nil {
-		t.Error("send to peer without registered key: want error")
-	} else if !strings.Contains(err.Error(), "no public key") {
-		t.Errorf("unexpected error: %v", err)
+	if err := a.Send(context.Background(), "stranger", "t", []byte("x")); !errors.Is(err, errNoKey) {
+		t.Errorf("send to a peer the key source does not know: %v, want the source's error", err)
 	}
 }
 
 func TestNonceUniqueness(t *testing.T) {
 	// Two seals of the same message must differ on the wire.
 	bus := transport.NewBus(nil)
-	dir := NewDirectory()
-	idA, _ := NewIdentity(nil)
-	idB, _ := NewIdentity(nil)
-	dir.Register("a", idA.PublicKey())
-	dir.Register("b", idB.PublicKey())
+	src := keySources(t, "a", "b")
 	rawB := bus.MustRegister("b")
-	a := New(bus.MustRegister("a"), idA, dir)
+	a := New(bus.MustRegister("a"), src["a"])
 	ctx := context.Background()
 
 	for i := 0; i < 2; i++ {
@@ -196,11 +200,7 @@ func TestNonceUniqueness(t *testing.T) {
 }
 
 func TestOverTCP(t *testing.T) {
-	dir := NewDirectory()
-	idA, _ := NewIdentity(nil)
-	idB, _ := NewIdentity(nil)
-	dir.Register("a", idA.PublicKey())
-	dir.Register("b", idB.PublicKey())
+	src := keySources(t, "a", "b")
 
 	nodeA, err := transport.ListenTCP("a", "127.0.0.1:0", nil, nil)
 	if err != nil {
@@ -214,8 +214,8 @@ func TestOverTCP(t *testing.T) {
 	defer nodeB.Close()
 	nodeA.SetPeer("b", nodeB.Addr())
 
-	a := New(nodeA, idA, dir)
-	b := New(nodeB, idB, dir)
+	a := New(nodeA, src["a"])
+	b := New(nodeB, src["b"])
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -188,12 +188,11 @@ func marketCell(t *testing.T, c cell) string {
 
 // standaloneCell runs the Market scenario across eight standalone parties
 // — the cmd/pem-agent deployment — each on its own loopback TCP listener,
-// behind secchan in the "secchan" cells, and chains their outcomes into a
-// ledger as a Market does its results.
+// sealed by secchan after the key exchange in the "secchan" cells, and
+// chains their outcomes into a ledger as a Market does its results.
 func standaloneCell(t *testing.T, c cell) string {
 	tr := marketTrace()
 	agents := tr.Agents()
-	dir := secchan.NewDirectory()
 	nodes := make([]*transport.TCPNode, len(agents))
 	parties := make([]*core.Party, len(agents))
 	peers := make([]string, len(agents))
@@ -204,16 +203,7 @@ func standaloneCell(t *testing.T, c cell) string {
 		}
 		defer node.Close()
 		nodes[i], peers[i] = node, a.ID
-		var conn transport.Conn = node
-		if c.network == "secchan" {
-			id, err := secchan.NewIdentity(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir.Register(a.ID, id.PublicKey())
-			conn = secchan.New(node, id, dir)
-		}
-		p, err := core.NewStandaloneParty(core.Config{KeyBits: 256, Seed: seedPtr(26), CryptoBackend: c.backend, Aggregation: c.agg}, a, conn)
+		p, err := core.NewStandaloneParty(core.Config{KeyBits: 256, Seed: seedPtr(26), CryptoBackend: c.backend, Aggregation: c.agg}, a, node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,6 +238,9 @@ func standaloneCell(t *testing.T, c cell) string {
 		go func() {
 			defer wg.Done()
 			errs[i] = p.ExchangeKeys(ctx, peers)
+			if c.network == "secchan" {
+				p.ReplaceConn(secchan.New(nodes[i], p.PairKey))
+			}
 			for w := 0; w < len(inputs) && errs[i] == nil; w++ {
 				outs[w][i], errs[i] = p.RunTradingWindow(ctx, w, inputs[w][i])
 			}
