@@ -513,17 +513,6 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 		return nil, fmt.Errorf("core: %d inputs for %d parties", len(inputs), len(e.parties))
 	}
 	start := time.Now()
-	// Drop the window's transport counters and virtual-clock state once it
-	// completes (the WindowResult below reads them before the deferred
-	// releases fire), failed windows included: the shared sink and the
-	// emulated network stay bounded by the windows in flight, and the
-	// result is the one record of the window's traffic.
-	m := e.bus.Metrics()
-	defer m.FoldWindow(e.scope, window)
-	if e.network != nil {
-		defer e.network.ReleaseWindow(e.scope, window)
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -544,6 +533,15 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 		}(i, p)
 	}
 	wg.Wait()
+	// The window ends here, failed or not: its transport counters and
+	// virtual-clock state are dropped, so the shared sink and the emulated
+	// network stay bounded by the windows in flight, and the result is the
+	// one record of the window's traffic.
+	res := &WindowResult{Window: window, Duration: time.Since(start)}
+	res.BytesOnWire, res.Messages = e.bus.Metrics().FoldWindow(e.scope, window)
+	if e.network != nil {
+		res.VirtualLatency, res.Rounds = e.network.ReleaseWindow(e.scope, window)
+	}
 	// Report the failure that stopped the window, not the "context
 	// canceled" of a bystander that merely sorts first.
 	var failed error
@@ -556,15 +554,6 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 		return nil, failed
 	}
 
-	res := &WindowResult{
-		Window:      window,
-		Duration:    time.Since(start),
-		BytesOnWire: m.ScopedWindowBytes(e.scope, window),
-		Messages:    m.ScopedWindowMessages(e.scope, window),
-	}
-	if e.network != nil {
-		res.VirtualLatency, res.Rounds = e.network.WindowStats(e.scope, window)
-	}
 	// All parties observed the same public outcome; adopt the first
 	// report and cross-check the rest.
 	first := reports[0]

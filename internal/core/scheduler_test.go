@@ -259,37 +259,94 @@ func TestMetricsSinkEndsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(39)
-	cfg.MaxInflightWindows = 2
-	eng, err := NewEngine(cfg, tr.Agents())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	p := eng.Parties()[1]
-	fc := transport.NewFaultConn(partyConn(p))
-	fc.FailWindow(3)
-	p.ReplaceConn(fc)
+	// The emulated case also ends with no virtual-clock state: releasing
+	// any window of the day a second time returns zero.
+	for _, network := range []string{"", "wan"} {
+		t.Run("network="+network, func(t *testing.T) {
+			cfg := testConfig(39)
+			cfg.MaxInflightWindows = 2
+			cfg.Network = network
+			eng, err := NewEngine(cfg, tr.Agents())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			p := eng.Parties()[1]
+			fc := transport.NewFaultConn(partyConn(p))
+			fc.FailWindow(3)
+			p.ReplaceConn(fc)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	results, err := eng.RunWindows(ctx, traceJobs(t, tr))
-	var werr *WindowError
-	if !errors.As(err, &werr) || werr.Window != 3 {
-		t.Fatalf("error does not identify window 3: %v", err)
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			results, err := eng.RunWindows(ctx, traceJobs(t, tr))
+			var werr *WindowError
+			if !errors.As(err, &werr) || werr.Window != 3 {
+				t.Fatalf("error does not identify window 3: %v", err)
+			}
+			m := eng.Metrics()
+			if n := m.LiveWindows(); n != 0 {
+				t.Errorf("%d window counters left in the sink after the day", n)
+			}
+			var sum int64
+			for _, res := range results {
+				if res != nil {
+					sum += res.BytesOnWire
+				}
+			}
+			if sum == 0 || sum > m.TotalBytes() {
+				t.Errorf("completed windows carry %d bytes, bus total %d", sum, m.TotalBytes())
+			}
+			if eng.network == nil {
+				return
+			}
+			for w := range results {
+				if lat, rounds := eng.network.ReleaseWindow(eng.scope, w); lat != 0 || rounds != 0 {
+					t.Errorf("window %d left %v over %d rounds in the emulated network", w, lat, rounds)
+				}
+			}
+		})
 	}
-	m := eng.Metrics()
-	if n := m.LiveWindows(); n != 0 {
-		t.Errorf("%d window counters left in the sink after the day", n)
+}
+
+// TestScopedFaultCancelsItsWindow: window faults name a window number and
+// fire under whatever scope the engine's tags carry — a coalition's engine
+// included.
+func TestScopedFaultCancelsItsWindow(t *testing.T) {
+	inputs := []market.WindowInput{
+		{Generation: 0.3, Load: 0.1},
+		{Generation: 0.0, Load: 0.3},
+		{Generation: 0.0, Load: 0.2},
+		{Generation: 0.2, Load: 0.1},
 	}
-	var sum int64
-	for _, res := range results {
-		if res != nil {
-			sum += res.BytesOnWire
-		}
-	}
-	if sum == 0 || sum > m.TotalBytes() {
-		t.Errorf("completed windows carry %d bytes, bus total %d", sum, m.TotalBytes())
+	for _, tc := range []struct {
+		name  string
+		fault func(*transport.FaultConn)
+	}{
+		{"FailWindow", func(fc *transport.FaultConn) { fc.FailWindow(0) }},
+		{"CorruptNextInWindow", func(fc *transport.FaultConn) { fc.CorruptNextInWindow(0, "role", 3) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := NewEngineWith(testConfig(41), testAgents(4), Resources{Scope: "c00"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			p := eng.Parties()[1]
+			fc := transport.NewFaultConn(partyConn(p))
+			tc.fault(fc)
+			p.ReplaceConn(fc)
+
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			results, err := eng.RunWindows(ctx, []WindowJob{{Window: 0, Inputs: inputs}})
+			var werr *WindowError
+			if !errors.As(err, &werr) || werr.Window != 0 {
+				t.Fatalf("error does not identify window 0: %v", err)
+			}
+			if results[0] != nil {
+				t.Error("faulted window produced a result")
+			}
+		})
 	}
 }
 
@@ -323,7 +380,7 @@ func TestCloseDrainsInflightWindows(t *testing.T) {
 	}()
 
 	// Wait until the window is demonstrably in flight, then close.
-	for eng.Metrics().ScopedWindowBytes("", 0) == 0 {
+	for eng.Metrics().LiveWindows() == 0 {
 		select {
 		case out := <-resCh:
 			t.Fatalf("window finished before close raced it: %v", out.err)

@@ -43,23 +43,32 @@ import (
 )
 
 // Network holds the emulated topology and all virtual-clock state shared by
-// the wrapped connections of one engine. A window's virtual latency and
-// round count are read from it (WindowStats) while the window's lanes live.
+// the wrapped connections of one engine, grouped per (scope, window). A
+// window ends with ReleaseWindow, which drops its group and returns the
+// window's virtual latency and round count.
 type Network struct {
 	topo Topology
 	seed int64
 
-	mu    sync.Mutex
-	lanes map[laneKey]*lane
-	links map[linkKey]*link
-	pairs map[pairKey]LinkParams
+	mu      sync.Mutex
+	windows map[windowKey]*windowState
+	pairs   map[pairKey]LinkParams
 }
 
-// laneKey names one party's virtual-clock lane within one trading window.
-type laneKey struct {
+// windowKey names one trading window of one scope.
+type windowKey struct {
 	scope  string
 	window int
-	party  string
+}
+
+// windowState is one window's emulation state: its parties' lanes, its
+// message streams, and the maxima its lanes have reached — the window's
+// critical-path latency and round count.
+type windowState struct {
+	lanes   map[string]*lane // by party
+	links   map[linkKey]*link
+	latency time.Duration
+	rounds  int
 }
 
 // lane is the per-(scope, window, party) virtual clock: the latest message
@@ -113,11 +122,10 @@ func New(topo Topology, seed int64) (*Network, error) {
 		return nil, err
 	}
 	return &Network{
-		topo:  topo,
-		seed:  seed,
-		lanes: make(map[laneKey]*lane),
-		links: make(map[linkKey]*link),
-		pairs: make(map[pairKey]LinkParams),
+		topo:    topo,
+		seed:    seed,
+		windows: make(map[windowKey]*windowState),
+		pairs:   make(map[pairKey]LinkParams),
 	}, nil
 }
 
@@ -128,45 +136,35 @@ func (n *Network) Wrap(c transport.Conn) *Conn {
 	return &Conn{net: n, inner: c}
 }
 
-// WindowStats returns one window's critical-path virtual latency and round
-// count as observed so far: the maxima across the window's lanes. The scan
-// is O(live lanes), which ReleaseWindow keeps bounded by the windows
-// actually in flight.
-func (n *Network) WindowStats(scope string, window int) (latency time.Duration, rounds int) {
+// ReleaseWindow ends one window: it drops the window's lane and stream
+// state and returns its critical-path virtual latency and round count, the
+// maxima across its lanes. The engine calls it once per window, failed
+// windows included, which keeps a long-lived network's memory bounded by
+// the windows in flight — and means a caller reusing a window number later
+// starts that window's virtual clocks from zero again instead of
+// inheriting the previous run's. Releasing a window with no state returns
+// zero.
+func (n *Network) ReleaseWindow(scope string, window int) (latency time.Duration, rounds int) {
+	k := windowKey{scope, window}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for k, l := range n.lanes {
-		if k.scope != scope || k.window != window {
-			continue
-		}
-		if l.clock > latency {
-			latency = l.clock
-		}
-		if l.depth > rounds {
-			rounds = l.depth
-		}
+	ws := n.windows[k]
+	if ws == nil {
+		return 0, 0
 	}
-	return latency, rounds
+	delete(n.windows, k)
+	return ws.latency, ws.rounds
 }
 
-// ReleaseWindow drops one completed window's lane and stream state. The
-// engine calls it after reading the window's stats, which keeps a
-// long-lived network's memory bounded by the windows in flight — and means
-// a caller reusing a window number later starts that window's virtual
-// clocks from zero again instead of inheriting the previous run's.
-func (n *Network) ReleaseWindow(scope string, window int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for k := range n.lanes {
-		if k.scope == scope && k.window == window {
-			delete(n.lanes, k)
-		}
+// state returns (lazily creating) one window's state; n.mu must be held.
+func (n *Network) state(scope string, window int) *windowState {
+	k := windowKey{scope, window}
+	ws := n.windows[k]
+	if ws == nil {
+		ws = &windowState{lanes: make(map[string]*lane), links: make(map[linkKey]*link)}
+		n.windows[k] = ws
 	}
-	for k := range n.links {
-		if s, w, _, ok := transport.ParseScopedWindowTag(k.tag); ok && s == scope && w == window {
-			delete(n.links, k)
-		}
-	}
+	return ws
 }
 
 // pairParams resolves (and memoizes) the directed pair's link parameters.
@@ -187,29 +185,29 @@ func (n *Network) pairParams(from, to string) LinkParams {
 func (n *Network) laneSnapshot(scope string, window int, party string) (time.Duration, int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	l, ok := n.lanes[laneKey{scope: scope, window: window, party: party}]
-	if !ok {
-		return 0, 0
+	if ws := n.windows[windowKey{scope, window}]; ws != nil {
+		if l := ws.lanes[party]; l != nil {
+			return l.clock, l.depth
+		}
 	}
-	return l.clock, l.depth
+	return 0, 0
 }
 
-// laneAdvance folds one delivery into a lane (Lamport max).
+// laneAdvance folds one delivery into a lane (Lamport max) and into its
+// window's maxima.
 func (n *Network) laneAdvance(scope string, window int, party string, m meta) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	k := laneKey{scope: scope, window: window, party: party}
-	l, ok := n.lanes[k]
-	if !ok {
+	ws := n.state(scope, window)
+	l := ws.lanes[party]
+	if l == nil {
 		l = &lane{}
-		n.lanes[k] = l
+		ws.lanes[party] = l
 	}
-	if m.d > l.clock {
-		l.clock = m.d
-	}
-	if m.depth > l.depth {
-		l.depth = m.depth
-	}
+	l.clock = max(l.clock, m.d)
+	l.depth = max(l.depth, m.depth)
+	ws.latency = max(ws.latency, l.clock)
+	ws.rounds = max(ws.rounds, l.depth)
 }
 
 // price splits one transmission's cost into link occupancy (serialization
@@ -279,7 +277,7 @@ func (c *Conn) Send(ctx context.Context, to, tag string, payload []byte) error {
 	// The stream lock is held across both the metadata enqueue and the
 	// inner send, so the FIFO of metas stays aligned with the mailbox's
 	// message queue even under concurrent senders.
-	st := c.net.stream(linkKey{from: from, to: to, tag: tag})
+	st := c.net.stream(scope, window, linkKey{from: from, to: to, tag: tag})
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	seq := st.seq
@@ -341,7 +339,7 @@ func (c *Conn) arrived(ctx context.Context, from, tag string) {
 		return
 	}
 	to := c.inner.Party()
-	st := c.net.stream(linkKey{from: from, to: to, tag: tag})
+	st := c.net.stream(scope, window, linkKey{from: from, to: to, tag: tag})
 	st.mu.Lock()
 	if len(st.fifo) == 0 {
 		st.mu.Unlock()
@@ -357,15 +355,17 @@ func (c *Conn) arrived(ctx context.Context, from, tag string) {
 	}
 }
 
-// stream returns (lazily creating) one directed stream's state.
-func (n *Network) stream(k linkKey) *link {
+// stream returns (lazily creating) one directed stream's state within its
+// window.
+func (n *Network) stream(scope string, window int, k linkKey) *link {
 	n.mu.Lock()
-	st, ok := n.links[k]
-	if !ok {
+	defer n.mu.Unlock()
+	ws := n.state(scope, window)
+	st := ws.links[k]
+	if st == nil {
 		st = &link{}
-		n.links[k] = st
+		ws.links[k] = st
 	}
-	n.mu.Unlock()
 	return st
 }
 

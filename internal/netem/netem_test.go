@@ -102,7 +102,7 @@ func TestVirtualChainAccumulates(t *testing.T) {
 	const hop = 10 * time.Millisecond
 	n, conns := wire(t, fixedTopo(hop, 0), 1, "a", "b", "c")
 	ctx := context.Background()
-	tag := transport.WindowTag(0, "ring")
+	tag := transport.ScopedWindowTag("", 0, "ring")
 
 	// a -> b -> c: each hop relays after receiving, so virtual time adds up
 	// along the chain while wall-clock time stays at memory speed.
@@ -119,15 +119,14 @@ func TestVirtualChainAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lat, rounds := n.WindowStats("", 0)
+	lat, rounds := n.ReleaseWindow("", 0)
 	if lat != 2*hop {
 		t.Errorf("chain latency = %v, want %v", lat, 2*hop)
 	}
 	if rounds != 2 {
 		t.Errorf("chain rounds = %d, want 2", rounds)
 	}
-	n.ReleaseWindow("", 0)
-	if lat, rounds := n.WindowStats("", 0); lat != 0 || rounds != 0 {
+	if lat, rounds := n.ReleaseWindow("", 0); lat != 0 || rounds != 0 {
 		t.Errorf("released window still reports %v over %d rounds", lat, rounds)
 	}
 }
@@ -137,7 +136,7 @@ func TestSerializationDelay(t *testing.T) {
 	// top of zero propagation.
 	n, conns := wire(t, fixedTopo(0, 1000), 1, "a", "b")
 	ctx := context.Background()
-	tag := transport.WindowTag(3, "bulk")
+	tag := transport.ScopedWindowTag("", 3, "bulk")
 	payload := make([]byte, 100)
 	if err := conns["a"].Send(ctx, "b", tag, payload); err != nil {
 		t.Fatal(err)
@@ -146,7 +145,7 @@ func TestSerializationDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := time.Duration(transport.WireSize("a", "b", tag, payload)) * time.Millisecond
-	if lat, _ := n.WindowStats("", 3); lat != want {
+	if lat, _ := n.ReleaseWindow("", 3); lat != want {
 		t.Errorf("serialization latency = %v, want %v", lat, want)
 	}
 }
@@ -156,15 +155,15 @@ func TestWindowsAreIndependentLanes(t *testing.T) {
 	n, conns := wire(t, fixedTopo(hop, 0), 1, "a", "b")
 	ctx := context.Background()
 	for w := 0; w < 3; w++ {
-		if err := conns["a"].Send(ctx, "b", transport.WindowTag(w, "t"), []byte{1}); err != nil {
+		if err := conns["a"].Send(ctx, "b", transport.ScopedWindowTag("", w, "t"), []byte{1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conns["b"].Recv(ctx, "a", transport.WindowTag(w, "t")); err != nil {
+		if _, err := conns["b"].Recv(ctx, "a", transport.ScopedWindowTag("", w, "t")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for w := 0; w < 3; w++ {
-		if lat, rounds := n.WindowStats("", w); lat != hop || rounds != 1 {
+		if lat, rounds := n.ReleaseWindow("", w); lat != hop || rounds != 1 {
 			t.Errorf("window %d: latency %v rounds %d, want %v/1 (lanes leaked across windows)", w, lat, rounds, hop)
 		}
 	}
@@ -179,7 +178,7 @@ func TestSessionTagsUnmodeled(t *testing.T) {
 	if _, err := conns["b"].Recv(ctx, "a", "keys/paillier"); err != nil {
 		t.Fatal(err)
 	}
-	if lat, rounds := n.WindowStats("", 0); lat != 0 || rounds != 0 {
+	if lat, rounds := n.ReleaseWindow("", 0); lat != 0 || rounds != 0 {
 		t.Errorf("session traffic advanced the virtual clock: %v/%d", lat, rounds)
 	}
 }
@@ -190,7 +189,7 @@ func TestFIFODeliveryOrder(t *testing.T) {
 	topo := Topology{Name: "jittery", Base: LinkParams{Latency: 10 * time.Millisecond, Jitter: 9 * time.Millisecond}}
 	n, conns := wire(t, topo, 42, "a", "b")
 	ctx := context.Background()
-	tag := transport.WindowTag(0, "seq")
+	tag := transport.ScopedWindowTag("", 0, "seq")
 	var prev time.Duration
 	for i := 0; i < 50; i++ {
 		if err := conns["a"].Send(ctx, "b", tag, []byte{byte(i)}); err != nil {
@@ -199,7 +198,7 @@ func TestFIFODeliveryOrder(t *testing.T) {
 		if _, err := conns["b"].Recv(ctx, "a", tag); err != nil {
 			t.Fatal(err)
 		}
-		lat, _ := n.WindowStats("", 0)
+		lat, _ := n.laneSnapshot("", 0, "b")
 		if lat < prev {
 			t.Fatalf("delivery %d regressed virtual time: %v < %v", i, lat, prev)
 		}
@@ -217,7 +216,7 @@ func TestSeededDrawsAreDeterministic(t *testing.T) {
 		ctx := context.Background()
 		for w := 0; w < 2; w++ {
 			for i := 0; i < 10; i++ {
-				tag := transport.WindowTag(w, "t")
+				tag := transport.ScopedWindowTag("", w, "t")
 				if err := conns["a"].Send(ctx, "b", tag, make([]byte, 64)); err != nil {
 					t.Fatal(err)
 				}
@@ -232,7 +231,7 @@ func TestSeededDrawsAreDeterministic(t *testing.T) {
 				}
 			}
 		}
-		lat, rounds := n.WindowStats("", 1)
+		lat, rounds := n.ReleaseWindow("", 1)
 		return lat, rounds
 	}
 	lat1, r1 := run()
@@ -254,7 +253,7 @@ func TestBackToBackSendsQueueOnBandwidth(t *testing.T) {
 	// per-frame transmission time.
 	n, conns := wire(t, fixedTopo(0, 1000), 1, "a", "b")
 	ctx := context.Background()
-	tag := transport.WindowTag(0, "bulk")
+	tag := transport.ScopedWindowTag("", 0, "bulk")
 	payload := make([]byte, 100)
 	for i := 0; i < 5; i++ {
 		if err := conns["a"].Send(ctx, "b", tag, payload); err != nil {
@@ -267,7 +266,7 @@ func TestBackToBackSendsQueueOnBandwidth(t *testing.T) {
 		}
 	}
 	perFrame := time.Duration(transport.WireSize("a", "b", tag, payload)) * time.Millisecond
-	if lat, _ := n.WindowStats("", 0); lat != 5*perFrame {
+	if lat, _ := n.ReleaseWindow("", 0); lat != 5*perFrame {
 		t.Errorf("queued latency = %v, want %v", lat, 5*perFrame)
 	}
 }
@@ -304,8 +303,8 @@ func TestForkBranchIsolation(t *testing.T) {
 	const hop = 10 * time.Millisecond
 	n, conns := wire(t, fixedTopo(hop, 0), 1, "hub", "x", "y")
 	ctx := context.Background()
-	tagReq := transport.WindowTag(0, "req")
-	tagRep := transport.WindowTag(0, "rep")
+	tagReq := transport.ScopedWindowTag("", 0, "req")
+	tagRep := transport.ScopedWindowTag("", 0, "rep")
 
 	// x and y both message the hub; the hub answers each through its own
 	// branch. Each reply must be timestamped off only its own request —
@@ -330,7 +329,7 @@ func TestForkBranchIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if lat, rounds := n.WindowStats("", 0); lat != 2*hop || rounds != 2 {
+	if lat, rounds := n.ReleaseWindow("", 0); lat != 2*hop || rounds != 2 {
 		t.Errorf("request/reply latency = %v rounds %d, want %v/2 (branches leaked)", lat, rounds, 2*hop)
 	}
 }
@@ -346,7 +345,7 @@ func TestSendFailureRetractsMeta(t *testing.T) {
 	const hop = 10 * time.Millisecond
 	n, conns := wire(t, fixedTopo(hop, 0), 1, "a", "b")
 	ctx := context.Background()
-	tag := transport.WindowTag(0, "t")
+	tag := transport.ScopedWindowTag("", 0, "t")
 
 	// Sending to an unknown party fails below the emulation layer; its
 	// metadata must not linger and desynchronize the next delivery.
@@ -359,7 +358,7 @@ func TestSendFailureRetractsMeta(t *testing.T) {
 	if _, err := conns["b"].Recv(ctx, "a", tag); err != nil {
 		t.Fatal(err)
 	}
-	if lat, _ := n.WindowStats("", 0); lat != hop {
+	if lat, _ := n.ReleaseWindow("", 0); lat != hop {
 		t.Errorf("latency = %v, want %v (stale meta from failed send?)", lat, hop)
 	}
 }

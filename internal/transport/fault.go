@@ -11,16 +11,34 @@ import (
 // than produce incorrect trades.
 //
 // Faults can be scoped to a single trading window's tag namespace (see
-// WindowTag), which lets the pipelined-scheduler tests kill one in-flight
-// window while asserting its neighbours complete untouched.
+// ScopedWindowTag), which lets the pipelined-scheduler tests kill one
+// in-flight window while asserting its neighbours complete untouched. A
+// window fault names the window number and bare protocol tag, and fires
+// under whatever scope the window runs in.
 type FaultConn struct {
 	inner Conn
 
 	mu      sync.Mutex
-	dropTag map[string]int // tag -> remaining drops
-	corrupt map[string]int // tag -> remaining corruptions
-	failWin map[int]bool   // window -> fail every send in its namespace
+	dropTag map[faultKey]int // remaining drops
+	corrupt map[faultKey]int // remaining corruptions
+	failWin map[int]bool     // window -> fail every send in its namespace
 	failAll bool
+}
+
+// faultKey names the sends a drop or corruption matches: a window tag's
+// window and bare protocol tag, whatever its scope, or any other tag whole
+// (window -1).
+type faultKey struct {
+	window int
+	tag    string
+}
+
+// keyOf reads a tag as the faultKey it matches.
+func keyOf(tag string) faultKey {
+	if _, w, rest, ok := ParseScopedWindowTag(tag); ok {
+		return faultKey{w, rest}
+	}
+	return faultKey{-1, tag}
 }
 
 var _ Conn = (*FaultConn)(nil)
@@ -29,34 +47,36 @@ var _ Conn = (*FaultConn)(nil)
 func NewFaultConn(inner Conn) *FaultConn {
 	return &FaultConn{
 		inner:   inner,
-		dropTag: make(map[string]int),
-		corrupt: make(map[string]int),
+		dropTag: make(map[faultKey]int),
+		corrupt: make(map[faultKey]int),
 		failWin: make(map[int]bool),
 	}
 }
 
-// DropNext silently discards the next n sends with the given tag.
+// DropNext silently discards the next n sends with the given tag; a window
+// tag matches its window in any scope.
 func (f *FaultConn) DropNext(tag string, n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.dropTag[tag] += n
+	f.dropTag[keyOf(tag)] += n
 }
 
-// CorruptNext flips bits in the next n sends with the given tag.
+// CorruptNext flips bits in the next n sends with the given tag; a window
+// tag matches its window in any scope.
 func (f *FaultConn) CorruptNext(tag string, n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.corrupt[tag] += n
+	f.corrupt[keyOf(tag)] += n
 }
 
 // DropNextInWindow scopes DropNext to one window's namespace.
 func (f *FaultConn) DropNextInWindow(window int, tag string, n int) {
-	f.DropNext(WindowTag(window, tag), n)
+	f.DropNext(ScopedWindowTag("", window, tag), n)
 }
 
 // CorruptNextInWindow scopes CorruptNext to one window's namespace.
 func (f *FaultConn) CorruptNextInWindow(window int, tag string, n int) {
-	f.CorruptNext(WindowTag(window, tag), n)
+	f.CorruptNext(ScopedWindowTag("", window, tag), n)
 }
 
 // FailAll makes every subsequent Send return ErrClosed.
@@ -85,24 +105,19 @@ func (f *FaultConn) Inner() Conn { return f.inner }
 
 // Send implements Conn with fault injection.
 func (f *FaultConn) Send(ctx context.Context, to, tag string, payload []byte) error {
+	k := keyOf(tag)
 	f.mu.Lock()
-	if f.failAll {
+	if f.failAll || k.window >= 0 && f.failWin[k.window] {
 		f.mu.Unlock()
 		return ErrClosed
 	}
-	if len(f.failWin) > 0 {
-		if w, _, ok := ParseWindowTag(tag); ok && f.failWin[w] {
-			f.mu.Unlock()
-			return ErrClosed
-		}
-	}
-	if f.dropTag[tag] > 0 {
-		f.dropTag[tag]--
+	if f.dropTag[k] > 0 {
+		f.dropTag[k]--
 		f.mu.Unlock()
 		return nil // silently dropped
 	}
-	if f.corrupt[tag] > 0 {
-		f.corrupt[tag]--
+	if f.corrupt[k] > 0 {
+		f.corrupt[k]--
 		f.mu.Unlock()
 		bad := append([]byte(nil), payload...)
 		if len(bad) > 0 {

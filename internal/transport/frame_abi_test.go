@@ -18,8 +18,8 @@ const frameABIGolden = "00000027 0003 0003 0015" +
 // carries: a drift in either breaks every deployed pem-agent's peers, not
 // just this build.
 func TestFrameABI(t *testing.T) {
-	if got := WindowTag(7, "pme/ring/3"); got != "w7/pme/ring/3" {
-		t.Errorf("WindowTag = %q", got)
+	if got := ScopedWindowTag("", 7, "pme/ring/3"); got != "w7/pme/ring/3" {
+		t.Errorf("unscoped ScopedWindowTag = %q", got)
 	}
 	tag := ScopedWindowTag("e01-c02", 7, "pme/ring/3")
 	if tag != "e01-c02/w7/pme/ring/3" {

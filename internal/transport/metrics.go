@@ -3,7 +3,7 @@ package transport
 import "sync"
 
 // windowKey names one window of one scope: the unit a window namespace tag
-// (see WindowTag and ScopedWindowTag) attributes its message to.
+// (see ScopedWindowTag) attributes its message to.
 type windowKey struct {
 	scope  string
 	window int
@@ -22,11 +22,11 @@ type windowCounters struct {
 // same-numbered windows of different coalitions on one bus included — are
 // counted apart.
 //
-// A window's counters live only as long as the window: the engine copies
-// them into the window's WindowResult and then folds them (FoldWindow), so
-// the sink holds O(windows in flight) however long a run goes. Every
-// per-window, per-coalition or per-epoch figure is read from those results,
-// never from here.
+// A window's counters live only as long as the window: the engine ends it
+// with FoldWindow, which drops them and returns them for the window's
+// WindowResult, so the sink holds O(windows in flight) however long a run
+// goes. Every per-window, per-coalition or per-epoch figure is read from
+// those results, never from here.
 type Metrics struct {
 	mu      sync.Mutex
 	windows map[windowKey]*windowCounters
@@ -58,35 +58,21 @@ func (m *Metrics) recordSend(tag string, n int) {
 	wc.msgs++
 }
 
-// FoldWindow drops one completed window's counters; the totals keep its
-// traffic. The engine calls it once the window's WindowResult has captured
-// them, failed windows included, so later queries for that window read zero.
-func (m *Metrics) FoldWindow(scope string, window int) {
+// FoldWindow ends one window of one scope (the empty scope is the
+// solo-engine namespace): it drops the window's counters and returns the
+// bytes and messages they held; the totals keep its traffic. The engine
+// calls it once per window, failed windows included, so a second fold of
+// the same window returns zero.
+func (m *Metrics) FoldWindow(scope string, window int) (bytes, msgs int64) {
+	k := windowKey{scope, window}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.windows, windowKey{scope, window})
-}
-
-// ScopedWindowBytes returns the bytes sent so far within one live window of
-// one scope. The empty scope reads the unscoped (solo-engine) namespace.
-func (m *Metrics) ScopedWindowBytes(scope string, window int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if wc := m.windows[windowKey{scope, window}]; wc != nil {
-		return wc.bytes
+	wc := m.windows[k]
+	if wc == nil {
+		return 0, 0
 	}
-	return 0
-}
-
-// ScopedWindowMessages returns the messages sent so far within one live
-// window of one scope, mirroring ScopedWindowBytes.
-func (m *Metrics) ScopedWindowMessages(scope string, window int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if wc := m.windows[windowKey{scope, window}]; wc != nil {
-		return wc.msgs
-	}
-	return 0
+	delete(m.windows, k)
+	return wc.bytes, wc.msgs
 }
 
 // TotalBytes returns the total bytes sent across all parties.

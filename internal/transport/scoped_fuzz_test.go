@@ -95,14 +95,14 @@ func FuzzParseScopedWindowTag(f *testing.F) {
 			t.Fatalf("re-encode of %q not a parse fixed point: %q -> (%q, %d, %q, %v)",
 				tag, re, s2, w2, rest2, ok2)
 		}
-		// The two-level parsers must agree: the unscoped parser sees the
-		// same (window, rest) once the scope prefix is stripped.
+		// The two levels must agree: the unscoped form sees the same
+		// (window, rest) once the scope prefix is stripped.
 		inner := re
 		if scope != "" {
 			inner = re[len(scope)+1:]
 		}
-		if w3, rest3, ok3 := ParseWindowTag(inner); !ok3 || w3 != w || rest3 != rest {
-			t.Fatalf("ParseWindowTag disagrees on %q: (%d, %q, %v)", inner, w3, rest3, ok3)
+		if s3, w3, rest3, ok3 := ParseScopedWindowTag(inner); !ok3 || s3 != "" || w3 != w || rest3 != rest {
+			t.Fatalf("unscoped parse disagrees on %q: (%q, %d, %q, %v)", inner, s3, w3, rest3, ok3)
 		}
 	})
 }

@@ -24,9 +24,9 @@ func TestScopedWindowTagRoundTrip(t *testing.T) {
 			t.Errorf("round trip %+v -> %q -> (%q, %d, %q, %v)", c, full, scope, w, rest, ok)
 		}
 	}
-	// The unscoped form must be byte-identical to PR 1's WindowTag, so solo
-	// engines keep their wire format.
-	if got, want := ScopedWindowTag("", 7, "role"), WindowTag(7, "role"); got != want {
+	// The unscoped form must stay the original "w<n>/<tag>" wire format, so
+	// solo engines keep it.
+	if got, want := ScopedWindowTag("", 7, "role"), "w7/role"; got != want {
 		t.Errorf("empty scope tag = %q, want %q", got, want)
 	}
 	for _, bad := range []string{"keys/paillier", "role", "c3/role", "c3/wx/role", "/w1/role", "a b/w1/role", "w2/w1/role"} {
@@ -72,21 +72,21 @@ func TestScopedMetricsIsolation(t *testing.T) {
 	}
 	send(ScopedWindowTag("c0", 3, "role"), 100)
 	send(ScopedWindowTag("c1", 3, "role"), 1000)
-	send(WindowTag(3, "role"), 10)
+	send(ScopedWindowTag("", 3, "role"), 10)
 	send("keys/paillier", 7) // session-scoped: counted only in totals
 
 	m := bus.Metrics()
-	w0 := m.ScopedWindowBytes("c0", 3)
-	w1 := m.ScopedWindowBytes("c1", 3)
-	solo := m.ScopedWindowBytes("", 3)
+	if m.LiveWindows() != 3 {
+		t.Errorf("LiveWindows = %d, want 3", m.LiveWindows())
+	}
+	w0, _ := m.FoldWindow("c0", 3)
+	w1, _ := m.FoldWindow("c1", 3)
+	solo, _ := m.FoldWindow("", 3)
 	if w0 == 0 || w1 == 0 || solo == 0 {
 		t.Fatalf("missing attribution: c0=%d c1=%d solo=%d", w0, w1, solo)
 	}
 	if w1-w0 != 900 || w0-solo != int64(90+len("c0/")) {
 		t.Errorf("cross-scope counters mixed: c0=%d c1=%d solo=%d", w0, w1, solo)
-	}
-	if m.LiveWindows() != 3 {
-		t.Errorf("LiveWindows = %d, want 3", m.LiveWindows())
 	}
 	if m.TotalBytes() <= w0+w1+solo {
 		t.Errorf("total %d should also include session traffic", m.TotalBytes())
@@ -137,27 +137,26 @@ func TestFoldWindowKeepsAggregates(t *testing.T) {
 
 	m := bus.Metrics()
 	totalB, totalM := m.TotalBytes(), m.TotalMessages()
-	kept := m.ScopedWindowBytes("c0", 2)
+	kept := int64(WireSize("a", "b", ScopedWindowTag("c0", 2, "pme/x"), make([]byte, 200)))
 	if m.LiveWindows() != 3 {
 		t.Fatalf("LiveWindows = %d, want 3", m.LiveWindows())
 	}
 
-	m.FoldWindow("c0", 1)
-
-	if got := m.ScopedWindowBytes("c0", 1); got != 0 {
-		t.Errorf("folded window still reports %d bytes", got)
+	if b, msgs := m.FoldWindow("c0", 1); b != int64(WireSize("a", "b", ScopedWindowTag("c0", 1, "role"), make([]byte, 100))) || msgs != 1 {
+		t.Errorf("fold returned %d bytes over %d messages", b, msgs)
 	}
-	if got := m.ScopedWindowMessages("c0", 1); got != 0 {
-		t.Errorf("folded window still reports %d messages", got)
+
+	if b, msgs := m.FoldWindow("c0", 1); b != 0 || msgs != 0 {
+		t.Errorf("folded window still reports %d bytes over %d messages", b, msgs)
 	}
 	if m.LiveWindows() != 2 {
 		t.Errorf("LiveWindows = %d after fold, want 2", m.LiveWindows())
 	}
 	// Unfolded state is untouched.
-	if got := m.ScopedWindowBytes("c0", 2); got != kept {
+	if got, _ := m.FoldWindow("c0", 2); got != kept {
 		t.Errorf("unfolded window reads %d bytes, want %d", got, kept)
 	}
-	if got := m.ScopedWindowBytes("c1", 1); got == 0 {
+	if got, _ := m.FoldWindow("c1", 1); got == 0 {
 		t.Error("other scope lost its bytes")
 	}
 	if m.TotalBytes() != totalB || m.TotalMessages() != totalM {
@@ -166,7 +165,7 @@ func TestFoldWindowKeepsAggregates(t *testing.T) {
 	// Folding is idempotent and tolerant of unknown keys.
 	m.FoldWindow("c0", 1)
 	m.FoldWindow("nope", 9)
-	if m.LiveWindows() != 2 {
-		t.Errorf("LiveWindows = %d after repeat folds, want 2", m.LiveWindows())
+	if m.LiveWindows() != 0 {
+		t.Errorf("LiveWindows = %d after repeat folds, want 0", m.LiveWindows())
 	}
 }

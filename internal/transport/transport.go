@@ -23,72 +23,60 @@ import (
 	"sync"
 )
 
-// WindowTag scopes tag under the given trading window's namespace,
-// producing "w<window>/<tag>". All window-scoped protocol traffic uses this
-// form so that two windows in flight over the same Conn can never
-// cross-talk: the (from, tag) demultiplexing key differs in the window
-// prefix, and out-of-order arrivals from a faster window simply buffer in
-// their own queues. Session-scoped traffic (e.g. the Paillier key exchange)
-// uses bare tags outside any window namespace.
-func WindowTag(window int, tag string) string {
-	return "w" + strconv.Itoa(window) + "/" + tag
-}
-
-// ParseWindowTag splits a window-scoped tag into its window number and the
-// bare protocol tag. ok is false for tags outside any window namespace.
-func ParseWindowTag(tag string) (window int, rest string, ok bool) {
-	if len(tag) < 3 || tag[0] != 'w' {
-		return 0, "", false
-	}
-	slash := strings.IndexByte(tag, '/')
-	if slash < 2 {
-		return 0, "", false
-	}
-	w, err := strconv.Atoi(tag[1:slash])
-	if err != nil || w < 0 {
-		return 0, "", false
-	}
-	return w, tag[slash+1:], true
-}
-
-// ScopedWindowTag nests a window tag under an additional scope namespace,
-// producing "<scope>/w<window>/<tag>" — the coalition-grid extension of the
-// WindowTag scheme. Concurrent coalitions over one shared bus reuse window
-// numbers freely: the scope prefix keeps their (from, tag) demultiplexing
-// keys — and their per-window byte accounting — disjoint even if a party ID
-// ever appeared in two rosters. An empty scope degrades to WindowTag, so
-// solo engines stay on the PR 1 wire format unchanged.
+// ScopedWindowTag is the one builder of the window namespace: it scopes tag
+// under a trading window, producing "w<window>/<tag>", and nests that under
+// scope as "<scope>/w<window>/<tag>" when scope is non-empty. All
+// window-scoped protocol traffic uses this form so that two windows in
+// flight over the same Conn can never cross-talk: the (from, tag)
+// demultiplexing key differs in the window prefix, and out-of-order
+// arrivals from a faster window simply buffer in their own queues.
+// Concurrent coalitions over one shared bus reuse window numbers freely:
+// the scope prefix keeps their demultiplexing keys — and their per-window
+// accounting — disjoint even if a party ID ever appeared in two rosters.
+// The empty scope is the solo-engine wire format. Session-scoped traffic
+// (e.g. the Paillier key exchange) uses bare tags outside any window
+// namespace.
 //
 // Scopes must satisfy ValidScope (in particular they may not themselves
 // look like a "w<n>" window prefix, which would make parsing ambiguous).
 func ScopedWindowTag(scope string, window int, tag string) string {
 	if scope == "" {
-		return WindowTag(window, tag)
+		return "w" + strconv.Itoa(window) + "/" + tag
 	}
-	return scope + "/" + WindowTag(window, tag)
+	return scope + "/w" + strconv.Itoa(window) + "/" + tag
 }
 
-// ParseScopedWindowTag splits a tag of either window-scoped form —
-// "w<k>/<rest>" or "<scope>/w<k>/<rest>" — into its scope (empty for the
+// ParseScopedWindowTag is the one parser of the window namespace: it splits
+// a tag of either form ScopedWindowTag builds into its scope (empty for the
 // unscoped form), window number and bare protocol tag. ok is false for
-// session-scoped tags outside any window namespace.
+// session-scoped tags outside any window namespace. Metrics, the network
+// emulation and FaultConn all attribute traffic to a window through it.
 func ParseScopedWindowTag(tag string) (scope string, window int, rest string, ok bool) {
-	if w, rest, ok := ParseWindowTag(tag); ok {
-		return "", w, rest, true
-	}
-	slash := strings.IndexByte(tag, '/')
-	if slash < 1 {
+	head, tail, found := strings.Cut(tag, "/")
+	if !found {
 		return "", 0, "", false
 	}
-	scope = tag[:slash]
-	if !ValidScope(scope) {
+	if w, ok := windowSegment(head); ok {
+		return "", w, tail, true
+	}
+	if !ValidScope(head) {
 		return "", 0, "", false
 	}
-	w, rest, ok := ParseWindowTag(tag[slash+1:])
-	if !ok {
+	seg, rest, found := strings.Cut(tail, "/")
+	w, ok := windowSegment(seg)
+	if !found || !ok {
 		return "", 0, "", false
 	}
-	return scope, w, rest, true
+	return head, w, rest, true
+}
+
+// windowSegment reads one "w<n>" tag segment as window n.
+func windowSegment(seg string) (int, bool) {
+	if len(seg) < 2 || seg[0] != 'w' {
+		return 0, false
+	}
+	w, err := strconv.Atoi(seg[1:])
+	return w, err == nil && w >= 0
 }
 
 // ValidScope reports whether s can serve as a tag scope: non-empty, made of
@@ -107,10 +95,8 @@ func ValidScope(s string) bool {
 			return false
 		}
 	}
-	if _, _, ok := ParseWindowTag(s + "/x"); ok {
-		return false
-	}
-	return true
+	_, window := windowSegment(s)
+	return !window
 }
 
 // Message is a single protocol datagram.
@@ -120,7 +106,7 @@ type Message struct {
 	// To is the recipient's registered party name.
 	To string
 	// Tag routes the message to the recipient's matching Recv and carries
-	// the scope namespace (see WindowTag).
+	// the scope namespace (see ScopedWindowTag).
 	Tag string
 	// Payload is the opaque protocol body.
 	Payload []byte

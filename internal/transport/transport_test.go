@@ -467,15 +467,15 @@ func TestWindowTagRoundTrip(t *testing.T) {
 		{0, "role"}, {3, "pme/rb"}, {47, "pd/ring"}, {123456, "x"},
 	}
 	for _, c := range cases {
-		full := WindowTag(c.window, c.tag)
-		w, rest, ok := ParseWindowTag(full)
-		if !ok || w != c.window || rest != c.tag {
-			t.Errorf("round trip %q -> (%d, %q, %v)", full, w, rest, ok)
+		full := ScopedWindowTag("", c.window, c.tag)
+		scope, w, rest, ok := ParseScopedWindowTag(full)
+		if !ok || scope != "" || w != c.window || rest != c.tag {
+			t.Errorf("round trip %q -> (%q, %d, %q, %v)", full, scope, w, rest, ok)
 		}
 	}
 	for _, bad := range []string{"", "role", "w/x", "wx/y", "w-1/x", "w3", "keys/paillier"} {
-		if _, _, ok := ParseWindowTag(bad); ok {
-			t.Errorf("ParseWindowTag accepted %q", bad)
+		if _, _, _, ok := ParseScopedWindowTag(bad); ok {
+			t.Errorf("ParseScopedWindowTag accepted %q", bad)
 		}
 	}
 }
@@ -487,24 +487,25 @@ func TestMetricsWindowBytes(t *testing.T) {
 	ctx := context.Background()
 
 	payload := []byte("0123456789")
-	if err := a.Send(ctx, "b", WindowTag(4, "pme/rb"), payload); err != nil {
+	if err := a.Send(ctx, "b", ScopedWindowTag("", 4, "pme/rb"), payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(ctx, "b", WindowTag(7, "pme/rb"), payload); err != nil {
+	if err := a.Send(ctx, "b", ScopedWindowTag("", 7, "pme/rb"), payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send(ctx, "b", "keys/paillier", payload); err != nil {
 		t.Fatal(err)
 	}
 	m := bus.Metrics()
-	b4, b7 := m.ScopedWindowBytes("", 4), m.ScopedWindowBytes("", 7)
+	b4, _ := m.FoldWindow("", 4)
+	b7, _ := m.FoldWindow("", 7)
 	if b4 <= 0 || b7 <= 0 {
 		t.Fatalf("window bytes not recorded: w4=%d w7=%d", b4, b7)
 	}
 	if b4+b7 >= m.TotalBytes() {
 		t.Fatalf("session traffic leaked into window accounting: %d+%d vs total %d", b4, b7, m.TotalBytes())
 	}
-	if m.ScopedWindowBytes("", 5) != 0 {
+	if b5, _ := m.FoldWindow("", 5); b5 != 0 {
 		t.Error("untouched window has traffic")
 	}
 }
@@ -517,16 +518,16 @@ func TestFaultConnFailWindow(t *testing.T) {
 	fc.FailWindow(2)
 	ctx := context.Background()
 
-	if err := fc.Send(ctx, "b", WindowTag(2, "role"), []byte{1}); err == nil {
+	if err := fc.Send(ctx, "b", ScopedWindowTag("", 2, "role"), []byte{1}); err == nil {
 		t.Fatal("send in failed window succeeded")
 	}
-	if err := fc.Send(ctx, "b", WindowTag(1, "role"), []byte{1}); err != nil {
+	if err := fc.Send(ctx, "b", ScopedWindowTag("", 1, "role"), []byte{1}); err != nil {
 		t.Fatalf("neighbouring window affected: %v", err)
 	}
 	if err := fc.Send(ctx, "b", "keys/paillier", []byte{1}); err != nil {
 		t.Fatalf("session traffic affected: %v", err)
 	}
-	if _, err := b.Recv(ctx, "a", WindowTag(1, "role")); err != nil {
+	if _, err := b.Recv(ctx, "a", ScopedWindowTag("", 1, "role")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -542,21 +543,54 @@ func TestFaultConnWindowScopedDropCorrupt(t *testing.T) {
 
 	// Window 3: dropped; window 4: clean; window 5: corrupted.
 	for _, w := range []int{3, 4, 5} {
-		if err := fc.Send(ctx, "b", WindowTag(w, "role"), []byte{0xaa}); err != nil {
+		if err := fc.Send(ctx, "b", ScopedWindowTag("", w, "role"), []byte{0xaa}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := b.Recv(ctx, "a", WindowTag(4, "role"))
+	got, err := b.Recv(ctx, "a", ScopedWindowTag("", 4, "role"))
 	if err != nil || len(got) != 1 || got[0] != 0xaa {
 		t.Fatalf("clean window payload wrong: %v %v", got, err)
 	}
-	got, err = b.Recv(ctx, "a", WindowTag(5, "role"))
+	got, err = b.Recv(ctx, "a", ScopedWindowTag("", 5, "role"))
 	if err != nil || len(got) != 1 || got[0] == 0xaa {
 		t.Fatalf("corrupted window payload unchanged: %v %v", got, err)
 	}
 	ctxShort, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
 	defer cancel()
-	if _, err := b.Recv(ctxShort, "a", WindowTag(3, "role")); err == nil {
+	if _, err := b.Recv(ctxShort, "a", ScopedWindowTag("", 3, "role")); err == nil {
+		t.Fatal("dropped message arrived")
+	}
+}
+
+// TestFaultConnWindowFaultsAnyScope: a window fault names a window number
+// and fires under any scope the window's tags carry.
+func TestFaultConnWindowFaultsAnyScope(t *testing.T) {
+	bus := NewBus(nil)
+	a := bus.MustRegister("a")
+	b := bus.MustRegister("b")
+	fc := NewFaultConn(a)
+	fc.FailWindow(2)
+	fc.DropNextInWindow(3, "role", 1)
+	fc.CorruptNext("w5/role", 1)
+	ctx := context.Background()
+
+	if err := fc.Send(ctx, "b", ScopedWindowTag("c00", 2, "role"), []byte{1}); err == nil {
+		t.Fatal("send in a failed window of scope c00 succeeded")
+	}
+	for _, w := range []int{3, 4, 5} {
+		if err := fc.Send(ctx, "b", ScopedWindowTag("c01", w, "role"), []byte{0xaa}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := b.Recv(ctx, "a", ScopedWindowTag("c01", 4, "role")); err != nil || got[0] != 0xaa {
+		t.Fatalf("clean window payload wrong: %v %v", got, err)
+	}
+	if got, err := b.Recv(ctx, "a", ScopedWindowTag("c01", 5, "role")); err != nil || got[0] == 0xaa {
+		t.Fatalf("corrupted window payload unchanged: %v %v", got, err)
+	}
+	ctxShort, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	defer cancel()
+	if _, err := b.Recv(ctxShort, "a", ScopedWindowTag("c01", 3, "role")); err == nil {
 		t.Fatal("dropped message arrived")
 	}
 }

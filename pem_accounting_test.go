@@ -147,7 +147,7 @@ func TestConfigSurface(t *testing.T) {
 		"core.Resources": {fields(core.Resources{}),
 			"Bus Scope Workers Keys"},
 		"*transport.Metrics": {methods(&transport.Metrics{}),
-			"FoldWindow LiveWindows ScopedWindowBytes ScopedWindowMessages TotalBytes TotalMessages"},
+			"FoldWindow LiveWindows TotalBytes TotalMessages"},
 	}
 	for name, s := range surface {
 		if s[0] != s[1] {
