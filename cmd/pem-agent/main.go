@@ -45,13 +45,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], nil, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "pem-agent:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+// run runs one agent over node, or, when node is nil, over a node it
+// starts on -listen; either way it closes the node before returning.
+func run(args []string, node *transport.TCPNode, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pem-agent", flag.ContinueOnError)
 	id := fs.String("id", "", "this agent's unique ID (required)")
 	listen := fs.String("listen", "127.0.0.1:0", "TCP listen address")
@@ -79,11 +81,15 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-peers is required (id=addr,...)")
 	}
 
-	node, err := transport.ListenTCP(*id, *listen, peers, nil)
-	if err != nil {
-		return err
+	if node == nil {
+		if node, err = transport.ListenTCP(*id, *listen, nil, nil); err != nil {
+			return err
+		}
 	}
 	defer node.Close()
+	for pid, addr := range peers {
+		node.SetPeer(pid, addr)
+	}
 	fmt.Fprintf(stdout, "[%s] listening on %s\n", *id, node.Addr())
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

@@ -3,12 +3,13 @@ package main
 import (
 	"bytes"
 	"errors"
-	"net"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/pem-go/pem/internal/transport"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -52,20 +53,23 @@ func TestParsePeersErrors(t *testing.T) {
 // TestStaggeredStart runs three agents in-process, the third starting a
 // second late as agents launched one shell at a time do, once sealed and
 // once with -insecure-transport: every agent reports the same windows, and
-// both modes report the same trades.
+// both modes report the same trades. Each agent runs over a node the test
+// started on port 0, so no port is released between choosing and binding
+// it; the late agent's node listens from the start, and the early agents'
+// first frames wait in its mailbox until it runs.
 func TestStaggeredStart(t *testing.T) {
 	homes := []struct{ id, gen, load string }{{"solar", "0.4", "0.1"}, {"town", "0", "0.3"}, {"ev", "0.1", "0.2"}}
 	trades := map[string][]string{}
 	for _, mode := range []string{"sealed", "plain"} {
 		t.Run(mode, func(t *testing.T) {
-			addrs := make([]string, len(homes))
-			for i := range homes {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
+			nodes := make([]*transport.TCPNode, len(homes))
+			for i, h := range homes {
+				node, err := transport.ListenTCP(h.id, "127.0.0.1:0", nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				addrs[i] = ln.Addr().String()
-				ln.Close()
+				t.Cleanup(func() { node.Close() })
+				nodes[i] = node
 			}
 			outs := make([]bytes.Buffer, len(homes))
 			errs := make([]error, len(homes))
@@ -74,10 +78,10 @@ func TestStaggeredStart(t *testing.T) {
 				var peers []string
 				for j, o := range homes {
 					if j != i {
-						peers = append(peers, o.id+"="+addrs[j])
+						peers = append(peers, o.id+"="+nodes[j].Addr())
 					}
 				}
-				args := []string{"-id", h.id, "-listen", addrs[i], "-peers", strings.Join(peers, ","),
+				args := []string{"-id", h.id, "-peers", strings.Join(peers, ","),
 					"-gen", h.gen, "-load", h.load, "-windows", "2", "-keybits", "256", "-timeout", "30s"}
 				if mode == "plain" {
 					args = append(args, "-insecure-transport")
@@ -88,7 +92,7 @@ func TestStaggeredStart(t *testing.T) {
 					if i == len(homes)-1 {
 						time.Sleep(time.Second)
 					}
-					errs[i] = run(args, &outs[i])
+					errs[i] = run(args, nodes[i], &outs[i])
 				}()
 			}
 			wg.Wait()

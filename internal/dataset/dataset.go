@@ -27,6 +27,7 @@ import (
 	"math"
 	mrand "math/rand"
 	"slices"
+	"sync"
 
 	"github.com/pem-go/pem/internal/market"
 )
@@ -327,9 +328,7 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 	}
 	for h := 0; h < cfg.Homes; h++ {
 		home, daySeed := tr.Homes[h], deriveSeed("home", cfg.Seed, h)
-		tr.synth[h] = func() (gen, load, batt []float64) {
-			return cfg.synthesizeDay(home, mrand.New(mrand.NewSource(daySeed)))
-		}
+		tr.synth[h] = func() (gen, load, batt []float64) { return cfg.synthesizeDay(home, daySeed) }
 	}
 	if !cfg.OnDemand {
 		tr.Materialize()
@@ -349,15 +348,24 @@ func deriveSeed(domain string, seed int64, key any) int64 {
 	return int64(h.Sum64())
 }
 
+// dayRands recycles day synthesis's random sources. Reseeding one runs the
+// same rngSource.Seed as mrand.NewSource, so every stream is unchanged,
+// without allocating a 607-word state per home-day; pooled because lazy
+// traces materialize concurrently across coalitions.
+var dayRands = sync.Pool{New: func() any { return mrand.New(mrand.NewSource(0)) }}
+
 // synthesizeDay generates one home's day of per-window generation, load and
-// battery data from the given randomness stream. The home's static
+// battery data from the stream seeded by daySeed. The home's static
 // parameters are fixed inputs; only the weather, load jitter and battery
-// schedule are drawn. Generate feeds it each home's share of the trace
-// stream; the churn layer (churn.go) re-invokes it with a per-(epoch, home)
-// stream so a surviving agent gets a fresh day per epoch while its static
-// parameters persist. The receiver must have defaults applied and its
-// clear-sky curve attached: everything computed here is per home.
-func (cfg Config) synthesizeDay(home Home, rng *mrand.Rand) (gen, load, batt []float64) {
+// schedule are drawn. Generate feeds it each home's derived seed; the churn
+// layer (churn.go) re-invokes it with a per-(epoch, home) seed so a
+// surviving agent gets a fresh day per epoch while its static parameters
+// persist. The receiver must have defaults applied and its clear-sky curve
+// attached: everything computed here is per home.
+func (cfg Config) synthesizeDay(home Home, daySeed int64) (gen, load, batt []float64) {
+	rng := dayRands.Get().(*mrand.Rand)
+	defer dayRands.Put(rng)
+	rng.Seed(daySeed)
 	gen = make([]float64, cfg.Windows)
 	load = make([]float64, cfg.Windows)
 	batt = make([]float64, cfg.Windows)

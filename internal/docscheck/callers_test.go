@@ -24,7 +24,6 @@ var exportExceptions = map[string]string{
 	"transport.FaultConn.CorruptNextInWindow": "cross-package fault injection for the scheduler and grid isolation tests",
 	"transport.FaultConn.FailAll":             "cross-package fault injection for the scheduler and grid isolation tests",
 	"transport.FaultConn.FailWindow":          "cross-package fault injection for the scheduler and grid isolation tests",
-	"transport.TCPNode.SetPeer":               "wires TCP peers whose addresses are known only after listening (transport, secchan, standalone tests)",
 	"transport.Metrics.LiveWindows":           "the sink-leak checks' view of in-flight windows",
 	"gc.Circuit.EvalPlain":                    "the plaintext reference evaluator the garbling tests compare against",
 	"market.OptimalLoad":                      "Eq. 9, the reference model the incentive tests check",

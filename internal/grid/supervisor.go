@@ -418,19 +418,19 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 		cr.Err = err
 		return
 	}
-	agents := sub.Agents()
-	cr.IDs = make([]string, len(agents))
-	for i, a := range agents {
-		cr.IDs[i] = a.ID
+	cr.IDs = make([]string, len(sub.Homes))
+	for i, h := range sub.Homes {
+		cr.IDs[i] = h.ID
 	}
 
-	if len(agents) < cfg.minCoalition() {
+	if len(cr.IDs) < cfg.minCoalition() {
 		// Too small to run a private market: the members' grid-only position
 		// becomes the coalition residual.
 		cr.Folded = true
-		cr.Err = oracleAccounting(cfg, agents, sub.Windows, cr, sub.AppendWindowInputs, market.BaselineClearInto)
+		cr.Err = tariffDay(cfg.params(), sub, cr)
 		return
 	}
+	agents := sub.Agents()
 
 	jobs := make([]core.WindowJob, sub.Windows)
 	for w := 0; w < sub.Windows; w++ {
@@ -461,8 +461,7 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 	if cr.Err = coalitionAccounting(cr); cr.Err != nil {
 		return
 	}
-	cr.Err = oracleAccounting(cfg, agents, sub.Windows, cr,
-		func(_ []market.WindowInput, w int) ([]market.WindowInput, error) { return jobs[w].Inputs, nil }, market.ClearInto)
+	cr.Err = oracleAccounting(cfg, agents, jobs, cr)
 }
 
 // coalitionAccounting sums a completed coalition-day's traffic and
@@ -491,30 +490,19 @@ func coalitionAccounting(cr *CoalitionRun) error {
 	return nil
 }
 
-// oracleAccounting computes the coalition's residual position and per-agent
-// flows by clearing every window's inputs in the plaintext — the
-// harness-side accounting used by every trading-performance figure; the
-// private protocols reveal neither side's totals. clear is the PEM oracle
-// (market.ClearInto) for a coalition that traded, and the paper's "without
-// PEM" baseline (market.BaselineClearInto: every member trades only with
-// the main grid) for a folded one. inputs may append to dst, which is the
-// previous window's slice (Trace.AppendWindowInputs): with that, one
-// clearing and one flow accumulator, a day allocates nothing per window.
-func oracleAccounting(cfg Config, agents []market.Agent, windows int, cr *CoalitionRun,
-	inputs func(dst []market.WindowInput, window int) ([]market.WindowInput, error),
-	clear func(*market.Clearing, []market.Agent, []market.WindowInput, market.Params) error) error {
+// oracleAccounting computes a traded coalition's residual position and
+// per-agent flows by clearing every window's inputs with the plaintext PEM
+// oracle (market.ClearInto) — the harness-side accounting used by every
+// trading-performance figure; the private protocols reveal neither side's
+// totals. One clearing and one flow accumulator serve the whole day.
+func oracleAccounting(cfg Config, agents []market.Agent, jobs []core.WindowJob, cr *CoalitionRun) error {
 	params := cfg.params()
 	cr.Residual = market.CoalitionResidual{Coalition: cr.Name}
 	flows := market.NewFlowAccumulator(agents)
 	var clr market.Clearing
-	var in []market.WindowInput
-	for w := 0; w < windows; w++ {
-		var err error
-		if in, err = inputs(in[:0], w); err != nil {
-			return err
-		}
-		if err := clear(&clr, agents, in, params); err != nil {
-			return fmt.Errorf("oracle window %d: %w", w, err)
+	for _, job := range jobs {
+		if err := market.ClearInto(&clr, agents, job.Inputs, params); err != nil {
+			return fmt.Errorf("oracle window %d: %w", job.Window, err)
 		}
 		imp, exp := market.ResidualFromClearing(&clr)
 		cr.Residual.ImportKWh += imp
@@ -522,5 +510,55 @@ func oracleAccounting(cfg Config, agents []market.Agent, windows int, cr *Coalit
 		flows.Add(&clr, params)
 	}
 	cr.Flows = flows.Flows()
+	return nil
+}
+
+// tariffDay accounts a folded coalition's day on the paper's "without PEM"
+// baseline, every member trading its net energy only with the grid at the
+// tariff, in one pass over the members' day rows. It is bit-identical to
+// clearing each window with market.BaselineClearInto and folding it through
+// ResidualFromClearing and a FlowAccumulator (TestTariffDayMatchesClearing):
+// net is WindowInput.NetEnergy's g - l - b, a window's import and export
+// are summed from 0 before joining the residual, and a grid leg reaches its
+// member by roster position, as FlowAccumulator.Add books it.
+func tariffDay(params market.Params, sub *dataset.Trace, cr *CoalitionRun) error {
+	if err := params.Validate(); err != nil {
+		return fmt.Errorf("tariff day: %w", err)
+	}
+	sub.Materialize()
+	flows := make([]market.AgentFlows, len(cr.IDs))
+	touched := make([]bool, len(cr.IDs))
+	cr.Residual = market.CoalitionResidual{Coalition: cr.Name}
+	for w := 0; w < sub.Windows; w++ {
+		var imp, exp float64
+		for i := range flows {
+			net := sub.Gen[i][w] - sub.Load[i][w] - sub.Battery[i][w]
+			f := &flows[i]
+			switch market.ClassifyRole(net) {
+			case market.RoleSeller:
+				exp += net
+				if net > 0 {
+					f.GridExportKWh += net
+					f.GridRevenueCents += net * params.GridSellPrice
+					touched[i] = true
+				}
+			case market.RoleBuyer:
+				imp += -net
+				if -net > 0 {
+					f.GridImportKWh += -net
+					f.GridCostCents += -net * params.GridRetailPrice
+					touched[i] = true
+				}
+			}
+		}
+		cr.Residual.ImportKWh += imp
+		cr.Residual.ExportKWh += exp
+	}
+	cr.Flows = make(map[string]market.AgentFlows, len(flows))
+	for i, id := range cr.IDs {
+		if touched[i] {
+			cr.Flows[id] = flows[i]
+		}
+	}
 	return nil
 }
