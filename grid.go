@@ -78,12 +78,13 @@ var ErrCoalitionSkipped = grid.ErrCoalitionSkipped
 // GridConfig configures a sharded coalition grid.
 type GridConfig struct {
 	// Market is the per-coalition market configuration: every coalition
-	// runs a full private market under it (key size, pipeline depth,
-	// aggregation topology, network emulation, seed). One crypto worker
-	// pool of runtime.NumCPU() workers is shared across coalitions, so it
-	// bounds the whole process. Each completed coalition-day carries its
-	// own tamper-evident chain in CoalitionRun.Ledger, committed on the
-	// settlement path.
+	// runs a full private market under it (key size, aggregation topology,
+	// network emulation, seed); a grid ignores Market.MaxInflightWindows,
+	// as it ignores Market.Store, and runs each coalition's windows one
+	// after another. One crypto worker pool of runtime.NumCPU() workers is
+	// shared across coalitions, so it bounds the whole process. Each
+	// completed coalition-day carries its own tamper-evident chain in
+	// CoalitionRun.Ledger, committed on the settlement path.
 	Market Config
 	// Coalitions is how many coalitions to partition the fleet into
 	// (required; the partition gives each at least two agents, so at most

@@ -76,7 +76,7 @@ func runEmulatedDay(t *testing.T, cfg Config, workers, nAgents, windows int) []w
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	results, err := eng.RunWindows(ctx, jobs)
+	results, err := eng.StreamWindows(ctx, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

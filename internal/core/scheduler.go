@@ -50,12 +50,6 @@ func (e *Engine) RunWindow(ctx context.Context, window int, inputs []market.Wind
 	return results[0], nil
 }
 
-// RunWindows executes the jobs with up to Config.MaxInflightWindows
-// windows in flight. results[i] corresponds to jobs[i].
-func (e *Engine) RunWindows(ctx context.Context, jobs []WindowJob) ([]*WindowResult, error) {
-	return e.StreamWindows(ctx, jobs, nil)
-}
-
 // StreamWindows is the scheduler: it pipelines the jobs through RunOrdered
 // with up to Config.MaxInflightWindows windows in flight and invokes sink
 // (when non-nil) for each result in strict job order as soon as that window

@@ -52,7 +52,7 @@ func TestPipelinedWindowsMatchSequential(t *testing.T) {
 		defer eng.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 		defer cancel()
-		results, err := eng.RunWindows(ctx, traceJobs(t, tr))
+		results, err := eng.StreamWindows(ctx, traceJobs(t, tr), nil)
 		if err != nil {
 			t.Fatalf("inflight=%d: %v", inflight, err)
 		}
@@ -142,7 +142,7 @@ func TestFaultWindowCancelsOnlyItself(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	results, err := eng.RunWindows(ctx, jobs)
+	results, err := eng.StreamWindows(ctx, jobs, nil)
 	if err == nil {
 		t.Fatal("faulted window succeeded")
 	}
@@ -195,7 +195,7 @@ func TestFailFastStopsLaunchingWindows(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	results, err := eng.RunWindows(ctx, jobs)
+	results, err := eng.StreamWindows(ctx, jobs, nil)
 	var werr *WindowError
 	if !errors.As(err, &werr) || werr.Window != 1 {
 		t.Fatalf("error does not identify window 1: %v", err)
@@ -278,7 +278,7 @@ func TestMetricsSinkEndsEmpty(t *testing.T) {
 
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 			defer cancel()
-			results, err := eng.RunWindows(ctx, traceJobs(t, tr))
+			results, err := eng.StreamWindows(ctx, traceJobs(t, tr), nil)
 			var werr *WindowError
 			if !errors.As(err, &werr) || werr.Window != 3 {
 				t.Fatalf("error does not identify window 3: %v", err)
@@ -338,7 +338,7 @@ func TestScopedFaultCancelsItsWindow(t *testing.T) {
 
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			results, err := eng.RunWindows(ctx, []WindowJob{{Window: 0, Inputs: inputs}})
+			results, err := eng.StreamWindows(ctx, []WindowJob{{Window: 0, Inputs: inputs}}, nil)
 			var werr *WindowError
 			if !errors.As(err, &werr) || werr.Window != 0 {
 				t.Fatalf("error does not identify window 0: %v", err)
@@ -408,7 +408,7 @@ func TestRunWindowsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	results, err := eng.RunWindows(context.Background(), nil)
+	results, err := eng.StreamWindows(context.Background(), nil, nil)
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty run: %v, %d results", err, len(results))
 	}
@@ -452,7 +452,7 @@ func TestRunWindowsRejectsDuplicateNumbers(t *testing.T) {
 		{Generation: 0.0, Load: 0.3},
 	}
 	jobs := []WindowJob{{Window: 5, Inputs: inputs}, {Window: 5, Inputs: inputs}}
-	if _, err := eng.RunWindows(context.Background(), jobs); err == nil {
+	if _, err := eng.StreamWindows(context.Background(), jobs, nil); err == nil {
 		t.Fatal("duplicate window numbers accepted")
 	}
 }
@@ -474,7 +474,7 @@ func TestRunWindowsRejectsNegativeNumbers(t *testing.T) {
 		t.Fatalf("negative window accepted: %+v", res)
 	}
 	jobs := []WindowJob{{Window: 0, Inputs: inputs}, {Window: -1, Inputs: inputs}}
-	if _, err := eng.RunWindows(context.Background(), jobs); err == nil {
+	if _, err := eng.StreamWindows(context.Background(), jobs, nil); err == nil {
 		t.Fatal("negative window in a schedule accepted")
 	}
 }

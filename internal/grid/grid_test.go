@@ -365,6 +365,54 @@ func TestGridMetricsSinkEndsEmpty(t *testing.T) {
 	}
 }
 
+// TestGridOneWidth: MaxConcurrent is a grid day's one width. Each coalition
+// runs its windows one after another whatever Engine.MaxInflightWindows
+// says, so the windows live on the shared bus at any moment never outnumber
+// the coalitions in flight.
+func TestGridOneWidth(t *testing.T) {
+	tr, err := dataset.GenerateFleet(dataset.FleetConfig{Coalitions: 4, HomesPerCoalition: 3, Windows: 6, Seed: 42, StartHour: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := Partition(StrategyFixed, tr.Homes, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{1, 2} {
+		cfg := Config{Engine: testEngineConfig(23), MaxConcurrent: width}
+		cfg.Engine.MaxInflightWindows = 4
+		bus := transport.NewBus(nil)
+		done := make(chan struct{})
+		peak := make(chan int)
+		go func() {
+			p := 0
+			for {
+				p = max(p, bus.Metrics().LiveWindows())
+				select {
+				case <-done:
+					peak <- p
+					return
+				case <-time.After(100 * time.Microsecond):
+				}
+			}
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
+		res, err := runDay(ctx, cfg, core.Resources{Bus: bus}, tr, parts, "", nil)
+		cancel()
+		close(done)
+		p := <-peak
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		if res.Windows != 4*6 {
+			t.Fatalf("width %d: %d windows completed, want %d", width, res.Windows, 4*6)
+		}
+		if p == 0 || p > width {
+			t.Errorf("width %d: peak of %d windows live at once on the bus", width, p)
+		}
+	}
+}
+
 // TestGridCancelReportsContextError: a clean cancel must surface as the
 // context's error, not as a coalition failure — skipped-on-cancel markers
 // are bookkeeping, not failures.

@@ -23,11 +23,10 @@ type Config struct {
 	// bit-identical regardless of coalition concurrency, partition held
 	// fixed.
 	Engine core.Config
-	// MaxConcurrent is the global in-flight budget: how many coalition-days
-	// run concurrently (default: all of them). Each in-flight coalition may
-	// additionally pipeline Engine.MaxInflightWindows windows internally;
-	// crypto parallelism stays bounded by the one shared worker pool either
-	// way.
+	// MaxConcurrent is the grid day's one width: how many coalition-days
+	// run concurrently (default: all of them), each running its windows one
+	// after another (Engine.MaxInflightWindows is ignored). Crypto
+	// parallelism stays bounded by the one shared worker pool.
 	MaxConcurrent int
 	// MinCoalition is the smallest roster the supervisor will run a
 	// private market for (default 3). A coalition below it — routine once
@@ -406,9 +405,15 @@ func launchCoalitions(ctx context.Context, maxConc int, runs []CoalitionRun, run
 }
 
 // runCoalition executes one coalition's day: provision an engine over the
-// shared resources, run every window through it, and fold the plaintext
-// oracle's residuals and per-agent flows. A roster below MinCoalition is
-// folded to grid-tariff service instead. All outcomes land in cr.
+// shared resources, then run its windows one after another and account
+// each as it completes, so every sum runs in window order — its traffic and
+// virtual-clock figures, its trades as the next block of the coalition's
+// tamper-evident ledger, and its residual and per-agent flows from the
+// plaintext PEM oracle (market.ClearInto), the harness-side accounting
+// behind every trading-performance figure (the private protocols reveal
+// neither side's totals). Results, Windows, Ledger and Flows are set once
+// the whole day has completed. A roster below MinCoalition is folded to
+// grid-tariff service instead. All outcomes land in cr.
 func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dataset.Trace, cr *CoalitionRun) {
 	begin := time.Now()
 	defer func() { cr.Duration = time.Since(begin) }()
@@ -423,24 +428,15 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 		cr.IDs[i] = h.ID
 	}
 
+	params := cfg.params()
 	if len(cr.IDs) < cfg.minCoalition() {
 		// Too small to run a private market: the members' grid-only position
 		// becomes the coalition residual.
 		cr.Folded = true
-		cr.Err = tariffDay(cfg.params(), sub, cr)
+		cr.Err = tariffDay(params, sub, cr)
 		return
 	}
 	agents := sub.Agents()
-
-	jobs := make([]core.WindowJob, sub.Windows)
-	for w := 0; w < sub.Windows; w++ {
-		inputs, err := sub.WindowInputs(w)
-		if err != nil {
-			cr.Err = err
-			return
-		}
-		jobs[w] = core.WindowJob{Window: w, Inputs: inputs}
-	}
 
 	infra.Scope = cr.Name
 	eng, err := core.NewEngineWith(cfg.Engine, agents, infra)
@@ -452,65 +448,42 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 	cr.Rekey = time.Since(begin)
 	defer eng.Close()
 
-	results, err := eng.RunWindows(ctx, jobs)
-	if err != nil {
-		cr.Err = err
-		return
-	}
-	cr.Results = results
-	if cr.Err = coalitionAccounting(cr); cr.Err != nil {
-		return
-	}
-	cr.Err = oracleAccounting(cfg, agents, jobs, cr)
-}
-
-// coalitionAccounting sums a completed coalition-day's traffic and
-// virtual-clock figures from its WindowResults and commits the day's trades
-// to the coalition's tamper-evident ledger: the settlement-path bookkeeping
-// shared by one-shot and live grids.
-func coalitionAccounting(cr *CoalitionRun) error {
+	results := make([]*core.WindowResult, 0, sub.Windows)
 	led := ledger.New()
-	for _, res := range cr.Results {
-		if res == nil {
-			continue
+	flows := market.NewFlowAccumulator(agents)
+	cr.Residual = market.CoalitionResidual{Coalition: cr.Name}
+	var inputs []market.WindowInput
+	var clr market.Clearing
+	for w := 0; w < sub.Windows; w++ {
+		if inputs, cr.Err = sub.AppendWindowInputs(inputs[:0], w); cr.Err != nil {
+			return
 		}
+		res, err := eng.RunWindow(ctx, w, inputs)
+		if err != nil {
+			cr.Err = err
+			return
+		}
+		results = append(results, res)
 		cr.Bytes += res.BytesOnWire
 		cr.Msgs += res.Messages
 		cr.VirtualLatency += res.VirtualLatency
-		if res.Rounds > cr.Rounds {
-			cr.Rounds = res.Rounds
+		cr.Rounds = max(cr.Rounds, res.Rounds)
+		if _, err := led.Append(w, res.Price, ledger.RecordsFromTrades(res.Trades)); err != nil {
+			cr.Err = fmt.Errorf("ledger window %d: %w", w, err)
+			return
 		}
-		if _, err := led.Append(res.Window, res.Price, ledger.RecordsFromTrades(res.Trades)); err != nil {
-			return fmt.Errorf("ledger window %d: %w", res.Window, err)
-		}
-	}
-	cr.Ledger = led
-	cr.ChainHead = ledger.HashString(led.Head().Hash)
-	cr.Windows = len(cr.Results)
-	return nil
-}
-
-// oracleAccounting computes a traded coalition's residual position and
-// per-agent flows by clearing every window's inputs with the plaintext PEM
-// oracle (market.ClearInto) — the harness-side accounting used by every
-// trading-performance figure; the private protocols reveal neither side's
-// totals. One clearing and one flow accumulator serve the whole day.
-func oracleAccounting(cfg Config, agents []market.Agent, jobs []core.WindowJob, cr *CoalitionRun) error {
-	params := cfg.params()
-	cr.Residual = market.CoalitionResidual{Coalition: cr.Name}
-	flows := market.NewFlowAccumulator(agents)
-	var clr market.Clearing
-	for _, job := range jobs {
-		if err := market.ClearInto(&clr, agents, job.Inputs, params); err != nil {
-			return fmt.Errorf("oracle window %d: %w", job.Window, err)
+		if err := market.ClearInto(&clr, agents, inputs, params); err != nil {
+			cr.Err = fmt.Errorf("oracle window %d: %w", w, err)
+			return
 		}
 		imp, exp := market.ResidualFromClearing(&clr)
 		cr.Residual.ImportKWh += imp
 		cr.Residual.ExportKWh += exp
 		flows.Add(&clr, params)
 	}
+	cr.Results, cr.Windows = results, len(results)
+	cr.Ledger, cr.ChainHead = led, ledger.HashString(led.Head().Hash)
 	cr.Flows = flows.Flows()
-	return nil
 }
 
 // tariffDay accounts a folded coalition's day on the paper's "without PEM"

@@ -60,7 +60,8 @@ const DefaultMinCoalition = grid.DefaultMinCoalition
 // LiveGridConfig configures a live (epoched) coalition grid.
 type LiveGridConfig struct {
 	// Market is the per-coalition market configuration, exactly as for
-	// GridConfig. When Market.Seed is set the whole simulation is
+	// GridConfig: a grid ignores Market.MaxInflightWindows and
+	// Market.Store. When Market.Seed is set the whole simulation is
 	// deterministic: a home's key pair derives from the seed and its ID
 	// (kept for as long as the home stays), everything else an epoch draws
 	// from a per-epoch seed.
@@ -96,8 +97,7 @@ type LiveGridConfig struct {
 	// commit at every epoch boundary, and the run's own configuration is
 	// embedded in each checkpoint — so a killed simulation resumes from
 	// the last completed epoch with Resume, replaying the remaining epochs
-	// bit-identically when Market.Seed is set. A store error aborts the
-	// run. Market.Store is ignored in a live grid.
+	// bit-identically when Market.Seed is set. A store error aborts the run.
 	Store Store `json:"-"`
 	// Epochs is the number of trading days to simulate (required, ≥ 1).
 	Epochs int

@@ -108,7 +108,8 @@ type Config struct {
 	// sequential, the paper's deployment). Each window is an independent
 	// protocol instance with its own transport tag namespace and
 	// randomness stream, so pipelining never changes outcomes — a seeded
-	// market produces bit-identical results at any depth.
+	// market produces bit-identical results at any depth. A grid ignores
+	// it, as it ignores Store: its coalitions run their windows in order.
 	MaxInflightWindows int
 	// Aggregation selects the encrypted-sum topology for the coalition
 	// aggregations of Protocols 2 and 4: AggregationRing (default, the
