@@ -123,7 +123,7 @@ const (
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	if floor := 2*paillier.SlotBits + 8; c.KeyBits < floor {
-		return fmt.Errorf("core: key size %d too small: Protocol 3's packed pair and Protocol 4's masked products need two %d-bit plaintext slots (min %d)", c.KeyBits, paillier.SlotBits, floor)
+		return fmt.Errorf("core: key size %d too small: Protocol 3's packed pair needs two %d-bit plaintext slots (min %d)", c.KeyBits, paillier.SlotBits, floor)
 	}
 	if c.MaxInflightWindows < 0 {
 		return fmt.Errorf("core: negative MaxInflightWindows %d", c.MaxInflightWindows)

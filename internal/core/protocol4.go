@@ -39,10 +39,12 @@ const (
 //     reciprocal trick that sidesteps Paillier's lack of division — and
 //     sends it to Hs;
 //  3. Hs drains the masked values in arrival order, decrypts them packed
-//     — up to Slots() ciphertexts as one plaintext — across the shared
-//     crypto worker pool, recovers the demand ratios
-//     |sn_j|/E_b = S / (E_b·S/|sn_j|), and broadcasts the ratio vector to
-//     the seller coalition (the designed leakage of Lemma 4);
+//     — up to Slots() ciphertexts as one plaintext, opened modulo its
+//     prime p alone — across the shared crypto worker pool, refuses any
+//     batch that is not narrow (paillier.ErrSlotOverflow), recovers the
+//     demand ratios |sn_j|/E_b = S / (E_b·S/|sn_j|), and broadcasts the
+//     ratio vector to the seller coalition (the designed leakage of
+//     Lemma 4);
 //  4. every seller i routes e_ij = sn_i · ratio_j to each buyer j, who pays
 //     m_ji = p·e_ij back; the pairwise exchanges run concurrently per peer.
 func (r *windowRun) privateDistribution(ctx context.Context, kind market.Kind, price float64) ([]market.Trade, error) {
@@ -135,11 +137,12 @@ func (r *windowRun) sendMaskedReciprocal(ctx context.Context, hs, tagTotal, tagM
 
 // collectRatios is Hs's side: drain each demand-side member's masked value
 // in arrival order, decrypt them packed — the n ciphertexts are cut into
-// ⌈n/slots⌉ near-equal batches, each handed to the shared crypto worker
-// pool the moment its last member arrives and decrypted as one plaintext
-// (paillier.DecryptSlots) — recover the allocation ratios, refuse them unless
-// they sum to 1, and broadcast the vector to the supply side. Decryption of
-// complete batches overlaps the wait for stragglers.
+// ⌈n/slots⌉ near-equal batches (3 slots at 1024-bit keys, 1 at 512), each
+// handed to the shared crypto worker pool the moment its last member
+// arrives and opened as one plaintext modulo p (paillier.DecryptSlots) —
+// recover the allocation ratios, refuse them unless they sum to 1, and
+// broadcast the vector to the supply side. Decryption of complete batches
+// overlaps the wait for stragglers.
 func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error) {
 	n := len(demandSide)
 	ids := make([]string, n)

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/pem-go/pem/internal/fixed"
 	"github.com/pem-go/pem/internal/market"
+	"github.com/pem-go/pem/internal/paillier"
 	"github.com/pem-go/pem/internal/transport"
 )
 
@@ -97,18 +99,27 @@ func assertTradesExactly(t *testing.T, label string, got, want []market.Trade) {
 }
 
 // TestPackedRatiosAcrossBatchSplits drives Protocol 4's packed decryption
-// through its batch boundaries — demand sides of slots, slots+1 and
-// 2·slots+1 members (one full batch; two uneven; three) on 512-bit keys
-// (4 slots) in both market regimes — and Protocol 3's packed pair with
-// them; demand sides of 1, 2 and 3 are the edges of the hybrid backend's
-// masked step 1 (a root with nothing to fold, one hop, the first tree with
-// an odd member). The hybrid tree reproduces the integer oracle bit for bit
-// and market.Clear within fixed-point rounding; every other backend ×
-// topology cell is TestInvariantMatrix's.
+// through its batch boundaries — demand sides of slots, slots+1, slots+2,
+// 2·slots+1 and 3·slots members (one full batch; two uneven, twice; three
+// uneven; three full) on 1024-bit keys, the smallest that batch more than
+// one ciphertext (3 slots), in both market regimes — and Protocol 3's
+// packed pair with them; demand sides of 1, 2 and 3 are the edges of the
+// hybrid backend's masked step 1 (a root with nothing to fold, one hop, the
+// first tree with an odd member). The hybrid tree reproduces the integer
+// oracle bit for bit and market.Clear within fixed-point rounding; every
+// other backend × topology cell is TestInvariantMatrix's.
 func TestPackedRatiosAcrossBatchSplits(t *testing.T) {
-	const slots = 4
+	const keyBits = 1024
+	key, err := paillier.GenerateKey(nil, keyBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := key.Slots()
+	if slots < 2 {
+		t.Fatalf("%d-bit keys hold %d slot(s): no batch to split", keyBits, slots)
+	}
 	for _, kind := range []market.Kind{market.GeneralMarket, market.ExtremeMarket} {
-		for _, demand := range []int{1, 2, 3, slots, slots + 1, 2*slots + 1} {
+		for _, demand := range slices.Compact([]int{1, 2, 3, slots, slots + 1, slots + 2, 2*slots + 1, 3 * slots}) {
 			t.Run(fmt.Sprintf("%v/demand=%d", kind, demand), func(t *testing.T) {
 				const supply = 3
 				agents := testAgents(demand + supply)
@@ -128,7 +139,7 @@ func TestPackedRatiosAcrossBatchSplits(t *testing.T) {
 					}
 				}
 				cfg := testConfig(int64(9000 + demand))
-				cfg.KeyBits, cfg.CryptoBackend, cfg.Aggregation = 512, BackendHybrid, AggregationTree
+				cfg.KeyBits, cfg.CryptoBackend, cfg.Aggregation = keyBits, BackendHybrid, AggregationTree
 				res := runOneWindow(t, cfg, agents, inputs)
 				if res.Kind != kind || res.Degenerate {
 					t.Fatalf("kind = %v, degenerate = %v", res.Kind, res.Degenerate)

@@ -90,15 +90,16 @@ func TestBlindingFactorAllocBudget(t *testing.T) {
 }
 
 // TestDecryptSlotsAllocBudget pins the packed decryption: what it allocates
-// is math/big's own working storage inside Exp (≈ 20 objects a call, two
-// calls per ciphertext: the shift or the final exponentiation, per prime)
-// plus the k results — every temporary of the routine itself is arena
-// storage, so the count per ciphertext does not grow with the batch.
+// is math/big's own working storage inside Exp (≈ 22 objects a call, one
+// call per ciphertext: the shift, or the final exponentiation mod p²) plus
+// the k results — every temporary of the routine itself is arena storage,
+// so the count per ciphertext does not grow with the batch (1024-bit key:
+// 23 at k = 1, 67 at k = 3).
 func TestDecryptSlotsAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops arenas at random under the race detector")
 	}
-	key, err := GenerateKey(testRand(35), 512)
+	key, err := GenerateKey(testRand(35), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestDecryptSlotsAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if budget := float64(48 * k); avg > budget {
+		if budget := float64(24 * k); avg > budget {
 			t.Errorf("DecryptSlots(k=%d): %.1f allocs/op, budget %.0f", k, avg, budget)
 		}
 	}

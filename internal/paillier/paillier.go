@@ -8,10 +8,10 @@
 //   - encryption with the fast generator g = n+1
 //   - CRT decryption, and packed decryption: a key holder decrypts several
 //     ciphertexts whose plaintexts are known to be narrow as one plaintext
-//     cut into fixed-width slots, paying the prime-sized exponentiations
-//     once (DecryptSlots; Decrypt is the single-ciphertext case of the same
-//     routine). The same slot layout lets a sender put two narrow values
-//     in one ciphertext (Pack / Unpack); see slots.go
+//     cut into fixed-width slots, opened modulo p alone with one
+//     prime-sized exponentiation (DecryptSlots). The same slot layout lets
+//     a sender put two narrow values in one ciphertext (Pack / Unpack);
+//     see slots.go
 //   - homomorphic addition of ciphertexts (ciphertext multiplication mod n²),
 //     addition of a plaintext constant, and multiplication by a plaintext
 //     scalar (ciphertext exponentiation), which Protocol 4 uses for the
@@ -453,26 +453,32 @@ func (pk *PublicKey) ScalarMul(c *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{C: new(big.Int).Set(acc)}, nil
 }
 
-// Decrypt recovers the signed plaintext of c: the batch-of-one case of the
-// packed CRT decryption behind DecryptSlots.
+// Decrypt recovers the signed plaintext of c by CRT decryption: its
+// residues modulo p and q, recombined.
 func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
 	s := GetScratch()
 	defer s.Put()
-	m, err := sk.decrypt(s, c)
+	cts := []*Ciphertext{c}
+	mp, err := sk.residueModP(s, cts)
 	if err != nil {
 		return nil, err
 	}
-	return sk.decodeSignedInPlace(s.Int(), m), nil
+	mq := primeResidue(s, cts, sk.q, sk.q2, sk.qMinusOne, sk.hq)
+
+	// CRT: m = mp + p·((mq - mp)·pInvQ mod q).
+	diff := s.Int().Sub(mq, mp)
+	diff.Mod(diff, sk.q)
+	diff.Mul(diff, sk.pInvQ)
+	diff.Mod(diff, sk.q)
+	m := new(big.Int).Mul(diff, sk.p)
+	return sk.decodeSignedInPlace(s.Int(), m.Add(m, mp)), nil
 }
 
-// decrypt is the one CRT decryption routine. It returns the residue in
-// [0, n) of the plaintext of Π_j c_j^(2^(W·(k−1−j))) — for one ciphertext
-// its plaintext, for k of them their plaintexts laid out in W-bit slots
-// (slots.go), the first on top — paying the two prime-sized
-// exponentiations, L, h_p/h_q and the recombination once however many
-// ciphertexts ride along. Every temporary comes from s; the result is the
-// only allocation that outlives it.
-func (sk *PrivateKey) decrypt(s *Scratch, cts ...*Ciphertext) (*big.Int, error) {
+// residueModP checks the key and the ciphertexts, then returns, in s's
+// storage, the plaintext of Π_j c_j^(2^(W·(k−1−j))) modulo p — for one
+// ciphertext its plaintext, for k of them their plaintexts laid out in W-bit
+// slots (slots.go), the first on top.
+func (sk *PrivateKey) residueModP(s *Scratch, cts []*Ciphertext) (*big.Int, error) {
 	if sk.p.Sign() == 0 {
 		return nil, ErrKeyWiped
 	}
@@ -481,25 +487,16 @@ func (sk *PrivateKey) decrypt(s *Scratch, cts ...*Ciphertext) (*big.Int, error) 
 			return nil, fmt.Errorf("ciphertext %d: %w", i, err)
 		}
 	}
-	mp := crtResidue(s, cts, sk.p, sk.p2, sk.pMinusOne, sk.hp)
-	mq := crtResidue(s, cts, sk.q, sk.q2, sk.qMinusOne, sk.hq)
-
-	// CRT: m = mp + p·((mq - mp)·pInvQ mod q).
-	diff := s.Int().Sub(mq, mp)
-	diff.Mod(diff, sk.q)
-	diff.Mul(diff, sk.pInvQ)
-	diff.Mod(diff, sk.q)
-	m := new(big.Int).Mul(diff, sk.p)
-	return m.Add(m, mp), nil
+	return primeResidue(s, cts, sk.p, sk.p2, sk.pMinusOne, sk.hp), nil
 }
 
-// crtResidue is decrypt's half modulo the prime r ∈ {p, q}:
+// primeResidue is a decryption modulo the prime r ∈ {p, q}:
 // m_r = L_r(x^{r-1} mod r²)·h_r mod r, where x is the Horner product
 // acc ← acc^(2^W)·c_j of the ciphertexts, folded mod r² — half the width of
 // n², so a squaring there costs a quarter of one done before the split.
 // Receivers never alias operands: math/big would allocate instead of
 // reusing the arena's storage.
-func crtResidue(s *Scratch, cts []*Ciphertext, r, r2, rm1, h *big.Int) *big.Int {
+func primeResidue(s *Scratch, cts []*Ciphertext, r, r2, rm1, h *big.Int) *big.Int {
 	acc, pow, c, wide, quo := s.Int(), s.Int(), s.Int(), s.Int(), s.Int()
 	quo.QuoRem(cts[0].C, r2, acc)
 	for _, ct := range cts[1:] {

@@ -7,10 +7,10 @@ import (
 )
 
 // Slot layout: a plaintext is cut into SlotBits-wide slots so that values
-// known to be narrow travel in one ciphertext (Pack) and decrypt in one CRT
-// exponentiation pair (DecryptSlots). Every slot but the top one holds a
-// non-negative value < 2^SlotBits; the top slot keeps the plaintext's sign.
-// All slot arithmetic lives in this file.
+// known to be narrow travel in one ciphertext (Pack) and decrypt in one
+// exponentiation modulo p² (DecryptSlots). Every slot but the top one holds
+// a non-negative value < 2^SlotBits; the top slot keeps the plaintext's
+// sign. All slot arithmetic lives in this file.
 
 // SlotBits is the slot width W. The widest value the protocols put in a
 // slot is Protocol 4's masked product E_b·round(10^12/|sn_j|): E_b ≤
@@ -19,10 +19,17 @@ import (
 // terms are narrower still). The exact value is a measurement, not a round
 // number: packing shifts by raising to 2^W, math/big walks that exponent a
 // whole word at a time, and 2^128 is a three-word exponent where anything
-// in [2^64, 2^127] is two (BenchmarkDecryptSlots, 1024-bit key: 7 slots in
-// 1.37 ms at W = 124 against 1.73 ms at W = 128, where an eighth no longer
-// fits).
+// in [2^64, 2^127] is two; and at 1024-bit keys W = 124 fits 3 slots below
+// slotMargin where W = 128 fits only 2 (BenchmarkDecryptSlots, 2-core Xeon,
+// three interleaved runs: a full batch of 3 in 0.46–0.53 ms, ≈ 165 µs a
+// ciphertext, at W = 124 against 2 in 0.43–0.48 ms, ≈ 228 µs, at W = 128).
 const SlotBits = 124
+
+// slotMargin is the gap DecryptSlots keeps between a full batch and p. It
+// opens a batch modulo p alone and accepts the residue V mod p only below
+// 2^(k·W) ≤ p/2^slotMargin, so a wide plaintext chosen without knowledge of
+// p is accepted with probability at most 2^-slotMargin.
+const slotMargin = 128
 
 // ErrSlotOverflow is returned when a value does not fit its slot: a packed
 // plaintext that decrypts negative or wider than the slots it was packed
@@ -34,10 +41,17 @@ var (
 	slotMask  = new(big.Int).Sub(slotShift, one)
 )
 
-// Slots reports how many slots one plaintext under pk holds: 2 at 256-bit
-// keys, 4 at 512, 8 at 1024, 16 at 2048. The slots stay below n/2, so a
-// negative plaintext (the residue n−|v| > n/2) is wider than any packing.
-func (pk *PublicKey) Slots() int { return (pk.Bits() - 2) / SlotBits }
+// Slots reports how many slots DecryptSlots opens in one batch under pk:
+// as many as fit below p ≥ 2^(⌊bits/2⌋−1) with slotMargin bits to spare,
+// and at least one — 1 at 256- and 512-bit keys, 3 at 1024, 7 at 2048.
+// Below 250 bits p may be narrower than a slot, and Slots is 0.
+func (pk *PublicKey) Slots() int {
+	top := pk.Bits()/2 - 1 // log₂ of p's floor
+	if top < SlotBits {
+		return 0
+	}
+	return max(1, (top-slotMargin)/SlotBits)
+}
 
 // Pack lays lo in the low slot and the signed hi in the slot above it:
 // hi·2^W + lo. Packed plaintexts add slot-wise — homomorphically too — as
@@ -59,12 +73,14 @@ func Unpack(m *big.Int) (lo, hi *big.Int) {
 }
 
 // DecryptSlots decrypts up to Slots() ciphertexts, each carrying a
-// non-negative plaintext < 2^SlotBits, for the price of one decryption plus
-// a W-bit shift per extra ciphertext: the key holder packs them into one
-// plaintext itself (see decrypt) and cuts the result apart. Plaintexts come
-// back in input order. A sender whose value overflows its slot corrupts the
-// slots above it — undetectable unless the top slot overflows too, which,
-// like a negative plaintext, fails with ErrSlotOverflow.
+// non-negative plaintext < 2^SlotBits, for the price of one exponentiation
+// modulo p² plus a W-bit shift per extra ciphertext: the key holder packs
+// them into one plaintext itself by Horner's rule and opens it modulo p
+// alone, which holds every batch Slots() allows (see slotMargin). Plaintexts
+// come back in input order. A sender whose value overflows its slot
+// corrupts the slots above it — undetectable unless the top slot overflows
+// too, which, like a negative plaintext (p − |v| mod p is as wide as p),
+// fails with ErrSlotOverflow.
 func (sk *PrivateKey) DecryptSlots(cts []*Ciphertext) ([]*big.Int, error) {
 	k := len(cts)
 	if k == 0 || k > sk.Slots() {
@@ -72,11 +88,11 @@ func (sk *PrivateKey) DecryptSlots(cts []*Ciphertext) ([]*big.Int, error) {
 	}
 	s := GetScratch()
 	defer s.Put()
-	m, err := sk.decrypt(s, cts...)
+	m, err := sk.residueModP(s, cts)
 	if err != nil {
 		return nil, err
 	}
-	if m.BitLen() > k*SlotBits { // too wide, or negative (see Slots)
+	if m.BitLen() > k*SlotBits { // too wide, or negative
 		return nil, ErrSlotOverflow
 	}
 	out := make([]*big.Int, k)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,20 @@ func slotValues(rng interface{ Int63() int64 }, k int) []*big.Int {
 	return vals
 }
 
+// slotKey is a 1024-bit key, the smallest that opens a batch of more than
+// one ciphertext (3 slots).
+func slotKey(t testing.TB, seed int64) *PrivateKey {
+	t.Helper()
+	key, err := GenerateKey(testRand(seed), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key.Slots() != 3 {
+		t.Fatalf("1024-bit key: Slots = %d, want 3", key.Slots())
+	}
+	return key
+}
+
 // TestDecryptSlotsMatchesDecrypt checks the packed path against the
 // per-ciphertext textbook decryption at every key size and batch size, and
 // the signed two-slot layout (Pack → Encrypt → Decrypt → Unpack) both ways.
@@ -38,7 +53,7 @@ func TestDecryptSlotsMatchesDecrypt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := bits / 128; key.Slots() != want {
+		if want := map[int]int{256: 1, 512: 1, 1024: 3, 2048: 7}[bits]; key.Slots() != want {
 			t.Fatalf("bits=%d: Slots = %d, want %d", bits, key.Slots(), want)
 		}
 		rng := testRand(int64(bits) + 2)
@@ -128,45 +143,51 @@ func TestPackedSumsAddSlotwise(t *testing.T) {
 	}
 }
 
+// TestDecryptSlotsRejects: a batch too large for the key, an invalid
+// ciphertext (named by its index) and a top slot that is negative or too
+// wide all fail typed, at one slot (256 bits) and at three (1024 bits).
 func TestDecryptSlotsRejects(t *testing.T) {
-	key := testKey(t) // 256 bits: two slots
 	rng := testRand(62)
-	enc := func(v *big.Int) *Ciphertext {
-		t.Helper()
-		c, err := key.Encrypt(rng, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	good := enc(big.NewInt(7))
-
-	for _, cts := range [][]*Ciphertext{nil, {good, good, good}} {
-		if _, err := key.DecryptSlots(cts); err == nil {
-			t.Errorf("%d ciphertexts accepted by a %d-slot key", len(cts), key.Slots())
-		}
-	}
-	for name, bad := range map[string]*Ciphertext{
-		"nil":      nil,
-		"nil C":    {},
-		"zero":     {C: new(big.Int)},
-		"negative": {C: big.NewInt(-5)},
-		"n²":       {C: new(big.Int).Set(key.N2)},
-	} {
-		_, err := key.DecryptSlots([]*Ciphertext{good, bad})
-		if !errors.Is(err, ErrInvalidCiphertext) || !strings.Contains(err.Error(), "ciphertext 1") {
-			t.Errorf("%s ciphertext in slot 1: err = %v, want ErrInvalidCiphertext naming index 1", name, err)
-		}
-	}
 	wide := new(big.Int).Lsh(one, SlotBits) // 2^W: one bit too many for a slot
-	for name, cts := range map[string][]*Ciphertext{
-		"negative alone":  {enc(big.NewInt(-1))},
-		"negative on top": {enc(big.NewInt(-1)), good},
-		"wide alone":      {enc(wide)},
-		"wide on top":     {enc(wide), good},
-	} {
-		if _, err := key.DecryptSlots(cts); !errors.Is(err, ErrSlotOverflow) {
-			t.Errorf("%s: err = %v, want ErrSlotOverflow", name, err)
+	for _, key := range []*PrivateKey{testKey(t), slotKey(t, 64)} {
+		enc := func(v *big.Int) *Ciphertext {
+			t.Helper()
+			c, err := key.Encrypt(rng, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		good := enc(big.NewInt(7))
+		for _, cts := range [][]*Ciphertext{nil, slices.Repeat([]*Ciphertext{good}, key.Slots()+1)} {
+			if _, err := key.DecryptSlots(cts); err == nil {
+				t.Errorf("%d ciphertexts accepted by a %d-slot key", len(cts), key.Slots())
+			}
+		}
+		cases := map[string][]*Ciphertext{
+			"negative alone": {enc(big.NewInt(-1))},
+			"wide alone":     {enc(wide)},
+		}
+		if key.Slots() > 1 {
+			for name, bad := range map[string]*Ciphertext{
+				"nil":      nil,
+				"nil C":    {},
+				"zero":     {C: new(big.Int)},
+				"negative": {C: big.NewInt(-5)},
+				"n²":       {C: new(big.Int).Set(key.N2)},
+			} {
+				_, err := key.DecryptSlots([]*Ciphertext{good, bad})
+				if !errors.Is(err, ErrInvalidCiphertext) || !strings.Contains(err.Error(), "ciphertext 1") {
+					t.Errorf("%s ciphertext in slot 1: err = %v, want ErrInvalidCiphertext naming index 1", name, err)
+				}
+			}
+			cases["negative on top"] = []*Ciphertext{enc(big.NewInt(-1)), good, good}
+			cases["wide on top"] = []*Ciphertext{enc(wide), good}
+		}
+		for name, cts := range cases {
+			if _, err := key.DecryptSlots(cts); !errors.Is(err, ErrSlotOverflow) {
+				t.Errorf("%d slots, %s: err = %v, want ErrSlotOverflow", key.Slots(), name, err)
+			}
 		}
 	}
 	for _, lo := range []*big.Int{big.NewInt(-1), wide} {
@@ -176,10 +197,91 @@ func TestDecryptSlotsRejects(t *testing.T) {
 	}
 }
 
+// TestSlotMargin pins the margin DecryptSlots opens a batch behind: a full
+// batch stays slotMargin bits below p, so a wide plaintext — whose residue
+// mod p a sender who does not know p cannot aim — is refused, while one that
+// knows p can aim it (Enc(p+5) opens as 5), the oracle the margin keeps out
+// of reach. Out-of-range values in lower slots are not refused: they borrow
+// from or carry into the slots above, as DecryptSlots says.
+func TestSlotMargin(t *testing.T) {
+	for _, bits := range []int{256, 512, 1024, 2048} {
+		key, err := GenerateKey(testRand(int64(bits)+1), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		room := key.p.BitLen() - 1 - key.Slots()*SlotBits // p ≥ 2^(BitLen−1)
+		if bits == 256 {
+			if key.Slots() != 1 || room != 3 {
+				t.Errorf("bits=256: %d slots, %d-bit margin; want 1 slot, 3 bits", key.Slots(), room)
+			}
+		} else if room < slotMargin {
+			t.Errorf("bits=%d: %d slots leave a %d-bit margin below p, want ≥ %d", bits, key.Slots(), room, slotMargin)
+		}
+	}
+
+	key := slotKey(t, 65)
+	rng := testRand(66)
+	enc := func(v *big.Int) *Ciphertext {
+		t.Helper()
+		c, err := key.Encrypt(rng, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	aimed := new(big.Int).Add(key.p, big.NewInt(5))
+	if got, err := key.DecryptSlots([]*Ciphertext{enc(aimed)}); err != nil || got[0].Int64() != 5 {
+		t.Fatalf("Enc(p+5) opened as %v, %v; want 5", got, err)
+	}
+
+	k := key.Slots()
+	seven := enc(big.NewInt(7))
+	batch := func(pos int, c *Ciphertext) []*Ciphertext {
+		cts := []*Ciphertext{seven, seven, seven}[:k]
+		cts[pos] = c
+		return cts
+	}
+	refused := func(name string, cts []*Ciphertext) {
+		t.Helper()
+		if got, err := key.DecryptSlots(cts); !errors.Is(err, ErrSlotOverflow) {
+			t.Fatalf("%s: opened as %v, err = %v; want ErrSlotOverflow", name, got, err)
+		}
+	}
+	lo := new(big.Int).Lsh(one, uint(k*SlotBits)) // 2^372
+	span := new(big.Int).Rsh(key.N, 1)
+	span.Sub(span, lo)
+	draw := testRand(67)
+	for i := 0; i < 1000; i++ {
+		w := enc(new(big.Int).Add(lo, new(big.Int).Rand(draw, span)))
+		for pos := range k {
+			refused(fmt.Sprintf("wide value %d at slot %d", i, pos), batch(pos, w))
+		}
+	}
+	for i := int64(0); i < 1000; i++ {
+		refused(fmt.Sprintf("%d on top", -1-i), batch(0, enc(big.NewInt(-1-i))))
+		refused(fmt.Sprintf("2^124+%d on top", i), batch(0, enc(new(big.Int).Add(slotShift, big.NewInt(i)))))
+	}
+
+	// Below the top: −1 in the low slot borrows from the one above, 2^124+3
+	// carries into it.
+	for _, c := range []struct {
+		low  *big.Int
+		want []*big.Int
+	}{
+		{big.NewInt(-1), []*big.Int{big.NewInt(7), big.NewInt(6), slotMask}},
+		{new(big.Int).Add(slotShift, big.NewInt(3)), []*big.Int{big.NewInt(7), big.NewInt(8), big.NewInt(3)}},
+	} {
+		got, err := key.DecryptSlots(batch(k-1, enc(c.low)))
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("low slot %s: opened as %v, %v; want %v", c.low, got, err, c.want)
+		}
+	}
+}
+
 // TestDecryptWipedKey: a wiped key answers with a typed error, not a
 // division by zero.
 func TestDecryptWipedKey(t *testing.T) {
-	key := testKey(t)
+	key := slotKey(t, 63)
 	c, err := key.encryptInt64(testRand(63), 5)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +336,7 @@ func TestSlotLayoutABI(t *testing.T) {
 
 // BenchmarkDecryptSlots is the measurement SlotBits was picked with: k
 // Protocol-4-sized plaintexts (109 bits) under a 1024-bit key, decrypted as
-// one packed plaintext. k=1 is a plain Decrypt.
+// one packed plaintext, for a lone ciphertext and a full batch.
 func BenchmarkDecryptSlots(b *testing.B) {
 	key, err := GenerateKey(testRand(8), 1024)
 	if err != nil {
@@ -248,7 +350,7 @@ func BenchmarkDecryptSlots(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, k := range []int{1, 4, 8} {
+	for _, k := range []int{1, key.Slots()} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
