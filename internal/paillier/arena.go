@@ -70,3 +70,15 @@ func (s *Scratch) Int() *big.Int {
 	s.next++
 	return x
 }
+
+// words returns n words of storage with unspecified contents, kept by the
+// next integer of s and valid, like it, until Put.
+func (s *Scratch) words(n int) []big.Word {
+	x := s.Int()
+	w := x.Bits()
+	if cap(w) < n {
+		w = make([]big.Word, n)
+		x.SetBits(w)
+	}
+	return w[:n]
+}

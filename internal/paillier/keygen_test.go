@@ -96,56 +96,6 @@ func TestSieveRejectsOnlyComposites(t *testing.T) {
 	}
 }
 
-// FuzzMulMod checks the Barrett reducer against Mul+QuoRem for arbitrary
-// operands, as given and reduced below arbitrary moduli, odd and even, and
-// always at x = y = m−1, the largest product of reduced operands.
-func FuzzMulMod(f *testing.F) {
-	hx := func(s string) []byte { b, _ := hex.DecodeString(s); return b }
-	// A product below m.
-	f.Add(hx("03"), hx("05"), hx("65"))
-	// Single-word moduli, odd, even and all ones.
-	f.Add(hx("ffff"), hx("fe"), hx("fffffffffffb"))
-	f.Add(hx("ff"), hx("fe"), hx("fffffffffff0"))
-	f.Add(hx("ffffffffffffffff"), hx("fffffffffffffffe"), hx("ffffffffffffffff"))
-	// Top word 1, odd and even.
-	f.Add(hx("010000000000000003"), hx("ffffffffffffffff"), hx("010000000000000005"))
-	f.Add(hx("01ffffffffffffffffffffffffffffffff"), hx("02"), hx("0100000000000000000000000000000000"))
-	// m = 1, and a zero operand.
-	f.Add(hx("07"), hx("07"), hx("01"))
-	f.Add(hx(""), hx("09"), hx("0a"))
-	f.Fuzz(func(t *testing.T, xb, yb, mb []byte) {
-		m := new(big.Int).SetBytes(mb)
-		if m.Sign() == 0 {
-			return
-		}
-		x := new(big.Int).SetBytes(xb)
-		y := new(big.Int).SetBytes(yb)
-		// Unreduced first: a product past Barrett's range (a caller's own
-		// EncryptWithFactor factor) must take the fallback, not go wrong.
-		checkMulMod(t, x, y, m)
-		checkMulMod(t, x.Mod(x, m), y.Mod(y, m), m)
-		top := new(big.Int).Sub(m, one)
-		checkMulMod(t, top, top, m)
-	})
-}
-
-func checkMulMod(t *testing.T, x, y, m *big.Int) {
-	t.Helper()
-	want := new(big.Int)
-	new(big.Int).QuoRem(new(big.Int).Mul(x, y), m, want)
-	red := newBarrett(m)
-	var r, q, tmp big.Int
-	red.mulMod(&r, &q, &tmp, x, y)
-	if r.Cmp(want) != 0 {
-		t.Fatalf("%v·%v mod %v: Barrett %v, QuoRem %v", x, y, m, &r, want)
-	}
-	r.Set(x) // r aliasing x, the way the comb and the ladder call it
-	red.mulMod(&r, &q, &tmp, &r, y)
-	if r.Cmp(want) != 0 {
-		t.Fatalf("%v·%v mod %v in place: Barrett %v, QuoRem %v", x, y, m, &r, want)
-	}
-}
-
 func BenchmarkRandomPrime(b *testing.B) {
 	for _, bits := range []int{256, 512} {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {

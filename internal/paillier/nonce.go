@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
-	"math/bits"
 	"sync"
 )
 
@@ -23,7 +22,9 @@ import (
 // 1024-bit keys, against the ≈ 1 280 of a full-width exponentiation — and
 // the table is 2·255 entries in one slab (128 KiB at 1024 bits, ≈ 1 000
 // multiplications to build). Shape and exponent length are functions of |n|
-// alone.
+// alone. Table and walk live in Montgomery form (mont.go): every one of
+// those multiplications is one Montgomery product, and a factor leaves the
+// form once, at the end of its walk.
 const (
 	combRows = 8
 	combCols = 2
@@ -33,17 +34,17 @@ const (
 
 // nonceTable is a key's comb table, built by the first BlindingFactor, and
 // next to it the key's stock of ready factors (see NoncePool) and the
-// reducer every product mod n² under the key goes through.
+// Montgomery reducer every product mod n² under the key goes through.
 type nonceTable struct {
 	pool NoncePool
-	red  barrett
+	red  mont
 	once sync.Once
 	// xLen is the exponent length in bytes; with combRows = 8 it is also
 	// the block width a in bits.
 	xLen int
-	// entries[j<<combRows|u] views one n²-wide stripe of a shared slab;
-	// u = 0 is never read.
-	entries []big.Int
+	// entries holds entry j<<combRows|u in Montgomery form, as the stripe
+	// entry(j<<combRows|u) of n²'s word length; u = 0 is never read.
+	entries []big.Word
 }
 
 // nonceBase derives h = −y² mod n, y = SHA-256 in counter mode over
@@ -64,47 +65,13 @@ func nonceBase(n *big.Int) *big.Int {
 	return h.Mod(h, n)
 }
 
-// barrett reduces modulo m without long division (HAC 14.42). With b =
-// 2^W, k the word length of m and μ = ⌊b^(2k)/m⌋, for 0 ≤ t < b^(2k) the
-// estimate q = ⌊⌊t/b^(k−1)⌋·μ/b^(k+1)⌋ falls at most 2 short of ⌊t/m⌋: two
-// multiplications, two shifts and at most two subtractions, where QuoRem
-// normalizes both operands and divides word by word.
-type barrett struct {
-	m, mu *big.Int
-	k     uint
-}
-
-func newBarrett(m *big.Int) barrett {
-	k := uint(len(m.Bits()))
-	mu := new(big.Int).Lsh(one, 2*k*bits.UintSize)
-	return barrett{m: m, mu: mu.Quo(mu, m), k: k}
-}
-
-// mulMod sets r = x·y mod m with every temporary in q and t; r may alias x
-// or y.
-func (b *barrett) mulMod(r, q, t, x, y *big.Int) {
-	t.Mul(x, y)
-	if t.Sign() < 0 || uint(len(t.Bits())) > 2*b.k { // outside Barrett's range
-		r.Mod(t, b.m)
-		return
-	}
-	q.Rsh(t, (b.k-1)*bits.UintSize)
-	r.Mul(q, b.mu)
-	q.Rsh(r, (b.k+1)*bits.UintSize)
-	r.Mul(q, b.m)
-	r.Sub(t, r)
-	for r.Cmp(b.m) >= 0 {
-		r.Sub(r, b.m)
-	}
-}
-
 // holder returns the one nonceTable hanging off pk, installing an unbuilt,
 // empty one (but its reducer) first. It hangs off the key through a pointer
 // so that keys stay copyable and table and stock die with their key.
 func (pk *PublicKey) holder() *nonceTable {
 	t, _ := pk.table.Load().(*nonceTable)
 	if t == nil {
-		pk.table.CompareAndSwap(nil, &nonceTable{pool: NoncePool{pk: pk}, red: newBarrett(pk.N2)})
+		pk.table.CompareAndSwap(nil, &nonceTable{pool: NoncePool{pk: pk}, red: newMont(pk.N2)})
 		t = pk.table.Load().(*nonceTable)
 	}
 	return t
@@ -122,59 +89,58 @@ func (pk *PublicKey) nonces() *nonceTable {
 // computes nothing; the first Take does.
 func (pk *PublicKey) Pool() *NoncePool { return &pk.holder().pool }
 
-// mulMod returns x·y mod n² in an integer of s.
-func (pk *PublicKey) mulMod(s *Scratch, x, y *big.Int) *big.Int {
-	r := s.Int()
-	pk.holder().red.mulMod(r, s.Int(), s.Int(), x, y)
-	return r
+// entry returns table entry idx, in Montgomery form.
+func (t *nonceTable) entry(idx int) []big.Word {
+	w := len(t.red.mw)
+	return t.entries[idx*w : (idx+1)*w : (idx+1)*w]
 }
 
+// build fills the table: h_s once by Exp, brought into Montgomery form,
+// and every entry from it by products in the form.
 func (t *nonceTable) build(n, n2 *big.Int) {
 	s := GetScratch()
 	defer s.Put()
-	q, prod, pow := s.Int(), s.Int(), s.Int()
+	r := &t.red
+	w := len(r.mw)
+	pow, tmp := s.words(w), s.words(2*w)
 
 	t.xLen = ((n.BitLen()+1)/2 + 7) / 8
 	a, b := t.xLen, (t.xLen+1)/2
-	w := len(n2.Bits())
-	slab := make([]big.Word, (combCols<<combRows)*w)
-	t.entries = make([]big.Int, combCols<<combRows)
-	set := func(idx int, v *big.Int) {
-		stripe := slab[idx*w : (idx+1)*w : (idx+1)*w]
-		t.entries[idx].SetBits(stripe[:copy(stripe, v.Bits())])
-	}
+	t.entries = make([]big.Word, (combCols<<combRows)*w)
 
 	// The 16 single-bit entries h_s^(2^(i·a+j·b)), by repeated squaring.
-	pow.Exp(nonceBase(n), n, n2)
+	r.mul(pow, load(pow, s.Int().Exp(nonceBase(n), n, n2)), r.rr, tmp)
 	for i := 0; i < combRows; i++ {
 		for j, step := range [combCols]int{b, a - b} {
-			set(j<<combRows|1<<i, pow)
+			copy(t.entry(j<<combRows|1<<i), pow)
 			for ; step > 0; step-- {
-				t.red.mulMod(pow, q, prod, pow, pow)
+				r.mul(pow, pow, pow, tmp)
 			}
 		}
 	}
 	// Every other entry is one multiplication away from a smaller one.
 	for j := 0; j < combCols; j++ {
-		row := t.entries[j<<combRows : (j+1)<<combRows]
-		for u := 3; u < len(row); u++ {
+		for u := 3; u < 1<<combRows; u++ {
 			if low := u & -u; low != u {
-				t.red.mulMod(pow, q, prod, &row[u^low], &row[low])
-				set(j<<combRows|u, pow)
+				row := j << combRows
+				r.mul(t.entry(row|u), t.entry(row|u^low), t.entry(row|low), tmp)
 			}
 		}
 	}
 }
 
 // exp computes h_s^x mod n² for the big-endian exponent x of t.xLen bytes.
+// The accumulator stays in Montgomery form and leaves it once, at the end.
 func (t *nonceTable) exp(x []byte) *big.Int {
 	s := GetScratch()
 	defer s.Put()
-	q, prod, acc := s.Int(), s.Int(), s.Int().SetUint64(1)
+	r := &t.red
+	acc, tmp := s.words(len(r.mw)), s.words(2*len(r.mw))
+	copy(acc, r.one)
 
 	a, b := t.xLen, (t.xLen+1)/2
 	for k := b - 1; k >= 0; k-- {
-		t.red.mulMod(acc, q, prod, acc, acc)
+		r.mul(acc, acc, acc, tmp)
 		for j := 0; j < combCols && j*b+k < a; j++ {
 			u := 0
 			for i := combRows - 1; i >= 0; i-- {
@@ -182,9 +148,9 @@ func (t *nonceTable) exp(x []byte) *big.Int {
 				u = u<<1 | int(x[len(x)-1-bit>>3]>>(bit&7)&1)
 			}
 			if u != 0 {
-				t.red.mulMod(acc, q, prod, acc, &t.entries[j<<combRows|u])
+				r.mul(acc, acc, t.entry(j<<combRows|u), tmp)
 			}
 		}
 	}
-	return new(big.Int).Set(acc)
+	return r.exit(acc, tmp)
 }

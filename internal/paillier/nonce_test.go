@@ -342,9 +342,10 @@ func BenchmarkNonceTableBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			t := key.holder()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				(&nonceTable{red: newBarrett(key.N2)}).build(key.N, key.N2)
+				t.build(key.N, key.N2)
 			}
 		})
 	}

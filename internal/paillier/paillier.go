@@ -318,10 +318,24 @@ func (pk *PublicKey) EncryptWithFactor(m, rn *big.Int) (*Ciphertext, error) {
 	if err := pk.encodeSignedInto(em, m); err != nil {
 		return nil, err
 	}
-	// (1 + em*n) * rn mod n²; 1 + em*n < n² already.
-	g := s.Int().Mul(em, pk.N)
-	g.Add(g, one)
-	return &Ciphertext{C: new(big.Int).Set(pk.mulMod(s, g, rn))}, nil
+	return &Ciphertext{C: new(big.Int).Set(pk.plainMul(s, em, rn))}, nil
+}
+
+// plainMul returns (1 + em·n)·c mod n² in an integer of s for em in [0, n).
+// It is c + n·(em·c mod n): the product by an encoded plaintext is one mod
+// n, then one conditional subtraction of n². A c outside [0, n²) — only a
+// caller's own EncryptWithFactor factor can be one — is reduced first.
+func (pk *PublicKey) plainMul(s *Scratch, em, c *big.Int) *big.Int {
+	if c.Sign() < 0 || c.Cmp(pk.N2) >= 0 {
+		c = s.Int().Mod(c, pk.N2)
+	}
+	v, q, r := s.Int(), s.Int(), s.Int()
+	q.QuoRem(v.Mul(em, c), pk.N, r)
+	v.Add(v.Mul(r, pk.N), c)
+	if v.Cmp(pk.N2) >= 0 {
+		v.Sub(v, pk.N2)
+	}
+	return v
 }
 
 // BlindingFactor computes a fresh n-th residue h_s^x mod n² — the factor an
@@ -367,7 +381,7 @@ func (pk *PublicKey) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	}
 	s := GetScratch()
 	defer s.Put()
-	return &Ciphertext{C: new(big.Int).Set(pk.mulMod(s, a.C, b.C))}, nil
+	return &Ciphertext{C: pk.holder().red.mulMod(s, new(big.Int), a.C, b.C)}, nil
 }
 
 // AddInPlace folds b into acc (acc.C ← acc.C·b.C mod n²), mutating the
@@ -383,7 +397,7 @@ func (pk *PublicKey) AddInPlace(acc, b *Ciphertext) error {
 	}
 	s := GetScratch()
 	defer s.Put()
-	acc.C.Set(pk.mulMod(s, acc.C, b.C))
+	pk.holder().red.mulMod(s, acc.C, acc.C, b.C)
 	return nil
 }
 
@@ -399,9 +413,7 @@ func (pk *PublicKey) AddPlain(c *Ciphertext, m *big.Int) (*Ciphertext, error) {
 	if err := pk.encodeSignedInto(em, m); err != nil {
 		return nil, err
 	}
-	g := s.Int().Mul(em, pk.N)
-	g.Add(g, one)
-	return &Ciphertext{C: new(big.Int).Set(pk.mulMod(s, c.C, g))}, nil
+	return &Ciphertext{C: new(big.Int).Set(pk.plainMul(s, em, c.C))}, nil
 }
 
 // ScalarMul returns a ciphertext encrypting k·plaintext(c) (E(a)^k mod n²).
@@ -411,10 +423,11 @@ func (pk *PublicKey) AddPlain(c *Ciphertext, m *big.Int) (*Ciphertext, error) {
 // valid, deterministic encryption of zero), E(a)^1 = E(a), and E(a)^{-1}
 // needs only the modular inverse. Every other scalar — Protocol 4's
 // reciprocal multipliers are ~20–40 bits — takes a square-and-multiply
-// ladder through the key's Barrett reducer: math/big's Exp switches to its
-// Montgomery ladder only for multi-word exponents, and for one-word ones
-// pays a long division per bit (1024-bit key, 2-core box: a 30-bit scalar
-// ≈ 105–131 µs by Exp, ≈ 79–88 µs by the ladder).
+// ladder on the key's Montgomery reducer (mont.go): the base enters the
+// form once, every step is one Montgomery product, and the result leaves
+// the form once. math/big's Exp switches to its own Montgomery ladder only
+// for multi-word exponents, and for one-word ones pays a long division per
+// bit.
 func (pk *PublicKey) ScalarMul(c *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	if err := pk.validate(c); err != nil {
 		return nil, err
@@ -442,15 +455,18 @@ func (pk *PublicKey) ScalarMul(c *Ciphertext, k *big.Int) (*Ciphertext, error) {
 		base = inv
 	}
 	exp := s.Int().Abs(k)
-	red := &pk.holder().red
-	acc, q, t := s.Int().Set(base), s.Int(), s.Int()
+	r := &pk.holder().red
+	w := len(r.mw)
+	b, acc, t := s.words(w), s.words(w), s.words(2*w)
+	r.mul(b, load(b, base), r.rr, t)
+	copy(acc, b)
 	for i := exp.BitLen() - 2; i >= 0; i-- {
-		red.mulMod(acc, q, t, acc, acc)
+		r.mul(acc, acc, acc, t)
 		if exp.Bit(i) == 1 {
-			red.mulMod(acc, q, t, acc, base)
+			r.mul(acc, acc, b, t)
 		}
 	}
-	return &Ciphertext{C: new(big.Int).Set(acc)}, nil
+	return &Ciphertext{C: r.exit(acc, t)}, nil
 }
 
 // Decrypt recovers the signed plaintext of c by CRT decryption: its

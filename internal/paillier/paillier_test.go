@@ -370,6 +370,29 @@ func BenchmarkEncryptWithFactor(b *testing.B) {
 	}
 }
 
+func BenchmarkAdd(b *testing.B) {
+	key, err := GenerateKey(testRand(22), 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := testRand(23)
+	x, err := key.encryptInt64(rng, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	y, err := key.encryptInt64(rng, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := key.Add(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDecryptCRT(b *testing.B) {
 	key, err := GenerateKey(testRand(24), 2048)
 	if err != nil {
