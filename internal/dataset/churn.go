@@ -261,7 +261,7 @@ func epochTrace(seed int64, e int, roster []Home, windows int, startHour float64
 		cfg = cfg.withDefaults()
 		cfg.sky = skies.curve(cfg)
 		h, daySeed := h, deriveSeed("evolve", seed, fmt.Sprintf("day/%d/%s", e, h.ID))
-		tr.synth[i] = func() (gen, load, batt []float64) { return cfg.synthesizeDay(h, daySeed) }
+		tr.synth[i] = func(gen, load, batt []float64) { cfg.synthesizeDay(h, daySeed, gen, load, batt) }
 	}
 	if !onDemand {
 		tr.Materialize()

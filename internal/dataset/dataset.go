@@ -233,9 +233,10 @@ type Home struct {
 // generation and load are not).
 func (h Home) NetCapacityKW() float64 { return h.SolarCapKW - h.BaseLoadKW }
 
-// synthFn materializes one home's day of generation, load and battery data
-// from that home's private derived stream.
-type synthFn func() (gen, load, batt []float64)
+// synthFn writes one home's day of generation, load and battery data, every
+// window of each row, from that home's private derived stream into rows the
+// caller owns.
+type synthFn func(gen, load, batt []float64)
 
 // Trace is a full day of per-window data for a fleet of homes.
 type Trace struct {
@@ -265,8 +266,23 @@ func (t *Trace) materialize(h int) {
 	if t.synth == nil || t.synth[h] == nil {
 		return
 	}
-	t.Gen[h], t.Load[h], t.Battery[h] = t.synth[h]()
+	t.Gen[h], t.Load[h], t.Battery[h] = t.DayRows(h, make([]float64, 3*t.Windows))
 	t.synth[h] = nil
+}
+
+// DayRows returns home h's generation, load and battery rows. A
+// materialized home returns its stored rows; a pending one has its day
+// synthesized into buf, which must hold 3·Windows floats, and stays
+// pending, so a caller reading a day once never stores it. Callers must
+// not write the rows; those in buf are valid while the caller keeps buf.
+func (t *Trace) DayRows(h int, buf []float64) (gen, load, batt []float64) {
+	if t.synth == nil || t.synth[h] == nil {
+		return t.Gen[h], t.Load[h], t.Battery[h]
+	}
+	n := t.Windows
+	gen, load, batt = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n]
+	t.synth[h](gen, load, batt)
+	return gen, load, batt
 }
 
 // Materialize synthesizes every still-pending home's day data, turning a
@@ -300,7 +316,8 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 		return nil, err
 	}
 	cfg.sky = skies.curve(cfg)
-	rng := mrand.New(mrand.NewSource(cfg.Seed))
+	rng := dayRands.Get().(*mrand.Rand)
+	rng.Seed(cfg.Seed)
 
 	tr := newTrace(make([]Home, cfg.Homes), cfg.Windows, cfg.StartHour)
 	tr.synth = make([]synthFn, cfg.Homes)
@@ -326,9 +343,10 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 		}
 		tr.Homes[h] = home
 	}
+	dayRands.Put(rng)
 	for h := 0; h < cfg.Homes; h++ {
 		home, daySeed := tr.Homes[h], deriveSeed("home", cfg.Seed, h)
-		tr.synth[h] = func() (gen, load, batt []float64) { return cfg.synthesizeDay(home, daySeed) }
+		tr.synth[h] = func(gen, load, batt []float64) { cfg.synthesizeDay(home, daySeed, gen, load, batt) }
 	}
 	if !cfg.OnDemand {
 		tr.Materialize()
@@ -348,27 +366,26 @@ func deriveSeed(domain string, seed int64, key any) int64 {
 	return int64(h.Sum64())
 }
 
-// dayRands recycles day synthesis's random sources. Reseeding one runs the
-// same rngSource.Seed as mrand.NewSource, so every stream is unchanged,
-// without allocating a 607-word state per home-day; pooled because lazy
-// traces materialize concurrently across coalitions.
+// dayRands recycles synthesis's random sources: each block's statics stream
+// and each home-day's. Reseeding one runs the same rngSource.Seed as
+// mrand.NewSource, so every stream is unchanged, without allocating a
+// 607-word state per stream; pooled because lazy traces materialize
+// concurrently across coalitions.
 var dayRands = sync.Pool{New: func() any { return mrand.New(mrand.NewSource(0)) }}
 
-// synthesizeDay generates one home's day of per-window generation, load and
-// battery data from the stream seeded by daySeed. The home's static
+// synthesizeDay writes one home's day of per-window generation, load and
+// battery data into gen, load and batt (Windows each, every element
+// written) from the stream seeded by daySeed. The home's static
 // parameters are fixed inputs; only the weather, load jitter and battery
 // schedule are drawn. Generate feeds it each home's derived seed; the churn
 // layer (churn.go) re-invokes it with a per-(epoch, home) seed so a
 // surviving agent gets a fresh day per epoch while its static parameters
 // persist. The receiver must have defaults applied and its clear-sky curve
 // attached: everything computed here is per home.
-func (cfg Config) synthesizeDay(home Home, daySeed int64) (gen, load, batt []float64) {
+func (cfg Config) synthesizeDay(home Home, daySeed int64, gen, load, batt []float64) {
 	rng := dayRands.Get().(*mrand.Rand)
 	defer dayRands.Put(rng)
 	rng.Seed(daySeed)
-	gen = make([]float64, cfg.Windows)
-	load = make([]float64, cfg.Windows)
-	batt = make([]float64, cfg.Windows)
 
 	// AR(1) cloud attenuation in [CloudFloor, CloudCeil], starting in
 	// the upper part of the band.
@@ -417,7 +434,6 @@ func (cfg Config) synthesizeDay(home Home, daySeed int64) (gen, load, batt []flo
 		}
 		batt[w] = b
 	}
-	return gen, load, batt
 }
 
 // skyCache holds one call's clear-sky curves, one per day shape (StartHour,

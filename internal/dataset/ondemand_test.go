@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -119,6 +122,72 @@ func TestOnDemandSelectIsolation(t *testing.T) {
 	for h, row := range lazy.Gen {
 		if row != nil {
 			t.Errorf("parent home %d materialized", h)
+		}
+	}
+}
+
+// TestDayRowsMatchesMaterialize: DayRows returns, == by ==, the rows
+// Materialize stores, on every trace source — an eager Generate, an OnDemand
+// GenerateFleet, every epoch of an OnDemand Evolve under churn, a ReadCSV
+// trace and a lazy trace with one home already materialized. A pending home
+// writes every window of a NaN-filled buffer and stays pending; a
+// materialized one returns its stored rows.
+func TestDayRowsMatchesMaterialize(t *testing.T) {
+	eager, err := Generate(Config{Homes: 4, Windows: 30, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := FleetConfig{Coalitions: 3, HomesPerCoalition: 3, Windows: 30, Seed: 5, StartHour: 11, OnDemand: true}
+	fleet, err := GenerateFleet(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evo, err := Evolve(fc, ChurnConfig{Epochs: 3, JoinRate: 0.3, DepartRate: 0.1, FailRate: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := eager.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadCSV(&csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partly, err := GenerateFleet(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partly.materialize(4)
+
+	traces := map[string]*Trace{"generate": eager, "fleet": fleet, "csv": read, "partly": partly}
+	for _, ef := range evo.Epochs {
+		traces[fmt.Sprintf("evolve/%d", ef.Epoch)] = ef.Trace
+	}
+	for name, tr := range traces {
+		for h := range tr.Homes {
+			wasPending := tr.synth != nil && tr.synth[h] != nil
+			buf := make([]float64, 3*tr.Windows)
+			for i := range buf {
+				buf[i] = math.NaN()
+			}
+			gen, load, batt := tr.DayRows(h, buf)
+			if wasPending && (tr.synth[h] == nil || tr.Gen[h] != nil) {
+				t.Fatalf("%s: DayRows stored pending home %d", name, h)
+			}
+			if !wasPending && &gen[0] != &tr.Gen[h][0] {
+				t.Errorf("%s: materialized home %d: DayRows copied its rows", name, h)
+			}
+			tr.materialize(h)
+			if len(gen) != tr.Windows || len(load) != tr.Windows || len(batt) != tr.Windows {
+				t.Fatalf("%s: home %d: rows of %d/%d/%d windows, want %d", name, h, len(gen), len(load), len(batt), tr.Windows)
+			}
+			for w := range gen {
+				if gen[w] != tr.Gen[h][w] || load[w] != tr.Load[h][w] || batt[w] != tr.Battery[h][w] {
+					t.Fatalf("%s: home %d window %d: DayRows %v/%v/%v, Materialize %v/%v/%v", name, h, w,
+						gen[w], load[w], batt[w], tr.Gen[h][w], tr.Load[h][w], tr.Battery[h][w])
+				}
+			}
 		}
 	}
 }

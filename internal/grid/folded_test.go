@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"github.com/pem-go/pem/internal/core"
@@ -35,11 +38,10 @@ func foldedDay(tb testing.TB, windows int) func() *CoalitionRun {
 }
 
 // foldedDayAllocs is the ceiling on heap allocations of one folded two-home
-// coalition-day, whatever its length: the sub-trace and its rows (3 per
-// home), the roster's IDs, the per-member flow and touched slices and the
-// Flows map. Measured 19 (19–20 under the race detector, whose
-// instrumentation moves a value to the heap).
-const foldedDayAllocs = 28
+// coalition-day, whatever its length: the sub-trace (its rows stay nil: the
+// day is synthesized into the pooled scratch), the roster's IDs, the
+// per-member row, flow and touched slices and the Flows map. Measured 14.
+const foldedDayAllocs = 23
 
 // TestFoldedCoalitionDayAllocsPerDay: the tariff path allocates per
 // coalition-day, not per window — a 720-window day costs the allocations of
@@ -60,6 +62,43 @@ func TestFoldedCoalitionDayAllocsPerDay(t *testing.T) {
 	}
 	if counts[720] > foldedDayAllocs {
 		t.Errorf("%v allocations per folded coalition-day, ceiling %d", counts[720], foldedDayAllocs)
+	}
+}
+
+// foldedDayBytes bounds the heap bytes of one folded two-home 720-window
+// coalition-day, and foldedDayGrowth how far they may exceed a 60-window
+// day's: a home's day rows (3 × 720 floats, 17 280 B) stored rather than
+// synthesized into the pooled scratch blows both. Measured ≈ 1 780 B.
+const foldedDayBytes, foldedDayGrowth = 4096, 1024
+
+// TestFoldedCoalitionDayAllocBytes: a folded day's bytes, like its
+// allocations, do not grow with its length. TotalAlloc over 50 days per
+// length, after a collection and one warm-up day fill the scratch pool; it
+// skips under the race detector, whose sync.Pool drops items at random.
+func TestFoldedCoalitionDayAllocBytes(t *testing.T) {
+	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("sync.Pool drops the scratch at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const days = 50
+	perDay := make(map[int]uint64)
+	for _, windows := range []int{60, 720} {
+		day := foldedDay(t, windows)
+		runtime.GC()
+		day()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range days {
+			day()
+		}
+		runtime.ReadMemStats(&after)
+		perDay[windows] = (after.TotalAlloc - before.TotalAlloc) / days
+	}
+	if perDay[720] > foldedDayBytes {
+		t.Errorf("%d B per 720-window folded coalition-day, ceiling %d", perDay[720], foldedDayBytes)
+	}
+	if perDay[720] > perDay[60]+foldedDayGrowth {
+		t.Errorf("bytes grow with the day: %d B at 60 windows, %d at 720 (allowed +%d)", perDay[60], perDay[720], foldedDayGrowth)
 	}
 }
 

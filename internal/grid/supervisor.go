@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/pem-go/pem/internal/core"
@@ -486,26 +487,41 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 	cr.Flows = flows.Flows()
 }
 
+// tariffRows recycles a folded day's row scratch, 3·Windows floats per
+// member: pooled because coalitions fold concurrently.
+var tariffRows = sync.Pool{New: func() any { return new([]float64) }}
+
 // tariffDay accounts a folded coalition's day on the paper's "without PEM"
 // baseline, every member trading its net energy only with the grid at the
-// tariff, in one pass over the members' day rows. It is bit-identical to
-// clearing each window with market.BaselineClearInto and folding it through
-// ResidualFromClearing and a FlowAccumulator (TestTariffDayMatchesClearing):
-// net is WindowInput.NetEnergy's g - l - b, a window's import and export
-// are summed from 0 before joining the residual, and a grid leg reaches its
-// member by roster position, as FlowAccumulator.Add books it.
+// tariff, in one pass over the members' day rows, which a pending home
+// synthesizes into tariffRows' scratch rather than storing. It is
+// bit-identical to clearing each window with market.BaselineClearInto and
+// folding it through ResidualFromClearing and a FlowAccumulator
+// (TestTariffDayMatchesClearing): net is WindowInput.NetEnergy's g - l - b,
+// a window's import and export are summed from 0 before joining the
+// residual, and a grid leg reaches its member by roster position, as
+// FlowAccumulator.Add books it.
 func tariffDay(params market.Params, sub *dataset.Trace, cr *CoalitionRun) error {
 	if err := params.Validate(); err != nil {
 		return fmt.Errorf("tariff day: %w", err)
 	}
-	sub.Materialize()
+	slab := tariffRows.Get().(*[]float64)
+	defer tariffRows.Put(slab)
+	day := 3 * sub.Windows
+	if cap(*slab) < day*len(cr.IDs) {
+		*slab = make([]float64, day*len(cr.IDs))
+	}
+	rows := make([][3][]float64, len(cr.IDs)) // a member's gen, load, battery
+	for i := range rows {
+		rows[i][0], rows[i][1], rows[i][2] = sub.DayRows(i, (*slab)[i*day:(i+1)*day])
+	}
 	flows := make([]market.AgentFlows, len(cr.IDs))
 	touched := make([]bool, len(cr.IDs))
 	cr.Residual = market.CoalitionResidual{Coalition: cr.Name}
 	for w := 0; w < sub.Windows; w++ {
 		var imp, exp float64
 		for i := range flows {
-			net := sub.Gen[i][w] - sub.Load[i][w] - sub.Battery[i][w]
+			net := rows[i][0][w] - rows[i][1][w] - rows[i][2][w]
 			f := &flows[i]
 			switch market.ClassifyRole(net) {
 			case market.RoleSeller:
