@@ -158,7 +158,8 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 	roster := append([]Home(nil), base.Homes...)
 	joinSerial := 0 // total joins so far, cycles the scenario rotation
 	for e := 1; e < churn.Epochs; e++ {
-		rng := mrand.New(mrand.NewSource(deriveSeed("evolve", churn.Seed, fmt.Sprintf("boundary/%d", e))))
+		rng := dayRands.Get().(*mrand.Rand)
+		rng.Seed(deriveSeed("evolve", churn.Seed, fmt.Sprintf("boundary/%d", e)))
 
 		// Draw leavers in roster order: one uniform per agent decides
 		// depart / fail / stay, so the schedule is stable under any later
@@ -179,6 +180,7 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 		if rng.Float64() < expect-float64(nJoin) {
 			nJoin++
 		}
+		dayRands.Put(rng)
 		// Roster floor: veto leavers in roster order until the surviving
 		// fleet (plus joins) stays at or above MinHomes.
 		for _, h := range roster {

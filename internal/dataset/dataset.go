@@ -27,6 +27,7 @@ import (
 	"math"
 	mrand "math/rand"
 	"slices"
+	"strconv"
 	"sync"
 
 	"github.com/pem-go/pem/internal/market"
@@ -359,19 +360,28 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 // index) and an evolution's boundaries, joins and days ("evolve",
 // "boundary/3", …). FNV over "pem/<domain>/<seed>/<key>" keeps the mapping
 // stable across runs and platforms without pulling in crypto for what is
-// test-data synthesis.
-func deriveSeed(domain string, seed int64, key any) int64 {
+// test-data synthesis; the bytes are built in a stack buffer, not by fmt.
+func deriveSeed[K int | string](domain string, seed int64, key K) int64 {
+	var buf [64]byte
+	b := append(append(buf[:0], "pem/"...), domain...)
+	b = append(strconv.AppendInt(append(b, '/'), seed, 10), '/')
+	switch k := any(key).(type) {
+	case int:
+		b = strconv.AppendInt(b, int64(k), 10)
+	case string:
+		b = append(b, k...)
+	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "pem/%s/%d/%v", domain, seed, key)
+	h.Write(b)
 	return int64(h.Sum64())
 }
 
-// dayRands recycles synthesis's random sources: each block's statics stream
-// and each home-day's. Reseeding one runs the same rngSource.Seed as
-// mrand.NewSource, so every stream is unchanged, without allocating a
-// 607-word state per stream; pooled because lazy traces materialize
-// concurrently across coalitions.
-var dayRands = sync.Pool{New: func() any { return mrand.New(mrand.NewSource(0)) }}
+// dayRands recycles synthesis's random sources: each block's statics
+// stream, each home-day's and each churn boundary's. A daySource draws
+// what mrand.NewSource would, so every stream is unchanged, without
+// allocating a 607-word state per stream; pooled because lazy traces
+// materialize concurrently across coalitions.
+var dayRands = sync.Pool{New: func() any { return mrand.New(new(daySource)) }}
 
 // synthesizeDay writes one home's day of per-window generation, load and
 // battery data into gen, load and batt (Windows each, every element
