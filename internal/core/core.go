@@ -523,7 +523,11 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 		wg.Add(1)
 		go func(i int, p *Party) {
 			defer wg.Done()
-			rep, err := p.runWindow(ctx, window, inputs[i])
+			pctx := ctx
+			if e.network != nil {
+				pctx = netem.WithClock(ctx) // the party's virtual time in this window
+			}
+			rep, err := p.runWindow(pctx, window, inputs[i])
 			if err != nil {
 				errs[i] = fmt.Errorf("party %s: %w", p.ID(), err)
 				cancel() // unblock peers waiting on this party

@@ -155,10 +155,10 @@ func TestVirtualClockDoesNotSleep(t *testing.T) {
 	}
 }
 
-// TestEmulatedWindowNumberReuse: the engine releases a window's virtual-
-// clock lanes when it completes, so a caller reusing a window number gets
-// that run's own metrics — not clocks inherited (and inflated) from the
-// previous run under the same number.
+// TestEmulatedWindowNumberReuse: the engine releases a window's emulation
+// state when it completes, so a caller reusing a window number gets that
+// run's own metrics — not maxima inherited (and inflated) from the previous
+// run under the same number.
 func TestEmulatedWindowNumberReuse(t *testing.T) {
 	agents := testAgents(4)
 	inputs := netemInputs(4)

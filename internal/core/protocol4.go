@@ -234,12 +234,10 @@ func (r *windowRun) routeAndPay(ctx context.Context, kind market.Kind, price flo
 	tagEnergy := r.tag("pd/energy")
 	tagReply := r.tag("pd/reply")
 
-	// Fork the virtual clock once, at this deterministic point, and give
-	// every concurrent exchange its own branch: a reply's virtual timestamp
-	// then depends only on the request that exchange received, never on how
-	// sibling exchanges happened to interleave in real time.
-	forked := r.forkVirtual(ctx)
-
+	// Give every concurrent exchange its own branch of the party's virtual
+	// clock (netem.Branch): a reply's virtual timestamp then depends only on
+	// the request that exchange received, never on how sibling exchanges
+	// happened to interleave in real time.
 	switch {
 	case contains(supplySide, r.ID()):
 		myShare := r.snFixed.Abs().Float()
@@ -257,7 +255,7 @@ func (r *windowRun) routeAndPay(ctx context.Context, kind market.Kind, price flo
 					return
 				}
 				trades[i], errs[i] = r.exchangeAsSupplier(ctx, kind, price, id, myShare, ratio, tagEnergy, tagReply)
-			}(i, id, netem.Branch(forked))
+			}(i, id, netem.Branch(ctx))
 		}
 		wg.Wait()
 		for _, err := range errs {
@@ -275,7 +273,7 @@ func (r *windowRun) routeAndPay(ctx context.Context, kind market.Kind, price flo
 			go func(i int, id string, ctx context.Context) {
 				defer wg.Done()
 				errs[i] = r.exchangeAsDemander(ctx, kind, price, id, tagEnergy, tagReply)
-			}(i, id, netem.Branch(forked))
+			}(i, id, netem.Branch(ctx))
 		}
 		wg.Wait()
 		for _, err := range errs {

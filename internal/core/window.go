@@ -13,7 +13,6 @@ import (
 
 	"github.com/pem-go/pem/internal/fixed"
 	"github.com/pem-go/pem/internal/market"
-	"github.com/pem-go/pem/internal/netem"
 	"github.com/pem-go/pem/internal/paillier"
 	"github.com/pem-go/pem/internal/transport"
 )
@@ -159,26 +158,6 @@ func (p *Party) putRun(r *windowRun) {
 // namespace on top of it.
 func (r *windowRun) tag(parts string) string {
 	return transport.ScopedWindowTag(r.scope, r.window, parts)
-}
-
-// forkVirtual snapshots this window's virtual-time lane into the context —
-// the fork point for phases that run concurrent sub-exchanges on one party
-// (see netem.Conn.ForkLane). Callers Branch the result per goroutine, so
-// each exchange's send timestamps depend only on the messages it received,
-// keeping virtual-latency accounting deterministic under any interleaving.
-// Without network emulation the context passes through unchanged.
-func (r *windowRun) forkVirtual(ctx context.Context) context.Context {
-	c := r.conn
-	for {
-		switch v := c.(type) {
-		case *netem.Conn:
-			return v.ForkLane(ctx, r.scope, r.window)
-		case interface{ Inner() transport.Conn }:
-			c = v.Inner()
-		default:
-			return ctx
-		}
-	}
 }
 
 // runWindow is Protocol 1 from one party's perspective. A failure names

@@ -159,7 +159,7 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 	joinSerial := 0 // total joins so far, cycles the scenario rotation
 	for e := 1; e < churn.Epochs; e++ {
 		rng := dayRands.Get().(*mrand.Rand)
-		rng.Seed(deriveSeed("evolve", churn.Seed, fmt.Sprintf("boundary/%d", e)))
+		rng.Seed(DeriveSeed("evolve", churn.Seed, fmt.Sprintf("boundary/%d", e)))
 
 		// Draw leavers in roster order: one uniform per agent decides
 		// depart / fail / stay, so the schedule is stable under any later
@@ -231,7 +231,7 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 // its own derived stream. Its day data is drawn later by epochTrace like
 // any other roster member's.
 func synthesizeJoin(seed int64, e, j int, s Scenario) (Home, error) {
-	cfg, err := ScenarioConfig(s, 1, 1, deriveSeed("evolve", seed, fmt.Sprintf("join/%d/%d", e, j)))
+	cfg, err := ScenarioConfig(s, 1, 1, DeriveSeed("evolve", seed, fmt.Sprintf("join/%d/%d", e, j)))
 	if err != nil {
 		return Home{}, err
 	}
@@ -262,7 +262,7 @@ func epochTrace(seed int64, e int, roster []Home, windows int, startHour float64
 		cfg.StartHour = startHour
 		cfg = cfg.withDefaults()
 		cfg.sky = skies.curve(cfg)
-		h, daySeed := h, deriveSeed("evolve", seed, fmt.Sprintf("day/%d/%s", e, h.ID))
+		h, daySeed := h, DeriveSeed("evolve", seed, fmt.Sprintf("day/%d/%s", e, h.ID))
 		tr.synth[i] = func(gen, load, batt []float64) { cfg.synthesizeDay(h, daySeed, gen, load, batt) }
 	}
 	if !onDemand {

@@ -324,7 +324,7 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 	tr.synth = make([]synthFn, cfg.Homes)
 
 	// Statics come first, all from the root stream; each home's day is then
-	// drawn from its own derived stream (deriveSeed). Splitting the
+	// drawn from its own derived stream (DeriveSeed). Splitting the
 	// streams this way is what makes lazy synthesis possible: any home's
 	// day can be materialized on demand without replaying anyone else's
 	// draws, and eager and lazy traces are bit-identical by construction.
@@ -346,7 +346,7 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 	}
 	dayRands.Put(rng)
 	for h := 0; h < cfg.Homes; h++ {
-		home, daySeed := tr.Homes[h], deriveSeed("home", cfg.Seed, h)
+		home, daySeed := tr.Homes[h], DeriveSeed("home", cfg.Seed, h)
 		tr.synth[h] = func(gen, load, batt []float64) { cfg.synthesizeDay(home, daySeed, gen, load, batt) }
 	}
 	if !cfg.OnDemand {
@@ -355,13 +355,14 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 	return tr, nil
 }
 
-// deriveSeed expands a seed into independent streams, one per (domain, key):
-// a trace's home days ("home", home index), a fleet's blocks ("fleet", block
-// index) and an evolution's boundaries, joins and days ("evolve",
-// "boundary/3", …). FNV over "pem/<domain>/<seed>/<key>" keeps the mapping
-// stable across runs and platforms without pulling in crypto for what is
-// test-data synthesis; the bytes are built in a stack buffer, not by fmt.
-func deriveSeed[K int | string](domain string, seed int64, key K) int64 {
+// DeriveSeed expands a seed into independent streams, one per (domain,
+// key): a trace's home days ("home", home index), a fleet's blocks ("fleet",
+// block index), an evolution's boundaries, joins and days ("evolve",
+// "boundary/3", …) and a grid simulation's epochs ("grid/epoch", epoch).
+// FNV-64a over "pem/<domain>/<seed>/<key>" keeps the mapping stable across
+// runs and platforms without pulling in crypto for what is test-data
+// synthesis; the bytes are built in a stack buffer, not by fmt.
+func DeriveSeed[K int | string](domain string, seed int64, key K) int64 {
 	var buf [64]byte
 	b := append(append(buf[:0], "pem/"...), domain...)
 	b = append(strconv.AppendInt(append(b, '/'), seed, 10), '/')

@@ -65,7 +65,7 @@ func GenerateFleet(cfg FleetConfig) (*Trace, error) {
 	var fleet *Trace
 	skies := skyCache{} // one curve per scenario day shape, not per block
 	for b := 0; b < cfg.Coalitions; b++ {
-		blockCfg, err := ScenarioConfig(scenarios[b%len(scenarios)], cfg.HomesPerCoalition, cfg.Windows, deriveSeed("fleet", cfg.Seed, b))
+		blockCfg, err := ScenarioConfig(scenarios[b%len(scenarios)], cfg.HomesPerCoalition, cfg.Windows, DeriveSeed("fleet", cfg.Seed, b))
 		if err != nil {
 			return nil, err
 		}

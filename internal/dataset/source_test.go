@@ -72,8 +72,9 @@ func FuzzDaySource(f *testing.F) {
 	})
 }
 
-// TestDeriveSeedMatchesFprintf pins deriveSeed's bytes to the fmt form it
-// replaced, for every key type its callers pass.
+// TestDeriveSeedMatchesFprintf pins DeriveSeed's bytes to the fmt form it
+// replaced, for every key type and domain its callers pass — the grid's
+// epoch seeds included.
 func TestDeriveSeedMatchesFprintf(t *testing.T) {
 	for _, c := range []struct {
 		domain string
@@ -90,18 +91,24 @@ func TestDeriveSeedMatchesFprintf(t *testing.T) {
 		{"evolve", 7, "day/4/e03-home-01"},
 		{"evolve", 0, ""},
 		{"evolve", -9, fmt.Sprintf("day/%d/%s", 1<<40, "c123456-home-123456789-past-a-64-byte-buffer")},
+		{"grid/epoch", -20200425, 0},
+		{"grid/epoch", -20200425, 31},
+		{"grid/epoch", math.MinInt64, 0},
+		{"grid/epoch", math.MinInt64, 31},
+		{"grid/epoch", math.MaxInt64, 0},
+		{"grid/epoch", math.MaxInt64, 31},
 	} {
 		h := fnv.New64a()
 		fmt.Fprintf(h, "pem/%s/%d/%v", c.domain, c.seed, c.key)
 		var got int64
 		switch k := c.key.(type) {
 		case int:
-			got = deriveSeed(c.domain, c.seed, k)
+			got = DeriveSeed(c.domain, c.seed, k)
 		case string:
-			got = deriveSeed(c.domain, c.seed, k)
+			got = DeriveSeed(c.domain, c.seed, k)
 		}
 		if want := int64(h.Sum64()); got != want {
-			t.Errorf("deriveSeed(%q, %d, %#v) = %d, fmt form %d", c.domain, c.seed, c.key, got, want)
+			t.Errorf("DeriveSeed(%q, %d, %#v) = %d, fmt form %d", c.domain, c.seed, c.key, got, want)
 		}
 	}
 }

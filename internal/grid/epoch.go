@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"github.com/pem-go/pem/internal/core"
@@ -363,7 +362,7 @@ func runEpoch(ctx context.Context, cfg LiveConfig, infra core.Resources, ef *dat
 	// meet the private-market floor, rather than partition the roster into
 	// slivers that would all fold to grid-tariff service.
 	k := max(1, min(cfg.Coalitions, len(ef.Trace.Homes)/cfg.Grid.minCoalition()))
-	parts, err := Partition(cfg.Partition, ef.Trace.Homes, k, deriveEpochSeed(cfg.PartitionSeed, ef.Epoch))
+	parts, err := Partition(cfg.Partition, ef.Trace.Homes, k, dataset.DeriveSeed("grid/epoch", cfg.PartitionSeed, ef.Epoch))
 	if err != nil {
 		return er, err
 	}
@@ -374,7 +373,7 @@ func runEpoch(ctx context.Context, cfg LiveConfig, infra core.Resources, ef *dat
 	// ring derives them from the simulation seed, per home.
 	gcfg := cfg.Grid
 	if s := gcfg.Engine.Seed; s != nil {
-		es := deriveEpochSeed(*s, ef.Epoch)
+		es := dataset.DeriveSeed("grid/epoch", *s, ef.Epoch)
 		gcfg.Engine.Seed = &es
 	}
 
@@ -386,13 +385,4 @@ func runEpoch(ctx context.Context, cfg LiveConfig, infra core.Resources, ef *dat
 		}
 	}
 	return er, err
-}
-
-// deriveEpochSeed expands a simulation seed into one independent stream per
-// epoch, FNV-hashed like the dataset's seed derivation so the mapping is
-// stable across runs and platforms.
-func deriveEpochSeed(seed int64, epoch int) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "pem/grid/epoch/%d/%d", seed, epoch)
-	return int64(h.Sum64())
 }

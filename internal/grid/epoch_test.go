@@ -373,9 +373,9 @@ func TestGridIsOneEpochLiveGrid(t *testing.T) {
 				}
 				epoch := live.Epochs[0]
 
-				engine = testEngineConfig(deriveEpochSeed(seed, 0))
+				engine = testEngineConfig(dataset.DeriveSeed("grid/epoch", seed, 0))
 				engine.CryptoBackend = backend
-				parts, err := Partition(StrategyRandom, tr.Homes, coalitions, deriveEpochSeed(partSeed, 0))
+				parts, err := Partition(StrategyRandom, tr.Homes, coalitions, dataset.DeriveSeed("grid/epoch", partSeed, 0))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,32 +6,31 @@
 //
 // # The virtual clock
 //
-// Emulated time is message-driven. Every (scope, window, party) triple owns
-// a virtual-clock lane starting at zero when its trading window begins.
-// Sending a message timestamps it with the sender's lane clock plus the
-// link's delay (propagation + seeded jitter + serialization + seeded
-// retransmissions); receiving one advances the receiver's lane clock to the
-// message's delivery time if it is later (a Lamport-style max). The lane
-// maxima trace exactly the longest chain of message dependencies through
-// the window — the critical path an identical deployment would wait out on
-// a real network — while the messages themselves still deliver at memory
-// speed. A parallel hop counter measures the protocol's round structure:
-// each message carries its sender's dependency depth plus one, and the
-// window's round count is the deepest chain any party observed.
+// Emulated time is message-driven, and a party's clock for a window is the
+// one its context carries: WithClock attaches a fresh clock at zero, which
+// the engine does once per party per emulated window. Sending a message
+// timestamps it with the sender's clock plus the link's delay (propagation
+// + seeded jitter + serialization + seeded retransmissions); receiving one
+// advances the receiver's clock to the message's delivery time if it is
+// later (a Lamport-style max). A context without a clock sends from zero
+// and advances nothing. A parallel hop counter measures the protocol's
+// round structure: each message carries its sender's dependency depth plus
+// one. A window's virtual latency and round count are the latest delivery
+// and the deepest chain among its messages — the critical path an
+// identical deployment would wait out on a real network — while the
+// messages themselves still deliver at memory speed.
 //
 // Determinism is unconditional: all jitter and loss realizations are drawn
 // by hashing the network seed with the message identity (link, tag,
-// per-link sequence number) rather than from a shared stream, and lanes of
-// different windows share no state. Seeded runs therefore report
-// bit-identical virtual latency and round counts at any window, coalition
-// or crypto-worker concurrency, and with any real-time arrival order.
+// per-link sequence number) rather than from a shared stream, and windows
+// share no state. Seeded runs therefore report bit-identical virtual
+// latency and round counts at any window, coalition or crypto-worker
+// concurrency, and with any real-time arrival order.
 //
 // Concurrent sub-exchanges inside one window (Protocol 4's pairwise
-// route-and-pay) would race a single per-party lane, so senders there fork
-// the lane into per-goroutine branches: Conn.ForkLane snapshots the lane
-// under the caller's control-flow, Branch clones the snapshot per
-// concurrent exchange, and replies are timestamped only against the
-// messages their own exchange actually received.
+// route-and-pay) would race one clock, so Branch clones the context's
+// clock per concurrent exchange, and each reply is timestamped only
+// against the messages its own exchange received.
 package netem
 
 import (
@@ -61,22 +60,13 @@ type windowKey struct {
 	window int
 }
 
-// windowState is one window's emulation state: its parties' lanes, its
-// message streams, and the maxima its lanes have reached — the window's
-// critical-path latency and round count.
+// windowState is one window's emulation state: its message streams, and
+// the latest delivery and deepest chain among their received messages —
+// the window's critical-path latency and round count.
 type windowState struct {
-	lanes   map[string]*lane // by party
 	links   map[linkKey]*link
 	latency time.Duration
 	rounds  int
-}
-
-// lane is the per-(scope, window, party) virtual clock: the latest message
-// delivery this party has observed in the window, and the longest message
-// dependency chain ending at it.
-type lane struct {
-	clock time.Duration
-	depth int
 }
 
 // linkKey names one directed message stream: all messages from one party to
@@ -136,14 +126,13 @@ func (n *Network) Wrap(c transport.Conn) *Conn {
 	return &Conn{net: n, inner: c}
 }
 
-// ReleaseWindow ends one window: it drops the window's lane and stream
-// state and returns its critical-path virtual latency and round count, the
-// maxima across its lanes. The engine calls it once per window, failed
+// ReleaseWindow ends one window: it drops the window's stream state and
+// returns its critical-path virtual latency and round count, the maxima
+// across its deliveries. The engine calls it once per window, failed
 // windows included, which keeps a long-lived network's memory bounded by
 // the windows in flight — and means a caller reusing a window number later
-// starts that window's virtual clocks from zero again instead of
-// inheriting the previous run's. Releasing a window with no state returns
-// zero.
+// starts that window's streams afresh instead of inheriting the previous
+// run's. Releasing a window with no state returns zero.
 func (n *Network) ReleaseWindow(scope string, window int) (latency time.Duration, rounds int) {
 	k := windowKey{scope, window}
 	n.mu.Lock()
@@ -161,7 +150,7 @@ func (n *Network) state(scope string, window int) *windowState {
 	k := windowKey{scope, window}
 	ws := n.windows[k]
 	if ws == nil {
-		ws = &windowState{lanes: make(map[string]*lane), links: make(map[linkKey]*link)}
+		ws = &windowState{links: make(map[linkKey]*link)}
 		n.windows[k] = ws
 	}
 	return ws
@@ -181,33 +170,13 @@ func (n *Network) pairParams(from, to string) LinkParams {
 	return p
 }
 
-// laneSnapshot reads one lane's current clock and depth.
-func (n *Network) laneSnapshot(scope string, window int, party string) (time.Duration, int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if ws := n.windows[windowKey{scope, window}]; ws != nil {
-		if l := ws.lanes[party]; l != nil {
-			return l.clock, l.depth
-		}
-	}
-	return 0, 0
-}
-
-// laneAdvance folds one delivery into a lane (Lamport max) and into its
-// window's maxima.
-func (n *Network) laneAdvance(scope string, window int, party string, m meta) {
+// observe folds one delivery into its window's maxima.
+func (n *Network) observe(scope string, window int, m meta) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ws := n.state(scope, window)
-	l := ws.lanes[party]
-	if l == nil {
-		l = &lane{}
-		ws.lanes[party] = l
-	}
-	l.clock = max(l.clock, m.d)
-	l.depth = max(l.depth, m.depth)
-	ws.latency = max(ws.latency, l.clock)
-	ws.rounds = max(ws.rounds, l.depth)
+	ws.latency = max(ws.latency, m.d)
+	ws.rounds = max(ws.rounds, m.depth)
 }
 
 // price splits one transmission's cost into link occupancy (serialization
@@ -238,7 +207,11 @@ func (n *Network) price(p LinkParams, from, to, tag string, seq int64, size int)
 
 // Conn wraps one party's endpoint with the network emulation. Session-
 // scoped tags (outside any window namespace) pass through unmodeled; all
-// window-tagged protocol traffic is priced and tracked.
+// window-tagged protocol traffic is priced and tracked. A message is
+// timestamped from the sender's context's clock, and its delivery advances
+// the receiver's context's clock (see WithClock); a context without a
+// clock sends from zero, and its receives still count toward the window's
+// latency and rounds.
 type Conn struct {
 	net   *Network
 	inner transport.Conn
@@ -246,18 +219,17 @@ type Conn struct {
 
 var _ transport.Conn = (*Conn)(nil)
 
-// Inner returns the wrapped endpoint, so diagnostics and the virtual-time
-// fork helpers can unwrap conn stacks (fault injectors, secure channels)
-// down to the emulation layer.
+// Inner returns the wrapped endpoint, so transport.SendNeverBlocks can
+// unwrap conn stacks down to the transport.
 func (c *Conn) Inner() transport.Conn { return c.inner }
 
 // Party implements transport.Conn.
 func (c *Conn) Party() string { return c.inner.Party() }
 
 // Send implements transport.Conn: it timestamps the message off the
-// sender's virtual clock (or the context's forked branch), prices the link
-// delay from the seeded model, enqueues the delivery metadata for the
-// receiver and forwards the payload unchanged.
+// context's virtual clock, prices the link delay from the seeded model,
+// enqueues the delivery metadata for the receiver and forwards the payload
+// unchanged.
 func (c *Conn) Send(ctx context.Context, to, tag string, payload []byte) error {
 	scope, window, _, ok := transport.ParseScopedWindowTag(tag)
 	if !ok {
@@ -268,10 +240,8 @@ func (c *Conn) Send(ctx context.Context, to, tag string, payload []byte) error {
 
 	var t0 time.Duration
 	var depth int
-	if tk, ok := ctx.Value(tokenKeyType{}).(*token); ok {
-		t0, depth = tk.snapshot()
-	} else {
-		t0, depth = c.net.laneSnapshot(scope, window, from)
+	if ck, ok := ctx.Value(clockKey{}).(*clock); ok {
+		t0, depth = ck.snapshot()
 	}
 
 	// The stream lock is held across both the metadata enqueue and the
@@ -305,8 +275,8 @@ func (c *Conn) Send(ctx context.Context, to, tag string, payload []byte) error {
 }
 
 // Recv implements transport.Conn: it forwards the blocking receive, then
-// folds the message's delivery time and hop depth into the receiving lane
-// (and the context's fork branch, when present).
+// folds the message's delivery time and hop depth into the context's clock
+// and the window's maxima.
 func (c *Conn) Recv(ctx context.Context, from, tag string) ([]byte, error) {
 	payload, err := c.inner.Recv(ctx, from, tag)
 	if err != nil {
@@ -316,8 +286,8 @@ func (c *Conn) Recv(ctx context.Context, from, tag string) ([]byte, error) {
 	return payload, nil
 }
 
-// RecvAny implements transport.Conn, with the same lane accounting as Recv
-// applied to whichever sender's message arrived.
+// RecvAny implements transport.Conn, with the same clock accounting as
+// Recv applied to whichever sender's message arrived.
 func (c *Conn) RecvAny(ctx context.Context, tag string, froms []string) (string, []byte, error) {
 	from, payload, err := c.inner.RecvAny(ctx, tag, froms)
 	if err != nil {
@@ -331,8 +301,9 @@ func (c *Conn) RecvAny(ctx context.Context, tag string, froms []string) (string,
 func (c *Conn) Close() error { return c.inner.Close() }
 
 // arrived pops the oldest in-flight metadata of the (from, self, tag)
-// stream and advances the receiver's lane. Messages without metadata (sent
-// by an unwrapped endpoint, or session-scoped) leave the clocks untouched.
+// stream and advances the context's clock and the window's maxima.
+// Messages without metadata (sent by an unwrapped endpoint, or
+// session-scoped) leave both untouched.
 func (c *Conn) arrived(ctx context.Context, from, tag string) {
 	scope, window, _, ok := transport.ParseScopedWindowTag(tag)
 	if !ok {
@@ -349,9 +320,9 @@ func (c *Conn) arrived(ctx context.Context, from, tag string) {
 	st.fifo = st.fifo[1:]
 	st.mu.Unlock()
 
-	c.net.laneAdvance(scope, window, to, m)
-	if tk, ok := ctx.Value(tokenKeyType{}).(*token); ok {
-		tk.advance(m)
+	c.net.observe(scope, window, m)
+	if ck, ok := ctx.Value(clockKey{}).(*clock); ok {
+		ck.advance(m)
 	}
 }
 
@@ -416,54 +387,46 @@ func unitFloat(u uint64) float64 {
 	return float64(u>>11) / (1 << 53)
 }
 
-// tokenKeyType keys the virtual-time branch carried by a context.
-type tokenKeyType struct{}
+// clockKey keys the virtual clock a context carries.
+type clockKey struct{}
 
-// token is a forked virtual-time branch: a private (clock, depth) line for
-// one concurrent exchange inside a window, isolated from the party's shared
-// lane so interleaving with sibling exchanges cannot perturb timestamps.
-type token struct {
+// clock is one party's virtual time in one window, or in one concurrent
+// exchange of it after Branch: the latest delivery it has observed and the
+// longest message dependency chain ending there.
+type clock struct {
 	mu    sync.Mutex
 	t     time.Duration
 	depth int
 }
 
-func (tk *token) snapshot() (time.Duration, int) {
-	tk.mu.Lock()
-	defer tk.mu.Unlock()
-	return tk.t, tk.depth
+func (ck *clock) snapshot() (time.Duration, int) {
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
+	return ck.t, ck.depth
 }
 
-func (tk *token) advance(m meta) {
-	tk.mu.Lock()
-	defer tk.mu.Unlock()
-	if m.d > tk.t {
-		tk.t = m.d
-	}
-	if m.depth > tk.depth {
-		tk.depth = m.depth
-	}
+func (ck *clock) advance(m meta) {
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
+	ck.t = max(ck.t, m.d)
+	ck.depth = max(ck.depth, m.depth)
 }
 
-// ForkLane returns a context carrying a fresh virtual-time branch seeded
-// from the party's current (scope, window) lane. Call it once at a
-// deterministic point (before spawning concurrent exchanges), then Branch
-// the result per goroutine. Sends through the returned context are
-// timestamped against the branch instead of the shared lane; receives
-// advance both.
-func (c *Conn) ForkLane(ctx context.Context, scope string, window int) context.Context {
-	t, depth := c.net.laneSnapshot(scope, window, c.inner.Party())
-	return context.WithValue(ctx, tokenKeyType{}, &token{t: t, depth: depth})
+// WithClock returns a context carrying a fresh virtual clock at zero: one
+// party's time in one window. Sends through it are timestamped from the
+// clock and receives through it advance the clock.
+func WithClock(ctx context.Context) context.Context {
+	return context.WithValue(ctx, clockKey{}, &clock{})
 }
 
-// Branch clones the context's virtual-time branch at its current value,
-// giving one concurrent exchange its own isolated line. Contexts without a
-// branch pass through unchanged (emulation disabled, or never forked).
+// Branch clones the context's virtual clock at its current value, giving
+// one concurrent exchange its own isolated line. Contexts without a clock
+// pass through unchanged (emulation disabled).
 func Branch(ctx context.Context) context.Context {
-	tk, ok := ctx.Value(tokenKeyType{}).(*token)
+	ck, ok := ctx.Value(clockKey{}).(*clock)
 	if !ok {
 		return ctx
 	}
-	t, depth := tk.snapshot()
-	return context.WithValue(ctx, tokenKeyType{}, &token{t: t, depth: depth})
+	t, depth := ck.snapshot()
+	return context.WithValue(ctx, clockKey{}, &clock{t: t, depth: depth})
 }

@@ -102,6 +102,7 @@ func TestVirtualChainAccumulates(t *testing.T) {
 	const hop = 10 * time.Millisecond
 	n, conns := wire(t, fixedTopo(hop, 0), 1, "a", "b", "c")
 	ctx := context.Background()
+	bctx := WithClock(ctx)
 	tag := transport.ScopedWindowTag("", 0, "ring")
 
 	// a -> b -> c: each hop relays after receiving, so virtual time adds up
@@ -109,10 +110,10 @@ func TestVirtualChainAccumulates(t *testing.T) {
 	if err := conns["a"].Send(ctx, "b", tag, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conns["b"].Recv(ctx, "a", tag); err != nil {
+	if _, err := conns["b"].Recv(bctx, "a", tag); err != nil {
 		t.Fatal(err)
 	}
-	if err := conns["b"].Send(ctx, "c", tag, []byte("x")); err != nil {
+	if err := conns["b"].Send(bctx, "c", tag, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conns["c"].Recv(ctx, "b", tag); err != nil {
@@ -164,7 +165,7 @@ func TestWindowsAreIndependentLanes(t *testing.T) {
 	}
 	for w := 0; w < 3; w++ {
 		if lat, rounds := n.ReleaseWindow("", w); lat != hop || rounds != 1 {
-			t.Errorf("window %d: latency %v rounds %d, want %v/1 (lanes leaked across windows)", w, lat, rounds, hop)
+			t.Errorf("window %d: latency %v rounds %d, want %v/1 (state leaked across windows)", w, lat, rounds, hop)
 		}
 	}
 }
@@ -187,18 +188,19 @@ func TestFIFODeliveryOrder(t *testing.T) {
 	// High jitter could reorder same-stream deliveries; the FIFO floor must
 	// keep them monotone, matching the mailbox's queue semantics.
 	topo := Topology{Name: "jittery", Base: LinkParams{Latency: 10 * time.Millisecond, Jitter: 9 * time.Millisecond}}
-	n, conns := wire(t, topo, 42, "a", "b")
+	_, conns := wire(t, topo, 42, "a", "b")
 	ctx := context.Background()
+	bctx := WithClock(ctx)
 	tag := transport.ScopedWindowTag("", 0, "seq")
 	var prev time.Duration
 	for i := 0; i < 50; i++ {
 		if err := conns["a"].Send(ctx, "b", tag, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conns["b"].Recv(ctx, "a", tag); err != nil {
+		if _, err := conns["b"].Recv(bctx, "a", tag); err != nil {
 			t.Fatal(err)
 		}
-		lat, _ := n.laneSnapshot("", 0, "b")
+		lat, _ := bctx.Value(clockKey{}).(*clock).snapshot()
 		if lat < prev {
 			t.Fatalf("delivery %d regressed virtual time: %v < %v", i, lat, prev)
 		}
@@ -215,15 +217,16 @@ func TestSeededDrawsAreDeterministic(t *testing.T) {
 		n, conns := wire(t, topo, 99, "a", "b", "c")
 		ctx := context.Background()
 		for w := 0; w < 2; w++ {
+			bctx := WithClock(ctx)
 			for i := 0; i < 10; i++ {
 				tag := transport.ScopedWindowTag("", w, "t")
 				if err := conns["a"].Send(ctx, "b", tag, make([]byte, 64)); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := conns["b"].Recv(ctx, "a", tag); err != nil {
+				if _, err := conns["b"].Recv(bctx, "a", tag); err != nil {
 					t.Fatal(err)
 				}
-				if err := conns["b"].Send(ctx, "c", tag, make([]byte, 64)); err != nil {
+				if err := conns["b"].Send(bctx, "c", tag, make([]byte, 64)); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := conns["c"].Recv(ctx, "b", tag); err != nil {
@@ -306,31 +309,47 @@ func TestForkBranchIsolation(t *testing.T) {
 	tagReq := transport.ScopedWindowTag("", 0, "req")
 	tagRep := transport.ScopedWindowTag("", 0, "rep")
 
-	// x and y both message the hub; the hub answers each through its own
-	// branch. Each reply must be timestamped off only its own request —
-	// 2 hops end to end — not off whichever other request happened to have
-	// advanced the hub's shared lane first.
+	// x messages the hub directly; y's request is relayed through x, so it
+	// reaches the hub one hop later. The hub answers y first, then x, each
+	// through its own branch. x's reply must be timestamped off only x's
+	// request — 2 hops end to end — not off y's later one, which a clock
+	// shared by both exchanges would have advanced to 2 hops first.
 	if err := conns["x"].Send(ctx, "hub", tagReq, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := conns["y"].Send(ctx, "hub", tagReq, []byte{2}); err != nil {
+	xctx := WithClock(ctx)
+	if err := conns["y"].Send(ctx, "x", tagReq, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	forked := conns["hub"].ForkLane(ctx, "", 0)
-	for _, peer := range []string{"x", "y"} {
+	if _, err := conns["x"].Recv(xctx, "y", tagReq); err != nil {
+		t.Fatal(err)
+	}
+	relayed := transport.ScopedWindowTag("", 0, "relay")
+	if err := conns["x"].Send(xctx, "hub", relayed, []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	forked := WithClock(ctx)
+	for _, ex := range []struct {
+		peer, from, tag string
+		want            time.Duration
+	}{{"y", "x", relayed, 3 * hop}, {"x", "x", tagReq, 2 * hop}} {
 		bctx := Branch(forked)
-		if _, err := conns["hub"].Recv(bctx, peer, tagReq); err != nil {
+		if _, err := conns["hub"].Recv(bctx, ex.from, ex.tag); err != nil {
 			t.Fatal(err)
 		}
-		if err := conns["hub"].Send(bctx, peer, tagRep, []byte{3}); err != nil {
+		if err := conns["hub"].Send(bctx, ex.peer, tagRep, []byte{3}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conns[peer].Recv(ctx, "hub", tagRep); err != nil {
+		pctx := WithClock(ctx)
+		if _, err := conns[ex.peer].Recv(pctx, "hub", tagRep); err != nil {
 			t.Fatal(err)
+		}
+		if got, _ := pctx.Value(clockKey{}).(*clock).snapshot(); got != ex.want {
+			t.Errorf("reply to %s arrived at %v, want %v (branches leaked)", ex.peer, got, ex.want)
 		}
 	}
-	if lat, rounds := n.ReleaseWindow("", 0); lat != 2*hop || rounds != 2 {
-		t.Errorf("request/reply latency = %v rounds %d, want %v/2 (branches leaked)", lat, rounds, 2*hop)
+	if lat, rounds := n.ReleaseWindow("", 0); lat != 3*hop || rounds != 3 {
+		t.Errorf("window latency = %v rounds %d, want %v/3", lat, rounds, 3*hop)
 	}
 }
 

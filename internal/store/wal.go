@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -372,29 +374,49 @@ func (w *WAL) PutAggregate(agg Aggregate) error {
 
 // Aggregates implements Store: latest record per scope, sorted.
 func (w *WAL) Aggregates() ([]Aggregate, error) {
+	return latestRecords(w, recAggregate, "aggregate", one[Aggregate], func(a Aggregate) string { return a.Scope })
+}
+
+// latestRecords is the one reader of keyed records: it scans every record
+// of one kind, decodes each into Ts, and returns the last T written under
+// each key, sorted by key. A record that does not decode fails as
+// ErrCorrupt naming what.
+func latestRecords[T any](w *WAL, kind byte, what string, decode func([]byte) ([]T, error), key func(T) string) ([]T, error) {
 	w.lock()
 	defer w.unlock()
 	if w.closed {
 		return nil, ErrClosed
 	}
-	latest := make(map[string]Aggregate)
-	err := w.scan(recAggregate, func(body []byte) error {
-		var a Aggregate
-		if err := json.Unmarshal(body, &a); err != nil {
-			return fmt.Errorf("%w: aggregate record: %v", ErrCorrupt, err)
+	latest := make(map[string]T)
+	err := w.scan(kind, func(body []byte) error {
+		vs, err := decode(body)
+		if err != nil {
+			return fmt.Errorf("%w: %s record: %v", ErrCorrupt, what, err)
 		}
-		latest[a.Scope] = a
+		for _, v := range vs {
+			latest[key(v)] = v
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Aggregate, 0, len(latest))
-	for _, a := range latest {
-		out = append(out, a)
+	out := make([]T, 0, len(latest))
+	for _, k := range slices.Sorted(maps.Keys(latest)) {
+		out = append(out, latest[k])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Scope < out[j].Scope })
 	return out, nil
+}
+
+// one and batch decode a record that holds one T or a JSON array of them.
+func one[T any](body []byte) ([]T, error) {
+	vs := make([]T, 1)
+	return vs, json.Unmarshal(body, &vs[0])
+}
+
+func batch[T any](body []byte) (vs []T, err error) {
+	err = json.Unmarshal(body, &vs)
+	return vs, err
 }
 
 // UpsertPositions implements Store.
@@ -404,31 +426,7 @@ func (w *WAL) UpsertPositions(positions []market.AgentPosition) error {
 
 // Positions implements Store: latest record per agent ID, sorted.
 func (w *WAL) Positions() ([]market.AgentPosition, error) {
-	w.lock()
-	defer w.unlock()
-	if w.closed {
-		return nil, ErrClosed
-	}
-	latest := make(map[string]market.AgentPosition)
-	err := w.scan(recPositions, func(body []byte) error {
-		var ps []market.AgentPosition
-		if err := json.Unmarshal(body, &ps); err != nil {
-			return fmt.Errorf("%w: positions record: %v", ErrCorrupt, err)
-		}
-		for _, p := range ps {
-			latest[p.ID] = p
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]market.AgentPosition, 0, len(latest))
-	for _, p := range latest {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
+	return latestRecords(w, recPositions, "positions", batch[market.AgentPosition], func(p market.AgentPosition) string { return p.ID })
 }
 
 // PutKeyMaterial implements Store.
@@ -437,35 +435,10 @@ func (w *WAL) PutKeyMaterial(rec KeyRecord) error {
 }
 
 // KeyMaterial implements Store: latest record per (scope, party), sorted.
+// The NUL separator sorts below every byte, so the joined key orders as
+// the pair does.
 func (w *WAL) KeyMaterial() ([]KeyRecord, error) {
-	w.lock()
-	defer w.unlock()
-	if w.closed {
-		return nil, ErrClosed
-	}
-	latest := make(map[string]KeyRecord)
-	err := w.scan(recKey, func(body []byte) error {
-		var k KeyRecord
-		if err := json.Unmarshal(body, &k); err != nil {
-			return fmt.Errorf("%w: key record: %v", ErrCorrupt, err)
-		}
-		latest[k.Scope+"\x00"+k.Party] = k
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]KeyRecord, 0, len(latest))
-	for _, k := range latest {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Scope != out[j].Scope {
-			return out[i].Scope < out[j].Scope
-		}
-		return out[i].Party < out[j].Party
-	})
-	return out, nil
+	return latestRecords(w, recKey, "key", one[KeyRecord], func(k KeyRecord) string { return k.Scope + "\x00" + k.Party })
 }
 
 // PutCheckpoint implements Store: append, fsync, then publish — a crash

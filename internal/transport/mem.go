@@ -105,11 +105,12 @@ func (c *memConn) Send(ctx context.Context, to, tag string, payload []byte) erro
 }
 
 func (c *memConn) Recv(ctx context.Context, from, tag string) ([]byte, error) {
-	return c.mbox.pop(ctx, from, tag)
+	_, payload, err := c.mbox.pop(ctx, tag, []string{from})
+	return payload, err
 }
 
 func (c *memConn) RecvAny(ctx context.Context, tag string, froms []string) (string, []byte, error) {
-	return c.mbox.popAny(ctx, tag, froms)
+	return c.mbox.pop(ctx, tag, froms)
 }
 
 func (c *memConn) Close() error {

@@ -66,7 +66,7 @@ func TestScopedWindowTagBoundaries(t *testing.T) {
 // FuzzParseScopedWindowTag checks the tag parser never panics, that every
 // accepted tag satisfies the parser's own invariants, and that parsing is a
 // fixed point under re-encoding — the property the metrics attribution and
-// the netem lane keys both rely on.
+// the netem window keys both rely on.
 func FuzzParseScopedWindowTag(f *testing.F) {
 	f.Add("w0/role")
 	f.Add("w41/pme/rb")

@@ -198,12 +198,13 @@ func (n *TCPNode) dial(ctx context.Context, to string) (*tcpConn, error) {
 
 // Recv implements Conn.
 func (n *TCPNode) Recv(ctx context.Context, from, tag string) ([]byte, error) {
-	return n.mbox.pop(ctx, from, tag)
+	_, payload, err := n.mbox.pop(ctx, tag, []string{from})
+	return payload, err
 }
 
 // RecvAny implements Conn.
 func (n *TCPNode) RecvAny(ctx context.Context, tag string, froms []string) (string, []byte, error) {
-	return n.mbox.popAny(ctx, tag, froms)
+	return n.mbox.pop(ctx, tag, froms)
 }
 
 // Close implements Conn. It stops the accept loop, closes all connections

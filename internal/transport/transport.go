@@ -150,9 +150,10 @@ type Conn interface {
 	// Send delivers payload to the peer under tag. Ownership of payload
 	// stays with the caller (see the buffer ownership rules above).
 	Send(ctx context.Context, to, tag string, payload []byte) error
-	// Recv blocks until a message from the given peer with the given tag
-	// arrives (or ctx is done) and returns its payload, whose ownership
-	// passes to the caller (it may PutFrame it after decoding).
+	// Recv is RecvAny over one peer: it blocks until a message from the
+	// given peer with the given tag arrives (or ctx is done) and returns
+	// its payload, whose ownership passes to the caller (it may PutFrame it
+	// after decoding).
 	Recv(ctx context.Context, from, tag string) ([]byte, error)
 	// RecvAny blocks until a message with the given tag arrives from any of
 	// the listed peers and returns the sender with its payload — the
@@ -202,22 +203,19 @@ type inboxKey struct {
 }
 
 // mailbox demultiplexes an incoming message stream into per-(from, tag)
-// queues with blocking receive. It is the shared core of both transports.
+// queues with one blocking receive, pop. It is the shared core of both
+// transports.
 //
-// The steady-state path is allocation-lean: wake-up channels are cap-1
-// buffered tokens recycled through a freelist instead of closed-and-remade
-// per blocking receive, and drained queue slices are recycled so a
-// window's worth of (from, tag) keys reuses the same backing arrays.
+// The steady-state path is allocation-lean: a blocked receive waits on one
+// cap-1 buffered token, registered under every (from, tag) key it awaits
+// and recycled through a freelist instead of closed-and-remade per block,
+// and drained queue slices are recycled so a window's worth of (from, tag)
+// keys reuses the same backing arrays.
 type mailbox struct {
 	mu     sync.Mutex
 	queues map[inboxKey][][]byte
 	wait   map[inboxKey]chan struct{} // signalled (token send) on push
-	// anyWait is a broadcast channel for popAny waiters, whose wake-up key
-	// is not known in advance. It is created lazily when a popAny caller is
-	// about to block and closed-and-cleared by the next push, so the
-	// ordinary per-message path pays nothing for it.
-	anyWait chan struct{}
-	closed  bool
+	closed bool
 
 	waitFree []chan struct{} // recycled wake-up channels
 	qFree    [][][]byte      // recycled empty queue slices
@@ -258,10 +256,6 @@ func (mb *mailbox) push(m Message) error {
 		}
 		delete(mb.wait, k)
 	}
-	if mb.anyWait != nil {
-		close(mb.anyWait)
-		mb.anyWait = nil
-	}
 	return nil
 }
 
@@ -292,13 +286,15 @@ func (mb *mailbox) waitChLocked() chan struct{} {
 	return make(chan struct{}, 1)
 }
 
-// releaseWait deregisters ch from key k (if still registered), drains any
-// pending token, and recycles the channel.
-func (mb *mailbox) releaseWait(k inboxKey, ch chan struct{}) {
+// releaseWait deregisters ch from every (from, tag) key it is still
+// registered under, drains any pending token, and recycles the channel.
+func (mb *mailbox) releaseWait(tag string, froms []string, ch chan struct{}) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if mb.wait[k] == ch {
-		delete(mb.wait, k)
+	for _, from := range froms {
+		if k := (inboxKey{from: from, tag: tag}); mb.wait[k] == ch {
+			delete(mb.wait, k)
+		}
 	}
 	select {
 	case <-ch:
@@ -309,49 +305,22 @@ func (mb *mailbox) releaseWait(k inboxKey, ch chan struct{}) {
 	}
 }
 
-func (mb *mailbox) pop(ctx context.Context, from, tag string) ([]byte, error) {
-	k := inboxKey{from: from, tag: tag}
-	var ch chan struct{}
-	for {
-		mb.mu.Lock()
-		if q := mb.queues[k]; len(q) > 0 {
-			payload := mb.takeLocked(k, q)
-			mb.mu.Unlock()
-			if ch != nil {
-				mb.releaseWait(k, ch)
-			}
-			return payload, nil
-		}
-		if mb.closed {
-			mb.mu.Unlock()
-			if ch != nil {
-				mb.releaseWait(k, ch)
-			}
-			return nil, ErrClosed
-		}
-		if ch == nil {
-			ch = mb.waitChLocked()
-		}
-		mb.wait[k] = ch
-		mb.mu.Unlock()
-
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			mb.releaseWait(k, ch)
-			return nil, fmt.Errorf("transport: recv from %q tag %q: %w", from, tag, ctx.Err())
-		}
-	}
-}
-
-// popAny removes and returns the first available message with the given
-// tag from any of the listed senders, blocking until one arrives. When
-// several senders have buffered messages, the earliest sender in froms is
-// drained first.
-func (mb *mailbox) popAny(ctx context.Context, tag string, froms []string) (string, []byte, error) {
+// pop removes and returns the first available message with the given tag
+// from any of the listed senders, blocking until one arrives; Recv is its
+// one-sender case. When several senders have buffered messages, the
+// earliest sender in froms is drained first. A blocked pop waits on one
+// token registered under each of its keys, which only a push to one of
+// those keys (or close) signals.
+func (mb *mailbox) pop(ctx context.Context, tag string, froms []string) (string, []byte, error) {
 	if len(froms) == 0 {
-		return "", nil, fmt.Errorf("transport: recv any tag %q: empty peer set", tag)
+		return "", nil, fmt.Errorf("transport: recv tag %q: empty peer set", tag)
 	}
+	var ch chan struct{}
+	defer func() {
+		if ch != nil {
+			mb.releaseWait(tag, froms, ch)
+		}
+	}()
 	for {
 		mb.mu.Lock()
 		for _, from := range froms {
@@ -366,16 +335,20 @@ func (mb *mailbox) popAny(ctx context.Context, tag string, froms []string) (stri
 			mb.mu.Unlock()
 			return "", nil, ErrClosed
 		}
-		if mb.anyWait == nil {
-			mb.anyWait = make(chan struct{})
+		if ch == nil {
+			ch = mb.waitChLocked()
 		}
-		ch := mb.anyWait
+		for _, from := range froms {
+			mb.wait[inboxKey{from: from, tag: tag}] = ch
+		}
 		mb.mu.Unlock()
 
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return "", nil, fmt.Errorf("transport: recv any tag %q: %w", tag, ctx.Err())
+			// strings.Join, not %v: formatting froms would make every
+			// Recv's one-sender slice escape to the heap.
+			return "", nil, fmt.Errorf("transport: recv from %q tag %q: %w", strings.Join(froms, ","), tag, ctx.Err())
 		}
 	}
 }
@@ -393,9 +366,5 @@ func (mb *mailbox) close() {
 		default:
 		}
 		delete(mb.wait, k)
-	}
-	if mb.anyWait != nil {
-		close(mb.anyWait)
-		mb.anyWait = nil
 	}
 }
