@@ -133,9 +133,9 @@ type DayResult struct {
 // engine. This is the paper's actual deployment path (Fig. 5 and Table I
 // measure it); for trading-performance figures prefer SimulateDay.
 //
-// The day is pipelined: up to Config.MaxInflightWindows windows run
-// concurrently (default 1, the paper's strictly sequential deployment).
-// Outcomes and ledger order are identical at any pipeline depth.
+// The day is pipelined: two windows in flight, each window still an
+// independent protocol instance. Outcomes and ledger order are identical
+// to running the windows one at a time with RunWindow.
 func (m *Market) RunDay(ctx context.Context, trace *Trace) (*DayResult, error) {
 	return m.StreamDay(ctx, trace, nil)
 }

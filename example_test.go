@@ -81,11 +81,7 @@ func ExampleMarket_RunWindows() {
 		{ID: "buyer", K: 75, Epsilon: 0.85},
 	}
 	seed := int64(7) // deterministic for the example; omit in production
-	m, err := pem.NewMarket(pem.Config{
-		KeyBits:            256,
-		Seed:               &seed,
-		MaxInflightWindows: 4, // up to four windows in flight
-	}, agents)
+	m, err := pem.NewMarket(pem.Config{KeyBits: 256, Seed: &seed}, agents)
 	if err != nil {
 		log.Fatal(err)
 	}

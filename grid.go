@@ -79,12 +79,12 @@ var ErrCoalitionSkipped = grid.ErrCoalitionSkipped
 type GridConfig struct {
 	// Market is the per-coalition market configuration: every coalition
 	// runs a full private market under it (key size, aggregation topology,
-	// network emulation, seed); a grid ignores Market.MaxInflightWindows,
-	// as it ignores Market.Store, and runs each coalition's windows one
-	// after another. One crypto worker pool of runtime.NumCPU() workers is
-	// shared across coalitions, so it bounds the whole process. Each
-	// completed coalition-day carries its own tamper-evident chain in
-	// CoalitionRun.Ledger, committed on the settlement path.
+	// network emulation, seed); a grid ignores Market.Store and runs each
+	// coalition's windows one after another. One crypto worker pool of
+	// runtime.NumCPU() workers is shared across coalitions, so it bounds
+	// the whole process. Each completed coalition-day carries its own
+	// tamper-evident chain in CoalitionRun.Ledger, committed on the
+	// settlement path.
 	Market Config
 	// Coalitions is how many coalitions to partition the fleet into
 	// (required; the partition gives each at least two agents, so at most
@@ -92,11 +92,9 @@ type GridConfig struct {
 	// folded into grid settlement instead of running a private market.
 	Coalitions int
 	// Partition selects the strategy: PartitionFixed (default),
-	// PartitionRandom or PartitionBalanced.
+	// PartitionRandom (seeded by Market.Seed, 0 when unset) or
+	// PartitionBalanced. The partition is computed once, in NewGrid.
 	Partition string
-	// PartitionSeed feeds PartitionRandom (defaults to *Market.Seed when
-	// set). The partition is computed once, in NewGrid.
-	PartitionSeed int64
 	// MaxConcurrentCoalitions is the global in-flight budget: how many
 	// coalition-days run concurrently (default: all). Outcomes are
 	// bit-identical at any setting when Market.Seed is set.
@@ -132,7 +130,6 @@ func (cfg GridConfig) live() LiveGridConfig {
 		Market:                  cfg.Market,
 		Coalitions:              cfg.Coalitions,
 		Partition:               cfg.Partition,
-		PartitionSeed:           cfg.PartitionSeed,
 		MaxConcurrentCoalitions: cfg.MaxConcurrentCoalitions,
 		MinCoalition:            cfg.MinCoalition,
 		Tiers:                   cfg.Tiers,
@@ -162,11 +159,20 @@ func NewGrid(cfg GridConfig, trace *Trace) (*Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts, err := grid.Partition(lcfg.Partition, trace.Homes, lcfg.Coalitions, lcfg.PartitionSeed)
+	parts, err := grid.Partition(lcfg.Partition, trace.Homes, lcfg.Coalitions, cfg.Market.partitionSeed())
 	if err != nil {
 		return nil, fmt.Errorf("pem: %w", err)
 	}
 	return &Grid{cfg: lcfg.Grid, trace: trace, parts: parts}, nil
+}
+
+// partitionSeed is what a random partition draws from: the market seed, 0
+// when unset.
+func (cfg Config) partitionSeed() int64 {
+	if cfg.Seed == nil {
+		return 0
+	}
+	return *cfg.Seed
 }
 
 // Partition returns the coalition membership as agent IDs, in coalition

@@ -57,12 +57,6 @@ type Config struct {
 	// factors (the paper's idle-time encryption): it takes encryption off
 	// the critical path, not decryption or scalar multiplication.
 	PreEncrypt bool
-	// MaxInflightWindows is the number of trading windows the scheduler
-	// keeps in flight concurrently (default 1: strictly sequential, the
-	// paper's deployment). Windows are independent protocol instances with
-	// window-namespaced message tags, so raising this pipelines the day
-	// without any cross-window interference.
-	MaxInflightWindows int
 	// CryptoBackend selects the window crypto layer: "paillier" (default;
 	// the paper's construction — every phase on homomorphic encryption plus
 	// the garbled-circuit comparison) or "hybrid" (every sum of Protocols
@@ -100,9 +94,6 @@ func (c Config) withDefaults() Config {
 	if c.Params == (market.Params{}) {
 		c.Params = market.DefaultParams()
 	}
-	if c.MaxInflightWindows == 0 {
-		c.MaxInflightWindows = 1
-	}
 	if c.Aggregation == "" {
 		c.Aggregation = AggregationRing
 	}
@@ -125,9 +116,6 @@ func (c Config) Validate() error {
 	if floor := 2*paillier.SlotBits + 8; c.KeyBits < floor {
 		return fmt.Errorf("core: key size %d too small: Protocol 3's packed pair needs two %d-bit plaintext slots (min %d)", c.KeyBits, paillier.SlotBits, floor)
 	}
-	if c.MaxInflightWindows < 0 {
-		return fmt.Errorf("core: negative MaxInflightWindows %d", c.MaxInflightWindows)
-	}
 	if c.Aggregation != AggregationRing && c.Aggregation != AggregationTree {
 		return fmt.Errorf("core: unknown aggregation topology %q", c.Aggregation)
 	}
@@ -147,8 +135,8 @@ func (c Config) Validate() error {
 //
 // The engine is the fleet-wide face of the session layer (see session.go):
 // it owns the per-party sessions and their lifecycle. Window execution goes
-// through the scheduler (scheduler.go), which runs up to
-// Config.MaxInflightWindows windows concurrently.
+// through the scheduler (scheduler.go), which runs up to windowDepth
+// windows concurrently.
 //
 // An engine does not necessarily own its heavyweight infrastructure: it
 // *borrows* the transport bus and the crypto worker pool when a caller

@@ -56,9 +56,9 @@ func fingerprint(res *WindowResult) windowFingerprint {
 }
 
 // runEmulatedDay runs `windows` windows under the given config over a crypto
-// pool of `workers` (0: the engine's own) and returns the per-window
-// fingerprints.
-func runEmulatedDay(t *testing.T, cfg Config, workers, nAgents, windows int) []windowFingerprint {
+// pool of `workers` (0: the engine's own) — pipelined through StreamWindows,
+// or one RunWindow at a time — and returns the per-window fingerprints.
+func runEmulatedDay(t *testing.T, cfg Config, pipelined bool, workers, nAgents, windows int) []windowFingerprint {
 	t.Helper()
 	agents := testAgents(nAgents)
 	var res Resources
@@ -76,9 +76,19 @@ func runEmulatedDay(t *testing.T, cfg Config, workers, nAgents, windows int) []w
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	results, err := eng.StreamWindows(ctx, jobs, nil)
-	if err != nil {
-		t.Fatal(err)
+	var results []*WindowResult
+	if pipelined {
+		if results, err = eng.StreamWindows(ctx, jobs, nil); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		for _, job := range jobs {
+			res, err := eng.RunWindow(ctx, job.Window, job.Inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
+		}
 	}
 	prints := make([]windowFingerprint, len(results))
 	for i, res := range results {
@@ -90,20 +100,19 @@ func runEmulatedDay(t *testing.T, cfg Config, workers, nAgents, windows int) []w
 // TestEmulatedRunBitIdenticalAcrossConcurrency is the netem determinism
 // guarantee at the engine level: a seeded run over an emulated WAN reports
 // identical market outcomes *and* identical virtual-latency/round metrics
-// no matter how deep the window pipeline or how many crypto workers run.
+// whether its windows run one at a time or pipelined, and however many
+// crypto workers run.
 func TestEmulatedRunBitIdenticalAcrossConcurrency(t *testing.T) {
 	base := netemConfig(42, netem.TopologyWAN)
 
-	sequential := runEmulatedDay(t, base, 0, 6, 3)
+	sequential := runEmulatedDay(t, base, false, 0, 6, 3)
 	for _, w := range sequential {
 		if w.latency == 0 || w.rounds == 0 || w.messages == 0 {
 			t.Fatalf("emulated window missing virtual metrics: %+v", w)
 		}
 	}
 
-	piped := base
-	piped.MaxInflightWindows = 3
-	pipelined := runEmulatedDay(t, piped, 4, 6, 3)
+	pipelined := runEmulatedDay(t, base, true, 4, 6, 3)
 
 	for w := range sequential {
 		if sequential[w] != pipelined[w] {

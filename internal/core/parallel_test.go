@@ -89,11 +89,6 @@ func TestWorkerCountBitIdentical(t *testing.T) {
 
 func TestConfigValidatesParallelKnobs(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.MaxInflightWindows = -1
-	if _, err := NewEngine(cfg, testAgents(2)); err == nil {
-		t.Error("negative MaxInflightWindows accepted")
-	}
-	cfg = testConfig(1)
 	cfg.Aggregation = "star"
 	if _, err := NewEngine(cfg, testAgents(2)); err == nil {
 		t.Error("unknown aggregation accepted")

@@ -27,8 +27,8 @@ func traceJobs(t *testing.T, tr *dataset.Trace) []WindowJob {
 }
 
 // TestPipelinedWindowsMatchSequential runs the same seeded day twice —
-// strictly sequentially and with four windows in flight over the shared
-// bus — and requires bit-identical public outcomes per window, plus
+// one RunWindow at a time and pipelined through StreamWindows over the
+// shared bus — and requires bit-identical public outcomes per window, plus
 // agreement with the plaintext reference. Any tag cross-talk between
 // concurrent windows would corrupt an aggregate and trip these checks.
 func TestPipelinedWindowsMatchSequential(t *testing.T) {
@@ -42,25 +42,33 @@ func TestPipelinedWindowsMatchSequential(t *testing.T) {
 	}
 	agents := tr.Agents()
 
-	run := func(inflight int) []*WindowResult {
-		cfg := testConfig(77)
-		cfg.MaxInflightWindows = inflight
-		eng, err := NewEngine(cfg, agents)
+	run := func(pipelined bool) []*WindowResult {
+		eng, err := NewEngine(testConfig(77), agents)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer eng.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 		defer cancel()
-		results, err := eng.StreamWindows(ctx, traceJobs(t, tr), nil)
-		if err != nil {
-			t.Fatalf("inflight=%d: %v", inflight, err)
+		jobs := traceJobs(t, tr)
+		if pipelined {
+			results, err := eng.StreamWindows(ctx, jobs, nil)
+			if err != nil {
+				t.Fatalf("pipelined: %v", err)
+			}
+			return results
+		}
+		results := make([]*WindowResult, len(jobs))
+		for i, job := range jobs {
+			if results[i], err = eng.RunWindow(ctx, job.Window, job.Inputs); err != nil {
+				t.Fatalf("window %d: %v", job.Window, err)
+			}
 		}
 		return results
 	}
 
-	seq := run(1)
-	pipe := run(4)
+	seq := run(false)
+	pipe := run(true)
 	if len(seq) != len(pipe) {
 		t.Fatalf("result counts differ: %d vs %d", len(seq), len(pipe))
 	}
@@ -106,7 +114,8 @@ func TestPipelinedWindowsMatchSequential(t *testing.T) {
 
 // TestFaultWindowCancelsOnlyItself pipelines four windows and kills one of
 // them with a window-scoped transport fault: only that window may fail,
-// and its neighbours must still produce correct outcomes.
+// and its neighbours — window 3 in flight beside it — must still produce
+// correct outcomes.
 func TestFaultWindowCancelsOnlyItself(t *testing.T) {
 	agents := testAgents(4)
 	inputs := []market.WindowInput{
@@ -115,9 +124,7 @@ func TestFaultWindowCancelsOnlyItself(t *testing.T) {
 		{Generation: 0.0, Load: 0.2},
 		{Generation: 0.2, Load: 0.1},
 	}
-	cfg := testConfig(31)
-	cfg.MaxInflightWindows = 4
-	eng, err := NewEngine(cfg, agents)
+	eng, err := NewEngine(testConfig(31), agents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +168,9 @@ func TestFaultWindowCancelsOnlyItself(t *testing.T) {
 	}
 }
 
-// TestFailFastStopsLaunchingWindows drives a deep day through a depth-1
-// pipeline with an early fault and checks the scheduler does not execute
-// the windows after the failure.
+// TestFailFastStopsLaunchingWindows drives a deep day through the pipeline
+// with an early fault and checks the scheduler does not execute the windows
+// after the failure.
 func TestFailFastStopsLaunchingWindows(t *testing.T) {
 	agents := testAgents(3)
 	inputs := []market.WindowInput{
@@ -180,7 +187,12 @@ func TestFailFastStopsLaunchingWindows(t *testing.T) {
 	p := eng.Parties()[0]
 	fc := transport.NewFaultConn(partyConn(p))
 	fc.FailWindow(1)
-	p.ReplaceConn(fc)
+	// Window 0, in flight beside window 1, holds its first party's sends
+	// until window 1's fault has fired: it cannot finish, and free a worker
+	// to launch window 2, before window 1 has failed.
+	var w1Sends atomic.Int64
+	w1 := make(chan struct{})
+	p.ReplaceConn(windowHold{Conn: windowSendSpy{Conn: fc, window: 1, sends: &w1Sends, first: w1}, window: 0, until: w1})
 	// Every party's sends in window 3 are counted as they happen: the
 	// engine folds each window's transport counters once it ends, so the
 	// metrics sink cannot tell afterwards whether window 3 ever ran.
@@ -203,7 +215,7 @@ func TestFailFastStopsLaunchingWindows(t *testing.T) {
 	if results[0] == nil {
 		t.Error("window 0 missing")
 	}
-	// With depth 1, nothing past the failed window may have been launched.
+	// Nothing past the failed window may have been launched.
 	for w := 2; w < 6; w++ {
 		if results[w] != nil {
 			t.Errorf("window %d ran after fail-fast", w)
@@ -264,7 +276,6 @@ func TestMetricsSinkEndsEmpty(t *testing.T) {
 	for _, network := range []string{"", "wan"} {
 		t.Run("network="+network, func(t *testing.T) {
 			cfg := testConfig(39)
-			cfg.MaxInflightWindows = 2
 			cfg.Network = network
 			eng, err := NewEngine(cfg, tr.Agents())
 			if err != nil {

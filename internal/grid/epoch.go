@@ -44,11 +44,10 @@ type LiveConfig struct {
 	Coalitions int
 	// Partition selects the per-epoch partition strategy (default
 	// StrategyFixed). Every epoch re-partitions from scratch: membership
-	// follows the surviving-plus-new roster, not history.
+	// follows the surviving-plus-new roster, not history. The random
+	// strategy draws from the epoch's seed, derived from Grid.Engine.Seed
+	// (0 when nil), so consecutive epochs shuffle differently.
 	Partition Strategy
-	// PartitionSeed feeds the random strategy; a per-epoch seed is derived
-	// from it so consecutive epochs shuffle differently.
-	PartitionSeed int64
 	// Resume, when set, restarts the simulation from a durable checkpoint:
 	// the position book is restored bit-exactly from Resume.Positions and
 	// every epoch up to and including Resume.Epoch is skipped. The
@@ -357,24 +356,27 @@ func runEpoch(ctx context.Context, cfg LiveConfig, infra core.Resources, ef *dat
 		er.Trading = er.Duration - er.Rekey
 	}()
 
+	// The partition and everything an epoch's engines draw themselves —
+	// mask seeds, window randomness — take one per-epoch seed, so a seeded
+	// simulation's epochs are fresh but reproducible. Key pairs are the
+	// exception: the ring derives them from the simulation seed, per home.
+	var seed int64
+	if s := cfg.Grid.Engine.Seed; s != nil {
+		seed = *s
+	}
+	epochSeed := dataset.DeriveSeed("grid/epoch", seed, ef.Epoch)
 	// Churn may have shrunk the roster below what the requested coalition
 	// count can fill; degrade to the largest count whose coalitions still
 	// meet the private-market floor, rather than partition the roster into
 	// slivers that would all fold to grid-tariff service.
 	k := max(1, min(cfg.Coalitions, len(ef.Trace.Homes)/cfg.Grid.minCoalition()))
-	parts, err := Partition(cfg.Partition, ef.Trace.Homes, k, dataset.DeriveSeed("grid/epoch", cfg.PartitionSeed, ef.Epoch))
+	parts, err := Partition(cfg.Partition, ef.Trace.Homes, k, epochSeed)
 	if err != nil {
 		return er, err
 	}
-
-	// Everything an epoch's engines draw themselves — mask seeds, window
-	// randomness — gets a per-epoch engine seed, so a seeded simulation's
-	// epochs are fresh but reproducible. Key pairs are the exception: the
-	// ring derives them from the simulation seed, per home.
 	gcfg := cfg.Grid
-	if s := gcfg.Engine.Seed; s != nil {
-		es := dataset.DeriveSeed("grid/epoch", *s, ef.Epoch)
-		gcfg.Engine.Seed = &es
+	if gcfg.Engine.Seed != nil {
+		gcfg.Engine.Seed = &epochSeed
 	}
 
 	day, err := runDay(ctx, gcfg, infra, ef.Trace, parts, fmt.Sprintf("e%02d-", ef.Epoch), nil)

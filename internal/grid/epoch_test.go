@@ -331,7 +331,7 @@ func TestLiveRejectsBadConfig(t *testing.T) {
 
 // TestGridIsOneEpochLiveGrid is the identity the single supervisor rests
 // on: a one-shot grid is a one-epoch, churn-free live grid. Given the
-// epoch-0 engine and partition seeds, Run and RunLive agree per coalition,
+// epoch-0 seed, engine and partition alike, Run and RunLive agree per coalition,
 // bit for bit, on every outcome — window results, residual, flows, ledger
 // chain head, traffic — and on the settlement, under both crypto backends,
 // flat and tiered. The scope name ("c00" vs "e00-c00") is the one
@@ -349,9 +349,9 @@ func TestGridIsOneEpochLiveGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		seed, partSeed = int64(61), int64(7)
-		coalitions     = 3
-		prefix         = "e00-"
+		seed       = int64(61)
+		coalitions = 3
+		prefix     = "e00-"
 	)
 	unscoped := func(name string) string { return strings.TrimPrefix(name, prefix) }
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
@@ -363,19 +363,19 @@ func TestGridIsOneEpochLiveGrid(t *testing.T) {
 				engine := testEngineConfig(seed)
 				engine.CryptoBackend = backend
 				live, err := RunLive(ctx, LiveConfig{
-					Grid:          Config{Engine: engine, Tiers: tiers},
-					Coalitions:    coalitions,
-					Partition:     StrategyRandom,
-					PartitionSeed: partSeed,
+					Grid:       Config{Engine: engine, Tiers: tiers},
+					Coalitions: coalitions,
+					Partition:  StrategyRandom,
 				}, evo, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				epoch := live.Epochs[0]
 
-				engine = testEngineConfig(dataset.DeriveSeed("grid/epoch", seed, 0))
+				epochSeed := dataset.DeriveSeed("grid/epoch", seed, 0)
+				engine = testEngineConfig(epochSeed)
 				engine.CryptoBackend = backend
-				parts, err := Partition(StrategyRandom, tr.Homes, coalitions, dataset.DeriveSeed("grid/epoch", partSeed, 0))
+				parts, err := Partition(StrategyRandom, tr.Homes, coalitions, epochSeed)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -366,9 +366,9 @@ func TestGridMetricsSinkEndsEmpty(t *testing.T) {
 }
 
 // TestGridOneWidth: MaxConcurrent is a grid day's one width. Each coalition
-// runs its windows one after another whatever Engine.MaxInflightWindows
-// says, so the windows live on the shared bus at any moment never outnumber
-// the coalitions in flight.
+// runs its windows one after another, not through the engine's pipelined
+// scheduler, so the windows live on the shared bus at any moment never
+// outnumber the coalitions in flight.
 func TestGridOneWidth(t *testing.T) {
 	tr, err := dataset.GenerateFleet(dataset.FleetConfig{Coalitions: 4, HomesPerCoalition: 3, Windows: 6, Seed: 42, StartHour: 12})
 	if err != nil {
@@ -380,7 +380,6 @@ func TestGridOneWidth(t *testing.T) {
 	}
 	for _, width := range []int{1, 2} {
 		cfg := Config{Engine: testEngineConfig(23), MaxConcurrent: width}
-		cfg.Engine.MaxInflightWindows = 4
 		bus := transport.NewBus(nil)
 		done := make(chan struct{})
 		peak := make(chan int)

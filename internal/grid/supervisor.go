@@ -26,8 +26,8 @@ type Config struct {
 	Engine core.Config
 	// MaxConcurrent is the grid day's one width: how many coalition-days
 	// run concurrently (default: all of them), each running its windows one
-	// after another (Engine.MaxInflightWindows is ignored). Crypto
-	// parallelism stays bounded by the one shared worker pool.
+	// after another. Crypto parallelism stays bounded by the one shared
+	// worker pool.
 	MaxConcurrent int
 	// MinCoalition is the smallest roster the supervisor will run a
 	// private market for (default 3). A coalition below it — routine once

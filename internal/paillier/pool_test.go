@@ -159,19 +159,24 @@ func TestNoncePoolRandomnessFailure(t *testing.T) {
 	takeRound(t, p, rf, 0, 4)
 	waitFor(t, "first fill", func() bool { return settled(p) })
 
-	src.broken.Store(true)
-	takeRound(t, p, rf, 1, 4) // all from stock; the fill they start fails
-	waitFor(t, "the failing fill to give up", func() bool {
+	idle := func() bool {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		return !p.filling
-	})
+	}
+	src.broken.Store(true)
+	takeRound(t, p, rf, 1, 4) // all from stock; the fill they start fails
+	waitFor(t, "the failing fill to give up", idle)
 	if st := p.Stats(); st.Ready != 0 {
 		t.Fatalf("a fill with a broken source produced factors: %+v", st)
 	}
 	if _, err := p.Take(context.Background(), rf, 2); !errors.Is(err, errEntropy) {
 		t.Fatalf("inline Take on a broken source: got %v, want the entropy failure", err)
 	}
+	// That Take started a fill of its own on the broken source. Repaired
+	// while it is still marked filling, the next Take would start none, and
+	// the old fill would give up with the stock still empty.
+	waitFor(t, "the inline Take's fill to give up", idle)
 
 	src.broken.Store(false)
 	takeRound(t, p, rf, 3, 1)

@@ -60,11 +60,10 @@ const DefaultMinCoalition = grid.DefaultMinCoalition
 // LiveGridConfig configures a live (epoched) coalition grid.
 type LiveGridConfig struct {
 	// Market is the per-coalition market configuration, exactly as for
-	// GridConfig: a grid ignores Market.MaxInflightWindows and
-	// Market.Store. When Market.Seed is set the whole simulation is
-	// deterministic: a home's key pair derives from the seed and its ID
-	// (kept for as long as the home stays), everything else an epoch draws
-	// from a per-epoch seed.
+	// GridConfig: a grid ignores Market.Store. When Market.Seed is set the
+	// whole simulation is deterministic: a home's key pair derives from the
+	// seed and its ID (kept for as long as the home stays), everything else
+	// an epoch draws from a per-epoch seed.
 	Market Config
 	// Coalitions is the target coalition count per epoch (required). When
 	// churn shrinks the fleet too far, an epoch runs with the largest
@@ -72,11 +71,10 @@ type LiveGridConfig struct {
 	Coalitions int
 	// Partition selects the per-epoch partition strategy: PartitionFixed
 	// (default), PartitionRandom or PartitionBalanced. Every epoch
-	// re-partitions the surviving-plus-new roster from scratch.
+	// re-partitions the surviving-plus-new roster from scratch;
+	// PartitionRandom draws from a per-epoch seed derived from Market.Seed
+	// (0 when unset).
 	Partition string
-	// PartitionSeed feeds PartitionRandom (defaults to *Market.Seed when
-	// set); per-epoch seeds are derived from it.
-	PartitionSeed int64
 	// MaxConcurrentCoalitions is the per-epoch in-flight budget (default:
 	// all). Outcomes are bit-identical at any setting when Market.Seed is
 	// set.
@@ -173,14 +171,9 @@ func NewLiveGrid(cfg LiveGridConfig, fleet FleetConfig) (*LiveGrid, error) {
 }
 
 // lower maps the public grid configuration — the one-shot grid's arrives
-// through GridConfig.live — onto the supervisor's, resolving the
-// partition-seed default, and validates it, so a statically-bad config fails
-// at construction.
+// through GridConfig.live — onto the supervisor's and validates it, so a
+// statically-bad config fails at construction.
 func (cfg LiveGridConfig) lower() (grid.LiveConfig, error) {
-	seed := cfg.PartitionSeed
-	if seed == 0 && cfg.Market.Seed != nil {
-		seed = *cfg.Market.Seed
-	}
 	lcfg := grid.LiveConfig{
 		Grid: grid.Config{
 			Engine:        cfg.Market.coreConfig(),
@@ -189,9 +182,8 @@ func (cfg LiveGridConfig) lower() (grid.LiveConfig, error) {
 			Tiers:         cfg.Tiers,
 			Store:         cfg.Store,
 		},
-		Coalitions:    cfg.Coalitions,
-		Partition:     grid.Strategy(cfg.Partition),
-		PartitionSeed: seed,
+		Coalitions: cfg.Coalitions,
+		Partition:  grid.Strategy(cfg.Partition),
 	}
 	if err := lcfg.Validate(); err != nil {
 		return lcfg, fmt.Errorf("pem: %w", err)

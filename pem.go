@@ -103,14 +103,6 @@ type Config struct {
 	PreEncrypt *bool
 	// Seed makes the run deterministic (tests/benchmarks only).
 	Seed *int64
-	// MaxInflightWindows is how many trading windows RunWindows, RunDay and
-	// StreamDay keep in flight concurrently (default 1: strictly
-	// sequential, the paper's deployment). Each window is an independent
-	// protocol instance with its own transport tag namespace and
-	// randomness stream, so pipelining never changes outcomes — a seeded
-	// market produces bit-identical results at any depth. A grid ignores
-	// it, as it ignores Store: its coalitions run their windows in order.
-	MaxInflightWindows int
 	// Aggregation selects the encrypted-sum topology for the coalition
 	// aggregations of Protocols 2 and 4: AggregationRing (default, the
 	// paper's O(n)-latency sequential chain) or AggregationTree (log-depth
@@ -201,14 +193,13 @@ type Market struct {
 // under this same configuration).
 func (cfg Config) coreConfig() core.Config {
 	return core.Config{
-		KeyBits:            cfg.KeyBits,
-		Params:             cfg.Params,
-		PreEncrypt:         cfg.PreEncrypt == nil || *cfg.PreEncrypt,
-		Seed:               cfg.Seed,
-		MaxInflightWindows: cfg.MaxInflightWindows,
-		Aggregation:        cfg.Aggregation,
-		CryptoBackend:      cfg.CryptoBackend,
-		Network:            cfg.Network,
+		KeyBits:       cfg.KeyBits,
+		Params:        cfg.Params,
+		PreEncrypt:    cfg.PreEncrypt == nil || *cfg.PreEncrypt,
+		Seed:          cfg.Seed,
+		Aggregation:   cfg.Aggregation,
+		CryptoBackend: cfg.CryptoBackend,
+		Network:       cfg.Network,
 	}
 }
 
@@ -297,12 +288,12 @@ func (m *Market) RunWindow(ctx context.Context, window int, inputs []WindowInput
 }
 
 // RunWindows executes one private trading window per element of inputs,
-// numbered by slice index, keeping up to Config.MaxInflightWindows windows
-// in flight concurrently. results[w] is window w's outcome; outcomes and
-// ledger order are identical to running the windows sequentially. On
-// failure the scheduler stops launching new windows, drains the in-flight
-// ones (a failing window cancels only itself) and returns the earliest
-// failed window's error; completed windows keep their slots in results.
+// numbered by slice index, keeping two windows in flight concurrently.
+// results[w] is window w's outcome; outcomes and ledger order are identical
+// to running the windows sequentially. On failure the scheduler stops
+// launching new windows, drains the in-flight ones (a failing window
+// cancels only itself) and returns the earliest failed window's error;
+// completed windows keep their slots in results.
 func (m *Market) RunWindows(ctx context.Context, inputs [][]WindowInput) ([]*WindowResult, error) {
 	jobs := make([]core.WindowJob, len(inputs))
 	for w, in := range inputs {

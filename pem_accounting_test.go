@@ -23,6 +23,11 @@ var oldCheckpointConfigs = map[string]string{
 	"RecordLedger": `{"Live":{"Market":{"KeyBits":256,"Params":{"GridSellPrice":0,"GridRetailPrice":0,"PriceFloor":0,"PriceCeil":0},"PreEncrypt":null,"Seed":41,"RecordLedger":null,"MaxInflightWindows":0,"CryptoWorkers":0,"Aggregation":"","CryptoBackend":"","Network":""},"Coalitions":2,"Partition":"balanced","PartitionSeed":0,"MaxConcurrentCoalitions":0,"MinCoalition":0,"Tiers":null,"RetainCoalitionResults":false,"Epochs":3,"Churn":{"Epochs":0,"JoinRate":0.25,"DepartRate":0.15,"FailRate":0.1,"MinHomes":0,"Seed":0,"Scenarios":null}},"Fleet":{"Coalitions":2,"HomesPerCoalition":4,"Windows":2,"Seed":7,"StartHour":12,"Scenarios":null,"OnDemand":false}}`,
 	// LiveGridConfig with RetainCoalitionResults set.
 	"RetainCoalitionResults": `{"Live":{"Market":{"KeyBits":256,"Params":{"GridSellPrice":0,"GridRetailPrice":0,"PriceFloor":0,"PriceCeil":0},"PreEncrypt":null,"Seed":41,"MaxInflightWindows":0,"Aggregation":"","CryptoBackend":"","Network":""},"Coalitions":2,"Partition":"balanced","PartitionSeed":0,"MaxConcurrentCoalitions":0,"MinCoalition":0,"Tiers":null,"RetainCoalitionResults":true,"Epochs":3,"Churn":{"Epochs":0,"JoinRate":0.25,"DepartRate":0.15,"FailRate":0.1,"MinHomes":0,"Seed":0,"Scenarios":null}},"Fleet":{"Coalitions":2,"HomesPerCoalition":4,"Windows":2,"Seed":7,"StartHour":12,"Scenarios":null,"OnDemand":false}}`,
+	// pem.Config with MaxInflightWindows set, and LiveGridConfig with
+	// PartitionSeed: left at 0, or equal to Market.Seed, it partitions as
+	// Market.Seed does now.
+	"MaxInflightWindows": `{"Live":{"Market":{"KeyBits":256,"Params":{"GridSellPrice":0,"GridRetailPrice":0,"PriceFloor":0,"PriceCeil":0},"PreEncrypt":null,"Seed":41,"MaxInflightWindows":3,"Aggregation":"","CryptoBackend":"","Network":""},"Coalitions":2,"Partition":"balanced","PartitionSeed":0,"MaxConcurrentCoalitions":0,"MinCoalition":0,"Tiers":null,"Epochs":3,"Churn":{"Epochs":0,"JoinRate":0.25,"DepartRate":0.15,"FailRate":0.1,"MinHomes":0,"Seed":0,"Scenarios":null}},"Fleet":{"Coalitions":2,"HomesPerCoalition":4,"Windows":2,"Seed":7,"StartHour":12,"Scenarios":null,"OnDemand":false}}`,
+	"PartitionSeed=Seed": `{"Live":{"Market":{"KeyBits":256,"Params":{"GridSellPrice":0,"GridRetailPrice":0,"PriceFloor":0,"PriceCeil":0},"PreEncrypt":null,"Seed":41,"MaxInflightWindows":3,"Aggregation":"","CryptoBackend":"","Network":""},"Coalitions":2,"Partition":"balanced","PartitionSeed":41,"MaxConcurrentCoalitions":0,"MinCoalition":0,"Tiers":null,"Epochs":3,"Churn":{"Epochs":0,"JoinRate":0.25,"DepartRate":0.15,"FailRate":0.1,"MinHomes":0,"Seed":0,"Scenarios":null}},"Fleet":{"Coalitions":2,"HomesPerCoalition":4,"Windows":2,"Seed":7,"StartHour":12,"Scenarios":null,"OnDemand":false}}`,
 }
 
 // checkpointLog is a Store that keeps every checkpoint written through it.
@@ -37,10 +42,10 @@ func (c *checkpointLog) PutCheckpoint(cp pem.Checkpoint) error {
 }
 
 // TestResumeOldCheckpointConfig: a WAL whose checkpoint embeds an older
-// configuration blob — with the since-removed "RecordLedger" and
-// "CryptoWorkers" keys, or "RetainCoalitionResults" — resumes, and replays
-// the remaining epochs to the same coalition ledger heads and positions as
-// an uninterrupted run.
+// configuration blob — with the since-removed "RecordLedger",
+// "CryptoWorkers", "RetainCoalitionResults", "MaxInflightWindows" or
+// "PartitionSeed" keys — resumes, and replays the remaining epochs to the
+// same coalition ledger heads and positions as an uninterrupted run.
 func TestResumeOldCheckpointConfig(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
@@ -60,23 +65,7 @@ func TestResumeOldCheckpointConfig(t *testing.T) {
 
 	for name, blob := range oldCheckpointConfigs {
 		t.Run(name, func(t *testing.T) {
-			cp := log.cps[0]
-			cp.Config = []byte(blob)
-			sum := sha256.Sum256(cp.Config)
-			cp.ConfigHash = hex.EncodeToString(sum[:])
-			path := filepath.Join(t.TempDir(), name+".wal")
-			wal, err := pem.OpenWAL(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := wal.PutCheckpoint(cp); err != nil {
-				t.Fatal(err)
-			}
-			if err := wal.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			lg, err := pem.Resume(path)
+			lg, err := pem.Resume(walWithConfig(t, log.cps[0], blob))
 			if err != nil {
 				t.Fatalf("resume of an old checkpoint configuration: %v", err)
 			}
@@ -112,6 +101,51 @@ func TestResumeOldCheckpointConfig(t *testing.T) {
 	}
 }
 
+// walWithConfig writes cp, its configuration replaced by blob, as the one
+// checkpoint of a new WAL and returns the WAL's path.
+func walWithConfig(t *testing.T, cp pem.Checkpoint, blob string) string {
+	t.Helper()
+	cp.Config = []byte(blob)
+	sum := sha256.Sum256(cp.Config)
+	cp.ConfigHash = hex.EncodeToString(sum[:])
+	path := filepath.Join(t.TempDir(), "old.wal")
+	wal, err := pem.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.PutCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestResumeRefusesPartitionSeed: an older checkpoint whose PartitionSeed
+// is set and differs from Market.Seed partitioned its epochs from a seed
+// the configuration no longer has, so Resume refuses it by name rather than
+// replay a different history.
+func TestResumeRefusesPartitionSeed(t *testing.T) {
+	log := &checkpointLog{Store: tempWAL(t)}
+	lcfg, fleet := storeLiveConfig(log)
+	fleet.StartHour = 12
+	if _, err := mustLiveGrid(t, lcfg, fleet).Run(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	for _, seeds := range []struct{ market, partition string }{{"41", "5"}, {"null", "41"}} {
+		blob := strings.NewReplacer(`"Seed":41,"Max`, `"Seed":`+seeds.market+`,"Max`, `"PartitionSeed":0`, `"PartitionSeed":`+seeds.partition).
+			Replace(oldCheckpointConfigs["MaxInflightWindows"])
+		lg, err := pem.Resume(walWithConfig(t, log.cps[0], blob))
+		if err == nil {
+			lg.Close()
+			t.Errorf("Seed %s, PartitionSeed %s: resumed", seeds.market, seeds.partition)
+		} else if !strings.Contains(err.Error(), "PartitionSeed") {
+			t.Errorf("Seed %s, PartitionSeed %s: error %q does not name PartitionSeed", seeds.market, seeds.partition, err)
+		}
+	}
+}
+
 // TestConfigSurface pins the configuration and metrics surface: the
 // exported fields of the public and engine configuration types and the
 // exported methods of the transport metrics sink. A new knob or reader has
@@ -137,13 +171,13 @@ func TestConfigSurface(t *testing.T) {
 	}
 	surface := map[string][2]string{
 		"pem.Config": {fields(pem.Config{}),
-			"KeyBits Params PreEncrypt Seed MaxInflightWindows Aggregation CryptoBackend Network Store"},
+			"KeyBits Params PreEncrypt Seed Aggregation CryptoBackend Network Store"},
 		"pem.GridConfig": {fields(pem.GridConfig{}),
-			"Market Coalitions Partition PartitionSeed MaxConcurrentCoalitions MinCoalition Tiers Store"},
+			"Market Coalitions Partition MaxConcurrentCoalitions MinCoalition Tiers Store"},
 		"pem.LiveGridConfig": {fields(pem.LiveGridConfig{}),
-			"Market Coalitions Partition PartitionSeed MaxConcurrentCoalitions MinCoalition Tiers Store Epochs Churn"},
+			"Market Coalitions Partition MaxConcurrentCoalitions MinCoalition Tiers Store Epochs Churn"},
 		"core.Config": {fields(core.Config{}),
-			"KeyBits Params PreEncrypt MaxInflightWindows CryptoBackend Aggregation Network Seed"},
+			"KeyBits Params PreEncrypt CryptoBackend Aggregation Network Seed"},
 		"core.Resources": {fields(core.Resources{}),
 			"Bus Scope Workers Keys"},
 		"*transport.Metrics": {methods(&transport.Metrics{}),

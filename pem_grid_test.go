@@ -154,7 +154,6 @@ func TestNewGridValidation(t *testing.T) {
 		"unknown-network":     {Market: pem.Config{KeyBits: 256, Network: "moon"}, Coalitions: 2},
 		"inverted-prices":     {Market: pem.Config{KeyBits: 256, Params: inverted}, Coalitions: 2},
 		"unknown-aggregation": {Market: pem.Config{KeyBits: 256, Aggregation: "star"}, Coalitions: 2},
-		"negative-inflight":   {Market: pem.Config{KeyBits: 256, MaxInflightWindows: -1}, Coalitions: 2},
 	}
 	// A statically-bad config — the market every coalition would provision
 	// included — fails at construction, in NewGrid and NewLiveGrid alike,

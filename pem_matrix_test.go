@@ -32,9 +32,9 @@ import (
 // (pem.Clear: kind, price, coalition sizes, trades), Ledger.Verify, energy
 // and payment conservation across epochs, and one outcome digest — kinds,
 // prices, trades, chain heads, settlement, positions — equal in every cell
-// of the deployment. The reference cell (paillier/ring/mem) runs
-// sequentially; every other cell streams with three windows in flight and
-// every coalition concurrent.
+// of the deployment. The reference cell (paillier/ring/mem) runs one window
+// and one coalition at a time; every other cell streams, a market's day
+// pipelined and every coalition concurrent.
 func TestInvariantMatrix(t *testing.T) {
 	for _, dep := range []struct {
 		name     string
@@ -82,15 +82,13 @@ var refCell = cell{pem.BackendPaillier, pem.AggregationRing, "mem"}
 func (c cell) name() string { return c.backend + "/" + c.agg + "/" + c.network }
 
 // config is the cell's market configuration and coalition budget: one
-// window and one coalition at a time in the reference cell, three windows
-// and every coalition (0) elsewhere.
+// coalition at a time in the reference cell, every coalition (0) elsewhere.
 func (c cell) config(seed int64) (pem.Config, int) {
-	cfg := pem.Config{KeyBits: 256, Seed: seedPtr(seed), CryptoBackend: c.backend, Aggregation: c.agg, MaxInflightWindows: 3}
+	cfg := pem.Config{KeyBits: 256, Seed: seedPtr(seed), CryptoBackend: c.backend, Aggregation: c.agg}
 	if c.network != "mem" {
 		cfg.Network = c.network
 	}
 	if c == refCell {
-		cfg.MaxInflightWindows = 1
 		return cfg, 1
 	}
 	return cfg, 0
@@ -165,16 +163,28 @@ func marketCell(t *testing.T, c cell) string {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	var sink func(*pem.WindowResult) error // nil: the reference cell's RunDay
-	if c != refCell {
-		sink = func(*pem.WindowResult) error { return nil }
-	}
-	day, err := m.StreamDay(t.Context(), tr, sink)
-	if err != nil {
-		t.Fatal(err)
+	var results []*pem.WindowResult
+	if c == refCell { // one RunWindow at a time
+		for w := range tr.Windows {
+			res, err := m.RunWindow(t.Context(), w, mustInputs(t, tr, w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
+		}
+	} else {
+		var sink func(*pem.WindowResult) error // nil in the mem cells: RunDay
+		if c.network != "mem" {
+			sink = func(*pem.WindowResult) error { return nil }
+		}
+		day, err := m.StreamDay(t.Context(), tr, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = day.Results
 	}
 	h := sha256.New()
-	for w, res := range day.Results {
+	for w, res := range results {
 		checkWindow(t, h, tr.Agents(), mustInputs(t, tr, w), res)
 		if emulated := c.network != "mem"; emulated != (res.VirtualLatency > 0 && res.Rounds > 0) {
 			t.Errorf("window %d: virtual latency %v, %d rounds on %s", w, res.VirtualLatency, res.Rounds, c.network)

@@ -223,8 +223,8 @@ func TestClearAndBaselineExported(t *testing.T) {
 
 // TestRunWindowsPipelinedBitIdentical is the acceptance check for the
 // pipelined scheduler: on a seeded 10-agent, 48-window trace, RunWindows
-// with four windows in flight must produce bit-identical per-window
-// results (price, kind, trades) to the strictly sequential path.
+// must produce bit-identical per-window results (price, kind, trades) to
+// a loop of RunWindow calls, one window at a time.
 func TestRunWindowsPipelinedBitIdentical(t *testing.T) {
 	// This late-afternoon slice mixes regimes: ~30 general-market and ~18
 	// extreme-market windows, every one running the full protocol stack.
@@ -239,33 +239,37 @@ func TestRunWindowsPipelinedBitIdentical(t *testing.T) {
 		}
 	}
 
-	run := func(inflight int) []*pem.WindowResult {
-		m, err := pem.NewMarket(pem.Config{
-			KeyBits:            256,
-			Seed:               seedPtr(99),
-			MaxInflightWindows: inflight,
-		}, tr.Agents())
+	run := func(pipelined bool) []*pem.WindowResult {
+		m, err := pem.NewMarket(pem.Config{KeyBits: 256, Seed: seedPtr(99)}, tr.Agents())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 600*time.Second)
 		defer cancel()
-		results, err := m.RunWindows(ctx, inputs)
-		if err != nil {
-			t.Fatalf("inflight=%d: %v", inflight, err)
+		results := make([]*pem.WindowResult, len(inputs))
+		if pipelined {
+			if results, err = m.RunWindows(ctx, inputs); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for w, in := range inputs {
+				if results[w], err = m.RunWindow(ctx, w, in); err != nil {
+					t.Fatalf("window %d: %v", w, err)
+				}
+			}
 		}
 		if m.Ledger().Len() != tr.Windows+1 {
-			t.Fatalf("inflight=%d: ledger height %d", inflight, m.Ledger().Len())
+			t.Fatalf("pipelined=%v: ledger height %d", pipelined, m.Ledger().Len())
 		}
 		if err := m.Ledger().Verify(); err != nil {
-			t.Fatalf("inflight=%d: %v", inflight, err)
+			t.Fatalf("pipelined=%v: %v", pipelined, err)
 		}
 		return results
 	}
 
-	seq := run(1)
-	pipe := run(4)
+	seq := run(false)
+	pipe := run(true)
 	for w := range seq {
 		s, p := seq[w], pipe[w]
 		if s.Kind != p.Kind || s.Price != p.Price || s.PHat != p.PHat || s.Degenerate != p.Degenerate {
@@ -298,11 +302,7 @@ func TestStreamDayInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := pem.NewMarket(pem.Config{
-		KeyBits:            256,
-		Seed:               seedPtr(10),
-		MaxInflightWindows: 4,
-	}, tr.Agents())
+	m, err := pem.NewMarket(pem.Config{KeyBits: 256, Seed: seedPtr(10)}, tr.Agents())
 	if err != nil {
 		t.Fatal(err)
 	}

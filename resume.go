@@ -33,7 +33,8 @@ type resumeMeta struct {
 // Run or Stream call replays only the remaining epochs — bit-identically to
 // an uninterrupted run when the original configuration was seeded. The
 // checkpoint's configuration hash and roster are cross-checked against the
-// rebuilt simulation before anything runs. The returned grid owns the
+// rebuilt simulation before anything runs; so is an older configuration's
+// PartitionSeed, refused unless 0 or Market.Seed. The returned grid owns the
 // reopened store; release it with Close after the resumed run.
 func Resume(path string) (*LiveGrid, error) {
 	wal, err := OpenWAL(path)
@@ -66,8 +67,15 @@ func resumeFrom(wal *WALStore) (*LiveGrid, error) {
 		return nil, fmt.Errorf("pem: resume: checkpoint configuration hash mismatch (have %s, recorded %s)", got, cp.ConfigHash)
 	}
 	var meta resumeMeta
-	if err := json.Unmarshal(cp.Config, &meta); err != nil {
-		return nil, fmt.Errorf("pem: resume: decode checkpoint configuration: %w", err)
+	// Random partitions now draw from Market.Seed: another seed cannot replay.
+	var old struct{ Live struct{ PartitionSeed int64 } }
+	for _, v := range []any{&meta, &old} {
+		if err := json.Unmarshal(cp.Config, v); err != nil {
+			return nil, fmt.Errorf("pem: resume: decode checkpoint configuration: %w", err)
+		}
+	}
+	if ps := old.Live.PartitionSeed; ps != 0 && ps != meta.Live.Market.partitionSeed() {
+		return nil, fmt.Errorf("pem: resume: checkpoint sets PartitionSeed %d, which differs from Market.Seed; partitions now draw from Market.Seed, so the run cannot replay", ps)
 	}
 	meta.Live.Store = wal
 	lg, err := NewLiveGrid(meta.Live, meta.Fleet)
