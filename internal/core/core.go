@@ -232,9 +232,8 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 
 	// Network emulation: every endpoint of this engine is wrapped in the
 	// virtual-clock layer. The network is engine-owned even over a shared
-	// bus — its state is keyed by this engine's tag scope, so sibling
-	// coalitions never interact — and each window's virtual latency and
-	// round count are read from it into the window's result.
+	// bus, and each window's state rides that window's context (runOne), so
+	// sibling coalitions never interact.
 	if cfg.Network != "" {
 		topo, err := netem.Preset(cfg.Network)
 		if err != nil {
@@ -375,8 +374,8 @@ func releasePRNG(r io.Reader) {
 	}
 }
 
-// Metrics exposes the transport byte counters (Table I): the bus's totals,
-// and the counters of the windows in flight.
+// Metrics exposes the bus's transport byte totals (Table I); each window's
+// own figures are in its WindowResult.
 func (e *Engine) Metrics() *transport.Metrics { return e.bus.Metrics() }
 
 // PoolStats sums the health counters of the fleet's blinding-factor pools,
@@ -495,14 +494,19 @@ type WindowResult struct {
 // runOne executes Protocol 1 for one window: it hands each party its
 // private input and runs all parties concurrently until the window's
 // trades complete. The derived context cancels only this window's parties,
-// so a failure here never disturbs other windows in flight.
+// so a failure here never disturbs other windows in flight. The context
+// also carries the window's one record of its traffic and, when emulated,
+// of its network state; both go with it when the window ends.
 func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowInput) (*WindowResult, error) {
 	if len(inputs) != len(e.parties) {
 		return nil, fmt.Errorf("core: %d inputs for %d parties", len(inputs), len(e.parties))
 	}
 	start := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(e.bus.Metrics().OpenWindow(ctx))
 	defer cancel()
+	if e.network != nil {
+		ctx = e.network.OpenWindow(ctx)
+	}
 
 	reports := make([]*PartyOutcome, len(e.parties))
 	errs := make([]error, len(e.parties))
@@ -525,15 +529,9 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 		}(i, p)
 	}
 	wg.Wait()
-	// The window ends here, failed or not: its transport counters and
-	// virtual-clock state are dropped, so the shared sink and the emulated
-	// network stay bounded by the windows in flight, and the result is the
-	// one record of the window's traffic.
 	res := &WindowResult{Window: window, Duration: time.Since(start)}
-	res.BytesOnWire, res.Messages = e.bus.Metrics().FoldWindow(e.scope, window)
-	if e.network != nil {
-		res.VirtualLatency, res.Rounds = e.network.ReleaseWindow(e.scope, window)
-	}
+	res.BytesOnWire, res.Messages = transport.EndWindow(ctx)
+	res.VirtualLatency, res.Rounds = netem.EndWindow(ctx)
 	// Report the failure that stopped the window, not the "context
 	// canceled" of a bystander that merely sorts first.
 	var failed error

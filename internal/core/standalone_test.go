@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -97,5 +98,70 @@ func TestExchangeKeysRefusals(t *testing.T) {
 				t.Errorf("refused peer left key %v, seed %x", a.dir[a1], seed)
 			}
 		})
+	}
+}
+
+// TestStandaloneSinkHoldsNoWindows: standalone parties never open a window
+// on their nodes' sink, so trading windows leaves it holding none — their
+// traffic lands in the totals only, however many windows they trade.
+func TestStandaloneSinkHoldsNoWindows(t *testing.T) {
+	sink := transport.NewMetrics()
+	agents := testAgents(4)
+	inputs := []market.WindowInput{
+		{Generation: 0.3, Load: 0.1},
+		{Generation: 0.0, Load: 0.3},
+		{Generation: 0.0, Load: 0.2},
+		{Generation: 0.2, Load: 0.1},
+	}
+	nodes := make([]*transport.TCPNode, len(agents))
+	parties := make([]*Party, len(agents))
+	peers := make([]string, len(agents))
+	for i, a := range agents {
+		node, err := transport.ListenTCP(a.ID, "127.0.0.1:0", nil, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Close()
+		p, err := NewStandaloneParty(testConfig(5), a, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		nodes[i], parties[i], peers[i] = node, p, a.ID
+	}
+	for i := range nodes {
+		for j := range nodes {
+			if i != j {
+				nodes[i].SetPeer(peers[j], nodes[j].Addr())
+			}
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	errs := make([]error, len(parties))
+	var wg sync.WaitGroup
+	for i, p := range parties {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = p.ExchangeKeys(ctx, peers)
+			for w := 0; w < 3 && errs[i] == nil; w++ {
+				_, errs[i] = p.RunTradingWindow(ctx, w, inputs[i])
+			}
+			if errs[i] != nil {
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if n := sink.LiveWindows(); n != 0 {
+		t.Errorf("sink holds %d windows after 3 standalone windows, want 0", n)
+	}
+	if sink.TotalBytes() <= 0 || sink.TotalMessages() <= 0 {
+		t.Errorf("totals %d bytes over %d messages, want both > 0", sink.TotalBytes(), sink.TotalMessages())
 	}
 }

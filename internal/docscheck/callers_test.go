@@ -24,7 +24,7 @@ var exportExceptions = map[string]string{
 	"transport.FaultConn.CorruptNextInWindow": "cross-package fault injection for the scheduler and grid isolation tests",
 	"transport.FaultConn.FailAll":             "cross-package fault injection for the scheduler and grid isolation tests",
 	"transport.FaultConn.FailWindow":          "cross-package fault injection for the scheduler and grid isolation tests",
-	"transport.Metrics.LiveWindows":           "the sink-leak checks' view of in-flight windows",
+	"transport.Metrics.LiveWindows":           "the sink-leak checks' gauge of windows opened and not yet ended",
 	"gc.Circuit.EvalPlain":                    "the plaintext reference evaluator the garbling tests compare against",
 	"market.OptimalLoad":                      "Eq. 9, the reference model the incentive tests check",
 	"market.CoalitionCost":                    "Eq. 7, the reference model the incentive tests check",

@@ -14,7 +14,7 @@ import (
 const (
 	// maxCodeLines bounds the non-test Go lines of the root package,
 	// internal/ and cmd/, counted as `wc -l` counts them.
-	maxCodeLines = 14046
+	maxCodeLines = 14002
 	// maxDesignLines bounds DESIGN.md.
 	maxDesignLines = 500
 )

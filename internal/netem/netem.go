@@ -6,17 +6,19 @@
 //
 // # The virtual clock
 //
-// Emulated time is message-driven, and a party's clock for a window is the
-// one its context carries: WithClock attaches a fresh clock at zero, which
-// the engine does once per party per emulated window. Sending a message
-// timestamps it with the sender's clock plus the link's delay (propagation
-// + seeded jitter + serialization + seeded retransmissions); receiving one
-// advances the receiver's clock to the message's delivery time if it is
-// later (a Lamport-style max). A context without a clock sends from zero
-// and advances nothing. A parallel hop counter measures the protocol's
-// round structure: each message carries its sender's dependency depth plus
-// one. A window's virtual latency and round count are the latest delivery
-// and the deepest chain among its messages — the critical path an
+// Emulated time is message-driven, and a window's state rides its context:
+// Network.OpenWindow attaches the window's message streams and delivery
+// maxima (read back by EndWindow), and WithClock one party's clock at zero;
+// the engine opens the window once and attaches a clock per party. Traffic
+// under a context without a window passes through unmodeled. Sending a
+// message timestamps it with the sender's clock plus the link's delay
+// (propagation + seeded jitter + serialization + seeded retransmissions);
+// receiving one advances the receiver's clock to the message's delivery
+// time if it is later (a Lamport-style max). A context without a clock
+// sends from zero and advances nothing. A parallel hop counter measures the
+// protocol's round structure: each message carries its sender's dependency
+// depth plus one. A window's virtual latency and round count are the latest
+// delivery and the deepest chain among its messages — the critical path an
 // identical deployment would wait out on a real network — while the
 // messages themselves still deliver at memory speed.
 //
@@ -41,29 +43,25 @@ import (
 	"github.com/pem-go/pem/internal/transport"
 )
 
-// Network holds the emulated topology and all virtual-clock state shared by
-// the wrapped connections of one engine, grouped per (scope, window). A
-// window ends with ReleaseWindow, which drops its group and returns the
-// window's virtual latency and round count.
+// Network holds the emulated topology and the resolved pair links shared by
+// the wrapped connections of one engine. Each window's state lives in the
+// window's context (OpenWindow), never here.
 type Network struct {
 	topo Topology
 	seed int64
 
+	mu    sync.Mutex
+	pairs map[pairKey]LinkParams
+}
+
+// windowKey keys the emulation state a window's context carries.
+type windowKey struct{}
+
+// window is one window's emulation state: its message streams, and the
+// latest delivery and deepest chain among their received messages — the
+// window's critical-path latency and round count.
+type window struct {
 	mu      sync.Mutex
-	windows map[windowKey]*windowState
-	pairs   map[pairKey]LinkParams
-}
-
-// windowKey names one trading window of one scope.
-type windowKey struct {
-	scope  string
-	window int
-}
-
-// windowState is one window's emulation state: its message streams, and
-// the latest delivery and deepest chain among their received messages —
-// the window's critical-path latency and round count.
-type windowState struct {
 	links   map[linkKey]*link
 	latency time.Duration
 	rounds  int
@@ -111,49 +109,36 @@ func New(topo Topology, seed int64) (*Network, error) {
 	if err := topo.validate(); err != nil {
 		return nil, err
 	}
-	return &Network{
-		topo:    topo,
-		seed:    seed,
-		windows: make(map[windowKey]*windowState),
-		pairs:   make(map[pairKey]LinkParams),
-	}, nil
+	return &Network{topo: topo, seed: seed, pairs: make(map[pairKey]LinkParams)}, nil
 }
 
 // Wrap layers the emulation over one party's endpoint. All endpoints of one
-// protocol instance must be wrapped by the same Network, since delivery
-// metadata travels through it from sender to receiver.
+// protocol instance must be wrapped by the same Network, and a window's
+// parties must run under the context its OpenWindow returned, since
+// delivery metadata travels through that window's state from sender to
+// receiver.
 func (n *Network) Wrap(c transport.Conn) *Conn {
 	return &Conn{net: n, inner: c}
 }
 
-// ReleaseWindow ends one window: it drops the window's stream state and
-// returns its critical-path virtual latency and round count, the maxima
-// across its deliveries. The engine calls it once per window, failed
-// windows included, which keeps a long-lived network's memory bounded by
-// the windows in flight — and means a caller reusing a window number later
-// starts that window's streams afresh instead of inheriting the previous
-// run's. Releasing a window with no state returns zero.
-func (n *Network) ReleaseWindow(scope string, window int) (latency time.Duration, rounds int) {
-	k := windowKey{scope, window}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ws := n.windows[k]
-	if ws == nil {
-		return 0, 0
-	}
-	delete(n.windows, k)
-	return ws.latency, ws.rounds
+// OpenWindow returns a context carrying one window's fresh emulation
+// state: every party's sends and receives in the window go through it, so
+// the window's streams start empty and its state goes with the context.
+func (n *Network) OpenWindow(ctx context.Context) context.Context {
+	return context.WithValue(ctx, windowKey{}, &window{links: make(map[linkKey]*link)})
 }
 
-// state returns (lazily creating) one window's state; n.mu must be held.
-func (n *Network) state(scope string, window int) *windowState {
-	k := windowKey{scope, window}
-	ws := n.windows[k]
-	if ws == nil {
-		ws = &windowState{links: make(map[linkKey]*link)}
-		n.windows[k] = ws
+// EndWindow returns the critical-path virtual latency and round count of
+// the window ctx carries: the maxima across its deliveries, zero for a
+// context without a window.
+func EndWindow(ctx context.Context) (latency time.Duration, rounds int) {
+	ws, ok := ctx.Value(windowKey{}).(*window)
+	if !ok {
+		return 0, 0
 	}
-	return ws
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	return ws.latency, ws.rounds
 }
 
 // pairParams resolves (and memoizes) the directed pair's link parameters.
@@ -170,11 +155,10 @@ func (n *Network) pairParams(from, to string) LinkParams {
 	return p
 }
 
-// observe folds one delivery into its window's maxima.
-func (n *Network) observe(scope string, window int, m meta) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ws := n.state(scope, window)
+// observe folds one delivery into the window's maxima.
+func (ws *window) observe(m meta) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
 	ws.latency = max(ws.latency, m.d)
 	ws.rounds = max(ws.rounds, m.depth)
 }
@@ -205,13 +189,13 @@ func (n *Network) price(p LinkParams, from, to, tag string, seq int64, size int)
 	return occupancy, pipelined
 }
 
-// Conn wraps one party's endpoint with the network emulation. Session-
-// scoped tags (outside any window namespace) pass through unmodeled; all
-// window-tagged protocol traffic is priced and tracked. A message is
-// timestamped from the sender's context's clock, and its delivery advances
-// the receiver's context's clock (see WithClock); a context without a
-// clock sends from zero, and its receives still count toward the window's
-// latency and rounds.
+// Conn wraps one party's endpoint with the network emulation. Traffic
+// under a context without a window (see OpenWindow) passes through
+// unmodeled; a window's traffic is priced and tracked in its streams. A
+// message is timestamped from the sender's context's clock, and its
+// delivery advances the receiver's context's clock (see WithClock); a
+// context without a clock sends from zero, and its receives still count
+// toward the window's latency and rounds.
 type Conn struct {
 	net   *Network
 	inner transport.Conn
@@ -231,7 +215,7 @@ func (c *Conn) Party() string { return c.inner.Party() }
 // enqueues the delivery metadata for the receiver and forwards the payload
 // unchanged.
 func (c *Conn) Send(ctx context.Context, to, tag string, payload []byte) error {
-	scope, window, _, ok := transport.ParseScopedWindowTag(tag)
+	ws, ok := ctx.Value(windowKey{}).(*window)
 	if !ok {
 		return c.inner.Send(ctx, to, tag, payload)
 	}
@@ -247,7 +231,7 @@ func (c *Conn) Send(ctx context.Context, to, tag string, payload []byte) error {
 	// The stream lock is held across both the metadata enqueue and the
 	// inner send, so the FIFO of metas stays aligned with the mailbox's
 	// message queue even under concurrent senders.
-	st := c.net.stream(scope, window, linkKey{from: from, to: to, tag: tag})
+	st := ws.stream(linkKey{from: from, to: to, tag: tag})
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	seq := st.seq
@@ -302,15 +286,14 @@ func (c *Conn) Close() error { return c.inner.Close() }
 
 // arrived pops the oldest in-flight metadata of the (from, self, tag)
 // stream and advances the context's clock and the window's maxima.
-// Messages without metadata (sent by an unwrapped endpoint, or
-// session-scoped) leave both untouched.
+// Messages without metadata (sent by an unwrapped endpoint, or under a
+// context without a window) leave both untouched.
 func (c *Conn) arrived(ctx context.Context, from, tag string) {
-	scope, window, _, ok := transport.ParseScopedWindowTag(tag)
+	ws, ok := ctx.Value(windowKey{}).(*window)
 	if !ok {
 		return
 	}
-	to := c.inner.Party()
-	st := c.net.stream(scope, window, linkKey{from: from, to: to, tag: tag})
+	st := ws.stream(linkKey{from: from, to: c.inner.Party(), tag: tag})
 	st.mu.Lock()
 	if len(st.fifo) == 0 {
 		st.mu.Unlock()
@@ -320,18 +303,16 @@ func (c *Conn) arrived(ctx context.Context, from, tag string) {
 	st.fifo = st.fifo[1:]
 	st.mu.Unlock()
 
-	c.net.observe(scope, window, m)
+	ws.observe(m)
 	if ck, ok := ctx.Value(clockKey{}).(*clock); ok {
 		ck.advance(m)
 	}
 }
 
-// stream returns (lazily creating) one directed stream's state within its
-// window.
-func (n *Network) stream(scope string, window int, k linkKey) *link {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ws := n.state(scope, window)
+// stream returns (lazily creating) one directed stream's state.
+func (ws *window) stream(k linkKey) *link {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
 	st := ws.links[k]
 	if st == nil {
 		st = &link{}

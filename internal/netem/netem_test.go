@@ -101,7 +101,7 @@ func fixedTopo(latency time.Duration, bandwidth int64) Topology {
 func TestVirtualChainAccumulates(t *testing.T) {
 	const hop = 10 * time.Millisecond
 	n, conns := wire(t, fixedTopo(hop, 0), 1, "a", "b", "c")
-	ctx := context.Background()
+	ctx := n.OpenWindow(context.Background())
 	bctx := WithClock(ctx)
 	tag := transport.ScopedWindowTag("", 0, "ring")
 
@@ -120,15 +120,12 @@ func TestVirtualChainAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lat, rounds := n.ReleaseWindow("", 0)
+	lat, rounds := EndWindow(ctx)
 	if lat != 2*hop {
 		t.Errorf("chain latency = %v, want %v", lat, 2*hop)
 	}
 	if rounds != 2 {
 		t.Errorf("chain rounds = %d, want 2", rounds)
-	}
-	if lat, rounds := n.ReleaseWindow("", 0); lat != 0 || rounds != 0 {
-		t.Errorf("released window still reports %v over %d rounds", lat, rounds)
 	}
 }
 
@@ -136,7 +133,7 @@ func TestSerializationDelay(t *testing.T) {
 	// 1 kB/s link: a message of wireSize w takes w ms of serialization on
 	// top of zero propagation.
 	n, conns := wire(t, fixedTopo(0, 1000), 1, "a", "b")
-	ctx := context.Background()
+	ctx := n.OpenWindow(context.Background())
 	tag := transport.ScopedWindowTag("", 3, "bulk")
 	payload := make([]byte, 100)
 	if err := conns["a"].Send(ctx, "b", tag, payload); err != nil {
@@ -146,7 +143,7 @@ func TestSerializationDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := time.Duration(transport.WireSize("a", "b", tag, payload)) * time.Millisecond
-	if lat, _ := n.ReleaseWindow("", 3); lat != want {
+	if lat, _ := EndWindow(ctx); lat != want {
 		t.Errorf("serialization latency = %v, want %v", lat, want)
 	}
 }
@@ -154,8 +151,10 @@ func TestSerializationDelay(t *testing.T) {
 func TestWindowsAreIndependentLanes(t *testing.T) {
 	const hop = 5 * time.Millisecond
 	n, conns := wire(t, fixedTopo(hop, 0), 1, "a", "b")
-	ctx := context.Background()
+	var ctxs []context.Context
 	for w := 0; w < 3; w++ {
+		ctx := n.OpenWindow(context.Background())
+		ctxs = append(ctxs, ctx)
 		if err := conns["a"].Send(ctx, "b", transport.ScopedWindowTag("", w, "t"), []byte{1}); err != nil {
 			t.Fatal(err)
 		}
@@ -163,24 +162,33 @@ func TestWindowsAreIndependentLanes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for w := 0; w < 3; w++ {
-		if lat, rounds := n.ReleaseWindow("", w); lat != hop || rounds != 1 {
+	for w, ctx := range ctxs {
+		if lat, rounds := EndWindow(ctx); lat != hop || rounds != 1 {
 			t.Errorf("window %d: latency %v rounds %d, want %v/1 (state leaked across windows)", w, lat, rounds, hop)
 		}
 	}
 }
 
+// TestSessionTagsUnmodeled: traffic sent under a context without a window
+// (the key exchange, a standalone party's) carries no delivery metadata, so
+// receiving it advances neither the receiver's clock nor its window.
 func TestSessionTagsUnmodeled(t *testing.T) {
 	n, conns := wire(t, fixedTopo(time.Second, 0), 1, "a", "b")
-	ctx := context.Background()
-	if err := conns["a"].Send(ctx, "b", "keys/paillier", []byte{1}); err != nil {
-		t.Fatal(err)
+	ctx := n.OpenWindow(context.Background())
+	bctx := WithClock(ctx)
+	for _, tag := range []string{"keys/paillier", transport.ScopedWindowTag("", 0, "t")} {
+		if err := conns["a"].Send(context.Background(), "b", tag, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conns["b"].Recv(bctx, "a", tag); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := conns["b"].Recv(ctx, "a", "keys/paillier"); err != nil {
-		t.Fatal(err)
+	if lat, depth := bctx.Value(clockKey{}).(*clock).snapshot(); lat != 0 || depth != 0 {
+		t.Errorf("windowless traffic advanced the receiver's clock: %v/%d", lat, depth)
 	}
-	if lat, rounds := n.ReleaseWindow("", 0); lat != 0 || rounds != 0 {
-		t.Errorf("session traffic advanced the virtual clock: %v/%d", lat, rounds)
+	if lat, rounds := EndWindow(ctx); lat != 0 || rounds != 0 {
+		t.Errorf("windowless traffic advanced the window: %v/%d", lat, rounds)
 	}
 }
 
@@ -188,8 +196,8 @@ func TestFIFODeliveryOrder(t *testing.T) {
 	// High jitter could reorder same-stream deliveries; the FIFO floor must
 	// keep them monotone, matching the mailbox's queue semantics.
 	topo := Topology{Name: "jittery", Base: LinkParams{Latency: 10 * time.Millisecond, Jitter: 9 * time.Millisecond}}
-	_, conns := wire(t, topo, 42, "a", "b")
-	ctx := context.Background()
+	n, conns := wire(t, topo, 42, "a", "b")
+	ctx := n.OpenWindow(context.Background())
 	bctx := WithClock(ctx)
 	tag := transport.ScopedWindowTag("", 0, "seq")
 	var prev time.Duration
@@ -215,8 +223,9 @@ func TestSeededDrawsAreDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		n, conns := wire(t, topo, 99, "a", "b", "c")
-		ctx := context.Background()
+		var ctx context.Context
 		for w := 0; w < 2; w++ {
+			ctx = n.OpenWindow(context.Background())
 			bctx := WithClock(ctx)
 			for i := 0; i < 10; i++ {
 				tag := transport.ScopedWindowTag("", w, "t")
@@ -234,8 +243,7 @@ func TestSeededDrawsAreDeterministic(t *testing.T) {
 				}
 			}
 		}
-		lat, rounds := n.ReleaseWindow("", 1)
-		return lat, rounds
+		return EndWindow(ctx) // window 1's
 	}
 	lat1, r1 := run()
 	lat2, r2 := run()
@@ -255,7 +263,7 @@ func TestBackToBackSendsQueueOnBandwidth(t *testing.T) {
 	// serialize one after another, so the last delivery lands at 5× the
 	// per-frame transmission time.
 	n, conns := wire(t, fixedTopo(0, 1000), 1, "a", "b")
-	ctx := context.Background()
+	ctx := n.OpenWindow(context.Background())
 	tag := transport.ScopedWindowTag("", 0, "bulk")
 	payload := make([]byte, 100)
 	for i := 0; i < 5; i++ {
@@ -269,7 +277,7 @@ func TestBackToBackSendsQueueOnBandwidth(t *testing.T) {
 		}
 	}
 	perFrame := time.Duration(transport.WireSize("a", "b", tag, payload)) * time.Millisecond
-	if lat, _ := n.ReleaseWindow("", 0); lat != 5*perFrame {
+	if lat, _ := EndWindow(ctx); lat != 5*perFrame {
 		t.Errorf("queued latency = %v, want %v", lat, 5*perFrame)
 	}
 }
@@ -305,7 +313,7 @@ func TestLossChargesRetransmissions(t *testing.T) {
 func TestForkBranchIsolation(t *testing.T) {
 	const hop = 10 * time.Millisecond
 	n, conns := wire(t, fixedTopo(hop, 0), 1, "hub", "x", "y")
-	ctx := context.Background()
+	ctx := n.OpenWindow(context.Background())
 	tagReq := transport.ScopedWindowTag("", 0, "req")
 	tagRep := transport.ScopedWindowTag("", 0, "rep")
 
@@ -348,7 +356,7 @@ func TestForkBranchIsolation(t *testing.T) {
 			t.Errorf("reply to %s arrived at %v, want %v (branches leaked)", ex.peer, got, ex.want)
 		}
 	}
-	if lat, rounds := n.ReleaseWindow("", 0); lat != 3*hop || rounds != 3 {
+	if lat, rounds := EndWindow(ctx); lat != 3*hop || rounds != 3 {
 		t.Errorf("window latency = %v rounds %d, want %v/3", lat, rounds, 3*hop)
 	}
 }
@@ -363,7 +371,7 @@ func TestBranchWithoutForkPassesThrough(t *testing.T) {
 func TestSendFailureRetractsMeta(t *testing.T) {
 	const hop = 10 * time.Millisecond
 	n, conns := wire(t, fixedTopo(hop, 0), 1, "a", "b")
-	ctx := context.Background()
+	ctx := n.OpenWindow(context.Background())
 	tag := transport.ScopedWindowTag("", 0, "t")
 
 	// Sending to an unknown party fails below the emulation layer; its
@@ -377,7 +385,7 @@ func TestSendFailureRetractsMeta(t *testing.T) {
 	if _, err := conns["b"].Recv(ctx, "a", tag); err != nil {
 		t.Fatal(err)
 	}
-	if lat, _ := n.ReleaseWindow("", 0); lat != hop {
+	if lat, _ := EndWindow(ctx); lat != hop {
 		t.Errorf("latency = %v, want %v (stale meta from failed send?)", lat, hop)
 	}
 }

@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// Allocation-budget tests for the transport hot path: the frame pool and
-// the metrics sink's window compaction. testing.AllocsPerRun's warm-up call
-// absorbs one-time pool priming, so the budgets are steady-state figures.
+// Allocation-budget tests for the transport hot path: the frame pool, the
+// window accounting on every send and the blocking receive.
+// testing.AllocsPerRun's warm-up call absorbs one-time pool priming, so the
+// budgets are steady-state figures.
 
 // TestFramePoolSteadyStateAllocFree pins the pooled frame cycle: once the
 // size class is primed, Get/Put allocates nothing.
@@ -26,30 +27,38 @@ func TestFramePoolSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestFoldWindowAllocFree pins the metrics compaction the engine runs after
-// every window: folding a completed window is
-// pure map surgery and must never allocate — it runs once per window for
-// the lifetime of a grid simulation.
-func TestFoldWindowAllocFree(t *testing.T) {
-	bus := NewBus(nil)
-	a := bus.MustRegister("a")
-	bus.MustRegister("b")
-	ctx := context.Background()
-
-	const windows = 128 // warm-up + measured runs each fold a distinct window
-	for w := 0; w < windows; w++ {
-		if err := a.Send(ctx, "b", ScopedWindowTag("c0", w, "role"), []byte{1}); err != nil {
-			t.Fatal(err)
+// TestWindowSendAllocFree pins the per-window accounting every send pays:
+// a bus Send and Recv under an open window add to the context's counters
+// and allocate nothing in steady state.
+func TestWindowSendAllocFree(t *testing.T) {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's instrumentation allocates")
+			}
 		}
 	}
-	m := bus.Metrics()
-	w := 0
+	bus := NewBus(nil)
+	a := bus.MustRegister("a")
+	b := bus.MustRegister("b")
+	ctx := bus.Metrics().OpenWindow(context.Background())
+	tag := ScopedWindowTag("c0", 0, "role")
+	payload := []byte{1}
 	avg := testing.AllocsPerRun(100, func() {
-		m.FoldWindow("c0", w)
-		w++
+		if err := a.Send(ctx, "b", tag, payload); err != nil {
+			t.Fatal(err)
+		}
+		p, err := b.Recv(ctx, "a", tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		PutFrame(p)
 	})
 	if avg != 0 {
-		t.Errorf("FoldWindow: %.1f allocs/op, want 0", avg)
+		t.Errorf("window Send+Recv: %.1f allocs/op, want 0", avg)
+	}
+	if _, msgs := EndWindow(ctx); msgs != 101 {
+		t.Errorf("window counted %d messages, want 101", msgs)
 	}
 }
 

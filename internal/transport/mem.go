@@ -100,7 +100,7 @@ func (c *memConn) Send(ctx context.Context, to, tag string, payload []byte) erro
 	if err := dst.mbox.push(msg); err != nil {
 		return fmt.Errorf("transport: send to %q: %w", to, err)
 	}
-	c.bus.metrics.recordSend(tag, msg.wireSize())
+	c.bus.metrics.recordSend(ctx, msg.wireSize())
 	return nil
 }
 

@@ -1,99 +1,74 @@
 package transport
 
-import "sync"
+import (
+	"context"
+	"sync/atomic"
+)
 
-// windowKey names one window of one scope: the unit a window namespace tag
-// (see ScopedWindowTag) attributes its message to.
-type windowKey struct {
-	scope  string
-	window int
-}
-
-// windowCounters holds one live window's traffic.
-type windowCounters struct {
-	bytes, msgs int64
-}
-
-// Metrics is a bus's traffic sink. It keeps two kinds of figure: the totals
-// over every message sent — the Table I bandwidth ("average bandwidth over m
-// trading windows of all the smart homes") — and, for each window still
-// running, that window's bytes and messages. A message is attributed to the
-// (scope, window) its tag names, so windows executing concurrently —
-// same-numbered windows of different coalitions on one bus included — are
-// counted apart.
+// Metrics is a bus's traffic sink: the totals over every message sent —
+// the Table I bandwidth ("average bandwidth over m trading windows of all
+// the smart homes").
 //
-// A window's counters live only as long as the window: the engine ends it
-// with FoldWindow, which drops them and returns them for the window's
-// WindowResult, so the sink holds O(windows in flight) however long a run
-// goes. Every per-window, per-coalition or per-epoch figure is read from
-// those results, never from here.
+// A window's own traffic rides its context, not the sink: OpenWindow
+// attaches fresh counters, every Send under that context (or one derived
+// from it) adds to them, and EndWindow reads them back for the window's
+// WindowResult. Windows executing concurrently — same-numbered windows of
+// different coalitions on one bus included — therefore count apart, and
+// the sink holds no per-window state however long a run goes. Traffic
+// whose context carries no window (the key exchange, a standalone party's
+// windows) lands in the totals only.
 type Metrics struct {
-	mu      sync.Mutex
-	windows map[windowKey]*windowCounters
-	totalB  int64
-	totalM  int64
+	totalB, totalM atomic.Int64
+	live           atomic.Int64
+}
+
+// windowKey keys the traffic counters a window's context carries.
+type windowKey struct{}
+
+// windowTraffic is one open window's bytes and messages.
+type windowTraffic struct {
+	sink        *Metrics
+	bytes, msgs atomic.Int64
 }
 
 // NewMetrics creates an empty sink.
-func NewMetrics() *Metrics {
-	return &Metrics{windows: make(map[windowKey]*windowCounters)}
+func NewMetrics() *Metrics { return &Metrics{} }
+
+// OpenWindow returns a context carrying one window's fresh traffic
+// counters. Close it with EndWindow once the window's last send is done.
+func (m *Metrics) OpenWindow(ctx context.Context) context.Context {
+	m.live.Add(1)
+	return context.WithValue(ctx, windowKey{}, &windowTraffic{sink: m})
 }
 
-func (m *Metrics) recordSend(tag string, n int) {
-	scope, w, _, scoped := ParseScopedWindowTag(tag)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.totalB += int64(n)
-	m.totalM++
-	if !scoped {
-		return
-	}
-	k := windowKey{scope, w}
-	wc := m.windows[k]
-	if wc == nil {
-		wc = &windowCounters{}
-		m.windows[k] = wc
-	}
-	wc.bytes += int64(n)
-	wc.msgs++
-}
-
-// FoldWindow ends one window of one scope (the empty scope is the
-// solo-engine namespace): it drops the window's counters and returns the
-// bytes and messages they held; the totals keep its traffic. The engine
-// calls it once per window, failed windows included, so a second fold of
-// the same window returns zero.
-func (m *Metrics) FoldWindow(scope string, window int) (bytes, msgs int64) {
-	k := windowKey{scope, window}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	wc := m.windows[k]
-	if wc == nil {
+// EndWindow closes the window ctx carries and returns the bytes and
+// messages sent under it; the sink's totals keep that traffic. A context
+// without a window returns zero. Call it once per OpenWindow.
+func EndWindow(ctx context.Context) (bytes, msgs int64) {
+	w, ok := ctx.Value(windowKey{}).(*windowTraffic)
+	if !ok {
 		return 0, 0
 	}
-	delete(m.windows, k)
-	return wc.bytes, wc.msgs
+	w.sink.live.Add(-1)
+	return w.bytes.Load(), w.msgs.Load()
+}
+
+func (m *Metrics) recordSend(ctx context.Context, n int) {
+	m.totalB.Add(int64(n))
+	m.totalM.Add(1)
+	if w, ok := ctx.Value(windowKey{}).(*windowTraffic); ok {
+		w.bytes.Add(int64(n))
+		w.msgs.Add(1)
+	}
 }
 
 // TotalBytes returns the total bytes sent across all parties.
-func (m *Metrics) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.totalB
-}
+func (m *Metrics) TotalBytes() int64 { return m.totalB.Load() }
 
 // TotalMessages returns the total number of messages sent.
-func (m *Metrics) TotalMessages() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.totalM
-}
+func (m *Metrics) TotalMessages() int64 { return m.totalM.Load() }
 
-// LiveWindows reports how many windows the sink currently holds counters
-// for — zero once every window a run started has been folded. Tests use it
-// to assert that contract; it is not a traffic metric.
-func (m *Metrics) LiveWindows() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.windows)
-}
+// LiveWindows reports how many windows opened on this sink are not yet
+// ended — zero once every window a run started has ended. Tests use it to
+// assert that contract; it is not a traffic metric.
+func (m *Metrics) LiveWindows() int { return int(m.live.Load()) }

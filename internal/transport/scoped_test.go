@@ -62,26 +62,26 @@ func TestScopedMetricsIsolation(t *testing.T) {
 	bus := NewBus(nil)
 	a := bus.MustRegister("a")
 	bus.MustRegister("b")
-	ctx := context.Background()
+	m := bus.Metrics()
 
-	send := func(tag string, n int) {
+	send := func(ctx context.Context, tag string, n int) {
 		t.Helper()
 		if err := a.Send(ctx, "b", tag, make([]byte, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	send(ScopedWindowTag("c0", 3, "role"), 100)
-	send(ScopedWindowTag("c1", 3, "role"), 1000)
-	send(ScopedWindowTag("", 3, "role"), 10)
-	send("keys/paillier", 7) // session-scoped: counted only in totals
+	c0, c1, soloCtx := m.OpenWindow(context.Background()), m.OpenWindow(context.Background()), m.OpenWindow(context.Background())
+	send(c0, ScopedWindowTag("c0", 3, "role"), 100)
+	send(c1, ScopedWindowTag("c1", 3, "role"), 1000)
+	send(soloCtx, ScopedWindowTag("", 3, "role"), 10)
+	send(context.Background(), "keys/paillier", 7) // no window: counted only in totals
 
-	m := bus.Metrics()
 	if m.LiveWindows() != 3 {
 		t.Errorf("LiveWindows = %d, want 3", m.LiveWindows())
 	}
-	w0, _ := m.FoldWindow("c0", 3)
-	w1, _ := m.FoldWindow("c1", 3)
-	solo, _ := m.FoldWindow("", 3)
+	w0, _ := EndWindow(c0)
+	w1, _ := EndWindow(c1)
+	solo, _ := EndWindow(soloCtx)
 	if w0 == 0 || w1 == 0 || solo == 0 {
 		t.Fatalf("missing attribution: c0=%d c1=%d solo=%d", w0, w1, solo)
 	}
@@ -116,56 +116,53 @@ func TestScopedMailboxIsolation(t *testing.T) {
 	}
 }
 
-// TestFoldWindowKeepsAggregates is the compaction contract: folding a
-// completed window zeroes only that window's counters while the totals it
-// fed and every other live window stay exact.
+// TestFoldWindowKeepsAggregates is the window-end contract: ending a
+// window folds out only that window's counters while the totals it fed and
+// every other open window stay exact.
 func TestFoldWindowKeepsAggregates(t *testing.T) {
 	bus := NewBus(nil)
 	a := bus.MustRegister("a")
 	bus.MustRegister("b")
-	ctx := context.Background()
+	m := bus.Metrics()
 
-	send := func(tag string, n int) {
+	send := func(ctx context.Context, tag string, n int) {
 		t.Helper()
 		if err := a.Send(ctx, "b", tag, make([]byte, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	send(ScopedWindowTag("c0", 1, "role"), 100)
-	send(ScopedWindowTag("c0", 2, "pme/x"), 200)
-	send(ScopedWindowTag("c1", 1, "role"), 50)
+	c0w1, c0w2, c1w1 := m.OpenWindow(context.Background()), m.OpenWindow(context.Background()), m.OpenWindow(context.Background())
+	send(c0w1, ScopedWindowTag("c0", 1, "role"), 100)
+	send(c0w2, ScopedWindowTag("c0", 2, "pme/x"), 200)
+	send(c1w1, ScopedWindowTag("c1", 1, "role"), 50)
 
-	m := bus.Metrics()
 	totalB, totalM := m.TotalBytes(), m.TotalMessages()
 	kept := int64(WireSize("a", "b", ScopedWindowTag("c0", 2, "pme/x"), make([]byte, 200)))
 	if m.LiveWindows() != 3 {
 		t.Fatalf("LiveWindows = %d, want 3", m.LiveWindows())
 	}
 
-	if b, msgs := m.FoldWindow("c0", 1); b != int64(WireSize("a", "b", ScopedWindowTag("c0", 1, "role"), make([]byte, 100))) || msgs != 1 {
-		t.Errorf("fold returned %d bytes over %d messages", b, msgs)
-	}
-
-	if b, msgs := m.FoldWindow("c0", 1); b != 0 || msgs != 0 {
-		t.Errorf("folded window still reports %d bytes over %d messages", b, msgs)
+	if b, msgs := EndWindow(c0w1); b != int64(WireSize("a", "b", ScopedWindowTag("c0", 1, "role"), make([]byte, 100))) || msgs != 1 {
+		t.Errorf("end returned %d bytes over %d messages", b, msgs)
 	}
 	if m.LiveWindows() != 2 {
-		t.Errorf("LiveWindows = %d after fold, want 2", m.LiveWindows())
+		t.Errorf("LiveWindows = %d after end, want 2", m.LiveWindows())
 	}
-	// Unfolded state is untouched.
-	if got, _ := m.FoldWindow("c0", 2); got != kept {
-		t.Errorf("unfolded window reads %d bytes, want %d", got, kept)
+	// Open windows are untouched.
+	if got, _ := EndWindow(c0w2); got != kept {
+		t.Errorf("open window reads %d bytes, want %d", got, kept)
 	}
-	if got, _ := m.FoldWindow("c1", 1); got == 0 {
+	if got, _ := EndWindow(c1w1); got == 0 {
 		t.Error("other scope lost its bytes")
 	}
 	if m.TotalBytes() != totalB || m.TotalMessages() != totalM {
-		t.Error("totals changed across fold")
+		t.Error("totals changed across end")
 	}
-	// Folding is idempotent and tolerant of unknown keys.
-	m.FoldWindow("c0", 1)
-	m.FoldWindow("nope", 9)
 	if m.LiveWindows() != 0 {
-		t.Errorf("LiveWindows = %d after repeat folds, want 0", m.LiveWindows())
+		t.Errorf("LiveWindows = %d after every end, want 0", m.LiveWindows())
+	}
+	// A context without a window ends nothing.
+	if b, msgs := EndWindow(context.Background()); b != 0 || msgs != 0 || m.LiveWindows() != 0 {
+		t.Errorf("windowless end returned %d bytes over %d messages", b, msgs)
 	}
 }

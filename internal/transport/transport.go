@@ -11,7 +11,8 @@
 // one connection without interfering.
 //
 // All byte counts that flow through a Conn are recorded in a Metrics sink,
-// which the Table I bandwidth experiment reads.
+// which the Table I bandwidth experiment reads; a window's own share is
+// counted on the context it sends under (Metrics.OpenWindow, EndWindow).
 package transport
 
 import (
@@ -31,8 +32,8 @@ import (
 // demultiplexing key differs in the window prefix, and out-of-order
 // arrivals from a faster window simply buffer in their own queues.
 // Concurrent coalitions over one shared bus reuse window numbers freely:
-// the scope prefix keeps their demultiplexing keys — and their per-window
-// accounting — disjoint even if a party ID ever appeared in two rosters.
+// the scope prefix keeps their demultiplexing keys disjoint even if a party
+// ID ever appeared in two rosters.
 // The empty scope is the solo-engine wire format. Session-scoped traffic
 // (e.g. the Paillier key exchange) uses bare tags outside any window
 // namespace.
@@ -49,8 +50,9 @@ func ScopedWindowTag(scope string, window int, tag string) string {
 // ParseScopedWindowTag is the one parser of the window namespace: it splits
 // a tag of either form ScopedWindowTag builds into its scope (empty for the
 // unscoped form), window number and bare protocol tag. ok is false for
-// session-scoped tags outside any window namespace. Metrics, the network
-// emulation and FaultConn all attribute traffic to a window through it.
+// session-scoped tags outside any window namespace. FaultConn is its one
+// attributing user: a window's traffic and emulation state ride the
+// window's context instead (Metrics.OpenWindow).
 func ParseScopedWindowTag(tag string) (scope string, window int, rest string, ok bool) {
 	head, tail, found := strings.Cut(tag, "/")
 	if !found {

@@ -191,7 +191,7 @@ func TestMetricsAccounting(t *testing.T) {
 		t.Errorf("TotalMessages = %d, want 1", m.TotalMessages())
 	}
 	if m.LiveWindows() != 0 {
-		t.Errorf("session-tagged message opened %d window counters", m.LiveWindows())
+		t.Errorf("a send whose context has no window opened %d windows", m.LiveWindows())
 	}
 }
 
@@ -484,28 +484,28 @@ func TestMetricsWindowBytes(t *testing.T) {
 	bus := NewBus(nil)
 	a := bus.MustRegister("a")
 	bus.MustRegister("b")
-	ctx := context.Background()
+	m := bus.Metrics()
+	w4, w5, w7 := m.OpenWindow(context.Background()), m.OpenWindow(context.Background()), m.OpenWindow(context.Background())
 
 	payload := []byte("0123456789")
-	if err := a.Send(ctx, "b", ScopedWindowTag("", 4, "pme/rb"), payload); err != nil {
+	if err := a.Send(w4, "b", ScopedWindowTag("", 4, "pme/rb"), payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(ctx, "b", ScopedWindowTag("", 7, "pme/rb"), payload); err != nil {
+	if err := a.Send(w7, "b", ScopedWindowTag("", 7, "pme/rb"), payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(ctx, "b", "keys/paillier", payload); err != nil {
+	if err := a.Send(context.Background(), "b", "keys/paillier", payload); err != nil {
 		t.Fatal(err)
 	}
-	m := bus.Metrics()
-	b4, _ := m.FoldWindow("", 4)
-	b7, _ := m.FoldWindow("", 7)
+	b4, _ := EndWindow(w4)
+	b7, _ := EndWindow(w7)
 	if b4 <= 0 || b7 <= 0 {
 		t.Fatalf("window bytes not recorded: w4=%d w7=%d", b4, b7)
 	}
 	if b4+b7 >= m.TotalBytes() {
 		t.Fatalf("session traffic leaked into window accounting: %d+%d vs total %d", b4, b7, m.TotalBytes())
 	}
-	if b5, _ := m.FoldWindow("", 5); b5 != 0 {
+	if b5, _ := EndWindow(w5); b5 != 0 {
 		t.Error("untouched window has traffic")
 	}
 }

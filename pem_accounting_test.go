@@ -181,7 +181,7 @@ func TestConfigSurface(t *testing.T) {
 		"core.Resources": {fields(core.Resources{}),
 			"Bus Scope Workers Keys"},
 		"*transport.Metrics": {methods(&transport.Metrics{}),
-			"FoldWindow LiveWindows TotalBytes TotalMessages"},
+			"LiveWindows OpenWindow TotalBytes TotalMessages"},
 	}
 	for name, s := range surface {
 		if s[0] != s[1] {
