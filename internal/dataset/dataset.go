@@ -407,11 +407,10 @@ func (cfg Config) synthesizeDay(home Home, daySeed int64, gen, load, batt []floa
 	evening := 18.2 + rng.NormFloat64()*0.5
 	morningAmp := home.BaseLoadKW * (1.0 + rng.Float64())
 	eveningAmp := home.BaseLoadKW * (1.5 + rng.Float64())
+	morningBell, eveningBell := newBell(morning, 0.8), newBell(evening, 1.1)
 	level := 0.0 // battery state of charge (kWh)
 
 	for w := 0; w < cfg.Windows; w++ {
-		hour := cfg.StartHour + float64(w)/60
-
 		// Solar: the day shape's clear-sky factor scaled by the panels.
 		sunKW := home.SolarCapKW * cfg.sky[w]
 		cloud = clamp(0.92*cloud+0.08*(cfg.CloudFloor+cloudBand*rng.Float64()), cfg.CloudFloor, cfg.CloudCeil)
@@ -419,8 +418,8 @@ func (cfg Config) synthesizeDay(home Home, daySeed int64, gen, load, batt []floa
 
 		// Load: base + peaks + noise, never negative.
 		loadKW := home.BaseLoadKW +
-			morningAmp*gauss(hour, morning, 0.8) +
-			eveningAmp*gauss(hour, evening, 1.1) +
+			morningAmp*morningBell.next(cfg.StartHour, w) +
+			eveningAmp*eveningBell.next(cfg.StartHour, w) +
 			rng.NormFloat64()*0.05*home.BaseLoadKW
 		if loadKW < 0.05 {
 			loadKW = 0.05
@@ -487,9 +486,34 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-func gauss(x, mean, sigma float64) float64 {
-	d := (x - mean) / sigma
-	return math.Exp(-0.5 * d * d)
+// bell steps a load peak exp(−½d²), d = (hour − mean)/sigma, one window
+// (1/60 h) at a time without a transcendental: with s = 1/(60·sigma) the
+// next value is this one times q = exp(−s·d − s²/2), and q itself scales by
+// r = exp(−s²) per window. math.Exp re-anchors v and q at window 0 and every
+// bellAnchor windows after, which keeps the drift near 3e-13 relative
+// (TestBellRecurrenceBound). A bell that is 0 stays 0 to its next anchor:
+// far from the mean q may be +Inf, and 0·Inf is NaN.
+type bell struct{ mean, sigma, s, r, v, q float64 }
+
+// bellAnchor is how many windows (an hour's) a bell steps between anchors.
+const bellAnchor = 60
+
+func newBell(mean, sigma float64) bell {
+	s := 1 / (60 * sigma)
+	return bell{mean: mean, sigma: sigma, s: s, r: math.Exp(-s * s)}
+}
+
+// next returns the bell at window w of a day starting at startHour; a
+// bell's windows must be asked for in order from 0.
+func (b *bell) next(startHour float64, w int) float64 {
+	if w%bellAnchor == 0 {
+		d := (startHour + float64(w)/60 - b.mean) / b.sigma
+		b.v, b.q = math.Exp(-0.5*d*d), math.Exp(-b.s*d-0.5*b.s*b.s)
+	} else if b.v != 0 {
+		b.v *= b.q
+		b.q *= b.r
+	}
+	return b.v
 }
 
 // Agents converts the homes into market agents.
