@@ -71,25 +71,26 @@ func GenerateFleet(cfg FleetConfig) (*Trace, error) {
 // ErrCoalitionSkipped marks coalitions that were never launched because the
 // grid had stopped admitting work: after an earlier coalition's failure, a
 // context cancellation or a sink/store error (the message says which). A
-// coalition folded below MinCoalition is not skipped: it has Err nil and
-// CoalitionRun.Folded set.
+// coalition folded below MinCoalition agents is not skipped: it has Err nil
+// and CoalitionRun.Folded set.
 var ErrCoalitionSkipped = grid.ErrCoalitionSkipped
 
 // GridConfig configures a sharded coalition grid.
 type GridConfig struct {
 	// Market is the per-coalition market configuration: every coalition
 	// runs a full private market under it (key size, aggregation topology,
-	// network emulation, seed); a grid ignores Market.Store and runs each
-	// coalition's windows one after another. One crypto worker pool of
-	// runtime.NumCPU() workers is shared across coalitions, so it bounds
-	// the whole process. Each completed coalition-day carries its own
-	// tamper-evident chain in CoalitionRun.Ledger, committed on the
-	// settlement path.
+	// network emulation, seed), its windows one after another. A grid
+	// refuses Market.Store: coalitions persist through Store below. One
+	// crypto worker pool of runtime.NumCPU() workers is shared across
+	// coalitions, so it bounds the whole process. Each completed
+	// coalition-day carries its own tamper-evident chain in
+	// CoalitionRun.Ledger, committed on the settlement path.
 	Market Config
 	// Coalitions is how many coalitions to partition the fleet into
 	// (required; the partition gives each at least two agents, so at most
-	// half the fleet). A coalition below MinCoalition — 3 by default — is
-	// folded into grid settlement instead of running a private market.
+	// half the fleet). A coalition below MinCoalition agents is folded: its
+	// agents trade at the grid tariff, and it is delivered and settled like
+	// any other, with CoalitionRun.Folded set and Err nil.
 	Coalitions int
 	// Partition selects the strategy: PartitionFixed (default),
 	// PartitionRandom (seeded by Market.Seed, 0 when unset) or
@@ -99,12 +100,6 @@ type GridConfig struct {
 	// coalition-days run concurrently (default: all). Outcomes are
 	// bit-identical at any setting when Market.Seed is set.
 	MaxConcurrentCoalitions int
-	// MinCoalition is the smallest roster that still runs a private market
-	// (default DefaultMinCoalition = 3). A smaller coalition is folded: its
-	// agents trade at the grid tariff, and it is delivered and settled like
-	// any other, with CoalitionRun.Folded set and Err nil. Set to 2 to run
-	// every coalition the partitioner can produce.
-	MinCoalition int
 	// Tiers makes settlement hierarchical — a grid of grids. Tiers[0]
 	// consecutive coalitions form a district, Tiers[1] districts a region,
 	// and so on; each tier nets its children's surplus against their
@@ -117,8 +112,7 @@ type GridConfig struct {
 	// ledger blocks, key-material fingerprints and settlement aggregate,
 	// under the coalition's scope ("c00", "c01", …) — in partition order,
 	// before the streaming payload release. A store error aborts the run
-	// like a sink error. Market.Store is ignored in a grid (coalitions
-	// persist through this field instead).
+	// like a sink error.
 	Store Store `json:"-"`
 }
 
@@ -131,7 +125,6 @@ func (cfg GridConfig) live() LiveGridConfig {
 		Coalitions:              cfg.Coalitions,
 		Partition:               cfg.Partition,
 		MaxConcurrentCoalitions: cfg.MaxConcurrentCoalitions,
-		MinCoalition:            cfg.MinCoalition,
 		Tiers:                   cfg.Tiers,
 		Store:                   cfg.Store,
 	}

@@ -50,8 +50,10 @@ type ChurnEvent struct {
 }
 
 // ChurnConfig controls the churn model of an Evolve run. All rates are
-// per-agent-per-boundary probabilities drawn from a seeded stream, so the
-// same config always produces the same schedule.
+// per-agent-per-boundary probabilities drawn from streams derived from the
+// fleet seed, so the same configs always produce the same schedule. Joining
+// agents cycle through DefaultFleetScenarios() in join order, and the
+// roster never churns below minHomes.
 type ChurnConfig struct {
 	// Epochs is the total number of epochs to simulate, including the base
 	// epoch 0 (required, ≥ 1). Churn applies at the Epochs−1 boundaries.
@@ -65,18 +67,12 @@ type ChurnConfig struct {
 	// FailRate is the per-agent probability of a crash-style failure at
 	// each boundary. DepartRate+FailRate must stay below 1.
 	FailRate float64
-	// MinHomes is the roster floor (default 4, minimum 2): departures and
-	// failures are vetoed, deterministically and in roster order, when they
-	// would drop the fleet below it — a live market needs counterparties.
-	MinHomes int
-	// Seed drives the churn schedule and the joining agents' synthesis
-	// (default: the fleet seed). Per-boundary and per-join streams are
-	// derived from it.
-	Seed int64
-	// Scenarios assigns presets to joining agents, cycling in join order
-	// (default DefaultFleetScenarios()).
-	Scenarios []Scenario
 }
+
+// minHomes is the churn roster floor: departures and failures are vetoed,
+// deterministically and in roster order, when they would drop the fleet
+// below it — a live market needs counterparties.
+const minHomes = 4
 
 // Validate checks the churn configuration.
 func (c ChurnConfig) Validate() error {
@@ -90,9 +86,6 @@ func (c ChurnConfig) Validate() error {
 	}
 	if c.DepartRate+c.FailRate >= 1 {
 		return fmt.Errorf("dataset: DepartRate+FailRate = %v leaves no survivors", c.DepartRate+c.FailRate)
-	}
-	if c.MinHomes < 0 || c.MinHomes == 1 {
-		return fmt.Errorf("dataset: MinHomes %d out of range (0 = default 4, minimum 2: a market needs a counterparty)", c.MinHomes)
 	}
 	return nil
 }
@@ -129,7 +122,7 @@ type Evolution struct {
 // and each later epoch applies seeded churn (joins, planned departures,
 // crash failures) to the previous roster and redraws every present home's
 // day of trace data. Fully deterministic given the two configs: the churn
-// schedule derives from the churn seed, each epoch's day data from
+// schedule derives from the fleet seed, each epoch's day data from
 // per-(epoch, home) streams, and each joining agent's static parameters
 // from a per-(boundary, join) stream — so any (epoch, home) slice of the
 // evolution is independent of everything else that happened.
@@ -137,16 +130,7 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 	if err := churn.Validate(); err != nil {
 		return nil, err
 	}
-	if churn.MinHomes == 0 {
-		churn.MinHomes = 4
-	}
-	if churn.Seed == 0 {
-		churn.Seed = fleet.Seed
-	}
-	scenarios := churn.Scenarios
-	if len(scenarios) == 0 {
-		scenarios = DefaultFleetScenarios()
-	}
+	scenarios := DefaultFleetScenarios()
 
 	base, err := GenerateFleet(fleet)
 	if err != nil {
@@ -159,7 +143,7 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 	joinSerial := 0 // total joins so far, cycles the scenario rotation
 	for e := 1; e < churn.Epochs; e++ {
 		rng := dayRands.Get().(*mrand.Rand)
-		rng.Seed(DeriveSeed("evolve", churn.Seed, fmt.Sprintf("boundary/%d", e)))
+		rng.Seed(DeriveSeed("evolve", fleet.Seed, fmt.Sprintf("boundary/%d", e)))
 
 		// Draw leavers in roster order: one uniform per agent decides
 		// depart / fail / stay, so the schedule is stable under any later
@@ -182,9 +166,9 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 		}
 		dayRands.Put(rng)
 		// Roster floor: veto leavers in roster order until the surviving
-		// fleet (plus joins) stays at or above MinHomes.
+		// fleet (plus joins) stays at or above minHomes.
 		for _, h := range roster {
-			if len(roster)-len(leaving)+nJoin >= churn.MinHomes {
+			if len(roster)-len(leaving)+nJoin >= minHomes {
 				break
 			}
 			delete(leaving, h.ID)
@@ -205,7 +189,7 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 			}
 		}
 		for j := 0; j < nJoin; j++ {
-			home, err := synthesizeJoin(churn.Seed, e, j, scenarios[joinSerial%len(scenarios)])
+			home, err := synthesizeJoin(fleet.Seed, e, j, scenarios[joinSerial%len(scenarios)])
 			if err != nil {
 				return nil, err
 			}
@@ -216,7 +200,7 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 		}
 		roster = next
 
-		tr, err := epochTrace(churn.Seed, e, roster, base.Windows, base.StartHour, fleet.OnDemand)
+		tr, err := epochTrace(fleet.Seed, e, roster, base.Windows, base.StartHour, fleet.OnDemand)
 		if err != nil {
 			return nil, err
 		}

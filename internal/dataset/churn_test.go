@@ -120,13 +120,17 @@ func TestEvolveChurnApplied(t *testing.T) {
 }
 
 // TestEvolveRosterFloor: brutal departure rates must not shrink the fleet
-// below MinHomes — leavers are vetoed deterministically instead.
+// below minHomes — leavers are vetoed deterministically instead — and the
+// fleet does reach the floor.
 func TestEvolveRosterFloor(t *testing.T) {
-	evo := testEvolution(t, ChurnConfig{Epochs: 6, DepartRate: 0.45, FailRate: 0.4, MinHomes: 5})
+	evo := testEvolution(t, ChurnConfig{Epochs: 6, DepartRate: 0.45, FailRate: 0.4})
 	for _, ef := range evo.Epochs {
-		if len(ef.Trace.Homes) < 5 {
-			t.Fatalf("epoch %d roster %d below floor 5", ef.Epoch, len(ef.Trace.Homes))
+		if len(ef.Trace.Homes) < minHomes {
+			t.Fatalf("epoch %d roster %d below floor %d", ef.Epoch, len(ef.Trace.Homes), minHomes)
 		}
+	}
+	if last := evo.Epochs[len(evo.Epochs)-1]; len(last.Trace.Homes) != minHomes {
+		t.Errorf("last epoch roster %d, want the floor %d", len(last.Trace.Homes), minHomes)
 	}
 }
 
@@ -155,20 +159,17 @@ func TestEvolveTraceSane(t *testing.T) {
 }
 
 // TestEvolveRejectsBadConfig: churn the run could not honour fails up
-// front. A NaN or infinite rate would otherwise draw no churn at all, and a
-// one-home floor would let churn empty a coalition after earlier epochs had
-// traded (and been checkpointed).
+// front. A NaN or infinite rate would otherwise draw no churn at all.
 func TestEvolveRejectsBadConfig(t *testing.T) {
 	fleet := FleetConfig{Coalitions: 1, HomesPerCoalition: 4, Windows: 2, Seed: 1}
 	cases := map[string]ChurnConfig{
-		"zero epochs":           {Epochs: 0},
-		"depart+fail ≥ 1":       {Epochs: 2, DepartRate: 0.6, FailRate: 0.5},
-		"negative join rate":    {Epochs: 2, JoinRate: -0.1},
-		"NaN join rate":         {Epochs: 2, JoinRate: math.NaN()},
-		"NaN depart rate":       {Epochs: 2, DepartRate: math.NaN()},
-		"NaN fail rate":         {Epochs: 2, FailRate: math.NaN()},
-		"infinite join rate":    {Epochs: 2, JoinRate: math.Inf(1)},
-		"one-home roster floor": {Epochs: 2, DepartRate: 0.5, MinHomes: 1},
+		"zero epochs":        {Epochs: 0},
+		"depart+fail ≥ 1":    {Epochs: 2, DepartRate: 0.6, FailRate: 0.5},
+		"negative join rate": {Epochs: 2, JoinRate: -0.1},
+		"NaN join rate":      {Epochs: 2, JoinRate: math.NaN()},
+		"NaN depart rate":    {Epochs: 2, DepartRate: math.NaN()},
+		"NaN fail rate":      {Epochs: 2, FailRate: math.NaN()},
+		"infinite join rate": {Epochs: 2, JoinRate: math.Inf(1)},
 	}
 	for name, churn := range cases {
 		if _, err := Evolve(fleet, churn); err == nil {

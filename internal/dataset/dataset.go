@@ -33,7 +33,9 @@ import (
 	"github.com/pem-go/pem/internal/market"
 )
 
-// Config controls trace synthesis.
+// Config controls trace synthesis. Every home's preference parameter k_i
+// and battery loss coefficient ε_i are drawn from the fixed bands [60, 110]
+// and [0.75, 0.95].
 type Config struct {
 	// Homes is the number of smart homes (the paper sweeps 100–300).
 	Homes int
@@ -68,16 +70,6 @@ type Config struct {
 	// BaseLoadMinKW and BaseLoadMaxKW bound the per-home base load
 	// (defaults 0.3 and 1.2 kW).
 	BaseLoadMinKW, BaseLoadMaxKW float64
-
-	// KMin and KMax bound the preference parameter k_i (defaults 60 and
-	// 110, which places the unclamped Stackelberg price near the paper's
-	// [90,110] band; the Fig 6b experiment overrides k per tracked
-	// seller).
-	KMin, KMax float64
-
-	// EpsilonMin and EpsilonMax bound the battery loss coefficient
-	// (defaults 0.75 and 0.95).
-	EpsilonMin, EpsilonMax float64
 
 	// BatteryFraction of homes have a battery (default 0.3); capacities
 	// are drawn in [BatteryCapMinKWh, BatteryCapMaxKWh] (defaults 2 and
@@ -135,18 +127,6 @@ func (c Config) withDefaults() Config {
 	if c.BaseLoadMaxKW == 0 {
 		c.BaseLoadMaxKW = 1.2
 	}
-	if c.KMin == 0 {
-		c.KMin = 60
-	}
-	if c.KMax == 0 {
-		c.KMax = 110
-	}
-	if c.EpsilonMin == 0 {
-		c.EpsilonMin = 0.75
-	}
-	if c.EpsilonMax == 0 {
-		c.EpsilonMax = 0.95
-	}
 	if c.BatteryFraction == 0 {
 		c.BatteryFraction = 0.3
 	}
@@ -189,8 +169,6 @@ func (c Config) Validate() error {
 		{"CloudFloor/CloudCeil", c.CloudFloor, c.CloudCeil},
 		{"SolarFraction", c.SolarFraction, c.SolarFraction},
 		{"BaseLoadMinKW/BaseLoadMaxKW", c.BaseLoadMinKW, c.BaseLoadMaxKW},
-		{"KMin/KMax", c.KMin, c.KMax},
-		{"EpsilonMin/EpsilonMax", c.EpsilonMin, c.EpsilonMax},
 		{"BatteryFraction", c.BatteryFraction, c.BatteryFraction},
 		{"BatteryCapMinKWh/BatteryCapMaxKWh", c.BatteryCapMinKWh, c.BatteryCapMaxKWh},
 	} {
@@ -332,9 +310,11 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 		home := Home{
 			ID:         fmt.Sprintf("%s%03d", cfg.IDPrefix, h),
 			BaseLoadKW: uniform(rng, cfg.BaseLoadMinKW, cfg.BaseLoadMaxKW),
-			K:          uniform(rng, cfg.KMin, cfg.KMax),
-			Epsilon:    uniform(rng, cfg.EpsilonMin, cfg.EpsilonMax),
-			Scenario:   cfg.Scenario,
+			// The k band places the unclamped Stackelberg price near the
+			// paper's [90, 110].
+			K:        uniform(rng, 60, 110),
+			Epsilon:  uniform(rng, 0.75, 0.95),
+			Scenario: cfg.Scenario,
 		}
 		if rng.Float64() < cfg.SolarFraction {
 			home.SolarCapKW = uniform(rng, cfg.SolarCapMinKW, cfg.SolarCapMaxKW)

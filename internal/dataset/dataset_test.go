@@ -91,10 +91,6 @@ func TestGenerateValidation(t *testing.T) {
 		{"SolarCapMaxKW", func(c *Config) { c.SolarCapMaxKW = inf }},
 		{"BaseLoadMinKW", func(c *Config) { c.BaseLoadMinKW = 3 }},
 		{"BaseLoadMaxKW", func(c *Config) { c.BaseLoadMaxKW = nan }},
-		{"KMin", func(c *Config) { c.KMin = 200 }},
-		{"KMax", func(c *Config) { c.KMax = inf }},
-		{"EpsilonMin", func(c *Config) { c.EpsilonMin = 0.99 }},
-		{"EpsilonMax", func(c *Config) { c.EpsilonMax = nan }},
 		{"SolarFraction", func(c *Config) { c.SolarFraction = nan }},
 		{"BatteryFraction", func(c *Config) { c.BatteryFraction = -inf }},
 		{"BatteryCapMinKWh", func(c *Config) { c.BatteryCapMinKWh = 12 }},

@@ -14,15 +14,17 @@ import (
 // day, which is exactly what gives cross-coalition settlement something to
 // net.
 
-// DefaultFleetScenarios is the rotation GenerateFleet assigns when the
-// caller does not pick presets per block: one exporter-leaning preset, two
-// importer-leaning ones and a storage-heavy mix, so a default fleet has
-// residuals on both sides to settle.
+// DefaultFleetScenarios is the preset rotation GenerateFleet assigns its
+// blocks and Evolve its joining agents: one exporter-leaning preset, two
+// importer-leaning ones and a storage-heavy mix, so a fleet has residuals
+// on both sides to settle.
 func DefaultFleetScenarios() []Scenario {
 	return []Scenario{ScenarioSunny, ScenarioOvercast, ScenarioWinter, ScenarioStorageHeavy}
 }
 
-// FleetConfig controls heterogeneous fleet synthesis.
+// FleetConfig controls heterogeneous fleet synthesis. Blocks take their
+// presets from DefaultFleetScenarios(), cycling when there are more blocks
+// than presets.
 type FleetConfig struct {
 	// Coalitions is the number of scenario blocks.
 	Coalitions int
@@ -36,9 +38,6 @@ type FleetConfig struct {
 	// benchmark fleets set it near noon so the few windows they run have
 	// sun to trade.
 	StartHour float64
-	// Scenarios assigns a preset per block, cycling when shorter than
-	// Coalitions. Defaults to DefaultFleetScenarios().
-	Scenarios []Scenario
 	// OnDemand defers every home's day synthesis (see Config.OnDemand):
 	// the fleet trace carries only statics until homes are materialized,
 	// which is how the scale benchmarks hold 100k+-home fleets.
@@ -57,10 +56,7 @@ func GenerateFleet(cfg FleetConfig) (*Trace, error) {
 	if cfg.HomesPerCoalition <= 0 {
 		return nil, errors.New("dataset: HomesPerCoalition must be positive")
 	}
-	scenarios := cfg.Scenarios
-	if len(scenarios) == 0 {
-		scenarios = DefaultFleetScenarios()
-	}
+	scenarios := DefaultFleetScenarios()
 
 	var fleet *Trace
 	skies := skyCache{} // one curve per scenario day shape, not per block

@@ -105,7 +105,6 @@ func TestGenerateFleetRejectsBadConfig(t *testing.T) {
 	for name, cfg := range map[string]FleetConfig{
 		"no-coalitions": {HomesPerCoalition: 2, Windows: 4},
 		"no-homes":      {Coalitions: 2, Windows: 4},
-		"bad-scenario":  {Coalitions: 1, HomesPerCoalition: 2, Windows: 4, Scenarios: []Scenario{"monsoon"}},
 	} {
 		if _, err := GenerateFleet(cfg); err == nil {
 			t.Errorf("%s: accepted", name)

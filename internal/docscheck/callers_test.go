@@ -32,6 +32,7 @@ var exportExceptions = map[string]string{
 	"ledger.Ledger.TamperForTest":             "the ledger tamper-detection tests in other packages",
 	"core.KeyRing.Holds":                      "the grid key-ring test's only view of eviction",
 	"dataset.ReadCSV":                         "the real-trace loader",
+	"dataset.Scenarios":                       "every preset, which the dataset's golden-digest and preset tests sweep",
 	"ot.TestGroup":                            "called by the frozen benchmark module's test",
 }
 

@@ -219,35 +219,40 @@ func TestLiveConservationAcrossChurn(t *testing.T) {
 func TestLiveShrinksCoalitionCount(t *testing.T) {
 	evo, err := dataset.Evolve(dataset.FleetConfig{
 		Coalitions:        1,
-		HomesPerCoalition: 6,
+		HomesPerCoalition: 9,
 		Windows:           1,
 		Seed:              8,
-	}, dataset.ChurnConfig{Epochs: 3, DepartRate: 0.4, MinHomes: 4})
+	}, dataset.ChurnConfig{Epochs: 3, DepartRate: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 	cfg := LiveConfig{
-		Grid:       Config{Engine: testEngineConfig(17), MinCoalition: 2},
+		Grid:       Config{Engine: testEngineConfig(17)},
 		Coalitions: 3,
 	}
 	res, err := RunLive(ctx, cfg, evo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrunk := false
 	for e, er := range res.Epochs {
-		if max := len(evo.Epochs[e].Trace.Homes) / 2; len(er.Coalitions) > max {
+		if max := len(evo.Epochs[e].Trace.Homes) / minCoalition; len(er.Coalitions) > max {
 			t.Errorf("epoch %d: %d coalitions for %d homes", e, len(er.Coalitions), len(evo.Epochs[e].Trace.Homes))
 		}
 		if len(er.Coalitions) == 0 {
 			t.Errorf("epoch %d ran no coalitions", e)
 		}
+		shrunk = shrunk || len(er.Coalitions) < cfg.Coalitions
+	}
+	if !shrunk {
+		t.Error("churn never shrank the coalition count")
 	}
 }
 
 // TestLiveCoalitionCapRespectsFloor: degrading the coalition count must
-// account for MinCoalition — 6 homes under the default floor of 3 must run
+// account for minCoalition — 6 homes under the floor of 3 must run
 // two real 3-agent markets, not fold three 2-agent slivers to the grid.
 func TestLiveCoalitionCapRespectsFloor(t *testing.T) {
 	evo, err := dataset.Evolve(dataset.FleetConfig{
@@ -284,9 +289,7 @@ func TestLiveFailureKeepsCompletedEpochs(t *testing.T) {
 	evo.Epochs[1].Trace.Gen[0][0] = math.Inf(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	cfg := testLiveConfig(23, 0)
-	cfg.Grid.MinCoalition = 2
-	res, err := RunLive(ctx, cfg, evo, nil)
+	res, err := RunLive(ctx, testLiveConfig(23, 0), evo, nil)
 	if err == nil {
 		t.Fatal("poisoned live grid returned nil error")
 	}

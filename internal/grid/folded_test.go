@@ -143,8 +143,10 @@ func clearingDay(t *testing.T, name string, sub *dataset.Trace) (market.Coalitio
 	return res, flows.Flows()
 }
 
-// checkFolded runs members of tr through runCoalition's folded branch and
-// holds its residual and flows to clearingDay with ==, not a tolerance.
+// checkFolded accounts members of tr as a folded day — through
+// runCoalition's folded branch below minCoalition, through tariffDay itself
+// at or above it — and holds its residual and flows to clearingDay with ==,
+// not a tolerance.
 func checkFolded(t *testing.T, tr *dataset.Trace, name string, members []int) {
 	t.Helper()
 	sub, err := tr.Select(members)
@@ -153,7 +155,14 @@ func checkFolded(t *testing.T, tr *dataset.Trace, name string, members []int) {
 	}
 	wantRes, wantFlows := clearingDay(t, name, sub)
 	cr := &CoalitionRun{Name: name, Members: members}
-	runCoalition(context.Background(), Config{MinCoalition: len(members) + 1}, core.Resources{}, tr, cr)
+	if len(members) < minCoalition {
+		runCoalition(context.Background(), Config{}, core.Resources{}, tr, cr)
+	} else {
+		for _, h := range sub.Homes {
+			cr.IDs = append(cr.IDs, h.ID)
+		}
+		cr.Folded, cr.Err = true, tariffDay(Config{}.params(), sub, cr)
+	}
 	if !cr.Folded || cr.Err != nil {
 		t.Fatalf("%s: folded %v, err %v", name, cr.Folded, cr.Err)
 	}
@@ -176,20 +185,30 @@ func craftedTrace(gen, load, batt [][]float64) *dataset.Trace {
 
 // TestTariffDayMatchesClearing: a folded coalition-day's one pass over its
 // members' day rows is bit-identical to clearing every window — on seeded
-// two-home coalitions of every scenario preset, on nets inside the ±0.5 µkWh
-// off-role band, for a member without solar and a battery-only one, and on
-// rosters of three and four homes, one of them never leaving the off role.
+// two-home coalitions of every scenario preset (a fleet's four and the base
+// preset), on nets inside the ±0.5 µkWh off-role band, for a member without
+// solar and a battery-only one, and on rosters of three and four homes, one
+// of them never leaving the off role.
 func TestTariffDayMatchesClearing(t *testing.T) {
-	const coalitions = 2000
 	fleet, err := dataset.GenerateFleet(dataset.FleetConfig{
-		Coalitions: coalitions / 2, HomesPerCoalition: 4, Windows: 720, Seed: 11,
-		Scenarios: dataset.Scenarios(), OnDemand: true,
+		Coalitions: 800, HomesPerCoalition: 4, Windows: 720, Seed: 11, OnDemand: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := 0; c < coalitions; c++ {
-		checkFolded(t, fleet, fmt.Sprintf("c%04d", c), []int{2 * c, 2*c + 1})
+	baseCfg, err := dataset.ScenarioConfig(dataset.ScenarioBase, 800, 720, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseCfg.OnDemand = true
+	base, err := dataset.Generate(baseCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*dataset.Trace{fleet, base} {
+		for c := 0; c < len(tr.Homes)/2; c++ {
+			checkFolded(t, tr, fmt.Sprintf("%s-c%04d", tr.Homes[2*c].Scenario, c), []int{2 * c, 2*c + 1})
+		}
 	}
 
 	// Nets around the role threshold (±0.5e-6 kWh) and exactly zero behind

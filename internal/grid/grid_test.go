@@ -265,17 +265,17 @@ func TestGridMatchesOracle(t *testing.T) {
 // already launched complete, unlaunched ones are skipped, and the result
 // still carries the completed coalitions' outcomes.
 func TestGridFailFastIsolation(t *testing.T) {
-	tr := testFleet(t, 3, 2, 1)
+	tr := testFleet(t, 3, 3, 1)
 	// Poison coalition 1's first home with a net energy the fixed-point
 	// encoding must reject.
-	tr.Gen[2][0] = math.Inf(1)
+	tr.Gen[3][0] = math.Inf(1)
 	parts, err := Partition(StrategyFixed, tr.Homes, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
-	res, err := Run(ctx, Config{Engine: testEngineConfig(3), MaxConcurrent: 1, MinCoalition: 2}, tr, parts, nil)
+	res, err := Run(ctx, Config{Engine: testEngineConfig(3), MaxConcurrent: 1}, tr, parts, nil)
 	if err == nil {
 		t.Fatal("poisoned grid returned nil error")
 	}
@@ -298,7 +298,7 @@ func TestGridFailFastIsolation(t *testing.T) {
 // closed its nonce-pool goroutines, so repeated runs do not accumulate
 // goroutines.
 func TestGridNoGoroutineLeak(t *testing.T) {
-	tr := testFleet(t, 2, 2, 1)
+	tr := testFleet(t, 2, 3, 1)
 	parts, err := Partition(StrategyFixed, tr.Homes, 2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestGridNoGoroutineLeak(t *testing.T) {
 	defer cancel()
 
 	// Warm-up run so lazily-started runtime goroutines don't count.
-	if _, err := Run(ctx, Config{Engine: testEngineConfig(7), MinCoalition: 2}, tr, parts, nil); err != nil {
+	if _, err := Run(ctx, Config{Engine: testEngineConfig(7)}, tr, parts, nil); err != nil {
 		t.Fatal(err)
 	}
 	settle := func() int {
@@ -323,7 +323,7 @@ func TestGridNoGoroutineLeak(t *testing.T) {
 	}
 	before := settle()
 	for i := 0; i < 3; i++ {
-		if _, err := Run(ctx, Config{Engine: testEngineConfig(7), MinCoalition: 2}, tr, parts, nil); err != nil {
+		if _, err := Run(ctx, Config{Engine: testEngineConfig(7)}, tr, parts, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -506,24 +506,17 @@ func TestGridRejectsBadConfig(t *testing.T) {
 	if _, err := Run(ctx, Config{Engine: testEngineConfig(1)}, tr, nil, nil); err == nil {
 		t.Error("accepted empty partition")
 	}
-	if _, err := Run(ctx, Config{Engine: testEngineConfig(1), MinCoalition: 1}, tr, parts, nil); err == nil {
-		t.Error("accepted MinCoalition below the engine's two-agent floor")
-	}
-	if _, err := Run(ctx, Config{Engine: testEngineConfig(1), MinCoalition: -3}, tr, parts, nil); err == nil {
-		t.Error("accepted negative MinCoalition")
-	}
 }
 
 // TestGridFoldsSmallCoalition is the regression test for graceful
-// degradation: a coalition below MinCoalition — routine once churn shrinks
+// degradation: a coalition below minCoalition — routine once churn shrinks
 // rosters — must not fail the grid. Folding is an outcome, not an error:
 // the coalition has Err nil and Folded set, its members trade at the tariff,
 // it is delivered to the sink, persisted as folded and settled, and the rest
 // of the grid completes normally.
 func TestGridFoldsSmallCoalition(t *testing.T) {
 	tr := testFleet(t, 2, 4, 2) // 8 homes
-	// Three coalitions of sizes 3, 3, 2: the last is below the default
-	// MinCoalition of 3.
+	// Three coalitions of sizes 3, 3, 2: the last is below minCoalition.
 	parts, err := Partition(StrategyFixed, tr.Homes, 3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -601,14 +594,5 @@ func TestGridFoldsSmallCoalition(t *testing.T) {
 	i := slices.IndexFunc(aggs, func(a store.Aggregate) bool { return a.Scope == "c02" })
 	if i < 0 || !aggs[i].Folded || aggs[i].ImportKWh != folded.Residual.ImportKWh {
 		t.Errorf("folded coalition not persisted as folded: %+v", aggs)
-	}
-
-	// MinCoalition 2 runs the same roster as a real market.
-	res2, err := Run(ctx, Config{Engine: testEngineConfig(21), MinCoalition: 2}, tr, parts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cr := res2.Coalitions[2]; cr.Folded || cr.Err != nil || len(cr.Results) != 2 {
-		t.Errorf("MinCoalition 2 should run the two-agent coalition: %+v", cr.Err)
 	}
 }

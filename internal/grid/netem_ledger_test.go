@@ -80,14 +80,14 @@ func TestEpochCoalitionLedgersVerify(t *testing.T) {
 		HomesPerCoalition: 3,
 		Windows:           1,
 		Seed:              42,
-	}, dataset.ChurnConfig{Epochs: 3, JoinRate: 0.2, DepartRate: 0.15, FailRate: 0.1, Seed: 42})
+	}, dataset.ChurnConfig{Epochs: 3, JoinRate: 0.2, DepartRate: 0.15, FailRate: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 	res, err := RunLive(ctx, LiveConfig{
-		Grid:       Config{Engine: testEngineConfig(5), MinCoalition: 2},
+		Grid:       Config{Engine: testEngineConfig(5)},
 		Coalitions: 2,
 	}, evo, nil)
 	if err != nil {

@@ -81,14 +81,14 @@ func TestGridTiersSingletonIdentity(t *testing.T) {
 }
 
 // TestGridTiersWithFoldedCoalitions runs a multi-tier hierarchy over a
-// partition whose tail coalitions fall below MinCoalition and fold to
+// partition whose tail coalitions fall below minCoalition and fold to
 // grid-tariff service: their residuals must flow through the tier tree like
 // everyone else's, and energy must be conserved from coalition leaves
 // through tier netting to the tariff boundary.
 func TestGridTiersWithFoldedCoalitions(t *testing.T) {
 	tr := testFleet(t, 3, 4, 1) // 12 homes
 	// Five coalitions of sizes 3,3,2,2,2 — the last three fold under the
-	// default floor of 3. Tiers[0]=2 groups them d00(c0,c1), d01(c2,c3),
+	// floor of 3. Tiers[0]=2 groups them d00(c0,c1), d01(c2,c3),
 	// d02(c4); Tiers[1]=2 wraps the districts r00(d00,d01), r01(d02).
 	parts, err := Partition(StrategyFixed, tr.Homes, 5, 0)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestStreamMatchesRun(t *testing.T) {
 // TestStreamSinkErrorAborts: a sink error cancels the in-flight coalitions
 // and surfaces as the run error.
 func TestStreamSinkErrorAborts(t *testing.T) {
-	tr := testFleet(t, 3, 2, 1)
+	tr := testFleet(t, 3, 3, 1)
 	parts, err := Partition(StrategyFixed, tr.Homes, 3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestStreamSinkErrorAborts(t *testing.T) {
 	defer cancel()
 	boom := errors.New("sink full")
 	calls := 0
-	_, err = Run(ctx, Config{Engine: testEngineConfig(39), MinCoalition: 2, MaxConcurrent: 1}, tr, parts,
+	_, err = Run(ctx, Config{Engine: testEngineConfig(39), MaxConcurrent: 1}, tr, parts,
 		func(cr *CoalitionRun) error {
 			calls++
 			return boom

@@ -29,13 +29,6 @@ type Config struct {
 	// after another. Crypto parallelism stays bounded by the one shared
 	// worker pool.
 	MaxConcurrent int
-	// MinCoalition is the smallest roster the supervisor will run a
-	// private market for (default 3). A coalition below it — routine once
-	// churn shrinks rosters — is folded: its agents trade with the main grid
-	// at the tariff, an outcome like any other (CoalitionRun.Folded, Err
-	// nil). Set to 2 to run every coalition the partitioner can produce (an
-	// engine needs a counterparty, so 2 is the hard floor).
-	MinCoalition int
 	// Tiers makes the settlement hierarchy recursive: Tiers[0] coalitions
 	// roll up into a district, Tiers[1] districts into a region, and so on
 	// (consecutive partition indices group together; the last level's nodes
@@ -54,19 +47,13 @@ type Config struct {
 	Store store.Store
 }
 
-// DefaultMinCoalition is the default roster floor for running a private
-// market: below three agents the paper's protocols degenerate (the ring
-// aggregations and pricing game need counterparties beyond the special
-// parties), so two-agent coalitions default to grid-tariff settlement.
-const DefaultMinCoalition = 3
-
-// minCoalition resolves the configured roster floor.
-func (c Config) minCoalition() int {
-	if c.MinCoalition == 0 {
-		return DefaultMinCoalition
-	}
-	return c.MinCoalition
-}
+// minCoalition is the roster floor for running a private market: below
+// three agents the paper's protocols degenerate (the ring aggregations and
+// pricing game need counterparties beyond the special parties), so a
+// smaller coalition — routine once churn shrinks rosters — is folded: its
+// agents trade with the main grid at the tariff, an outcome like any other
+// (CoalitionRun.Folded, Err nil).
+const minCoalition = 3
 
 // validate checks the configuration shared by Run and RunLive: the
 // supervisor's budgets and the engine configuration every coalition
@@ -77,9 +64,6 @@ func (c Config) validate() error {
 	}
 	if c.MaxConcurrent < 0 {
 		return fmt.Errorf("grid: negative MaxConcurrent %d", c.MaxConcurrent)
-	}
-	if c.MinCoalition < 0 || c.MinCoalition == 1 {
-		return fmt.Errorf("grid: MinCoalition %d out of range (0 = default %d, minimum 2)", c.MinCoalition, DefaultMinCoalition)
 	}
 	for i, f := range c.Tiers {
 		if f < 1 {
@@ -164,7 +148,7 @@ type CoalitionRun struct {
 	// Duration is the coalition-day wall-clock time (engine provisioning
 	// included).
 	Duration time.Duration
-	// Folded marks a coalition whose roster was below Config.MinCoalition:
+	// Folded marks a coalition below the three-agent floor (minCoalition):
 	// its members traded at the grid tariff instead of in a private market.
 	// That is an outcome, not a failure — Err stays nil, and the folded
 	// residual and flows are delivered, persisted and settled like any
@@ -413,7 +397,7 @@ func launchCoalitions(ctx context.Context, maxConc int, runs []CoalitionRun, run
 // plaintext PEM oracle (market.ClearInto), the harness-side accounting
 // behind every trading-performance figure (the private protocols reveal
 // neither side's totals). Results, Windows, Ledger and Flows are set once
-// the whole day has completed. A roster below MinCoalition is folded to
+// the whole day has completed. A roster below minCoalition is folded to
 // grid-tariff service instead. All outcomes land in cr.
 func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dataset.Trace, cr *CoalitionRun) {
 	begin := time.Now()
@@ -430,7 +414,7 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 	}
 
 	params := cfg.params()
-	if len(cr.IDs) < cfg.minCoalition() {
+	if len(cr.IDs) < minCoalition {
 		// Too small to run a private market: the members' grid-only position
 		// becomes the coalition residual.
 		cr.Folded = true

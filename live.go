@@ -52,22 +52,25 @@ const (
 	ChurnFail = dataset.ChurnFail
 )
 
-// DefaultMinCoalition is the smallest roster a coalition needs to run a
-// private market; smaller coalitions are folded into grid settlement (see
-// GridConfig.MinCoalition).
-const DefaultMinCoalition = grid.DefaultMinCoalition
+// MinCoalition is the roster floor of a private market: a coalition with
+// fewer agents is folded into grid settlement, its agents trading at the
+// grid tariff (CoalitionRun.Folded). Below three agents the paper's
+// protocols have no counterparty beyond the special parties.
+const MinCoalition = 3
 
 // LiveGridConfig configures a live (epoched) coalition grid.
 type LiveGridConfig struct {
 	// Market is the per-coalition market configuration, exactly as for
-	// GridConfig: a grid ignores Market.Store. When Market.Seed is set the
+	// GridConfig: a grid refuses Market.Store. When Market.Seed is set the
 	// whole simulation is deterministic: a home's key pair derives from the
 	// seed and its ID (kept for as long as the home stays), everything else
 	// an epoch draws from a per-epoch seed.
 	Market Config
 	// Coalitions is the target coalition count per epoch (required). When
 	// churn shrinks the fleet too far, an epoch runs with the largest
-	// count its roster can fill.
+	// count whose coalitions keep MinCoalition agents; a coalition churned
+	// below it is folded (CoalitionRun.Folded set, Err nil) and the epoch
+	// goes on.
 	Coalitions int
 	// Partition selects the per-epoch partition strategy: PartitionFixed
 	// (default), PartitionRandom or PartitionBalanced. Every epoch
@@ -79,11 +82,6 @@ type LiveGridConfig struct {
 	// all). Outcomes are bit-identical at any setting when Market.Seed is
 	// set.
 	MaxConcurrentCoalitions int
-	// MinCoalition is the smallest roster that still runs a private
-	// market (default DefaultMinCoalition). A coalition churned below it
-	// is folded: its agents trade at the grid tariff, with
-	// CoalitionRun.Folded set and Err nil, and the epoch goes on.
-	MinCoalition int
 	// Tiers makes each epoch's settlement hierarchical, exactly as
 	// GridConfig.Tiers: consecutive coalitions roll up through districts
 	// and regions, netting surplus against deficit at every level before
@@ -99,9 +97,9 @@ type LiveGridConfig struct {
 	Store Store `json:"-"`
 	// Epochs is the number of trading days to simulate (required, ≥ 1).
 	Epochs int
-	// Churn configures the churn model applied at each epoch boundary.
-	// Its Epochs field is set from the Epochs field above; its Seed
-	// defaults to the fleet seed.
+	// Churn configures the churn model applied at each epoch boundary,
+	// drawn from the fleet seed. Its Epochs field is taken from Epochs
+	// above: leave it 0, or set it equal.
 	Churn ChurnConfig
 }
 
@@ -148,6 +146,9 @@ func NewLiveGrid(cfg LiveGridConfig, fleet FleetConfig) (*LiveGrid, error) {
 	if cfg.Epochs < 1 {
 		return nil, fmt.Errorf("pem: LiveGridConfig.Epochs must be ≥ 1, got %d", cfg.Epochs)
 	}
+	if cfg.Churn.Epochs != 0 && cfg.Churn.Epochs != cfg.Epochs {
+		return nil, fmt.Errorf("pem: LiveGridConfig.Churn.Epochs %d disagrees with Epochs %d (leave it 0)", cfg.Churn.Epochs, cfg.Epochs)
+	}
 	lcfg, err := cfg.lower()
 	if err != nil {
 		return nil, err
@@ -174,11 +175,13 @@ func NewLiveGrid(cfg LiveGridConfig, fleet FleetConfig) (*LiveGrid, error) {
 // through GridConfig.live — onto the supervisor's and validates it, so a
 // statically-bad config fails at construction.
 func (cfg LiveGridConfig) lower() (grid.LiveConfig, error) {
+	if cfg.Market.Store != nil {
+		return grid.LiveConfig{}, errors.New("pem: a grid refuses Market.Store; set GridConfig.Store or LiveGridConfig.Store")
+	}
 	lcfg := grid.LiveConfig{
 		Grid: grid.Config{
 			Engine:        cfg.Market.coreConfig(),
 			MaxConcurrent: cfg.MaxConcurrentCoalitions,
-			MinCoalition:  cfg.MinCoalition,
 			Tiers:         cfg.Tiers,
 			Store:         cfg.Store,
 		},

@@ -133,9 +133,8 @@ type Config struct {
 	// happen: the roster's key-material fingerprints at provisioning and
 	// every ledger block at commit, under scope "market". A store error
 	// fails the operation that hit it — durability failures must not pass
-	// silently. Nil (the default) keeps the market purely in-memory. In a
-	// grid configuration this field is ignored; set GridConfig.Store or
-	// LiveGridConfig.Store instead.
+	// silently. Nil (the default) keeps the market purely in-memory. A
+	// grid refuses it; set GridConfig.Store or LiveGridConfig.Store instead.
 	Store Store `json:"-"`
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"github.com/pem-go/pem"
 	"github.com/pem-go/pem/internal/core"
+	"github.com/pem-go/pem/internal/grid"
 	"github.com/pem-go/pem/internal/transport"
 )
 
@@ -28,6 +29,11 @@ var oldCheckpointConfigs = map[string]string{
 	// Market.Seed does now.
 	"MaxInflightWindows": `{"Live":{"Market":{"KeyBits":256,"Params":{"GridSellPrice":0,"GridRetailPrice":0,"PriceFloor":0,"PriceCeil":0},"PreEncrypt":null,"Seed":41,"MaxInflightWindows":3,"Aggregation":"","CryptoBackend":"","Network":""},"Coalitions":2,"Partition":"balanced","PartitionSeed":0,"MaxConcurrentCoalitions":0,"MinCoalition":0,"Tiers":null,"Epochs":3,"Churn":{"Epochs":0,"JoinRate":0.25,"DepartRate":0.15,"FailRate":0.1,"MinHomes":0,"Seed":0,"Scenarios":null}},"Fleet":{"Coalitions":2,"HomesPerCoalition":4,"Windows":2,"Seed":7,"StartHour":12,"Scenarios":null,"OnDemand":false}}`,
 	"PartitionSeed=Seed": `{"Live":{"Market":{"KeyBits":256,"Params":{"GridSellPrice":0,"GridRetailPrice":0,"PriceFloor":0,"PriceCeil":0},"PreEncrypt":null,"Seed":41,"MaxInflightWindows":3,"Aggregation":"","CryptoBackend":"","Network":""},"Coalitions":2,"Partition":"balanced","PartitionSeed":41,"MaxConcurrentCoalitions":0,"MinCoalition":0,"Tiers":null,"Epochs":3,"Churn":{"Epochs":0,"JoinRate":0.25,"DepartRate":0.15,"FailRate":0.1,"MinHomes":0,"Seed":0,"Scenarios":null}},"Fleet":{"Coalitions":2,"HomesPerCoalition":4,"Windows":2,"Seed":7,"StartHour":12,"Scenarios":null,"OnDemand":false}}`,
+	// LiveGridConfig with MinCoalition, ChurnConfig with MinHomes, Seed and
+	// Scenarios, and FleetConfig with Scenarios, each set to the value the
+	// code now derives: the floors 3 and 4, the fleet seed and the default
+	// preset rotation.
+	"DerivedValues": `{"Live":{"Market":{"KeyBits":256,"Params":{"GridSellPrice":0,"GridRetailPrice":0,"PriceFloor":0,"PriceCeil":0},"PreEncrypt":null,"Seed":41,"Aggregation":"","CryptoBackend":"","Network":""},"Coalitions":2,"Partition":"balanced","MaxConcurrentCoalitions":0,"MinCoalition":3,"Tiers":null,"Epochs":3,"Churn":{"Epochs":0,"JoinRate":0.25,"DepartRate":0.15,"FailRate":0.1,"MinHomes":4,"Seed":7,"Scenarios":["sunny","overcast","winter","storage-heavy"]}},"Fleet":{"Coalitions":2,"HomesPerCoalition":4,"Windows":2,"Seed":7,"StartHour":12,"Scenarios":["sunny","overcast","winter","storage-heavy"],"OnDemand":false}}`,
 }
 
 // checkpointLog is a Store that keeps every checkpoint written through it.
@@ -122,27 +128,47 @@ func walWithConfig(t *testing.T, cp pem.Checkpoint, blob string) string {
 	return path
 }
 
-// TestResumeRefusesPartitionSeed: an older checkpoint whose PartitionSeed
-// is set and differs from Market.Seed partitioned its epochs from a seed
-// the configuration no longer has, so Resume refuses it by name rather than
+// TestResumeRefusesRemovedKeys: an older checkpoint that sets a
+// since-removed key to a value the code no longer derives drew its history
+// from a partition seed, floor, churn seed or preset rotation the
+// configuration no longer has, so Resume refuses it by name rather than
 // replay a different history.
-func TestResumeRefusesPartitionSeed(t *testing.T) {
+func TestResumeRefusesRemovedKeys(t *testing.T) {
 	log := &checkpointLog{Store: tempWAL(t)}
 	lcfg, fleet := storeLiveConfig(log)
 	fleet.StartHour = 12
 	if _, err := mustLiveGrid(t, lcfg, fleet).Run(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	for _, seeds := range []struct{ market, partition string }{{"41", "5"}, {"null", "41"}} {
-		blob := strings.NewReplacer(`"Seed":41,"Max`, `"Seed":`+seeds.market+`,"Max`, `"PartitionSeed":0`, `"PartitionSeed":`+seeds.partition).
-			Replace(oldCheckpointConfigs["MaxInflightWindows"])
-		lg, err := pem.Resume(walWithConfig(t, log.cps[0], blob))
-		if err == nil {
-			lg.Close()
-			t.Errorf("Seed %s, PartitionSeed %s: resumed", seeds.market, seeds.partition)
-		} else if !strings.Contains(err.Error(), "PartitionSeed") {
-			t.Errorf("Seed %s, PartitionSeed %s: error %q does not name PartitionSeed", seeds.market, seeds.partition, err)
-		}
+	base := oldCheckpointConfigs["MaxInflightWindows"]
+	for _, c := range []struct {
+		name, key string
+		edits     []string // old, new pairs applied to base
+	}{
+		{"PartitionSeed", "PartitionSeed", []string{`"PartitionSeed":0`, `"PartitionSeed":5`}},
+		{"PartitionSeed-unseeded", "PartitionSeed", []string{`"Seed":41,"Max`, `"Seed":null,"Max`, `"PartitionSeed":0`, `"PartitionSeed":41`}},
+		{"MinCoalition", "MinCoalition", []string{`"MinCoalition":0`, `"MinCoalition":2`}},
+		{"Churn.MinHomes", "Churn.MinHomes", []string{`"MinHomes":0`, `"MinHomes":5`}},
+		{"Churn.Seed", "Churn.Seed", []string{`"Seed":0`, `"Seed":8`}},
+		{"Churn.Scenarios", "Churn.Scenarios", []string{`"Scenarios":null}}`, `"Scenarios":["base"]}}`}},
+		{"Fleet.Scenarios", "Fleet.Scenarios", []string{`"Scenarios":null,"OnDemand"`, `"Scenarios":["winter","sunny"],"OnDemand"`}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			blob := base
+			for i := 0; i < len(c.edits); i += 2 {
+				if !strings.Contains(blob, c.edits[i]) {
+					t.Fatalf("base blob lacks %s", c.edits[i])
+				}
+				blob = strings.Replace(blob, c.edits[i], c.edits[i+1], 1)
+			}
+			lg, err := pem.Resume(walWithConfig(t, log.cps[0], blob))
+			if err == nil {
+				lg.Close()
+				t.Errorf("%v: resumed", c.edits)
+			} else if !strings.Contains(err.Error(), c.key) {
+				t.Errorf("%v: error %q does not name %s", c.edits, err, c.key)
+			}
+		})
 	}
 }
 
@@ -173,9 +199,17 @@ func TestConfigSurface(t *testing.T) {
 		"pem.Config": {fields(pem.Config{}),
 			"KeyBits Params PreEncrypt Seed Aggregation CryptoBackend Network Store"},
 		"pem.GridConfig": {fields(pem.GridConfig{}),
-			"Market Coalitions Partition MaxConcurrentCoalitions MinCoalition Tiers Store"},
+			"Market Coalitions Partition MaxConcurrentCoalitions Tiers Store"},
 		"pem.LiveGridConfig": {fields(pem.LiveGridConfig{}),
-			"Market Coalitions Partition MaxConcurrentCoalitions MinCoalition Tiers Store Epochs Churn"},
+			"Market Coalitions Partition MaxConcurrentCoalitions Tiers Store Epochs Churn"},
+		"grid.Config": {fields(grid.Config{}),
+			"Engine MaxConcurrent Tiers Store"},
+		"pem.FleetConfig": {fields(pem.FleetConfig{}),
+			"Coalitions HomesPerCoalition Windows Seed StartHour OnDemand"},
+		"pem.ChurnConfig": {fields(pem.ChurnConfig{}),
+			"Epochs JoinRate DepartRate FailRate"},
+		"pem.TraceConfig": {fields(pem.TraceConfig{}),
+			"Homes Windows Seed StartHour SunriseHour SunsetHour SolarCapMinKW SolarCapMaxKW CloudFloor CloudCeil SolarFraction BaseLoadMinKW BaseLoadMaxKW BatteryFraction BatteryCapMinKWh BatteryCapMaxKWh IDPrefix OnDemand Scenario"},
 		"core.Config": {fields(core.Config{}),
 			"KeyBits Params PreEncrypt CryptoBackend Aggregation Network Seed"},
 		"core.Resources": {fields(core.Resources{}),

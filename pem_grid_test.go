@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,9 +93,10 @@ func TestGridPublicAPI(t *testing.T) {
 
 // TestGridBitIdenticalAcrossConcurrency is the public acceptance check:
 // with the partition strategy held fixed, a seeded grid run is
-// bit-identical per coalition at any coalition concurrency.
+// bit-identical per coalition at any coalition concurrency. Its coalitions
+// sit at the MinCoalition floor, so each runs a private market.
 func TestGridBitIdenticalAcrossConcurrency(t *testing.T) {
-	tr := testFleetTrace(t, 3, 2, 2)
+	tr := testFleetTrace(t, 3, pem.MinCoalition, 2)
 	run := func(conc int) *pem.GridResult {
 		t.Helper()
 		g, err := pem.NewGrid(pem.GridConfig{
@@ -119,6 +121,9 @@ func TestGridBitIdenticalAcrossConcurrency(t *testing.T) {
 		res := run(conc)
 		for i := range base.Coalitions {
 			a, b := base.Coalitions[i], res.Coalitions[i]
+			if a.Folded || len(a.Results) == 0 {
+				t.Fatalf("coalition %d of %d agents folded", i, len(a.IDs))
+			}
 			if len(a.Results) != len(b.Results) {
 				t.Fatalf("conc %d: coalition %d window counts differ", conc, i)
 			}
@@ -147,7 +152,7 @@ func TestNewGridValidation(t *testing.T) {
 		"negative-budget": {
 			Market: pem.Config{KeyBits: 256}, Coalitions: 2, MaxConcurrentCoalitions: -1,
 		},
-		"min-coalition-1":     {Market: pem.Config{KeyBits: 256}, Coalitions: 2, MinCoalition: 1},
+		"market-store":        {Market: pem.Config{KeyBits: 256, Store: tempWAL(t)}, Coalitions: 2},
 		"zero-fanout":         {Market: pem.Config{KeyBits: 256}, Coalitions: 2, Tiers: []int{2, 0}},
 		"unknown-backend":     {Market: pem.Config{KeyBits: 256, CryptoBackend: "bogus"}, Coalitions: 2},
 		"64-bit-keys":         {Market: pem.Config{KeyBits: 64}, Coalitions: 2},
@@ -160,16 +165,19 @@ func TestNewGridValidation(t *testing.T) {
 	// never as late as Run.
 	fleet := pem.FleetConfig{Coalitions: 2, HomesPerCoalition: 2, Windows: 1, Seed: 99}
 	for name, cfg := range cases {
-		if _, err := pem.NewGrid(cfg, tr); err == nil {
-			t.Errorf("%s: NewGrid accepted", name)
-		}
 		live := pem.LiveGridConfig{
 			Market: cfg.Market, Coalitions: cfg.Coalitions, Partition: cfg.Partition,
-			MaxConcurrentCoalitions: cfg.MaxConcurrentCoalitions, MinCoalition: cfg.MinCoalition,
-			Tiers: cfg.Tiers, Epochs: 1,
+			MaxConcurrentCoalitions: cfg.MaxConcurrentCoalitions, Tiers: cfg.Tiers, Epochs: 1,
 		}
-		if _, err := pem.NewLiveGrid(live, fleet); err == nil {
-			t.Errorf("%s: NewLiveGrid accepted", name)
+		_, gridErr := pem.NewGrid(cfg, tr)
+		_, liveErr := pem.NewLiveGrid(live, fleet)
+		for ctor, err := range map[string]error{"NewGrid": gridErr, "NewLiveGrid": liveErr} {
+			switch {
+			case err == nil:
+				t.Errorf("%s: %s accepted", name, ctor)
+			case name == "market-store" && !strings.Contains(err.Error(), "GridConfig.Store"):
+				t.Errorf("%s: %s error %q does not point to the grid's own Store", name, ctor, err)
+			}
 		}
 	}
 	if _, err := pem.NewGrid(pem.GridConfig{Market: pem.Config{KeyBits: 256}, Coalitions: 3}, tr); err == nil {

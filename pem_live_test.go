@@ -3,6 +3,7 @@ package pem_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,6 +137,14 @@ func TestLiveGridRejectsBadConfig(t *testing.T) {
 	bad := pem.LiveGridConfig{Epochs: 2, Coalitions: 2, Churn: pem.ChurnConfig{DepartRate: 0.7, FailRate: 0.5}}
 	if _, err := pem.NewLiveGrid(bad, fleet); err == nil {
 		t.Error("accepted churn rates with no survivors")
+	}
+	// Churn.Epochs is taken from Epochs: 0 or equal, never overwritten.
+	if _, err := pem.NewLiveGrid(pem.LiveGridConfig{Epochs: 2, Coalitions: 1, Churn: pem.ChurnConfig{Epochs: 2}}, fleet); err != nil {
+		t.Errorf("refused a Churn.Epochs equal to Epochs: %v", err)
+	}
+	disagree := pem.LiveGridConfig{Epochs: 2, Coalitions: 1, Churn: pem.ChurnConfig{Epochs: 5}}
+	if _, err := pem.NewLiveGrid(disagree, fleet); err == nil || !strings.Contains(err.Error(), "Churn.Epochs 5") || !strings.Contains(err.Error(), "Epochs 2") {
+		t.Errorf("Churn.Epochs 5 under Epochs 2: error %v, want one naming both", err)
 	}
 	// Statically-bad grid config fails at construction, not at Run.
 	if _, err := pem.NewLiveGrid(pem.LiveGridConfig{Epochs: 2, Coalitions: 2, Partition: "zodiac"}, fleet); err == nil {

@@ -5,6 +5,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
+
+	"github.com/pem-go/pem/internal/dataset"
 )
 
 // Crash recovery for durable live grids. A LiveGridConfig with a Store
@@ -27,15 +30,58 @@ type resumeMeta struct {
 	Fleet FleetConfig
 }
 
+// removedKeys are the keys an older checkpoint may carry for values the
+// code now derives. Left at zero, or set to what the code derives, a key
+// replays; any other value drew a history this version cannot draw.
+type removedKeys struct {
+	Live struct {
+		PartitionSeed, MinCoalition int64
+		Churn                       struct {
+			MinHomes, Seed int64
+			Scenarios      []Scenario
+		}
+	}
+	Fleet struct{ Scenarios []Scenario }
+}
+
+// check refuses, by name, the first key set to a value meta would not derive.
+func (old removedKeys) check(meta resumeMeta) error {
+	churn := old.Live.Churn
+	for _, k := range []struct {
+		key       string
+		got, want int64
+	}{
+		{"PartitionSeed", old.Live.PartitionSeed, meta.Live.Market.partitionSeed()},
+		{"MinCoalition", old.Live.MinCoalition, MinCoalition},
+		{"Churn.MinHomes", churn.MinHomes, 4}, // dataset's churn floor
+		{"Churn.Seed", churn.Seed, meta.Fleet.Seed},
+	} {
+		if k.got != 0 && k.got != k.want {
+			return fmt.Errorf("pem: resume: checkpoint sets %s %d where the code now derives %d, so the run cannot replay", k.key, k.got, k.want)
+		}
+	}
+	rotation := dataset.DefaultFleetScenarios()
+	for _, k := range []struct {
+		key string
+		got []Scenario
+	}{{"Churn.Scenarios", churn.Scenarios}, {"Fleet.Scenarios", old.Fleet.Scenarios}} {
+		if len(k.got) > 0 && !slices.Equal(k.got, rotation) {
+			return fmt.Errorf("pem: resume: checkpoint sets %s %v where the code now derives %v, so the run cannot replay", k.key, k.got, rotation)
+		}
+	}
+	return nil
+}
+
 // Resume reopens the WAL at path and rebuilds the live-grid simulation it
 // was checkpointing, positioned to continue after the last completed epoch:
 // the position book restores bit-exactly from the checkpoint and the next
 // Run or Stream call replays only the remaining epochs — bit-identically to
 // an uninterrupted run when the original configuration was seeded. The
 // checkpoint's configuration hash and roster are cross-checked against the
-// rebuilt simulation before anything runs; so is an older configuration's
-// PartitionSeed, refused unless 0 or Market.Seed. The returned grid owns the
-// reopened store; release it with Close after the resumed run.
+// rebuilt simulation before anything runs, and an older configuration that
+// sets a since-removed key to a value the code no longer derives is refused
+// by name. The returned grid owns the reopened store; release it with Close
+// after the resumed run.
 func Resume(path string) (*LiveGrid, error) {
 	wal, err := OpenWAL(path)
 	if err != nil {
@@ -67,15 +113,14 @@ func resumeFrom(wal *WALStore) (*LiveGrid, error) {
 		return nil, fmt.Errorf("pem: resume: checkpoint configuration hash mismatch (have %s, recorded %s)", got, cp.ConfigHash)
 	}
 	var meta resumeMeta
-	// Random partitions now draw from Market.Seed: another seed cannot replay.
-	var old struct{ Live struct{ PartitionSeed int64 } }
+	var old removedKeys
 	for _, v := range []any{&meta, &old} {
 		if err := json.Unmarshal(cp.Config, v); err != nil {
 			return nil, fmt.Errorf("pem: resume: decode checkpoint configuration: %w", err)
 		}
 	}
-	if ps := old.Live.PartitionSeed; ps != 0 && ps != meta.Live.Market.partitionSeed() {
-		return nil, fmt.Errorf("pem: resume: checkpoint sets PartitionSeed %d, which differs from Market.Seed; partitions now draw from Market.Seed, so the run cannot replay", ps)
+	if err := old.check(meta); err != nil {
+		return nil, err
 	}
 	meta.Live.Store = wal
 	lg, err := NewLiveGrid(meta.Live, meta.Fleet)
