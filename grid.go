@@ -18,7 +18,8 @@ import (
 
 // Re-exported grid model types.
 type (
-	// Scenario names a dataset synthesis preset (sunny, overcast, …).
+	// Scenario names a dataset synthesis preset (sunny, overcast, …);
+	// TraceConfig.Scenario selects one.
 	Scenario = dataset.Scenario
 	// FleetConfig controls heterogeneous fleet synthesis (GenerateFleet).
 	FleetConfig = dataset.FleetConfig
@@ -40,7 +41,8 @@ type (
 	TieredSettlement = market.TieredSettlement
 )
 
-// Dataset scenario presets (see GenerateFleet).
+// Dataset scenario presets, selected by TraceConfig.Scenario; GenerateFleet
+// rotates its blocks through them.
 const (
 	ScenarioBase         = dataset.ScenarioBase
 	ScenarioSunny        = dataset.ScenarioSunny

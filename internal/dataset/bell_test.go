@@ -31,8 +31,9 @@ func gaussExp(x, mean, sigma float64) float64 {
 func expSynthesizeDay(cfg Config, home Home, daySeed int64) (gen, load, batt []float64) {
 	rng := mrand.New(mrand.NewSource(daySeed))
 	gen, load, batt = make([]float64, cfg.Windows), make([]float64, cfg.Windows), make([]float64, cfg.Windows)
-	cloudBand := cfg.CloudCeil - cfg.CloudFloor
-	cloud := cfg.CloudFloor + cloudBand*(0.6+0.4*rng.Float64())
+	floor, ceil := cfg.model.cloud[0], cfg.model.cloud[1]
+	cloudBand := ceil - floor
+	cloud := floor + cloudBand*(0.6+0.4*rng.Float64())
 	morning := 7.5 + rng.NormFloat64()*0.4
 	evening := 18.2 + rng.NormFloat64()*0.5
 	morningAmp := home.BaseLoadKW * (1.0 + rng.Float64())
@@ -41,7 +42,7 @@ func expSynthesizeDay(cfg Config, home Home, daySeed int64) (gen, load, batt []f
 	for w := 0; w < cfg.Windows; w++ {
 		hour := cfg.StartHour + float64(w)/60
 		sunKW := home.SolarCapKW * cfg.sky[w]
-		cloud = clamp(0.92*cloud+0.08*(cfg.CloudFloor+cloudBand*rng.Float64()), cfg.CloudFloor, cfg.CloudCeil)
+		cloud = clamp(0.92*cloud+0.08*(floor+cloudBand*rng.Float64()), floor, ceil)
 		genKW := sunKW * cloud
 		loadKW := home.BaseLoadKW +
 			morningAmp*gaussExp(hour, morning, 0.8) +
@@ -105,11 +106,7 @@ func TestSynthesizeDayMatchesExpBells(t *testing.T) {
 	tr, cfgOf := generated(Config{Homes: 32, Windows: 720, Seed: seed})
 	check("default 32x720", tr, cfgOf)
 	for _, s := range Scenarios() {
-		cfg, err := ScenarioConfig(s, 8, 720, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, cfgOf := generated(cfg)
+		tr, cfgOf := generated(Config{Homes: 8, Windows: 720, Seed: seed, Scenario: s})
 		check("scenario "+string(s), tr, cfgOf)
 	}
 
@@ -121,11 +118,7 @@ func TestSynthesizeDayMatchesExpBells(t *testing.T) {
 	e1 := evo.Epochs[1].Trace
 	check("evolve epoch 1", e1, func(h int) (Config, int64) {
 		home := e1.Homes[h]
-		cfg, err := ScenarioConfig(home.Scenario, 1, e1.Windows, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.StartHour = e1.StartHour
+		cfg := Config{Windows: e1.Windows, StartHour: e1.StartHour, Scenario: home.Scenario}
 		return cfg, DeriveSeed("evolve", seed, fmt.Sprintf("day/%d/%s", 1, home.ID))
 	})
 	t.Logf("worst Load relative error %.3g, worst Battery error %.3g kWh", worstLoad, worstBatt)

@@ -53,7 +53,7 @@ type ChurnEvent struct {
 // per-agent-per-boundary probabilities drawn from streams derived from the
 // fleet seed, so the same configs always produce the same schedule. Joining
 // agents cycle through DefaultFleetScenarios() in join order, and the
-// roster never churns below minHomes.
+// roster never churns below MinHomes.
 type ChurnConfig struct {
 	// Epochs is the total number of epochs to simulate, including the base
 	// epoch 0 (required, ≥ 1). Churn applies at the Epochs−1 boundaries.
@@ -69,10 +69,10 @@ type ChurnConfig struct {
 	FailRate float64
 }
 
-// minHomes is the churn roster floor: departures and failures are vetoed,
+// MinHomes is the churn roster floor: departures and failures are vetoed,
 // deterministically and in roster order, when they would drop the fleet
 // below it — a live market needs counterparties.
-const minHomes = 4
+const MinHomes = 4
 
 // Validate checks the churn configuration.
 func (c ChurnConfig) Validate() error {
@@ -166,9 +166,9 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 		}
 		dayRands.Put(rng)
 		// Roster floor: veto leavers in roster order until the surviving
-		// fleet (plus joins) stays at or above minHomes.
+		// fleet (plus joins) stays at or above MinHomes.
 		for _, h := range roster {
-			if len(roster)-len(leaving)+nJoin >= minHomes {
+			if len(roster)-len(leaving)+nJoin >= MinHomes {
 				break
 			}
 			delete(leaving, h.ID)
@@ -210,22 +210,19 @@ func Evolve(fleet FleetConfig, churn ChurnConfig) (*Evolution, error) {
 	return evo, nil
 }
 
-// synthesizeJoin generates the static parameters of the j-th agent joining
-// at the boundary entering epoch e, under the given scenario preset, from
-// its own derived stream. Its day data is drawn later by epochTrace like
-// any other roster member's.
+// synthesizeJoin draws the static parameters of the j-th agent joining at
+// the boundary entering epoch e, under the given scenario preset, from its
+// own derived stream, as Generate draws a one-home trace's. Its day data is
+// drawn later by epochTrace like any other roster member's.
 func synthesizeJoin(seed int64, e, j int, s Scenario) (Home, error) {
-	cfg, err := ScenarioConfig(s, 1, 1, DeriveSeed("evolve", seed, fmt.Sprintf("join/%d/%d", e, j)))
+	p, err := presetOf(s)
 	if err != nil {
-		return Home{}, err
+		return Home{}, fmt.Errorf("dataset: join %d at epoch %d: %w", j, e, err)
 	}
-	one, err := Generate(cfg)
-	if err != nil {
-		return Home{}, fmt.Errorf("dataset: join %d at epoch %d (%s): %w", j, e, s, err)
-	}
-	home := one.Homes[0]
-	home.ID = fmt.Sprintf("e%02d-home-%02d", e, j)
-	return home, nil
+	rng := dayRands.Get().(*mrand.Rand)
+	defer dayRands.Put(rng)
+	rng.Seed(DeriveSeed("evolve", seed, fmt.Sprintf("join/%d/%d", e, j)))
+	return p.drawHome(rng, fmt.Sprintf("e%02d-home-%02d", e, j), s), nil
 }
 
 // epochTrace draws a fresh day of per-window data for every roster member
@@ -239,11 +236,10 @@ func epochTrace(seed int64, e int, roster []Home, windows int, startHour float64
 	tr.synth = make([]synthFn, len(roster))
 	skies := skyCache{}
 	for i, h := range roster {
-		cfg, err := ScenarioConfig(h.Scenario, 1, windows, 0)
-		if err != nil {
+		cfg := Config{Homes: 1, Windows: windows, StartHour: startHour, Scenario: h.Scenario}
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		cfg.StartHour = startHour
 		cfg = cfg.withDefaults()
 		cfg.sky = skies.curve(cfg)
 		h, daySeed := h, DeriveSeed("evolve", seed, fmt.Sprintf("day/%d/%s", e, h.ID))

@@ -120,17 +120,17 @@ func TestEvolveChurnApplied(t *testing.T) {
 }
 
 // TestEvolveRosterFloor: brutal departure rates must not shrink the fleet
-// below minHomes — leavers are vetoed deterministically instead — and the
+// below MinHomes — leavers are vetoed deterministically instead — and the
 // fleet does reach the floor.
 func TestEvolveRosterFloor(t *testing.T) {
 	evo := testEvolution(t, ChurnConfig{Epochs: 6, DepartRate: 0.45, FailRate: 0.4})
 	for _, ef := range evo.Epochs {
-		if len(ef.Trace.Homes) < minHomes {
-			t.Fatalf("epoch %d roster %d below floor %d", ef.Epoch, len(ef.Trace.Homes), minHomes)
+		if len(ef.Trace.Homes) < MinHomes {
+			t.Fatalf("epoch %d roster %d below floor %d", ef.Epoch, len(ef.Trace.Homes), MinHomes)
 		}
 	}
-	if last := evo.Epochs[len(evo.Epochs)-1]; len(last.Trace.Homes) != minHomes {
-		t.Errorf("last epoch roster %d, want the floor %d", len(last.Trace.Homes), minHomes)
+	if last := evo.Epochs[len(evo.Epochs)-1]; len(last.Trace.Homes) != MinHomes {
+		t.Errorf("last epoch roster %d, want the floor %d", len(last.Trace.Homes), MinHomes)
 	}
 }
 

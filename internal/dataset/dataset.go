@@ -33,9 +33,11 @@ import (
 	"github.com/pem-go/pem/internal/market"
 )
 
-// Config controls trace synthesis. Every home's preference parameter k_i
-// and battery loss coefficient ε_i are drawn from the fixed bands [60, 110]
-// and [0.75, 0.95].
+// Config controls trace synthesis. Scenario alone selects the model: its
+// preset's constants (scenarios.go) fix the daylight hours, the panel, load,
+// battery and cloud bands, and the shares of homes with panels and
+// batteries. Every home's preference parameter k_i and battery loss
+// coefficient ε_i are drawn from the fixed bands [60, 110] and [0.75, 0.95].
 type Config struct {
 	// Homes is the number of smart homes (the paper sweeps 100–300).
 	Homes int
@@ -47,41 +49,6 @@ type Config struct {
 
 	// StartHour is the local hour of window 0 (default 7).
 	StartHour float64
-	// SunriseHour and SunsetHour bound solar production (defaults
-	// 6.5/19.5).
-	SunriseHour, SunsetHour float64
-
-	// SolarCapMinKW and SolarCapMaxKW bound per-home panel capacity
-	// (defaults 2 and 9 kW).
-	SolarCapMinKW, SolarCapMaxKW float64
-
-	// CloudFloor and CloudCeil bound the AR(1) cloud-attenuation process
-	// (defaults 0.25 and 1.0). A scenario preset narrows the band: an
-	// overcast day lives near the floor, a clear one near the ceiling.
-	CloudFloor, CloudCeil float64
-
-	// SolarFraction is the share of homes with panels (default 0.85).
-	// Panel-less homes remain buyers all day, which keeps the buyer
-	// coalition populated through the midday surplus — the Fig. 4 shape —
-	// and gives the Fig. 6(c) savings a demand side to act on. Set to a
-	// tiny positive value (not 0, which means "default") to disable.
-	SolarFraction float64
-
-	// BaseLoadMinKW and BaseLoadMaxKW bound the per-home base load
-	// (defaults 0.3 and 1.2 kW).
-	BaseLoadMinKW, BaseLoadMaxKW float64
-
-	// BatteryFraction of homes have a battery (default 0.3); capacities
-	// are drawn in [BatteryCapMinKWh, BatteryCapMaxKWh] (defaults 2 and
-	// 10 kWh).
-	BatteryFraction float64
-	// BatteryCapMinKWh and BatteryCapMaxKWh bound per-home battery
-	// capacity (defaults 2 and 10 kWh).
-	BatteryCapMinKWh, BatteryCapMaxKWh float64
-
-	// IDPrefix prefixes home IDs (default "home-"); fleet synthesis gives
-	// each coalition its own prefix so IDs stay unique fleet-wide.
-	IDPrefix string
 
 	// OnDemand defers day synthesis: Generate returns a lazy trace whose
 	// Gen/Load/Battery rows stay nil until a home is materialized (by
@@ -94,95 +61,45 @@ type Config struct {
 	// coalitions) day data.
 	OnDemand bool
 
-	// Scenario labels the homes generated under this config (informational;
-	// see the scenario presets in fleet.go).
+	// Scenario selects the weather/equipment preset the trace is drawn
+	// from and labels its homes. Empty is the base day with unlabelled
+	// homes; an unknown name is refused (*UnknownScenarioError).
 	Scenario Scenario
 
-	// sky is the clear-sky factor per window (skyCache.curve), read-only.
-	sky []float64
+	// idPrefix prefixes home IDs (default "home-"); GenerateFleet gives
+	// each block its own so IDs stay unique fleet-wide.
+	idPrefix string
+	// model is Scenario's preset and sky its clear-sky factor per window
+	// (skyCache.curve), both attached by generate and read-only.
+	model preset
+	sky   []float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.StartHour == 0 {
 		c.StartHour = 7
 	}
-	if c.SunriseHour == 0 {
-		c.SunriseHour = 6.5
+	if c.idPrefix == "" {
+		c.idPrefix = "home-"
 	}
-	if c.SunsetHour == 0 {
-		c.SunsetHour = 19.5
-	}
-	if c.SolarCapMinKW == 0 {
-		c.SolarCapMinKW = 2
-	}
-	if c.SolarCapMaxKW == 0 {
-		c.SolarCapMaxKW = 9
-	}
-	if c.SolarFraction == 0 {
-		c.SolarFraction = 0.85
-	}
-	if c.BaseLoadMinKW == 0 {
-		c.BaseLoadMinKW = 0.3
-	}
-	if c.BaseLoadMaxKW == 0 {
-		c.BaseLoadMaxKW = 1.2
-	}
-	if c.BatteryFraction == 0 {
-		c.BatteryFraction = 0.3
-	}
-	if c.CloudFloor == 0 {
-		c.CloudFloor = 0.25
-	}
-	if c.CloudCeil == 0 {
-		c.CloudCeil = 1
-	}
-	if c.BatteryCapMinKWh == 0 {
-		c.BatteryCapMinKWh = 2
-	}
-	if c.BatteryCapMaxKWh == 0 {
-		c.BatteryCapMaxKWh = 10
-	}
-	if c.IDPrefix == "" {
-		c.IDPrefix = "home-"
-	}
+	c.model, _ = presetOf(c.Scenario) // Validate refuses an unknown one
 	return c
 }
 
-// Validate checks the config as Generate uses it, defaults applied: finite
-// numbers, a sunrise before sunset, no inverted band (uniform would draw
-// from its mirror image).
+// Validate checks what the caller sets: positive sizes, a finite StartHour
+// and a known Scenario. A preset's own constants are checked by its tests.
 func (c Config) Validate() error {
-	c = c.withDefaults()
 	if c.Homes <= 0 {
 		return errors.New("dataset: Homes must be positive")
 	}
 	if c.Windows <= 0 {
 		return errors.New("dataset: Windows must be positive")
 	}
-	for _, f := range []struct {
-		name   string
-		lo, hi float64 // a band's bounds, or one value twice
-	}{
-		{"StartHour", c.StartHour, c.StartHour},
-		{"SunriseHour/SunsetHour", c.SunriseHour, c.SunsetHour},
-		{"SolarCapMinKW/SolarCapMaxKW", c.SolarCapMinKW, c.SolarCapMaxKW},
-		{"CloudFloor/CloudCeil", c.CloudFloor, c.CloudCeil},
-		{"SolarFraction", c.SolarFraction, c.SolarFraction},
-		{"BaseLoadMinKW/BaseLoadMaxKW", c.BaseLoadMinKW, c.BaseLoadMaxKW},
-		{"BatteryFraction", c.BatteryFraction, c.BatteryFraction},
-		{"BatteryCapMinKWh/BatteryCapMaxKWh", c.BatteryCapMinKWh, c.BatteryCapMaxKWh},
-	} {
-		if !finite(f.lo) || !finite(f.hi) || f.lo > f.hi {
-			return fmt.Errorf("dataset: %s = %v, %v: want finite, in order", f.name, f.lo, f.hi)
-		}
+	if !finite(c.StartHour) {
+		return fmt.Errorf("dataset: StartHour = %v: want finite", c.StartHour)
 	}
-	if c.SunriseHour == c.SunsetHour { // later is rejected above
-		return fmt.Errorf("dataset: SunriseHour/SunsetHour = %v, %v: a sunless day", c.SunriseHour, c.SunsetHour)
-	}
-	if c.CloudFloor < 0 || c.CloudCeil > 1 {
-		return fmt.Errorf("dataset: CloudFloor/CloudCeil band [%v, %v] outside [0, 1]", c.CloudFloor, c.CloudCeil)
-	}
-	return nil
+	_, err := presetOf(c.Scenario)
+	return err
 }
 
 // Home describes one smart home's static parameters. The first five fields
@@ -201,8 +118,8 @@ type Home struct {
 	Epsilon float64
 	// BatteryCapKWh is the battery capacity (0 = no battery).
 	BatteryCapKWh float64
-	// Scenario is the weather/equipment preset the home was synthesized
-	// under (empty for plain Generate calls).
+	// Scenario is the preset the home was synthesized under
+	// (Config.Scenario; empty for the base day's unnamed default).
 	Scenario Scenario
 }
 
@@ -290,10 +207,10 @@ func Generate(cfg Config) (*Trace, error) { return generate(cfg, skyCache{}) }
 
 // generate is Generate drawing its clear-sky curve from the caller's cache.
 func generate(cfg Config, skies skyCache) (*Trace, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	cfg.sky = skies.curve(cfg)
 	rng := dayRands.Get().(*mrand.Rand)
 	rng.Seed(cfg.Seed)
@@ -306,23 +223,8 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 	// streams this way is what makes lazy synthesis possible: any home's
 	// day can be materialized on demand without replaying anyone else's
 	// draws, and eager and lazy traces are bit-identical by construction.
-	for h := 0; h < cfg.Homes; h++ {
-		home := Home{
-			ID:         fmt.Sprintf("%s%03d", cfg.IDPrefix, h),
-			BaseLoadKW: uniform(rng, cfg.BaseLoadMinKW, cfg.BaseLoadMaxKW),
-			// The k band places the unclamped Stackelberg price near the
-			// paper's [90, 110].
-			K:        uniform(rng, 60, 110),
-			Epsilon:  uniform(rng, 0.75, 0.95),
-			Scenario: cfg.Scenario,
-		}
-		if rng.Float64() < cfg.SolarFraction {
-			home.SolarCapKW = uniform(rng, cfg.SolarCapMinKW, cfg.SolarCapMaxKW)
-		}
-		if rng.Float64() < cfg.BatteryFraction {
-			home.BatteryCapKWh = uniform(rng, cfg.BatteryCapMinKWh, cfg.BatteryCapMaxKWh)
-		}
-		tr.Homes[h] = home
+	for h := range tr.Homes {
+		tr.Homes[h] = cfg.model.drawHome(rng, fmt.Sprintf("%s%03d", cfg.idPrefix, h), cfg.Scenario)
 	}
 	dayRands.Put(rng)
 	for h := 0; h < cfg.Homes; h++ {
@@ -333,6 +235,28 @@ func generate(cfg Config, skies skyCache) (*Trace, error) {
 		tr.Materialize()
 	}
 	return tr, nil
+}
+
+// drawHome draws one home's statics from rng under p, labelled s: base
+// load, k and ε, then panels and a battery, each behind its share. A
+// trace's homes and a churn joiner draw them alike.
+func (p *preset) drawHome(rng *mrand.Rand, id string, s Scenario) Home {
+	home := Home{
+		ID:         id,
+		BaseLoadKW: p.baseLoad.draw(rng),
+		// The k band places the unclamped Stackelberg price near the
+		// paper's [90, 110].
+		K:        band{60, 110}.draw(rng),
+		Epsilon:  band{0.75, 0.95}.draw(rng),
+		Scenario: s,
+	}
+	if rng.Float64() < p.solarFraction {
+		home.SolarCapKW = p.solarCap.draw(rng)
+	}
+	if rng.Float64() < p.batteryFraction {
+		home.BatteryCapKWh = p.batteryCap.draw(rng)
+	}
+	return home
 }
 
 // DeriveSeed expands a seed into independent streams, one per (domain,
@@ -378,10 +302,11 @@ func (cfg Config) synthesizeDay(home Home, daySeed int64, gen, load, batt []floa
 	defer dayRands.Put(rng)
 	rng.Seed(daySeed)
 
-	// AR(1) cloud attenuation in [CloudFloor, CloudCeil], starting in
-	// the upper part of the band.
-	cloudBand := cfg.CloudCeil - cfg.CloudFloor
-	cloud := cfg.CloudFloor + cloudBand*(0.6+0.4*rng.Float64())
+	// AR(1) cloud attenuation within the preset's band, starting in its
+	// upper part. The band is copied out so the window loop reads locals.
+	floor, ceil := cfg.model.cloud[0], cfg.model.cloud[1]
+	cloudBand := ceil - floor
+	cloud := floor + cloudBand*(0.6+0.4*rng.Float64())
 	// Morning/evening load peaks with per-home jitter.
 	morning := 7.5 + rng.NormFloat64()*0.4
 	evening := 18.2 + rng.NormFloat64()*0.5
@@ -393,7 +318,7 @@ func (cfg Config) synthesizeDay(home Home, daySeed int64, gen, load, batt []floa
 	for w := 0; w < cfg.Windows; w++ {
 		// Solar: the day shape's clear-sky factor scaled by the panels.
 		sunKW := home.SolarCapKW * cfg.sky[w]
-		cloud = clamp(0.92*cloud+0.08*(cfg.CloudFloor+cloudBand*rng.Float64()), cfg.CloudFloor, cfg.CloudCeil)
+		cloud = clamp(0.92*cloud+0.08*(floor+cloudBand*rng.Float64()), floor, ceil)
 		genKW := sunKW * cloud
 
 		// Load: base + peaks + noise, never negative.
@@ -427,22 +352,23 @@ func (cfg Config) synthesizeDay(home Home, daySeed int64, gen, load, batt []floa
 }
 
 // skyCache holds one call's clear-sky curves, one per day shape (StartHour,
-// SunriseHour, SunsetHour, Windows) — all the factor depends on — so a
-// fleet's blocks share one per scenario, not a math.Pow per home per window.
+// sunrise, sunset, Windows) — all the factor depends on — so a fleet's
+// blocks share one per scenario, not a math.Pow per home per window.
 type skyCache map[[4]float64][]float64
 
 // curve returns the defaulted, valid cfg's clear-sky factor per window: the
 // bell sin(π·daylight fraction)^1.4 between sunrise and sunset, 0 outside.
 func (sc skyCache) curve(cfg Config) []float64 {
-	shape := [4]float64{cfg.StartHour, cfg.SunriseHour, cfg.SunsetHour, float64(cfg.Windows)}
+	rise, set := cfg.model.sunrise, cfg.model.sunset
+	shape := [4]float64{cfg.StartHour, rise, set, float64(cfg.Windows)}
 	if sky, ok := sc[shape]; ok {
 		return sky
 	}
 	sky := make([]float64, cfg.Windows)
 	for w := range sky {
 		hour := cfg.StartHour + float64(w)/60
-		if hour > cfg.SunriseHour && hour < cfg.SunsetHour {
-			frac := (hour - cfg.SunriseHour) / (cfg.SunsetHour - cfg.SunriseHour)
+		if hour > rise && hour < set {
+			frac := (hour - rise) / (set - rise)
 			sky[w] = math.Pow(math.Sin(math.Pi*frac), 1.4)
 		}
 	}
@@ -452,8 +378,9 @@ func (sc skyCache) curve(cfg Config) []float64 {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-func uniform(rng *mrand.Rand, lo, hi float64) float64 {
-	return lo + rng.Float64()*(hi-lo)
+// draw returns a uniform draw from b.
+func (b band) draw(rng *mrand.Rand) float64 {
+	return b[0] + rng.Float64()*(b[1]-b[0])
 }
 
 func clamp(v, lo, hi float64) float64 {

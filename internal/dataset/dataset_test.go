@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -72,53 +73,50 @@ func TestGenerateValidation(t *testing.T) {
 		t.Error("zero windows accepted")
 	}
 
-	// Nonsense that used to pass: a sunless or backwards day, inverted
-	// bands (uniform drew from the mirrored one) and non-finite floats. The
-	// error names the field.
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, tc := range []struct {
-		field string
-		set   func(*Config)
-	}{
-		{"SunriseHour", func(c *Config) { c.SunriseHour = 20 }},
-		{"SunriseHour", func(c *Config) { c.SunriseHour, c.SunsetHour = 12, 12 }},
-		{"SunsetHour", func(c *Config) { c.SunsetHour = 5 }},
-		{"SunsetHour", func(c *Config) { c.SunsetHour = inf }},
-		{"SunriseHour", func(c *Config) { c.SunriseHour = -inf }},
-		{"StartHour", func(c *Config) { c.StartHour = nan }},
-		{"SolarCapMinKW", func(c *Config) { c.SolarCapMinKW = 10 }},
-		{"SolarCapMaxKW", func(c *Config) { c.SolarCapMaxKW = 1 }},
-		{"SolarCapMaxKW", func(c *Config) { c.SolarCapMaxKW = inf }},
-		{"BaseLoadMinKW", func(c *Config) { c.BaseLoadMinKW = 3 }},
-		{"BaseLoadMaxKW", func(c *Config) { c.BaseLoadMaxKW = nan }},
-		{"SolarFraction", func(c *Config) { c.SolarFraction = nan }},
-		{"BatteryFraction", func(c *Config) { c.BatteryFraction = -inf }},
-		{"BatteryCapMinKWh", func(c *Config) { c.BatteryCapMinKWh = 12 }},
-		{"BatteryCapMaxKWh", func(c *Config) { c.BatteryCapMaxKWh = nan }},
-		{"CloudFloor", func(c *Config) { c.CloudFloor = 1.5 }},
-		{"CloudFloor", func(c *Config) { c.CloudFloor = -0.1 }},
-		{"CloudCeil", func(c *Config) { c.CloudCeil = nan }},
-		{"CloudCeil", func(c *Config) { c.CloudCeil = 1.2 }},
-	} {
-		cfg := Config{Homes: 4, Windows: 10}
-		tc.set(&cfg)
-		if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("%s set to nonsense: err = %v, want one naming the field", tc.field, err)
+	// A non-finite StartHour is refused by name (an unknown Scenario is
+	// TestScenarios', a preset's constants TestPresetSanity's).
+	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Generate(Config{Homes: 4, Windows: 10, StartHour: h}); err == nil || !strings.Contains(err.Error(), "StartHour") {
+			t.Errorf("StartHour %v: err = %v, want one naming the field", h, err)
 		}
 	}
 
-	// Every preset still validates, bare and as a fleet block.
+	// Every preset generates, bare and as a fleet block.
 	for _, s := range Scenarios() {
-		cfg, err := ScenarioConfig(s, 4, 10, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cfg.Validate(); err != nil {
+		if _, err := Generate(Config{Homes: 4, Windows: 10, Seed: 1, Scenario: s}); err != nil {
 			t.Errorf("preset %s: %v", s, err)
 		}
 	}
 	if _, err := GenerateFleet(FleetConfig{Coalitions: len(DefaultFleetScenarios()), HomesPerCoalition: 2, Windows: 10}); err != nil {
 		t.Errorf("default fleet scenarios: %v", err)
+	}
+}
+
+// TestPresetSanity holds every preset's constants to a usable model: a
+// sunrise before sunset, finite and ordered bands, a cloud band within
+// [0, 1] and both shares within (0, 1].
+func TestPresetSanity(t *testing.T) {
+	for _, s := range Scenarios() {
+		p, err := presetOf(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		if !(p.sunrise < p.sunset) {
+			t.Errorf("%s: sunrise %v not before sunset %v", s, p.sunrise, p.sunset)
+		}
+		for name, b := range map[string]band{"solarCap": p.solarCap, "baseLoad": p.baseLoad, "batteryCap": p.batteryCap, "cloud": p.cloud} {
+			if !finite(b[0]) || !finite(b[1]) || b[0] > b[1] {
+				t.Errorf("%s: %s band %v not finite and ordered", s, name, b)
+			}
+		}
+		if p.cloud[0] < 0 || p.cloud[1] > 1 {
+			t.Errorf("%s: cloud band %v outside [0, 1]", s, p.cloud)
+		}
+		for name, f := range map[string]float64{"solarFraction": p.solarFraction, "batteryFraction": p.batteryFraction} {
+			if !(f > 0 && f <= 1) {
+				t.Errorf("%s: %s %v outside (0, 1]", s, name, f)
+			}
+		}
 	}
 }
 
@@ -291,13 +289,10 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-// scenarioTrace synthesizes a trace for a named preset.
+// scenarioTrace synthesizes a trace for a named preset through the public
+// field.
 func scenarioTrace(s Scenario, homes, windows int, seed int64) (*Trace, error) {
-	cfg, err := ScenarioConfig(s, homes, windows, seed)
-	if err != nil {
-		return nil, err
-	}
-	return Generate(cfg)
+	return Generate(Config{Homes: homes, Windows: windows, Seed: seed, Scenario: s})
 }
 
 func TestScenarios(t *testing.T) {
@@ -388,4 +383,59 @@ func TestSolarFraction(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzGenerate draws a trace of 1–8 homes and 1–64 windows from any seed,
+// StartHour, scenario name and OnDemand. Generate either refuses it with an
+// error naming the field — a non-finite StartHour, an unknown Scenario — or
+// returns finite rows with generation ≥ 0, load at least the 0.05 kW floor,
+// a battery within capacity (to 1e-9 kWh of rounding, as
+// TestPhysicalPlausibility), and an eager trace bit-identical to the lazy
+// one.
+func FuzzGenerate(f *testing.F) {
+	for i, s := range append(Scenarios(), "", "volcanic") {
+		f.Add(uint8(i), uint8(60), int64(i), 7.0, string(s), i%2 == 0)
+	}
+	f.Add(uint8(7), uint8(63), int64(-9), math.NaN(), "sunny", false)
+	f.Add(uint8(3), uint8(40), int64(20200425), -1e5, "winter", true)
+	f.Add(uint8(0), uint8(0), int64(0), math.Inf(1), "volcanic", true)
+	f.Fuzz(func(t *testing.T, homes, windows uint8, seed int64, start float64, scenario string, onDemand bool) {
+		cfg := Config{Homes: 1 + int(homes%8), Windows: 1 + int(windows%64), Seed: seed, StartHour: start, Scenario: Scenario(scenario), OnDemand: onDemand}
+		tr, err := Generate(cfg)
+		var unknown *UnknownScenarioError
+		switch _, bad := presetOf(cfg.Scenario); {
+		case !finite(start):
+			if err == nil || !strings.Contains(err.Error(), "StartHour") {
+				t.Fatalf("StartHour %v: err = %v, want one naming StartHour", start, err)
+			}
+			return
+		case bad != nil:
+			if !errors.As(err, &unknown) || unknown.Scenario != cfg.Scenario || !strings.Contains(err.Error(), "Scenario") {
+				t.Fatalf("Scenario %q: err = %v, want *UnknownScenarioError naming Scenario", scenario, err)
+			}
+			return
+		case err != nil:
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		cfg.OnDemand = !onDemand
+		other, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traceDigest(tr) != traceDigest(other) {
+			t.Fatalf("%+v: eager and on-demand traces differ", cfg)
+		}
+		for h, home := range tr.Homes {
+			level := 0.0
+			for w := range tr.Windows {
+				g, l, b := tr.Gen[h][w], tr.Load[h][w], tr.Battery[h][w]
+				if !finite(g) || !finite(l) || !finite(b) || g < 0 || l < 0.05/60 {
+					t.Fatalf("%+v: home %d window %d: gen %v, load %v, battery %v", cfg, h, w, g, l, b)
+				}
+				if level += b; level < -1e-9 || level > home.BatteryCapKWh+1e-9 {
+					t.Fatalf("%+v: home %d window %d: battery level %v outside [0, %v]", cfg, h, w, level, home.BatteryCapKWh)
+				}
+			}
+		}
+	})
 }

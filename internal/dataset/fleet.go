@@ -61,13 +61,11 @@ func GenerateFleet(cfg FleetConfig) (*Trace, error) {
 	var fleet *Trace
 	skies := skyCache{} // one curve per scenario day shape, not per block
 	for b := 0; b < cfg.Coalitions; b++ {
-		blockCfg, err := ScenarioConfig(scenarios[b%len(scenarios)], cfg.HomesPerCoalition, cfg.Windows, DeriveSeed("fleet", cfg.Seed, b))
-		if err != nil {
-			return nil, err
+		blockCfg := Config{
+			Homes: cfg.HomesPerCoalition, Windows: cfg.Windows, Seed: DeriveSeed("fleet", cfg.Seed, b),
+			StartHour: cfg.StartHour, OnDemand: cfg.OnDemand, Scenario: scenarios[b%len(scenarios)],
+			idPrefix: fmt.Sprintf("c%02d-home-", b),
 		}
-		blockCfg.IDPrefix = fmt.Sprintf("c%02d-home-", b)
-		blockCfg.StartHour = cfg.StartHour
-		blockCfg.OnDemand = cfg.OnDemand
 		block, err := generate(blockCfg, skies)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: block %d (%s): %w", b, blockCfg.Scenario, err)

@@ -1,12 +1,15 @@
 package dataset
 
+import "fmt"
+
 // Scenario presets. The paper evaluates a single day of traces; these
 // presets vary the weather and fleet composition so the benchmark harness
 // and tests can exercise market regimes the base day rarely reaches —
 // notably sustained extreme markets (supply ≥ demand), which only occur
 // when generation strongly dominates load.
 
-// Scenario identifies a preset configuration.
+// Scenario names a preset: Config.Scenario selects the model a trace is
+// drawn from, and each home carries the name it was drawn under.
 type Scenario string
 
 // Available scenarios.
@@ -33,43 +36,55 @@ func Scenarios() []Scenario {
 	return []Scenario{ScenarioBase, ScenarioSunny, ScenarioOvercast, ScenarioWinter, ScenarioStorageHeavy}
 }
 
-// ScenarioConfig returns a generator config for the preset.
-func ScenarioConfig(s Scenario, homes, windows int, seed int64) (Config, error) {
-	cfg := Config{Homes: homes, Windows: windows, Seed: seed, Scenario: s}
+// preset is one scenario's model: the day's sunrise and sunset hours, the
+// [lo, hi] bands panel capacity (kW), base load (kW), battery capacity (kWh)
+// and the AR(1) cloud attenuation are drawn from, and the shares of homes
+// with panels and with a battery.
+type preset struct {
+	sunrise, sunset                       float64
+	solarCap, baseLoad, batteryCap, cloud band
+	solarFraction, batteryFraction        float64
+}
+
+// band is a closed range [lo, hi].
+type band [2]float64
+
+// basePreset is the paper-like day every preset departs from. Panel-less
+// homes (solarFraction) stay buyers all day, which keeps the buyer coalition
+// populated through the midday surplus — the Fig. 4 shape — and gives the
+// Fig. 6(c) savings a demand side to act on.
+var basePreset = preset{
+	sunrise: 6.5, sunset: 19.5,
+	solarCap: band{2, 9}, baseLoad: band{0.3, 1.2}, batteryCap: band{2, 10},
+	cloud:         band{0.25, 1},
+	solarFraction: 0.85, batteryFraction: 0.3,
+}
+
+// presetOf returns s's model: the base day with s's departures from it. The
+// empty name is the base day.
+func presetOf(s Scenario) (preset, error) {
+	p := basePreset
 	switch s {
 	case ScenarioBase, "":
-		// Defaults.
 	case ScenarioSunny:
-		cfg.SolarCapMinKW = 6
-		cfg.SolarCapMaxKW = 14
-		cfg.BaseLoadMinKW = 0.2
-		cfg.BaseLoadMaxKW = 0.8
-		cfg.SolarFraction = 0.999 // effectively everyone has panels
-		cfg.CloudFloor = 0.7      // clear sky: attenuation stays high
+		p.solarCap, p.baseLoad = band{6, 14}, band{0.2, 0.8}
+		p.solarFraction = 0.999 // effectively everyone has panels
+		p.cloud[0] = 0.7        // clear sky: attenuation stays high
 	case ScenarioOvercast:
-		cfg.SolarCapMinKW = 0.8
-		cfg.SolarCapMaxKW = 2.5
-		cfg.BaseLoadMinKW = 0.7
-		cfg.BaseLoadMaxKW = 2.0
-		cfg.SolarFraction = 0.7
-		cfg.CloudFloor = 0.15 // heavy deck: attenuation pinned low
-		cfg.CloudCeil = 0.45
+		p.solarCap, p.baseLoad = band{0.8, 2.5}, band{0.7, 2.0}
+		p.solarFraction = 0.7
+		p.cloud = band{0.15, 0.45} // heavy deck: attenuation pinned low
 	case ScenarioWinter:
-		cfg.SunriseHour = 8.2
-		cfg.SunsetHour = 16.8
-		cfg.SolarCapMinKW = 2
-		cfg.SolarCapMaxKW = 6
-		cfg.BaseLoadMinKW = 0.6
-		cfg.BaseLoadMaxKW = 1.8
-		cfg.CloudCeil = 0.75 // low sun never reaches clear-sky yield
+		p.sunrise, p.sunset = 8.2, 16.8
+		p.solarCap, p.baseLoad = band{2, 6}, band{0.6, 1.8}
+		p.cloud[1] = 0.75 // low sun never reaches clear-sky yield
 	case ScenarioStorageHeavy:
-		cfg.BatteryFraction = 0.95
-		cfg.BatteryCapMinKWh = 6
-		cfg.BatteryCapMaxKWh = 16
+		p.batteryFraction = 0.95
+		p.batteryCap = band{6, 16}
 	default:
-		return Config{}, &UnknownScenarioError{Scenario: s}
+		return preset{}, &UnknownScenarioError{Scenario: s}
 	}
-	return cfg, nil
+	return p, nil
 }
 
 // UnknownScenarioError is returned for unrecognized preset names.
@@ -80,5 +95,5 @@ type UnknownScenarioError struct {
 
 // Error implements the error interface.
 func (e *UnknownScenarioError) Error() string {
-	return "dataset: unknown scenario " + string(e.Scenario)
+	return fmt.Sprintf("dataset: unknown Scenario %q", e.Scenario)
 }

@@ -369,7 +369,7 @@ func runEpoch(ctx context.Context, cfg LiveConfig, infra core.Resources, ef *dat
 	// count can fill; degrade to the largest count whose coalitions still
 	// meet the private-market floor, rather than partition the roster into
 	// slivers that would all fold to grid-tariff service.
-	k := max(1, min(cfg.Coalitions, len(ef.Trace.Homes)/minCoalition))
+	k := max(1, min(cfg.Coalitions, len(ef.Trace.Homes)/MinCoalition))
 	parts, err := Partition(cfg.Partition, ef.Trace.Homes, k, epochSeed)
 	if err != nil {
 		return er, err

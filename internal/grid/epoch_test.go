@@ -238,7 +238,7 @@ func TestLiveShrinksCoalitionCount(t *testing.T) {
 	}
 	shrunk := false
 	for e, er := range res.Epochs {
-		if max := len(evo.Epochs[e].Trace.Homes) / minCoalition; len(er.Coalitions) > max {
+		if max := len(evo.Epochs[e].Trace.Homes) / MinCoalition; len(er.Coalitions) > max {
 			t.Errorf("epoch %d: %d coalitions for %d homes", e, len(er.Coalitions), len(evo.Epochs[e].Trace.Homes))
 		}
 		if len(er.Coalitions) == 0 {
@@ -252,7 +252,7 @@ func TestLiveShrinksCoalitionCount(t *testing.T) {
 }
 
 // TestLiveCoalitionCapRespectsFloor: degrading the coalition count must
-// account for minCoalition — 6 homes under the floor of 3 must run
+// account for MinCoalition — 6 homes under the floor of 3 must run
 // two real 3-agent markets, not fold three 2-agent slivers to the grid.
 func TestLiveCoalitionCapRespectsFloor(t *testing.T) {
 	evo, err := dataset.Evolve(dataset.FleetConfig{

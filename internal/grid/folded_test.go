@@ -144,7 +144,7 @@ func clearingDay(t *testing.T, name string, sub *dataset.Trace) (market.Coalitio
 }
 
 // checkFolded accounts members of tr as a folded day — through
-// runCoalition's folded branch below minCoalition, through tariffDay itself
+// runCoalition's folded branch below MinCoalition, through tariffDay itself
 // at or above it — and holds its residual and flows to clearingDay with ==,
 // not a tolerance.
 func checkFolded(t *testing.T, tr *dataset.Trace, name string, members []int) {
@@ -155,7 +155,7 @@ func checkFolded(t *testing.T, tr *dataset.Trace, name string, members []int) {
 	}
 	wantRes, wantFlows := clearingDay(t, name, sub)
 	cr := &CoalitionRun{Name: name, Members: members}
-	if len(members) < minCoalition {
+	if len(members) < MinCoalition {
 		runCoalition(context.Background(), Config{}, core.Resources{}, tr, cr)
 	} else {
 		for _, h := range sub.Homes {
@@ -196,12 +196,7 @@ func TestTariffDayMatchesClearing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseCfg, err := dataset.ScenarioConfig(dataset.ScenarioBase, 800, 720, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseCfg.OnDemand = true
-	base, err := dataset.Generate(baseCfg)
+	base, err := dataset.Generate(dataset.Config{Homes: 800, Windows: 720, Seed: 11, Scenario: dataset.ScenarioBase, OnDemand: true})
 	if err != nil {
 		t.Fatal(err)
 	}

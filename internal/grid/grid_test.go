@@ -509,14 +509,14 @@ func TestGridRejectsBadConfig(t *testing.T) {
 }
 
 // TestGridFoldsSmallCoalition is the regression test for graceful
-// degradation: a coalition below minCoalition — routine once churn shrinks
+// degradation: a coalition below MinCoalition — routine once churn shrinks
 // rosters — must not fail the grid. Folding is an outcome, not an error:
 // the coalition has Err nil and Folded set, its members trade at the tariff,
 // it is delivered to the sink, persisted as folded and settled, and the rest
 // of the grid completes normally.
 func TestGridFoldsSmallCoalition(t *testing.T) {
 	tr := testFleet(t, 2, 4, 2) // 8 homes
-	// Three coalitions of sizes 3, 3, 2: the last is below minCoalition.
+	// Three coalitions of sizes 3, 3, 2: the last is below MinCoalition.
 	parts, err := Partition(StrategyFixed, tr.Homes, 3, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -81,7 +81,7 @@ func TestGridTiersSingletonIdentity(t *testing.T) {
 }
 
 // TestGridTiersWithFoldedCoalitions runs a multi-tier hierarchy over a
-// partition whose tail coalitions fall below minCoalition and fold to
+// partition whose tail coalitions fall below MinCoalition and fold to
 // grid-tariff service: their residuals must flow through the tier tree like
 // everyone else's, and energy must be conserved from coalition leaves
 // through tier netting to the tariff boundary.

@@ -47,13 +47,13 @@ type Config struct {
 	Store store.Store
 }
 
-// minCoalition is the roster floor for running a private market: below
+// MinCoalition is the roster floor for running a private market: below
 // three agents the paper's protocols degenerate (the ring aggregations and
 // pricing game need counterparties beyond the special parties), so a
 // smaller coalition — routine once churn shrinks rosters — is folded: its
 // agents trade with the main grid at the tariff, an outcome like any other
 // (CoalitionRun.Folded, Err nil).
-const minCoalition = 3
+const MinCoalition = 3
 
 // validate checks the configuration shared by Run and RunLive: the
 // supervisor's budgets and the engine configuration every coalition
@@ -148,7 +148,7 @@ type CoalitionRun struct {
 	// Duration is the coalition-day wall-clock time (engine provisioning
 	// included).
 	Duration time.Duration
-	// Folded marks a coalition below the three-agent floor (minCoalition):
+	// Folded marks a coalition below the three-agent floor (MinCoalition):
 	// its members traded at the grid tariff instead of in a private market.
 	// That is an outcome, not a failure — Err stays nil, and the folded
 	// residual and flows are delivered, persisted and settled like any
@@ -397,7 +397,7 @@ func launchCoalitions(ctx context.Context, maxConc int, runs []CoalitionRun, run
 // plaintext PEM oracle (market.ClearInto), the harness-side accounting
 // behind every trading-performance figure (the private protocols reveal
 // neither side's totals). Results, Windows, Ledger and Flows are set once
-// the whole day has completed. A roster below minCoalition is folded to
+// the whole day has completed. A roster below MinCoalition is folded to
 // grid-tariff service instead. All outcomes land in cr.
 func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dataset.Trace, cr *CoalitionRun) {
 	begin := time.Now()
@@ -414,7 +414,7 @@ func runCoalition(ctx context.Context, cfg Config, infra core.Resources, tr *dat
 	}
 
 	params := cfg.params()
-	if len(cr.IDs) < minCoalition {
+	if len(cr.IDs) < MinCoalition {
 		// Too small to run a private market: the members' grid-only position
 		// becomes the coalition residual.
 		cr.Folded = true

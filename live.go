@@ -56,7 +56,7 @@ const (
 // fewer agents is folded into grid settlement, its agents trading at the
 // grid tariff (CoalitionRun.Folded). Below three agents the paper's
 // protocols have no counterparty beyond the special parties.
-const MinCoalition = 3
+const MinCoalition = grid.MinCoalition
 
 // LiveGridConfig configures a live (epoched) coalition grid.
 type LiveGridConfig struct {

@@ -71,7 +71,8 @@ type (
 	TradeRecord = ledger.TradeRecord
 	// Trace is a day of per-home generation/load/battery data.
 	Trace = dataset.Trace
-	// TraceConfig controls synthetic trace generation.
+	// TraceConfig controls synthetic trace generation: size, seed, start
+	// hour, laziness and the Scenario whose preset constants model the day.
 	TraceConfig = dataset.Config
 	// PoolStats is a snapshot of the pre-encryption pool health counters.
 	PoolStats = paillier.PoolStats

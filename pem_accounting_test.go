@@ -209,7 +209,7 @@ func TestConfigSurface(t *testing.T) {
 		"pem.ChurnConfig": {fields(pem.ChurnConfig{}),
 			"Epochs JoinRate DepartRate FailRate"},
 		"pem.TraceConfig": {fields(pem.TraceConfig{}),
-			"Homes Windows Seed StartHour SunriseHour SunsetHour SolarCapMinKW SolarCapMaxKW CloudFloor CloudCeil SolarFraction BaseLoadMinKW BaseLoadMaxKW BatteryFraction BatteryCapMinKWh BatteryCapMaxKWh IDPrefix OnDemand Scenario"},
+			"Homes Windows Seed StartHour OnDemand Scenario"},
 		"core.Config": {fields(core.Config{}),
 			"KeyBits Params PreEncrypt CryptoBackend Aggregation Network Seed"},
 		"core.Resources": {fields(core.Resources{}),

@@ -3,6 +3,7 @@ package pem_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,6 +139,21 @@ func TestSimulateDaySeries(t *testing.T) {
 	}
 	if _, err := pem.SimulateDay(nil, params); err == nil {
 		t.Error("nil trace accepted")
+	}
+
+	// TraceConfig.Scenario selects the preset: a sunny trace draws every
+	// panel from [6, 14] kW, and an unknown name is refused by name.
+	sunny, err := pem.GenerateTrace(pem.TraceConfig{Homes: 30, Windows: 1, Seed: 5, Scenario: pem.ScenarioSunny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range sunny.Homes {
+		if h.Scenario != pem.ScenarioSunny || h.SolarCapKW != 0 && (h.SolarCapKW < 6 || h.SolarCapKW > 14) {
+			t.Fatalf("sunny home %s: scenario %q, panels %v kW, want sunny within [6, 14]", h.ID, h.Scenario, h.SolarCapKW)
+		}
+	}
+	if _, err := pem.GenerateTrace(pem.TraceConfig{Homes: 3, Windows: 1, Scenario: "volcanic"}); err == nil || !strings.Contains(err.Error(), "volcanic") {
+		t.Errorf("unknown scenario: err = %v, want one naming it", err)
 	}
 }
 

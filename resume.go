@@ -53,7 +53,7 @@ func (old removedKeys) check(meta resumeMeta) error {
 	}{
 		{"PartitionSeed", old.Live.PartitionSeed, meta.Live.Market.partitionSeed()},
 		{"MinCoalition", old.Live.MinCoalition, MinCoalition},
-		{"Churn.MinHomes", churn.MinHomes, 4}, // dataset's churn floor
+		{"Churn.MinHomes", churn.MinHomes, dataset.MinHomes},
 		{"Churn.Seed", churn.Seed, meta.Fleet.Seed},
 	} {
 		if k.got != 0 && k.got != k.want {
