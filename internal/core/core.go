@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand/v2"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -122,7 +123,7 @@ func (c Config) Validate() error {
 	if c.CryptoBackend != BackendPaillier && c.CryptoBackend != BackendHybrid {
 		return fmt.Errorf("core: unknown crypto backend %q (have %q, %q)", c.CryptoBackend, BackendPaillier, BackendHybrid)
 	}
-	if c.Network != "" && !netem.ValidPreset(c.Network) {
+	if c.Network != "" && !slices.Contains(netem.Presets(), c.Network) {
 		return fmt.Errorf("core: unknown network topology %q (have %v)", c.Network, netem.Presets())
 	}
 	return c.Params.Validate()
@@ -235,15 +236,12 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 	// bus, and each window's state rides that window's context (runOne), so
 	// sibling coalitions never interact.
 	if cfg.Network != "" {
-		topo, err := netem.Preset(cfg.Network)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
 		var netSeed int64
 		if cfg.Seed != nil {
 			netSeed = *cfg.Seed
 		}
-		e.network, err = netem.New(topo, netSeed)
+		var err error
+		e.network, err = netem.New(cfg.Network, netSeed)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}

@@ -110,9 +110,10 @@ func (s skipped) Error() string { return string(s) }
 // non-nil) on the caller's goroutine for every item that succeeded, in
 // index order, as soon as it and every item before it are done.
 //
-// A failing item — run returned an error — cancels only itself. Once an
-// item has failed, ctx is cancelled or deliver has returned an error (which
-// also cancels the items in flight), no further item is started: skip (when
+// A failing item — run returned an error — cancels only itself, and no item
+// after it is started; an earlier item claimed but not yet started still
+// runs. Once ctx is cancelled or deliver has returned an error (which also
+// cancels the items in flight), no further item is started: skip (when
 // non-nil) is called for each with the cause, "on cancellation", "after
 // delivery aborted" or "after earlier failure". Nothing at or after a
 // failed index, and no skipped item, is delivered. The return value is the
@@ -125,7 +126,7 @@ func RunOrdered(ctx context.Context, n, width int, run func(ctx context.Context,
 	defer cancelAll()
 
 	var (
-		failed atomic.Bool
+		failed atomic.Int64 // lowest failed index, n while none has
 		next   atomic.Int64
 		wg     sync.WaitGroup
 		errs   = make([]error, n)
@@ -134,6 +135,7 @@ func RunOrdered(ctx context.Context, n, width int, run func(ctx context.Context,
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
+	failed.Store(int64(n))
 
 	// Workers: claim the next index, run it or — once there is a reason to
 	// stop — skip it. A cancel also fails the items it interrupts, so the
@@ -148,11 +150,15 @@ func RunOrdered(ctx context.Context, n, width int, run func(ctx context.Context,
 					errs[i] = skipped("on cancellation")
 				case runCtx.Err() != nil:
 					errs[i] = skipped("after delivery aborted")
-				case failed.Load():
+				case int64(i) > failed.Load():
 					errs[i] = skipped("after earlier failure")
 				default:
 					if errs[i] = run(runCtx, i); errs[i] != nil {
-						failed.Store(true)
+						for f := failed.Load(); int64(i) < f; f = failed.Load() {
+							if failed.CompareAndSwap(f, int64(i)) {
+								break
+							}
+						}
 					}
 				}
 				if cause, ok := errs[i].(skipped); ok && skip != nil {

@@ -140,7 +140,7 @@ func TestFaultWindowCancelsOnlyItself(t *testing.T) {
 	p.ReplaceConn(windowHold{Conn: fc, window: 2, until: w3})
 	var w3Sends atomic.Int64
 	for _, q := range eng.Parties() {
-		q.ReplaceConn(windowSendSpy{Conn: partyConn(q), window: 3, sends: &w3Sends, first: w3})
+		q.ReplaceConn(windowSendSpy{Conn: partyConn(q), window: 3, sends: &w3Sends, first: func(context.Context) { close(w3) }})
 	}
 
 	jobs := make([]WindowJob, 4)
@@ -188,11 +188,16 @@ func TestFailFastStopsLaunchingWindows(t *testing.T) {
 	fc := transport.NewFaultConn(partyConn(p))
 	fc.FailWindow(1)
 	// Window 0, in flight beside window 1, holds its first party's sends
-	// until window 1's fault has fired: it cannot finish, and free a worker
-	// to launch window 2, before window 1 has failed.
+	// until window 1's fault has fired and cancelled window 1's context: it
+	// cannot finish, and free a worker to launch window 2, before window 1
+	// has failed. Releasing it on window 1's first send instead let window 0
+	// race window 1's teardown, and on a loaded machine sometimes win.
 	var w1Sends atomic.Int64
-	w1 := make(chan struct{})
-	p.ReplaceConn(windowHold{Conn: windowSendSpy{Conn: fc, window: 1, sends: &w1Sends, first: w1}, window: 0, until: w1})
+	w1Failed := make(chan struct{})
+	onW1 := func(ctx context.Context) {
+		go func() { <-ctx.Done(); close(w1Failed) }()
+	}
+	p.ReplaceConn(windowHold{Conn: windowSendSpy{Conn: fc, window: 1, sends: &w1Sends, first: onW1}, window: 0, until: w1Failed})
 	// Every party's sends in window 3 are counted as they happen: the
 	// engine folds each window's transport counters once it ends, so the
 	// metrics sink cannot tell afterwards whether window 3 ever ran.
@@ -227,18 +232,19 @@ func TestFailFastStopsLaunchingWindows(t *testing.T) {
 }
 
 // windowSendSpy counts one window's sends through a party's transport and,
-// given first, closes it on the first of them across the parties sharing sends.
+// given first, calls it with the send's context on the first of them across
+// the parties sharing sends.
 type windowSendSpy struct {
 	transport.Conn
 	window int
 	sends  *atomic.Int64
-	first  chan struct{}
+	first  func(ctx context.Context)
 }
 
 func (c windowSendSpy) Send(ctx context.Context, to, tag string, payload []byte) error {
 	if _, w, _, ok := transport.ParseScopedWindowTag(tag); ok && w == c.window {
 		if c.sends.Add(1) == 1 && c.first != nil {
-			close(c.first)
+			c.first(ctx)
 		}
 	}
 	return c.Conn.Send(ctx, to, tag, payload)

@@ -37,21 +37,19 @@ package netem
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
 	"github.com/pem-go/pem/internal/transport"
 )
 
-// Network holds the emulated topology and the resolved pair links shared by
-// the wrapped connections of one engine. Each window's state lives in the
-// window's context (OpenWindow), never here.
+// Network is one engine's emulated network: a preset and the seed of its
+// draws, shared by the engine's wrapped connections. Each window's state
+// lives in the window's context (OpenWindow), never here.
 type Network struct {
-	topo Topology
-	seed int64
-
-	mu    sync.Mutex
-	pairs map[pairKey]LinkParams
+	preset preset
+	seed   int64
 }
 
 // windowKey keys the emulation state a window's context carries.
@@ -92,24 +90,20 @@ type link struct {
 	fifo  []meta
 }
 
-// pairKey memoizes resolved per-pair link parameters.
-type pairKey struct {
-	from, to string
-}
-
 // meta is the emulation metadata of one in-flight message.
 type meta struct {
 	d     time.Duration // virtual delivery time
 	depth int           // dependency-chain length including this hop
 }
 
-// New builds a network over the given topology. The seed drives every
-// jitter, loss and per-pair-spread draw.
-func New(topo Topology, seed int64) (*Network, error) {
-	if err := topo.validate(); err != nil {
-		return nil, err
+// New builds a network over the named preset, refusing an unknown name. The
+// seed drives every jitter, loss and per-pair-spread draw.
+func New(name string, seed int64) (*Network, error) {
+	p, ok := presets[name]
+	if !ok {
+		return nil, fmt.Errorf("netem: unknown topology %q (have %v)", name, Presets())
 	}
-	return &Network{topo: topo, seed: seed, pairs: make(map[pairKey]LinkParams)}, nil
+	return &Network{preset: p, seed: seed}, nil
 }
 
 // Wrap layers the emulation over one party's endpoint. All endpoints of one
@@ -141,20 +135,6 @@ func EndWindow(ctx context.Context) (latency time.Duration, rounds int) {
 	return ws.latency, ws.rounds
 }
 
-// pairParams resolves (and memoizes) the directed pair's link parameters.
-// New validated the topology, and the spread keeps every pair's link valid.
-func (n *Network) pairParams(from, to string) LinkParams {
-	k := pairKey{from: from, to: to}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	p, ok := n.pairs[k]
-	if !ok {
-		p = n.topo.link(n.seed, from, to)
-		n.pairs[k] = p
-	}
-	return p
-}
-
 // observe folds one delivery into the window's maxima.
 func (ws *window) observe(m meta) {
 	ws.mu.Lock()
@@ -163,25 +143,26 @@ func (ws *window) observe(m meta) {
 	ws.rounds = max(ws.rounds, m.depth)
 }
 
-// price splits one transmission's cost into link occupancy (serialization
-// against the bandwidth plus one RTO per seeded loss — the time the stream
-// is busy with this message, which back-to-back sends queue behind) and
-// pipelined delay (propagation plus seeded jitter, which consecutive
-// messages overlap).
-func (n *Network) price(p LinkParams, from, to, tag string, seq int64, size int) (occupancy, pipelined time.Duration) {
-	if p.Bandwidth > 0 {
-		occupancy = time.Duration(int64(size) * int64(time.Second) / p.Bandwidth)
+// price splits one transmission's cost on the pair's link into occupancy
+// (serialization against the bandwidth plus one RTO per seeded loss — the
+// time the stream is busy with this message, which back-to-back sends
+// queue behind) and pipelined delay (propagation plus seeded jitter, which
+// consecutive messages overlap).
+func (n *Network) price(from, to, tag string, seq int64, size int) (occupancy, pipelined time.Duration) {
+	p := n.preset.pair(n.seed, from, to)
+	if p.bandwidth > 0 {
+		occupancy = time.Duration(int64(size) * int64(time.Second) / p.bandwidth)
 	}
 	for attempt := int64(0); attempt < maxRetransmits; attempt++ {
-		if p.Loss == 0 || unitFloat(hashDraw(n.seed, "loss", from, to, tag, seq, attempt)) >= p.Loss {
+		if p.loss == 0 || unitFloat(hashDraw(n.seed, "loss", from, to, tag, seq, attempt)) >= p.loss {
 			break
 		}
-		occupancy += p.RTO
+		occupancy += p.rto()
 	}
-	pipelined = p.Latency
-	if p.Jitter > 0 {
+	pipelined = p.latency
+	if p.jitter > 0 {
 		u := unitFloat(hashDraw(n.seed, "jitter", from, to, tag, seq, 0))
-		pipelined += time.Duration((u*2 - 1) * float64(p.Jitter))
+		pipelined += time.Duration((u*2 - 1) * float64(p.jitter))
 	}
 	if pipelined < 0 {
 		pipelined = 0
@@ -220,7 +201,6 @@ func (c *Conn) Send(ctx context.Context, to, tag string, payload []byte) error {
 		return c.inner.Send(ctx, to, tag, payload)
 	}
 	from := c.inner.Party()
-	params := c.net.pairParams(from, to)
 
 	var t0 time.Duration
 	var depth int
@@ -236,7 +216,7 @@ func (c *Conn) Send(ctx context.Context, to, tag string, payload []byte) error {
 	defer st.mu.Unlock()
 	seq := st.seq
 	st.seq++
-	occ, pipe := c.net.price(params, from, to, tag, seq, transport.WireSize(from, to, tag, payload))
+	occ, pipe := c.net.price(from, to, tag, seq, transport.WireSize(from, to, tag, payload))
 	start := t0
 	if start < st.freeAt {
 		start = st.freeAt

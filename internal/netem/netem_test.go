@@ -2,90 +2,85 @@ package netem
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/pem-go/pem/internal/transport"
 )
 
+// TestPresets pins every preset's link model and derived RTO, and that
+// New refuses any other name.
 func TestPresets(t *testing.T) {
-	names := Presets()
-	if len(names) != 5 {
-		t.Fatalf("presets = %v, want 5", names)
+	ms, us := time.Millisecond, time.Microsecond
+	want := map[string]struct {
+		link preset
+		rto  time.Duration
+	}{
+		TopologyLAN:      {preset{100 * us, 20 * us, 125_000_000, 0, 0.10}, ms},
+		TopologyMetro:    {preset{5 * ms, 500 * us, 25_000_000, 0.0001, 0.15}, 17 * ms},
+		TopologyWAN:      {preset{40 * ms, 5 * ms, 6_250_000, 0.001, 0.25}, 140 * ms},
+		TopologyCellular: {preset{80 * ms, 15 * ms, 2_500_000, 0.005, 0.25}, 300 * ms},
+		TopologyLossy:    {preset{40 * ms, 10 * ms, 2_500_000, 0.03, 0.25}, 160 * ms},
 	}
-	for _, name := range names {
-		topo, err := Preset(name)
+	if names := Presets(); !slices.Equal(names, []string{"cellular", "lan", "lossy", "metro", "wan"}) {
+		t.Fatalf("presets = %v", names)
+	}
+	for name, w := range want {
+		n, err := New(name, 1)
 		if err != nil {
-			t.Fatalf("Preset(%q): %v", name, err)
+			t.Fatalf("New(%q): %v", name, err)
 		}
-		if topo.Name != name {
-			t.Errorf("preset %q has Name %q", name, topo.Name)
-		}
-		if err := topo.validate(); err != nil {
-			t.Errorf("preset %q invalid: %v", name, err)
-		}
-		if !ValidPreset(name) {
-			t.Errorf("ValidPreset(%q) = false", name)
+		if n.preset != w.link || n.preset.rto() != w.rto {
+			t.Errorf("preset %q = %+v (RTO %v), want %+v (RTO %v)", name, n.preset, n.preset.rto(), w.link, w.rto)
 		}
 	}
-	if _, err := Preset("dialup"); err == nil {
-		t.Error("unknown preset accepted")
-	}
-	if ValidPreset("") || ValidPreset("dialup") {
-		t.Error("ValidPreset accepted a non-preset")
+	if _, err := New("dialup", 1); err == nil || !strings.Contains(err.Error(), "wan") {
+		t.Errorf("New(dialup) = %v, want a refusal listing the presets", err)
 	}
 }
 
+// TestLinkParamsDefaults checks the derived retransmission timeout,
+// 3·latency + 4·jitter, and its 1 ms floor.
 func TestLinkParamsDefaults(t *testing.T) {
-	p := LinkParams{Latency: 10 * time.Millisecond, Jitter: 2 * time.Millisecond}.withDefaults()
-	if want := 38 * time.Millisecond; p.RTO != want {
-		t.Errorf("derived RTO = %v, want %v", p.RTO, want)
+	ms := time.Millisecond
+	if got := (preset{latency: 10 * ms, jitter: 2 * ms}).rto(); got != 38*ms {
+		t.Errorf("derived RTO = %v, want 38ms", got)
 	}
-	if p := (LinkParams{}).withDefaults(); p.RTO != time.Millisecond {
-		t.Errorf("zero-link RTO = %v, want 1ms floor", p.RTO)
-	}
-	if err := (LinkParams{Loss: 1}).validate(); err == nil {
-		t.Error("loss = 1 accepted")
-	}
-	if err := (LinkParams{Latency: -1}).validate(); err == nil {
-		t.Error("negative latency accepted")
+	if got := (preset{}).rto(); got != ms {
+		t.Errorf("zero-link RTO = %v, want the 1ms floor", got)
 	}
 }
 
 func TestPairSpreadSymmetricAndSeeded(t *testing.T) {
-	topo, err := Preset(TopologyWAN)
-	if err != nil {
-		t.Fatal(err)
+	wan := presets[TopologyWAN]
+	ab := wan.pair(7, "a", "b")
+	ba := wan.pair(7, "b", "a")
+	if ab.latency != ba.latency {
+		t.Errorf("asymmetric pair latency: %v vs %v", ab.latency, ba.latency)
 	}
-	ab := topo.link(7, "a", "b")
-	ba := topo.link(7, "b", "a")
-	if ab.Latency != ba.Latency {
-		t.Errorf("asymmetric pair latency: %v vs %v", ab.Latency, ba.Latency)
-	}
-	if again := topo.link(7, "a", "b"); again != ab {
+	if again := wan.pair(7, "a", "b"); again != ab {
 		t.Errorf("same seed resolved different params: %+v vs %+v", again, ab)
 	}
-	lo := time.Duration(float64(topo.Base.Latency) * (1 - topo.Spread))
-	hi := time.Duration(float64(topo.Base.Latency) * (1 + topo.Spread))
-	if ab.Latency < lo || ab.Latency > hi {
-		t.Errorf("pair latency %v outside spread [%v, %v]", ab.Latency, lo, hi)
+	lo := time.Duration(float64(wan.latency) * (1 - wan.spread))
+	hi := time.Duration(float64(wan.latency) * (1 + wan.spread))
+	if ab.latency < lo || ab.latency > hi {
+		t.Errorf("pair latency %v outside spread [%v, %v]", ab.latency, lo, hi)
 	}
 	// Different pairs should (with these names and seed) land on different
 	// latencies — the point of the spread.
-	cd := topo.link(7, "c", "d")
-	if cd.Latency == ab.Latency {
-		t.Errorf("distinct pairs share latency %v", ab.Latency)
+	cd := wan.pair(7, "c", "d")
+	if cd.latency == ab.latency {
+		t.Errorf("distinct pairs share latency %v", ab.latency)
 	}
 }
 
 // wire builds a wrapped two-party (plus extras) bus for conn-level tests.
-func wire(t *testing.T, topo Topology, seed int64, parties ...string) (*Network, map[string]*Conn) {
+func wire(t *testing.T, p preset, seed int64, parties ...string) (*Network, map[string]*Conn) {
 	t.Helper()
 	bus := transport.NewBus(nil)
-	n, err := New(topo, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := &Network{preset: p, seed: seed}
 	conns := make(map[string]*Conn, len(parties))
 	for _, p := range parties {
 		conns[p] = n.Wrap(bus.MustRegister(p))
@@ -93,9 +88,9 @@ func wire(t *testing.T, topo Topology, seed int64, parties ...string) (*Network,
 	return n, conns
 }
 
-// fixedTopo is a spread-free topology for exact-arithmetic tests.
-func fixedTopo(latency time.Duration, bandwidth int64) Topology {
-	return Topology{Name: "test", Base: LinkParams{Latency: latency, Bandwidth: bandwidth}}
+// fixedTopo is a spread-free link for exact-arithmetic tests.
+func fixedTopo(latency time.Duration, bandwidth int64) preset {
+	return preset{latency: latency, bandwidth: bandwidth}
 }
 
 func TestVirtualChainAccumulates(t *testing.T) {
@@ -195,8 +190,8 @@ func TestSessionTagsUnmodeled(t *testing.T) {
 func TestFIFODeliveryOrder(t *testing.T) {
 	// High jitter could reorder same-stream deliveries; the FIFO floor must
 	// keep them monotone, matching the mailbox's queue semantics.
-	topo := Topology{Name: "jittery", Base: LinkParams{Latency: 10 * time.Millisecond, Jitter: 9 * time.Millisecond}}
-	n, conns := wire(t, topo, 42, "a", "b")
+	jittery := preset{latency: 10 * time.Millisecond, jitter: 9 * time.Millisecond}
+	n, conns := wire(t, jittery, 42, "a", "b")
 	ctx := n.OpenWindow(context.Background())
 	bctx := WithClock(ctx)
 	tag := transport.ScopedWindowTag("", 0, "seq")
@@ -218,11 +213,7 @@ func TestFIFODeliveryOrder(t *testing.T) {
 
 func TestSeededDrawsAreDeterministic(t *testing.T) {
 	run := func() (time.Duration, int) {
-		topo, err := Preset(TopologyCellular)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, conns := wire(t, topo, 99, "a", "b", "c")
+		n, conns := wire(t, presets[TopologyCellular], 99, "a", "b", "c")
 		var ctx context.Context
 		for w := 0; w < 2; w++ {
 			ctx = n.OpenWindow(context.Background())
@@ -283,24 +274,20 @@ func TestBackToBackSendsQueueOnBandwidth(t *testing.T) {
 }
 
 func TestLossChargesRetransmissions(t *testing.T) {
-	lossy := Topology{Name: "drop", Base: LinkParams{Latency: time.Millisecond, Loss: 0.95, RTO: time.Second}}
-	n, err := New(lossy, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := lossy.Base.withDefaults()
+	n := &Network{preset: preset{latency: time.Millisecond, loss: 0.95}, seed: 5}
+	rto := n.preset.rto()
 	// With 95% loss nearly every message pays at least one RTO; across 20
 	// identities at least one must (and none may exceed the retransmit cap).
 	var penalized bool
 	for seq := int64(0); seq < 20; seq++ {
-		occ, pipe := n.price(p, "a", "b", "w0/t", seq, 10)
-		if occ > time.Duration(maxRetransmits)*p.RTO || pipe != p.Latency {
+		occ, pipe := n.price("a", "b", "w0/t", seq, 10)
+		if occ > time.Duration(maxRetransmits)*rto || pipe != n.preset.latency {
 			t.Fatalf("price %v/%v out of model bounds", occ, pipe)
 		}
-		if occ >= p.RTO {
+		if occ >= rto {
 			penalized = true
 		}
-		occ2, pipe2 := n.price(p, "a", "b", "w0/t", seq, 10)
+		occ2, pipe2 := n.price("a", "b", "w0/t", seq, 10)
 		if occ2 != occ || pipe2 != pipe {
 			t.Fatalf("price draw not deterministic: %v/%v vs %v/%v", occ2, pipe2, occ, pipe)
 		}

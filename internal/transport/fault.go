@@ -98,9 +98,8 @@ func (f *FaultConn) FailWindow(window int) {
 // Party implements Conn.
 func (f *FaultConn) Party() string { return f.inner.Party() }
 
-// Inner returns the wrapped endpoint, so helpers that need a specific layer
-// of a conn stack (e.g. the network-emulation fork API) can unwrap through
-// the fault injector.
+// Inner returns the wrapped endpoint, so SendNeverBlocks can unwrap a conn
+// stack through the fault injector down to the transport.
 func (f *FaultConn) Inner() Conn { return f.inner }
 
 // Send implements Conn with fault injection.

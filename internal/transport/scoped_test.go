@@ -116,10 +116,10 @@ func TestScopedMailboxIsolation(t *testing.T) {
 	}
 }
 
-// TestFoldWindowKeepsAggregates is the window-end contract: ending a
+// TestEndWindowKeepsAggregates is the window-end contract: ending a
 // window folds out only that window's counters while the totals it fed and
 // every other open window stay exact.
-func TestFoldWindowKeepsAggregates(t *testing.T) {
+func TestEndWindowKeepsAggregates(t *testing.T) {
 	bus := NewBus(nil)
 	a := bus.MustRegister("a")
 	bus.MustRegister("b")
