@@ -12,18 +12,37 @@ import (
 )
 
 // paillierBackend is the paper's construction: every aggregation folds
-// Paillier ciphertexts under the sink's key (rings.go), the Rb/Rs decision
-// runs the garbled-circuit comparator between Hr1 and Hr2, and Protocol 4
-// uses the encrypted reciprocal trick. It delegates to the windowRun
-// helpers that implement those mechanics.
+// Paillier ciphertexts under the sink's key, the Rb/Rs decision runs the
+// garbled-circuit comparator between Hr1 and Hr2, and Protocol 4 uses the
+// encrypted reciprocal trick. Its sums are its own methods over the fold
+// hops it shares with the hybrid backend (rings.go).
 type paillierBackend struct{}
 
+// aggregateSum folds the members' encrypted contributions into a single
+// ciphertext delivered to sink under sink's key, using the configured
+// topology: the paper's sequential ring (O(n) message latency) or a
+// log-depth binary reduction tree. Both topologies expose exactly the same
+// information — every intermediate value is a partial sum encrypted under
+// the sink's key.
 func (paillierBackend) aggregateSum(ctx context.Context, r *windowRun, order []string, sink, tag string, contribution *big.Int) error {
-	return r.aggregate(ctx, order, sink, tag, contribution)
+	acc, isRoot, err := r.fold(ctx, order, sink, tag, contribution)
+	if err != nil || !isRoot {
+		return err
+	}
+	return r.sendCipher(ctx, r.dir[sink], acc, tag, sink)
 }
 
+// collectSum is the sink side of aggregateSum: receive the final ciphertext
+// from the topology's root member and decrypt it.
 func (paillierBackend) collectSum(ctx context.Context, r *windowRun, order []string, tag string) (*big.Int, error) {
-	return r.collect(ctx, order, tag)
+	if len(order) == 0 {
+		return nil, fmt.Errorf("%s: empty member set", tag)
+	}
+	var ct paillier.Ciphertext
+	if err := r.recvCipher(ctx, &r.key.PublicKey, &ct, r.aggregationRoot(order), tag); err != nil {
+		return nil, err
+	}
+	return r.key.Decrypt(&ct)
 }
 
 // compareTotals runs the secure comparison between Hr1 (garbler, input Rb)
@@ -76,18 +95,18 @@ func (paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked u
 // pricingFold packs the seller's pair into one plaintext — k_i ≥ 0 in the
 // low slot, the signed Eq. 13 term above it — so the fused pass is one more
 // aggregate: one blinding factor, one ciphertext, one fold per hop.
-func (paillierBackend) pricingFold(ctx context.Context, r *windowRun, tag string, k, term *big.Int) error {
+func (b paillierBackend) pricingFold(ctx context.Context, r *windowRun, tag string, k, term *big.Int) error {
 	pair, err := paillier.Pack(k, term)
 	if err != nil {
 		return fmt.Errorf("pack k: %w", err)
 	}
-	return r.aggregate(ctx, r.ros.sellers, r.ros.hb, tag, pair)
+	return b.aggregateSum(ctx, r, r.ros.sellers, r.ros.hb, tag, pair)
 }
 
 // collectPair decrypts the packed aggregate and splits it into the two sums
 // (Σk_i stays below the slot width for any coalition below 2^61 sellers).
-func (paillierBackend) collectPair(ctx context.Context, r *windowRun, tag string) (*big.Int, *big.Int, error) {
-	pair, err := r.collect(ctx, r.ros.sellers, tag)
+func (b paillierBackend) collectPair(ctx context.Context, r *windowRun, tag string) (*big.Int, *big.Int, error) {
+	pair, err := b.collectSum(ctx, r, r.ros.sellers, tag)
 	if err != nil {
 		return nil, nil, err
 	}

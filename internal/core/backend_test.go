@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	mrand "math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/pem-go/pem/internal/market"
 )
@@ -150,4 +155,113 @@ func TestConfigValidatesCryptoBackend(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "crypto backend") {
 		t.Fatalf("want crypto-backend validation error, got %v", err)
 	}
+}
+
+// windowTree is FuzzWindow's header bit selecting the tree topology.
+const windowTree = 8
+
+// decodeWindow turns fuzz bytes into one window: a header byte (2–8 agents
+// in its low three bits mod 7, the tree topology under windowTree), a
+// two-byte engine seed, then per agent five bytes — k and ε anywhere inside
+// Agent.Validate's limits, generation and load in steps of 1/32 kWh up to
+// 15/32, battery in steps of 1/64 kWh within ±1/32. Missing bytes read 0.
+// The grid is dyadic, so sums are exact in float64 and in µ-units alike:
+// E_b = E_s ties, a single buyer, all sellers and zero net are all on it.
+func decodeWindow(data []byte) (agents []market.Agent, inputs []market.WindowInput, seed int64, topo string) {
+	at := func(i int) byte {
+		if i < len(data) {
+			return data[i]
+		}
+		return 0
+	}
+	n := 2 + int(at(0)&7)%7
+	topo = AggregationRing
+	if at(0)&windowTree != 0 {
+		topo = AggregationTree
+	}
+	seed = int64(at(1))<<8 | int64(at(2))
+	agents, inputs = testAgents(n), make([]market.WindowInput, n)
+	for i := range agents {
+		b := 3 + 5*i
+		agents[i].K = float64(at(b)) + 1
+		agents[i].Epsilon = (float64(at(b+1)%255) + 1) / 256
+		inputs[i] = market.WindowInput{
+			Generation: float64(at(b+2)%16) / 32,
+			Load:       float64(at(b+3)%16) / 32,
+			Battery:    (float64(at(b+4)%5) - 2) / 64,
+		}
+	}
+	return agents, inputs, seed, topo
+}
+
+// FuzzWindow is the differential check of a whole window: the decoded
+// window runs once under paillier and once under hybrid at 256-bit keys.
+// Either both outcomes agree bit for bit and match market.Clear (and, when
+// anything trades, the integer oracle exactly), or both refuse with the
+// same *WindowError before any frame is sent. Every execution borrows one
+// KeyRing, so it pays for windows, not for key generation.
+//
+// Its seeds are the ten trials of TestRandomizedWindowsMatchPlaintext and
+// TestHybridRandomizedMatchesPaillier — the same math/rand draws, put on the
+// decoder's grid — and one window for each case the grid exists to reach.
+func FuzzWindow(f *testing.F) {
+	for _, s := range []struct {
+		src, seed int64
+		tree      bool // on odd trials
+	}{{4242, 5000, false}, {777, 7000, true}} {
+		rng := mrand.New(mrand.NewSource(s.src))
+		for trial := range 5 {
+			n := 3 + rng.Intn(5)
+			head := byte(n - 2)
+			if s.tree && trial%2 == 1 {
+				head |= windowTree
+			}
+			entry := binary.BigEndian.AppendUint16([]byte{head}, uint16(s.seed)+uint16(trial))
+			for range n {
+				k, eps := 60+rng.Float64()*60, 0.6+rng.Float64()*0.3
+				g, l, b := rng.Float64()*0.4, rng.Float64()*0.4, (rng.Float64()-0.5)*0.05
+				entry = append(entry, byte(math.Round(k))-1, byte(math.Round(eps*256))-1,
+					byte(math.Round(g*32)), byte(math.Round(l*32)), byte(math.Round(b*64)+2))
+			}
+			f.Add(entry)
+		}
+	}
+	// Agent bytes: k, ε, generation, load, battery (2 is none).
+	f.Add([]byte{0, 0, 1, 70, 200, 6, 0, 2, 90, 180, 0, 6, 2})                                                  // E_b = E_s
+	f.Add([]byte{2 | windowTree, 0, 2, 70, 200, 5, 1, 2, 80, 190, 4, 0, 2, 90, 180, 0, 3, 2, 99, 170, 2, 0, 2}) // a single buyer
+	f.Add([]byte{1, 0, 3, 70, 200, 5, 1, 2, 80, 190, 4, 0, 2, 90, 180, 3, 2, 2})                                // all sellers
+	f.Add([]byte{1, 0, 4, 70, 200, 6, 0, 2, 80, 190, 3, 3, 2, 90, 180, 0, 4, 2})                                // a zero net
+	f.Add([]byte{0, 0, 5, 70, 200, 3, 3, 2, 80, 190, 0, 0, 2})                                                  // no coalition
+
+	ring := NewKeyRing(testConfig(1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		agents, inputs, seed, topo := decodeWindow(data)
+		run := func(backend string) (*WindowResult, int64, error) {
+			cfg := testConfig(seed)
+			cfg.CryptoBackend, cfg.Aggregation = backend, topo
+			eng, err := NewEngineWith(cfg, agents, Resources{Keys: ring})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+			defer cancel()
+			res, err := eng.RunWindow(ctx, 0, inputs)
+			return res, eng.Metrics().TotalBytes(), err
+		}
+		pai, paiBytes, paiErr := run(BackendPaillier)
+		hyb, hybBytes, hybErr := run(BackendHybrid)
+		if paiErr != nil || hybErr != nil {
+			var we *WindowError
+			if !errors.As(paiErr, &we) || hybErr == nil || paiErr.Error() != hybErr.Error() || paiBytes+hybBytes != 0 {
+				t.Fatalf("paillier: %v (%d bytes sent); hybrid: %v (%d bytes sent)", paiErr, paiBytes, hybErr, hybBytes)
+			}
+			return
+		}
+		assertSameOutcome(t, "paillier vs hybrid", pai, hyb)
+		assertMatchesPlaintext(t, hyb, agents, inputs)
+		if !hyb.Degenerate {
+			assertTradesExactly(t, "integer oracle", hyb.Trades, integerOracle(t, hyb, agents, inputs))
+		}
+	})
 }

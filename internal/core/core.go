@@ -144,14 +144,12 @@ func (c Config) Validate() error {
 // provides them (see Resources and NewEngineWith), which is how a coalition
 // grid runs many engines over one bus and one bounded pool.
 type Engine struct {
-	cfg     Config
 	scope   string // Resources.Scope
 	bus     *transport.Bus
 	network *netem.Network // nil unless Config.Network selects a topology
 	workers *paillier.Workers
 	refill  *paillier.Refill // background blinding-factor fills, drained by Close
 	parties []*Party
-	agents  []market.Agent
 
 	mu       sync.Mutex
 	closed   bool
@@ -224,12 +222,7 @@ func NewEngineWith(cfg Config, agents []market.Agent, res Resources) (*Engine, e
 	if bus == nil {
 		bus = transport.NewBus(nil)
 	}
-	e := &Engine{
-		cfg:    cfg,
-		scope:  res.Scope,
-		bus:    bus,
-		agents: append([]market.Agent(nil), agents...),
-	}
+	e := &Engine{scope: res.Scope, bus: bus}
 
 	// Network emulation: every endpoint of this engine is wrapped in the
 	// virtual-clock layer. The network is engine-owned even over a shared

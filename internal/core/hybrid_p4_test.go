@@ -11,6 +11,7 @@ import (
 	"errors"
 	"maps"
 	"math/big"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -490,5 +491,74 @@ func TestWindowErrorNamesEachLayerOnce(t *testing.T) {
 	const want = "core: window 0: party a03: distribution: frame w0/pd/ring from a02 has 133 bytes, want 132"
 	if _, err := f.run(); err == nil || err.Error() != want {
 		t.Errorf("err = %v\nwant  %s", err, want)
+	}
+}
+
+// TestMaskedTotalOutOfRange sends each Protocol 2 round's sink a well-formed
+// last hop whose opened total is negative — under hybrid the word with its
+// top bit flipped, under paillier Enc(−2^62) under the sink's key — on both
+// topologies. The window fails in market evaluation naming the round and
+// trades nothing, and the engine's next window completes.
+func TestMaskedTotalOutOfRange(t *testing.T) {
+	for _, backend := range []string{BackendPaillier, BackendHybrid} {
+		for _, topo := range []string{AggregationRing, AggregationTree} {
+			for _, phase := range []string{"pme/rb", "pme/rs"} {
+				t.Run(backend+"/"+topo+"/"+phase, func(t *testing.T) {
+					f := newP4Fixture(t, backend, 9600, 3, topo)
+					sellers := []string{"a00", "a01"}
+					sink := sellers[publicCoin(0, "hr1", sellers, f.buyers, len(sellers))]
+					if phase == "pme/rs" {
+						sink = f.buyers[publicCoin(0, "hr2", sellers, f.buyers, len(f.buyers))]
+					}
+					var pk *paillier.PublicKey
+					for _, p := range f.eng.parties {
+						if p.ID() == sink {
+							pk = &p.key.PublicKey
+						}
+					}
+					var mu sync.Mutex
+					on, hits := true, 0
+					rewriteFrames(f.eng, func(_, to, ph string, p []byte) []byte {
+						mu.Lock()
+						defer mu.Unlock()
+						if !on || ph != phase || to != sink {
+							return p
+						}
+						hits++
+						if backend == BackendHybrid {
+							out := bytes.Clone(p)
+							out[0] ^= 0x80
+							return out
+						}
+						ct, err := pk.Encrypt(nil, big.NewInt(-1<<62))
+						if err == nil {
+							p, err = ct.AppendFixed(nil, pk)
+						}
+						if err != nil {
+							panic(err)
+						}
+						return p
+					})
+
+					res, err := f.run()
+					var we *WindowError
+					want := "market evaluation: masked total " + phase + " out of range: -"
+					if !errors.As(err, &we) || we.Window != 0 || !strings.Contains(err.Error(), want) || res != nil {
+						t.Fatalf("res = %v, err = %v; want a *WindowError for window 0 containing %q", res, err, want)
+					}
+					mu.Lock()
+					on = false
+					if hits != 1 {
+						t.Errorf("%d last hops to %s under %s, want 1", hits, sink, phase)
+					}
+					mu.Unlock()
+					ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+					defer cancel()
+					if res, err := f.eng.RunWindow(ctx, 1, f.inputs); err != nil || len(res.Trades) == 0 {
+						t.Fatalf("next window: %v, err = %v", res, err)
+					}
+				})
+			}
+		}
 	}
 }

@@ -59,7 +59,6 @@ func (r *windowRun) privateDistribution(ctx context.Context, kind market.Kind, p
 
 	// Hs: hash-chosen member of the supply side.
 	hs := supplySide[publicCoin(r.window, "hs", ros.sellers, ros.buyers, len(supplySide))]
-	r.ros.hs = hs
 
 	onDemandSide := contains(demandSide, r.ID())
 	onSupplySide := contains(supplySide, r.ID())
@@ -221,7 +220,7 @@ func (r *windowRun) ratiosFromMasked(from []string, cts []*paillier.Ciphertext, 
 // routeAndPay is step 4: every supply-side member initiates one exchange
 // with every demand-side member; the per-peer exchanges are independent
 // request/reply pairs on distinct (peer, tag) queues, so they run
-// concurrently.
+// concurrently, one loop over this member's counterparties on either side.
 //
 // General market: the initiator is a seller; it routes e_ij =
 // sn_i·(|sn_j|/E_b) to buyer j, who replies with the payment m_ji = p·e_ij
@@ -234,55 +233,51 @@ func (r *windowRun) routeAndPay(ctx context.Context, kind market.Kind, price flo
 	tagEnergy := r.tag("pd/energy")
 	tagReply := r.tag("pd/reply")
 
+	// A supplier trades with the demand side, a demander answers the supply
+	// side; rosters are already sorted. Only a supplier records trades.
+	supplier := contains(supplySide, r.ID())
+	peers, traded := supplySide, 0
+	switch {
+	case supplier:
+		peers, traded = demandSide, len(demandSide)
+	case !contains(demandSide, r.ID()):
+		return nil, nil
+	}
+	myShare := r.snFixed.Abs().Float()
+	trades := make([]market.Trade, traded)
+	errs := make([]error, len(peers))
+
 	// Give every concurrent exchange its own branch of the party's virtual
 	// clock (netem.Branch): a reply's virtual timestamp then depends only on
 	// the request that exchange received, never on how sibling exchanges
 	// happened to interleave in real time.
-	switch {
-	case contains(supplySide, r.ID()):
-		myShare := r.snFixed.Abs().Float()
-		ids := demandSide // already sorted (coalition rosters are)
-		trades := make([]market.Trade, len(ids))
-		errs := make([]error, len(ids))
-		var wg sync.WaitGroup
-		for i, id := range ids {
-			wg.Add(1)
-			go func(i int, id string, ctx context.Context) {
-				defer wg.Done()
-				ratio, ok := ratios[id]
-				if !ok {
-					errs[i] = fmt.Errorf("missing ratio for %s", id)
-					return
-				}
-				trades[i], errs[i] = r.exchangeAsSupplier(ctx, kind, price, id, myShare, ratio, tagEnergy, tagReply)
-			}(i, id, netem.Branch(ctx))
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return trades, nil
-
-	case contains(demandSide, r.ID()):
-		errs := make([]error, len(supplySide))
-		var wg sync.WaitGroup
-		for i, id := range supplySide {
-			wg.Add(1)
-			go func(i int, id string, ctx context.Context) {
-				defer wg.Done()
+	var wg sync.WaitGroup
+	for i, id := range peers {
+		wg.Add(1)
+		go func(i int, id string, ctx context.Context) {
+			defer wg.Done()
+			if !supplier {
 				errs[i] = r.exchangeAsDemander(ctx, kind, price, id, tagEnergy, tagReply)
-			}(i, id, netem.Branch(ctx))
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
+				return
 			}
+			ratio, ok := ratios[id]
+			if !ok {
+				errs[i] = fmt.Errorf("missing ratio for %s", id)
+				return
+			}
+			trades[i], errs[i] = r.exchangeAsSupplier(ctx, kind, price, id, myShare, ratio, tagEnergy, tagReply)
+		}(i, id, netem.Branch(ctx))
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return nil, nil
+	if !supplier {
+		return nil, nil
+	}
+	return trades, nil
 }
 
 // exchangeAsSupplier runs one supply-side pairwise exchange: route the

@@ -106,34 +106,6 @@ func (r *windowRun) fold(ctx context.Context, order []string, keyHolder, tag str
 	return acc, isRoot, err
 }
 
-// aggregate folds the ring members' encrypted contributions into a single
-// ciphertext delivered to sink under sink's key, using the configured
-// topology: the paper's sequential ring (O(n) message latency) or a
-// log-depth binary reduction tree. Every member must call it with identical
-// arguments; the sink calls collect instead. Both topologies expose exactly
-// the same information — every intermediate value is a partial sum
-// encrypted under the sink's key.
-func (r *windowRun) aggregate(ctx context.Context, order []string, sink, tag string, contribution *big.Int) error {
-	acc, isRoot, err := r.fold(ctx, order, sink, tag, contribution)
-	if err != nil || !isRoot {
-		return err
-	}
-	return r.sendCipher(ctx, r.dir[sink], acc, tag, sink)
-}
-
-// collect is the sink side of aggregate: receive the final ciphertext from
-// the topology's root member and decrypt it.
-func (r *windowRun) collect(ctx context.Context, order []string, tag string) (*big.Int, error) {
-	if len(order) == 0 {
-		return nil, fmt.Errorf("%s: empty member set", tag)
-	}
-	var ct paillier.Ciphertext
-	if err := r.recvCipher(ctx, &r.key.PublicKey, &ct, r.aggregationRoot(order), tag); err != nil {
-		return nil, err
-	}
-	return r.key.Decrypt(&ct)
-}
-
 // aggregationRoot returns the member holding the final aggregate: the last
 // member of a ring chain, the first leaf of a reduction tree.
 func (r *windowRun) aggregationRoot(order []string) string {

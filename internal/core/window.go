@@ -20,7 +20,6 @@ import (
 // roster is the public per-window view every party derives identically:
 // the sorted coalition membership and the hash-selected special parties.
 type roster struct {
-	window  int
 	all     []string // every party, sorted
 	sellers []string // sorted seller coalition
 	buyers  []string // sorted buyer coalition
@@ -28,8 +27,6 @@ type roster struct {
 	hr1 string // random seller decrypting Rb (Protocol 2)
 	hr2 string // random buyer decrypting Rs (Protocol 2)
 	hb  string // random buyer computing the price (Protocol 3)
-	hs  string // random counterparty decrypting ratios (Protocol 4);
-	// a seller in general markets, a buyer in extreme ones (chosen lazily).
 }
 
 func contains(sorted []string, id string) bool {
@@ -68,11 +65,10 @@ func publicCoin(window int, domain string, sellers, buyers []string, n int) int 
 // fillRoster populates a (possibly recycled) roster in place once coalition
 // membership is known.
 func fillRoster(r *roster, window int, all, sellers, buyers []string) *roster {
-	r.window = window
 	r.all = all
 	r.sellers = sellers
 	r.buyers = buyers
-	r.hr1, r.hr2, r.hb, r.hs = "", "", "", ""
+	r.hr1, r.hr2, r.hb = "", "", ""
 	if len(sellers) > 0 {
 		r.hr1 = sellers[publicCoin(window, "hr1", sellers, buyers, len(sellers))]
 	}
@@ -121,7 +117,7 @@ type windowRun struct {
 
 // getRun acquires a protocol-run object for one window, recycled from the
 // party's pool when available. The recycled scratch buffers keep their
-// capacity; every window-scoped field is reset here.
+// capacity; every window-scoped field is set here or was cleared by putRun.
 func (p *Party) getRun(window int, input market.WindowInput, snFixed fixed.Value) *windowRun {
 	r, _ := p.runFree.Get().(*windowRun)
 	if r == nil {
@@ -133,9 +129,6 @@ func (p *Party) getRun(window int, input market.WindowInput, snFixed fixed.Value
 	r.snFixed = snFixed
 	r.role = market.RoleOff
 	r.nonce = 0
-	r.ros = nil
-	r.demandSide = nil
-	r.encTotal = nil
 	return r
 }
 
@@ -186,16 +179,17 @@ func (p *Party) runWindow(ctx context.Context, window int, input market.WindowIn
 	}
 
 	// Degenerate coalitions: no protocols; grid handles everything
-	// (Protocol 1 initialization rule).
-	if len(r.ros.sellers) == 0 {
-		out.Kind = market.GeneralMarket
-		out.Price = p.cfg.Params.GridRetailPrice
-		out.Degenerate = true
-		return out, nil
-	}
+	// (Protocol 1 initialization rule). A window with neither coalition is
+	// extreme, as market.Clear has it.
 	if len(r.ros.buyers) == 0 {
 		out.Kind = market.ExtremeMarket
 		out.Price = p.cfg.Params.PriceFloor
+		out.Degenerate = true
+		return out, nil
+	}
+	if len(r.ros.sellers) == 0 {
+		out.Kind = market.GeneralMarket
+		out.Price = p.cfg.Params.GridRetailPrice
 		out.Degenerate = true
 		return out, nil
 	}

@@ -35,7 +35,6 @@ import (
 
 var (
 	one = big.NewInt(1)
-	two = big.NewInt(2)
 
 	// ErrMessageTooLarge is returned when a plaintext does not fit the
 	// signed embedding range of the key.
@@ -43,9 +42,6 @@ var (
 	// ErrInvalidCiphertext is returned when a ciphertext is not an element
 	// of Z*_{n²}.
 	ErrInvalidCiphertext = errors.New("paillier: invalid ciphertext")
-	// ErrKeyMismatch is returned when combining ciphertexts from different
-	// keys.
-	ErrKeyMismatch = errors.New("paillier: ciphertexts under different keys")
 	// ErrKeyWiped is returned when decrypting with a private key whose
 	// secret half has been zeroed by Wipe.
 	ErrKeyWiped = errors.New("paillier: private key has been wiped")
