@@ -82,7 +82,7 @@ func run(args []string, node *transport.TCPNode, stdout io.Writer) error {
 	}
 
 	if node == nil {
-		if node, err = transport.ListenTCP(*id, *listen, nil, nil); err != nil {
+		if node, err = transport.ListenTCP(*id, *listen, nil); err != nil {
 			return err
 		}
 	}

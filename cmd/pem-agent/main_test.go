@@ -64,7 +64,7 @@ func TestStaggeredStart(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			nodes := make([]*transport.TCPNode, len(homes))
 			for i, h := range homes {
-				node, err := transport.ListenTCP(h.id, "127.0.0.1:0", nil, nil)
+				node, err := transport.ListenTCP(h.id, "127.0.0.1:0", nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -67,7 +67,7 @@ type cryptoBackend interface {
 	// ratios is Hs's side of Protocol 4: whatever step 1 needs of it, then
 	// step 3 — decrypt the masked values, recover the allocation ratios and
 	// broadcast them to the supply side.
-	ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error)
+	ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) ([]float64, error)
 }
 
 // backendFor maps a validated Config.CryptoBackend to its implementation.

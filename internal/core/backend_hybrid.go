@@ -298,7 +298,7 @@ func (hybridBackend) distributionTotal(ctx context.Context, r *windowRun, demand
 // ratios is Hs's side. Its half of step 1 comes first: Enc_hs(−μ) needs
 // nothing the fold produces, so it is on its way to the root while the fold
 // runs and adds no round to the window's critical path.
-func (hybridBackend) ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error) {
+func (hybridBackend) ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) ([]float64, error) {
 	mu, err := r.maskTotal(demandSide, r.tag(phaseFold), shapeWide)
 	if err != nil {
 		return nil, err

@@ -125,6 +125,6 @@ func (paillierBackend) distributionTotal(ctx context.Context, r *windowRun, dema
 	return r.broadcastTotal(ctx, demandSide, hs, tagTotal, acc)
 }
 
-func (paillierBackend) ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error) {
+func (paillierBackend) ratios(ctx context.Context, r *windowRun, demandSide, supplySide []string, tagMasked, tagRatios string) ([]float64, error) {
 	return r.collectRatios(ctx, demandSide, supplySide, tagMasked, tagRatios)
 }

@@ -157,17 +157,23 @@ func TestConfigValidatesCryptoBackend(t *testing.T) {
 	}
 }
 
-// windowTree is FuzzWindow's header bit selecting the tree topology.
-const windowTree = 8
+// FuzzWindow's header bits: the tree topology, and the wide magnitude.
+const (
+	windowTree = 8
+	windowWide = 16
+)
 
 // decodeWindow turns fuzz bytes into one window: a header byte (2–8 agents
-// in its low three bits mod 7, the tree topology under windowTree), a
-// two-byte engine seed, then per agent five bytes — k and ε anywhere inside
-// Agent.Validate's limits, generation and load in steps of 1/32 kWh up to
-// 15/32, battery in steps of 1/64 kWh within ±1/32. Missing bytes read 0.
-// The grid is dyadic, so sums are exact in float64 and in µ-units alike:
-// E_b = E_s ties, a single buyer, all sellers and zero net are all on it.
-func decodeWindow(data []byte) (agents []market.Agent, inputs []market.WindowInput, seed int64, topo string) {
+// in its low three bits mod 7, the tree topology under windowTree, the wide
+// magnitude under windowWide), a two-byte engine seed, then per agent five
+// bytes — k and ε anywhere inside Agent.Validate's limits, generation and
+// load in steps of 1/32 kWh up to 15/32, battery in steps of 1/64 kWh
+// within ±1/32. The wide magnitude scales every step by 2^22, so shares
+// reach ≈ 2·10⁶ kWh, where round(10^12/|sn|) is a single digit or zero.
+// Missing bytes read 0. The grid is dyadic, so sums are exact in float64
+// and in µ-units alike: E_b = E_s ties, a single buyer, all sellers and
+// zero net are all on it.
+func decodeWindow(data []byte) (agents []market.Agent, inputs []market.WindowInput, seed int64, topo string, wide bool) {
 	at := func(i int) byte {
 		if i < len(data) {
 			return data[i]
@@ -179,6 +185,10 @@ func decodeWindow(data []byte) (agents []market.Agent, inputs []market.WindowInp
 	if at(0)&windowTree != 0 {
 		topo = AggregationTree
 	}
+	step := 1.0 / 32 // kWh
+	if wide = at(0)&windowWide != 0; wide {
+		step = 1 << 17
+	}
 	seed = int64(at(1))<<8 | int64(at(2))
 	agents, inputs = testAgents(n), make([]market.WindowInput, n)
 	for i := range agents {
@@ -186,20 +196,62 @@ func decodeWindow(data []byte) (agents []market.Agent, inputs []market.WindowInp
 		agents[i].K = float64(at(b)) + 1
 		agents[i].Epsilon = (float64(at(b+1)%255) + 1) / 256
 		inputs[i] = market.WindowInput{
-			Generation: float64(at(b+2)%16) / 32,
-			Load:       float64(at(b+3)%16) / 32,
-			Battery:    (float64(at(b+4)%5) - 2) / 64,
+			Generation: float64(at(b+2)%16) * step,
+			Load:       float64(at(b+3)%16) * step,
+			Battery:    (float64(at(b+4)%5) - 2) * step / 2,
 		}
 	}
-	return agents, inputs, seed, topo
+	return agents, inputs, seed, topo, wide
+}
+
+// assertSupplyRouted is the wide magnitude's oracle against market.Clear.
+// There round(10^12/|sn_j|) can put one pair's trade far from the
+// plaintext's, so only the kind, the price, the coalitions and what the
+// ratio-sum check guarantees are held: every supply-side member routes its
+// whole share, within paymentTolerance of it and a µ-unit a trade.
+func assertSupplyRouted(t *testing.T, res *WindowResult, agents []market.Agent, inputs []market.WindowInput) {
+	t.Helper()
+	ref, err := market.Clear(agents, inputs, market.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kind != ref.Kind || math.Abs(res.Price-ref.Price) > 1e-4 || res.SellerCount != len(ref.SellerIDs) || res.BuyerCount != len(ref.BuyerIDs) {
+		t.Fatalf("private %v at %v, %d/%d; plaintext %v at %v, %d/%d", res.Kind, res.Price, res.SellerCount, res.BuyerCount,
+			ref.Kind, ref.Price, len(ref.SellerIDs), len(ref.BuyerIDs))
+	}
+	if res.Degenerate {
+		return
+	}
+	routed, trades := make(map[string]float64), make(map[string]int)
+	for _, tr := range res.Trades {
+		id := tr.Seller
+		if res.Kind == market.ExtremeMarket {
+			id = tr.Buyer
+		}
+		routed[id] += tr.Energy
+		trades[id]++
+	}
+	for i, a := range agents {
+		sn := inputs[i].NetEnergy()
+		if (sn > 0) != (res.Kind == market.GeneralMarket) || sn == 0 {
+			continue // not on the supply side
+		}
+		if share := math.Abs(sn); math.Abs(routed[a.ID]-share) > paymentTolerance*share+float64(trades[a.ID])*1e-6 {
+			t.Fatalf("%s routed %v of its %v kWh", a.ID, routed[a.ID], share)
+		}
+	}
 }
 
 // FuzzWindow is the differential check of a whole window: the decoded
 // window runs once under paillier and once under hybrid at 256-bit keys.
-// Either both outcomes agree bit for bit and match market.Clear (and, when
-// anything trades, the integer oracle exactly), or both refuse with the
-// same *WindowError before any frame is sent. Every execution borrows one
-// KeyRing, so it pays for windows, not for key generation.
+// Either both outcomes agree bit for bit and match market.Clear (pair by
+// pair, or on the wide magnitude by assertSupplyRouted) and, when anything
+// trades, the integer oracle exactly; or both refuse. A refusal before any
+// frame is sent is the same *WindowError on both. Only on the wide
+// magnitude may a window be refused after frames: both then name the same
+// party and phase, and a *RatioSumError is the same on both, its Sum —
+// added in roster order — included. Every execution borrows one KeyRing,
+// so it pays for windows, not for key generation.
 //
 // Its seeds are the ten trials of TestRandomizedWindowsMatchPlaintext and
 // TestHybridRandomizedMatchesPaillier — the same math/rand draws, put on the
@@ -232,10 +284,13 @@ func FuzzWindow(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 70, 200, 5, 1, 2, 80, 190, 4, 0, 2, 90, 180, 3, 2, 2})                                // all sellers
 	f.Add([]byte{1, 0, 4, 70, 200, 6, 0, 2, 80, 190, 3, 3, 2, 90, 180, 0, 4, 2})                                // a zero net
 	f.Add([]byte{0, 0, 5, 70, 200, 3, 3, 2, 80, 190, 0, 0, 2})                                                  // no coalition
+	f.Add([]byte{1 | windowWide, 0, 6, 70, 200, 15, 0, 2, 80, 190, 0, 15, 2, 90, 180, 0, 14, 2})                // ratios summing to ≈ 0.53
+	f.Add([]byte{5 | windowWide, 0, 7, 70, 200, 15, 0, 2, 80, 200, 0, 2, 1, 81, 200, 0, 3, 2, 82, 200, 0, 3, 2,
+		83, 200, 0, 7, 1, 84, 200, 0, 7, 2, 85, 200, 0, 9, 1}) // ratios off pair by pair, summing to 1 + 1.1e-5
 
 	ring := NewKeyRing(testConfig(1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		agents, inputs, seed, topo := decodeWindow(data)
+		agents, inputs, seed, topo, wide := decodeWindow(data)
 		run := func(backend string) (*WindowResult, int64, error) {
 			cfg := testConfig(seed)
 			cfg.CryptoBackend, cfg.Aggregation = backend, topo
@@ -253,15 +308,36 @@ func FuzzWindow(f *testing.F) {
 		hyb, hybBytes, hybErr := run(BackendHybrid)
 		if paiErr != nil || hybErr != nil {
 			var we *WindowError
-			if !errors.As(paiErr, &we) || hybErr == nil || paiErr.Error() != hybErr.Error() || paiBytes+hybBytes != 0 {
-				t.Fatalf("paillier: %v (%d bytes sent); hybrid: %v (%d bytes sent)", paiErr, paiBytes, hybErr, hybBytes)
+			var paiSum, hybSum *RatioSumError
+			switch {
+			case paiBytes+hybBytes == 0:
+				if errors.As(paiErr, &we) && hybErr != nil && paiErr.Error() == hybErr.Error() {
+					return
+				}
+			case wide && paiErr != nil && hybErr != nil && paiBytes > 0 && hybBytes > 0 && refusedIn(paiErr) == refusedIn(hybErr):
+				if errors.As(paiErr, &paiSum) == errors.As(hybErr, &hybSum) && (paiSum == nil || *paiSum == *hybSum) {
+					return
+				}
 			}
-			return
+			t.Fatalf("paillier: %v (%d bytes sent); hybrid: %v (%d bytes sent)", paiErr, paiBytes, hybErr, hybBytes)
 		}
 		assertSameOutcome(t, "paillier vs hybrid", pai, hyb)
-		assertMatchesPlaintext(t, hyb, agents, inputs)
+		if wide {
+			assertSupplyRouted(t, hyb, agents, inputs)
+		} else {
+			assertMatchesPlaintext(t, hyb, agents, inputs)
+		}
 		if !hyb.Degenerate {
 			assertTradesExactly(t, "integer oracle", hyb.Trades, integerOracle(t, hyb, agents, inputs))
 		}
 	})
+}
+
+// refusedIn is the head of a window's error: its window, party and phase.
+// It relies on the layout "core: window N: party ID: phase: cause" that
+// WindowError, Engine.runOne's party wrap and Party.runWindow's phase wrap
+// build; the cause, which may name a member by arrival order, is cut off.
+func refusedIn(err error) string {
+	parts := strings.SplitN(err.Error(), ": ", 5)
+	return strings.Join(parts[:min(4, len(parts))], ": ")
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	mrand "math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -390,29 +391,28 @@ func TestRosterSelectionDeterministic(t *testing.T) {
 }
 
 func TestRatioCodec(t *testing.T) {
-	in := map[string]float64{"b1": 0.25, "b2": 0.5, "long-name-buyer": 0.25}
-	raw, err := encodeRatios(in)
+	in := []float64{0.25, 0.5, 0.25}
+	raw := encodeRatios(in)
+	if len(raw) != 8*len(in) {
+		t.Fatalf("%d-member vector is %d bytes, want %d", len(in), len(raw), 8*len(in))
+	}
+	out, err := decodeRatios(raw, len(in), "hs", "w0/pd/ratios")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := decodeRatios(raw)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(out, in) {
+		t.Errorf("ratios %v decoded to %v", in, out)
 	}
-	if len(out) != len(in) {
-		t.Fatal("ratio count mismatch")
-	}
-	for k, v := range in {
-		if out[k] != v {
-			t.Errorf("ratio %s: %v != %v", k, out[k], v)
+	// A frame of any other length is refused: truncations, and a vector
+	// for a roster of another size.
+	for _, cut := range []int{0, 1, 7, len(raw) - 1} {
+		if _, err := decodeRatios(raw[:cut], len(in), "hs", "w0/pd/ratios"); err == nil {
+			t.Errorf("truncated ratios at %d accepted", cut)
 		}
 	}
-	// Truncations must error.
-	for _, cut := range []int{1, 3, 5, len(raw) - 1} {
-		if cut < len(raw) {
-			if _, err := decodeRatios(raw[:cut]); err == nil {
-				t.Errorf("truncated ratios at %d accepted", cut)
-			}
+	for _, n := range []int{len(in) - 1, len(in) + 1} {
+		if _, err := decodeRatios(raw, n, "hs", "w0/pd/ratios"); err == nil {
+			t.Errorf("%d-word vector accepted for a %d-member roster", len(in), n)
 		}
 	}
 }

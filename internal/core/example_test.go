@@ -61,7 +61,7 @@ func standaloneWindow(backend string, agents []market.Agent, inputs []market.Win
 	nodes := make([]*transport.TCPNode, len(agents))
 	peers := make([]string, len(agents))
 	for i, a := range agents {
-		node, err := transport.ListenTCP(a.ID, "127.0.0.1:0", nil, nil)
+		node, err := transport.ListenTCP(a.ID, "127.0.0.1:0", nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/pem-go/pem/internal/paillier"
 	"github.com/pem-go/pem/internal/transport"
@@ -15,9 +16,8 @@ import (
 // of which checks the frame's exact length before it parses it. Every
 // failure — the receive's, the length's or the decoder's — is a
 // *frameError naming the sender and the tag. A frame's width depends on its
-// phase and the key alone, never on the value carried; Hs's ratio vector is
-// the one frame sized by its roster. Only ExchangeKeys, a session-level
-// exchange, receives elsewhere.
+// phase, the key and the public rosters alone, never on the values carried.
+// Only ExchangeKeys, a session-level exchange, receives elsewhere.
 
 // frameError reports a received frame a window cannot use: who sent it,
 // under which tag, and either the two lengths or the cause — a receive or
@@ -173,16 +173,40 @@ func (r *windowRun) recvAnyCipher(ctx context.Context, pk *paillier.PublicKey, c
 	return from, err
 }
 
-// recvRatios takes Hs's ratio vector (decodeRatios).
-func (r *windowRun) recvRatios(ctx context.Context, hs, tag string) (map[string]float64, error) {
+// encodeRatios writes Hs's ratio vector as one big-endian float64 word per
+// demand-side member, in the roster's public sorted order, into a pooled
+// frame the caller recycles with transport.PutFrame.
+func encodeRatios(ratios []float64) []byte {
+	out := transport.GetFrame(8 * len(ratios))
+	for i, v := range ratios {
+		binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	}
+	return out
+}
+
+// decodeRatios reads the ratio vector of an n-member demand side: exactly
+// 8·n bytes, and every word must pass checkRatio before it can reach
+// routeAndPay.
+func decodeRatios(raw []byte, n int, from, tag string) ([]float64, error) {
+	if err := checkLen(raw, 8*n, from, tag); err != nil {
+		return nil, err
+	}
+	ratios := make([]float64, n)
+	for i := range ratios {
+		ratios[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
+		if err := checkRatio(ratios[i]); err != nil {
+			return nil, &frameError{from: from, tag: tag, err: fmt.Errorf("word %d: %w", i, err)}
+		}
+	}
+	return ratios, nil
+}
+
+func (r *windowRun) recvRatios(ctx context.Context, hs, tag string, n int) ([]float64, error) {
 	raw, err := r.recvFrame(ctx, hs, tag)
 	if err != nil {
 		return nil, err
 	}
-	ratios, err := decodeRatios(raw)
+	ratios, err := decodeRatios(raw, n, hs, tag)
 	transport.PutFrame(raw)
-	if err != nil {
-		return nil, &frameError{from: hs, tag: tag, err: err}
-	}
-	return ratios, nil
+	return ratios, err
 }

@@ -13,9 +13,10 @@ import (
 
 // FuzzWindowFrames feeds arbitrary bytes as every frame kind a window
 // decodes (frames.go): the one-byte role and market-kind frames, the 8- and
-// 16-byte words, and a ciphertext under a fixed 256-bit key. Each input must
-// decode in range — and re-encode to the same bytes — or fail as a
-// *frameError naming the sender and the tag; it must never panic.
+// 16-byte words, a ciphertext under a fixed 256-bit key, and Hs's ratio
+// vector for a roster of len/8 members and of three. Each input must decode
+// in range — and re-encode to the same bytes — or fail as a *frameError
+// naming the sender and the tag; it must never panic.
 func FuzzWindowFrames(f *testing.F) {
 	key, _, err := NewKeyRing(testConfig(1)).key("a00", false)
 	if err != nil {
@@ -37,6 +38,7 @@ func FuzzWindowFrames(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add(bytes.Repeat([]byte{0xff}, 8))
 	f.Add(bytes.Repeat([]byte{0xff}, 16))
+	f.Add(encodeRatios([]float64{0.25, 0.5, 0.25}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		typed := func(what string, err error) bool {
 			var fe *frameError
@@ -53,6 +55,18 @@ func FuzzWindowFrames(f *testing.F) {
 		for _, words := range []int{1, 2} {
 			if s, err := decodeShare(raw, words, "peer", "w0/t"); typed("word", err) && !bytes.Equal(encodeShare(s, words), raw) {
 				t.Fatalf("%d-word frame %x decoded to %x", words, raw, s)
+			}
+		}
+		for _, n := range []int{len(raw) / 8, 3} {
+			if v, err := decodeRatios(raw, n, "peer", "w0/t"); typed("ratios", err) {
+				for _, x := range v {
+					if checkRatio(x) != nil {
+						t.Fatalf("ratio %g decoded from %x", x, raw)
+					}
+				}
+				if len(v) != n || !bytes.Equal(encodeRatios(v), raw) {
+					t.Fatalf("%d-member vector %x decoded to %v", n, raw, v)
+				}
 			}
 		}
 		var c paillier.Ciphertext

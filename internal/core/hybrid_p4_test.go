@@ -406,18 +406,18 @@ func TestRejectsMalformedFrames(t *testing.T) {
 		{BackendHybrid, "unmask zero", phaseUnmask, cipher(func(*paillier.PublicKey) []byte { return nil }), true},
 		{BackendHybrid, "unmask n²", phaseUnmask, cipher(func(pk *paillier.PublicKey) []byte { return pk.N2.Bytes() }), true},
 	}
-	// Every core-owned tag: ciphertexts, then 8- and 16-byte words and the
-	// one-byte role and kind frames.
+	// Every core-owned tag: ciphertexts, then 8- and 16-byte words, Hs's
+	// ratio vector and the one-byte role and kind frames.
 	for _, b := range []struct {
 		backend        string
 		ciphers, plain []string
 	}{
 		{BackendPaillier,
 			[]string{"pme/rb", "pme/rs", "pp/ring", "pd/ring", "pd/total", "pd/masked"},
-			[]string{"role", "pme/kind", "pp/price", "pd/energy", "pd/reply"}},
+			[]string{"role", "pme/kind", "pp/price", "pd/ratios", "pd/energy", "pd/reply"}},
 		{BackendHybrid,
 			[]string{"pd/unmask", "pd/total", "pd/masked"},
-			[]string{"role", "pme/rb", "pme/rs", "pme/cmp", "pme/kind", "pp/ring", "pp/price", "pd/ring", "pd/energy", "pd/reply"}},
+			[]string{"role", "pme/rb", "pme/rs", "pme/cmp", "pme/kind", "pp/ring", "pp/price", "pd/ring", "pd/ratios", "pd/energy", "pd/reply"}},
 	} {
 		for _, phase := range b.ciphers {
 			rows = append(rows, row{b.backend, phase + " short", phase, short, false}, row{b.backend, phase + " long", phase, wide, false})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -12,6 +11,7 @@ import (
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/netem"
 	"github.com/pem-go/pem/internal/paillier"
+	"github.com/pem-go/pem/internal/transport"
 )
 
 // Protocol 4 phases the backends name themselves, next to the tags
@@ -79,7 +79,7 @@ func (r *windowRun) privateDistribution(ctx context.Context, kind market.Kind, p
 	}
 
 	// --- Steps 2–3: masked reciprocals to Hs; Hs broadcasts ratios. ---
-	var ratios map[string]float64
+	var ratios []float64
 	switch {
 	case r.ID() == hs:
 		var err error
@@ -94,7 +94,7 @@ func (r *windowRun) privateDistribution(ctx context.Context, kind market.Kind, p
 	}
 	if onSupplySide && r.ID() != hs {
 		var err error
-		if ratios, err = r.recvRatios(ctx, hs, tagRatios); err != nil {
+		if ratios, err = r.recvRatios(ctx, hs, tagRatios, len(demandSide)); err != nil {
 			return nil, err
 		}
 	}
@@ -139,10 +139,11 @@ func (r *windowRun) sendMaskedReciprocal(ctx context.Context, hs, tagTotal, tagM
 // ⌈n/slots⌉ near-equal batches (3 slots at 1024-bit keys, 1 at 512), each
 // handed to the shared crypto worker pool the moment its last member
 // arrives and opened as one plaintext modulo p (paillier.DecryptSlots) —
-// recover the allocation ratios, refuse them unless they sum to 1, and
-// broadcast the vector to the supply side. Decryption of complete batches
-// overlaps the wait for stragglers.
-func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []string, tagMasked, tagRatios string) (map[string]float64, error) {
+// recover the allocation ratios, put each at its sender's index in the
+// demand side's sorted roster, refuse them unless they sum (in that order)
+// to 1, and broadcast the vector to the supply side. Decryption of complete
+// batches overlaps the wait for stragglers.
+func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []string, tagMasked, tagRatios string) ([]float64, error) {
 	n := len(demandSide)
 	ids := make([]string, n)
 	vals := make([]float64, n)
@@ -174,24 +175,27 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 		}
 	}
 
-	ratios := make(map[string]float64, n)
-	sum := 0.0
+	ratios := make([]float64, n)
+	placed := make([]bool, n)
 	for i, id := range ids {
-		ratios[id] = vals[i]
-		sum += vals[i]
+		j := sort.SearchStrings(demandSide, id)
+		if placed[j] {
+			return nil, fmt.Errorf("duplicate masked sender %s", id)
+		}
+		placed[j], ratios[j] = true, vals[i]
 	}
-	if len(ratios) != n {
-		return nil, fmt.Errorf("duplicate masked sender")
+	sum := 0.0
+	for _, v := range ratios {
+		sum += v
 	}
 	if math.Abs(sum-1) > paymentTolerance {
 		return nil, &RatioSumError{Window: r.window, Sum: sum}
 	}
 
-	payload, err := encodeRatios(ratios)
+	payload := encodeRatios(ratios)
+	err := r.broadcast(ctx, supplySide, tagRatios, payload)
+	transport.PutFrame(payload)
 	if err != nil {
-		return nil, err
-	}
-	if err := r.broadcast(ctx, supplySide, tagRatios, payload); err != nil {
 		return nil, err
 	}
 	return ratios, nil
@@ -229,7 +233,7 @@ func (r *windowRun) ratiosFromMasked(from []string, cts []*paillier.Ciphertext, 
 // Extreme market: the initiator is a buyer; it requests e_ij =
 // |sn_j|·(sn_i/E_s) from seller i and pays m_ji = p·e_ij; the seller
 // confirms by echoing the routed amount.
-func (r *windowRun) routeAndPay(ctx context.Context, kind market.Kind, price float64, demandSide, supplySide []string, ratios map[string]float64) ([]market.Trade, error) {
+func (r *windowRun) routeAndPay(ctx context.Context, kind market.Kind, price float64, demandSide, supplySide []string, ratios []float64) ([]market.Trade, error) {
 	tagEnergy := r.tag("pd/energy")
 	tagReply := r.tag("pd/reply")
 
@@ -260,12 +264,7 @@ func (r *windowRun) routeAndPay(ctx context.Context, kind market.Kind, price flo
 				errs[i] = r.exchangeAsDemander(ctx, kind, price, id, tagEnergy, tagReply)
 				return
 			}
-			ratio, ok := ratios[id]
-			if !ok {
-				errs[i] = fmt.Errorf("missing ratio for %s", id)
-				return
-			}
-			trades[i], errs[i] = r.exchangeAsSupplier(ctx, kind, price, id, myShare, ratio, tagEnergy, tagReply)
+			trades[i], errs[i] = r.exchangeAsSupplier(ctx, kind, price, id, myShare, ratios[i], tagEnergy, tagReply)
 		}(i, id, netem.Branch(ctx))
 	}
 	wg.Wait()
@@ -371,75 +370,4 @@ func checkRatio(v float64) error {
 		return fmt.Errorf("allocation ratio %g outside [0, 1]", v)
 	}
 	return nil
-}
-
-// encodeRatios serializes a ratio vector as count | (idLen|id|f64)*.
-func encodeRatios(ratios map[string]float64) ([]byte, error) {
-	ids := make([]string, 0, len(ratios))
-	for id := range ratios {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	buf := make([]byte, 0, 4+len(ids)*16)
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(ids)))
-	buf = append(buf, u32[:]...)
-	for _, id := range ids {
-		if len(id) > 0xffff {
-			return nil, fmt.Errorf("party ID too long")
-		}
-		var u16 [2]byte
-		binary.BigEndian.PutUint16(u16[:], uint16(len(id)))
-		buf = append(buf, u16[:]...)
-		buf = append(buf, id...)
-		var f [8]byte
-		binary.BigEndian.PutUint64(f[:], math.Float64bits(ratios[id]))
-		buf = append(buf, f[:]...)
-	}
-	return buf, nil
-}
-
-// ratioEntryMin is the smallest possible wire size of one ratio entry: a
-// 2-byte id length (empty id) plus the 8-byte float.
-const ratioEntryMin = 2 + 8
-
-// decodeRatios reverses encodeRatios. The entry count is bounded by the
-// remaining payload before any allocation — a corrupt header cannot demand
-// a multi-GB map — and every ratio must pass checkRatio before it can
-// reach routeAndPay.
-func decodeRatios(raw []byte) (map[string]float64, error) {
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("truncated ratios")
-	}
-	n := int(binary.BigEndian.Uint32(raw))
-	raw = raw[4:]
-	if n > len(raw)/ratioEntryMin {
-		return nil, fmt.Errorf("ratio count %d exceeds payload", n)
-	}
-	out := make(map[string]float64, n)
-	for i := 0; i < n; i++ {
-		if len(raw) < 2 {
-			return nil, fmt.Errorf("truncated ratio id length")
-		}
-		idLen := int(binary.BigEndian.Uint16(raw))
-		raw = raw[2:]
-		if len(raw) < idLen+8 {
-			return nil, fmt.Errorf("truncated ratio entry")
-		}
-		id := string(raw[:idLen])
-		raw = raw[idLen:]
-		v := math.Float64frombits(binary.BigEndian.Uint64(raw))
-		raw = raw[8:]
-		if err := checkRatio(v); err != nil {
-			return nil, fmt.Errorf("%s: %w", id, err)
-		}
-		if _, dup := out[id]; dup {
-			return nil, fmt.Errorf("duplicate ratio for %s", id)
-		}
-		out[id] = v
-	}
-	if len(raw) != 0 {
-		return nil, fmt.Errorf("trailing ratio bytes")
-	}
-	return out, nil
 }

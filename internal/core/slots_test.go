@@ -231,7 +231,8 @@ func rewriteFrames(eng *Engine, f func(from, to, phase string, payload []byte) [
 // bytes) before the two sums shared a plaintext. On hybrid every sum is a
 // fixed 8- or 16-byte word — no ciphertext travels under Protocol 4's fold
 // tag — and the only ciphertexts are Hs's unmasking one, the broadcast
-// total and the masked products.
+// total and the masked products. On both, Hs's ratio vector is one 8-byte
+// word per demand-side member, sent to every other supply-side member.
 func TestPaillierFrameLengths(t *testing.T) {
 	type frames struct{ count, size int }
 	for _, tc := range []struct {
@@ -276,6 +277,7 @@ func TestPaillierFrameLengths(t *testing.T) {
 					"pd/unmask": {0, 0},
 					"pd/total":  {buyers - 1, tc.fixedLen},
 					"pd/masked": {buyers, tc.fixedLen},
+					"pd/ratios": {sellers - 1, 8 * buyers},
 				}
 				if backend == BackendHybrid {
 					want["pme/rb"] = frames{sellers + buyers - 1, 8}

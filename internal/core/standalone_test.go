@@ -117,7 +117,7 @@ func TestStandaloneSinkHoldsNoWindows(t *testing.T) {
 	parties := make([]*Party, len(agents))
 	peers := make([]string, len(agents))
 	for i, a := range agents {
-		node, err := transport.ListenTCP(a.ID, "127.0.0.1:0", nil, sink)
+		node, err := transport.ListenTCP(a.ID, "127.0.0.1:0", sink)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 const (
 	// maxCodeLines bounds the non-test Go lines of the root package,
 	// internal/ and cmd/, counted as `wc -l` counts them.
-	maxCodeLines = 13763
+	maxCodeLines = 13706
 	// maxDesignLines bounds DESIGN.md.
 	maxDesignLines = 500
 )

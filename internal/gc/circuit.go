@@ -20,12 +20,11 @@ import (
 // GateKind enumerates supported gate types.
 type GateKind uint8
 
-// Supported gates. XOR and NOT are free under free-XOR garbling; AND and OR
-// cost one four-row table each.
+// Supported gates. XOR and NOT are free under free-XOR garbling; AND costs
+// one four-row table.
 const (
 	GateXOR GateKind = iota + 1
 	GateAND
-	GateOR
 	GateNOT
 )
 
@@ -36,8 +35,6 @@ func (k GateKind) String() string {
 		return "XOR"
 	case GateAND:
 		return "AND"
-	case GateOR:
-		return "OR"
 	case GateNOT:
 		return "NOT"
 	default:
@@ -53,8 +50,6 @@ func (k GateKind) truthTable() [4]bool {
 		return [4]bool{false, true, true, false}
 	case GateAND:
 		return [4]bool{false, false, false, true}
-	case GateOR:
-		return [4]bool{false, true, true, true}
 	case GateNOT:
 		return [4]bool{true, true, false, false}
 	default:
@@ -119,7 +114,7 @@ func (c *Circuit) Validate() error {
 	}
 	for i, g := range c.Gates {
 		switch g.Kind {
-		case GateXOR, GateAND, GateOR, GateNOT:
+		case GateXOR, GateAND, GateNOT:
 		default:
 			return fmt.Errorf("gc: gate %d has unknown kind %d", i, g.Kind)
 		}
@@ -185,11 +180,11 @@ func (c *Circuit) EvalPlain(garblerBits, evaluatorBits []bool) ([]bool, error) {
 	return out, nil
 }
 
-// NonFreeGates counts the gates that require garbled tables (AND/OR).
+// NonFreeGates counts the gates that require garbled tables (AND).
 func (c *Circuit) NonFreeGates() int {
 	n := 0
 	for _, g := range c.Gates {
-		if g.Kind == GateAND || g.Kind == GateOR {
+		if g.Kind == GateAND {
 			n++
 		}
 	}

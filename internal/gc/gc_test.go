@@ -450,8 +450,7 @@ func TestComparatorBuiltOncePerWidth(t *testing.T) {
 }
 
 func TestGateKindString(t *testing.T) {
-	if GateXOR.String() != "XOR" || GateAND.String() != "AND" ||
-		GateOR.String() != "OR" || GateNOT.String() != "NOT" {
+	if GateXOR.String() != "XOR" || GateAND.String() != "AND" || GateNOT.String() != "NOT" {
 		t.Error("GateKind strings wrong")
 	}
 	if GateKind(42).String() == "" {

@@ -202,12 +202,12 @@ func TestNonceUniqueness(t *testing.T) {
 func TestOverTCP(t *testing.T) {
 	src := keySources(t, "a", "b")
 
-	nodeA, err := transport.ListenTCP("a", "127.0.0.1:0", nil, nil)
+	nodeA, err := transport.ListenTCP("a", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nodeA.Close()
-	nodeB, err := transport.ListenTCP("b", "127.0.0.1:0", nil, nil)
+	nodeB, err := transport.ListenTCP("b", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

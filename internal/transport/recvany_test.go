@@ -130,16 +130,17 @@ func TestRecvAnyCloseUnblocks(t *testing.T) {
 }
 
 func TestTCPRecvAny(t *testing.T) {
-	a, err := ListenTCP("a", "127.0.0.1:0", nil, nil)
+	a, err := ListenTCP("a", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := ListenTCP("b", "127.0.0.1:0", map[string]string{"a": a.Addr()}, nil)
+	b, err := ListenTCP("b", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	b.SetPeer("a", a.Addr())
 
 	ctx := context.Background()
 	if err := b.Send(ctx, "a", "t", []byte("hi")); err != nil {
@@ -158,13 +159,13 @@ func TestTCPRecvAny(t *testing.T) {
 // the node-wide write lock: a send blocked on a stalled peer's socket must
 // not serialize sends to healthy peers.
 func TestTCPStalledPeerDoesNotBlockHealthySends(t *testing.T) {
-	node, err := ListenTCP("sender", "127.0.0.1:0", nil, nil)
+	node, err := ListenTCP("sender", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer node.Close()
 
-	healthy, err := ListenTCP("healthy", "127.0.0.1:0", nil, nil)
+	healthy, err := ListenTCP("healthy", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,10 +55,10 @@ func (c *tcpConn) writeFrame(msg Message) error {
 	return writeFrame(c.Conn, msg)
 }
 
-// ListenTCP starts a node for party on addr (e.g. "127.0.0.1:0"). roster
-// maps every peer party to its dialable address; it may include the local
-// party (ignored). If metrics is nil a fresh sink is used.
-func ListenTCP(party, addr string, roster map[string]string, metrics *Metrics) (*TCPNode, error) {
+// ListenTCP starts a node for party on addr (e.g. "127.0.0.1:0") with an
+// empty roster: each peer's dialable address arrives through SetPeer. If
+// metrics is nil a fresh sink is used.
+func ListenTCP(party, addr string, metrics *Metrics) (*TCPNode, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
@@ -66,14 +66,10 @@ func ListenTCP(party, addr string, roster map[string]string, metrics *Metrics) (
 	if metrics == nil {
 		metrics = NewMetrics()
 	}
-	r := make(map[string]string, len(roster))
-	for k, v := range roster {
-		r[k] = v
-	}
 	n := &TCPNode{
 		party:   party,
 		ln:      ln,
-		roster:  r,
+		roster:  make(map[string]string),
 		mbox:    newMailbox(),
 		metrics: metrics,
 		conns:   make(map[string]*tcpConn),

@@ -28,15 +28,16 @@ func settleGoroutines() int {
 // neither the mailbox waiter nor the accept/read loops may outlive Close.
 func TestTCPNoGoroutineLeakOnCancelledRecvAny(t *testing.T) {
 	cycle := func() {
-		a, err := ListenTCP("a", "127.0.0.1:0", nil, nil)
+		a, err := ListenTCP("a", "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ListenTCP("b", "127.0.0.1:0", map[string]string{"a": a.Addr()}, nil)
+		b, err := ListenTCP("b", "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a.SetPeer("b", b.Addr())
+		b.SetPeer("a", a.Addr())
 
 		// A receiver parked in RecvAny with nothing inbound, killed by
 		// context cancellation mid-wait.

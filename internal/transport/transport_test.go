@@ -228,12 +228,12 @@ func TestConcurrentSenders(t *testing.T) {
 
 func TestTCPSendRecv(t *testing.T) {
 	metrics := NewMetrics()
-	nodeA, err := ListenTCP("a", "127.0.0.1:0", nil, metrics)
+	nodeA, err := ListenTCP("a", "127.0.0.1:0", metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nodeA.Close()
-	nodeB, err := ListenTCP("b", "127.0.0.1:0", nil, metrics)
+	nodeB, err := ListenTCP("b", "127.0.0.1:0", metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestTCPSendRecv(t *testing.T) {
 }
 
 func TestTCPUnknownPeer(t *testing.T) {
-	node, err := ListenTCP("solo", "127.0.0.1:0", nil, nil)
+	node, err := ListenTCP("solo", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +283,12 @@ func TestTCPUnknownPeer(t *testing.T) {
 }
 
 func TestTCPManyMessages(t *testing.T) {
-	a, err := ListenTCP("a", "127.0.0.1:0", nil, nil)
+	a, err := ListenTCP("a", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := ListenTCP("b", "127.0.0.1:0", nil, nil)
+	b, err := ListenTCP("b", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestTCPManyMessages(t *testing.T) {
 }
 
 func TestTCPSendAfterClose(t *testing.T) {
-	a, err := ListenTCP("a", "127.0.0.1:0", nil, nil)
+	a, err := ListenTCP("a", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestTCPCloseOrderingNoDeadlock(t *testing.T) {
 	var nodes []*TCPNode
 	names := []string{"n0", "n1", "n2"}
 	for _, name := range names {
-		n, err := ListenTCP(name, "127.0.0.1:0", nil, nil)
+		n, err := ListenTCP(name, "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

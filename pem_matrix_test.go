@@ -207,7 +207,7 @@ func standaloneCell(t *testing.T, c cell) string {
 	parties := make([]*core.Party, len(agents))
 	peers := make([]string, len(agents))
 	for i, a := range agents {
-		node, err := transport.ListenTCP(a.ID, "127.0.0.1:0", nil, nil)
+		node, err := transport.ListenTCP(a.ID, "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,15 +292,15 @@ func standaloneCell(t *testing.T, c cell) string {
 var gridWANTraffic = map[string][]int64{
 	pem.BackendPaillier: {
 		37251, 126, 2097667366, 18,
-		34740, 102, 1870553629, 14,
-		35976, 114, 1846755756, 16,
-		107967, 342, 2097667366,
+		34632, 102, 1870544989, 14,
+		35880, 114, 1846740396, 16,
+		107763, 342, 2097667366,
 	},
 	pem.BackendHybrid: {
 		7506, 120, 1860702757, 16,
-		5463, 96, 1879472410, 14,
-		6543, 108, 1716662887, 15,
-		19512, 324, 1879472410,
+		5355, 96, 1879463770, 14,
+		6447, 108, 1716647527, 15,
+		19308, 324, 1879463770,
 	},
 }
 

@@ -29,26 +29,26 @@ func TestPublicNetworkEmulation(t *testing.T) {
 // latency, rounds, messages and bytes on the wire of the sweep that
 // TestVirtualLatencyGolden runs.
 var virtualGolden = map[string]string{
-	"paillier/ring/cellular": "e8937ea636c540f0bd1b3e7f1b99a78e43e29be3b8295e137a5c602c47fa9345",
-	"paillier/ring/lan":      "f9bcc4b0a6bb19a98a8063ff895bca0e266b43760f764071fc50be7571e50150",
-	"paillier/ring/lossy":    "6820ef98f94f5291c93ef58e3f2d263f70888f3e6915352f025e2bc968179d10",
-	"paillier/ring/metro":    "e50d0f7b1f796306867499c64e2b33d1771e1cef0afec80beb960f4a101f19e9",
-	"paillier/ring/wan":      "720b31e5ecf10c3830d2e5e9e7649b0941905feefc6c0d20e7dd8968ae972aec",
-	"paillier/tree/cellular": "1a1a30ac38f26c31c7c2ef0329e4dfd414789242889a3637a658274d2e4ca7e9",
-	"paillier/tree/lan":      "1a6f25af9ab3f4e8c279b78072cdeab306cd3b5f8ca7ccd4b9a5ab25a8cd9f50",
-	"paillier/tree/lossy":    "46c941ca814147c0fa391acaa5db6ba19a647fe3f91895a8f51fd16626035fce",
-	"paillier/tree/metro":    "b8e3e358f4b138602a5b4268a01b7163fcf5e5c8ee4b78ddf20db02068e51f1e",
-	"paillier/tree/wan":      "0e56d924367af0ad655b5e8c57ce59f3d921e408411d827f624c877c122f9656",
-	"hybrid/ring/cellular":   "5372a53cfa48542bc909699e4086c869749693032a81b2394cb22eed901a7f61",
-	"hybrid/ring/lan":        "3df84500b7f750c04bcfec0b6d7ad43bd0112f03f95873cd9b3038a22bea1ef7",
-	"hybrid/ring/lossy":      "f63ca2403e9e515cffb3b2c18c6688ba9eca3bc6f58f03e61c294fbb19aa4b7e",
-	"hybrid/ring/metro":      "540295a9428becfc5d77345784e84642b87c4ff7136fbf546ed7271e751f4aeb",
-	"hybrid/ring/wan":        "8966e819627538080a2fd9d345d12c4c00fd148c187ca9f92841e4cd7d8077f1",
-	"hybrid/tree/cellular":   "97ade28b80faf3eb1cf99a8d3c6ebd411e58cee4358dc6d272d4ae2fd19c062b",
-	"hybrid/tree/lan":        "06a9bbaeb03ee74ed514f81124752dfff9f067d4053e70d054248ed7d9ab229f",
-	"hybrid/tree/lossy":      "01659235742555920f10a32616f7891eff15eded8504fde1304d3cb7384c7997",
-	"hybrid/tree/metro":      "b63432783b03b88033f60f8e148c96f46d3284c7bb9b8fac52754b6431ddb07a",
-	"hybrid/tree/wan":        "158a57db93d10efdf59a43c672a0c173db5e1d03b7e779a547275b70b00dd31f",
+	"paillier/ring/cellular": "e69693cd6f85a26d53047b28955a503983757fc9140510023550974d568fd49a",
+	"paillier/ring/lan":      "6643cd5986f6abb897d25fdb2611bbe1a7e56885a3068622cae8f4f8ac07265c",
+	"paillier/ring/lossy":    "5af6bfba4c0ca05115af3989184fd3237ef9187ac2d98735fdff4fc74d17d5ca",
+	"paillier/ring/metro":    "4beb3adfb1741538d812ef1ce80e54f2765c3f63f443b844efbf503e16f2c548",
+	"paillier/ring/wan":      "a95f29fd2c8e11943a6d20475443031ad2b18fe7868f762333d17f6ac9eb923a",
+	"paillier/tree/cellular": "921f312ce8ff558686759bdab0b32138ff09605500d5d0f84130c2a990bb48fc",
+	"paillier/tree/lan":      "c531ecf7575786567d3c255b473a429606d38a7df8b8eec7f1698f96f4321cad",
+	"paillier/tree/lossy":    "654a8689f73a8e88784f2a3e0dc8ea3eea25e94e8a99861d9e24bc446950162d",
+	"paillier/tree/metro":    "29e6d479aea8158076dc3257a9fd4d068a9a7552a15562a8974e907c9cbfb95c",
+	"paillier/tree/wan":      "22703a0a6566b40a84bdbfce89de198762eba0169e5f954fcee8b408845fa4b1",
+	"hybrid/ring/cellular":   "0afd2eba006232e3661a022eba79428657b1923f0c0e3ca3e8b3b0048b44eb53",
+	"hybrid/ring/lan":        "b3e197a2866eea4034b0d52481f29299eb78adff70e6f4d82f9f1c58cf4f9b6b",
+	"hybrid/ring/lossy":      "d442f9f68676277ae2e91b34cf5128f7ece06f905df1ebbf7a68ee73bcffa630",
+	"hybrid/ring/metro":      "4ba56c77c04c7f97049cc999bb5ddc9f2c74c316d7efdecc1012997c53b185a5",
+	"hybrid/ring/wan":        "be6050715cc3ffbac383141933b60c9380edc51c9295af907d0e5d65ec07364d",
+	"hybrid/tree/cellular":   "9d7882844343e159d837d4642818403dd73ea24bafd99f0ba8595dc456389d86",
+	"hybrid/tree/lan":        "712688e6f275c2d38a1e4d37b5ff618e85f08aedd33dc58b68390393dc86cb7f",
+	"hybrid/tree/lossy":      "288404cef8b6a79035c0ead52c4a3698b8a0d1aa4692bc361a44cabc8e566ca5",
+	"hybrid/tree/metro":      "aa2bafe56595c572963ff31c8acacdd1367033853044ed2f228f15ac0d961501",
+	"hybrid/tree/wan":        "cabfda7dbf3102d1a6f11a6607209019a88be8c2335397cb8b9efe4b39d423ac",
 }
 
 // TestVirtualLatencyGolden holds the network emulation's absolute figures,
