@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pem-go/pem/internal/fixed"
 	"github.com/pem-go/pem/internal/market"
 )
 
@@ -168,11 +169,11 @@ const (
 // magnitude under windowWide), a two-byte engine seed, then per agent five
 // bytes — k and ε anywhere inside Agent.Validate's limits, generation and
 // load in steps of 1/32 kWh up to 15/32, battery in steps of 1/64 kWh
-// within ±1/32. The wide magnitude scales every step by 2^22, so shares
-// reach ≈ 2·10⁶ kWh, where round(10^12/|sn|) is a single digit or zero.
-// Missing bytes read 0. The grid is dyadic, so sums are exact in float64
-// and in µ-units alike: E_b = E_s ties, a single buyer, all sellers and
-// zero net are all on it.
+// within ±1/32. The wide magnitude scales every step by 34, to 17/16 kWh,
+// so shares reach 15.5 steps ≈ 16.47 kWh, 98 % of fixed.MaxShare, and a
+// share of 16 steps, 17 kWh, crosses it. Missing bytes read 0. The grid is
+// dyadic, so sums are exact in float64 and in µ-units alike: E_b = E_s
+// ties, a single buyer, all sellers and zero net are all on it.
 func decodeWindow(data []byte) (agents []market.Agent, inputs []market.WindowInput, seed int64, topo string, wide bool) {
 	at := func(i int) byte {
 		if i < len(data) {
@@ -187,7 +188,7 @@ func decodeWindow(data []byte) (agents []market.Agent, inputs []market.WindowInp
 	}
 	step := 1.0 / 32 // kWh
 	if wide = at(0)&windowWide != 0; wide {
-		step = 1 << 17
+		step = 17.0 / 16
 	}
 	seed = int64(at(1))<<8 | int64(at(2))
 	agents, inputs = testAgents(n), make([]market.WindowInput, n)
@@ -204,12 +205,14 @@ func decodeWindow(data []byte) (agents []market.Agent, inputs []market.WindowInp
 	return agents, inputs, seed, topo, wide
 }
 
-// assertSupplyRouted is the wide magnitude's oracle against market.Clear.
-// There round(10^12/|sn_j|) can put one pair's trade far from the
-// plaintext's, so only the kind, the price, the coalitions and what the
-// ratio-sum check guarantees are held: every supply-side member routes its
-// whole share, within paymentTolerance of it and a µ-unit a trade.
-func assertSupplyRouted(t *testing.T, res *WindowResult, agents []market.Agent, inputs []market.WindowInput) {
+// assertProRata is the wide magnitude's oracle: market.Clear pair by pair,
+// within Protocol 4's derived error. round(10^12/|sn_j|) is within
+// |sn_j|/(2·10^12) ≤ fixed.MaxShare/(2·10^12) relative of 10^12/|sn_j|, so a
+// trade e_ij, at most its supply-side member's share, is within
+// share·MaxShare/(2·10^12) of pro rata, plus a µkWh of wire rounding; its
+// payment within the price times that, plus a µ-unit and the price's own
+// rounding on e_ij.
+func assertProRata(t *testing.T, res *WindowResult, agents []market.Agent, inputs []market.WindowInput) {
 	t.Helper()
 	ref, err := market.Clear(agents, inputs, market.DefaultParams())
 	if err != nil {
@@ -219,25 +222,23 @@ func assertSupplyRouted(t *testing.T, res *WindowResult, agents []market.Agent, 
 		t.Fatalf("private %v at %v, %d/%d; plaintext %v at %v, %d/%d", res.Kind, res.Price, res.SellerCount, res.BuyerCount,
 			ref.Kind, ref.Price, len(ref.SellerIDs), len(ref.BuyerIDs))
 	}
-	if res.Degenerate {
-		return
+	if len(res.Trades) != len(ref.Trades) {
+		t.Fatalf("%d trades, plaintext %d", len(res.Trades), len(ref.Trades))
 	}
-	routed, trades := make(map[string]float64), make(map[string]int)
-	for _, tr := range res.Trades {
-		id := tr.Seller
-		if res.Kind == market.ExtremeMarket {
-			id = tr.Buyer
-		}
-		routed[id] += tr.Energy
-		trades[id]++
-	}
+	share := make(map[string]float64, len(agents))
 	for i, a := range agents {
-		sn := inputs[i].NetEnergy()
-		if (sn > 0) != (res.Kind == market.GeneralMarket) || sn == 0 {
-			continue // not on the supply side
+		share[a.ID] = math.Abs(inputs[i].NetEnergy())
+	}
+	for i, tr := range res.Trades {
+		want := ref.Trades[i]
+		supplier := tr.Seller
+		if res.Kind == market.ExtremeMarket {
+			supplier = tr.Buyer
 		}
-		if share := math.Abs(sn); math.Abs(routed[a.ID]-share) > paymentTolerance*share+float64(trades[a.ID])*1e-6 {
-			t.Fatalf("%s routed %v of its %v kWh", a.ID, routed[a.ID], share)
+		tol := share[supplier]*float64(fixed.MaxShare)/(2*fixed.RecipScale) + 1e-6
+		payTol := res.Price*tol + want.Energy*math.Abs(res.Price-ref.Price) + 1e-6
+		if tr.Seller != want.Seller || tr.Buyer != want.Buyer || math.Abs(tr.Energy-want.Energy) > tol || math.Abs(tr.Payment-want.Payment) > payTol {
+			t.Fatalf("trade %+v, plaintext %+v: off by more than %g kWh or %g", tr, want, tol, payTol)
 		}
 	}
 }
@@ -245,13 +246,12 @@ func assertSupplyRouted(t *testing.T, res *WindowResult, agents []market.Agent, 
 // FuzzWindow is the differential check of a whole window: the decoded
 // window runs once under paillier and once under hybrid at 256-bit keys.
 // Either both outcomes agree bit for bit and match market.Clear (pair by
-// pair, or on the wide magnitude by assertSupplyRouted) and, when anything
-// trades, the integer oracle exactly; or both refuse. A refusal before any
-// frame is sent is the same *WindowError on both. Only on the wide
-// magnitude may a window be refused after frames: both then name the same
-// party and phase, and a *RatioSumError is the same on both, its Sum —
-// added in roster order — included. Every execution borrows one KeyRing,
-// so it pays for windows, not for key generation.
+// pair, on the wide magnitude within assertProRata's derived error) and,
+// when anything trades, the integer oracle exactly; or both refuse before
+// any frame is sent, with the same *WindowError, for a share above
+// fixed.MaxShare that market.Clear refuses too. Within the bound no honest
+// window is refused after frames. Every execution borrows one KeyRing, so
+// it pays for windows, not for key generation.
 //
 // Its seeds are the ten trials of TestRandomizedWindowsMatchPlaintext and
 // TestHybridRandomizedMatchesPaillier — the same math/rand draws, put on the
@@ -279,14 +279,16 @@ func FuzzWindow(f *testing.F) {
 		}
 	}
 	// Agent bytes: k, ε, generation, load, battery (2 is none).
-	f.Add([]byte{0, 0, 1, 70, 200, 6, 0, 2, 90, 180, 0, 6, 2})                                                  // E_b = E_s
-	f.Add([]byte{2 | windowTree, 0, 2, 70, 200, 5, 1, 2, 80, 190, 4, 0, 2, 90, 180, 0, 3, 2, 99, 170, 2, 0, 2}) // a single buyer
-	f.Add([]byte{1, 0, 3, 70, 200, 5, 1, 2, 80, 190, 4, 0, 2, 90, 180, 3, 2, 2})                                // all sellers
-	f.Add([]byte{1, 0, 4, 70, 200, 6, 0, 2, 80, 190, 3, 3, 2, 90, 180, 0, 4, 2})                                // a zero net
-	f.Add([]byte{0, 0, 5, 70, 200, 3, 3, 2, 80, 190, 0, 0, 2})                                                  // no coalition
-	f.Add([]byte{1 | windowWide, 0, 6, 70, 200, 15, 0, 2, 80, 190, 0, 15, 2, 90, 180, 0, 14, 2})                // ratios summing to ≈ 0.53
+	f.Add([]byte{0, 0, 1, 70, 200, 6, 0, 2, 90, 180, 0, 6, 2})                                                    // E_b = E_s
+	f.Add([]byte{2 | windowTree, 0, 2, 70, 200, 5, 1, 2, 80, 190, 4, 0, 2, 90, 180, 0, 3, 2, 99, 170, 2, 0, 2})   // a single buyer
+	f.Add([]byte{1, 0, 3, 70, 200, 5, 1, 2, 80, 190, 4, 0, 2, 90, 180, 3, 2, 2})                                  // all sellers
+	f.Add([]byte{1, 0, 4, 70, 200, 6, 0, 2, 80, 190, 3, 3, 2, 90, 180, 0, 4, 2})                                  // a zero net
+	f.Add([]byte{0, 0, 5, 70, 200, 3, 3, 2, 80, 190, 0, 0, 2})                                                    // no coalition
+	f.Add([]byte{1 | windowWide, 0, 6, 70, 200, 15, 0, 2, 80, 190, 0, 15, 2, 90, 180, 0, 14, 2})                  // shares of 15–15 steps
+	f.Add([]byte{2 | windowWide, 0, 8, 70, 200, 15, 0, 1, 80, 190, 0, 15, 3, 90, 180, 0, 1, 2, 99, 170, 0, 0, 2}) // 15.5 steps, ≈ 98 % of the bound
 	f.Add([]byte{5 | windowWide, 0, 7, 70, 200, 15, 0, 2, 80, 200, 0, 2, 1, 81, 200, 0, 3, 2, 82, 200, 0, 3, 2,
-		83, 200, 0, 7, 1, 84, 200, 0, 7, 2, 85, 200, 0, 9, 1}) // ratios off pair by pair, summing to 1 + 1.1e-5
+		83, 200, 0, 7, 1, 84, 200, 0, 7, 2, 85, 200, 0, 9, 1}) // one seller of 15 steps, six buyers
+	f.Add([]byte{2 | windowWide, 0, 9, 70, 200, 15, 0, 0, 80, 190, 0, 6, 2, 90, 180, 0, 5, 2, 99, 170, 3, 0, 2}) // 16 steps, 17 kWh: over the bound
 
 	ring := NewKeyRing(testConfig(1))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -308,22 +310,16 @@ func FuzzWindow(f *testing.F) {
 		hyb, hybBytes, hybErr := run(BackendHybrid)
 		if paiErr != nil || hybErr != nil {
 			var we *WindowError
-			var paiSum, hybSum *RatioSumError
-			switch {
-			case paiBytes+hybBytes == 0:
-				if errors.As(paiErr, &we) && hybErr != nil && paiErr.Error() == hybErr.Error() {
-					return
-				}
-			case wide && paiErr != nil && hybErr != nil && paiBytes > 0 && hybBytes > 0 && refusedIn(paiErr) == refusedIn(hybErr):
-				if errors.As(paiErr, &paiSum) == errors.As(hybErr, &hybSum) && (paiSum == nil || *paiSum == *hybSum) {
-					return
-				}
+			_, clrErr := market.Clear(agents, inputs, market.DefaultParams())
+			if paiBytes+hybBytes == 0 && errors.As(paiErr, &we) && hybErr != nil && paiErr.Error() == hybErr.Error() &&
+				errors.Is(paiErr, market.ErrShareBound) && errors.Is(clrErr, market.ErrShareBound) {
+				return
 			}
-			t.Fatalf("paillier: %v (%d bytes sent); hybrid: %v (%d bytes sent)", paiErr, paiBytes, hybErr, hybBytes)
+			t.Fatalf("paillier: %v (%d bytes sent); hybrid: %v (%d bytes sent); market.Clear: %v", paiErr, paiBytes, hybErr, hybBytes, clrErr)
 		}
 		assertSameOutcome(t, "paillier vs hybrid", pai, hyb)
 		if wide {
-			assertSupplyRouted(t, hyb, agents, inputs)
+			assertProRata(t, hyb, agents, inputs)
 		} else {
 			assertMatchesPlaintext(t, hyb, agents, inputs)
 		}
@@ -331,13 +327,4 @@ func FuzzWindow(f *testing.F) {
 			assertTradesExactly(t, "integer oracle", hyb.Trades, integerOracle(t, hyb, agents, inputs))
 		}
 	})
-}
-
-// refusedIn is the head of a window's error: its window, party and phase.
-// It relies on the layout "core: window N: party ID: phase: cause" that
-// WindowError, Engine.runOne's party wrap and Party.runWindow's phase wrap
-// build; the cause, which may name a member by arrival order, is cut off.
-func refusedIn(err error) string {
-	parts := strings.SplitN(err.Error(), ": ", 5)
-	return strings.Join(parts[:min(4, len(parts))], ": ")
 }

@@ -492,6 +492,12 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 	if len(inputs) != len(e.parties) {
 		return nil, fmt.Errorf("core: %d inputs for %d parties", len(inputs), len(e.parties))
 	}
+	// Refuse a share above the bound before any party sends a byte.
+	for i, p := range e.parties {
+		if _, err := inputs[i].Share(p.ID()); err != nil {
+			return nil, err
+		}
+	}
 	start := time.Now()
 	ctx, cancel := context.WithCancel(e.bus.Metrics().OpenWindow(ctx))
 	defer cancel()

@@ -39,12 +39,12 @@ const (
 //     reciprocal trick that sidesteps Paillier's lack of division — and
 //     sends it to Hs;
 //  3. Hs drains the masked values in arrival order, decrypts them packed
-//     — up to Slots() ciphertexts as one plaintext, opened modulo its
-//     prime p alone — across the shared crypto worker pool, refuses any
-//     batch that is not narrow (paillier.ErrSlotOverflow), recovers the
-//     demand ratios |sn_j|/E_b = S / (E_b·S/|sn_j|), and broadcasts the
-//     ratio vector to the seller coalition (the designed leakage of
-//     Lemma 4);
+//     — up to Slots(width) ciphertexts as one plaintext, the width set by
+//     the public share bound, opened modulo its prime p alone — across the
+//     shared crypto worker pool, refuses any value that is not narrow
+//     (paillier.ErrSlotOverflow), recovers the demand ratios |sn_j|/E_b =
+//     S / (E_b·S/|sn_j|), and broadcasts the ratio vector to the seller
+//     coalition (the designed leakage of Lemma 4);
 //  4. every seller i routes e_ij = sn_i · ratio_j to each buyer j, who pays
 //     m_ji = p·e_ij back; the pairwise exchanges run concurrently per peer.
 func (r *windowRun) privateDistribution(ctx context.Context, kind market.Kind, price float64) ([]market.Trade, error) {
@@ -136,22 +136,24 @@ func (r *windowRun) sendMaskedReciprocal(ctx context.Context, hs, tagTotal, tagM
 
 // collectRatios is Hs's side: drain each demand-side member's masked value
 // in arrival order, decrypt them packed — the n ciphertexts are cut into
-// ⌈n/slots⌉ near-equal batches (3 slots at 1024-bit keys, 1 at 512), each
-// handed to the shared crypto worker pool the moment its last member
-// arrives and opened as one plaintext modulo p (paillier.DecryptSlots) —
-// recover the allocation ratios, put each at its sender's index in the
-// demand side's sorted roster, refuse them unless they sum (in that order)
-// to 1, and broadcast the vector to the supply side. Decryption of complete
-// batches overlaps the wait for stragglers.
+// ⌈n/slots⌉ near-equal batches of fixed.MaskedProductBits(n)-bit slots (5
+// at 1024-bit keys, 1 at 512), each handed to the shared crypto worker pool
+// the moment its last member arrives and opened as one plaintext modulo p
+// (paillier.DecryptSlots) — recover the allocation ratios, put each at its
+// sender's index in the demand side's sorted roster, refuse them unless
+// every member decodes (naming the lowest in the roster that does not) and
+// they sum (in roster order) to 1, and broadcast the vector to the supply
+// side. Decryption of complete batches overlaps the wait for stragglers.
 func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []string, tagMasked, tagRatios string) ([]float64, error) {
 	n := len(demandSide)
 	ids := make([]string, n)
 	vals := make([]float64, n)
 	store := make([]paillier.Ciphertext, n)
 	cts := make([]*paillier.Ciphertext, n)
-	slots := r.key.Slots()
+	errs := make([]error, n)
+	width := fixed.MaskedProductBits(n)
+	slots := r.key.Slots(width)
 	batches := (n + slots - 1) / slots
-	errs := make([]error, batches)
 	var wg sync.WaitGroup
 	i := 0
 	for b := range batches {
@@ -165,24 +167,27 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 			}
 		}
 		r.workers.Go(&wg, func() {
-			errs[b] = r.ratiosFromMasked(ids[lo:hi], cts[lo:hi], vals[lo:hi])
+			r.ratiosFromMasked(ids[lo:hi], cts[lo:hi], vals[lo:hi], errs[lo:hi], width)
 		})
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 
 	ratios := make([]float64, n)
 	placed := make([]bool, n)
+	var failed error
+	failedAt := n
 	for i, id := range ids {
 		j := sort.SearchStrings(demandSide, id)
 		if placed[j] {
 			return nil, fmt.Errorf("duplicate masked sender %s", id)
 		}
 		placed[j], ratios[j] = true, vals[i]
+		if errs[i] != nil && j < failedAt {
+			failed, failedAt = errs[i], j
+		}
+	}
+	if failed != nil {
+		return nil, failed
 	}
 	sum := 0.0
 	for _, v := range ratios {
@@ -202,23 +207,27 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 }
 
 // ratiosFromMasked decrypts one batch of masked values as a single packed
-// plaintext and turns every slot into its sender's allocation ratio.
-func (r *windowRun) ratiosFromMasked(from []string, cts []*paillier.Ciphertext, ratios []float64) error {
-	masked, err := r.key.DecryptSlots(cts)
+// plaintext and turns every slot into its sender's allocation ratio. A batch
+// that fails is reopened one member at a time, so errs[i] names each member
+// at fault rather than the batch it arrived in.
+func (r *windowRun) ratiosFromMasked(from []string, cts []*paillier.Ciphertext, ratios []float64, errs []error, width int) {
+	masked, err := r.key.DecryptSlots(cts, width)
 	if err != nil {
-		return fmt.Errorf("decrypt masked from %v: %w", from, err)
+		err = fmt.Errorf("decrypt masked from %v: %w", from, err)
 	}
-	for i, m := range masked {
-		ratio, err := fixed.RatioFromMasked(m)
-		if err == nil {
-			err = checkRatio(ratio)
+	for i := 0; err == nil && i < len(masked); i++ {
+		if ratios[i], err = fixed.RatioFromMasked(masked[i]); err == nil {
+			err = checkRatio(ratios[i])
 		}
 		if err != nil {
-			return fmt.Errorf("ratio from %s: %w", from[i], err)
+			err = fmt.Errorf("ratio from %s: %w", from[i], err)
 		}
-		ratios[i] = ratio
 	}
-	return nil
+	if errs[0] = err; err != nil && len(cts) > 1 {
+		for i := range cts {
+			r.ratiosFromMasked(from[i:i+1], cts[i:i+1], ratios[i:i+1], errs[i:i+1], width)
+		}
+	}
 }
 
 // routeAndPay is step 4: every supply-side member initiates one exchange
@@ -340,8 +349,10 @@ func (r *windowRun) exchangeAsDemander(ctx context.Context, kind market.Kind, pr
 const paymentTolerance = 1e-4
 
 // RatioSumError refuses a window whose Protocol 4 allocation ratios do not
-// sum to 1: round(10^12/|sn_j|) loses precision as |sn_j| grows, and trading
-// on such ratios would allocate a member more or less than its surplus.
+// sum to 1 within paymentTolerance: trading on them would allocate a member
+// more or less than its surplus. Shares within fixed.MaxShare keep an
+// honest sum within ≈ 8.4e-6 of 1, so only a tampered masked value gets
+// here.
 type RatioSumError struct {
 	Window int     // the refused trading window
 	Sum    float64 // what its decoded ratios summed to
@@ -355,7 +366,7 @@ func (e *RatioSumError) Error() string {
 // ratioSlack bounds how far above 1 a decoded allocation ratio may land.
 // Ratios are |sn_j|/E_b ∈ (0, 1] exactly, but the reciprocal trick rounds
 // round(S/|sn_j|) to an integer, which can push the recovered ratio above 1
-// by up to |sn_j|/(2S) ≈ 2.5e-4 at the largest representable shares.
+// by up to |sn_j|/(2S), at most ≈ 8.4e-6 at fixed.MaxShare.
 const ratioSlack = 1e-3
 
 // checkRatio rejects allocation ratios that cannot come from an honest

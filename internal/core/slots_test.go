@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/big"
 	"slices"
 	"strings"
@@ -99,11 +98,12 @@ func assertTradesExactly(t *testing.T, label string, got, want []market.Trade) {
 }
 
 // TestPackedRatiosAcrossBatchSplits drives Protocol 4's packed decryption
-// through its batch boundaries — demand sides of slots, slots+1, slots+2,
-// 2·slots+1 and 3·slots members (one full batch; two uneven, twice; three
-// uneven; three full) on 1024-bit keys, the smallest that batch more than
-// one ciphertext (3 slots), in both market regimes — and Protocol 3's
-// packed pair with them; demand sides of 1, 2 and 3 are the edges of the
+// through its batch boundaries — demand sides of slots−1, slots, slots+1,
+// slots+2, 2·slots−1, 2·slots+1 and 3·slots members (a part-filled batch;
+// one full batch; two batches, three ways; three uneven; three full) on
+// 1024-bit keys, the smallest that batch more than one ciphertext (5
+// slots), in both market regimes — and Protocol 3's packed pair with them;
+// demand sides of 1, 2 and 3 are the edges of the
 // hybrid backend's masked step 1 (a root with nothing to fold, one hop, the
 // first tree with an odd member). The hybrid tree reproduces the integer
 // oracle bit for bit and market.Clear within fixed-point rounding; every
@@ -114,12 +114,12 @@ func TestPackedRatiosAcrossBatchSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots := key.Slots()
+	slots := key.Slots(fixed.MaskedProductBits(16)) // as many at every demand side up to 16
 	if slots < 2 {
 		t.Fatalf("%d-bit keys hold %d slot(s): no batch to split", keyBits, slots)
 	}
 	for _, kind := range []market.Kind{market.GeneralMarket, market.ExtremeMarket} {
-		for _, demand := range slices.Compact([]int{1, 2, 3, slots, slots + 1, slots + 2, 2*slots + 1, 3 * slots}) {
+		for _, demand := range slices.Compact([]int{1, 2, 3, slots - 1, slots, slots + 1, slots + 2, 2*slots - 1, 2*slots + 1, 3 * slots}) {
 			t.Run(fmt.Sprintf("%v/demand=%d", kind, demand), func(t *testing.T) {
 				const supply = 3
 				agents := testAgents(demand + supply)
@@ -158,32 +158,50 @@ func TestPackedRatiosAcrossBatchSplits(t *testing.T) {
 	}
 }
 
-// TestPackedRatiosAtMaxMagnitude is the boundary case of the slot bound
-// (ROADMAP correctness item (d)): the widest masked product the reciprocal
-// trick can produce — a 1 µ-unit member (k = 10^12, the largest exponent)
-// next to members at the largest share that still has a non-zero
-// reciprocal, 2·10^12 µ-units. There k = round(0.5) = 1 and the ratios sum
-// to ≈ 0.5, so every backend and topology must refuse the window with a
-// RatioSumError rather than sell half the sellers' surplus. One step
-// further, shares near MaxInt64/n have round(10^12/|sn|) = 0: every
-// configuration must refuse the window with the zero-reciprocal cause
-// instead of trading on a zero ratio.
-func TestPackedRatiosAtMaxMagnitude(t *testing.T) {
-	agents := testAgents(8)
-	window := func(share float64) []market.WindowInput {
-		inputs := make([]market.WindowInput, len(agents))
-		inputs[0] = market.WindowInput{Generation: 0.4}
-		inputs[1] = market.WindowInput{Generation: 0.3}
-		inputs[2] = market.WindowInput{Load: 1e-6} // |sn| = 1 µ-unit
-		for i := 3; i < len(inputs); i++ {
-			inputs[i] = market.WindowInput{Load: share}
-		}
-		return inputs
+// boundWindow is an eight-agent window at the public share bound: sellers of
+// 0.4 and 0.3 kWh, a buyer of 1 µkWh — the largest reciprocal exponent,
+// 10^12 — and five buyers at exactly fixed.MaxShare, so E_b·10^12 is the
+// widest masked product Hs opens at d = 6.
+func boundWindow() []market.WindowInput {
+	inputs := make([]market.WindowInput, 8)
+	inputs[0] = market.WindowInput{Generation: 0.4}
+	inputs[1] = market.WindowInput{Generation: 0.3}
+	inputs[2] = market.WindowInput{Load: 1e-6}
+	for i := 3; i < len(inputs); i++ {
+		inputs[i] = market.WindowInput{Load: fixed.MaxShare.Float()}
 	}
+	return inputs
+}
+
+// assertShareRefused checks that err refuses window w for agent id's share:
+// a *WindowError matching market.ErrShareBound, in the words market.Clear
+// refuses the same inputs with.
+func assertShareRefused(t *testing.T, err error, w int, id string, agents []market.Agent, inputs []market.WindowInput) {
+	t.Helper()
+	var we *WindowError
+	if !errors.As(err, &we) || we.Window != w || !errors.Is(err, market.ErrShareBound) {
+		t.Fatalf("window %d: err = %v, want a *WindowError matching ErrShareBound", w, err)
+	}
+	_, clrErr := market.Clear(agents, inputs, market.DefaultParams())
+	if !errors.Is(clrErr, market.ErrShareBound) || !strings.HasPrefix(clrErr.Error(), "agent "+id+": ") || !strings.HasSuffix(err.Error(), ": "+clrErr.Error()) {
+		t.Fatalf("window %d: engine refused with %q, market.Clear with %v; want both naming %s", w, err, clrErr, id)
+	}
+}
+
+// TestShareBound: a window at exactly fixed.MaxShare trades on both backends
+// and topologies, bit for bit like the integer oracle and within rounding of
+// market.Clear. One µkWh more, on a buyer or on a seller, is refused before
+// any byte is sent — by an engine, which checks every input before it
+// launches a party, and by a standalone party, which checks its own — with a
+// *WindowError that matches market.ErrShareBound and names the agent, in
+// the words market.Clear refuses the same input with.
+func TestShareBound(t *testing.T) {
+	agents := testAgents(8)
+	overBuyer, overSeller := boundWindow(), boundWindow()
+	overBuyer[3].Load = (fixed.MaxShare + 1).Float()
+	overSeller[1].Generation = (fixed.MaxShare + 1).Float()
 	cfg := testConfig(9100)
 	cfg.KeyBits = 512
-	halfSold := window(2e6)                                 // 2·10^12 µ-units: k = round(0.5) = 1
-	zeroRecip := window(float64(1<<63-1) / fixed.Scale / 8) // near MaxInt64/n
 	for _, backend := range []string{BackendPaillier, BackendHybrid} {
 		for _, topo := range []string{AggregationRing, AggregationTree} {
 			cfg.CryptoBackend, cfg.Aggregation = backend, topo
@@ -191,15 +209,177 @@ func TestPackedRatiosAtMaxMagnitude(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = eng.RunWindow(context.Background(), 0, halfSold)
-			var sumErr *RatioSumError
-			if !errors.As(err, &sumErr) || sumErr.Window != 0 || math.Abs(sumErr.Sum-0.5) > 1e-6 {
-				t.Errorf("%s/%s: err = %v, want a RatioSumError for window 0 at sum 0.5", backend, topo, err)
+			_, err = eng.RunWindow(t.Context(), 0, overBuyer)
+			assertShareRefused(t, err, 0, "a03", agents, overBuyer)
+			_, err = eng.RunWindow(t.Context(), 1, overSeller)
+			assertShareRefused(t, err, 1, "a01", agents, overSeller)
+			if n := eng.Metrics().TotalBytes(); n != 0 {
+				t.Errorf("%s/%s: %d bytes sent by refused windows, want 0", backend, topo, n)
 			}
-			_, err = eng.RunWindow(context.Background(), 1, zeroRecip)
+			res, err := eng.RunWindow(t.Context(), 2, boundWindow())
 			eng.Close()
-			if err == nil || !strings.Contains(err.Error(), "masked ratio must be positive") {
-				t.Errorf("%s/%s: err = %v, want the zero-reciprocal refusal", backend, topo, err)
+			if err != nil {
+				t.Fatalf("%s/%s: window at the bound: %v", backend, topo, err)
+			}
+			assertTradesExactly(t, "integer oracle", res.Trades, integerOracle(t, res, agents, boundWindow()))
+			assertMatchesPlaintext(t, res, agents, boundWindow())
+		}
+	}
+
+	bus := transport.NewBus(transport.NewMetrics())
+	parties := make([]*Party, 2)
+	peers := []string{"a00", "a01"}
+	for i := range parties {
+		p, err := NewStandaloneParty(testConfig(9101), agents[i], bus.MustRegister(peers[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		parties[i] = p
+	}
+	errs := make([]error, len(parties))
+	var wg sync.WaitGroup
+	for i, p := range parties {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = p.ExchangeKeys(t.Context(), peers)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	sent := bus.Metrics().TotalBytes()
+	_, err := parties[1].RunTradingWindow(t.Context(), 0, overSeller[1])
+	assertShareRefused(t, err, 0, "a01", agents, overSeller)
+	if n := bus.Metrics().TotalBytes() - sent; n != 0 {
+		t.Errorf("standalone party sent %d bytes for a refused share, want 0", n)
+	}
+}
+
+// tamperMasked rewrites Protocol 4's masked products on their way to Hs:
+// with[from] replaces the one sent by member from with a fresh encryption of
+// that plaintext under Hs's key.
+func tamperMasked(t *testing.T, eng *Engine, with map[string]*big.Int) {
+	keys := make(map[string]*paillier.PublicKey)
+	for _, p := range eng.parties {
+		keys[p.ID()] = &p.key.PublicKey
+	}
+	rewriteFrames(eng, func(from, to, phase string, payload []byte) []byte {
+		m, ok := with[from]
+		if phase != "pd/masked" || !ok {
+			return payload
+		}
+		c, err := keys[to].Encrypt(nil, m)
+		if err == nil {
+			payload, err = c.AppendFixed(nil, keys[to])
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		return payload
+	})
+}
+
+// TestPackedRatiosAtMaxMagnitude: the windows that used to reach Protocol
+// 4's refusals — five buyers of 2·10^12 µkWh, whose exponent rounds to 1 and
+// whose ratios summed to 0.5, and of MaxInt64/8 µkWh, whose exponent is 0 —
+// are refused before any frame by the share bound, naming a03. Within the
+// bound no honest window reaches those refusals (TestShareBound trades the
+// widest one), so each is reached here by rewriting masked products in the
+// bound window, on both backends and topologies. Every member's value at
+// 2·10^12 decodes to a ratio of 0.5 and the six sum to 3: a RatioSumError.
+// One value of 0 is the zero-reciprocal refusal, and one of −1 does not fit
+// its slot (paillier.ErrSlotOverflow); both name the member that sent it.
+func TestPackedRatiosAtMaxMagnitude(t *testing.T) {
+	agents := testAgents(8)
+	var old [2][]market.WindowInput
+	for i, share := range []fixed.Value{2 * fixed.RecipScale, (1<<63 - 1) / 8} {
+		old[i] = boundWindow()
+		for j := 3; j < len(old[i]); j++ {
+			old[i][j].Load = share.Float()
+		}
+	}
+	half := big.NewInt(2 * fixed.RecipScale)
+	cases := []struct {
+		with  map[string]*big.Int
+		check func(error) bool
+	}{
+		{map[string]*big.Int{"a02": half, "a03": half, "a04": half, "a05": half, "a06": half, "a07": half}, func(err error) bool {
+			var sumErr *RatioSumError
+			return errors.As(err, &sumErr) && sumErr.Sum == 3
+		}},
+		{map[string]*big.Int{"a04": new(big.Int)}, func(err error) bool {
+			return strings.Contains(err.Error(), "ratio from a04: fixed: masked ratio must be positive")
+		}},
+		{map[string]*big.Int{"a04": big.NewInt(-1)}, func(err error) bool {
+			return errors.Is(err, paillier.ErrSlotOverflow) && strings.Contains(err.Error(), "from [a04]")
+		}},
+	}
+	cfg := testConfig(9102)
+	cfg.KeyBits = 512
+	for _, backend := range []string{BackendPaillier, BackendHybrid} {
+		for _, topo := range []string{AggregationRing, AggregationTree} {
+			cfg.CryptoBackend, cfg.Aggregation = backend, topo
+			eng, err := NewEngine(cfg, agents)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w, in := range old {
+				_, err := eng.RunWindow(t.Context(), w, in)
+				assertShareRefused(t, err, w, "a03", agents, in)
+			}
+			if n := eng.Metrics().TotalBytes(); n != 0 {
+				t.Errorf("%s/%s: %d bytes sent by refused windows, want 0", backend, topo, n)
+			}
+			eng.Close()
+			for i, c := range cases {
+				eng, err := NewEngine(cfg, agents)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tamperMasked(t, eng, c.with)
+				_, err = eng.RunWindow(t.Context(), 0, boundWindow())
+				eng.Close()
+				if err == nil || !c.check(err) {
+					t.Errorf("%s/%s case %d: err = %v", backend, topo, i, err)
+				}
+			}
+		}
+	}
+}
+
+// TestPackedRatiosNameLowestMember: when two members' masked values do not
+// decode — 2^300 is too wide for any slot, wherever a batch puts it — Hs
+// names the one lowest in the demand side's roster, whatever order the
+// values arrived in and however they were batched: 40 runs of one seeded
+// window at 1024-bit keys (5 slots a batch, so the six values open as two
+// batches of three), on both backends, must give one refusal.
+func TestPackedRatiosNameLowestMember(t *testing.T) {
+	agents := testAgents(8)
+	wide := new(big.Int).Lsh(big.NewInt(1), 300)
+	cfg := testConfig(9103)
+	cfg.KeyBits = 1024
+	ring := NewKeyRing(cfg)
+	var want string
+	for _, backend := range []string{BackendPaillier, BackendHybrid} {
+		cfg.CryptoBackend = backend
+		for run := range 40 {
+			eng, err := NewEngineWith(cfg, agents, Resources{Keys: ring})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tamperMasked(t, eng, map[string]*big.Int{"a04": wide, "a03": wide})
+			_, err = eng.RunWindow(t.Context(), 0, boundWindow())
+			eng.Close()
+			if err == nil || !strings.Contains(err.Error(), "from [a03]") {
+				t.Fatalf("%s run %d: err = %v, want a refusal naming a03", backend, run, err)
+			}
+			if run == 0 && backend == BackendPaillier {
+				want = err.Error()
+			} else if err.Error() != want {
+				t.Fatalf("%s run %d: err = %v, want %v", backend, run, err, want)
 			}
 		}
 	}

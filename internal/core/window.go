@@ -153,12 +153,14 @@ func (r *windowRun) tag(parts string) string {
 	return transport.ScopedWindowTag(r.scope, r.window, parts)
 }
 
-// runWindow is Protocol 1 from one party's perspective. A failure names
-// its phase; the caller adds the window and, in an engine, the party.
+// runWindow is Protocol 1 from one party's perspective. A share above
+// fixed.MaxShare is refused before the first frame, naming the party; any
+// later failure names its phase, and the caller adds the window and, in an
+// engine, the party.
 func (p *Party) runWindow(ctx context.Context, window int, input market.WindowInput) (*PartyOutcome, error) {
-	snFixed, err := fixed.FromFloat(input.NetEnergy())
+	snFixed, err := input.Share(p.ID())
 	if err != nil {
-		return nil, fmt.Errorf("net energy: %w", err)
+		return nil, err
 	}
 	r := p.getRun(window, input, snFixed)
 	defer p.putRun(r)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 )
 
 const (
@@ -24,7 +25,23 @@ const (
 	// RecipScale is the scaling constant S used to turn the reciprocal
 	// 1/|sn_j| into the integer exponent round(S/|sn_j|) in Protocol 4.
 	RecipScale = 1_000_000_000_000 // 1e12
+
+	// MaxShare is the public bound on a window's share |sn_i^t|: 2^24 µkWh
+	// (≈ 16.8 kWh), 83× the largest share a dataset preset draws (0.202
+	// kWh, sunny, 300 homes × 720 windows). Parties and market.Clear refuse
+	// a larger one. It keeps Protocol 4's exponent round(RecipScale/|sn|) ≥
+	// 59 605, so a ratio is within ≈ 8.4·10⁻⁶ relative of |sn_j|/E_b, and
+	// it sizes Hs's packed decryption (MaskedProductBits).
+	MaxShare Value = 1 << 24
 )
+
+// MaskedProductBits is the width of Protocol 4's masked product
+// E_b·round(RecipScale/|sn_j|) over a demand side of d ≥ 1 members: the
+// exponent is at most RecipScale < 2^40 and E_b ≤ d·MaxShare ≤
+// 2^(24+⌈log₂ d⌉), so the product is below 2^(64+⌈log₂ d⌉).
+func MaskedProductBits(d int) int {
+	return 40 + 24 + bits.Len(uint(d-1))
+}
 
 // Value is a fixed-point quantity in micro-units.
 type Value int64

@@ -201,3 +201,24 @@ func TestAbs(t *testing.T) {
 		t.Error("Abs is wrong")
 	}
 }
+
+// TestMaskedProductBits: the widest masked product a demand side of d
+// members can send — every member at MaxShare, the largest exponent
+// RecipScale (a 1 µ-unit member) — fits MaskedProductBits(d) from d = 1 to
+// 2^21, and needs all of it where d is a power of two.
+func TestMaskedProductBits(t *testing.T) {
+	for k := 0; k <= 21; k++ {
+		for _, d := range []int{1 << k, 1<<k + 1} {
+			widest := new(big.Int).Mul(big.NewInt(int64(d)*int64(MaxShare)), big.NewInt(RecipScale))
+			w := MaskedProductBits(d)
+			if widest.BitLen() > w || d == 1<<k && widest.BitLen() != w {
+				t.Errorf("d=%d: widest product has %d bits, width %d", d, widest.BitLen(), w)
+			}
+		}
+	}
+	for d, want := range map[int]int{1: 64, 2: 65, 32: 69, 33: 70, 1 << 21: 85} {
+		if got := MaskedProductBits(d); got != want {
+			t.Errorf("MaskedProductBits(%d) = %d, want %d", d, got, want)
+		}
+	}
+}

@@ -111,7 +111,8 @@ func (c *Clearing) TotalBuyerCost() float64 {
 }
 
 // Clear computes the plaintext market outcome for one window, the reference
-// against which the cryptographic engine is validated.
+// against which the cryptographic engine is validated, refusing what it
+// refuses: a share above fixed.MaxShare (ErrShareBound).
 func Clear(agents []Agent, inputs []WindowInput, params Params) (*Clearing, error) {
 	c := new(Clearing)
 	if err := ClearInto(c, agents, inputs, params); err != nil {
@@ -132,8 +133,11 @@ func ClearInto(c *Clearing, agents []Agent, inputs []WindowInput, params Params)
 	if err := params.Validate(); err != nil {
 		return err
 	}
-	for _, a := range agents {
+	for i, a := range agents {
 		if err := a.Validate(); err != nil {
+			return err
+		}
+		if _, err := inputs[i].Share(a.ID); err != nil {
 			return err
 		}
 	}

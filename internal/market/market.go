@@ -149,6 +149,24 @@ func (w WindowInput) NetEnergy() float64 {
 	return w.Generation - w.Load - w.Battery
 }
 
+// ErrShareBound refuses a window in which an agent's share |sn_i^t|
+// exceeds the public bound fixed.MaxShare; the refusal names the agent.
+var ErrShareBound = fmt.Errorf("share above the public bound of %v kWh", fixed.MaxShare)
+
+// Share is sn_i^t in µkWh, as the protocols carry it. It refuses, naming
+// the agent id, a net energy that does not convert or whose magnitude
+// exceeds fixed.MaxShare (ErrShareBound).
+func (w WindowInput) Share(id string) (fixed.Value, error) {
+	sn, err := fixed.FromFloat(w.NetEnergy())
+	if err != nil {
+		return 0, fmt.Errorf("agent %s: net energy: %w", id, err)
+	}
+	if sn.Abs() > fixed.MaxShare {
+		return 0, fmt.Errorf("agent %s: %v kWh: %w", id, sn, ErrShareBound)
+	}
+	return sn, nil
+}
+
 // offMarketEpsilon (kWh) is the residual below which clearing books no grid
 // trade for an agent. It is not the role threshold: see ClassifyRole.
 const offMarketEpsilon = 1e-9

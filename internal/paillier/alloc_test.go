@@ -90,11 +90,11 @@ func TestBlindingFactorAllocBudget(t *testing.T) {
 }
 
 // TestDecryptSlotsAllocBudget pins the packed decryption: what it allocates
-// is math/big's own working storage inside Exp (≈ 22 objects a call, one
-// call per ciphertext: the shift, or the final exponentiation mod p²) plus
-// the k results — every temporary of the routine itself is arena storage,
-// so the count per ciphertext does not grow with the batch (1024-bit key:
-// 23 at k = 1, 67 at k = 3).
+// is math/big's own working storage inside the one Exp (≈ 22 objects, the
+// final exponentiation mod p²), the k results and, for a batch, the fold's
+// exit from Montgomery form — every temporary of the routine itself is
+// arena storage, so the count per ciphertext does not grow with the batch
+// (1024-bit key, SlotBits-wide slots: 23 at k = 1, 29 at k = 3).
 func TestDecryptSlotsAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops arenas at random under the race detector")
@@ -104,7 +104,7 @@ func TestDecryptSlotsAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := testRand(36)
-	cts := make([]*Ciphertext, key.Slots())
+	cts := make([]*Ciphertext, key.Slots(SlotBits))
 	for i := range cts {
 		if cts[i], err = key.encryptInt64(rng, int64(i)+1); err != nil {
 			t.Fatal(err)
@@ -112,7 +112,7 @@ func TestDecryptSlotsAllocBudget(t *testing.T) {
 	}
 	for _, k := range []int{1, len(cts)} {
 		avg := testing.AllocsPerRun(50, func() {
-			if _, err := key.DecryptSlots(cts[:k]); err != nil {
+			if _, err := key.DecryptSlots(cts[:k], SlotBits); err != nil {
 				t.Fatal(err)
 			}
 		})

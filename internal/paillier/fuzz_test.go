@@ -188,22 +188,24 @@ func FuzzCiphertextRoundTrip(f *testing.F) {
 	})
 }
 
-// slotPlaintexts decodes FuzzDecryptSlots' bytes: the first picks the batch
-// size 1 + b mod slots, then each plaintext is a header byte — the sign in
-// the top bit, a magnitude length of up to 63 bytes in the low six — and its
-// big-endian magnitude, cut short where the input ends.
-func slotPlaintexts(raw []byte, slots int) []*big.Int {
-	k := 1
-	if len(raw) > 0 {
-		k += int(raw[0]) % slots
-		raw = raw[1:]
-	}
-	vals := make([]*big.Int, k)
-	for i := range vals {
-		var h byte
-		if len(raw) > 0 {
-			h, raw = raw[0], raw[1:]
+// slotPlaintexts decodes FuzzDecryptSlots' bytes: the first picks the slot
+// width 64 + b mod 61 — every width in [64, 124] — the second the batch
+// size 1 + b mod Slots(width), then each plaintext is a header byte — the
+// sign in the top bit, a magnitude length of up to 63 bytes in the low six
+// — and its big-endian magnitude, cut short where the input ends.
+func slotPlaintexts(raw []byte, pk *PublicKey) (int, []*big.Int) {
+	next := func() byte {
+		if len(raw) == 0 {
+			return 0
 		}
+		b := raw[0]
+		raw = raw[1:]
+		return b
+	}
+	width := 64 + int(next())%61
+	vals := make([]*big.Int, 1+int(next())%pk.Slots(width))
+	for i := range vals {
+		h := next()
 		n := min(int(h&0x3f), len(raw))
 		vals[i] = new(big.Int).SetBytes(raw[:n])
 		raw = raw[n:]
@@ -211,12 +213,12 @@ func slotPlaintexts(raw []byte, slots int) []*big.Int {
 			vals[i].Neg(vals[i])
 		}
 	}
-	return vals
+	return width, vals
 }
 
 // appendSlotPlaintexts is slotPlaintexts' inverse, for the seed corpus.
-func appendSlotPlaintexts(vals ...*big.Int) []byte {
-	out := []byte{byte(len(vals) - 1)}
+func appendSlotPlaintexts(width int, vals ...*big.Int) []byte {
+	out := []byte{byte(width - 64), byte(len(vals) - 1)}
 	for _, v := range vals {
 		mag := v.Bytes()
 		h := byte(len(mag))
@@ -229,24 +231,27 @@ func appendSlotPlaintexts(vals ...*big.Int) []byte {
 }
 
 // FuzzDecryptSlots checks the packed decryption against the textbook one
-// under a 1024-bit key (3 slots): a batch whose plaintexts all fit their
-// slots opens to exactly them; a batch whose top plaintext is negative or
-// at least 2^124 over in-range lower slots fails with ErrSlotOverflow; any
-// other batch — lower slots out of range borrow from or carry into the
-// ones above — fails typed or opens to k in-range slots, and never panics.
+// under a 1024-bit key (3 to 5 slots) at every width in [64, 124]: a batch
+// whose plaintexts all fit their slots opens to exactly them; a batch whose
+// top plaintext is negative or at least 2^width over in-range lower slots
+// fails with ErrSlotOverflow; any other batch — lower slots out of range
+// borrow from or carry into the ones above — fails typed or opens to k
+// in-range slots, and never panics.
 func FuzzDecryptSlots(f *testing.F) {
 	key, err := GenerateKey(testRand(16), 1024)
 	if err != nil {
 		f.Fatal(err)
 	}
-	wide := new(big.Int).Lsh(one, SlotBits)
-	for _, v := range []*big.Int{new(big.Int), big.NewInt(1), slotMask, wide, big.NewInt(-1)} {
-		f.Add(appendSlotPlaintexts(v))
-		f.Add(appendSlotPlaintexts(v, big.NewInt(1), slotMask))
+	for _, width := range []int{64, 69, 85, SlotBits} {
+		full, wide := slotMaxOf(width), new(big.Int).Lsh(one, uint(width))
+		for _, v := range []*big.Int{new(big.Int), big.NewInt(1), full, wide, big.NewInt(-1)} {
+			f.Add(appendSlotPlaintexts(width, v))
+			f.Add(appendSlotPlaintexts(width, v, big.NewInt(1), full))
+		}
 	}
-	inSlot := func(v *big.Int) bool { return v.Sign() >= 0 && v.BitLen() <= SlotBits }
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		vals := slotPlaintexts(raw, key.Slots())
+		width, vals := slotPlaintexts(raw, &key.PublicKey)
+		inSlot := func(v *big.Int) bool { return v.Sign() >= 0 && v.BitLen() <= width }
 		cts := make([]*Ciphertext, len(vals))
 		lowInSlot := true
 		for i, v := range vals {
@@ -256,11 +261,11 @@ func FuzzDecryptSlots(f *testing.F) {
 			}
 			lowInSlot = lowInSlot && (i == 0 || inSlot(v))
 		}
-		got, err := key.DecryptSlots(cts)
+		got, err := key.DecryptSlots(cts, width)
 		switch {
 		case lowInSlot && inSlot(vals[0]):
 			if err != nil {
-				t.Fatalf("DecryptSlots(%v): %v", vals, err)
+				t.Fatalf("DecryptSlots(%v, %d): %v", vals, width, err)
 			}
 			for i, c := range cts {
 				ref, err := key.DecryptTextbook(c)
@@ -268,24 +273,24 @@ func FuzzDecryptSlots(f *testing.F) {
 					t.Fatal(err)
 				}
 				if got[i].Cmp(ref) != 0 || ref.Cmp(vals[i]) != 0 {
-					t.Fatalf("slot %d: packed %v, textbook %v, plaintext %v", i, got[i], ref, vals[i])
+					t.Fatalf("width %d slot %d: packed %v, textbook %v, plaintext %v", width, i, got[i], ref, vals[i])
 				}
 			}
 		case lowInSlot:
 			if !errors.Is(err, ErrSlotOverflow) {
-				t.Fatalf("top plaintext %v: opened as %v, err = %v; want ErrSlotOverflow", vals[0], got, err)
+				t.Fatalf("width %d, top plaintext %v: opened as %v, err = %v; want ErrSlotOverflow", width, vals[0], got, err)
 			}
 		case err != nil:
 			if !errors.Is(err, ErrSlotOverflow) {
-				t.Fatalf("DecryptSlots(%v): untyped error %v", vals, err)
+				t.Fatalf("DecryptSlots(%v, %d): untyped error %v", vals, width, err)
 			}
 		default:
 			if len(got) != len(vals) {
-				t.Fatalf("DecryptSlots(%v): %d values for %d ciphertexts", vals, len(got), len(vals))
+				t.Fatalf("DecryptSlots(%v, %d): %d values for %d ciphertexts", vals, width, len(got), len(vals))
 			}
 			for i, v := range got {
 				if !inSlot(v) {
-					t.Fatalf("DecryptSlots(%v): slot %d opened as %v", vals, i, v)
+					t.Fatalf("DecryptSlots(%v, %d): slot %d opened as %v", vals, width, i, v)
 				}
 			}
 		}

@@ -73,6 +73,7 @@ type PrivateKey struct {
 	pInvQ     *big.Int // p^{-1} mod q
 	pMinusOne *big.Int
 	qMinusOne *big.Int
+	p2red     mont // Montgomery reducer mod p², for DecryptSlots' fold
 }
 
 // Ciphertext is a Paillier ciphertext c ∈ Z*_{n²}.
@@ -249,18 +250,24 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 		pInvQ:     pInvQ,
 		pMinusOne: pm1,
 		qMinusOne: qm1,
+		p2red:     newMont(p2),
 	}, nil
 }
 
 // Wipe zeroes the private half of the key in place — the factorization and
-// everything derived from it — for a holder that has left for good. The
-// public half stays readable; decrypting with a wiped key fails with
-// ErrKeyWiped.
+// everything derived from it, its reducer mod p² included — for a holder
+// that has left for good. The public half stays readable; decrypting with a
+// wiped key fails with ErrKeyWiped.
 func (sk *PrivateKey) Wipe() {
 	for _, x := range []*big.Int{sk.p, sk.q, sk.lambda, sk.mu, sk.p2, sk.q2, sk.hp, sk.hq, sk.pInvQ, sk.pMinusOne, sk.qMinusOne} {
 		clear(x.Bits())
 		x.SetInt64(0)
 	}
+	r := &sk.p2red
+	for _, w := range [][]big.Word{r.mw, r.rr, r.split, r.one, r.unit} {
+		clear(w)
+	}
+	r.k0 = 0
 }
 
 // Bits returns the modulus size in bits.
@@ -470,12 +477,11 @@ func (pk *PublicKey) ScalarMul(c *Ciphertext, k *big.Int) (*Ciphertext, error) {
 func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
 	s := GetScratch()
 	defer s.Put()
-	cts := []*Ciphertext{c}
-	mp, err := sk.residueModP(s, cts)
+	mp, err := sk.residueModP(s, []*Ciphertext{c}, 0)
 	if err != nil {
 		return nil, err
 	}
-	mq := primeResidue(s, cts, sk.q, sk.q2, sk.qMinusOne, sk.hq)
+	mq := primeResidue(s, c.C, sk.q, sk.q2, sk.qMinusOne, sk.hq)
 
 	// CRT: m = mp + p·((mq - mp)·pInvQ mod q).
 	diff := s.Int().Sub(mq, mp)
@@ -487,10 +493,10 @@ func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
 }
 
 // residueModP checks the key and the ciphertexts, then returns, in s's
-// storage, the plaintext of Π_j c_j^(2^(W·(k−1−j))) modulo p — for one
-// ciphertext its plaintext, for k of them their plaintexts laid out in W-bit
-// slots (slots.go), the first on top.
-func (sk *PrivateKey) residueModP(s *Scratch, cts []*Ciphertext) (*big.Int, error) {
+// storage, the plaintext of Π_j c_j^(2^(width·(k−1−j))) modulo p — for one
+// ciphertext its plaintext, for k of them their plaintexts laid out in
+// width-bit slots (slots.go), the first on top.
+func (sk *PrivateKey) residueModP(s *Scratch, cts []*Ciphertext, width int) (*big.Int, error) {
 	if sk.p.Sign() == 0 {
 		return nil, ErrKeyWiped
 	}
@@ -499,24 +505,21 @@ func (sk *PrivateKey) residueModP(s *Scratch, cts []*Ciphertext) (*big.Int, erro
 			return nil, fmt.Errorf("ciphertext %d: %w", i, err)
 		}
 	}
-	return primeResidue(s, cts, sk.p, sk.p2, sk.pMinusOne, sk.hp), nil
+	x := cts[0].C
+	if len(cts) > 1 {
+		x = sk.fold(s, cts, width)
+	}
+	return primeResidue(s, x, sk.p, sk.p2, sk.pMinusOne, sk.hp), nil
 }
 
 // primeResidue is a decryption modulo the prime r ∈ {p, q}:
-// m_r = L_r(x^{r-1} mod r²)·h_r mod r, where x is the Horner product
-// acc ← acc^(2^W)·c_j of the ciphertexts, folded mod r² — half the width of
-// n², so a squaring there costs a quarter of one done before the split.
-// Receivers never alias operands: math/big would allocate instead of
-// reusing the arena's storage.
-func primeResidue(s *Scratch, cts []*Ciphertext, r, r2, rm1, h *big.Int) *big.Int {
+// m_r = L_r(x^{r-1} mod r²)·h_r mod r, with x reduced mod r² first — half
+// the width of n², so a squaring there costs a quarter of one done before
+// the split. Receivers never alias operands: math/big would allocate
+// instead of reusing the arena's storage.
+func primeResidue(s *Scratch, x, r, r2, rm1, h *big.Int) *big.Int {
 	acc, pow, c, wide, quo := s.Int(), s.Int(), s.Int(), s.Int(), s.Int()
-	quo.QuoRem(cts[0].C, r2, acc)
-	for _, ct := range cts[1:] {
-		pow.Exp(acc, slotShift, r2)
-		quo.QuoRem(ct.C, r2, c)
-		wide.Mul(pow, c)
-		quo.QuoRem(wide, r2, acc)
-	}
+	quo.QuoRem(x, r2, acc)
 	pow.Exp(acc, rm1, r2)
 	pow.Sub(pow, one)
 	quo.QuoRem(pow, r, c)

@@ -9,9 +9,13 @@ import (
 	"testing"
 )
 
-// slotValues draws k slot values mixing the edge cases (0, 1, 2^W−1) with
-// random fills.
-func slotValues(rng interface{ Int63() int64 }, k int) []*big.Int {
+// testWidth is Protocol 4's slot width over a demand side of 17 to 32
+// members, fixed.MaskedProductBits(d) = 40 + 24 + 5.
+const testWidth = 69
+
+// slotValues draws k values for width-bit slots, mixing the edge cases (0,
+// 1, 2^width−1) with random fills.
+func slotValues(rng interface{ Int63() int64 }, k, width int) []*big.Int {
 	vals := make([]*big.Int, k)
 	for i := range vals {
 		switch rng.Int63() % 5 {
@@ -20,69 +24,85 @@ func slotValues(rng interface{ Int63() int64 }, k int) []*big.Int {
 		case 1:
 			vals[i] = big.NewInt(1)
 		case 2:
-			vals[i] = new(big.Int).Set(slotMask)
+			vals[i] = slotMaxOf(width)
 		default:
 			v := new(big.Int).SetInt64(rng.Int63())
 			v.Lsh(v, 61).Add(v, big.NewInt(rng.Int63())) // ≤ 124 bits
-			vals[i] = v
+			vals[i] = v.Rsh(v, uint(124-width))
 		}
 	}
 	return vals
 }
 
+// slotMaxOf is 2^width − 1, the widest value a slot holds.
+func slotMaxOf(width int) *big.Int {
+	m := new(big.Int).Lsh(one, uint(width))
+	return m.Sub(m, one)
+}
+
+// slotMask is 2^SlotBits − 1, the widest low slot of Protocol 3's pair.
+var slotMask = slotMaxOf(SlotBits)
+
 // slotKey is a 1024-bit key, the smallest that opens a batch of more than
-// one ciphertext (3 slots).
+// one ciphertext (5 slots at testWidth).
 func slotKey(t testing.TB, seed int64) *PrivateKey {
 	t.Helper()
 	key, err := GenerateKey(testRand(seed), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key.Slots() != 3 {
-		t.Fatalf("1024-bit key: Slots = %d, want 3", key.Slots())
+	if key.Slots(testWidth) != 5 {
+		t.Fatalf("1024-bit key: Slots(%d) = %d, want 5", testWidth, key.Slots(testWidth))
 	}
 	return key
 }
 
 // TestDecryptSlotsMatchesDecrypt checks the packed path against the
-// per-ciphertext textbook decryption at every key size and batch size, and
-// the signed two-slot layout (Pack → Encrypt → Decrypt → Unpack) both ways.
+// per-ciphertext textbook decryption at every key size: every batch size at
+// testWidth, and a full batch at Protocol 4's narrowest width and at
+// SlotBits; and the signed two-slot layout (Pack → Encrypt → Decrypt →
+// Unpack) both ways.
 func TestDecryptSlotsMatchesDecrypt(t *testing.T) {
 	for _, bits := range []int{256, 512, 1024, 2048} {
 		key, err := GenerateKey(testRand(int64(bits)+1), bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := map[int]int{256: 1, 512: 1, 1024: 3, 2048: 7}[bits]; key.Slots() != want {
-			t.Fatalf("bits=%d: Slots = %d, want %d", bits, key.Slots(), want)
+		if want := map[int]int{256: 1, 512: 1, 1024: 5, 2048: 12}[bits]; key.Slots(testWidth) != want {
+			t.Fatalf("bits=%d: Slots(%d) = %d, want %d", bits, testWidth, key.Slots(testWidth), want)
 		}
 		rng := testRand(int64(bits) + 2)
-		for k := 1; k <= key.Slots(); k++ {
-			for round := 0; round < 3; round++ {
-				vals := slotValues(rng, k)
-				cts := make([]*Ciphertext, k)
-				for i, v := range vals {
-					if cts[i], err = key.Encrypt(rng, v); err != nil {
-						t.Fatal(err)
+		for _, width := range []int{64, testWidth, SlotBits} {
+			for k := 1; k <= key.Slots(width); k++ {
+				if width != testWidth && k < key.Slots(width) {
+					continue // other widths: the full batch
+				}
+				for round := 0; round < 3; round++ {
+					vals := slotValues(rng, k, width)
+					cts := make([]*Ciphertext, k)
+					for i, v := range vals {
+						if cts[i], err = key.Encrypt(rng, v); err != nil {
+							t.Fatal(err)
+						}
 					}
-				}
-				got, err := key.DecryptSlots(cts)
-				if err != nil {
-					t.Fatalf("bits=%d k=%d: %v", bits, k, err)
-				}
-				for i, c := range cts {
-					ref, err := key.DecryptTextbook(c)
+					got, err := key.DecryptSlots(cts, width)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("bits=%d width=%d k=%d: %v", bits, width, k, err)
 					}
-					if got[i].Cmp(ref) != 0 || ref.Cmp(vals[i]) != 0 {
-						t.Fatalf("bits=%d k=%d slot %d: packed %s, textbook %s, plaintext %s", bits, k, i, got[i], ref, vals[i])
+					for i, c := range cts {
+						ref, err := key.DecryptTextbook(c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got[i].Cmp(ref) != 0 || ref.Cmp(vals[i]) != 0 {
+							t.Fatalf("bits=%d width=%d k=%d slot %d: packed %s, textbook %s, plaintext %s", bits, width, k, i, got[i], ref, vals[i])
+						}
 					}
 				}
 			}
 		}
 		for _, hi := range []int64{0, 1, -1, 1<<63 - 1, -(1<<63 - 1)} {
-			for _, lo := range slotValues(rng, 4) {
+			for _, lo := range slotValues(rng, 4, SlotBits) {
 				packed, err := Pack(lo, big.NewInt(hi))
 				if err != nil {
 					t.Fatal(err)
@@ -143,12 +163,13 @@ func TestPackedSumsAddSlotwise(t *testing.T) {
 	}
 }
 
-// TestDecryptSlotsRejects: a batch too large for the key, an invalid
-// ciphertext (named by its index) and a top slot that is negative or too
-// wide all fail typed, at one slot (256 bits) and at three (1024 bits).
+// TestDecryptSlotsRejects: a batch too large for the key or the width, an
+// invalid ciphertext (named by its index) and a top slot that is negative
+// or too wide all fail typed, at one slot (256 bits) and at five (1024
+// bits).
 func TestDecryptSlotsRejects(t *testing.T) {
 	rng := testRand(62)
-	wide := new(big.Int).Lsh(one, SlotBits) // 2^W: one bit too many for a slot
+	wide := new(big.Int).Lsh(one, testWidth) // one bit too many for a slot
 	for _, key := range []*PrivateKey{testKey(t), slotKey(t, 64)} {
 		enc := func(v *big.Int) *Ciphertext {
 			t.Helper()
@@ -159,16 +180,21 @@ func TestDecryptSlotsRejects(t *testing.T) {
 			return c
 		}
 		good := enc(big.NewInt(7))
-		for _, cts := range [][]*Ciphertext{nil, slices.Repeat([]*Ciphertext{good}, key.Slots()+1)} {
-			if _, err := key.DecryptSlots(cts); err == nil {
-				t.Errorf("%d ciphertexts accepted by a %d-slot key", len(cts), key.Slots())
+		for _, cts := range [][]*Ciphertext{nil, slices.Repeat([]*Ciphertext{good}, key.Slots(testWidth)+1)} {
+			if _, err := key.DecryptSlots(cts, testWidth); err == nil {
+				t.Errorf("%d ciphertexts accepted by %d slots", len(cts), key.Slots(testWidth))
+			}
+		}
+		for _, width := range []int{0, -1, key.Bits() / 2} {
+			if _, err := key.DecryptSlots([]*Ciphertext{good}, width); err == nil {
+				t.Errorf("width %d accepted by a %d-bit key", width, key.Bits())
 			}
 		}
 		cases := map[string][]*Ciphertext{
 			"negative alone": {enc(big.NewInt(-1))},
 			"wide alone":     {enc(wide)},
 		}
-		if key.Slots() > 1 {
+		if key.Slots(testWidth) > 1 {
 			for name, bad := range map[string]*Ciphertext{
 				"nil":      nil,
 				"nil C":    {},
@@ -176,7 +202,7 @@ func TestDecryptSlotsRejects(t *testing.T) {
 				"negative": {C: big.NewInt(-5)},
 				"n²":       {C: new(big.Int).Set(key.N2)},
 			} {
-				_, err := key.DecryptSlots([]*Ciphertext{good, bad})
+				_, err := key.DecryptSlots([]*Ciphertext{good, bad}, testWidth)
 				if !errors.Is(err, ErrInvalidCiphertext) || !strings.Contains(err.Error(), "ciphertext 1") {
 					t.Errorf("%s ciphertext in slot 1: err = %v, want ErrInvalidCiphertext naming index 1", name, err)
 				}
@@ -185,37 +211,44 @@ func TestDecryptSlotsRejects(t *testing.T) {
 			cases["wide on top"] = []*Ciphertext{enc(wide), good}
 		}
 		for name, cts := range cases {
-			if _, err := key.DecryptSlots(cts); !errors.Is(err, ErrSlotOverflow) {
-				t.Errorf("%d slots, %s: err = %v, want ErrSlotOverflow", key.Slots(), name, err)
+			if _, err := key.DecryptSlots(cts, testWidth); !errors.Is(err, ErrSlotOverflow) {
+				t.Errorf("%d slots, %s: err = %v, want ErrSlotOverflow", key.Slots(testWidth), name, err)
 			}
 		}
 	}
-	for _, lo := range []*big.Int{big.NewInt(-1), wide} {
+	for _, lo := range []*big.Int{big.NewInt(-1), new(big.Int).Lsh(one, SlotBits)} {
 		if _, err := Pack(lo, big.NewInt(3)); !errors.Is(err, ErrSlotOverflow) {
 			t.Errorf("Pack(lo=%s): err = %v, want ErrSlotOverflow", lo, err)
 		}
 	}
 }
 
-// TestSlotMargin pins the margin DecryptSlots opens a batch behind: a full
-// batch stays slotMargin bits below p, so a wide plaintext — whose residue
-// mod p a sender who does not know p cannot aim — is refused, while one that
-// knows p can aim it (Enc(p+5) opens as 5), the oracle the margin keeps out
-// of reach. Out-of-range values in lower slots are not refused: they borrow
-// from or carry into the slots above, as DecryptSlots says.
+// TestSlotMargin pins the margin DecryptSlots opens a batch behind: at
+// every width Protocol 4 uses, from fixed.MaskedProductBits(1) = 64 to
+// MaskedProductBits(2^21) = 85, a full batch stays slotMargin bits below p
+// and one more slot would not, at 512- to 2048-bit keys; 256-bit keys open
+// one slot. So a wide plaintext — whose residue mod p a sender who does not
+// know p cannot aim — is refused, while one that knows p can aim it
+// (Enc(p+5) opens as 5), the oracle the margin keeps out of reach.
+// Out-of-range values in lower slots are not refused: they borrow from or
+// carry into the slots above, as DecryptSlots says.
 func TestSlotMargin(t *testing.T) {
 	for _, bits := range []int{256, 512, 1024, 2048} {
 		key, err := GenerateKey(testRand(int64(bits)+1), bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		room := key.p.BitLen() - 1 - key.Slots()*SlotBits // p ≥ 2^(BitLen−1)
-		if bits == 256 {
-			if key.Slots() != 1 || room != 3 {
-				t.Errorf("bits=256: %d slots, %d-bit margin; want 1 slot, 3 bits", key.Slots(), room)
+		top := key.p.BitLen() - 1 // p ≥ 2^top
+		for width := 64; width <= 85; width++ {
+			k := key.Slots(width)
+			switch {
+			case bits == 256:
+				if k != 1 {
+					t.Errorf("bits=256 width=%d: %d slots, want 1", width, k)
+				}
+			case k < 1 || top-k*width < slotMargin || top-(k+1)*width >= slotMargin:
+				t.Errorf("bits=%d width=%d: %d slots leave a %d-bit margin below p, want the most that keep ≥ %d", bits, width, k, top-k*width, slotMargin)
 			}
-		} else if room < slotMargin {
-			t.Errorf("bits=%d: %d slots leave a %d-bit margin below p, want ≥ %d", bits, key.Slots(), room, slotMargin)
 		}
 	}
 
@@ -230,24 +263,24 @@ func TestSlotMargin(t *testing.T) {
 		return c
 	}
 	aimed := new(big.Int).Add(key.p, big.NewInt(5))
-	if got, err := key.DecryptSlots([]*Ciphertext{enc(aimed)}); err != nil || got[0].Int64() != 5 {
+	if got, err := key.DecryptSlots([]*Ciphertext{enc(aimed)}, testWidth); err != nil || got[0].Int64() != 5 {
 		t.Fatalf("Enc(p+5) opened as %v, %v; want 5", got, err)
 	}
 
-	k := key.Slots()
+	k := key.Slots(testWidth)
 	seven := enc(big.NewInt(7))
 	batch := func(pos int, c *Ciphertext) []*Ciphertext {
-		cts := []*Ciphertext{seven, seven, seven}[:k]
+		cts := slices.Repeat([]*Ciphertext{seven}, k)
 		cts[pos] = c
 		return cts
 	}
 	refused := func(name string, cts []*Ciphertext) {
 		t.Helper()
-		if got, err := key.DecryptSlots(cts); !errors.Is(err, ErrSlotOverflow) {
+		if got, err := key.DecryptSlots(cts, testWidth); !errors.Is(err, ErrSlotOverflow) {
 			t.Fatalf("%s: opened as %v, err = %v; want ErrSlotOverflow", name, got, err)
 		}
 	}
-	lo := new(big.Int).Lsh(one, uint(k*SlotBits)) // 2^372
+	lo := new(big.Int).Lsh(one, uint(k*testWidth)) // 2^345
 	span := new(big.Int).Rsh(key.N, 1)
 	span.Sub(span, lo)
 	draw := testRand(67)
@@ -257,41 +290,54 @@ func TestSlotMargin(t *testing.T) {
 			refused(fmt.Sprintf("wide value %d at slot %d", i, pos), batch(pos, w))
 		}
 	}
+	shift := new(big.Int).Lsh(one, testWidth)
 	for i := int64(0); i < 1000; i++ {
 		refused(fmt.Sprintf("%d on top", -1-i), batch(0, enc(big.NewInt(-1-i))))
-		refused(fmt.Sprintf("2^124+%d on top", i), batch(0, enc(new(big.Int).Add(slotShift, big.NewInt(i)))))
+		refused(fmt.Sprintf("2^%d+%d on top", testWidth, i), batch(0, enc(new(big.Int).Add(shift, big.NewInt(i)))))
 	}
 
-	// Below the top: −1 in the low slot borrows from the one above, 2^124+3
+	// Below the top: −1 in the low slot borrows from the one above, 2^W+3
 	// carries into it.
 	for _, c := range []struct {
-		low  *big.Int
-		want []*big.Int
+		low        *big.Int
+		next, low2 *big.Int
 	}{
-		{big.NewInt(-1), []*big.Int{big.NewInt(7), big.NewInt(6), slotMask}},
-		{new(big.Int).Add(slotShift, big.NewInt(3)), []*big.Int{big.NewInt(7), big.NewInt(8), big.NewInt(3)}},
+		{big.NewInt(-1), big.NewInt(6), slotMaxOf(testWidth)},
+		{new(big.Int).Add(shift, big.NewInt(3)), big.NewInt(8), big.NewInt(3)},
 	} {
-		got, err := key.DecryptSlots(batch(k-1, enc(c.low)))
-		if err != nil || fmt.Sprint(got) != fmt.Sprint(c.want) {
-			t.Errorf("low slot %s: opened as %v, %v; want %v", c.low, got, err, c.want)
+		want := slices.Repeat([]*big.Int{big.NewInt(7)}, k)
+		want[k-2], want[k-1] = c.next, c.low2
+		got, err := key.DecryptSlots(batch(k-1, enc(c.low)), testWidth)
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("low slot %s: opened as %v, %v; want %v", c.low, got, err, want)
 		}
 	}
 }
 
 // TestDecryptWipedKey: a wiped key answers with a typed error, not a
-// division by zero.
+// division by zero, and keeps no word of its Montgomery reducer mod p².
 func TestDecryptWipedKey(t *testing.T) {
 	key := slotKey(t, 63)
 	c, err := key.encryptInt64(testRand(63), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := &key.p2red
+	words := [][]big.Word{r.mw, r.rr, r.split, r.one, r.unit}
 	key.Wipe()
 	if _, err := key.Decrypt(c); !errors.Is(err, ErrKeyWiped) {
 		t.Errorf("Decrypt with wiped key: err = %v, want ErrKeyWiped", err)
 	}
-	if _, err := key.DecryptSlots([]*Ciphertext{c, c}); !errors.Is(err, ErrKeyWiped) {
+	if _, err := key.DecryptSlots([]*Ciphertext{c, c}, testWidth); !errors.Is(err, ErrKeyWiped) {
 		t.Errorf("DecryptSlots with wiped key: err = %v, want ErrKeyWiped", err)
+	}
+	for i, w := range words {
+		if len(w) == 0 || slices.ContainsFunc(w, func(x big.Word) bool { return x != 0 }) {
+			t.Errorf("reducer slice %d after Wipe: %x, want zero words", i, w)
+		}
+	}
+	if r.k0 != 0 {
+		t.Errorf("reducer k0 after Wipe: %x, want 0", r.k0)
 	}
 }
 
@@ -334,27 +380,28 @@ func TestSlotLayoutABI(t *testing.T) {
 	}
 }
 
-// BenchmarkDecryptSlots is the measurement SlotBits was picked with: k
-// Protocol-4-sized plaintexts (109 bits) under a 1024-bit key, decrypted as
-// one packed plaintext, for a lone ciphertext and a full batch.
+// BenchmarkDecryptSlots measures Protocol 4's packed decryption: k
+// masked-product-sized plaintexts (68 bits) under a 1024-bit key at
+// testWidth, decrypted as one packed plaintext, for a lone ciphertext and a
+// full batch.
 func BenchmarkDecryptSlots(b *testing.B) {
 	key, err := GenerateKey(testRand(8), 1024)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := testRand(9)
-	cts := make([]*Ciphertext, key.Slots())
+	cts := make([]*Ciphertext, key.Slots(testWidth))
 	for i := range cts {
-		v := new(big.Int).Lsh(big.NewInt(rng.Int63()), 46)
+		v := new(big.Int).Lsh(big.NewInt(rng.Int63()), 5)
 		if cts[i], err = key.Encrypt(rng, v); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, k := range []int{1, key.Slots()} {
+	for _, k := range []int{1, len(cts)} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := key.DecryptSlots(cts[:k]); err != nil {
+				if _, err := key.DecryptSlots(cts[:k], testWidth); err != nil {
 					b.Fatal(err)
 				}
 			}

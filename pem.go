@@ -277,6 +277,11 @@ type WindowError = core.WindowError
 // RatioSumError refuses a window whose allocation ratios do not sum to 1.
 type RatioSumError = core.RatioSumError
 
+// ErrShareBound refuses, before any frame, a window in which an agent's
+// |net energy| exceeds the public bound of 2^24 µkWh (≈ 16.8 kWh); the
+// refusal names the agent. Clear refuses the same input.
+var ErrShareBound = market.ErrShareBound
+
 // RunWindow executes one private trading window (Protocol 1) — the
 // depth-1 special case of the pipelined scheduler behind RunWindows.
 func (m *Market) RunWindow(ctx context.Context, window int, inputs []WindowInput) (*WindowResult, error) {

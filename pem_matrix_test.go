@@ -130,10 +130,9 @@ func marketTrace() *pem.Trace {
 	return tr
 }
 
-// refusedWindow is the window every Market cell must refuse with a
-// RatioSumError: two buyers of 3·10^5 kWh get k_j = round(10^12/|sn_j|) = 3
-// for 3.33, so each decoded ratio is 0.556, and trading on them would sell
-// 0.444 kWh of seller h0's 0.4.
+// refusedWindow is the window every Market cell must refuse before any
+// frame: two buyers of 3·10^5 kWh are far above the public share bound
+// (pem.ErrShareBound), and the first of them, h2, is named.
 func refusedWindow() []pem.WindowInput {
 	in := make([]pem.WindowInput, 8)
 	in[0], in[1] = pem.WindowInput{Generation: 0.4}, pem.WindowInput{Generation: 0.3}
@@ -141,15 +140,18 @@ func refusedWindow() []pem.WindowInput {
 	return in
 }
 
-// refusal checks that err refuses window w with a RatioSumError and
-// returns the refusal's message for the digest.
-func refusal(t *testing.T, err error, w int) string {
+// refusal checks that the first of errs to match pem.ErrShareBound refuses
+// window w, and returns the refusal's message for the digest.
+func refusal(t *testing.T, w int, errs ...error) string {
 	t.Helper()
-	var sumErr *pem.RatioSumError
-	if !errors.As(err, &sumErr) || sumErr.Window != w {
-		t.Fatalf("window %d: err = %v, want its RatioSumError", w, err)
+	var we *pem.WindowError
+	for _, err := range errs {
+		if errors.Is(err, pem.ErrShareBound) && errors.As(err, &we) && we.Window == w {
+			return we.Error()
+		}
 	}
-	return sumErr.Error()
+	t.Fatalf("window %d: errs = %v, want its share refusal", w, errs)
+	return ""
 }
 
 func marketCell(t *testing.T, c cell) string {
@@ -192,7 +194,7 @@ func marketCell(t *testing.T, c cell) string {
 	}
 	checkLedger(t, h, m.Ledger())
 	_, err = m.RunWindow(t.Context(), tr.Windows, refusedWindow())
-	fmt.Fprintln(h, refusal(t, err, tr.Windows))
+	fmt.Fprintln(h, refusal(t, tr.Windows, err))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -228,39 +230,49 @@ func standaloneCell(t *testing.T, c cell) string {
 		}
 	}
 
-	// Every party trades the day, then the refused window; Hs's refusal
-	// cancels the rest, as a failing party cancels its window in an engine.
-	inputs := make([][]pem.WindowInput, tr.Windows, tr.Windows+1)
-	outs := make([][]*core.PartyOutcome, tr.Windows+1) // an off party may clear the refused window
-	for w := range outs {
-		outs[w] = make([]*core.PartyOutcome, len(parties))
-	}
+	// Every party trades the day; once all have, each runs the refused
+	// window: h2 and h3 refuse their own shares before their first frame and
+	// cancel the rest, where an engine refuses the window before it launches
+	// any party.
+	inputs := make([][]pem.WindowInput, tr.Windows)
+	outs := make([][]*core.PartyOutcome, tr.Windows)
 	for w := range tr.Windows {
-		inputs[w] = mustInputs(t, tr, w)
+		inputs[w], outs[w] = mustInputs(t, tr, w), make([]*core.PartyOutcome, len(parties))
 	}
-	inputs = append(inputs, refusedWindow())
 	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
 	defer cancel()
 	errs := make([]error, len(parties))
-	var wg sync.WaitGroup
-	for i, p := range parties {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = p.ExchangeKeys(ctx, peers)
-			if c.network == "secchan" {
-				p.ReplaceConn(secchan.New(nodes[i], p.PairKey))
-			}
-			for w := 0; w < len(inputs) && errs[i] == nil; w++ {
-				outs[w][i], errs[i] = p.RunTradingWindow(ctx, w, inputs[w][i])
-			}
-			if errs[i] != nil {
-				cancel()
-			}
-		}()
+	run := func(f func(i int, p *core.Party) error) {
+		var wg sync.WaitGroup
+		for i, p := range parties {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if errs[i] = f(i, p); errs[i] != nil {
+					cancel()
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	refused := refusal(t, errors.Join(errs...), tr.Windows)
+	run(func(i int, p *core.Party) error {
+		err := p.ExchangeKeys(ctx, peers)
+		if c.network == "secchan" {
+			p.ReplaceConn(secchan.New(nodes[i], p.PairKey))
+		}
+		for w := 0; w < tr.Windows && err == nil; w++ {
+			outs[w][i], err = p.RunTradingWindow(ctx, w, inputs[w][i])
+		}
+		return err
+	})
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	run(func(i int, p *core.Party) error {
+		_, err := p.RunTradingWindow(ctx, tr.Windows, refusedWindow()[i])
+		return err
+	})
+	refused := refusal(t, tr.Windows, errs...)
 
 	h, led := sha256.New(), ledger.New()
 	for w, outs := range outs[:tr.Windows] {
