@@ -80,6 +80,13 @@ func run(args []string, node *transport.TCPNode, stdout io.Writer) error {
 	if len(peers) == 0 {
 		return fmt.Errorf("-peers is required (id=addr,...)")
 	}
+	// A share above the public bound is refused before listening: refused
+	// at its first window, it would leave its peers waiting on its role
+	// frame until -timeout.
+	input := market.WindowInput{Generation: *gen, Load: *load, Battery: *batt}
+	if _, err := input.Share(*id); err != nil {
+		return err
+	}
 
 	if node == nil {
 		if node, err = transport.ListenTCP(*id, *listen, nil); err != nil {
@@ -131,7 +138,6 @@ func run(args []string, node *transport.TCPNode, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "[%s] secure channels keyed\n", *id)
 	}
 
-	input := market.WindowInput{Generation: *gen, Load: *load, Battery: *batt}
 	for w := 0; w < *windows; w++ {
 		if sigCtx.Err() != nil {
 			fmt.Fprintf(stdout, "[%s] drained: exiting after %d of %d windows\n", *id, w, *windows)

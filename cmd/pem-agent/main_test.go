@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/transport"
 )
 
@@ -47,6 +48,20 @@ func TestParsePeersErrors(t *testing.T) {
 		if _, err := parsePeers(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
+	}
+}
+
+// TestShareBoundRefusedBeforeListening: an agent whose flags give a share
+// above fixed.MaxShare refuses at once, naming itself, before it listens or
+// exchanges keys, so its peers are never left waiting on its role frame.
+func TestShareBoundRefusedBeforeListening(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-id", "ev", "-listen", "127.0.0.1:0", "-peers", "solar=127.0.0.1:1", "-load", "17"}, nil, &out)
+	if !errors.Is(err, market.ErrShareBound) || !strings.HasPrefix(err.Error(), "agent ev: ") {
+		t.Fatalf("err = %v, want ErrShareBound naming agent ev", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused agent printed %q, want nothing", out.String())
 	}
 }
 

@@ -47,17 +47,20 @@ func (paillierBackend) collectSum(ctx context.Context, r *windowRun, order []str
 
 // compareTotals runs the secure comparison between Hr1 (garbler, input Rb)
 // and Hr2 (evaluator, input Rs): general market iff Rb > Rs ⇔ E_b > E_s.
-// Hr1 then announces the public one-bit outcome to everyone except Hr2, who
-// learned it inside the comparison.
+// Rb − Rs = E_b − E_s, bounded by the public share bound, so the circuit
+// decides its sign from the totals' low fixed.ComparatorBits bits. Hr1 then
+// announces the public one-bit outcome to everyone except Hr2, who learned
+// it inside the comparison.
 func (paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked uint64) (market.Kind, error) {
 	ros := r.ros
 	opts := gc.ProtocolOptions{Random: r.random}
+	bits := fixed.ComparatorBits(max(len(ros.buyers), len(ros.sellers)))
 	session := r.tag("pme/cmp")
 	kindTag := r.tag("pme/kind")
 
 	switch r.ID() {
 	case ros.hr1:
-		res, err := gc.SecureCompareGarbler(ctx, r.conn, ros.hr2, session, masked, compareBits, opts)
+		res, err := gc.SecureSignGarbler(ctx, r.conn, ros.hr2, session, masked, bits, opts)
 		if err != nil {
 			return 0, fmt.Errorf("secure comparison: %w", err)
 		}
@@ -77,7 +80,7 @@ func (paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked u
 		return kind, nil
 
 	case ros.hr2:
-		res, err := gc.SecureCompareEvaluator(ctx, r.conn, ros.hr1, session, masked, compareBits, opts)
+		res, err := gc.SecureSignEvaluator(ctx, r.conn, ros.hr1, session, masked, bits, opts)
 		if err != nil {
 			return 0, fmt.Errorf("secure comparison: %w", err)
 		}

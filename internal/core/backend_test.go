@@ -289,6 +289,21 @@ func FuzzWindow(f *testing.F) {
 	f.Add([]byte{5 | windowWide, 0, 7, 70, 200, 15, 0, 2, 80, 200, 0, 2, 1, 81, 200, 0, 3, 2, 82, 200, 0, 3, 2,
 		83, 200, 0, 7, 1, 84, 200, 0, 7, 2, 85, 200, 0, 9, 1}) // one seller of 15 steps, six buyers
 	f.Add([]byte{2 | windowWide, 0, 9, 70, 200, 15, 0, 0, 80, 190, 0, 6, 2, 90, 180, 0, 5, 2, 99, 170, 3, 0, 2}) // 16 steps, 17 kWh: over the bound
+	// |E_b − E_s| as near m·MaxShare as the grid reaches, for m = 2^j − 1
+	// (Protocol 2's comparator width is tight there): m members of 15.5
+	// steps against one of half a step, and the mirror.
+	edge := func(m int, heavy, light []byte) []byte {
+		entry := []byte{byte(m-1) | windowWide, 0, byte(10 + m)}
+		for i := range m {
+			entry = append(append(entry, byte(70+i), 200), heavy...)
+		}
+		return append(append(entry, 99, 170), light...)
+	}
+	heavySeller, heavyBuyer, halfSeller, halfBuyer := []byte{15, 0, 1}, []byte{0, 15, 3}, []byte{0, 0, 1}, []byte{0, 0, 3}
+	for _, m := range []int{1, 3, 7} {
+		f.Add(edge(m, heavySeller, halfBuyer))
+	}
+	f.Add(edge(7, heavyBuyer, halfSeller))
 
 	ring := NewKeyRing(testConfig(1))
 	f.Fuzz(func(t *testing.T, data []byte) {

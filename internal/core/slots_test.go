@@ -258,6 +258,51 @@ func TestShareBound(t *testing.T) {
 	}
 }
 
+// TestComparatorAtShareBound: Protocol 2's comparator decides the sign of
+// E_b − E_s from fixed.ComparatorBits(m) low bits, where m is the larger
+// side. At m = 3, 7, 15 and 31 the widest difference, m·MaxShare, sits
+// just below a power of two: m members of one side at exactly
+// fixed.MaxShare against one of the other at 1 µkWh, and the mirror,
+// decide the kind market.Clear decides, trade like the integer oracle and
+// agree across backends; so does a tie, E_b = E_s, with m members a side.
+func TestComparatorAtShareBound(t *testing.T) {
+	ring := NewKeyRing(testConfig(1))
+	for _, m := range []int{3, 7, 15, 31} {
+		atBound, oneMicro := slices.Repeat([]float64{fixed.MaxShare.Float()}, m), []float64{1e-6}
+		for _, tc := range []struct {
+			name            string
+			buyers, sellers []float64
+			want            market.Kind
+		}{
+			{"buyers", atBound, oneMicro, market.GeneralMarket},
+			{"sellers", oneMicro, atBound, market.ExtremeMarket},
+			{"tie", atBound, atBound, market.ExtremeMarket},
+		} {
+			var inputs []market.WindowInput
+			for _, load := range tc.buyers {
+				inputs = append(inputs, market.WindowInput{Load: load})
+			}
+			for _, gen := range tc.sellers {
+				inputs = append(inputs, market.WindowInput{Generation: gen})
+			}
+			agents := testAgents(len(inputs))
+			var results []*WindowResult
+			for _, backend := range []string{BackendPaillier, BackendHybrid} {
+				cfg := testConfig(int64(9300 + m))
+				cfg.CryptoBackend = backend
+				res := runOneWindowWith(t, cfg, Resources{Keys: ring}, agents, inputs)
+				if res.Kind != tc.want {
+					t.Fatalf("m=%d %s on %s: kind %v, want %v", m, tc.name, backend, res.Kind, tc.want)
+				}
+				assertMatchesPlaintext(t, res, agents, inputs)
+				assertTradesExactly(t, fmt.Sprintf("m=%d %s on %s", m, tc.name, backend), res.Trades, integerOracle(t, res, agents, inputs))
+				results = append(results, res)
+			}
+			assertSameOutcome(t, fmt.Sprintf("m=%d %s", m, tc.name), results[0], results[1])
+		}
+	}
+}
+
 // tamperMasked rewrites Protocol 4's masked products on their way to Hs:
 // with[from] replaces the one sent by member from with a fresh encryption of
 // that plaintext under Hs's key.

@@ -217,13 +217,10 @@ func (p *Party) runWindow(ctx context.Context, window int, input market.WindowIn
 	return out, nil
 }
 
-// Protocol 2's widths: each party's masking nonce r_i is drawn below
-// 2^nonceBits, and the garbled circuit compares the masked totals Rb and Rs
-// (uint64s) as compareBits-bit integers.
-const (
-	nonceBits   = 40
-	compareBits = 64
-)
+// nonceBits is Protocol 2's masking width: each party's nonce r_i is drawn
+// below 2^nonceBits. The garbled circuit sees only the masked totals' low
+// fixed.ComparatorBits bits.
+const nonceBits = 40
 
 // drawNonce samples the Protocol 2 masking nonce in [0, 2^nonceBits).
 func (r *windowRun) drawNonce() (uint64, error) {

@@ -31,7 +31,8 @@ const (
 	// kWh, sunny, 300 homes × 720 windows). Parties and market.Clear refuse
 	// a larger one. It keeps Protocol 4's exponent round(RecipScale/|sn|) ≥
 	// 59 605, so a ratio is within ≈ 8.4·10⁻⁶ relative of |sn_j|/E_b, and
-	// it sizes Hs's packed decryption (MaskedProductBits).
+	// it sizes Hs's packed decryption (MaskedProductBits) and Protocol 2's
+	// comparator (ComparatorBits).
 	MaxShare Value = 1 << 24
 )
 
@@ -41,6 +42,14 @@ const (
 // 2^(24+⌈log₂ d⌉), so the product is below 2^(64+⌈log₂ d⌉).
 func MaskedProductBits(d int) int {
 	return 40 + 24 + bits.Len(uint(d-1))
+}
+
+// ComparatorBits is the width of Protocol 2's garbled comparator when the
+// larger side of the window has m members: E_b and E_s are each at most
+// m·MaxShare, so |E_b − E_s| < 2^(w−1), which is what the sign of the
+// difference of the low w bits needs (gc.BuildDifferenceSign).
+func ComparatorBits(m int) int {
+	return 1 + bits.Len64(uint64(m)*uint64(MaxShare))
 }
 
 // Value is a fixed-point quantity in micro-units.

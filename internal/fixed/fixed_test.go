@@ -222,3 +222,20 @@ func TestMaskedProductBits(t *testing.T) {
 		}
 	}
 }
+
+// TestComparatorBits: the widest difference of two totals over a larger
+// side of m members, m·MaxShare, stays below 2^(w−1) from m = 1 to 2^21,
+// and a width one less would not hold it. The benchmark's 32-home day has
+// m in [16, 31], so 30 bits.
+func TestComparatorBits(t *testing.T) {
+	for m, want := range map[int]int{1: 26, 2: 27, 15: 29, 16: 30, 31: 30, 32: 31, 1 << 21: 47} {
+		w := ComparatorBits(m)
+		if w != want {
+			t.Errorf("ComparatorBits(%d) = %d, want %d", m, w, want)
+		}
+		widest := uint64(m) * uint64(MaxShare)
+		if widest >= 1<<(w-1) || widest < 1<<(w-2) {
+			t.Errorf("m=%d: widest difference %d outside [2^%d, 2^%d)", m, widest, w-2, w-1)
+		}
+	}
+}

@@ -7,7 +7,8 @@
 // the free-XOR optimization (XOR and NOT gates cost nothing to garble or
 // evaluate); non-XOR gates are four-row tables encrypted under a SHA-256
 // based key-derivation of the two input labels. A classic greater-than
-// comparator (one AND per bit) is provided as a circuit builder, and
+// comparator (one AND per bit) and Protocol 2's sign-of-difference
+// comparator (one AND per bit but the top one) are the circuit builders, and
 // Garbler/Evaluator runners execute the two-party protocol over a
 // transport.Conn with wire labels delivered through the ot package.
 package gc
@@ -237,34 +238,58 @@ func (b *builder) not(a int) int {
 	return out
 }
 
-// BuildGreaterThan constructs a comparator computing [A > B] where A is the
-// garbler's bits-bit unsigned integer and B the evaluator's. Bit 0 is the
-// least significant. The construction scans from LSB to MSB maintaining
+// greaterThan appends the comparator [A > B] over the equal-width bundles
+// a (garbler) and e (evaluator), bit 0 least significant, and returns its
+// output wire. It scans from LSB to MSB maintaining
 // c' = a_i ⊕ ((a_i ⊕ c) ∧ (b_i ⊕ c)), costing exactly one AND per bit
 // under free-XOR.
-func BuildGreaterThan(bits int) (*Circuit, error) {
-	if bits <= 0 || bits > 512 {
-		return nil, fmt.Errorf("gc: comparator width %d out of range", bits)
-	}
-	b := newBuilder()
-	a := b.garblerInputs(bits)
-	e := b.evaluatorInputs(bits)
-
+func (b *builder) greaterThan(a, e []int) int {
 	// c starts at 0. We avoid a constant wire by special-casing the first
 	// bit: c1 = a0 ⊕ ((a0 ⊕ 0) ∧ (b0 ⊕ 0)) = a0 ⊕ (a0 ∧ b0) — i.e. a0 AND
 	// NOT b0, but expressed with the same AND count.
 	nb0 := b.not(e[0])
 	c := b.and(a[0], nb0) // a0 ∧ ¬b0 = [a0 > b0]
-	for i := 1; i < bits; i++ {
+	for i := 1; i < len(a); i++ {
 		ax := b.xor(a[i], c)
 		bx := b.xor(e[i], c)
 		t := b.and(ax, bx)
 		c = b.xor(a[i], t)
 	}
-	b.c.Outputs = []int{c}
+	return c
+}
+
+// comparatorOf builds a one-output circuit over bits garbler and bits
+// evaluator input wires; output derives the output wire from them.
+func comparatorOf(bits, minBits int, output func(b *builder, a, e []int) int) (*Circuit, error) {
+	if bits < minBits || bits > 512 {
+		return nil, fmt.Errorf("gc: comparator width %d out of range", bits)
+	}
+	b := newBuilder()
+	a := b.garblerInputs(bits)
+	e := b.evaluatorInputs(bits)
+	b.c.Outputs = []int{output(b, a, e)}
 	circ := b.c
 	if err := circ.Validate(); err != nil {
 		return nil, err
 	}
 	return &circ, nil
+}
+
+// BuildGreaterThan constructs a comparator computing [A > B] where A is the
+// garbler's bits-bit unsigned integer and B the evaluator's: bits ANDs.
+func BuildGreaterThan(bits int) (*Circuit, error) {
+	return comparatorOf(bits, 1, (*builder).greaterThan)
+}
+
+// BuildDifferenceSign constructs Protocol 2's comparator: [x > y] for two
+// totals whose difference is public-bounded, |x − y| < 2^(bits−1), from
+// A = x mod 2^bits (garbler) and B = y mod 2^bits (evaluator). Then x > y
+// exactly when (A − B − 1) mod 2^bits has its top bit clear, and that
+// bit's complement is a_top ⊕ b_top ⊕ [A_low > B_low]: the greater-than
+// chain over the low bits−1 bits and two free XORs, bits−1 ANDs in all.
+func BuildDifferenceSign(bits int) (*Circuit, error) {
+	return comparatorOf(bits, 2, func(b *builder, a, e []int) int {
+		top := len(a) - 1
+		return b.xor(b.xor(a[top], e[top]), b.greaterThan(a[:top], e[:top]))
+	})
 }

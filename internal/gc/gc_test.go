@@ -3,6 +3,7 @@ package gc
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	mrand "math/rand"
@@ -259,11 +260,21 @@ func TestDecodeMaterialRejectsCorruption(t *testing.T) {
 	}
 }
 
-// runSecureCompare drives both protocol roles over an in-memory bus. The
-// roles run concurrently, so each gets its own PRNG derived from the
-// caller's seeded source (math/rand readers are not goroutine-safe).
-func runSecureCompare(t *testing.T, a, b uint64, bits int, opts ProtocolOptions) (CompareResult, CompareResult) {
+// entryPoints is the unsigned pair of roles or, with sign, the
+// sign-of-difference pair.
+func entryPoints(sign bool) (garbler, evaluator func(context.Context, transport.Conn, string, string, uint64, int, ProtocolOptions) (CompareResult, error)) {
+	if sign {
+		return SecureSignGarbler, SecureSignEvaluator
+	}
+	return SecureCompareGarbler, SecureCompareEvaluator
+}
+
+// runSecureCompare drives both roles of entryPoints(sign) over an in-memory
+// bus. The roles run concurrently, so each gets its own PRNG derived from
+// the caller's seeded source (math/rand readers are not goroutine-safe).
+func runSecureCompare(t *testing.T, sign bool, a, b uint64, bits int, opts ProtocolOptions) (CompareResult, CompareResult) {
 	t.Helper()
+	garbler, evaluator := entryPoints(sign)
 	bus := transport.NewBus(nil)
 	gConn := bus.MustRegister("garbler")
 	eConn := bus.MustRegister("evaluator")
@@ -283,10 +294,10 @@ func runSecureCompare(t *testing.T, a, b uint64, bits int, opts ProtocolOptions)
 	}
 	gc := make(chan res, 1)
 	go func() {
-		r, err := SecureCompareGarbler(ctx, gConn, "evaluator", "cmp", a, bits, gOpts)
+		r, err := garbler(ctx, gConn, "evaluator", "cmp", a, bits, gOpts)
 		gc <- res{r, err}
 	}()
-	er, err := SecureCompareEvaluator(ctx, eConn, "garbler", "cmp", b, bits, eOpts)
+	er, err := evaluator(ctx, eConn, "garbler", "cmp", b, bits, eOpts)
 	if err != nil {
 		t.Fatalf("evaluator: %v", err)
 	}
@@ -320,7 +331,7 @@ func TestSecureCompareProtocol(t *testing.T) {
 		{1 << 40, (1 << 40) - 1, LeftGreater},
 	}
 	for _, c := range cases {
-		gr, er := runSecureCompare(t, c.a, c.b, 48, opts)
+		gr, er := runSecureCompare(t, false, c.a, c.b, 48, opts)
 		if gr != c.want || er != c.want {
 			t.Errorf("compare(%d, %d) = garbler %v / evaluator %v, want %v", c.a, c.b, gr, er, c.want)
 		}
@@ -353,7 +364,7 @@ func TestSecureCompareRandomizedAgainstNative(t *testing.T) {
 		if p[0] > p[1] {
 			want = LeftGreater
 		}
-		gr, er := runSecureCompare(t, p[0], p[1], 64, opts)
+		gr, er := runSecureCompare(t, false, p[0], p[1], 64, opts)
 		if gr != want || er != want {
 			t.Errorf("compare(%d, %d) = %v / %v, want %v", p[0], p[1], gr, er, want)
 		}
@@ -375,18 +386,22 @@ func (c sizeConn) Send(ctx context.Context, to, tag string, payload []byte) erro
 }
 
 // TestCompareFrameLengths pins the size of every frame of the 64-bit
-// comparison (ROADMAP's wire-format item): five messages whose lengths
-// depend on the width and the garbling scheme alone, never on the values
-// compared or the randomness drawn.
+// unsigned comparison and of Protocol 2's 30-bit sign comparison
+// (ROADMAP's wire-format item): five messages whose lengths depend on the
+// width, the shape and the garbling scheme alone, never on the values
+// compared or the randomness drawn. A w-bit comparison sends w garbler
+// labels and w base OTs; the unsigned one garbles w tables, the sign one
+// w − 1.
 func TestCompareFrameLengths(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		opts     ProtocolOptions
-		material int
+		name           string
+		sign           bool
+		bits, material int
 	}{
-		// flags + (count, 64 tables × rows × 16) + (count, 1 packed output
-		// bit) + (count, 64 garbler labels × 16)
-		{"four-row", ProtocolOptions{}, 1 + 4 + 64*4*16 + 4 + 1 + 4 + 64*16},
+		// flags + (count, tables × rows × 16) + (count, 1 packed output
+		// bit) + (count, w garbler labels × 16)
+		{"four-row", false, 64, 1 + 4 + 64*4*16 + 4 + 1 + 4 + 64*16},
+		{"sign/30", true, 30, 1 + 4 + 29*4*16 + 4 + 1 + 4 + 30*16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bus := transport.NewBus(nil)
@@ -396,13 +411,14 @@ func TestCompareFrameLengths(t *testing.T) {
 			eConn := sizeConn{bus.MustRegister("evaluator"), &mu, sizes}
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
+			garbler, evaluator := entryPoints(tc.sign)
 
 			errc := make(chan error, 1)
 			go func() {
-				_, err := SecureCompareGarbler(ctx, gConn, "evaluator", "w7/", 0xdeadbeef, 64, tc.opts)
+				_, err := garbler(ctx, gConn, "evaluator", "w7/", 0xdeadbeef, tc.bits, ProtocolOptions{})
 				errc <- err
 			}()
-			if _, err := SecureCompareEvaluator(ctx, eConn, "garbler", "w7/", 42, 64, tc.opts); err != nil {
+			if _, err := evaluator(ctx, eConn, "garbler", "w7/", 42, tc.bits, ProtocolOptions{}); err != nil {
 				t.Fatalf("evaluator: %v", err)
 			}
 			if err := <-errc; err != nil {
@@ -411,8 +427,8 @@ func TestCompareFrameLengths(t *testing.T) {
 			want := map[string]int{
 				"w7/gc/material":   tc.material,
 				"w7/gcot/base/A":   33,
-				"w7/gcot/base/B":   64 * 33,
-				"w7/gcot/base/cts": 64 * 2 * ot.KeySize,
+				"w7/gcot/base/B":   tc.bits * 33,
+				"w7/gcot/base/cts": tc.bits * 2 * ot.KeySize,
 				"w7/gc/result":     1,
 			}
 			if len(sizes) != len(want) {
@@ -427,25 +443,166 @@ func TestCompareFrameLengths(t *testing.T) {
 	}
 }
 
+// TestDifferenceSignExhaustive: for every width w = 2…8, every residue of
+// x and every difference |x − y| < 2^(w−1), the sign circuit fed x and y
+// mod 2^w says [x > y], in plaintext and garbled, with w − 1 AND gates.
+// The totals are offset by 2^w so that y stays non-negative.
+func TestDifferenceSignExhaustive(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(59))
+	for w := 2; w <= 8; w++ {
+		circ, err := BuildDifferenceSign(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := circ.NonFreeGates(); got != w-1 {
+			t.Errorf("w=%d: %d AND gates, want %d", w, got, w-1)
+		}
+		half := int64(1) << (w - 1)
+		for x := int64(1) << w; x < 2<<w; x++ {
+			for d := -half + 1; d < half; d++ {
+				y := x - d
+				a, b := uintToBits(uint64(x), w), uintToBits(uint64(y), w)
+				out, err := circ.EvalPlain(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out[0] != (x > y) {
+					t.Fatalf("w=%d: sign(%d, %d) = %v, want %v", w, x, y, out[0], x > y)
+				}
+				if x%7 == 0 && garbleEvalLocal(t, circ, a, b, Options{Random: rng})[0] != (x > y) {
+					t.Fatalf("w=%d: garbled sign(%d, %d) wrong", w, x, y)
+				}
+			}
+		}
+	}
+}
+
+// TestSecureSignProtocol runs sampled pairs of wide totals through the two
+// roles over a bus at the widths Protocol 2 uses: the difference at, just
+// inside and across zero, each side at the bound 2^(w−1) − 1.
+func TestSecureSignProtocol(t *testing.T) {
+	opts := ProtocolOptions{Random: mrand.New(mrand.NewSource(58))}
+	const base = 1<<40 + 12345 // a masked total: nonce mass plus shares
+	for _, w := range []int{2, 26, 30, 47} {
+		bound := int64(1)<<(w-1) - 1
+		for _, d := range []int64{bound, bound - 1, 1, 0, -1, -bound + 1, -bound} {
+			x, y := uint64(base+d), uint64(base)
+			want := NotGreater
+			if d > 0 {
+				want = LeftGreater
+			}
+			if gr, er := runSecureCompare(t, true, x, y, w, opts); gr != want || er != want {
+				t.Errorf("w=%d: sign(base%+d, base) = %v / %v, want %v", w, d, gr, er, want)
+			}
+		}
+	}
+}
+
+// TestComparisonWidthContract: the unsigned comparison refuses a value of
+// 2^bits or more, typed and before any frame, in either role; the sign
+// comparison takes its totals mod 2^bits, so wide totals a bounded
+// distance apart compare right.
+func TestComparisonWidthContract(t *testing.T) {
+	ctx := t.Context()
+	for _, tc := range []struct {
+		name   string
+		sign   bool
+		x, y   uint64
+		bits   int
+		refuse bool
+		want   CompareResult
+	}{
+		{"unsigned fits", false, 255, 254, 8, false, LeftGreater},
+		{"unsigned 2^bits", false, 256, 0, 8, true, 0},
+		{"unsigned 64-bit value at 30", false, 1<<40 + 5, 1<<40 + 3, 30, true, 0},
+		{"unsigned all ones at 63", false, 1<<64 - 1, 0, 63, true, 0},
+		{"unsigned all ones at 64", false, 1<<64 - 1, 0, 64, false, LeftGreater},
+		{"sign reduces", true, 1<<40 + 5, 1<<40 + 3, 30, false, LeftGreater},
+		{"sign reduces, mirror", true, 1<<40 + 3, 1<<40 + 5, 30, false, NotGreater},
+		{"sign across 2^bits", true, 1<<30 + 1, 1<<30 - 1, 30, false, LeftGreater},
+		{"sign tie", true, 1<<63 + 7, 1<<63 + 7, 8, false, NotGreater},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.refuse {
+				bus := transport.NewBus(transport.NewMetrics())
+				garbler, evaluator := bus.MustRegister("g"), bus.MustRegister("e")
+				_, gErr := SecureCompareGarbler(ctx, garbler, "e", "cmp", tc.x, tc.bits, ProtocolOptions{})
+				_, eErr := SecureCompareEvaluator(ctx, evaluator, "g", "cmp", tc.x, tc.bits, ProtocolOptions{})
+				if !errors.Is(gErr, ErrValueWidth) || !errors.Is(eErr, ErrValueWidth) {
+					t.Fatalf("garbler: %v; evaluator: %v; want ErrValueWidth", gErr, eErr)
+				}
+				if n := bus.Metrics().TotalBytes(); n != 0 {
+					t.Errorf("%d bytes sent before the refusal", n)
+				}
+				return
+			}
+			opts := ProtocolOptions{Random: mrand.New(mrand.NewSource(int64(tc.bits)))}
+			if gr, er := runSecureCompare(t, tc.sign, tc.x, tc.y, tc.bits, opts); gr != tc.want || er != tc.want {
+				t.Errorf("compare(%d, %d) at %d bits = %v / %v, want %v", tc.x, tc.y, tc.bits, gr, er, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzDifferenceSign draws a width in [2, 62], a total x in [2^62, 2^63)
+// and a difference |x − y| < 2^(w−1) from its input, and holds the sign
+// circuit, fed x and y mod 2^w, to integer comparison in plaintext and
+// garbled.
+func FuzzDifferenceSign(f *testing.F) {
+	for w := range 62 {
+		f.Add(uint8(w), uint64(w)<<30, int64(1)<<w-1)
+	}
+	f.Add(uint8(28), uint64(0), int64(-1))
+	f.Add(uint8(0), uint64(1<<64-1), int64(0))
+	rng := mrand.New(mrand.NewSource(62))
+	f.Fuzz(func(t *testing.T, width uint8, x uint64, d int64) {
+		w := 2 + int(width)%61
+		d %= int64(1) << (w - 1)
+		x = x>>2 | 1<<62
+		y := uint64(int64(x) - d)
+		circ, err := differenceSign.circuit(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := uintToBits(x, w), uintToBits(y, w)
+		out, err := circ.EvalPlain(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[0] != (x > y) || garbleEvalLocal(t, circ, a, b, Options{Random: rng})[0] != (x > y) {
+			t.Fatalf("w=%d: sign(%d, %d) = %v, want %v", w, x, y, out[0], x > y)
+		}
+	})
+}
+
 // TestComparatorBuiltOncePerWidth: both roles of every comparison of one
-// width share one read-only circuit.
+// shape and width share one read-only circuit.
 func TestComparatorBuiltOncePerWidth(t *testing.T) {
-	a, err := comparator(24)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []*comparison{unsigned, differenceSign} {
+		a, err := c.circuit(24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.circuit(24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Error("circuit(24) built twice")
+		}
+		if c, err := c.circuit(25); err != nil || c == a {
+			t.Errorf("circuit(25) = %p, %v; want a circuit of its own", c, err)
+		}
+		if _, err := c.circuit(0); err == nil {
+			t.Error("circuit(0) accepted")
+		}
 	}
-	b, err := comparator(24)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := differenceSign.circuit(1); err == nil {
+		t.Error("a one-bit sign circuit accepted")
 	}
-	if a != b {
-		t.Error("comparator(24) built twice")
-	}
-	if c, err := comparator(25); err != nil || c == a {
-		t.Errorf("comparator(25) = %p, %v; want a circuit of its own", c, err)
-	}
-	if _, err := comparator(0); err == nil {
-		t.Error("comparator(0) accepted")
+	u, _ := unsigned.circuit(24)
+	if d, _ := differenceSign.circuit(24); d == u {
+		t.Error("the two shapes share a 24-bit circuit")
 	}
 }
 

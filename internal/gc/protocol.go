@@ -264,32 +264,50 @@ const (
 	NotGreater
 )
 
-// comparators holds the greater-than circuit of every width asked for so
-// far (bits → *Circuit). A Circuit is read-only once built, so the two
-// parties of every window of every engine share one per width instead of
-// rebuilding it per comparison.
-var comparators sync.Map
+// ErrValueWidth refuses an unsigned comparison of a value that does not
+// fit the comparator's width.
+var ErrValueWidth = errors.New("gc: value wider than the comparator")
 
-func comparator(bits int) (*Circuit, error) {
-	if c, ok := comparators.Load(bits); ok {
-		return c.(*Circuit), nil
+// comparison is one comparator shape: its builder, whether it takes its
+// input mod 2^bits or refuses a wider one, and its circuit of every width
+// asked for so far (bits → *Circuit). A Circuit is read-only once built,
+// so the two parties of every window of every engine share one per width
+// instead of rebuilding it per comparison.
+type comparison struct {
+	build    func(bits int) (*Circuit, error)
+	reduces  bool
+	circuits sync.Map
+}
+
+var (
+	unsigned       = &comparison{build: BuildGreaterThan}
+	differenceSign = &comparison{build: BuildDifferenceSign, reduces: true}
+)
+
+func (c *comparison) circuit(bits int) (*Circuit, error) {
+	if circ, ok := c.circuits.Load(bits); ok {
+		return circ.(*Circuit), nil
 	}
-	c, err := BuildGreaterThan(bits)
+	circ, err := c.build(bits)
 	if err != nil {
 		return nil, err
 	}
-	shared, _ := comparators.LoadOrStore(bits, c)
+	shared, _ := c.circuits.LoadOrStore(bits, circ)
 	return shared.(*Circuit), nil
 }
 
-// SecureCompareGarbler runs the millionaires comparison as the garbler with
-// a bits-wide unsigned value, returning LeftGreater iff value > peer's.
-func SecureCompareGarbler(ctx context.Context, conn transport.Conn, peer, session string, value uint64, bits int, opts ProtocolOptions) (CompareResult, error) {
-	circ, err := comparator(bits)
+// run runs the comparison in one role (RunGarbler or RunEvaluator) and
+// reads its one output bit.
+func (c *comparison) run(ctx context.Context, role func(context.Context, transport.Conn, string, string, *Circuit, []bool, ProtocolOptions) ([]bool, error),
+	conn transport.Conn, peer, session string, value uint64, bits int, opts ProtocolOptions) (CompareResult, error) {
+	circ, err := c.circuit(bits)
 	if err != nil {
 		return 0, err
 	}
-	out, err := RunGarbler(ctx, conn, peer, session, circ, uintToBits(value, bits), opts)
+	if !c.reduces && bits < 64 && value>>bits != 0 {
+		return 0, fmt.Errorf("%w: %d at %d bits", ErrValueWidth, value, bits)
+	}
+	out, err := role(ctx, conn, peer, session, circ, uintToBits(value, bits), opts)
 	if err != nil {
 		return 0, err
 	}
@@ -297,24 +315,35 @@ func SecureCompareGarbler(ctx context.Context, conn transport.Conn, peer, sessio
 		return LeftGreater, nil
 	}
 	return NotGreater, nil
+}
+
+// SecureCompareGarbler runs the millionaires comparison as the garbler with
+// a bits-wide unsigned value, returning LeftGreater iff value > peer's. A
+// value of 2^bits or more is refused (ErrValueWidth).
+func SecureCompareGarbler(ctx context.Context, conn transport.Conn, peer, session string, value uint64, bits int, opts ProtocolOptions) (CompareResult, error) {
+	return unsigned.run(ctx, RunGarbler, conn, peer, session, value, bits, opts)
 }
 
 // SecureCompareEvaluator runs the millionaires comparison as the evaluator.
 // It returns LeftGreater iff the GARBLER's value is strictly greater (the
 // same orientation as SecureCompareGarbler, so both parties agree).
 func SecureCompareEvaluator(ctx context.Context, conn transport.Conn, peer, session string, value uint64, bits int, opts ProtocolOptions) (CompareResult, error) {
-	circ, err := comparator(bits)
-	if err != nil {
-		return 0, err
-	}
-	out, err := RunEvaluator(ctx, conn, peer, session, circ, uintToBits(value, bits), opts)
-	if err != nil {
-		return 0, err
-	}
-	if out[0] {
-		return LeftGreater, nil
-	}
-	return NotGreater, nil
+	return unsigned.run(ctx, RunEvaluator, conn, peer, session, value, bits, opts)
+}
+
+// SecureSignGarbler runs the sign-of-difference comparison
+// (BuildDifferenceSign) as the garbler with its total x, returning
+// LeftGreater iff x exceeds the evaluator's total y. The caller vouches
+// that |x − y| < 2^(bits−1); both totals are taken mod 2^bits by contract,
+// so a wider value is reduced, not refused.
+func SecureSignGarbler(ctx context.Context, conn transport.Conn, peer, session string, value uint64, bits int, opts ProtocolOptions) (CompareResult, error) {
+	return differenceSign.run(ctx, RunGarbler, conn, peer, session, value, bits, opts)
+}
+
+// SecureSignEvaluator is SecureSignGarbler's evaluator, with its total y:
+// it returns LeftGreater iff the GARBLER's total is strictly greater.
+func SecureSignEvaluator(ctx context.Context, conn transport.Conn, peer, session string, value uint64, bits int, opts ProtocolOptions) (CompareResult, error) {
+	return differenceSign.run(ctx, RunEvaluator, conn, peer, session, value, bits, opts)
 }
 
 // uintToBits expands v into bits booleans, LSB first.

@@ -303,10 +303,10 @@ func standaloneCell(t *testing.T, c cell) string {
 // residuals and must not move a byte.
 var gridWANTraffic = map[string][]int64{
 	pem.BackendPaillier: {
-		37251, 126, 2097667366, 18,
-		34632, 102, 1870544989, 14,
-		35880, 114, 1846740396, 16,
-		107763, 342, 2097667366,
+		20964, 126, 2096512966, 18,
+		18345, 102, 1869390589, 14,
+		19593, 114, 1845585996, 16,
+		58902, 342, 2096512966,
 	},
 	pem.BackendHybrid: {
 		7506, 120, 1860702757, 16,

@@ -29,16 +29,16 @@ func TestPublicNetworkEmulation(t *testing.T) {
 // latency, rounds, messages and bytes on the wire of the sweep that
 // TestVirtualLatencyGolden runs.
 var virtualGolden = map[string]string{
-	"paillier/ring/cellular": "e69693cd6f85a26d53047b28955a503983757fc9140510023550974d568fd49a",
-	"paillier/ring/lan":      "6643cd5986f6abb897d25fdb2611bbe1a7e56885a3068622cae8f4f8ac07265c",
-	"paillier/ring/lossy":    "5af6bfba4c0ca05115af3989184fd3237ef9187ac2d98735fdff4fc74d17d5ca",
-	"paillier/ring/metro":    "4beb3adfb1741538d812ef1ce80e54f2765c3f63f443b844efbf503e16f2c548",
-	"paillier/ring/wan":      "a95f29fd2c8e11943a6d20475443031ad2b18fe7868f762333d17f6ac9eb923a",
-	"paillier/tree/cellular": "921f312ce8ff558686759bdab0b32138ff09605500d5d0f84130c2a990bb48fc",
-	"paillier/tree/lan":      "c531ecf7575786567d3c255b473a429606d38a7df8b8eec7f1698f96f4321cad",
-	"paillier/tree/lossy":    "654a8689f73a8e88784f2a3e0dc8ea3eea25e94e8a99861d9e24bc446950162d",
-	"paillier/tree/metro":    "29e6d479aea8158076dc3257a9fd4d068a9a7552a15562a8974e907c9cbfb95c",
-	"paillier/tree/wan":      "22703a0a6566b40a84bdbfce89de198762eba0169e5f954fcee8b408845fa4b1",
+	"paillier/ring/cellular": "63d3ab7550df7e34574d1b9d4e61ee0faee499d20db10dd543445eddfb5187e0",
+	"paillier/ring/lan":      "5b5dff87262c1e37435c1028939c03a4c317a36802d024c6ef306c80508c40ae",
+	"paillier/ring/lossy":    "06fa3db33d8caf11d51e29b6379a2271fe633558c5c35c47fbd6391f1e39470c",
+	"paillier/ring/metro":    "320e27ad9bddbdf0a51be135ccac6bb5d789551ff156ddf876dc78c06f196a2d",
+	"paillier/ring/wan":      "216dd17407c4496cee8356c76317b0f9378f2a715cd080eb203909e2eb4aee7b",
+	"paillier/tree/cellular": "66fbbae304444482e6ae8d61ca0daf4495510cfb1003ef7fc667cf3f34d5dea6",
+	"paillier/tree/lan":      "fb8204f82ef233aaea2443a5165150a40b7f201043598fc68b0e65f9b5f07fbe",
+	"paillier/tree/lossy":    "7d78d94b37208f2baf7238c993ba82fb1fba01d0955c596d41bfbe6bbc7d6534",
+	"paillier/tree/metro":    "e97a61f8291b1c92b1edc803bc497478acd283f06f628892f5e42690f26a80d7",
+	"paillier/tree/wan":      "9add83e76a16c3022babe8d4e7f9117d57317f8d88b091097dbf83927cdc09e9",
 	"hybrid/ring/cellular":   "0afd2eba006232e3661a022eba79428657b1923f0c0e3ca3e8b3b0048b44eb53",
 	"hybrid/ring/lan":        "b3e197a2866eea4034b0d52481f29299eb78adff70e6f4d82f9f1c58cf4f9b6b",
 	"hybrid/ring/lossy":      "d442f9f68676277ae2e91b34cf5128f7ece06f905df1ebbf7a68ee73bcffa630",
