@@ -3,7 +3,6 @@
 //
 //	pem-market -homes 200 -windows 720            # plaintext day summary
 //	pem-market -homes 8 -windows 10 -private      # private protocol day
-//	pem-market -homes 50 -export trace.csv        # dump the synthetic trace
 package main
 
 import (
@@ -34,7 +33,6 @@ func run(args []string) error {
 	private := fs.Bool("private", false, "run the cryptographic protocols instead of the plaintext clearing")
 	keyBits := fs.Int("keybits", 1024, "Paillier key size for -private")
 	storePath := fs.String("store", "", "persist the -private run's ledger and key fingerprints to this WAL file")
-	export := fs.String("export", "", "write the synthetic trace to this CSV file and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -43,19 +41,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *export != "" {
-		f, err := os.Create(*export)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := tr.WriteCSV(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d homes x %d windows to %s\n", *homes, *windows, *export)
-		return nil
-	}
-
 	if *private {
 		return runPrivate(tr, *keyBits, *seed, *storePath)
 	}

@@ -1,34 +1,10 @@
 package main
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRunPlaintextDay(t *testing.T) {
 	if err := run([]string{"-homes", "12", "-windows", "60"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunExport(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "trace.csv")
-	if err := run([]string{"-homes", "4", "-windows", "10", "-export", out}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), "home_id,") {
-		t.Error("export missing CSV header")
-	}
-	// 4 homes × 10 windows + header.
-	if lines := strings.Count(string(data), "\n"); lines != 41 {
-		t.Errorf("export has %d lines, want 41", lines)
 	}
 }
 

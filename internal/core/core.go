@@ -518,7 +518,7 @@ func (e *Engine) runOne(ctx context.Context, window int, inputs []market.WindowI
 			}
 			rep, err := p.runWindow(pctx, window, inputs[i])
 			if err != nil {
-				errs[i] = fmt.Errorf("party %s: %w", p.ID(), err)
+				errs[i] = err
 				cancel() // unblock peers waiting on this party
 				return
 			}

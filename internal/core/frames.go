@@ -15,33 +15,16 @@ import (
 // products, recvAnyCipher) and is read by one of the decoders below, each
 // of which checks the frame's exact length before it parses it. Every
 // failure — the receive's, the length's or the decoder's — is a
-// *frameError naming the sender and the tag. A frame's width depends on its
-// phase, the key and the public rosters alone, never on the values carried.
-// Only ExchangeKeys, a session-level exchange, receives elsewhere.
-
-// frameError reports a received frame a window cannot use: who sent it,
-// under which tag, and either the two lengths or the cause — a receive or
-// decoding failure — it unwraps to.
-type frameError struct {
-	from, tag string
-	got, want int
-	err       error
-}
-
-func (e *frameError) Error() string {
-	if e.err != nil {
-		return fmt.Sprintf("frame %s from %s: %v", e.tag, e.from, e.err)
-	}
-	return fmt.Sprintf("frame %s from %s has %d bytes, want %d", e.tag, e.from, e.got, e.want)
-}
-
-func (e *frameError) Unwrap() error { return e.err }
+// *WindowError whose Peer and Tag name the sender and the tag. A frame's
+// width depends on its phase, the key and the public rosters alone, never
+// on the values carried. Only ExchangeKeys, a session-level exchange,
+// receives elsewhere.
 
 // checkLen is the receive rule: a frame of any length but want is refused
 // before it is parsed.
 func checkLen(raw []byte, want int, from, tag string) error {
 	if len(raw) != want {
-		return &frameError{from: from, tag: tag, got: len(raw), want: want}
+		return &WindowError{Peer: from, Tag: tag, got: len(raw), want: want}
 	}
 	return nil
 }
@@ -51,7 +34,7 @@ func checkLen(raw []byte, want int, from, tag string) error {
 func (r *windowRun) recvFrame(ctx context.Context, from, tag string) ([]byte, error) {
 	raw, err := r.conn.Recv(ctx, from, tag)
 	if err != nil {
-		return nil, &frameError{from: from, tag: tag, err: err}
+		return nil, &WindowError{Peer: from, Tag: tag, Err: err}
 	}
 	return raw, nil
 }
@@ -63,7 +46,7 @@ func decodeKind(raw []byte, top byte, from, tag string) (byte, error) {
 		return 0, err
 	}
 	if raw[0] < 1 || raw[0] > top {
-		return 0, &frameError{from: from, tag: tag, err: fmt.Errorf("kind %d outside [1, %d]", raw[0], top)}
+		return 0, &WindowError{Peer: from, Tag: tag, Err: fmt.Errorf("kind %d outside [1, %d]", raw[0], top)}
 	}
 	return raw[0], nil
 }
@@ -146,7 +129,7 @@ func decodeCipher(raw []byte, pk *paillier.PublicKey, ct *paillier.Ciphertext, f
 		err = paillier.ErrInvalidCiphertext
 	}
 	if err != nil {
-		return &frameError{from: from, tag: tag, err: err}
+		return &WindowError{Peer: from, Tag: tag, Err: err}
 	}
 	return nil
 }
@@ -162,11 +145,12 @@ func (r *windowRun) recvCipher(ctx context.Context, pk *paillier.PublicKey, ct *
 }
 
 // recvAnyCipher is recvCipher from whichever of froms sends first; it
-// returns the sender. A failed receive names all of froms.
+// returns the sender. A failed receive gets no frame, so it leaves Peer
+// empty; the transport's error names the peers it waited on.
 func (r *windowRun) recvAnyCipher(ctx context.Context, pk *paillier.PublicKey, ct *paillier.Ciphertext, froms []string, tag string) (string, error) {
 	from, raw, err := r.conn.RecvAny(ctx, tag, froms)
 	if err != nil {
-		return from, &frameError{from: fmt.Sprint(froms), tag: tag, err: err}
+		return "", &WindowError{Tag: tag, Err: err}
 	}
 	err = decodeCipher(raw, pk, ct, from, tag)
 	transport.PutFrame(raw)
@@ -195,7 +179,7 @@ func decodeRatios(raw []byte, n int, from, tag string) ([]float64, error) {
 	for i := range ratios {
 		ratios[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
 		if err := checkRatio(ratios[i]); err != nil {
-			return nil, &frameError{from: from, tag: tag, err: fmt.Errorf("word %d: %w", i, err)}
+			return nil, &WindowError{Peer: from, Tag: tag, Err: fmt.Errorf("word %d: %w", i, err)}
 		}
 	}
 	return ratios, nil

@@ -15,8 +15,8 @@ import (
 // decodes (frames.go): the one-byte role and market-kind frames, the 8- and
 // 16-byte words, a ciphertext under a fixed 256-bit key, and Hs's ratio
 // vector for a roster of len/8 members and of three. Each input must decode
-// in range — and re-encode to the same bytes — or fail as a *frameError
-// naming the sender and the tag; it must never panic.
+// in range — and re-encode to the same bytes — or fail as a *WindowError
+// whose Peer and Tag name the sender and the tag; it must never panic.
 func FuzzWindowFrames(f *testing.F) {
 	key, _, err := NewKeyRing(testConfig(1)).key("a00", false)
 	if err != nil {
@@ -41,9 +41,9 @@ func FuzzWindowFrames(f *testing.F) {
 	f.Add(encodeRatios([]float64{0.25, 0.5, 0.25}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		typed := func(what string, err error) bool {
-			var fe *frameError
-			if err != nil && (!errors.As(err, &fe) || fe.from != "peer" || fe.tag != "w0/t") {
-				t.Fatalf("%s: %v is not a *frameError naming peer and w0/t", what, err)
+			var we *WindowError
+			if err != nil && (!errors.As(err, &we) || we.Peer != "peer" || we.Tag != "w0/t") {
+				t.Fatalf("%s: %v is not a *WindowError naming peer and w0/t", what, err)
 			}
 			return err == nil
 		}

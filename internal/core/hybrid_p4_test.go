@@ -378,7 +378,8 @@ func TestHybridWrappedTotalFailsTyped(t *testing.T) {
 // both backends and both topologies, one bad frame — a byte short or long,
 // or for a ciphertext the same value one byte wider, behind a leading zero —
 // and for hybrid's masked Protocol 4 a few more: the window fails with a
-// *frameError naming the sender and the tag, and never panics.
+// *WindowError naming the receiver, its phase, the sender and the tag, and
+// never panics.
 func TestRejectsMalformedFrames(t *testing.T) {
 	type row struct {
 		backend, name, phase string
@@ -438,14 +439,14 @@ func TestRejectsMalformedFrames(t *testing.T) {
 			}
 			var mu sync.Mutex
 			var cur row
-			var sender string
-			rewriteFrames(f.eng, func(from, _, phase string, payload []byte) []byte {
+			var sender, receiver string
+			rewriteFrames(f.eng, func(from, to, phase string, payload []byte) []byte {
 				mu.Lock()
 				defer mu.Unlock()
 				if phase != cur.phase || sender != "" {
 					return payload
 				}
-				sender = from
+				sender, receiver = from, to
 				return cur.mangle(payload, keys[from])
 			})
 			for w, tc := range rows {
@@ -454,18 +455,21 @@ func TestRejectsMalformedFrames(t *testing.T) {
 				}
 				t.Run(backend+"/"+tc.name+"/"+topo, func(t *testing.T) {
 					mu.Lock()
-					cur, sender = tc, ""
+					cur, sender, receiver = tc, "", ""
 					mu.Unlock()
 					ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
 					defer cancel()
 					_, err := f.eng.RunWindow(ctx, w, f.inputs)
-					var fe *frameError
-					if !errors.As(err, &fe) {
-						t.Fatalf("err = %v, want a *frameError", err)
+					var we *WindowError
+					if !errors.As(err, &we) {
+						t.Fatalf("err = %v, want a *WindowError", err)
 					}
-					_, _, phase, _ := transport.ParseScopedWindowTag(fe.tag)
-					if fe.from != sender || phase != tc.phase {
-						t.Errorf("error names sender %q, tag %q (%v); the bad frame came from %q under %s", fe.from, fe.tag, err, sender, tc.phase)
+					_, _, phase, _ := transport.ParseScopedWindowTag(we.Tag)
+					if we.Peer != sender || phase != tc.phase {
+						t.Errorf("error names sender %q, tag %q (%v); the bad frame came from %q under %s", we.Peer, we.Tag, err, sender, tc.phase)
+					}
+					if want := phaseName(tc.phase); we.Window != w || we.Party != receiver || we.Phase != want {
+						t.Errorf("error names window %d, party %q, phase %q (%v); the bad frame was window %d's, to %q in %s", we.Window, we.Party, we.Phase, err, w, receiver, want)
 					}
 					if errors.Is(err, paillier.ErrInvalidCiphertext) != tc.invalid {
 						t.Errorf("err = %v, ErrInvalidCiphertext cause = %v", err, !tc.invalid)
@@ -476,9 +480,23 @@ func TestRejectsMalformedFrames(t *testing.T) {
 	}
 }
 
+// phaseName is the Protocol 1 phase a bare window tag belongs to, as a
+// *WindowError's Phase names it.
+func phaseName(tag string) string {
+	switch {
+	case tag == "role":
+		return "roles"
+	case strings.HasPrefix(tag, "pme/"):
+		return "market evaluation"
+	case strings.HasPrefix(tag, "pp/"):
+		return "pricing"
+	}
+	return "distribution"
+}
+
 // TestWindowErrorNamesEachLayerOnce pins one whole failure message: the
-// window (WindowError), the party (runOne), the phase (runWindow), then the
-// frame's tag and sender (frameError) — each named once.
+// window (the scheduler), the party and the phase (runWindow), then the
+// frame's tag and sender (where it is refused) — each named once.
 func TestWindowErrorNamesEachLayerOnce(t *testing.T) {
 	f := newP4Fixture(t, BackendPaillier, 9500, 3, AggregationRing)
 	rewriteFrames(f.eng, func(from, _, phase string, p []byte) []byte {
@@ -542,9 +560,10 @@ func TestMaskedTotalOutOfRange(t *testing.T) {
 
 					res, err := f.run()
 					var we *WindowError
-					want := "market evaluation: masked total " + phase + " out of range: -"
-					if !errors.As(err, &we) || we.Window != 0 || !strings.Contains(err.Error(), want) || res != nil {
-						t.Fatalf("res = %v, err = %v; want a *WindowError for window 0 containing %q", res, err, want)
+					want := "masked total " + phase + " out of range: -"
+					if !errors.As(err, &we) || we.Window != 0 || we.Party != sink || we.Phase != "market evaluation" ||
+						we.Peer != "" || we.Tag != "" || !strings.HasPrefix(we.Err.Error(), want) || res != nil {
+						t.Fatalf("res = %v, err = %v; want a *WindowError for window 0, party %s, market evaluation, caused by %q", res, err, sink, want)
 					}
 					mu.Lock()
 					on = false

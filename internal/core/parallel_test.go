@@ -110,9 +110,9 @@ func TestDecodeRatiosHardening(t *testing.T) {
 		"negative": -0.25,
 		"above-1":  1.5,
 	} {
-		var fe *frameError
-		if err := decode(0.5, v); !errors.As(err, &fe) || fe.from != "hs" {
-			t.Errorf("%s ratio: err = %v, want a *frameError naming hs", name, err)
+		var we *WindowError
+		if err := decode(0.5, v); !errors.As(err, &we) || we.Peer != "hs" {
+			t.Errorf("%s ratio: err = %v, want a *WindowError naming hs", name, err)
 		}
 	}
 

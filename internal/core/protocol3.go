@@ -63,7 +63,7 @@ func (r *windowRun) privatePricing(ctx context.Context) (price, pHat float64, er
 	}
 	price = fixed.Value(int64(pv[0])).Float()
 	if price < r.cfg.Params.PriceFloor-1e-9 || price > r.cfg.Params.PriceCeil+1e-9 {
-		return 0, 0, &frameError{from: ros.hb, tag: tagPrice, err: fmt.Errorf("price %.4f outside [%v, %v]", price, r.cfg.Params.PriceFloor, r.cfg.Params.PriceCeil)}
+		return 0, 0, &WindowError{Peer: ros.hb, Tag: tagPrice, Err: fmt.Errorf("price %.4f outside [%v, %v]", price, r.cfg.Params.PriceFloor, r.cfg.Params.PriceCeil)}
 	}
 	return price, 0, nil
 }

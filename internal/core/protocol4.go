@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -167,7 +168,7 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 			}
 		}
 		r.workers.Go(&wg, func() {
-			r.ratiosFromMasked(ids[lo:hi], cts[lo:hi], vals[lo:hi], errs[lo:hi], width)
+			r.ratiosFromMasked(ids[lo:hi], cts[lo:hi], vals[lo:hi], errs[lo:hi], width, tagMasked)
 		})
 	}
 	wg.Wait()
@@ -179,7 +180,7 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 	for i, id := range ids {
 		j := sort.SearchStrings(demandSide, id)
 		if placed[j] {
-			return nil, fmt.Errorf("duplicate masked sender %s", id)
+			return nil, &WindowError{Peer: id, Tag: tagMasked, Err: errors.New("duplicate sender")}
 		}
 		placed[j], ratios[j] = true, vals[i]
 		if errs[i] != nil && j < failedAt {
@@ -194,7 +195,7 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 		sum += v
 	}
 	if math.Abs(sum-1) > paymentTolerance {
-		return nil, &RatioSumError{Window: r.window, Sum: sum}
+		return nil, &RatioSumError{Sum: sum}
 	}
 
 	payload := encodeRatios(ratios)
@@ -206,27 +207,25 @@ func (r *windowRun) collectRatios(ctx context.Context, demandSide, supplySide []
 	return ratios, nil
 }
 
-// ratiosFromMasked decrypts one batch of masked values as a single packed
-// plaintext and turns every slot into its sender's allocation ratio. A batch
-// that fails is reopened one member at a time, so errs[i] names each member
-// at fault rather than the batch it arrived in.
-func (r *windowRun) ratiosFromMasked(from []string, cts []*paillier.Ciphertext, ratios []float64, errs []error, width int) {
+// ratiosFromMasked decrypts one batch of masked values, sent under tag, as a
+// single packed plaintext and turns every slot into its sender's allocation
+// ratio. A batch that fails is reopened one member at a time, so errs[i]
+// names each member at fault rather than the batch it arrived in.
+func (r *windowRun) ratiosFromMasked(from []string, cts []*paillier.Ciphertext, ratios []float64, errs []error, width int, tag string) {
 	masked, err := r.key.DecryptSlots(cts, width)
-	if err != nil {
-		err = fmt.Errorf("decrypt masked from %v: %w", from, err)
-	}
 	for i := 0; err == nil && i < len(masked); i++ {
 		if ratios[i], err = fixed.RatioFromMasked(masked[i]); err == nil {
 			err = checkRatio(ratios[i])
 		}
-		if err != nil {
-			err = fmt.Errorf("ratio from %s: %w", from[i], err)
-		}
 	}
-	if errs[0] = err; err != nil && len(cts) > 1 {
+	switch {
+	case err == nil:
+	case len(cts) > 1:
 		for i := range cts {
-			r.ratiosFromMasked(from[i:i+1], cts[i:i+1], ratios[i:i+1], errs[i:i+1], width)
+			r.ratiosFromMasked(from[i:i+1], cts[i:i+1], ratios[i:i+1], errs[i:i+1], width, tag)
 		}
+	default:
+		errs[0] = &WindowError{Peer: from[0], Tag: tag, Err: err}
 	}
 }
 
@@ -329,7 +328,7 @@ func (r *windowRun) exchangeAsDemander(ctx context.Context, kind market.Kind, pr
 	}
 	e := fixed.Value(int64(ew[0])).Float()
 	if e < 0 {
-		return &frameError{from: peer, tag: tagEnergy, err: fmt.Errorf("negative energy %g", e)}
+		return &WindowError{Peer: peer, Tag: tagEnergy, Err: fmt.Errorf("negative energy %g", e)}
 	}
 	var replyVal float64
 	if kind == market.GeneralMarket {
@@ -352,15 +351,14 @@ const paymentTolerance = 1e-4
 // sum to 1 within paymentTolerance: trading on them would allocate a member
 // more or less than its surplus. Shares within fixed.MaxShare keep an
 // honest sum within ≈ 8.4e-6 of 1, so only a tampered masked value gets
-// here.
+// here. It is the cause of the window's *WindowError, which names the window.
 type RatioSumError struct {
-	Window int     // the refused trading window
-	Sum    float64 // what its decoded ratios summed to
+	Sum float64 // what the decoded ratios summed to
 }
 
-// Error names the window and the sum.
+// Error names the sum.
 func (e *RatioSumError) Error() string {
-	return fmt.Sprintf("core: window %d: allocation ratios sum to %.6f, not 1", e.Window, e.Sum)
+	return fmt.Sprintf("allocation ratios sum to %.6f, not 1", e.Sum)
 }
 
 // ratioSlack bounds how far above 1 a decoded allocation ratio may land.

@@ -32,16 +32,50 @@ type WindowJob struct {
 	Inputs []market.WindowInput
 }
 
-// WindowError wraps a failure with the window it occurred in.
+// WindowError is the one failure type of a trading window. Each field is
+// set once, where it is known; a refusal before the first frame (a share
+// above fixed.MaxShare, a wrong input count) carries its Window alone.
 type WindowError struct {
-	// Window is the trading window that failed.
-	Window int
-	// Err is the underlying failure.
-	Err error
+	Window int    // the failed window, set by the scheduler or RunTradingWindow
+	Party  string // the failing party, set by its runWindow
+	Phase  string // roles, market evaluation, pricing or distribution
+	Peer   string // who sent the refused frame; empty if a receive got none
+	Tag    string // the refused frame's scoped tag
+	Err    error  // the cause; nil for a frame of the wrong length
+
+	got, want int // a wrong-length frame's bytes and its phase's width
 }
 
-// Error formats the failure with its window number.
-func (e *WindowError) Error() string { return fmt.Sprintf("core: window %d: %v", e.Window, e.Err) }
+// asWindowError returns err as a window's one *WindowError, for a layer to
+// set its own fields on: a refused frame already is one, any other cause
+// becomes the Err of a new one.
+func asWindowError(err error) *WindowError {
+	if we, ok := err.(*WindowError); ok {
+		return we
+	}
+	return &WindowError{Err: err}
+}
+
+// Error names the window, the party, the phase and the frame, each once
+// when set, then the cause.
+func (e *WindowError) Error() string {
+	b := fmt.Appendf(nil, "core: window %d: ", e.Window)
+	if e.Party != "" {
+		b = fmt.Appendf(b, "party %s: ", e.Party)
+	}
+	if e.Phase != "" {
+		b = fmt.Appendf(b, "%s: ", e.Phase)
+	}
+	switch {
+	case e.Peer != "" && e.Err == nil:
+		return string(fmt.Appendf(b, "frame %s from %s has %d bytes, want %d", e.Tag, e.Peer, e.got, e.want))
+	case e.Peer != "":
+		b = fmt.Appendf(b, "frame %s from %s: ", e.Tag, e.Peer)
+	case e.Tag != "":
+		b = fmt.Appendf(b, "frame %s: ", e.Tag)
+	}
+	return string(fmt.Append(b, e.Err))
+}
 
 // Unwrap supports errors.Is/As.
 func (e *WindowError) Unwrap() error { return e.Err }
@@ -198,7 +232,9 @@ func (e *Engine) runScheduled(ctx context.Context, job WindowJob) (*WindowResult
 	defer e.endWindow()
 	res, err := e.runOne(ctx, job.Window, job.Inputs)
 	if err != nil {
-		return nil, &WindowError{Window: job.Window, Err: err}
+		we := asWindowError(err)
+		we.Window = job.Window
+		return nil, we
 	}
 	return res, nil
 }

@@ -334,9 +334,10 @@ func tamperMasked(t *testing.T, eng *Engine, with map[string]*big.Int) {
 // bound no honest window reaches those refusals (TestShareBound trades the
 // widest one), so each is reached here by rewriting masked products in the
 // bound window, on both backends and topologies. Every member's value at
-// 2·10^12 decodes to a ratio of 0.5 and the six sum to 3: a RatioSumError.
-// One value of 0 is the zero-reciprocal refusal, and one of −1 does not fit
-// its slot (paillier.ErrSlotOverflow); both name the member that sent it.
+// 2·10^12 decodes to a ratio of 0.5 and the six sum to 3: a RatioSumError,
+// whose message names the window once. One value of 0 is the
+// zero-reciprocal refusal, and one of −1 does not fit its slot
+// (paillier.ErrSlotOverflow); both name the member that sent it as Peer.
 func TestPackedRatiosAtMaxMagnitude(t *testing.T) {
 	agents := testAgents(8)
 	var old [2][]market.WindowInput
@@ -353,13 +354,15 @@ func TestPackedRatiosAtMaxMagnitude(t *testing.T) {
 	}{
 		{map[string]*big.Int{"a02": half, "a03": half, "a04": half, "a05": half, "a06": half, "a07": half}, func(err error) bool {
 			var sumErr *RatioSumError
-			return errors.As(err, &sumErr) && sumErr.Sum == 3
+			return errors.As(err, &sumErr) && sumErr.Sum == 3 && strings.Count(err.Error(), "window 0") == 1
 		}},
 		{map[string]*big.Int{"a04": new(big.Int)}, func(err error) bool {
-			return strings.Contains(err.Error(), "ratio from a04: fixed: masked ratio must be positive")
+			var we *WindowError
+			return errors.As(err, &we) && we.Peer == "a04" && strings.HasPrefix(we.Err.Error(), "fixed: masked ratio must be positive")
 		}},
 		{map[string]*big.Int{"a04": big.NewInt(-1)}, func(err error) bool {
-			return errors.Is(err, paillier.ErrSlotOverflow) && strings.Contains(err.Error(), "from [a04]")
+			var we *WindowError
+			return errors.Is(err, paillier.ErrSlotOverflow) && errors.As(err, &we) && we.Peer == "a04"
 		}},
 	}
 	cfg := testConfig(9102)
@@ -387,7 +390,8 @@ func TestPackedRatiosAtMaxMagnitude(t *testing.T) {
 				tamperMasked(t, eng, c.with)
 				_, err = eng.RunWindow(t.Context(), 0, boundWindow())
 				eng.Close()
-				if err == nil || !c.check(err) {
+				var we *WindowError
+				if !errors.As(err, &we) || we.Window != 0 || we.Phase != "distribution" || !c.check(err) {
 					t.Errorf("%s/%s case %d: err = %v", backend, topo, i, err)
 				}
 			}
@@ -418,7 +422,8 @@ func TestPackedRatiosNameLowestMember(t *testing.T) {
 			tamperMasked(t, eng, map[string]*big.Int{"a04": wide, "a03": wide})
 			_, err = eng.RunWindow(t.Context(), 0, boundWindow())
 			eng.Close()
-			if err == nil || !strings.Contains(err.Error(), "from [a03]") {
+			var we *WindowError
+			if !errors.As(err, &we) || we.Peer != "a03" {
 				t.Fatalf("%s run %d: err = %v, want a refusal naming a03", backend, run, err)
 			}
 			if run == 0 && backend == BackendPaillier {

@@ -161,7 +161,9 @@ func (p *Party) RunTradingWindow(ctx context.Context, window int, input market.W
 	}
 	out, err := p.runWindow(ctx, window, input)
 	if err != nil {
-		return nil, &WindowError{Window: window, Err: err}
+		we := asWindowError(err)
+		we.Window = window
+		return nil, we
 	}
 	return out, nil
 }

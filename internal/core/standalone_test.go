@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pem-go/pem/internal/fixed"
 	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/transport"
 )
@@ -163,5 +164,76 @@ func TestStandaloneSinkHoldsNoWindows(t *testing.T) {
 	}
 	if sink.TotalBytes() <= 0 || sink.TotalMessages() <= 0 {
 		t.Errorf("totals %d bytes over %d messages, want both > 0", sink.TotalBytes(), sink.TotalMessages())
+	}
+}
+
+// TestStandaloneWindowErrorFields: a standalone party's failed window is one
+// *WindowError whose fields name the window, the party, the phase, the peer
+// and the tag — here a role byte the peer's conn corrupts outside [1, top].
+// A share refused before the first frame, by an engine or a standalone
+// party, carries its window alone.
+func TestStandaloneWindowErrorFields(t *testing.T) {
+	const w = 3
+	agents := testAgents(2)
+	bus := transport.NewBus(nil)
+	fc := transport.NewFaultConn(bus.MustRegister(agents[0].ID))
+	fc.CorruptNextInWindow(w, "role", 1)
+	conns := []transport.Conn{fc, bus.MustRegister(agents[1].ID)}
+	peers := []string{agents[0].ID, agents[1].ID}
+	parties := make([]*Party, len(agents))
+	for i := range parties {
+		p, err := NewStandaloneParty(testConfig(11), agents[i], conns[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		parties[i] = p
+	}
+	errs := make([]error, len(parties))
+	var wg sync.WaitGroup
+	for i, p := range parties {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = p.ExchangeKeys(t.Context(), peers)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	inputs := []market.WindowInput{{Generation: 0.3}, {Load: 0.2}}
+	for i, p := range parties {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = p.RunTradingWindow(ctx, w, inputs[i])
+			cancel() // the sender waits on a receiver that has given up
+		}()
+	}
+	wg.Wait()
+	var we *WindowError
+	if !errors.As(errs[1], &we) || we.Window != w || we.Party != "a01" || we.Phase != "roles" ||
+		we.Peer != "a00" || we.Tag != transport.ScopedWindowTag("", w, "role") || we.Err == nil {
+		t.Fatalf("err = %v (%#v), want window %d, party a01, roles, a frame from a00 under its role tag", errs[1], we, w)
+	}
+
+	over := market.WindowInput{Load: (fixed.MaxShare + 1).Float()}
+	_, standaloneErr := parties[1].RunTradingWindow(t.Context(), w+1, over)
+	eng, err := NewEngine(testConfig(12), agents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	_, engineErr := eng.RunWindow(t.Context(), w+1, []market.WindowInput{inputs[0], over})
+	for path, err := range map[string]error{"standalone": standaloneErr, "engine": engineErr} {
+		var we *WindowError
+		if !errors.As(err, &we) || !errors.Is(err, market.ErrShareBound) || we.Window != w+1 ||
+			we.Party != "" || we.Phase != "" || we.Peer != "" || we.Tag != "" {
+			t.Errorf("%s: err = %v (%#v), want window %d's share refusal alone", path, err, we, w+1)
+		}
 	}
 }

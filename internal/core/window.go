@@ -154,9 +154,9 @@ func (r *windowRun) tag(parts string) string {
 }
 
 // runWindow is Protocol 1 from one party's perspective. A share above
-// fixed.MaxShare is refused before the first frame, naming the party; any
-// later failure names its phase, and the caller adds the window and, in an
-// engine, the party.
+// fixed.MaxShare is refused before the first frame, naming the agent in its
+// cause; any later failure is a *WindowError naming this party and its
+// phase, to which the caller adds the window.
 func (p *Party) runWindow(ctx context.Context, window int, input market.WindowInput) (*PartyOutcome, error) {
 	snFixed, err := input.Share(p.ID())
 	if err != nil {
@@ -167,12 +167,12 @@ func (p *Party) runWindow(ctx context.Context, window int, input market.WindowIn
 	r.role = market.ClassifyRole(input.NetEnergy()) // the sign of snFixed
 	r.nonce, err = r.drawNonce()
 	if err != nil {
-		return nil, err
+		return p.fail("", err)
 	}
 
 	// Phase 0: role announcement — coalition membership is public.
 	if err := r.announceRoles(ctx); err != nil {
-		return nil, fmt.Errorf("roles: %w", err)
+		return p.fail("roles", err)
 	}
 	out := &PartyOutcome{
 		Window:      window,
@@ -199,22 +199,29 @@ func (p *Party) runWindow(ctx context.Context, window int, input market.WindowIn
 	// Phase 1: Private Market Evaluation (Protocol 2).
 	out.Kind, err = r.privateMarketEvaluation(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("market evaluation: %w", err)
+		return p.fail("market evaluation", err)
 	}
 
 	// Phase 2: price discovery.
 	out.Price = p.cfg.Params.PriceFloor
 	if out.Kind == market.GeneralMarket {
 		if out.Price, out.pHat, err = r.privatePricing(ctx); err != nil {
-			return nil, fmt.Errorf("pricing: %w", err)
+			return p.fail("pricing", err)
 		}
 	}
 
 	// Phase 3: Private Distribution (Protocol 4).
 	if out.Trades, err = r.privateDistribution(ctx, out.Kind, out.Price); err != nil {
-		return nil, fmt.Errorf("distribution: %w", err)
+		return p.fail("distribution", err)
 	}
 	return out, nil
+}
+
+// fail names this party and the phase on a failure of its window run.
+func (p *Party) fail(phase string, err error) (*PartyOutcome, error) {
+	we := asWindowError(err)
+	we.Party, we.Phase = p.ID(), phase
+	return nil, we
 }
 
 // nonceBits is Protocol 2's masking width: each party's nonce r_i is drawn

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -231,61 +230,6 @@ func TestWindowInputsBounds(t *testing.T) {
 	}
 	if len(ins) != len(tr.Homes) {
 		t.Error("inputs length mismatch")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tr, err := Generate(Config{Homes: 4, Windows: 10, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Homes) != 4 || back.Windows != 10 {
-		t.Fatalf("round trip shapes: %d homes, %d windows", len(back.Homes), back.Windows)
-	}
-	for h := range tr.Homes {
-		if back.Homes[h].ID != tr.Homes[h].ID {
-			t.Errorf("home %d id mismatch", h)
-		}
-		if math.Abs(back.Homes[h].K-tr.Homes[h].K) > 1e-12 {
-			t.Errorf("home %d K mismatch", h)
-		}
-		for w := 0; w < tr.Windows; w++ {
-			if math.Abs(back.Gen[h][w]-tr.Gen[h][w]) > 1e-12 {
-				t.Errorf("gen mismatch at (%d,%d)", h, w)
-			}
-			if math.Abs(back.Battery[h][w]-tr.Battery[h][w]) > 1e-12 {
-				t.Errorf("battery mismatch at (%d,%d)", h, w)
-			}
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":       "",
-		"header only": "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\n",
-		"wrong width": "a,b\n1,2\n",
-		"bad number":  "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\nh1,x,1,1,0.9,0,0,0.1,0.1,0\n",
-		"bad window":  "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\nh1,1,1,1,0.9,0,zz,0.1,0.1,0\n",
-		"missing cell": "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\n" +
-			"a,1,1,1,0.9,0,0,0.1,0.1,0\na,1,1,1,0.9,0,2,0.1,0.1,0\nb,1,1,1,0.9,0,0,0.1,0.1,0\n",
-		"duplicate cell": "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\n" +
-			"a,1,1,1,0.9,0,0,0.1,0.1,0\na,1,1,1,0.9,0,0,0.2,0.1,0\n",
-		"nan": "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\nh1,1,1,1,0.9,0,0,NaN,0.1,0\n",
-		"inf": "home_id,solar_cap_kw,base_load_kw,k,epsilon,battery_cap_kwh,window,gen_kwh,load_kwh,battery_kwh\nh1,1,1,Inf,0.9,0,0,0.1,0.1,0\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: want error", name)
-		}
 	}
 }
 

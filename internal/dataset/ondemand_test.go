@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -128,8 +127,8 @@ func TestOnDemandSelectIsolation(t *testing.T) {
 
 // TestDayRowsMatchesMaterialize: DayRows returns, == by ==, the rows
 // Materialize stores, on every trace source — an eager Generate, an OnDemand
-// GenerateFleet, every epoch of an OnDemand Evolve under churn, a ReadCSV
-// trace and a lazy trace with one home already materialized. A pending home
+// GenerateFleet, every epoch of an OnDemand Evolve under churn and a lazy
+// trace with one home already materialized. A pending home
 // writes every window of a NaN-filled buffer and stays pending; a
 // materialized one returns its stored rows.
 func TestDayRowsMatchesMaterialize(t *testing.T) {
@@ -146,21 +145,13 @@ func TestDayRowsMatchesMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var csv bytes.Buffer
-	if err := eager.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	read, err := ReadCSV(&csv)
-	if err != nil {
-		t.Fatal(err)
-	}
 	partly, err := GenerateFleet(fc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	partly.materialize(4)
 
-	traces := map[string]*Trace{"generate": eager, "fleet": fleet, "csv": read, "partly": partly}
+	traces := map[string]*Trace{"generate": eager, "fleet": fleet, "partly": partly}
 	for _, ef := range evo.Epochs {
 		traces[fmt.Sprintf("evolve/%d", ef.Epoch)] = ef.Trace
 	}

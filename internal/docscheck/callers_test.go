@@ -31,7 +31,6 @@ var exportExceptions = map[string]string{
 	"paillier.PublicKey.AddPlain":             "the hybrid Protocol 4 tests forge totals with it; noise-flooding Protocol 4's ratios would build on it",
 	"ledger.Ledger.TamperForTest":             "the ledger tamper-detection tests in other packages",
 	"core.KeyRing.Holds":                      "the grid key-ring test's only view of eviction",
-	"dataset.ReadCSV":                         "the real-trace loader",
 	"dataset.Scenarios":                       "every preset, which the dataset's golden-digest and preset tests sweep",
 	"ot.TestGroup":                            "called by the frozen benchmark module's test",
 }

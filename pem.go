@@ -267,14 +267,16 @@ func (m *Market) Close() { m.engine.Close() }
 // ErrMarketClosed is returned for windows scheduled after Close.
 var ErrMarketClosed = core.ErrEngineClosed
 
-// WindowError tags a window-execution failure with its window number;
-// window failures returned by RunWindow, RunWindows, RunDay and StreamDay
-// unwrap to it via errors.As. Errors that are not one window's failure —
-// context cancellation before launch, ledger-append failures, a StreamDay
-// sink error — are returned as-is.
+// WindowError is a window's one failure type: its fields name the window,
+// the party, its Protocol 1 phase and a refused frame's peer and tag, each
+// empty where unknown. Window failures returned by RunWindow, RunWindows,
+// RunDay and StreamDay unwrap to it via errors.As. Errors that are not one
+// window's failure — context cancellation before launch, ledger-append
+// failures, a StreamDay sink error — are returned as-is.
 type WindowError = core.WindowError
 
-// RatioSumError refuses a window whose allocation ratios do not sum to 1.
+// RatioSumError refuses a window whose allocation ratios do not sum to 1;
+// it is the cause inside the window's WindowError, which names the window.
 type RatioSumError = core.RatioSumError
 
 // ErrShareBound refuses, before any frame, a window in which an agent's
