@@ -91,7 +91,7 @@ func TestWindowAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		backend  string
 		measured float64
-	}{{pem.BackendPaillier, 2283}, {pem.BackendHybrid, 546}} {
+	}{{pem.BackendPaillier, 2283}, {pem.BackendHybrid, 516}} {
 		t.Run(tc.backend, func(t *testing.T) {
 			seed := int64(21)
 			m, err := pem.NewMarket(pem.Config{KeyBits: 512, Seed: &seed, CryptoBackend: tc.backend}, agents)

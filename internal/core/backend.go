@@ -13,13 +13,13 @@ const (
 	// BackendPaillier runs every phase of Protocols 2–4 on Paillier
 	// homomorphic encryption, the paper's construction.
 	BackendPaillier = "paillier"
-	// BackendHybrid runs every sum of Protocols 2–4 and the Rb/Rs comparison
-	// on seeded additive masking over fixed-point integers, keeping Paillier
-	// only where a single party must decrypt: Protocol 4's demand total is
-	// summed under masks, converted to one ciphertext under Hs's key, and
-	// the masked-ratio step runs on that. Outcomes are bit-identical to
-	// BackendPaillier; the leakage differences are documented in DESIGN.md
-	// §7.
+	// BackendHybrid runs every sum of Protocols 2–4 on seeded additive
+	// masking over fixed-point integers (Protocol 2 is one fold that Hr1
+	// opens as E_b − E_s), keeping Paillier only where a single party must
+	// decrypt: Protocol 4's demand total is summed under masks, converted to
+	// one ciphertext under Hs's key, and the masked-ratio step runs on that.
+	// Outcomes are bit-identical to BackendPaillier; the leakage differences
+	// are documented in DESIGN.md §7.
 	BackendHybrid = "hybrid"
 )
 
@@ -28,8 +28,8 @@ const (
 // values are protected in transit. protocol{2,3,4}.go orchestrate *who*
 // performs each phase; a backend decides *how* a phase's values are hidden
 // (Paillier ciphertexts vs pairwise additive masks) and moves the bytes
-// through the window's wire path (frames.go). The seven methods are where
-// the backends differ; each states all seven and inherits none, and what
+// through the window's wire path (frames.go). The five methods are where
+// the backends differ; each states all five and inherits none, and what
 // both share — Protocol 4's step 2 — is a plain windowRun method.
 //
 // Every implementation must preserve two invariants the rest of the engine
@@ -38,20 +38,9 @@ const (
 // carried (fixed-width ciphertexts or fixed-width masked words), so netem's
 // byte and message accounting stays exact across backends.
 type cryptoBackend interface {
-	// aggregateSum is the member side of a Protocol 2 masked sum: fold this
-	// party's contribution into the running total along the configured
-	// topology (ring or tree) over order, delivering the result to sink —
-	// who is also the party allowed to learn the total.
-	aggregateSum(ctx context.Context, r *windowRun, order []string, sink, tag string, contribution *big.Int) error
-	// collectSum is the sink side of aggregateSum: recover the plaintext
-	// total of the members' contributions.
-	collectSum(ctx context.Context, r *windowRun, order []string, tag string) (*big.Int, error)
-
-	// compareTotals decides the market kind from the nonce-masked totals:
-	// Hr1 supplies Rb, Hr2 supplies Rs (masked is this party's own total;
-	// zero for everyone else), and all parties return the same one-bit
-	// outcome: general iff Rb > Rs.
-	compareTotals(ctx context.Context, r *windowRun, masked uint64) (market.Kind, error)
+	// marketKind is Protocol 2: every party returns the same market kind,
+	// general iff E_b > E_s, without anyone learning E_b or E_s.
+	marketKind(ctx context.Context, r *windowRun) (market.Kind, error)
 
 	// pricingFold is one seller's step of the fused Protocol 3 pass: fold
 	// the pair (k_i, g_i+1+ε_i·b_i−b_i) into the running pair along the

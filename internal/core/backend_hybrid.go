@@ -18,15 +18,14 @@ import (
 // additive masking and keeps Paillier only where one party must decrypt
 // what others computed:
 //
-//   - the Protocol 2 sum rounds and the fused Protocol 3 pair pass fold
-//     uint64 shares masked by pairwise PRF masks shared with the sink, along
+//   - Protocol 2's round A and the fused Protocol 3 pair pass fold uint64
+//     shares masked by pairwise PRF masks shared with the sink, along
 //     exactly the same ring/tree message pattern as the Paillier fold (same
 //     senders, same receivers, same message count — only the frame shrinks
 //     from a fixed-width ciphertext to a fixed 8- or 16-byte word);
-//   - the Rb/Rs decision becomes a masked compare: Hr2 hands its
-//     nonce-masked total to Hr1, who compares and broadcasts the one-bit
-//     outcome (leaking Rb−Rs = E_b−E_s to Hr1 — the designed trade-off
-//     documented in DESIGN.md §7);
+//   - Protocol 2 ends there: round A folds −sn_i, so Hr1 opens E_b − E_s
+//     and broadcasts the kind (the designed trade-off documented in
+//     DESIGN.md §7);
 //   - Protocol 4's opening sum is a masked fold too: the demand side folds
 //     |sn_j| under 128-bit masks shared with Hs and the aggregation root
 //     keeps the masked total M; Hs sends the root one Enc_hs(−Σμ_j), and the
@@ -162,60 +161,47 @@ func (r *windowRun) maskedCollect(ctx context.Context, order []string, tag strin
 	return maskedShare{total[0] - masks[0], total[1] - masks[1]}, err
 }
 
-func (hybridBackend) aggregateSum(ctx context.Context, r *windowRun, order []string, sink, tag string, contribution *big.Int) error {
-	w, err := int64Word(contribution, "contribution")
-	if err != nil {
-		return err
-	}
-	m0, m1, err := r.maskWords(sink, tag)
-	if err != nil {
-		return err
-	}
-	return r.maskedFoldTo(ctx, order, sink, tag, shapeWord, maskedShare{w + m0, m1})
-}
-
-func (hybridBackend) collectSum(ctx context.Context, r *windowRun, order []string, tag string) (*big.Int, error) {
-	total, err := r.maskedCollect(ctx, order, tag, shapeWord)
-	if err != nil {
-		return nil, err
-	}
-	return big.NewInt(int64(total[0])), nil
-}
-
-// compareTotals is the masked compare: Hr2 hands its nonce-masked total Rs
-// to Hr1, who decides general iff Rb > Rs and broadcasts the one-bit
-// outcome to everyone (Hr2 included — unlike the garbled-circuit path it
-// does not learn the bit as a protocol by-product).
-func (hybridBackend) compareTotals(ctx context.Context, r *windowRun, masked uint64) (market.Kind, error) {
+// marketKind is Protocol 2 as one masked fold toward Hr1: every party with
+// a role but Hr1 folds −sn_i under the mask it shares with Hr1, along round
+// A's order, and Hr1 opens E_b − E_s, adds its own −sn and broadcasts the
+// kind — general iff the total is positive, so a tie is extreme, as Rb > Rs
+// has it. Hr1 learns E_b − E_s (DESIGN.md §7). No member's share exceeds
+// fixed.MaxShare, so a total beyond max(b, s)·MaxShare in magnitude is a
+// tampered fold and is refused; below 2^39 members the bound is under 2^63
+// and the mod-2^64 total cannot wrap.
+func (hybridBackend) marketKind(ctx context.Context, r *windowRun) (market.Kind, error) {
 	ros := r.ros
-	cmpTag := r.tag("pme/cmp")
-	kindTag := r.tag("pme/kind")
-
-	switch r.ID() {
-	case ros.hr1:
-		rs, err := r.recvShare(ctx, ros.hr2, cmpTag, shapeWord.words)
+	tag, kindTag := r.tag("pme/rb"), r.tag("pme/kind")
+	order := r.roundOrder(&r.ringABuf, ros.buyers, ros.sellers, ros.hr1)
+	neg := uint64(-int64(r.snFixed))
+	switch {
+	case r.ID() == ros.hr1:
+		total, err := r.maskedCollect(ctx, order, tag, shapeWord)
 		if err != nil {
 			return 0, err
 		}
+		diff := int64(total[0] + neg)
+		bound := int64(max(len(ros.buyers), len(ros.sellers))) * int64(fixed.MaxShare)
+		if diff > bound || diff < -bound {
+			return 0, fmt.Errorf("masked total pme/rb out of range: %d", diff)
+		}
 		kind := market.ExtremeMarket
-		if masked > rs[0] {
+		if diff > 0 {
 			kind = market.GeneralMarket
 		}
 		msg := [1]byte{byte(kind)}
-		if err := r.broadcast(ctx, ros.all, kindTag, msg[:]); err != nil {
+		return kind, r.broadcast(ctx, ros.all, kindTag, msg[:])
+	case r.role != market.RoleOff:
+		m, _, err := r.maskWords(ros.hr1, tag)
+		if err == nil {
+			err = r.maskedFoldTo(ctx, order, ros.hr1, tag, shapeWord, maskedShare{neg + m})
+		}
+		if err != nil {
 			return 0, err
 		}
-		return kind, nil
-
-	default:
-		if r.ID() == ros.hr2 {
-			if err := r.sendShare(ctx, ros.hr1, cmpTag, shapeWord.words, maskedShare{masked}); err != nil {
-				return 0, err
-			}
-		}
-		kind, err := r.recvKind(ctx, ros.hr1, kindTag, byte(market.ExtremeMarket))
-		return market.Kind(kind), err
 	}
+	kind, err := r.recvKind(ctx, ros.hr1, kindTag, byte(market.ExtremeMarket))
+	return market.Kind(kind), err
 }
 
 func (hybridBackend) pricingFold(ctx context.Context, r *windowRun, tag string, k, term *big.Int) error {

@@ -6,15 +6,13 @@ import (
 	"math/big"
 
 	"github.com/pem-go/pem/internal/fixed"
-	"github.com/pem-go/pem/internal/gc"
-	"github.com/pem-go/pem/internal/market"
 	"github.com/pem-go/pem/internal/paillier"
 )
 
 // paillierBackend is the paper's construction: every aggregation folds
 // Paillier ciphertexts under the sink's key, the Rb/Rs decision runs the
-// garbled-circuit comparator between Hr1 and Hr2, and Protocol 4 uses the
-// encrypted reciprocal trick. Its sums are its own methods over the fold
+// garbled-circuit comparator between Hr1 and Hr2 (protocol2.go), and
+// Protocol 4 uses the encrypted reciprocal trick. Its sums are its own methods over the fold
 // hops it shares with the hybrid backend (rings.go).
 type paillierBackend struct{}
 
@@ -43,56 +41,6 @@ func (paillierBackend) collectSum(ctx context.Context, r *windowRun, order []str
 		return nil, err
 	}
 	return r.key.Decrypt(&ct)
-}
-
-// compareTotals runs the secure comparison between Hr1 (garbler, input Rb)
-// and Hr2 (evaluator, input Rs): general market iff Rb > Rs ⇔ E_b > E_s.
-// Rb − Rs = E_b − E_s, bounded by the public share bound, so the circuit
-// decides its sign from the totals' low fixed.ComparatorBits bits. Hr1 then
-// announces the public one-bit outcome to everyone except Hr2, who learned
-// it inside the comparison.
-func (paillierBackend) compareTotals(ctx context.Context, r *windowRun, masked uint64) (market.Kind, error) {
-	ros := r.ros
-	opts := gc.ProtocolOptions{Random: r.random}
-	bits := fixed.ComparatorBits(max(len(ros.buyers), len(ros.sellers)))
-	session := r.tag("pme/cmp")
-	kindTag := r.tag("pme/kind")
-
-	switch r.ID() {
-	case ros.hr1:
-		res, err := gc.SecureSignGarbler(ctx, r.conn, ros.hr2, session, masked, bits, opts)
-		if err != nil {
-			return 0, fmt.Errorf("secure comparison: %w", err)
-		}
-		kind := market.ExtremeMarket
-		if res == gc.LeftGreater {
-			kind = market.GeneralMarket
-		}
-		msg := []byte{byte(kind)}
-		for _, id := range ros.all {
-			if id == r.ID() || id == ros.hr2 {
-				continue
-			}
-			if err := r.conn.Send(ctx, id, kindTag, msg); err != nil {
-				return 0, err
-			}
-		}
-		return kind, nil
-
-	case ros.hr2:
-		res, err := gc.SecureSignEvaluator(ctx, r.conn, ros.hr1, session, masked, bits, opts)
-		if err != nil {
-			return 0, fmt.Errorf("secure comparison: %w", err)
-		}
-		if res == gc.LeftGreater {
-			return market.GeneralMarket, nil
-		}
-		return market.ExtremeMarket, nil
-
-	default:
-		kind, err := r.recvKind(ctx, ros.hr1, kindTag, byte(market.ExtremeMarket))
-		return market.Kind(kind), err
-	}
 }
 
 // pricingFold packs the seller's pair into one plaintext — k_i ≥ 0 in the

@@ -10,7 +10,8 @@
 //     the underlying net energy is not),
 //  2. run Private Market Evaluation (Protocol 2): two nonce-masked Paillier
 //     ring aggregations followed by a garbled-circuit comparison of the
-//     masked totals Rb and Rs,
+//     masked totals Rb and Rs (the hybrid backend: one masked fold whose
+//     sink opens E_b − E_s),
 //  3. in a general market, run Private Pricing (Protocol 3): ring
 //     aggregation of the sellers' k_i and g_i+1+ε_i·b_i−b_i under a random
 //     buyer's key, who computes and broadcasts the clamped equilibrium
@@ -61,11 +62,11 @@ type Config struct {
 	// CryptoBackend selects the window crypto layer: "paillier" (default;
 	// the paper's construction — every phase on homomorphic encryption plus
 	// the garbled-circuit comparison) or "hybrid" (every sum of Protocols
-	// 2–4 and the Rb/Rs comparison on seeded additive masking, Paillier kept
-	// only for Protocol 4's single-decryptor ratio step and the two
-	// encryptions that hand it the masked total). Outcomes are bit-identical;
-	// the hybrid backend trades the comparison's privacy (Hr1 learns
-	// E_b−E_s) for a ≈ 3× (32 homes, 1024-bit keys) to ≈ 5× (8 homes)
+	// 2–4 on seeded additive masking, Protocol 2 one fold that Hr1 opens as
+	// E_b−E_s, Paillier kept only for Protocol 4's single-decryptor ratio
+	// step and the two encryptions that hand it the masked total). Outcomes
+	// are bit-identical; the hybrid backend trades Protocol 2's privacy (Hr1
+	// learns E_b−E_s) for a ≈ 3× (32 homes, 1024-bit keys) to ≈ 5× (8 homes)
 	// window speedup — see DESIGN.md §7.
 	CryptoBackend string
 	// Aggregation selects the encrypted-sum topology for the masked ring

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"maps"
 	"math/big"
 	"strings"
@@ -418,7 +419,7 @@ func TestRejectsMalformedFrames(t *testing.T) {
 			[]string{"role", "pme/kind", "pp/price", "pd/ratios", "pd/energy", "pd/reply"}},
 		{BackendHybrid,
 			[]string{"pd/unmask", "pd/total", "pd/masked"},
-			[]string{"role", "pme/rb", "pme/rs", "pme/cmp", "pme/kind", "pp/ring", "pp/price", "pd/ring", "pd/ratios", "pd/energy", "pd/reply"}},
+			[]string{"role", "pme/rb", "pme/kind", "pp/ring", "pp/price", "pd/ring", "pd/ratios", "pd/energy", "pd/reply"}},
 	} {
 		for _, phase := range b.ciphers {
 			rows = append(rows, row{b.backend, phase + " short", phase, short, false}, row{b.backend, phase + " long", phase, wide, false})
@@ -515,69 +516,133 @@ func TestWindowErrorNamesEachLayerOnce(t *testing.T) {
 // TestMaskedTotalOutOfRange sends each Protocol 2 round's sink a well-formed
 // last hop whose opened total is negative — under hybrid the word with its
 // top bit flipped, under paillier Enc(−2^62) under the sink's key — on both
-// topologies. The window fails in market evaluation naming the round and
-// trades nothing, and the engine's next window completes.
+// topologies. Hybrid has one round, whose sink Hr1 also refuses a last hop
+// that opens E_b − E_s at max(b, s)·fixed.MaxShare + 1, which a [0, 2^64)
+// check would pass. The window fails in market evaluation naming the round
+// and trades nothing, and the engine's next window completes.
 func TestMaskedTotalOutOfRange(t *testing.T) {
-	for _, backend := range []string{BackendPaillier, BackendHybrid} {
+	const m = 3 // max(b, s): two sellers, three buyers
+	for _, tc := range []struct {
+		backend, phase string
+		wide           bool
+	}{
+		{BackendPaillier, "pme/rb", false},
+		{BackendPaillier, "pme/rs", false},
+		{BackendHybrid, "pme/rb", false},
+		{BackendHybrid, "pme/rb", true},
+	} {
 		for _, topo := range []string{AggregationRing, AggregationTree} {
-			for _, phase := range []string{"pme/rb", "pme/rs"} {
-				t.Run(backend+"/"+topo+"/"+phase, func(t *testing.T) {
-					f := newP4Fixture(t, backend, 9600, 3, topo)
-					sellers := []string{"a00", "a01"}
-					sink := sellers[publicCoin(0, "hr1", sellers, f.buyers, len(sellers))]
-					if phase == "pme/rs" {
-						sink = f.buyers[publicCoin(0, "hr2", sellers, f.buyers, len(f.buyers))]
-					}
-					var pk *paillier.PublicKey
-					for _, p := range f.eng.parties {
-						if p.ID() == sink {
-							pk = &p.key.PublicKey
-						}
-					}
-					var mu sync.Mutex
-					on, hits := true, 0
-					rewriteFrames(f.eng, func(_, to, ph string, p []byte) []byte {
-						mu.Lock()
-						defer mu.Unlock()
-						if !on || ph != phase || to != sink {
-							return p
-						}
-						hits++
-						if backend == BackendHybrid {
-							out := bytes.Clone(p)
-							out[0] ^= 0x80
-							return out
-						}
-						ct, err := pk.Encrypt(nil, big.NewInt(-1<<62))
-						if err == nil {
-							p, err = ct.AppendFixed(nil, pk)
-						}
-						if err != nil {
-							panic(err)
-						}
-						return p
-					})
-
-					res, err := f.run()
-					var we *WindowError
-					want := "masked total " + phase + " out of range: -"
-					if !errors.As(err, &we) || we.Window != 0 || we.Party != sink || we.Phase != "market evaluation" ||
-						we.Peer != "" || we.Tag != "" || !strings.HasPrefix(we.Err.Error(), want) || res != nil {
-						t.Fatalf("res = %v, err = %v; want a *WindowError for window 0, party %s, market evaluation, caused by %q", res, err, sink, want)
-					}
-					mu.Lock()
-					on = false
-					if hits != 1 {
-						t.Errorf("%d last hops to %s under %s, want 1", hits, sink, phase)
-					}
-					mu.Unlock()
-					ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
-					defer cancel()
-					if res, err := f.eng.RunWindow(ctx, 1, f.inputs); err != nil || len(res.Trades) == 0 {
-						t.Fatalf("next window: %v, err = %v", res, err)
-					}
-				})
+			name := tc.backend + "/" + topo + "/" + tc.phase
+			want := "masked total " + tc.phase + " out of range: -"
+			if tc.wide {
+				name += "/wide"
+				want = fmt.Sprintf("masked total %s out of range: %d", tc.phase, m*fixed.MaxShare+1)
 			}
+			t.Run(name, func(t *testing.T) {
+				f := newP4Fixture(t, tc.backend, 9600, m, topo)
+				sellers := []string{"a00", "a01"}
+				sink := sellers[publicCoin(0, "hr1", sellers, f.buyers, len(sellers))]
+				if tc.phase == "pme/rs" {
+					sink = f.buyers[publicCoin(0, "hr2", sellers, f.buyers, len(f.buyers))]
+				}
+				// The wide hop adds what takes the opened E_b − E_s to the bound + 1.
+				diff := f.eb.Int64()
+				for _, in := range f.inputs[:2] {
+					sn, err := fixed.FromFloat(in.NetEnergy())
+					if err != nil {
+						t.Fatal(err)
+					}
+					diff -= int64(sn)
+				}
+				delta := uint64(m*int64(fixed.MaxShare) + 1 - diff)
+				var pk *paillier.PublicKey
+				for _, p := range f.eng.parties {
+					if p.ID() == sink {
+						pk = &p.key.PublicKey
+					}
+				}
+				var mu sync.Mutex
+				on, hits := true, 0
+				rewriteFrames(f.eng, func(_, to, ph string, p []byte) []byte {
+					mu.Lock()
+					defer mu.Unlock()
+					if !on || ph != tc.phase || to != sink {
+						return p
+					}
+					hits++
+					if tc.backend == BackendHybrid {
+						out := bytes.Clone(p)
+						if tc.wide {
+							binary.BigEndian.PutUint64(out, binary.BigEndian.Uint64(out)+delta)
+						} else {
+							out[0] ^= 0x80
+						}
+						return out
+					}
+					ct, err := pk.Encrypt(nil, big.NewInt(-1<<62))
+					if err == nil {
+						p, err = ct.AppendFixed(nil, pk)
+					}
+					if err != nil {
+						panic(err)
+					}
+					return p
+				})
+
+				res, err := f.run()
+				var we *WindowError
+				if !errors.As(err, &we) || we.Window != 0 || we.Party != sink || we.Phase != "market evaluation" ||
+					we.Peer != "" || we.Tag != "" || !strings.HasPrefix(we.Err.Error(), want) || res != nil {
+					t.Fatalf("res = %v, err = %v; want a *WindowError for window 0, party %s, market evaluation, caused by %q", res, err, sink, want)
+				}
+				mu.Lock()
+				on = false
+				if hits != 1 {
+					t.Errorf("%d last hops to %s under %s, want 1", hits, sink, tc.phase)
+				}
+				mu.Unlock()
+				ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+				defer cancel()
+				if res, err := f.eng.RunWindow(ctx, 1, f.inputs); err != nil || len(res.Trades) == 0 {
+					t.Fatalf("next window: %v, err = %v", res, err)
+				}
+			})
+		}
+	}
+}
+
+// TestReplyRefusalFields adds 1 000 µ-units to every pd/reply frame on both
+// backends, in a general window (buyers pay sellers) and an extreme one
+// (sellers confirm what buyers routed). A supplier refuses the reply with a
+// *WindowError whose Peer and Tag name the replying member and the reply
+// tag, and whose text names the frame once.
+func TestReplyRefusalFields(t *testing.T) {
+	for _, backend := range []string{BackendPaillier, BackendHybrid} {
+		for _, kind := range []market.Kind{market.GeneralMarket, market.ExtremeMarket} {
+			t.Run(backend+"/"+kind.String(), func(t *testing.T) {
+				f := newP4Fixture(t, backend, 9700, 3, AggregationRing)
+				sellers := []string{"a00", "a01"}
+				suppliers, repliers, cause := sellers, f.buyers, "paid "
+				if kind == market.ExtremeMarket {
+					f.inputs[0].Generation, f.inputs[1].Generation = 1, 1.1
+					suppliers, repliers, cause = f.buyers, sellers, "confirmed "
+				}
+				rewriteFrames(f.eng, func(_, _, phase string, p []byte) []byte {
+					if phase != "pd/reply" {
+						return p
+					}
+					out := bytes.Clone(p)
+					binary.BigEndian.PutUint64(out, binary.BigEndian.Uint64(out)+1000)
+					return out
+				})
+				res, err := f.run()
+				var we *WindowError
+				if !errors.As(err, &we) || res != nil || we.Window != 0 || !contains(suppliers, we.Party) ||
+					we.Phase != "distribution" || !contains(repliers, we.Peer) || we.Tag != "w0/pd/reply" ||
+					!strings.Contains(err.Error(), "distribution: frame w0/pd/reply from "+we.Peer+": "+cause) {
+					t.Fatalf("res = %v, err = %#v (%v); want a supplier's *WindowError naming a replier and w0/pd/reply, caused by %q", res, we, err, cause)
+				}
+			})
 		}
 	}
 }

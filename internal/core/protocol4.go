@@ -307,13 +307,13 @@ func (r *windowRun) exchangeAsSupplier(ctx context.Context, kind market.Kind, pr
 	if kind == market.GeneralMarket {
 		// Seller initiated; the reply is the buyer's payment.
 		if diff := reply - e*price; diff > paymentTolerance || diff < -paymentTolerance {
-			return market.Trade{}, fmt.Errorf("%s paid %.6f for %.6f kWh at %.4f", peer, reply, e, price)
+			return market.Trade{}, &WindowError{Peer: peer, Tag: tagReply, Err: fmt.Errorf("paid %.6f for %.6f kWh at %.4f", reply, e, price)}
 		}
 		return market.Trade{Seller: r.ID(), Buyer: peer, Energy: e, Payment: reply}, nil
 	}
 	// Buyer initiated; the reply confirms the routed energy.
 	if diff := reply - e; diff > paymentTolerance || diff < -paymentTolerance {
-		return market.Trade{}, fmt.Errorf("%s confirmed %.6f of %.6f kWh", peer, reply, e)
+		return market.Trade{}, &WindowError{Peer: peer, Tag: tagReply, Err: fmt.Errorf("confirmed %.6f of %.6f kWh", reply, e)}
 	}
 	return market.Trade{Seller: peer, Buyer: r.ID(), Energy: e, Payment: e * price}, nil
 }

@@ -20,10 +20,10 @@ import (
 // A Party owns exactly the state that outlives a trading window: its
 // Paillier key pair, the fleet key directory and its transport endpoint
 // (the idle-time pre-encryption pools live on the directory's keys, not
-// here). Everything window-scoped — roster, masking nonce, message tags,
-// the randomness stream feeding the garbled circuit — lives in a windowRun,
-// so several windows can be in flight on the same Party without sharing any
-// mutable state.
+// here). Everything window-scoped — roster, message tags, the randomness
+// stream feeding the masking nonce and the garbled circuit — lives in a
+// windowRun, so several windows can be in flight on the same Party without
+// sharing any mutable state.
 
 // Party is one agent's protocol endpoint.
 type Party struct {

@@ -461,8 +461,9 @@ func rewriteFrames(eng *Engine, f func(from, to, phase string, payload []byte) [
 // bytes) before the two sums shared a plaintext. On hybrid every sum is a
 // fixed 8- or 16-byte word — no ciphertext travels under Protocol 4's fold
 // tag — and the only ciphertexts are Hs's unmasking one, the broadcast
-// total and the masked products. On both, Hs's ratio vector is one 8-byte
-// word per demand-side member, sent to every other supply-side member.
+// total and the masked products; its Protocol 2 is round A's fold alone,
+// so no pme/rs or pme/cmp frame travels. On both, Hs's ratio vector is one
+// 8-byte word per demand-side member, sent to every other supply-side member.
 func TestPaillierFrameLengths(t *testing.T) {
 	type frames struct{ count, size int }
 	for _, tc := range []struct {
@@ -511,8 +512,8 @@ func TestPaillierFrameLengths(t *testing.T) {
 				}
 				if backend == BackendHybrid {
 					want["pme/rb"] = frames{sellers + buyers - 1, 8}
-					want["pme/rs"] = frames{sellers + buyers - 1, 8}
-					want["pme/cmp"] = frames{1, 8}
+					want["pme/rs"] = frames{0, 0}
+					want["pme/cmp"] = frames{0, 0}
 					want["pp/ring"] = frames{sellers, 16}
 					want["pd/ring"] = frames{buyers - 1, 16}
 					want["pd/unmask"] = frames{1, tc.fixedLen}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math/big"
 	"sort"
@@ -95,9 +94,7 @@ type windowRun struct {
 	// snFixed is the fixed-point net energy sn_i^t.
 	snFixed fixed.Value
 	role    market.Role
-	// nonce is the Protocol 2 masking nonce r_i, drawn once per window.
-	nonce uint64
-	ros   *roster
+	ros     *roster
 
 	// Protocol 4 scratch: the demand-side roster for this window and, for
 	// the ring broadcaster, its own copy of the encrypted total.
@@ -128,7 +125,6 @@ func (p *Party) getRun(window int, input market.WindowInput, snFixed fixed.Value
 	r.input = input
 	r.snFixed = snFixed
 	r.role = market.RoleOff
-	r.nonce = 0
 	return r
 }
 
@@ -165,10 +161,6 @@ func (p *Party) runWindow(ctx context.Context, window int, input market.WindowIn
 	r := p.getRun(window, input, snFixed)
 	defer p.putRun(r)
 	r.role = market.ClassifyRole(input.NetEnergy()) // the sign of snFixed
-	r.nonce, err = r.drawNonce()
-	if err != nil {
-		return p.fail("", err)
-	}
 
 	// Phase 0: role announcement — coalition membership is public.
 	if err := r.announceRoles(ctx); err != nil {
@@ -197,7 +189,7 @@ func (p *Party) runWindow(ctx context.Context, window int, input market.WindowIn
 	}
 
 	// Phase 1: Private Market Evaluation (Protocol 2).
-	out.Kind, err = r.privateMarketEvaluation(ctx)
+	out.Kind, err = r.backend.marketKind(ctx, r)
 	if err != nil {
 		return p.fail("market evaluation", err)
 	}
@@ -222,20 +214,6 @@ func (p *Party) fail(phase string, err error) (*PartyOutcome, error) {
 	we := asWindowError(err)
 	we.Party, we.Phase = p.ID(), phase
 	return nil, we
-}
-
-// nonceBits is Protocol 2's masking width: each party's nonce r_i is drawn
-// below 2^nonceBits. The garbled circuit sees only the masked totals' low
-// fixed.ComparatorBits bits.
-const nonceBits = 40
-
-// drawNonce samples the Protocol 2 masking nonce in [0, 2^nonceBits).
-func (r *windowRun) drawNonce() (uint64, error) {
-	var buf [8]byte
-	if _, err := r.random.Read(buf[:]); err != nil {
-		return 0, fmt.Errorf("draw nonce: %w", err)
-	}
-	return binary.BigEndian.Uint64(buf[:]) >> (64 - nonceBits), nil
 }
 
 // announceRoles broadcasts this party's role and collects everyone else's,

@@ -150,9 +150,10 @@ const (
 	// BackendPaillier runs every protocol step under Paillier homomorphic
 	// encryption with garbled-circuit comparison — the paper's construction.
 	BackendPaillier = core.BackendPaillier
-	// BackendHybrid replaces the Protocol 2–4 aggregations and comparison
-	// with seeded additive masking over fixed-width integer frames, keeping
-	// Paillier for Protocol 4's ratio step. Outcomes are bit-identical to
+	// BackendHybrid replaces the Protocol 2–4 aggregations with seeded
+	// additive masking over fixed-width integer frames (Protocol 2 is one
+	// fold that Hr1 opens as E_b − E_s), keeping Paillier for Protocol 4's
+	// ratio step. Outcomes are bit-identical to
 	// BackendPaillier; per-window cost drops ≈ 3× at 32 homes and 1024-bit
 	// keys, ≈ 5× on small coalitions.
 	BackendHybrid = core.BackendHybrid

@@ -309,10 +309,10 @@ var gridWANTraffic = map[string][]int64{
 		58902, 342, 2096512966,
 	},
 	pem.BackendHybrid: {
-		7506, 120, 1860702757, 16,
-		5355, 96, 1879463770, 14,
-		6447, 108, 1716647527, 15,
-		19308, 324, 1879463770,
+		6843, 108, 1417093728, 12,
+		4692, 84, 1362536533, 10,
+		5784, 96, 1292206598, 11,
+		17319, 288, 1417093728,
 	},
 }
 

@@ -39,16 +39,16 @@ var virtualGolden = map[string]string{
 	"paillier/tree/lossy":    "7d78d94b37208f2baf7238c993ba82fb1fba01d0955c596d41bfbe6bbc7d6534",
 	"paillier/tree/metro":    "e97a61f8291b1c92b1edc803bc497478acd283f06f628892f5e42690f26a80d7",
 	"paillier/tree/wan":      "9add83e76a16c3022babe8d4e7f9117d57317f8d88b091097dbf83927cdc09e9",
-	"hybrid/ring/cellular":   "0afd2eba006232e3661a022eba79428657b1923f0c0e3ca3e8b3b0048b44eb53",
-	"hybrid/ring/lan":        "b3e197a2866eea4034b0d52481f29299eb78adff70e6f4d82f9f1c58cf4f9b6b",
-	"hybrid/ring/lossy":      "d442f9f68676277ae2e91b34cf5128f7ece06f905df1ebbf7a68ee73bcffa630",
-	"hybrid/ring/metro":      "4ba56c77c04c7f97049cc999bb5ddc9f2c74c316d7efdecc1012997c53b185a5",
-	"hybrid/ring/wan":        "be6050715cc3ffbac383141933b60c9380edc51c9295af907d0e5d65ec07364d",
-	"hybrid/tree/cellular":   "9d7882844343e159d837d4642818403dd73ea24bafd99f0ba8595dc456389d86",
-	"hybrid/tree/lan":        "712688e6f275c2d38a1e4d37b5ff618e85f08aedd33dc58b68390393dc86cb7f",
-	"hybrid/tree/lossy":      "288404cef8b6a79035c0ead52c4a3698b8a0d1aa4692bc361a44cabc8e566ca5",
-	"hybrid/tree/metro":      "aa2bafe56595c572963ff31c8acacdd1367033853044ed2f228f15ac0d961501",
-	"hybrid/tree/wan":        "cabfda7dbf3102d1a6f11a6607209019a88be8c2335397cb8b9efe4b39d423ac",
+	"hybrid/ring/cellular":   "2f59f10c8c2cc68600be5e48e3e96e7010a632c3811be1eacf1c41b6898854dd",
+	"hybrid/ring/lan":        "95c51d884a42787ceb723f25a6ceb4ab330ed7f037803968d020eeffe0fd83a0",
+	"hybrid/ring/lossy":      "df38ac82e38ed3fe2a8d28e0421df8f3590d18da9dfb1d36985af27cf929ece4",
+	"hybrid/ring/metro":      "64d8872524869091994b51505a8b0793fe636a868dd3bcdc3ebbc810ba72466f",
+	"hybrid/ring/wan":        "adb76c05cda4570ffe64d07c11fc14541bc078d58e139789c53b2fd8146cd8a9",
+	"hybrid/tree/cellular":   "c9e83b4eed0593451d1e766a6f18bc9dbb01ac43261abea64fa74df9c102d0b6",
+	"hybrid/tree/lan":        "ca3a3c5619b8458053408e90dd3e6b0989556dd13379c7f82bd466ad3862d5c0",
+	"hybrid/tree/lossy":      "94e01d3ac3a50001ef18de184250751d755d5b7318dff500d7b5d162b98fc950",
+	"hybrid/tree/metro":      "76b79cacc918e740c9eb4c2aa6ba5e1b2b3ef2450ad91dd108b3bb71400cdb51",
+	"hybrid/tree/wan":        "df83f24593ebdf1cbc1432648a5008cdebbdaf770d3b832d92a7a06ffc2324ad",
 }
 
 // TestVirtualLatencyGolden holds the network emulation's absolute figures,
